@@ -137,7 +137,7 @@ func main() {
 	}
 	epochs := func(workers int) func(b *testing.B) {
 		return func(b *testing.B) {
-			f, err := core.New(core.Options{Oracle: true, Seed: 31, Workers: workers})
+			f, err := core.NewFramework(context.Background(), core.Options{Oracle: true, Seed: 31, Workers: workers}.Config())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -383,7 +383,7 @@ func runRematchLeg(forceFull bool) ([]rematchLeg, []telemetry.Event, error) {
 		// the default 10% threshold's repair leg in repair mode.
 		cfg.Market.ChurnThreshold = 1e-9
 	}
-	fw, err := core.NewFramework(cfg)
+	fw, err := core.NewFramework(context.Background(), cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -274,7 +275,7 @@ func framework(cfg loadConfig, pol policy.Policy, shards int, kernel string) (*c
 	default:
 		return nil, fmt.Errorf("-kernel %q: want oracle, exact, or approx", kernel)
 	}
-	return core.NewFramework(c)
+	return core.NewFramework(context.Background(), c)
 }
 
 // measure times cfg.epochs epochs of one configuration over the same

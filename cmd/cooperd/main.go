@@ -145,7 +145,7 @@ func main() {
 			db.Len(), kernel)
 	}
 
-	fw, err := core.NewFramework(cfg)
+	fw, err := core.NewFramework(context.Background(), cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -177,14 +177,14 @@ var (
 // With no options it reproduces the paper's setup (SMR policy, 25%
 // profiling, 10 CMPs, unsharded market).
 func New(opts ...Option) (*Framework, error) {
-	return core.NewFramework(buildConfig(opts))
+	return core.NewFramework(context.Background(), buildConfig(opts))
 }
 
 // NewContext is New with cancellation: the profiling campaign, predictor
 // training, and oracle computation honor ctx, returning an error that
 // wraps ErrCanceled if it fires mid-build.
 func NewContext(ctx context.Context, opts ...Option) (*Framework, error) {
-	return core.NewFrameworkContext(ctx, buildConfig(opts))
+	return core.NewFramework(ctx, buildConfig(opts))
 }
 
 // NewWithOptions builds a Framework from the legacy flat Options struct.
@@ -192,13 +192,15 @@ func NewContext(ctx context.Context, opts ...Option) (*Framework, error) {
 // Deprecated: use New with functional options. NewWithOptions remains
 // supported indefinitely and builds the identical framework (a facade
 // test pins the equivalence).
-func NewWithOptions(opts Options) (*Framework, error) { return core.New(opts) }
+func NewWithOptions(opts Options) (*Framework, error) {
+	return core.NewFramework(context.Background(), opts.Config())
+}
 
 // NewWithOptionsContext is NewWithOptions with cancellation.
 //
 // Deprecated: use NewContext with functional options.
 func NewWithOptionsContext(ctx context.Context, opts Options) (*Framework, error) {
-	return core.NewContext(ctx, opts)
+	return core.NewFramework(ctx, opts.Config())
 }
 
 // Observability.

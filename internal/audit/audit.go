@@ -888,7 +888,16 @@ func (a *Auditor) onEpochEnd(e telemetry.Event) {
 		a.violate(InvBracket, e.Epoch, e.Seq, e.Seq,
 			"epoch_end for epoch %d closes epoch %d", e.Epoch, a.curEpoch)
 	}
-	a.checkSegment(e, true)
+	if e.Kind == telemetry.KindAborted {
+		// The epoch errored or was canceled mid-round: its bracket closes,
+		// but there is no completed matching to hold to coverage,
+		// conservation or stability, and the next streaming epoch has no
+		// baseline to be compared against.
+		a.warnf("epoch %d aborted: round unchecked (seq %d..%d)", a.curEpoch, a.epochStartSeq, e.Seq)
+		a.coreMode, a.pendingMid = "", nil
+	} else {
+		a.checkSegment(e, true)
+	}
 	if len(a.pendingMid) > 0 {
 		ids := make([]int, 0, len(a.pendingMid))
 		for id := range a.pendingMid {

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"context"
 	"testing"
 
 	"cooper/internal/arch"
@@ -10,9 +11,14 @@ import (
 	"cooper/internal/workload"
 )
 
+// newFramework builds a framework from the legacy flat Options.
+func newFramework(opts core.Options) (*core.Framework, error) {
+	return core.NewFramework(context.Background(), opts.Config())
+}
+
 func testDriver(t *testing.T) (*Driver, []workload.Job) {
 	t.Helper()
-	f, err := core.New(core.Options{Oracle: true, Seed: 1})
+	f, err := newFramework(core.Options{Oracle: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +131,7 @@ func TestDriverValidation(t *testing.T) {
 	if _, _, err := (&Driver{}).Run(nil); err == nil {
 		t.Error("missing framework accepted")
 	}
-	f, err := core.New(core.Options{Oracle: true, Seed: 9})
+	f, err := newFramework(core.Options{Oracle: true, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +194,7 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestDriverRecordsTelemetry(t *testing.T) {
 	tel := telemetry.New()
-	f, err := core.New(core.Options{Oracle: true, Seed: 1, Telemetry: tel})
+	f, err := newFramework(core.Options{Oracle: true, Seed: 1, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,45 +4,16 @@ import (
 	"time"
 
 	"cooper/internal/arch"
-	"cooper/internal/policy"
+	"cooper/internal/market"
 	"cooper/internal/recommend"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
 )
 
-// MarketConfig groups the knobs of the colocation market itself: which
-// policy clears it, the stability threshold agents assess against, and
-// how the market is sharded at scale.
-type MarketConfig struct {
-	// Policy assigns colocations. Nil means StableMarriageRandom, the
-	// paper's recommended policy.
-	Policy policy.Policy
-	// Alpha is the minimum performance gain for which an agent recommends
-	// breaking away (and, in the sharded market, the minimum mutual gain
-	// for a cross-shard refinement trade).
-	Alpha float64
-	// Shards splits the market into consistent-hash shards cleared in
-	// parallel, with bounded cross-shard refinement reconciling the
-	// boundaries (see internal/shard). Values <= 1 mean the single
-	// unsharded market, which reproduces the classic pipeline exactly.
-	Shards int
-	// RefinementBudget caps cross-shard refinement rounds per epoch:
-	// 0 means shard.DefaultRefinementBudget, negative disables
-	// refinement. Ignored by the unsharded market.
-	RefinementBudget int
-	// Rematch enables the streaming market: StreamEpoch admits churn
-	// mid-stream and repairs the prior epoch's matching incrementally
-	// (see internal/rematch) instead of re-clearing from scratch.
-	Rematch bool
-	// RematchTopK bounds the preference candidates each churned agent
-	// pulls into its repair neighborhood (<= 0 means
-	// rematch.DefaultTopK).
-	RematchTopK int
-	// ChurnThreshold is the fraction of the population whose cumulative
-	// churn since the last full clear forces the next streaming epoch to
-	// re-match from scratch (<= 0 means rematch.DefaultChurnThreshold).
-	ChurnThreshold float64
-}
+// MarketConfig groups the knobs of the colocation market itself — policy,
+// stability threshold, sharding, and the streaming market — which the
+// market engine reads directly (see market.Config for the fields).
+type MarketConfig = market.Config
 
 // PipelineConfig groups the epoch pipeline's execution knobs: worker
 // budget, profiling and prediction configuration, and epoch deadlines.
@@ -116,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Machines == 0 {
 		c.Machines = 10
-	}
-	if c.Market.Policy == nil {
-		c.Market.Policy = policy.StableMarriageRandom{}
 	}
 	if c.Pipeline.SampleFraction == 0 {
 		c.Pipeline.SampleFraction = 0.25

@@ -12,19 +12,18 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cooper/internal/agent"
 	"cooper/internal/arch"
 	"cooper/internal/cachesim"
 	"cooper/internal/cluster"
+	"cooper/internal/market"
 	"cooper/internal/matching"
 	"cooper/internal/parallel"
 	"cooper/internal/policy"
 	"cooper/internal/profiler"
 	"cooper/internal/recommend"
-	"cooper/internal/shard"
 	"cooper/internal/stats"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
@@ -43,10 +42,10 @@ var ErrClosed = errors.New("cooper: framework closed")
 //
 // Deprecated: Options predates the grouped Config
 // (Market/Pipeline/Observe) and has no market-sharding knobs. New code
-// should build frameworks with NewFramework(Config) — or, through the
-// facade, cooper.New with functional options. Options remains supported
-// indefinitely: New converts it via Options.Config and the two construct
-// identical frameworks.
+// should build frameworks with NewFramework(ctx, Config) — or, through
+// the facade, cooper.New with functional options. Options remains
+// supported indefinitely: Options.Config converts it, and the two
+// describe identical frameworks.
 type Options struct {
 	// Machine is the CMP model shared by every node. Zero value means
 	// arch.DefaultCMP().
@@ -121,40 +120,22 @@ type Framework struct {
 	pool      *parallel.Pool
 	cache     *arch.PairCache
 
-	mu       sync.Mutex // guards closed and stream
+	mu       sync.Mutex // guards closed
 	closed   bool
 	inflight sync.WaitGroup // in-flight epochs, for Close's drain
-	epochSeq atomic.Int64   // 0-based epoch index stamped on flight-recorder events
-	stream   *streamState   // streaming-market ledger, lazily created by StreamEpoch
-}
 
-// New builds a Framework from the legacy flat Options.
-//
-// Deprecated: use NewFramework (or the facade's functional options).
-// New remains supported and builds the identical framework.
-func New(opts Options) (*Framework, error) {
-	return NewFrameworkContext(context.Background(), opts.Config())
-}
-
-// NewContext is New with cancellation.
-//
-// Deprecated: use NewFrameworkContext.
-func NewContext(ctx context.Context, opts Options) (*Framework, error) {
-	return NewFrameworkContext(ctx, opts.Config())
+	// engine clears and repairs the market. Epochs share its RNG, churn
+	// ledger and epoch counter, so epochMu runs them one at a time.
+	engine  *market.Engine
+	epochMu sync.Mutex
 }
 
 // NewFramework builds a Framework from the grouped Config: it calibrates
 // the catalog, runs the offline profiling campaign, and trains the
-// preference predictor.
-func NewFramework(cfg Config) (*Framework, error) {
-	return NewFrameworkContext(context.Background(), cfg)
-}
-
-// NewFrameworkContext is NewFramework with cancellation: the profiling
-// campaign, predictor training, and oracle computation honor ctx, so a
-// canceled build returns ErrCanceled instead of running minutes of
-// simulation.
-func NewFrameworkContext(ctx context.Context, cfg Config) (*Framework, error) {
+// preference predictor. The campaign, the training, and the oracle
+// computation honor ctx, so a canceled build returns ErrCanceled instead
+// of running minutes of simulation.
+func NewFramework(ctx context.Context, cfg Config) (*Framework, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err
@@ -191,23 +172,47 @@ func NewFrameworkContext(ctx context.Context, cfg Config) (*Framework, error) {
 	}
 	f.cluster.SetPairCache(f.cache)
 
+	if err := f.train(ctx); err != nil {
+		return nil, err
+	}
+	f.engine = market.New(market.Engine{
+		Config:  cfg.Market,
+		Workers: f.pool.Workers(),
+		Catalog: catalog,
+		Matrix:  f.predicted,
+		Rand:    f.rng,
+		Tel:     f.tel,
+		Source:  telemetry.SnapshotSourceCore,
+		Seed:    cfg.Seed,
+		Kernel:  f.kernel,
+		Assess:  true,
+	})
+	return f, nil
+}
+
+// train fills the oracle matrix and the predicted one agents believe:
+// the oracle itself, a caller-supplied matrix, or the profiling campaign
+// completed by the preference predictor.
+func (f *Framework) train(ctx context.Context) error {
+	cfg, catalog := f.cfg, f.catalog
+	var err error
 	f.truth, err = profiler.DensePenaltiesContext(ctx, cfg.Machine, catalog,
 		f.pool.Workers(), f.cache)
 	if err != nil {
-		return nil, wrapCanceled(ctx, err)
+		return wrapCanceled(ctx, err)
 	}
 	if cfg.Pipeline.Oracle {
 		f.predicted = f.truth
 		f.kernel = "oracle"
-		return f, nil
+		return nil
 	}
 	if cfg.Pipeline.Penalties != nil {
 		if err := validatePenalties(cfg.Pipeline.Penalties, len(catalog)); err != nil {
-			return nil, err
+			return err
 		}
 		f.predicted = cfg.Pipeline.Penalties
 		f.kernel = "external"
-		return f, nil
+		return nil
 	}
 
 	prof := profiler.New(cfg.Machine, f.db, cfg.Seed+1)
@@ -215,11 +220,11 @@ func NewFrameworkContext(ctx context.Context, cfg Config) (*Framework, error) {
 	prof.Tel = f.tel
 	prof.Workers = f.pool.Workers()
 	if err := prof.CampaignContext(ctx, catalog, cfg.Pipeline.SampleFraction); err != nil {
-		return nil, wrapCanceled(ctx, err)
+		return wrapCanceled(ctx, err)
 	}
 	sparse, err := profiler.PenaltyMatrix(f.db, catalog)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	reg := f.tel.Registry()
 	predict := f.tel.Phase(nil, "predict")
@@ -235,7 +240,7 @@ func NewFrameworkContext(ctx context.Context, cfg Config) (*Framework, error) {
 	predict.SetAttr("kernel", f.kernel)
 	f.predicted, f.iters, err = pred.CompleteContext(ctx, sparse)
 	if err != nil {
-		return nil, wrapCanceled(ctx, err)
+		return wrapCanceled(ctx, err)
 	}
 	predict.SetAttr("fill_iters", f.iters)
 	predict.SetAttr("sim_pairs_recomputed", reg.Counter("predict.sim_pairs_recomputed").Value()-preRecomputed)
@@ -245,7 +250,7 @@ func NewFrameworkContext(ctx context.Context, cfg Config) (*Framework, error) {
 		predict.SetAttr("candidates_skipped", reg.Counter("predict.candidates_skipped").Value()-preCandSkipped)
 	}
 	f.tel.End(predict)
-	return f, nil
+	return nil
 }
 
 // validatePenalties checks a caller-supplied job-level penalty matrix.
@@ -259,15 +264,6 @@ func validatePenalties(d [][]float64, n int) error {
 		}
 	}
 	return nil
-}
-
-// reportedShards normalizes a shard-count knob for snapshots: only a
-// sharded market (> 1) is worth recording, and old logs carry zero.
-func reportedShards(shards int) int {
-	if shards > 1 {
-		return shards
-	}
-	return 0
 }
 
 // wrapCanceled tags an error with ErrCanceled when ctx was canceled, so
@@ -397,10 +393,27 @@ func (f *Framework) RunEpoch(pop workload.Population) (*EpochReport, error) {
 }
 
 // RunEpochContext is RunEpoch with cancellation and parallel assessment.
-// The pipeline checks ctx between its phases (expand, match, assess,
-// dispatch) and inside the assessment fan-out, returning an error that
-// wraps ErrCanceled if ctx fires. After Close it returns ErrClosed.
+// The pipeline checks ctx between its phases (match, assess, dispatch)
+// and inside the assessment fan-out, returning an error that wraps
+// ErrCanceled if ctx fires. After Close it returns ErrClosed.
 func (f *Framework) RunEpochContext(ctx context.Context, pop workload.Population) (*EpochReport, error) {
+	return f.epoch(ctx, pop, func(ctx context.Context, ep *market.Epoch) (*market.Round, error) {
+		if len(pop.Jobs) == 0 {
+			return nil, fmt.Errorf("core: empty population")
+		}
+		// In-process agents are their epoch-local indices: no stable IDs.
+		return ep.Clear(ctx, market.Roster{Jobs: pop.Jobs})
+	})
+}
+
+// epoch is the one epoch body behind RunEpoch and StreamEpoch: the
+// engine matches the round the entry point asks for (a fresh population
+// cleared, or churn stepped into the standing matching), then the
+// pipeline measures the assignment, reports it, and dispatches it. Any
+// error after the round opened the epoch aborts it through the deferred
+// Close, so the flight log stays bracketed and the epoch span finished.
+func (f *Framework) epoch(ctx context.Context, pop workload.Population,
+	round func(context.Context, *market.Epoch) (*market.Round, error)) (*EpochReport, error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -409,193 +422,56 @@ func (f *Framework) RunEpochContext(ctx context.Context, pop workload.Population
 	f.inflight.Add(1)
 	f.mu.Unlock()
 	defer f.inflight.Done()
+	f.epochMu.Lock()
+	defer f.epochMu.Unlock()
 
 	if f.cfg.Pipeline.EpochTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, f.cfg.Pipeline.EpochTimeout)
 		defer cancel()
 	}
-
-	n := len(pop.Jobs)
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty population")
+	if err := ctx.Err(); err != nil {
+		return nil, wrapCanceled(ctx, err)
+	}
+	ep := f.engine.Begin()
+	defer ep.Close()
+	r, err := round(ctx, ep)
+	if err != nil {
+		return nil, wrapCanceled(ctx, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCanceled(ctx, err)
 	}
-	// The epoch span is keyed by index so its ID is a pure function of
-	// the seed and the epoch number: restarts and replays agree on it.
-	epochIdx := int(f.epochSeq.Add(1) - 1)
-	epoch := f.tel.PhaseKeyed(nil, "epoch", int64(epochIdx))
-	epoch.SetAttr("agents", n)
-	f.tel.RecordIn(epoch, telemetry.Event{
-		Type: telemetry.EventEpochStart, Epoch: epochIdx,
-		Agent: -1, Partner: -1, Value: float64(n),
-	})
-	if f.tel.EventRing() != nil {
-		// Pin the epoch's inputs so an -events-out log is self-contained
-		// for cooper-replay: in-process agents are their epoch-local
-		// indices, and the matrix is the job-level predicted penalties the
-		// policy actually saw. α is recorded as "no contract" — the
-		// framework counts blocking pairs as a result (Figure 10), it does
-		// not promise their absence.
-		agents := make([]int, n)
-		jobs := make([]string, n)
-		for i, job := range pop.Jobs {
-			agents[i] = i
-			jobs[i] = job.Name
-		}
-		catalog := make([]string, len(f.catalog))
-		for i, job := range f.catalog {
-			catalog[i] = job.Name
-		}
-		f.tel.RecordIn(epoch, telemetry.EpochSnapshot{
-			Epoch: epochIdx, Source: telemetry.SnapshotSourceCore,
-			Policy: f.cfg.Market.Policy.Name(), Seed: f.cfg.Seed, Alpha: -1,
-			Shards: reportedShards(f.cfg.Market.Shards),
-			Kernel: f.kernel,
-			Agents: agents, Jobs: jobs,
-			Catalog: catalog, Matrix: f.predicted,
-		}.Event())
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
-
-	reg := f.tel.Registry()
-	var (
-		match  matching.Matching
-		recs   []agent.Recommendation
-		predAt func(i, j int) float64
-		mres   *shard.Result
-	)
-	if f.cfg.Market.Shards > 1 {
-		// Sharded market: the job-level matrix is never expanded to the
-		// n×n agent matrix — shards look penalties up through their jobs,
-		// so memory scales with shard size, not population size.
-		names := make([]string, n)
-		for i, job := range pop.Jobs {
-			names[i] = job.Name
-		}
-		jobIdx, err := shard.JobIndices(f.catalog, names)
-		if err != nil {
-			return nil, err
-		}
-		matchSpan := f.tel.Phase(epoch, "match")
-		mk := &shard.Market{
-			Shards:           f.cfg.Market.Shards,
-			RefinementBudget: f.cfg.Market.RefinementBudget,
-			Policy:           f.cfg.Market.Policy,
-			Alpha:            f.cfg.Market.Alpha,
-			Workers:          f.pool.Workers(),
-			Seed:             f.rng.Int63(),
-			Epoch:            epochIdx,
-			Tel:              f.tel,
-			Span:             matchSpan,
-		}
-		mres, err = mk.Clear(ctx, pop.Jobs, jobIdx, f.predicted)
-		if err != nil {
-			return nil, wrapCanceled(ctx, err)
-		}
-		matchSpan.SetAttr("policy", f.cfg.Market.Policy.Name())
-		matchSpan.SetAttr("shards", f.cfg.Market.Shards)
-		matchSpan.SetAttr("refinement_rounds", mres.RefinementRounds)
-		matchSpan.SetAttr("refinement_trades", mres.RefinementTrades)
-		f.tel.End(matchSpan)
-		match, recs = mres.Match, mres.Recommendations
-		predAt = func(i, j int) float64 { return f.predicted[jobIdx[i]][jobIdx[j]] }
-	} else {
-		predD, err := profiler.ExpandToAgents(f.predicted, f.catalog, pop)
-		if err != nil {
-			return nil, err
-		}
-		bw := make([]float64, n)
-		for i, j := range pop.Jobs {
-			bw[i] = j.BandwidthGBps
-		}
-
-		matchSpan := f.tel.Phase(epoch, "match")
-		preProposals := reg.Counter("match.proposals").Value()
-		preRotations := reg.Counter("match.rotations").Value()
-		match, err = f.cfg.Market.Policy.Assign(predD, policy.Context{
-			BandwidthGBps: bw,
-			Rand:          f.rng,
-			Metrics:       reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		matchSpan.SetAttr("policy", f.cfg.Market.Policy.Name())
-		matchSpan.SetAttr("proposals", reg.Counter("match.proposals").Value()-preProposals)
-		matchSpan.SetAttr("rotations", reg.Counter("match.rotations").Value()-preRotations)
-		f.tel.End(matchSpan)
-
-		if err := ctx.Err(); err != nil {
-			return nil, wrapCanceled(ctx, err)
-		}
-		agents := make([]*agent.Agent, n)
-		for i := range agents {
-			agents[i] = agent.New(i, pop.Jobs[i].Name, predD[i])
-		}
-		recs, err = agent.Exchange(agents, match, f.cfg.Market.Alpha)
-		if err != nil {
-			return nil, err
-		}
-		predAt = func(i, j int) float64 { return predD[i][j] }
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
-	assess := f.tel.Phase(epoch, "assess")
+	pop.Jobs = r.Jobs
+	assess := f.tel.Phase(ep.Span(), "assess")
 
 	// True penalties come from simulating each matched pair on its own
 	// CMP, fanned out across the worker pool and memoized through the
 	// pair cache. The solve is deterministic, so this equals the oracle
 	// matrix lookup bit for bit at any worker count.
-	trueP, err := policy.TruePenalties(ctx, f.cfg.Machine, pop.Jobs, match,
+	trueP, err := policy.TruePenalties(ctx, f.cfg.Machine, pop.Jobs, r.Match,
 		f.pool.Workers(), f.cache)
 	if err != nil {
 		return nil, wrapCanceled(ctx, err)
 	}
-
+	predicted, meanPred := r.Penalties()
 	rep := &EpochReport{
 		Population:       pop,
-		Match:            match,
-		PredictedPenalty: make([]float64, n),
+		Match:            r.Match,
+		RefinementRounds: r.RefinementRounds,
+		RefinementTrades: r.RefinementTrades,
+		PredictedPenalty: predicted,
 		TruePenalty:      trueP,
-		Recommendations:  recs,
-		BlockingPairs:    agent.BlockingPairsFromRecommendations(recs),
+		Recommendations:  r.Recommendations,
+		BlockingPairs:    agent.BlockingPairsFromRecommendations(r.Recommendations),
+		AgentIDs:         r.IDs,
 	}
-	if mres != nil {
+	if f.cfg.Market.Shards > 1 {
 		rep.Shards = f.cfg.Market.Shards
-		rep.RefinementRounds = mres.RefinementRounds
-		rep.RefinementTrades = mres.RefinementTrades
 	}
-	var meanPred float64
-	for i, j := range match {
-		if j != matching.Unmatched {
-			rep.PredictedPenalty[i] = predAt(i, j)
-			meanPred += predAt(i, j)
-		}
-		switch {
-		case j == matching.Unmatched:
-			f.tel.RecordIn(epoch, telemetry.Event{
-				Type: telemetry.EventAgentUnpaired, Epoch: epochIdx,
-				Agent: i, Partner: -1, Job: pop.Jobs[i].Name,
-			})
-		case i < j:
-			// One flight-recorder record per colocation, predicted next
-			// to oracle truth — the per-pair accuracy residual the
-			// paper's Figure 5 aggregates.
-			f.tel.RecordIn(epoch, telemetry.Event{
-				Type: telemetry.EventPairMatched, Epoch: epochIdx,
-				Agent: i, Partner: j, Job: pop.Jobs[i].Name,
-				Predicted: predAt(i, j), True: trueP[i],
-			})
-		}
+	for i := range r.Match {
+		ep.Assigned(r, i, trueP[i])
 	}
-	meanPred /= float64(n)
 	assess.SetAttr("breakaways", rep.BreakAwayCount())
 	assess.SetAttr("blocking_pairs", len(rep.BlockingPairs))
 	f.tel.End(assess)
@@ -605,10 +481,10 @@ func (f *Framework) RunEpochContext(ctx context.Context, pop workload.Population
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCanceled(ctx, err)
 	}
-	dispatch := f.tel.Phase(epoch, "dispatch")
+	dispatch := f.tel.Phase(ep.Span(), "dispatch")
 	f.cluster.Reset()
 	var batch []cluster.Assignment
-	for i, j := range match {
+	for i, j := range r.Match {
 		switch {
 		case j == matching.Unmatched:
 			batch = append(batch, cluster.Assignment{
@@ -624,30 +500,19 @@ func (f *Framework) RunEpochContext(ctx context.Context, pop workload.Population
 	rep.Cluster = f.cluster.Summarize(results)
 	dispatch.SetAttr("colocations", len(batch))
 	f.tel.End(dispatch)
-	f.tel.End(epoch)
 
-	if reg != nil {
-		reg.Counter("epoch.count").Inc()
-		reg.Counter("epoch.agents").Add(int64(n))
-		reg.Counter("epoch.breakaways").Add(int64(rep.BreakAwayCount()))
-		reg.Counter("epoch.blocking_pairs").Add(int64(len(rep.BlockingPairs)))
-		reg.Gauge("epoch.mean_penalty").Set(rep.MeanTruePenalty())
-		h := reg.Histogram("epoch.penalty", telemetry.PenaltyBuckets())
-		for _, p := range rep.TruePenalty {
-			h.Observe(p)
-		}
-	}
-	f.tel.RecordIn(epoch, telemetry.Event{
-		Type: telemetry.EventCacheHitRate, Epoch: epochIdx,
+	f.tel.Counter("epoch.blocking_pairs").Add(int64(len(rep.BlockingPairs)))
+	f.tel.RecordIn(ep.Span(), telemetry.Event{
+		Type: telemetry.EventCacheHitRate, Epoch: ep.Index,
 		Agent: -1, Partner: -1, Value: f.cache.HitRate(),
 	})
-	// Value is the oracle mean (what the dashboards chart); Predicted is
-	// the matrix-derived mean an offline auditor can recompute from the
-	// epoch snapshot alone, bit for bit.
-	f.tel.RecordIn(epoch, telemetry.Event{
-		Type: telemetry.EventEpochEnd, Epoch: epochIdx,
-		Agent: -1, Partner: -1, Value: rep.MeanTruePenalty(),
-		Predicted: meanPred,
+	// The epoch closes on the oracle mean (what the dashboards chart) next
+	// to the matrix-derived mean auditors recompute from the snapshot.
+	ep.End(market.Summary{
+		Penalties:     trueP,
+		MeanPenalty:   rep.MeanTruePenalty(),
+		MeanPredicted: meanPred,
+		BreakAways:    rep.BreakAwayCount(),
 	})
 	return rep, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -12,9 +13,14 @@ import (
 	"cooper/internal/workload"
 )
 
+// newFromOptions builds a framework from the legacy flat Options.
+func newFromOptions(opts Options) (*Framework, error) {
+	return NewFramework(context.Background(), opts.Config())
+}
+
 func oracleFramework(t *testing.T, p policy.Policy, seed int64) *Framework {
 	t.Helper()
-	f, err := New(Options{Policy: p, Oracle: true, Seed: seed})
+	f, err := newFromOptions(Options{Policy: p, Oracle: true, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +45,7 @@ func TestNewOracle(t *testing.T) {
 }
 
 func TestNewWithProfiling(t *testing.T) {
-	f, err := New(Options{Seed: 2})
+	f, err := newFromOptions(Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +69,7 @@ func TestNewWithProfiling(t *testing.T) {
 func TestNewInvalidMachine(t *testing.T) {
 	opts := Options{}
 	opts.Machine.Cores = -1
-	if _, err := New(opts); err == nil {
+	if _, err := newFromOptions(opts); err == nil {
 		t.Error("invalid machine accepted")
 	}
 }
@@ -101,7 +107,7 @@ func TestRunEpochOracle(t *testing.T) {
 }
 
 func TestEpochTimeoutBoundsRunEpoch(t *testing.T) {
-	f, err := New(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 1,
+	f, err := newFromOptions(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 1,
 		EpochTimeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +119,7 @@ func TestEpochTimeoutBoundsRunEpoch(t *testing.T) {
 	}
 
 	// A generous deadline must not perturb a normal epoch.
-	g, err := New(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 1,
+	g, err := newFromOptions(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 1,
 		EpochTimeout: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +176,7 @@ func TestRunEpochPerformanceWithinHeuristics(t *testing.T) {
 
 func TestBreakAwayCountsRespondToAlpha(t *testing.T) {
 	count := func(alpha float64) int {
-		f, err := New(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 7, Alpha: alpha})
+		f, err := newFromOptions(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 7, Alpha: alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +212,7 @@ func TestSamplePopulationMixes(t *testing.T) {
 }
 
 func TestNewCustomCatalogValidation(t *testing.T) {
-	if _, err := New(Options{Catalog: []workload.Job{}, Oracle: true}); err == nil {
+	if _, err := newFromOptions(Options{Catalog: []workload.Job{}, Oracle: true}); err == nil {
 		t.Error("empty custom catalog accepted")
 	}
 }
@@ -242,7 +248,7 @@ func TestRunEpochOddPopulation(t *testing.T) {
 
 func TestPredictSpanSimPairAttrs(t *testing.T) {
 	tel := telemetry.New()
-	f, err := New(Options{Seed: 11, Telemetry: tel})
+	f, err := newFromOptions(Options{Seed: 11, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

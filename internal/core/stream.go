@@ -2,18 +2,9 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"sync"
 
-	"cooper/internal/agent"
-	"cooper/internal/cluster"
-	"cooper/internal/matching"
-	"cooper/internal/policy"
-	"cooper/internal/profiler"
-	"cooper/internal/rematch"
-	"cooper/internal/shard"
-	"cooper/internal/telemetry"
+	"cooper/internal/market"
 	"cooper/internal/workload"
 )
 
@@ -43,21 +34,6 @@ type RematchSummary struct {
 	Changed      int
 }
 
-// streamState is the Framework's per-stream ledger, created lazily on
-// the first StreamEpoch call.
-type streamState struct {
-	mu     sync.Mutex
-	ledger rematch.Ledger
-}
-
-// rematchPayload is the rematch_round event's Data: the churn the round
-// absorbed, in event-log agent IDs.
-type rematchPayload struct {
-	Joined       []int `json:"joined"`
-	Departed     []int `json:"departed"`
-	Neighborhood []int `json:"neighborhood,omitempty"`
-}
-
 // StreamEpoch plays one round of the streaming market: the churn's
 // departures and arrivals are folded into the live population, and the
 // prior epoch's stable matching is repaired incrementally around them —
@@ -70,329 +46,23 @@ func (f *Framework) StreamEpoch(churn Churn) (*EpochReport, error) {
 
 // StreamEpochContext is StreamEpoch with cancellation. Unlike RunEpoch,
 // consecutive calls share ledger state (the live population and its
-// last matching), so calls must not overlap; they are serialized
-// internally.
+// last matching); like every epoch, calls are serialized internally.
 func (f *Framework) StreamEpochContext(ctx context.Context, churn Churn) (*EpochReport, error) {
 	if !f.cfg.Market.Rematch {
 		return nil, fmt.Errorf("core: streaming market disabled; enable Market.Rematch (cooper.WithRematch)")
 	}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, ErrClosed
-	}
-	f.inflight.Add(1)
-	if f.stream == nil {
-		f.stream = &streamState{}
-	}
-	st := f.stream
-	f.mu.Unlock()
-	defer f.inflight.Done()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
-	if f.cfg.Pipeline.EpochTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.Pipeline.EpochTimeout)
-		defer cancel()
-	}
-
-	// Arriving jobs must be catalog jobs: the ledger tracks matrix rows.
-	jobRow := make(map[string]int, len(f.catalog))
-	for i, j := range f.catalog {
-		jobRow[j.Name] = i
-	}
-	joinRows := make([]int, len(churn.Join))
-	for i, j := range churn.Join {
-		row, ok := jobRow[j.Name]
-		if !ok {
-			return nil, fmt.Errorf("core: joining job %q not in catalog", j.Name)
-		}
-		joinRows[i] = row
-	}
-	delta, err := st.ledger.Apply(joinRows, churn.Depart)
+	var r *market.Round
+	rep, err := f.epoch(ctx, workload.Population{}, func(ctx context.Context, ep *market.Epoch) (*market.Round, error) {
+		// The ledger issues the joiners' stable IDs; the report's
+		// AgentIDs carry them back for later departures.
+		var err error
+		r, err = ep.Step(ctx, market.Roster{Jobs: churn.Join}, churn.Depart)
+		return r, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	n := len(delta.Agents)
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty population after churn")
-	}
-	full := st.ledger.FullDue(f.cfg.Market.ChurnThreshold)
-	if err := ctx.Err(); err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
-
-	// The streaming population: agent i runs its ledger job class.
-	pop := workload.Population{Jobs: make([]workload.Job, n)}
-	ids := make([]int, n)
-	jobIdx := make([]int, n)
-	for i, a := range delta.Agents {
-		pop.Jobs[i] = f.catalog[a.Job]
-		ids[i] = a.ID
-		jobIdx[i] = a.Job
-	}
-	pen := func(i, j int) float64 { return f.predicted[jobIdx[i]][jobIdx[j]] }
-
-	// Keyed by epoch index like the batch path, so streaming and batch
-	// runs over the same seed produce the same epoch span IDs.
-	epochIdx := int(f.epochSeq.Add(1) - 1)
-	epoch := f.tel.PhaseKeyed(nil, "epoch", int64(epochIdx))
-	epoch.SetAttr("agents", n)
-	epoch.SetAttr("stream", true)
-	f.tel.RecordIn(epoch, telemetry.Event{
-		Type: telemetry.EventEpochStart, Epoch: epochIdx,
-		Agent: -1, Partner: -1, Value: float64(n),
-	})
-	if f.tel.EventRing() != nil {
-		// Streaming snapshots carry the stable IDs, so the roster an
-		// auditor derives matches the IDs rematch_round payloads name.
-		jobs := make([]string, n)
-		for i, job := range pop.Jobs {
-			jobs[i] = job.Name
-		}
-		catalog := make([]string, len(f.catalog))
-		for i, job := range f.catalog {
-			catalog[i] = job.Name
-		}
-		f.tel.RecordIn(epoch, telemetry.EpochSnapshot{
-			Epoch: epochIdx, Source: telemetry.SnapshotSourceCore,
-			Policy: f.cfg.Market.Policy.Name(), Seed: f.cfg.Seed, Alpha: -1,
-			Shards: reportedShards(f.cfg.Market.Shards),
-			Kernel: f.kernel,
-			Agents: ids, Jobs: jobs,
-			Catalog: catalog, Matrix: f.predicted,
-		}.Event())
-	}
-
-	payload := rematchPayload{
-		Joined:   make([]int, 0, len(delta.Joined)),
-		Departed: append([]int{}, delta.Departed...),
-	}
-	for _, i := range delta.Joined {
-		payload.Joined = append(payload.Joined, ids[i])
-	}
-	summary := &RematchSummary{Joined: len(delta.Joined), Departed: len(delta.Departed)}
-	reg := f.tel.Registry()
-
-	emitRound := func(kind string) {
-		data, _ := json.Marshal(payload)
-		f.tel.RecordIn(epoch, telemetry.Event{
-			Type: telemetry.EventRematchRound, Epoch: epochIdx,
-			Agent: -1, Partner: -1, Kind: kind, Round: 0,
-			Value: float64(n), Data: string(data),
-		})
-	}
-
-	var (
-		match matching.Matching
-		mres  *shard.Result
-	)
-	if full {
-		summary.Mode = "full"
-		emitRound("full")
-		matchSpan := f.tel.Phase(epoch, "match")
-		if f.cfg.Market.Shards > 1 {
-			mk := &shard.Market{
-				Shards:              f.cfg.Market.Shards,
-				RefinementBudget:    f.cfg.Market.RefinementBudget,
-				Policy:              f.cfg.Market.Policy,
-				Alpha:               f.cfg.Market.Alpha,
-				Workers:             f.pool.Workers(),
-				Seed:                f.rng.Int63(),
-				Epoch:               epochIdx,
-				IDs:                 ids,
-				Tel:                 f.tel,
-				Span:                matchSpan,
-				SkipRecommendations: true,
-			}
-			mres, err = mk.Clear(ctx, pop.Jobs, jobIdx, f.predicted)
-			if err != nil {
-				return nil, wrapCanceled(ctx, err)
-			}
-			match = mres.Match
-		} else {
-			predD, err := profiler.ExpandToAgents(f.predicted, f.catalog, pop)
-			if err != nil {
-				return nil, err
-			}
-			bw := make([]float64, n)
-			for i, j := range pop.Jobs {
-				bw[i] = j.BandwidthGBps
-			}
-			match, err = f.cfg.Market.Policy.Assign(predD, policy.Context{
-				BandwidthGBps: bw, Rand: f.rng, Metrics: reg,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		matchSpan.SetAttr("policy", f.cfg.Market.Policy.Name())
-		matchSpan.SetAttr("mode", "full")
-		f.tel.End(matchSpan)
-		if err := st.ledger.Commit(match, true); err != nil {
-			return nil, err
-		}
-		reg.Counter("rematch.fulls").Inc()
-	} else {
-		summary.Mode = "repair"
-		matchSpan := f.tel.Phase(epoch, "match")
-		var nbhd, changed []int
-		if f.cfg.Market.Shards > 1 {
-			mk := &shard.Market{
-				Shards:  f.cfg.Market.Shards,
-				Policy:  f.cfg.Market.Policy,
-				Alpha:   f.cfg.Market.Alpha,
-				Workers: f.pool.Workers(),
-				Seed:    f.rng.Int63(),
-				Epoch:   epochIdx,
-				IDs:     ids,
-				Tel:     f.tel,
-				Span:    matchSpan,
-			}
-			rres, err := mk.Repair(ctx, pop.Jobs, jobIdx, f.predicted, delta.Prev, delta.Dirty, f.cfg.Market.RematchTopK)
-			if err != nil {
-				return nil, wrapCanceled(ctx, err)
-			}
-			match, nbhd, changed = rres.Match, rres.Neighborhood, rres.Changed
-		} else {
-			bw := make([]float64, n)
-			for i, j := range pop.Jobs {
-				bw[i] = j.BandwidthGBps
-			}
-			rp := &rematch.Repairer{
-				Policy:  f.cfg.Market.Policy,
-				TopK:    f.cfg.Market.RematchTopK,
-				Rand:    f.rng,
-				Metrics: reg,
-			}
-			rres, err := rp.Repair(delta, pen, bw)
-			if err != nil {
-				return nil, err
-			}
-			match, nbhd, changed = rres.Match, rres.Neighborhood, rres.Changed
-		}
-		matchSpan.SetAttr("policy", f.cfg.Market.Policy.Name())
-		matchSpan.SetAttr("mode", "repair")
-		matchSpan.SetAttr("neighborhood", len(nbhd))
-		matchSpan.SetAttr("changed", len(changed))
-		f.tel.End(matchSpan)
-		summary.Neighborhood = len(nbhd)
-		summary.Changed = len(changed)
-		payload.Neighborhood = make([]int, 0, len(nbhd))
-		for _, i := range nbhd {
-			payload.Neighborhood = append(payload.Neighborhood, ids[i])
-		}
-		emitRound("repair")
-		if err := st.ledger.Commit(match, false); err != nil {
-			return nil, err
-		}
-		reg.Counter("rematch.repairs").Inc()
-	}
-	reg.Counter("rematch.joined").Add(int64(summary.Joined))
-	reg.Counter("rematch.departed").Add(int64(summary.Departed))
-
-	if err := ctx.Err(); err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
-	assess := f.tel.Phase(epoch, "assess")
-	// Streaming epochs always use the bounded class-bucket assessment:
-	// exact Action and ExpectedGain, bounded partner lists, O(n·classes)
-	// instead of the O(n²) message exchange — repair epochs must never
-	// pay quadratic work.
-	recs := rematch.Recommendations(jobIdx, f.predicted, match, f.cfg.Market.Alpha, 0)
-
-	trueP, err := policy.TruePenalties(ctx, f.cfg.Machine, pop.Jobs, match,
-		f.pool.Workers(), f.cache)
-	if err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
-
-	rep := &EpochReport{
-		Population:       pop,
-		Match:            match,
-		AgentIDs:         ids,
-		Rematch:          summary,
-		PredictedPenalty: make([]float64, n),
-		TruePenalty:      trueP,
-		Recommendations:  recs,
-		BlockingPairs:    agent.BlockingPairsFromRecommendations(recs),
-	}
-	if mres != nil {
-		rep.Shards = f.cfg.Market.Shards
-		rep.RefinementRounds = mres.RefinementRounds
-		rep.RefinementTrades = mres.RefinementTrades
-	} else if f.cfg.Market.Shards > 1 {
-		rep.Shards = f.cfg.Market.Shards
-	}
-	var meanPred float64
-	for i, j := range match {
-		if j != matching.Unmatched {
-			rep.PredictedPenalty[i] = pen(i, j)
-			meanPred += pen(i, j)
-		}
-		switch {
-		case j == matching.Unmatched:
-			f.tel.RecordIn(epoch, telemetry.Event{
-				Type: telemetry.EventAgentUnpaired, Epoch: epochIdx,
-				Agent: ids[i], Partner: -1, Job: pop.Jobs[i].Name,
-			})
-		case i < j:
-			f.tel.RecordIn(epoch, telemetry.Event{
-				Type: telemetry.EventPairMatched, Epoch: epochIdx,
-				Agent: ids[i], Partner: ids[j], Job: pop.Jobs[i].Name,
-				Predicted: pen(i, j), True: trueP[i],
-			})
-		}
-	}
-	meanPred /= float64(n)
-	assess.SetAttr("breakaways", rep.BreakAwayCount())
-	assess.SetAttr("blocking_pairs", len(rep.BlockingPairs))
-	f.tel.End(assess)
-
-	if err := ctx.Err(); err != nil {
-		return nil, wrapCanceled(ctx, err)
-	}
-	dispatch := f.tel.Phase(epoch, "dispatch")
-	f.cluster.Reset()
-	var batch []cluster.Assignment
-	for i, j := range match {
-		switch {
-		case j == matching.Unmatched:
-			batch = append(batch, cluster.Assignment{
-				AgentA: i, AgentB: -1, JobA: pop.Jobs[i],
-			})
-		case i < j:
-			batch = append(batch, cluster.Assignment{
-				AgentA: i, AgentB: j, JobA: pop.Jobs[i], JobB: pop.Jobs[j],
-			})
-		}
-	}
-	results := f.cluster.Dispatch(batch)
-	rep.Cluster = f.cluster.Summarize(results)
-	dispatch.SetAttr("colocations", len(batch))
-	f.tel.End(dispatch)
-	f.tel.End(epoch)
-
-	if reg != nil {
-		reg.Counter("epoch.count").Inc()
-		reg.Counter("epoch.agents").Add(int64(n))
-		reg.Counter("epoch.breakaways").Add(int64(rep.BreakAwayCount()))
-		reg.Counter("epoch.blocking_pairs").Add(int64(len(rep.BlockingPairs)))
-		reg.Gauge("epoch.mean_penalty").Set(rep.MeanTruePenalty())
-		h := reg.Histogram("epoch.penalty", telemetry.PenaltyBuckets())
-		for _, p := range rep.TruePenalty {
-			h.Observe(p)
-		}
-	}
-	f.tel.RecordIn(epoch, telemetry.Event{
-		Type: telemetry.EventCacheHitRate, Epoch: epochIdx,
-		Agent: -1, Partner: -1, Value: f.cache.HitRate(),
-	})
-	f.tel.RecordIn(epoch, telemetry.Event{
-		Type: telemetry.EventEpochEnd, Epoch: epochIdx,
-		Agent: -1, Partner: -1, Value: rep.MeanTruePenalty(),
-		Predicted: meanPred,
-	})
+	rep.Rematch = &RematchSummary{Mode: r.Mode, Joined: r.Joined, Departed: r.Departed,
+		Neighborhood: len(r.Neighborhood), Changed: len(r.Changed)}
 	return rep, nil
 }

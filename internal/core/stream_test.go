@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ import (
 
 func streamFramework(t *testing.T, workers, shards int, seed int64) *Framework {
 	t.Helper()
-	f, err := NewFramework(Config{
+	f, err := NewFramework(context.Background(), Config{
 		Seed:     seed,
 		Market:   MarketConfig{Rematch: true, Shards: shards},
 		Pipeline: PipelineConfig{Oracle: true, Workers: workers},

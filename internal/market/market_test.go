@@ -1,0 +1,135 @@
+package market
+
+import (
+	"context"
+	"testing"
+
+	"cooper/internal/audit"
+	"cooper/internal/matching"
+	"cooper/internal/policy"
+	"cooper/internal/stats"
+	"cooper/internal/telemetry"
+	"cooper/internal/workload"
+)
+
+// testEngine builds an engine over a four-class catalog whose penalties
+// make every class prefer the next one.
+func testEngine(t *testing.T, cfg Config) (*Engine, []workload.Job) {
+	t.Helper()
+	catalog := []workload.Job{{Name: "a", BandwidthGBps: 1}, {Name: "b", BandwidthGBps: 2},
+		{Name: "c", BandwidthGBps: 3}, {Name: "d", BandwidthGBps: 4}}
+	matrix := make([][]float64, len(catalog))
+	for i := range matrix {
+		matrix[i] = make([]float64, len(catalog))
+		for j := range matrix[i] {
+			matrix[i][j] = 0.1 * float64(1+(j-i+len(catalog))%len(catalog))
+		}
+	}
+	cfg.Policy = policy.Greedy{}
+	return New(Engine{Config: cfg, Catalog: catalog, Matrix: matrix, Rand: stats.NewRand(1),
+		Tel: telemetry.New(), Source: telemetry.SnapshotSourceWire}), catalog
+}
+
+func rosterOf(catalog []workload.Job, firstID, n int) Roster {
+	r := Roster{IDs: make([]int, n), Jobs: make([]workload.Job, n)}
+	for i := range r.Jobs {
+		r.IDs[i], r.Jobs[i] = firstID+i, catalog[i%len(catalog)]
+	}
+	return r
+}
+
+// A round rejected for bad input leaves no trace: no events, no consumed
+// epoch index, and Close on the never-opened epoch records nothing.
+func TestRejectedRoundOpensNothing(t *testing.T) {
+	e, catalog := testEngine(t, Config{Rematch: true})
+	ctx := context.Background()
+	for name, round := range map[string]func(*Epoch) error{
+		"off-catalog clear": func(ep *Epoch) error {
+			_, err := ep.Clear(ctx, Roster{Jobs: []workload.Job{{Name: "nope"}}})
+			return err
+		},
+		"unknown departure": func(ep *Epoch) error { _, err := ep.Step(ctx, Roster{}, []int{9}); return err },
+		"empty after churn": func(ep *Epoch) error { _, err := ep.Step(ctx, Roster{}, nil); return err },
+	} {
+		ep := e.Begin()
+		if err := round(ep); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		ep.Close()
+	}
+	if evs := e.Tel.EventRing().Events(); len(evs) != 0 {
+		t.Fatalf("rejected rounds recorded %d events: %+v", len(evs), evs)
+	}
+	ep := e.Begin()
+	defer ep.Close()
+	if _, err := ep.Step(ctx, Roster{Jobs: catalog}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ep.Index != 0 {
+		t.Fatalf("first opened epoch has index %d: rejected rounds consumed indices", ep.Index)
+	}
+}
+
+// Within one epoch, a Step repairs around the preceding Clear under the
+// caller's IDs: only the churn's neighborhood is touched, the rest of the
+// boundary matching stands, and the log audits clean.
+func TestStepRepairsAroundTheEpochsClear(t *testing.T) {
+	e, catalog := testEngine(t, Config{Rematch: true})
+	ctx := context.Background()
+	tel := e.Tel
+	base := rosterOf(catalog, 100, 40)
+	// The wire auditor derives rosters from lifecycle events, as the
+	// server emits them at admission.
+	for i, id := range base.IDs {
+		tel.Record(telemetry.Event{Type: telemetry.EventAgentRegistered, Agent: id, Partner: -1, Job: base.Jobs[i].Name})
+	}
+	ep := e.Begin()
+	r0, err := ep.Clear(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range r0.Match {
+		ep.Assigned(r0, i, 0)
+	}
+	// Agent 103 dies, agent 900 registers, and a round absorbs them.
+	tel.Record(telemetry.Event{Type: telemetry.EventAgentReaped, Epoch: 0, Agent: 103, Partner: -1})
+	tel.Record(telemetry.Event{Type: telemetry.EventAgentRegistered, Epoch: 0, Agent: 900, Partner: -1, Job: "b"})
+	r1, err := ep.Step(ctx, Roster{IDs: []int{900}, Jobs: catalog[1:2]}, []int{103})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Mode != "repair" || r1.Joined != 1 || r1.Departed != 1 {
+		t.Fatalf("round 1 = %s joined %d departed %d, want a 1+1 repair", r1.Mode, r1.Joined, r1.Departed)
+	}
+	touched := make(map[int]bool)
+	for _, i := range r1.Touched() {
+		touched[r1.IDs[i]] = true
+		ep.Assigned(r1, i, 0)
+	}
+	if !touched[900] || len(touched) >= len(r1.Match) {
+		t.Fatalf("repair touched %d of %d agents (joiner included: %v)", len(touched), len(r1.Match), touched[900])
+	}
+	before := make(map[int]int, len(r0.Match))
+	for i, j := range r0.Match {
+		before[r0.IDs[i]] = -1
+		if j != matching.Unmatched {
+			before[r0.IDs[i]] = r0.IDs[j]
+		}
+	}
+	for i, j := range r1.Match {
+		if id := r1.IDs[i]; !touched[id] && j != matching.Unmatched && before[id] != r1.IDs[j] {
+			t.Errorf("untouched agent %d moved from %d to %d", id, before[id], r1.IDs[j])
+		}
+	}
+	penalties, mean := r1.Penalties()
+	ep.End(Summary{Penalties: penalties, MeanPenalty: mean})
+	ep.Close() // after End: records nothing
+	events := tel.EventRing().Events()
+	if last := events[len(events)-1]; last.Type != telemetry.EventEpochEnd || last.Kind != "" {
+		t.Fatalf("log ends with %+v, want one completed epoch_end", last)
+	}
+	rep := audit.Replay(events, audit.Options{})
+	for _, v := range rep.Violations {
+		t.Errorf("%s: %s", v.Invariant, v.Detail)
+	}
+}

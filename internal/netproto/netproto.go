@@ -30,17 +30,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cooper/internal/faults"
+	"cooper/internal/market"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
-	"cooper/internal/profiler"
-	"cooper/internal/shard"
 	"cooper/internal/stats"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
@@ -257,7 +255,9 @@ type Server struct {
 	pending  map[net.Conn]struct{} // conns mid-registration, closed by Shutdown
 	sessions []*session
 	done     chan struct{}
-	rng      *rand.Rand
+	// engine clears and repairs the market; the server only feeds it
+	// rosters and churn and pushes what it decides (Serve goroutine only).
+	engine *market.Engine
 
 	registrations chan *session
 	idSeq         atomic.Int64 // next wire AgentID; never reused, so rejoins get fresh IDs
@@ -430,9 +430,6 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 	if len(s.Catalog) == 0 || len(s.Penalties) == 0 {
 		return fmt.Errorf("netproto: server needs a catalog and penalties")
 	}
-	if s.Policy == nil {
-		s.Policy = policy.StableMarriageRandom{}
-	}
 	epochs := s.Epochs
 	if epochs <= 0 {
 		epochs = 1
@@ -452,7 +449,28 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 	}
 	s.mu.Unlock()
 	s.done = make(chan struct{})
-	s.rng = stats.NewRand(s.Seed)
+	// The market's α is the stability contract when one is declared, and
+	// zero (any mutual gain trades) otherwise.
+	alpha := 0.0
+	if s.AuditStability {
+		alpha = s.StabilityAlpha
+	}
+	s.engine = market.New(market.Engine{
+		Config: market.Config{
+			Policy: s.Policy, Alpha: alpha,
+			Shards: s.Shards, RefinementBudget: s.RefinementBudget,
+			Rematch: s.Rematch, RematchTopK: s.RematchTopK, ChurnThreshold: s.ChurnThreshold,
+		},
+		Workers:  s.Workers,
+		Catalog:  s.Catalog,
+		Matrix:   s.Penalties,
+		Rand:     stats.NewRand(s.Seed),
+		Tel:      &telemetry.Telemetry{Metrics: s.Metrics, Events: s.Events, Trace: s.Span},
+		Source:   telemetry.SnapshotSourceWire,
+		Seed:     s.Seed,
+		Kernel:   s.Kernel,
+		Contract: s.AuditStability,
+	})
 	s.registrations = make(chan *session, s.Epoch+16)
 	if tc := s.Span.Context(); !tc.IsZero() {
 		// Precomputed before the accept loop exists, so registration
@@ -465,12 +483,6 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 	s.Metrics.Counter("net.stale")
 	s.Metrics.Counter("epoch.degraded")
 	s.Metrics.Histogram("net.admit_wait", telemetry.DurationBuckets())
-	if s.Rematch {
-		s.Metrics.Counter("rematch.repairs")
-		s.Metrics.Counter("rematch.fulls")
-		s.Metrics.Counter("rematch.joined")
-		s.Metrics.Counter("rematch.departed")
-	}
 	go s.acceptLoop(ln)
 	if ready != nil {
 		ready(ln.Addr().String())
@@ -507,11 +519,10 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 	}
 
 	for e := 0; e < epochs; e++ {
-		// The epoch span is keyed by epoch number, not allocated by a
-		// counter, so its ID is identical across same-seed runs even if
-		// span creation elsewhere differs.
-		s.curSpan = s.Span.ChildKeyed("epoch", int64(e))
-		s.curSpan.SetAttr("epoch", e)
+		// Every iteration opens exactly one engine epoch, so ep.Index == e.
+		// Its span exists from here on: boundary admissions stamp under it.
+		ep := s.engine.Begin()
+		s.curSpan = ep.Span()
 		s.admitPending(e)
 		if s.BeforeEpoch != nil {
 			s.BeforeEpoch(e)
@@ -521,14 +532,8 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 			s.admitPending(e)
 		}
 		start := time.Now()
-		var summary Message
-		var err error
-		if s.Rematch {
-			summary, err = s.runEpochStream(e)
-		} else {
-			summary, err = s.runEpoch(e)
-		}
-		s.curSpan.Finish()
+		summary, err := s.runEpoch(ep)
+		ep.Close() // a no-op unless the engine failed mid-epoch
 		s.curSpan = nil
 		if err != nil {
 			return err
@@ -663,8 +668,9 @@ func (s *Server) admitPending(epoch int) []*session {
 // each as net.reaped. Events are emitted in session order, not dead-list
 // order: whether a dead peer surfaced at write time or at the following
 // read is a kernel timing artifact (see runEpoch), and the flight
-// recorder's sequence must not depend on it.
-func (s *Server) reap(dead []*session, epoch int) {
+// recorder's sequence must not depend on it. Returns the reaped wire IDs,
+// in session order for the same reason.
+func (s *Server) reap(dead []*session, epoch int) (reaped []int) {
 	gone := make(map[*session]bool, len(dead))
 	for _, sess := range dead {
 		if gone[sess] {
@@ -679,11 +685,13 @@ func (s *Server) reap(dead []*session, epoch int) {
 		if gone[sess] {
 			s.record(telemetry.Event{Type: telemetry.EventAgentReaped,
 				Epoch: epoch, Agent: sess.id, Partner: -1, Job: sess.job.Name})
+			reaped = append(reaped, sess.id)
 			continue
 		}
 		live = append(live, sess)
 	}
 	s.sessions = live
+	return reaped
 }
 
 // recvAssess reads the session's assessment for the current assignment
@@ -706,51 +714,35 @@ func (s *Server) recvAssess(sess *session, epochDeadline time.Time) (Message, er
 		sess.id, maxStaleMessages)
 }
 
-// openEpoch emits the epoch_start event and the epoch_snapshot pinning
-// this epoch's inputs, so the log alone suffices to recompute matchings
-// and penalties offline. The roster is the epoch-start population in
-// session order; auditors derive later-round rosters by applying the
-// agent_reaped and agent_registered events that follow.
-func (s *Server) openEpoch(epoch int) {
-	s.record(telemetry.Event{Type: telemetry.EventEpochStart,
-		Epoch: epoch, Agent: -1, Partner: -1, Value: float64(len(s.sessions))})
-	if s.Events == nil {
-		return
+// roster describes sessions to the market engine: wire AgentIDs, which
+// are stable across reaps and rejoins, and the jobs they registered.
+func roster(sessions []*session) market.Roster {
+	r := market.Roster{IDs: make([]int, len(sessions)), Jobs: make([]workload.Job, len(sessions))}
+	for i, sess := range sessions {
+		r.IDs[i], r.Jobs[i] = sess.id, sess.job
 	}
-	agents := make([]int, len(s.sessions))
-	jobs := make([]string, len(s.sessions))
-	for i, sess := range s.sessions {
-		agents[i] = sess.id
-		jobs[i] = sess.job.Name
-	}
-	catalog := make([]string, len(s.Catalog))
-	for i, job := range s.Catalog {
-		catalog[i] = job.Name
-	}
-	alpha := -1.0
-	if s.AuditStability {
-		alpha = s.StabilityAlpha
-	}
-	shards := 0
-	if s.Shards > 1 {
-		shards = s.Shards
-	}
-	s.record(telemetry.EpochSnapshot{
-		Epoch: epoch, Source: telemetry.SnapshotSourceWire,
-		Policy: s.Policy.Name(), Seed: s.Seed, Alpha: alpha,
-		Shards: shards, Kernel: s.Kernel, Agents: agents, Jobs: jobs,
-		Catalog: catalog, Matrix: s.Penalties,
-	}.Event())
+	return r
 }
 
-// runEpoch clears one round of the matching market. If any agent proves
-// unreachable — a failed write, a read deadline, a stale-message flood —
-// it is reaped and the surviving population re-matched in a fresh
-// assignment round (an odd survivor parks solo, as the matching layer
-// already allows); the epoch then completes degraded instead of
-// erroring. Each retry round strictly shrinks the population, so the
-// loop terminates even under total loss, yielding an empty summary.
-func (s *Server) runEpoch(epoch int) (Message, error) {
+// runEpoch clears one scheduling epoch. The first round is a full clear
+// of the boundary population. After each round's assessments are
+// collected the dead are reaped — a failed write, a read deadline, a
+// stale-message flood all make an agent unreachable — and, in streaming
+// mode, every registration queued while the round ran is admitted; any
+// such churn costs another round, and the epoch completes degraded
+// instead of erroring. Rematch decides only what that round is. Without
+// it the survivors are re-matched from scratch and every agent gets a
+// fresh assignment (an odd survivor parks solo, as the matching layer
+// already allows); each retry strictly shrinks the population, so the
+// loop terminates even under total loss, yielding an empty summary. With
+// it the engine steps the churn into the standing matching — an
+// incremental repair that re-runs proposals only inside the affected
+// neighborhood, or a full re-match once cumulative churn since the
+// epoch's last full clear exceeds ChurnThreshold×population — and only
+// the agents whose assignment the round decided are pushed to; the epoch
+// closes once a round ends with no churn left to absorb, and
+// EpochTimeout bounds a registration flood.
+func (s *Server) runEpoch(ep *market.Epoch) (Message, error) {
 	var epochDeadline time.Time
 	if s.EpochTimeout > 0 {
 		epochDeadline = time.Now().Add(s.EpochTimeout)
@@ -761,118 +753,50 @@ func (s *Server) runEpoch(epoch int) (Message, error) {
 			s.Metrics.Counter("epoch.degraded").Inc()
 		}
 	}()
-	s.openEpoch(epoch)
 
-	round := 0
-	for {
-		if round > 0 {
-			s.record(telemetry.Event{Type: telemetry.EventRematchRound,
-				Epoch: epoch, Agent: -1, Partner: -1, Round: round,
-				Value: float64(len(s.sessions))})
+	var (
+		r         *market.Round
+		joined    []*session           // admitted since the previous round
+		departed  []int                // wire IDs reaped since the previous round
+		breakAway = make(map[int]bool) // latest assessment per wire ID
+	)
+	for first := true; ; first = false {
+		var err error
+		if s.Rematch && !first && len(s.sessions) > 0 {
+			r, err = ep.Step(context.Background(), roster(joined), departed)
+		} else {
+			r, err = ep.Clear(context.Background(), roster(s.sessions))
 		}
-		round++
+		if err != nil {
+			return Message{}, err
+		}
 		if len(s.sessions) == 0 {
-			// Every participant died; the epoch completes trivially
-			// rather than wedging Serve.
-			s.record(telemetry.Event{Type: telemetry.EventEpochEnd,
-				Epoch: epoch, Agent: -1, Partner: -1})
+			// Every participant died and nobody joined; the epoch
+			// completes trivially rather than wedging Serve.
+			ep.End(market.Summary{})
 			return Message{Type: "summary", PartnerID: -1}, nil
 		}
-		pop := workload.Population{Jobs: make([]workload.Job, len(s.sessions)), Mix: "registered"}
-		for i, sess := range s.sessions {
-			pop.Jobs[i] = sess.job
-		}
-		var (
-			match   matching.Matching
-			shardOf []int
-			pen     func(i, j int) float64
-		)
-		if s.Shards > 1 {
-			// Sharded market: match per shard in parallel, refine across
-			// boundaries, and look penalties up through the job-level
-			// matrix — the n×n agent expansion is never materialized, so
-			// the wire coordinator scales to populations the all-pairs
-			// path cannot hold in memory.
-			names := make([]string, len(s.sessions))
-			ids := make([]int, len(s.sessions))
-			for i, sess := range s.sessions {
-				names[i] = sess.job.Name
-				ids[i] = sess.id
-			}
-			jobIdx, err := shard.JobIndices(s.Catalog, names)
-			if err != nil {
-				return Message{}, err
-			}
-			alpha := 0.0
-			if s.AuditStability {
-				alpha = s.StabilityAlpha
-			}
-			mk := &shard.Market{
-				Shards:           s.Shards,
-				RefinementBudget: s.RefinementBudget,
-				Policy:           s.Policy,
-				Alpha:            alpha,
-				Workers:          s.Workers,
-				Seed:             s.rng.Int63(),
-				Epoch:            epoch,
-				IDs:              ids,
-				Tel:              &telemetry.Telemetry{Metrics: s.Metrics, Events: s.Events},
-				Span:             s.curSpan,
-			}
-			res, err := mk.Clear(context.Background(), pop.Jobs, jobIdx, s.Penalties)
-			if err != nil {
-				return Message{}, err
-			}
-			match, shardOf = res.Match, res.ShardOf
-			pen = func(i, j int) float64 { return s.Penalties[jobIdx[i]][jobIdx[j]] }
-		} else {
-			d, err := profiler.ExpandToAgents(s.Penalties, s.Catalog, pop)
-			if err != nil {
-				return Message{}, err
-			}
-			bw := make([]float64, len(pop.Jobs))
-			for i, j := range pop.Jobs {
-				bw[i] = j.BandwidthGBps
-			}
-			match, err = s.Policy.Assign(d, policy.Context{
-				BandwidthGBps: bw,
-				Rand:          s.rng,
-				Metrics:       s.Metrics,
-			})
-			if err != nil {
-				return Message{}, err
-			}
-			pen = func(i, j int) float64 { return d[i][j] }
-		}
 
-		// Push assignments. Partner identity goes out as the partner's
-		// wire AgentID, which is stable across reaps and rejoins, not its
-		// transient index in this round's population.
+		// Push assignments to the agents whose assignment this round
+		// decided; the rest keep their standing assignment and owe
+		// nothing. Partner identity goes out as the partner's wire
+		// AgentID, not its transient index in this round's population.
 		s.seq++
+		touched := r.Touched()
 		deadWrite := make(map[*session]bool)
 		var dead []*session
-		for i, sess := range s.sessions {
+		for _, i := range touched {
+			sess := s.sessions[i]
 			msg := Message{Type: "assignment", Seq: s.seq, PartnerID: -1}
-			if shardOf != nil {
-				msg.Shard = shardOf[i]
+			if r.ShardOf != nil {
+				msg.Shard = r.ShardOf[i]
 			}
-			if match[i] != matching.Unmatched {
-				partner := s.sessions[match[i]]
-				msg.PartnerID = partner.id
-				msg.PartnerJob = partner.job.Name
-				msg.PredictedPenalty = pen(i, match[i])
-				if i < match[i] {
-					s.record(telemetry.Event{Type: telemetry.EventPairMatched,
-						Epoch: epoch, Agent: sess.id, Partner: partner.id,
-						Job: sess.job.Name, Predicted: pen(i, match[i])})
-				}
-			} else {
-				// An explicit solo record (odd population, Threshold
-				// policy): the auditor's coverage invariant needs to tell
-				// "deliberately unpaired" apart from "forgotten".
-				s.record(telemetry.Event{Type: telemetry.EventAgentUnpaired,
-					Epoch: epoch, Agent: sess.id, Partner: -1, Job: sess.job.Name})
+			if j := r.Match[i]; j != matching.Unmatched {
+				msg.PartnerID = s.sessions[j].id
+				msg.PartnerJob = s.sessions[j].job.Name
+				msg.PredictedPenalty = r.Penalty(i)
 			}
+			ep.Assigned(r, i, 0)
 			if err := s.send(sess, msg); err != nil {
 				dead = append(dead, sess)
 				deadWrite[sess] = true
@@ -889,9 +813,8 @@ func (s *Server) runEpoch(epoch int) (Message, error) {
 		// on some runs and not others. Reads keep going past individual
 		// failures so one mute agent costs one deadline, not one per
 		// survivor.
-		breakAways := 0
-		var meanPenalty float64
-		for i, sess := range s.sessions {
+		for _, i := range touched {
+			sess := s.sessions[i]
 			if deadWrite[sess] {
 				continue
 			}
@@ -900,59 +823,57 @@ func (s *Server) runEpoch(epoch int) (Message, error) {
 				dead = append(dead, sess)
 				continue
 			}
-			if assess.Action == "break-away" {
-				breakAways++
-			}
-			if match[i] != matching.Unmatched {
-				meanPenalty += pen(i, match[i])
-			}
+			breakAway[sess.id] = assess.Action == "break-away"
 		}
-		if len(dead) > 0 {
-			s.reap(dead, epoch)
-			degraded = true
-			continue // re-match the survivors
-		}
-		meanPenalty /= float64(len(s.sessions))
 
-		// Broadcast the summary. The epoch's result stands even if some
-		// agents prove unreachable here; they are reaped for the next
-		// epoch rather than triggering a re-match.
-		live := s.sessions
-		summary := Message{
-			Type:          "summary",
-			PartnerID:     -1,
-			MeanPenalty:   meanPenalty,
-			BreakAways:    breakAways,
-			Participating: len(live) - breakAways,
-		}
-		for _, sess := range live {
-			if err := s.send(sess, summary); err != nil {
-				dead = append(dead, sess)
-			}
-		}
+		// Absorb churn: reap the dead (their agent_reaped events precede
+		// the rematch_round that declares them departed) and, in streaming
+		// mode, admit every registration queued while the round ran.
+		departed, joined = nil, nil
 		if len(dead) > 0 {
-			s.reap(dead, epoch)
+			departed = s.reap(dead, ep.Index)
 			degraded = true
 		}
-		if s.Metrics != nil {
-			s.Metrics.Counter("epoch.count").Inc()
-			s.Metrics.Counter("epoch.agents").Add(int64(len(live)))
-			s.Metrics.Counter("epoch.breakaways").Add(int64(breakAways))
-			s.Metrics.Counter("epoch.participating").Add(int64(summary.Participating))
-			s.Metrics.Gauge("epoch.mean_penalty").Set(meanPenalty)
-			h := s.Metrics.Histogram("epoch.penalty", telemetry.PenaltyBuckets())
-			for i := range live {
-				if match[i] != matching.Unmatched {
-					h.Observe(pen(i, match[i]))
-				} else {
-					h.Observe(0)
-				}
-			}
+		if s.Rematch {
+			joined = s.admitPending(ep.Index)
 		}
-		s.record(telemetry.Event{Type: telemetry.EventEpochEnd,
-			Epoch: epoch, Agent: -1, Partner: -1, Value: meanPenalty})
-		return summary, nil
+		if len(departed) == 0 && len(joined) == 0 {
+			break
+		}
 	}
+
+	// The population is stable; account and broadcast the summary. The
+	// epoch's result stands even if some agents prove unreachable here;
+	// they are reaped for the next epoch rather than triggering a
+	// re-match.
+	live := s.sessions
+	penalties, meanPenalty := r.Penalties()
+	breakAways := 0
+	for _, sess := range live {
+		if breakAway[sess.id] {
+			breakAways++
+		}
+	}
+	summary := Message{
+		Type:          "summary",
+		PartnerID:     -1,
+		MeanPenalty:   meanPenalty,
+		BreakAways:    breakAways,
+		Participating: len(live) - breakAways,
+	}
+	var dead []*session
+	for _, sess := range live {
+		if err := s.send(sess, summary); err != nil {
+			dead = append(dead, sess)
+		}
+	}
+	if len(dead) > 0 {
+		s.reap(dead, ep.Index)
+		degraded = true
+	}
+	s.Metrics.Counter("epoch.participating").Add(int64(summary.Participating))
+	ep.End(market.Summary{Penalties: penalties, MeanPenalty: meanPenalty, BreakAways: breakAways})
+	return summary, nil
 }
 
 // Client is one networked agent.

@@ -50,10 +50,6 @@ type Ledger struct {
 // Len reports the current population size.
 func (l *Ledger) Len() int { return len(l.agents) }
 
-// Agents returns the current population in ledger order. The returned
-// slice is shared; callers must not mutate it.
-func (l *Ledger) Agents() []Agent { return l.agents }
-
 // Churn reports joins plus departures accumulated since the last full
 // clear, and the population size that clear matched.
 func (l *Ledger) Churn() (churn, baseN int) { return l.churn, l.baseN }
@@ -71,9 +67,24 @@ func (l *Ledger) FullDue(threshold float64) bool {
 
 // Apply absorbs one epoch's churn: departIDs leave (their partners are
 // marked dirty), then one agent per job class in joinJobs arrives under
-// a fresh ID. It returns the resulting Delta. Unknown depart IDs are an
-// error; the ledger is unchanged on error.
+// a fresh ID — the ledger issues 0, 1, 2, … in arrival order. It
+// returns the resulting Delta. Unknown depart IDs are an error; the
+// ledger is unchanged on error.
 func (l *Ledger) Apply(joinJobs []int, departIDs []int) (*Delta, error) {
+	return l.ApplyIDs(nil, joinJobs, departIDs)
+}
+
+// ApplyIDs is Apply for callers that already name their agents (the
+// wire coordinator's session IDs): joiner k arrives as joinIDs[k]
+// instead of a ledger-issued ID. A joiner may not take the ID of a live
+// agent — including one departing in this same call, whose displaced
+// partner would be indistinguishable from the newcomer's — nor repeat
+// another joiner's. joinIDs nil means ledger-issued IDs; IDs the ledger
+// issues later never collide with caller-assigned ones.
+func (l *Ledger) ApplyIDs(joinIDs, joinJobs []int, departIDs []int) (*Delta, error) {
+	if joinIDs != nil && len(joinIDs) != len(joinJobs) {
+		return nil, fmt.Errorf("rematch: %d join ids for %d joining jobs", len(joinIDs), len(joinJobs))
+	}
 	byID := make(map[int]int, len(l.agents))
 	for i, a := range l.agents {
 		byID[a.ID] = i
@@ -87,6 +98,12 @@ func (l *Ledger) Apply(joinJobs []int, departIDs []int) (*Delta, error) {
 			return nil, fmt.Errorf("rematch: duplicate depart of agent id %d", id)
 		}
 		departing[id] = true
+	}
+	for _, id := range joinIDs {
+		if _, used := byID[id]; used || id < 0 {
+			return nil, fmt.Errorf("rematch: join under agent id %d, which is negative or already in use", id)
+		}
+		byID[id] = -1 // claimed by a joiner; positions are rebuilt below
 	}
 	if l.partnerOf == nil {
 		l.partnerOf = make(map[int]int)
@@ -109,16 +126,20 @@ func (l *Ledger) Apply(joinJobs []int, departIDs []int) (*Delta, error) {
 	}
 	l.agents = survivors
 	d := &Delta{Departed: append([]int(nil), departIDs...)}
-	for _, job := range joinJobs {
-		l.agents = append(l.agents, Agent{ID: l.nextID, Job: job})
-		l.nextID++
+	for k, job := range joinJobs {
+		id := l.nextID
+		if joinIDs != nil {
+			id = joinIDs[k]
+		}
+		l.nextID = max(l.nextID, id+1)
+		l.agents = append(l.agents, Agent{ID: id, Job: job})
 		d.Joined = append(d.Joined, len(l.agents)-1)
 	}
 	l.churn += len(departIDs) + len(joinJobs)
 
 	d.Agents = append([]Agent(nil), l.agents...)
 	d.Prev = make(matching.Matching, len(l.agents))
-	byID = make(map[int]int, len(l.agents))
+	clear(byID)
 	for i, a := range l.agents {
 		byID[a.ID] = i
 	}

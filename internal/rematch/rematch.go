@@ -10,11 +10,11 @@
 //     epoch's Apply emits a Delta — the new population, the prior
 //     matching mapped into its index space, and the dirty set (arrivals
 //     plus partners displaced by departures).
-//   - Repair re-runs proposals only inside the affected neighborhood:
-//     the dirty agents, their top-K preference candidates from the
-//     predicted penalty matrix, and the current partners of those
-//     candidates (so rewiring a candidate never silently strands an
-//     agent outside the neighborhood). Pairs wholly outside the
+//   - Neighborhood and Rewire re-run proposals only inside the affected
+//     neighborhood: the dirty agents, their top-K preference candidates
+//     from the predicted penalty matrix, and the current partners of
+//     those candidates (so rewiring a candidate never silently strands
+//     an agent outside the neighborhood). Pairs wholly outside the
 //     neighborhood are untouched, which is what makes repair cheap: the
 //     sub-instance is O(churn · K) agents, not O(n), because same-job
 //     agents share preference rows and therefore candidate lists.
@@ -149,6 +149,31 @@ func Neighborhood(dirty []int, members []int, prev matching.Matching, pen func(i
 	return nbhd
 }
 
+// AssignWithin clears the members' sub-market under the policy: it
+// gathers their k×k job-level sub-matrix (flat-backed, zero diagonal)
+// and standalone bandwidths, and returns the policy's matching in
+// member-local indices. It is the one place a subset of the population
+// is handed to a policy — shard clears, shard repairs and neighborhood
+// rewires all go through it, so none of them materializes more than
+// its own members' penalties.
+func AssignWithin(members []int, pen func(i, j int) float64, bw func(i int) float64, pol policy.Policy, rng *rand.Rand, metrics *telemetry.Registry) (matching.Matching, error) {
+	k := len(members)
+	sub := make([][]float64, k)
+	backing := make([]float64, k*k)
+	subBW := make([]float64, k)
+	for a, i := range members {
+		row := backing[a*k : (a+1)*k]
+		for b, j := range members {
+			if i != j {
+				row[b] = pen(i, j)
+			}
+		}
+		sub[a] = row
+		subBW[a] = bw(i)
+	}
+	return pol.Assign(sub, policy.Context{BandwidthGBps: subBW, Rand: rng, Metrics: metrics})
+}
+
 // Rewire re-matches the neighborhood under the policy and returns the
 // repaired matching: pairs wholly outside nbhd are preserved from prev,
 // every nbhd member is re-assigned from scratch over the neighborhood
@@ -157,7 +182,6 @@ func Neighborhood(dirty []int, members []int, prev matching.Matching, pen func(i
 // partitioning policies. The returned Changed lists the agents whose
 // partner differs from prev, ascending.
 func Rewire(nbhd []int, prev matching.Matching, pen func(i, j int) float64, bw []float64, pol policy.Policy, rng *rand.Rand, metrics *telemetry.Registry) (matching.Matching, []int, error) {
-	k := len(nbhd)
 	match := append(matching.Matching(nil), prev...)
 	for _, i := range nbhd {
 		if p := match[i]; p != matching.Unmatched && match[p] == i {
@@ -165,27 +189,10 @@ func Rewire(nbhd []int, prev matching.Matching, pen func(i, j int) float64, bw [
 		}
 		match[i] = matching.Unmatched
 	}
-	if k > 1 {
-		sub := make([][]float64, k)
-		backing := make([]float64, k*k)
-		subBW := make([]float64, k)
-		for a, i := range nbhd {
-			row := backing[a*k : (a+1)*k]
-			for b, j := range nbhd {
-				if i != j {
-					row[b] = pen(i, j)
-				}
-			}
-			sub[a] = row
-			subBW[a] = bw[i]
-		}
-		lm, err := pol.Assign(sub, policy.Context{
-			BandwidthGBps: subBW,
-			Rand:          rng,
-			Metrics:       metrics,
-		})
+	if len(nbhd) > 1 {
+		lm, err := AssignWithin(nbhd, pen, func(i int) float64 { return bw[i] }, pol, rng, metrics)
 		if err != nil {
-			return nil, nil, fmt.Errorf("rematch: neighborhood of %d: %w", k, err)
+			return nil, nil, fmt.Errorf("rematch: neighborhood of %d: %w", len(nbhd), err)
 		}
 		for a, b := range lm {
 			if b != matching.Unmatched {
@@ -203,45 +210,4 @@ func Rewire(nbhd []int, prev matching.Matching, pen func(i, j int) float64, bw [
 		}
 	}
 	return match, changed, nil
-}
-
-// Result is the outcome of one incremental repair.
-type Result struct {
-	// Match is the full repaired matching over the delta's population.
-	Match matching.Matching
-	// Neighborhood lists the agents whose proposals were re-run,
-	// ascending.
-	Neighborhood []int
-	// Changed lists the agents whose partner differs from the prior
-	// matching, ascending.
-	Changed []int
-}
-
-// Repairer repairs a prior stable matching around a churn delta in a
-// single (unsharded) market.
-type Repairer struct {
-	// Policy re-matches the neighborhood; required.
-	Policy policy.Policy
-	// TopK bounds each dirty agent's candidate pull (<= 0 means
-	// DefaultTopK).
-	TopK int
-	// Rand drives the policy's randomness (SMR partitions).
-	Rand *rand.Rand
-	// Metrics, when non-nil, receives the policy's matching counters.
-	Metrics *telemetry.Registry
-}
-
-// Repair computes the delta's neighborhood and rewires it. pen(i, j) is
-// the predicted penalty of colocating delta agents i and j; bw[i] is
-// agent i's standalone bandwidth.
-func (r *Repairer) Repair(d *Delta, pen func(i, j int) float64, bw []float64) (*Result, error) {
-	if r.Policy == nil {
-		return nil, fmt.Errorf("rematch: repairer needs a policy")
-	}
-	nbhd := Neighborhood(d.Dirty, nil, d.Prev, pen, r.TopK)
-	match, changed, err := Rewire(nbhd, d.Prev, pen, bw, r.Policy, r.Rand, r.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Match: match, Neighborhood: nbhd, Changed: changed}, nil
 }

@@ -278,29 +278,29 @@ func TestRepairerEndToEnd(t *testing.T) {
 		bw = append(bw, float64(a.Job+1))
 	}
 	pen = penFor(jobIdx, matrix)
-	rp := &Repairer{Policy: policy.Greedy{}, TopK: 4, Rand: rand.New(rand.NewSource(7))}
-	res, err := rp.Repair(d, pen, bw)
+	nbhd := Neighborhood(d.Dirty, nil, d.Prev, pen, 4)
+	match, _, err := Rewire(nbhd, d.Prev, pen, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Match.Validate(); err != nil {
+	if err := match.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	inN := make(map[int]bool)
-	for _, i := range res.Neighborhood {
+	for _, i := range nbhd {
 		inN[i] = true
 	}
-	for i := range res.Match {
-		if !inN[i] && res.Match[i] != d.Prev[i] {
+	for i := range match {
+		if !inN[i] && match[i] != d.Prev[i] {
 			t.Fatalf("agent %d outside neighborhood changed partner %d -> %d",
-				i, d.Prev[i], res.Match[i])
+				i, d.Prev[i], match[i])
 		}
 	}
-	if len(res.Neighborhood) >= len(d.Agents) {
+	if len(nbhd) >= len(d.Agents) {
 		t.Fatalf("neighborhood %d not smaller than population %d",
-			len(res.Neighborhood), len(d.Agents))
+			len(nbhd), len(d.Agents))
 	}
-	if err := l.Commit(res.Match, false); err != nil {
+	if err := l.Commit(match, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -399,5 +399,72 @@ func TestRecommendationsCap(t *testing.T) {
 	}
 	if g := recs[0].ExpectedGain; g != 0.9-0.1 {
 		t.Fatalf("capped rec gain = %v, want 0.8", g)
+	}
+}
+
+// TestLedgerCallerAssignedIDs covers ApplyIDs: the wire coordinator
+// names its own agents, bad IDs are rejected with the ledger unchanged,
+// and ledger-issued IDs keep counting 0, 1, 2, … when none are supplied
+// (the benchmark's mirror ledger replays Apply and depends on that).
+func TestLedgerCallerAssignedIDs(t *testing.T) {
+	idsOf := func(d *Delta) []int {
+		ids := make([]int, len(d.Agents))
+		for i, a := range d.Agents {
+			ids[i] = a.ID
+		}
+		return ids
+	}
+	var issued Ledger
+	d, err := issued.Apply([]int{0, 1, 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := idsOf(d); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("ledger-issued ids = %v, want 0,1,2", got)
+	}
+	if d, err = issued.Apply([]int{1}, []int{1}); err != nil || !reflect.DeepEqual(idsOf(d), []int{0, 2, 3}) {
+		t.Fatalf("ids after churn = %v (%v), want 0,2,3", idsOf(d), err)
+	}
+
+	var l Ledger
+	if d, err = l.ApplyIDs([]int{40, 7, 19}, []int{0, 1, 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := idsOf(d); !reflect.DeepEqual(got, []int{40, 7, 19}) {
+		t.Fatalf("caller-assigned ids = %v, want 40,7,19 in arrival order", got)
+	}
+	if err := l.Commit(matching.Matching{1, 0, matching.Unmatched}, true); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct{ join, jobs, depart []int }{
+		"id of a live agent":            {[]int{7}, []int{0}, nil},
+		"id repeated among the joiners": {[]int{50, 50}, []int{0, 1}, nil},
+		"id of an agent departing now":  {[]int{40}, []int{0}, []int{40}},
+		"negative id":                   {[]int{-1}, []int{0}, nil},
+		"fewer ids than jobs":           {[]int{50}, []int{0, 1}, nil},
+		"unknown departure":             {[]int{50}, []int{0}, []int{99}},
+	} {
+		if _, err := l.ApplyIDs(c.join, c.jobs, c.depart); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// Every rejection left the ledger as it was: same population, same
+	// matching, no churn counted, and the next delta is clean.
+	if churn, baseN := l.Churn(); l.Len() != 3 || churn != 0 || baseN != 3 {
+		t.Fatalf("ledger mutated by rejected deltas: len=%d churn=%d baseN=%d", l.Len(), churn, baseN)
+	}
+	if d, err = l.ApplyIDs([]int{3}, []int{1}, []int{7}); err != nil {
+		t.Fatal(err)
+	}
+	if got := idsOf(d); !reflect.DeepEqual(got, []int{40, 19, 3}) {
+		t.Fatalf("ids after churn = %v, want 40,19,3", got)
+	}
+	if want := (matching.Matching{matching.Unmatched, matching.Unmatched, matching.Unmatched}); !reflect.DeepEqual(d.Prev, want) ||
+		!reflect.DeepEqual(d.Dirty, []int{0, 2}) {
+		t.Fatalf("prev=%v dirty=%v: want 40 displaced, 19 still solo, 3 new", d.Prev, d.Dirty)
+	}
+	// IDs the ledger issues afterwards never collide with the caller's.
+	if d, err = l.Apply([]int{0}, nil); err != nil || d.Agents[3].ID != 41 {
+		t.Fatalf("ledger-issued id after caller ids = %+v (%v), want 41", d.Agents, err)
 	}
 }

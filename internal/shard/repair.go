@@ -7,7 +7,6 @@ import (
 
 	"cooper/internal/matching"
 	"cooper/internal/parallel"
-	"cooper/internal/policy"
 	"cooper/internal/rematch"
 	"cooper/internal/stats"
 	"cooper/internal/workload"
@@ -86,7 +85,11 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 		if len(dirtyIn[s]) == 0 {
 			return nil
 		}
-		sp := m.Tel.Phase(m.Span, "repair-shard")
+		// Keyed by shard, like Clear's shard spans: a counter-allocated ID
+		// would depend on which worker opened its span first. Span must be
+		// private to this call (the engine's per-round match span), since
+		// two repairs under one parent would repeat the keys.
+		sp := m.Tel.PhaseKeyed(m.Span, "repair-shard", int64(s))
 		sp.SetAttr("shard", s)
 		sp.SetAttr("dirty", len(dirtyIn[s]))
 		defer m.Tel.End(sp)
@@ -97,24 +100,8 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 		if k < 2 {
 			return nil
 		}
-		sub := make([][]float64, k)
-		backing := make([]float64, k*k)
-		bw := make([]float64, k)
-		for a, i := range g {
-			row := backing[a*k : (a+1)*k]
-			for b, j := range g {
-				if i != j {
-					row[b] = pen(i, j)
-				}
-			}
-			sub[a] = row
-			bw[a] = jobs[i].BandwidthGBps
-		}
-		lm, err := m.Policy.Assign(sub, policy.Context{
-			BandwidthGBps: bw,
-			Rand:          stats.NewRand(parallel.SplitSeed(m.Seed, int64(s))),
-			Metrics:       m.Tel.Registry(),
-		})
+		lm, err := rematch.AssignWithin(g, pen, func(i int) float64 { return jobs[i].BandwidthGBps },
+			m.Policy, stats.NewRand(parallel.SplitSeed(m.Seed, int64(s))), m.Tel.Registry())
 		if err != nil {
 			return fmt.Errorf("shard %d repair (%d agents): %w", s, k, err)
 		}

@@ -2,11 +2,13 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"cooper/internal/matching"
 	"cooper/internal/policy"
+	"cooper/internal/telemetry"
 )
 
 // repairFixture clears a sharded market, then invalidates a few agents
@@ -194,5 +196,46 @@ func TestRepairValidation(t *testing.T) {
 	bad := &Market{Shards: 2, Seed: 1}
 	if _, err := bad.Repair(ctx, jobs, jobIdx, matrix, res.Match, nil, 4); err == nil {
 		t.Fatal("policy-less market accepted")
+	}
+}
+
+// TestRepairShardSpanIDsStableAcrossRuns pins the repair-shard spans'
+// identities: the same seed must map every shard to the same span ID on
+// every run at Workers=8, whichever worker happens to open its span
+// first. (Counter-allocated IDs produced a second mapping within a few
+// hundred runs; keyed IDs cannot.)
+func TestRepairShardSpanIDsStableAcrossRuns(t *testing.T) {
+	n := 300
+	jobs, jobIdx := testJobs(n, "a", "b", "c", "d")
+	matrix := testMatrix(4)
+	spanIDs := func() map[string]string {
+		mk, _, fixture := repairFixture(t, n, 6, 8)
+		tel := telemetry.NewSeeded(42)
+		mk.Tel, mk.Span = tel, tel.Phase(nil, "match")
+		dirty, prev := fixture()
+		if _, err := mk.Repair(context.Background(), jobs, jobIdx, matrix, prev, dirty, 8); err != nil {
+			t.Fatalf("repair: %v", err)
+		}
+		ids := make(map[string]string)
+		for _, sp := range mk.Span.Snapshot().Children {
+			if sp.Name != "repair-shard" {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				if a.Key == "shard" {
+					ids[fmt.Sprint(a.Value)] = sp.Span
+				}
+			}
+		}
+		if len(ids) < 2 {
+			t.Fatalf("only %d repair-shard spans: the fixture must dirty several shards", len(ids))
+		}
+		return ids
+	}
+	want := spanIDs()
+	for run := 1; run < 100; run++ {
+		if got := spanIDs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: shard→span-ID map %v, first run had %v", run, got, want)
+		}
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"cooper/internal/matching"
 	"cooper/internal/parallel"
 	"cooper/internal/policy"
+	"cooper/internal/rematch"
 	"cooper/internal/stats"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
@@ -282,26 +283,8 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 		spans[s] = sp
 		defer m.Tel.End(sp)
 
-		sub := make([][]float64, len(g))
-		backing := make([]float64, len(g)*len(g))
-		bw := make([]float64, len(g))
-		for a, i := range g {
-			row := backing[a*len(g) : (a+1)*len(g)]
-			for b, j := range g {
-				if i == j {
-					row[b] = 0
-				} else {
-					row[b] = pen(i, j)
-				}
-			}
-			sub[a] = row
-			bw[a] = jobs[i].BandwidthGBps
-		}
-		lm, err := m.Policy.Assign(sub, policy.Context{
-			BandwidthGBps: bw,
-			Rand:          stats.NewRand(parallel.SplitSeed(m.Seed, int64(s))),
-			Metrics:       m.Tel.Registry(),
-		})
+		lm, err := rematch.AssignWithin(g, pen, func(i int) float64 { return jobs[i].BandwidthGBps },
+			m.Policy, stats.NewRand(parallel.SplitSeed(m.Seed, int64(s))), m.Tel.Registry())
 		if err != nil {
 			return fmt.Errorf("shard %d (%d agents): %w", s, len(g), err)
 		}

@@ -1,6 +1,7 @@
 package simcli
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -43,7 +44,7 @@ func Trace(w io.Writer, opts Options) error {
 		copts.Predictor = recommend.Default()
 		copts.Predictor.Approx = opts.Approx
 	}
-	fw, err := core.New(copts)
+	fw, err := core.NewFramework(context.Background(), copts.Config())
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,9 @@ const (
 	// EventEpochEnd closes a scheduling epoch (Value = mean penalty; for
 	// in-process epochs Value is the oracle mean and Predicted the
 	// matrix-derived mean, which auditors recompute from the epoch
-	// snapshot).
+	// snapshot). Kind is KindAborted when the epoch errored or was
+	// canceled after it opened: the bracket closes, but the unfinished
+	// round carries no matching to check.
 	EventEpochEnd EventType = "epoch_end"
 	// EventPairMatched records one colocation assignment: Agent with
 	// Partner, Predicted (and, where the oracle is available, True)
@@ -89,6 +91,10 @@ const (
 	// pairs that were newly paired across shard boundaries.
 	EventRefinementRound EventType = "refinement_round"
 )
+
+// KindAborted is the Kind of an epoch_end that closes an epoch which did
+// not complete (see EventEpochEnd).
+const KindAborted = "aborted"
 
 // Event is one flight-recorder record: something that happened at a
 // point in an epoch, in a form stable enough to diff across runs. Seq
