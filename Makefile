@@ -88,7 +88,11 @@ bench:
 	$(GO) test -bench=. -benchmem -run xxx .
 
 # bench-smoke executes every benchmark in the module exactly once — a
-# compile-and-run check, not a measurement.
+# compile-and-run check, not a measurement. That includes
+# BenchmarkClearUnsharded, the unsharded clear at n up to 20000, which
+# reports B/op: a clear that builds anything agents×agents again shows
+# up there as gigabytes (SMR at n=20000 allocates ~65 MB) or as an
+# out-of-memory kill.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run xxx ./...
 

@@ -13,6 +13,7 @@ package cooper
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -664,6 +665,36 @@ func BenchmarkEpochPipelineSerial(b *testing.B) { benchEpochPipeline(b, 1) }
 
 // BenchmarkEpochPipelineParallel runs the same epochs at 8 workers.
 func BenchmarkEpochPipelineParallel(b *testing.B) { benchEpochPipeline(b, 8) }
+
+// BenchmarkClearUnsharded runs whole unsharded epochs — clear, assess,
+// dispatch — at growing populations, reporting B/op next to ns/op. No
+// agents×agents penalty matrix exists on that path, so n=20000 runs in
+// default memory. What still grows with n² is output and Irving's own
+// state: SMP leaves every same-half pair free to block, and the report
+// lists them all; SR keeps one struck-out flag per (agent, candidate).
+// SMR's B/op grows with n. bench-smoke runs each once, which is how CI
+// notices the clear going quadratic in memory again.
+func BenchmarkClearUnsharded(b *testing.B) {
+	for _, p := range []Policy{SMR(), SMP(), SR()} {
+		for _, n := range []int{800, 5000, 20000} {
+			b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
+				f, err := New(WithOracle(), WithSeed(31), WithPolicy(p))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer f.Close()
+				pop := f.SamplePopulation(n, Uniform())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := f.RunEpoch(pop); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
 
 // BenchmarkEpochThroughput measures epoch scheduling with telemetry
 // disabled — the baseline the telemetry layer's overhead is judged

@@ -15,15 +15,15 @@
 // approximate kernel). Every leg logs and records the kernel that
 // produced its matrix.
 //
-// The all-pairs market expands the penalty matrix to agents (n² floats)
-// and exchanges messages between all agent pairs. Unsharded legs past
-// -max-allpairs used to be skipped outright; now they are routed
-// through the approximate kernel — prediction is sublinear there, so
-// the only remaining bound is the agent-level expansion itself, which
-// an explicit memory budget gates. Legs whose expansion (or per-shard
-// sub-matrices) would not fit are still skipped, and every skip is
-// logged and recorded in the snapshot's skips list — a missing row
-// means "didn't fit", never "forgot".
+// No leg builds an agents×agents matrix any more — policies and the
+// assessment work on the job-level matrix and each agent's row in it —
+// so no configuration is refused for memory. Unsharded legs past
+// -max-allpairs are still routed through the approximate kernel, as the
+// committed snapshot records. The one thing left to bound is time: once
+// a leg's fastest epoch runs over legBudget, larger populations at the
+// same shard count are skipped, and every skip is logged and recorded in
+// the snapshot's skips list with the measurement that caused it — a
+// missing row means "too slow, and here is how slow", never "forgot".
 package main
 
 import (
@@ -68,7 +68,7 @@ func main() {
 	flag.IntVar(&cfg.maxAllPairs, "max-allpairs", 10000,
 		"largest population the unsharded all-pairs market runs with the "+
 			"selected kernel; bigger legs are routed through the approximate "+
-			"kernel and gated only by the agent-matrix memory budget")
+			"kernel")
 	flag.StringVar(&cfg.kernel, "kernel", "oracle",
 		"how each leg's penalty matrix is produced: oracle (analytic, no "+
 			"profiling), exact (profiling campaign completed by the exact flat "+
@@ -156,14 +156,17 @@ func run(cfg loadConfig, stdout io.Writer) error {
 
 	doc := bench{Policy: pol.Name(), Seed: cfg.seed, Workers: cfg.workers,
 		CPUs: runtime.NumCPU()}
+	over := make(map[int]row) // shard count → the smallest leg that ran over legBudget
 	for _, n := range pops {
 		for _, s := range shards {
-			kernel, reason := legPlan(cfg, n, s)
-			if reason != "" {
+			if slow, ok := over[s]; ok && n >= slow.Agents {
+				reason := fmt.Sprintf("n=%d took %.1f s per epoch at this shard count, over the %v leg budget",
+					slow.Agents, slow.EpochMS/1000, legBudget)
 				fmt.Fprintf(stdout, "skip n=%d shards=%d: %s\n", n, s, reason)
 				doc.Skips = append(doc.Skips, fmt.Sprintf("n=%d shards=%d: %s", n, s, reason))
 				continue
 			}
+			kernel := legKernel(cfg, n, s)
 			if kernel != cfg.kernel {
 				fmt.Fprintf(stdout, "n=%d shards=%d: past -max-allpairs %d, routing through the %s kernel\n",
 					n, s, cfg.maxAllPairs, kernel)
@@ -180,6 +183,9 @@ func run(cfg loadConfig, stdout io.Writer) error {
 					n, s, r.EpochMS, r.MeanPenalty, r.RefinementTrades, r.Kernel)
 			}
 			doc.Rows = append(doc.Rows, r)
+			if r.EpochMS > float64(legBudget.Milliseconds()) {
+				over[s] = r // it ran, so it is smaller than any leg recorded before
+			}
 		}
 	}
 
@@ -203,49 +209,18 @@ func run(cfg loadConfig, stdout io.Writer) error {
 	return nil
 }
 
-// allPairsBudget bounds the agent-level expansion of an all-pairs leg
-// routed past -max-allpairs: the n² predicted matrix plus its truth
-// counterpart, 8 bytes per cell.
-const allPairsBudget = 16 << 30
+// legBudget is the epoch time past which a sweep stops growing the
+// population at a shard count: the next size up can only be slower.
+const legBudget = time.Minute
 
-// legPlan decides how one (population, shards) configuration runs: with
-// which prediction kernel, or not at all. All-pairs legs past
-// -max-allpairs are routed through the approximate kernel instead of
-// skipped — the approximate path makes matrix production sublinear, so
-// the only remaining bound is the market's own n² agent-level
-// expansion, gated by allPairsBudget. Shard counts whose concurrent
-// sub-matrices would dwarf the machine are skipped. Every skip reason
-// is logged and recorded, never silent.
-func legPlan(cfg loadConfig, n, shards int) (kernel, skip string) {
-	if shards <= 1 {
-		if n > cfg.maxAllPairs {
-			if mem := 2 * int64(n) * int64(n) * 8; mem > allPairsBudget {
-				return "", fmt.Sprintf("all-pairs expansion needs ~%d GiB of agent-level matrices (budget %d GiB) regardless of kernel",
-					mem>>30, int64(allPairsBudget)>>30)
-			}
-			return "approx", ""
-		}
-		return cfg.kernel, ""
+// legKernel picks the prediction kernel one (population, shards)
+// configuration runs with: all-pairs legs past -max-allpairs go through
+// the approximate kernel, everything else through the selected one.
+func legKernel(cfg loadConfig, n, shards int) string {
+	if shards <= 1 && n > cfg.maxAllPairs {
+		return "approx"
 	}
-	if shards > n {
-		return "", "more shards than agents"
-	}
-	// Per-shard sub-matrix: (n/shards)² float64s, up to `workers` of them
-	// resident at once during the parallel clear.
-	workers := cfg.workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > shards {
-		workers = shards
-	}
-	per := n / shards
-	const budget = 2 << 30 // 2 GiB concurrent sub-matrix budget
-	if mem := int64(per) * int64(per) * 8 * int64(workers); mem > budget {
-		return "", fmt.Sprintf("per-shard matrices would hold ~%d MiB concurrently (budget 2048 MiB); use more shards",
-			mem>>20)
-	}
-	return cfg.kernel, ""
+	return cfg.kernel
 }
 
 // framework builds the framework for one configuration with the given

@@ -2,6 +2,7 @@ package cooper
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -149,5 +150,31 @@ func TestFacadeTelemetrySnapshot(t *testing.T) {
 	empty := f2.Snapshot()
 	if len(empty.Counters) != 0 || empty.Trace != nil {
 		t.Errorf("disabled telemetry snapshot not empty: %+v", empty)
+	}
+}
+
+// TestUnshardedEpochAllocatesLinearly pins the class-quotient clear: an
+// unsharded epoch at n=800 used to allocate about 47 MiB — the 800×800
+// agent-level penalty matrix, one sorted preference list per agent and
+// an inbox per agent — and now stays under 8 MiB, so none of them can
+// come back unnoticed.
+func TestUnshardedEpochAllocatesLinearly(t *testing.T) {
+	f, err := New(WithPolicy(SMR()), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pop := f.SamplePopulation(800, Uniform())
+	if _, err := f.RunEpoch(pop); err != nil { // warm the pair cache
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := f.RunEpoch(pop); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("unsharded epoch over 800 agents allocated %.1f MiB, want < 8", float64(got)/(1<<20))
 	}
 }

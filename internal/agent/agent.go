@@ -13,6 +13,7 @@ package agent
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -122,6 +123,10 @@ type Recommendation struct {
 // messages with their own preferences to identify blocking partners. The
 // exchange runs concurrently, one goroutine per agent, as in the paper's
 // distributed Java implementation.
+//
+// It is the reference protocol: the market engine computes the same
+// recommendations from the job-level matrix without per-agent rows
+// (rematch.Recommendations), and tests hold the two equal.
 func Exchange(agents []*Agent, match matching.Matching, alpha float64) ([]Recommendation, error) {
 	n := len(agents)
 	if len(match) != n {
@@ -200,27 +205,27 @@ func Exchange(agents []*Agent, match matching.Matching, alpha float64) ([]Recomm
 }
 
 // BlockingPairsFromRecommendations reconstructs the set of mutual blocking
-// pairs from agents' recommendations (each pair counted once, i < j).
+// pairs from agents' recommendations (each pair counted once, i < j,
+// ascending). Agent IDs are population indices: non-negative, below 2³².
 func BlockingPairsFromRecommendations(recs []Recommendation) [][2]int {
-	partners := make(map[[2]int]bool)
+	total := 0
+	for _, r := range recs {
+		total += len(r.BlockingPartners)
+	}
+	// One key per listing, lower agent in the high word, so that key order
+	// is pair order. A mutual pair is listed from both ends: sort, then
+	// drop the repeats.
+	keys := make([]uint64, 0, total)
 	for _, r := range recs {
 		for _, j := range r.BlockingPartners {
-			i := r.AgentID
-			if i > j {
-				i, j = j, i
-			}
-			partners[[2]int{i, j}] = true
+			keys = append(keys, uint64(min(r.AgentID, j))<<32|uint64(max(r.AgentID, j)))
 		}
 	}
-	pairs := make([][2]int, 0, len(partners))
-	for p := range partners {
-		pairs = append(pairs, p)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	pairs := make([][2]int, len(keys))
+	for k, key := range keys {
+		pairs[k] = [2]int{int(key >> 32), int(uint32(key))}
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
 	return pairs
 }

@@ -1095,10 +1095,9 @@ func (a *Auditor) checkSegment(end telemetry.Event, final bool) {
 		return
 	}
 
-	// Reconstruct the index-space matching and the agent-level penalty
-	// matrix from the snapshot's job-level one. ExpandToAgents zeroes
-	// only the self-diagonal, which no real pair hits, so every
-	// agent-level penalty is an exact matrix lookup.
+	// Reconstruct the index-space matching, and read penalties as the
+	// market does: the agent-level penalty of a pair is the entry of the
+	// snapshot's job-level matrix for their jobs, an exact lookup.
 	pen := func(i, j int) (float64, bool) {
 		ji, oki := a.jobIdx[seg.roster[i].job]
 		jj, okj := a.jobIdx[seg.roster[j].job]

@@ -13,7 +13,7 @@ import (
 	"cooper/internal/telemetry"
 )
 
-// cancelInAssign is Greedy, except that its first Assign cancels the
+// cancelInAssign is Greedy, except that its first AssignClasses cancels the
 // epoch's context on the way: the matching succeeds, and the pipeline
 // finds its context dead at the next phase boundary — after epoch_start
 // and the snapshot are already in the log.
@@ -23,9 +23,9 @@ type cancelInAssign struct {
 	once   sync.Once
 }
 
-func (p *cancelInAssign) Assign(d [][]float64, c policy.Context) (matching.Matching, error) {
+func (p *cancelInAssign) AssignClasses(pen matching.Penalties, c policy.Context) (matching.Matching, error) {
 	p.once.Do(p.cancel)
-	return p.Greedy.Assign(d, c)
+	return p.Greedy.AssignClasses(pen, c)
 }
 
 // TestAbortedEpochClosesItsBracket is the regression for epochs that

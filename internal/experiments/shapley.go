@@ -43,15 +43,8 @@ func (l *Lab) coalitionValue() game.CoalitionValue {
 		if len(coalition) < 2 {
 			return 0
 		}
-		sub := make([][]float64, len(coalition))
-		for a, i := range coalition {
-			sub[a] = make([]float64, len(coalition))
-			for b, j := range coalition {
-				if a != b {
-					sub[a][b] = l.Dense[i][j]
-				}
-			}
-		}
+		// Member a of the coalition is job coalition[a]: its class.
+		pen := matching.Penalties{Matrix: l.Dense, Class: coalition}
 		match := make(matching.Matching, len(coalition))
 		for i := range match {
 			match[i] = matching.Unmatched
@@ -60,11 +53,11 @@ func (l *Lab) coalitionValue() game.CoalitionValue {
 		for i := range agents {
 			agents[i] = i
 		}
-		matching.GreedyPair(agents, sub, match)
+		matching.GreedyPair(agents, pen, match)
 		var total float64
 		for a, b := range match {
 			if b != matching.Unmatched {
-				total += sub[a][b]
+				total += pen.At(a, b)
 			}
 		}
 		return total

@@ -14,11 +14,11 @@
 // and dispatches to the cluster; the server manages sessions, framing,
 // deadlines and reaping.
 //
-// Penalties have one representation here, the job-level lookup
+// Penalties have one representation here and below, the job-level lookup
 // matrix[JobIdx[i]][JobIdx[j]] (the type-based formulation: an agent's
-// penalty depends only on its own and its partner's job class). The n×n
-// agent-level expansion exists only inside an unsharded full clear, for
-// the duration of the policy call and the agents' message exchange.
+// penalty depends only on its own and its partner's job class). Policies
+// match over it and agents are assessed over it; no agents×agents matrix
+// is built anywhere on the engine's path, sharded or not.
 package market
 
 import (
@@ -26,12 +26,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"cooper/internal/agent"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
-	"cooper/internal/profiler"
 	"cooper/internal/rematch"
 	"cooper/internal/shard"
 	"cooper/internal/telemetry"
@@ -184,8 +183,9 @@ type Round struct {
 	Joined, Departed             int
 	Dirty, Neighborhood, Changed []int
 	// Recommendations are the agents' strategic assessments (Assess
-	// engines only): the exact message exchange after a Clear, the
-	// bounded class-bucket scan after a Step.
+	// engines only), from the class-bucket scan: every blocking partner in
+	// the message exchange's order after a Clear, a bounded list after a
+	// Step.
 	Recommendations []agent.Recommendation
 
 	index  int // the round's position within its epoch, from 0
@@ -241,19 +241,9 @@ func (r *Round) Touched() []int {
 	if r.Mode == "full" {
 		return identity(len(r.Match))
 	}
-	mask := make(map[int]bool, len(r.Changed)+len(r.Dirty))
-	for _, i := range r.Changed {
-		mask[i] = true
-	}
-	for _, i := range r.Dirty {
-		mask[i] = true
-	}
-	touched := make([]int, 0, len(mask))
-	for i := range mask {
-		touched = append(touched, i)
-	}
-	sort.Ints(touched)
-	return touched
+	touched := append(append([]int(nil), r.Changed...), r.Dirty...)
+	slices.Sort(touched)
+	return slices.Compact(touched)
 }
 
 // Epoch is one scheduling epoch's bracket in the flight log and the
@@ -373,24 +363,18 @@ func (ep *Epoch) Clear(ctx context.Context, roster Roster) (*Round, error) {
 	if len(rows) == 0 {
 		return r, nil
 	}
-	d, err := ep.match(ctx, r, nil, e.Assess)
-	if err != nil {
+	if err := ep.match(ctx, r, nil, e.Assess); err != nil {
 		return nil, err
 	}
-	if e.Assess && d != nil {
-		// The unsharded market's agents exchange messages over their
-		// expanded penalty rows; a sharded clear already assessed
-		// shard-locally, as a decentralized deployment would.
+	if e.Assess && e.Shards <= 1 {
+		// The unsharded market's agents assess against everyone, every
+		// blocking partner listed: what their message exchange (§IV-B)
+		// would tell them. A sharded clear already assessed shard-locally,
+		// as a decentralized deployment would.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		agents := make([]*agent.Agent, len(rows))
-		for i := range agents {
-			agents[i] = agent.New(i, r.Jobs[i].Name, d[i])
-		}
-		if r.Recommendations, err = agent.Exchange(agents, r.Match, e.Alpha); err != nil {
-			return nil, err
-		}
+		r.Recommendations = rematch.Recommendations(rows, e.Matrix, r.Match, e.Alpha, len(rows))
 	}
 	return r, nil
 }
@@ -471,9 +455,9 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 		// shard_matched events land in the fresh audit segment.
 		r.Mode = "full"
 		announce()
-		_, err = ep.match(ctx, r, nil, false)
+		err = ep.match(ctx, r, nil, false)
 	} else {
-		_, err = ep.match(ctx, r, delta.Prev, false)
+		err = ep.match(ctx, r, delta.Prev, false)
 	}
 	if err != nil {
 		return nil, err
@@ -490,10 +474,9 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	e.Tel.Counter("rematch.joined").Add(int64(r.Joined))
 	e.Tel.Counter("rematch.departed").Add(int64(r.Departed))
 	if e.Assess {
-		// Streaming rounds always use the bounded class-bucket
-		// assessment: exact Action and ExpectedGain, bounded partner
-		// lists, O(n·classes) instead of the O(n²) message exchange —
-		// repair rounds must never pay quadratic work.
+		// Streaming rounds bound the partner lists: exact Action and
+		// ExpectedGain, but a repair round must not pay for listing every
+		// blocking partner of every agent.
 		r.Recommendations = rematch.Recommendations(rows, e.Matrix, r.Match, e.Alpha, 0)
 	}
 	return r, nil
@@ -504,9 +487,8 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 // distinct, schedule-independent IDs. prev nil clears the population
 // from scratch; otherwise prev is the standing matching and r.Dirty is
 // repaired around. It fills r.Match and the round's shard or repair
-// details, and returns the agent-level matrix when it had to build one
-// (the unsharded full clear), for the caller's message exchange.
-func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, assess bool) (d [][]float64, err error) {
+// details.
+func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, assess bool) error {
 	e := ep.eng
 	reg := e.Tel.Registry()
 	span := e.Tel.PhaseKeyed(ep.Span(), "match", int64(r.index))
@@ -517,9 +499,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, as
 
 	if e.Shards > 1 {
 		// Sharded market: per-shard clears or repairs in parallel on
-		// split-seed streams, looking penalties up through the job-level
-		// matrix — the n×n agent expansion is never materialized, so
-		// memory scales with shard size, not population size.
+		// split-seed streams.
 		mk := &shard.Market{
 			Shards: e.Shards, RefinementBudget: e.RefinementBudget,
 			Policy: e.Policy, Alpha: e.Alpha, Workers: e.Workers,
@@ -529,7 +509,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, as
 		if prev == nil {
 			res, err := mk.Clear(ctx, r.Jobs, r.JobIdx, e.Matrix)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			r.Match, r.ShardOf, r.Recommendations = res.Match, res.ShardOf, res.Recommendations
 			r.RefinementRounds, r.RefinementTrades = res.RefinementRounds, res.RefinementTrades
@@ -539,7 +519,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, as
 		} else {
 			res, err := mk.Repair(ctx, r.Jobs, r.JobIdx, e.Matrix, prev, r.Dirty, e.RematchTopK)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			r.Match, r.ShardOf = res.Match, res.ShardOf
 			r.Neighborhood, r.Changed = res.Neighborhood, res.Changed
@@ -549,19 +529,17 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, as
 		for i, job := range r.Jobs {
 			bw[i] = job.BandwidthGBps
 		}
+		var err error
 		if prev == nil {
-			d, err = profiler.ExpandToAgents(e.Matrix, e.Catalog, workload.Population{Jobs: r.Jobs})
-			if err != nil {
-				return nil, err
-			}
-			r.Match, err = e.Policy.Assign(d, policy.Context{BandwidthGBps: bw, Rand: e.Rand, Metrics: reg})
+			r.Match, err = e.Policy.AssignClasses(matching.Penalties{Matrix: e.Matrix, Class: r.JobIdx},
+				policy.Context{BandwidthGBps: bw, Rand: e.Rand, Metrics: reg})
 		} else {
 			pen := func(i, j int) float64 { return e.Matrix[r.JobIdx[i]][r.JobIdx[j]] }
 			r.Neighborhood = rematch.Neighborhood(r.Dirty, nil, prev, pen, e.RematchTopK)
-			r.Match, r.Changed, err = rematch.Rewire(r.Neighborhood, prev, pen, bw, e.Policy, e.Rand, reg)
+			r.Match, r.Changed, err = rematch.Rewire(r.Neighborhood, prev, e.Matrix, r.JobIdx, bw, e.Policy, e.Rand, reg)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	span.SetAttr("proposals", reg.Counter("match.proposals").Value()-proposals)
@@ -570,7 +548,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, as
 		span.SetAttr("neighborhood", len(r.Neighborhood))
 		span.SetAttr("changed", len(r.Changed))
 	}
-	return d, nil
+	return nil
 }
 
 // Assigned records agent i's assignment under round r in the flight

@@ -2,11 +2,16 @@ package market
 
 import (
 	"context"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 
+	"cooper/internal/agent"
 	"cooper/internal/audit"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
+	"cooper/internal/profiler"
 	"cooper/internal/stats"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
@@ -131,5 +136,75 @@ func TestStepRepairsAroundTheEpochsClear(t *testing.T) {
 	rep := audit.Replay(events, audit.Options{})
 	for _, v := range rep.Violations {
 		t.Errorf("%s: %s", v.Invariant, v.Detail)
+	}
+}
+
+// TestClearMatchesAndAssessesLikeTheReferenceProtocol: an unsharded clear
+// never expands penalties to agents, yet its matching is the policy's
+// over the agents×agents expansion for the same RNG draws, and its
+// recommendations are the message exchange's (§IV-B) over the expanded
+// rows — Action, ExpectedGain and every blocking partner, in order.
+func TestClearMatchesAndAssessesLikeTheReferenceProtocol(t *testing.T) {
+	for _, pol := range []policy.Policy{policy.StableMarriageRandom{}, policy.StableMarriagePartition{}, policy.StableRoommate{}, policy.Greedy{}} {
+		e, catalog := testEngine(t, Config{Alpha: 0.05})
+		e.Policy, e.Assess = pol, true
+		roster := rosterOf(catalog, 0, 37)
+		roster.IDs = nil
+		ep := e.Begin()
+		r, err := ep.Clear(context.Background(), roster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.Close()
+
+		d, err := profiler.ExpandToAgents(e.Matrix, catalog, workload.Population{Jobs: roster.Jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw := make([]float64, len(roster.Jobs))
+		agents := make([]*agent.Agent, len(roster.Jobs))
+		for i, job := range roster.Jobs {
+			bw[i] = job.BandwidthGBps
+			agents[i] = agent.New(i, job.Name, d[i])
+		}
+		match, err := pol.Assign(d, policy.Context{BandwidthGBps: bw, Rand: stats.NewRand(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Match, match) {
+			t.Fatalf("%s: engine matched %v, the policy over the expansion %v", pol.Name(), r.Match, match)
+		}
+		recs, err := agent.Exchange(agents, r.Match, e.Alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Recommendations, recs) {
+			t.Fatalf("%s: engine assessed %+v, the exchange %+v", pol.Name(), r.Recommendations, recs)
+		}
+	}
+}
+
+// TestEngineBuildsNoAgentMatrix pins what keeps a clear linear in agents:
+// the engine neither imports the expansion's package nor runs the
+// per-agent message exchange; both stay reference code for tests and
+// experiments.
+func TestEngineBuildsNoAgentMatrix(t *testing.T) {
+	files, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !strings.HasSuffix(f.Name(), ".go") || strings.HasSuffix(f.Name(), "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []string{`"cooper/internal/profiler"`, "agent.Exchange(", "agent.New("} {
+			if strings.Contains(string(src), bad) {
+				t.Errorf("%s uses %s", f.Name(), bad)
+			}
+		}
 	}
 }

@@ -3,7 +3,7 @@ package matching
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PrefsFromPenalties converts a cardinal disutility matrix into ordinal
@@ -11,23 +11,12 @@ import (
 // with agent j, and i prefers co-runners with lower penalty. Ties break by
 // index for determinism.
 func PrefsFromPenalties(d [][]float64) [][]int {
-	n := len(d)
-	prefs := make([][]int, n)
-	for i := 0; i < n; i++ {
-		list := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				list = append(list, j)
-			}
-		}
-		row := d[i]
-		sort.SliceStable(list, func(a, b int) bool {
-			if row[list[a]] != row[list[b]] {
-				return row[list[a]] < row[list[b]]
-			}
-			return list[a] < list[b]
-		})
-		prefs[i] = list
+	// Every agent is its own class (p.Class is 0..n-1, everyone), so no
+	// two lists share storage and each can drop its owner in place.
+	p := Dense(d)
+	prefs := p.Lists(p.Class, p.Class)
+	for i, list := range prefs {
+		prefs[i] = slices.DeleteFunc(list, func(j int) bool { return j == i })
 	}
 	return prefs
 }
@@ -78,13 +67,13 @@ func AlphaBlockingPairs(match Matching, d [][]float64, alpha float64) [][2]int {
 // remaining partner that minimizes its own penalty. With an odd count the
 // last agent stays Unmatched. The result is written into match, which must
 // already mark the agents Unmatched.
-func GreedyPair(agents []int, d [][]float64, match Matching) {
+func GreedyPair(agents []int, p Penalties, match Matching) {
 	remaining := append([]int(nil), agents...)
 	for len(remaining) > 1 {
 		i := remaining[0]
 		best := 1
 		for k := 2; k < len(remaining); k++ {
-			if d[i][remaining[k]] < d[i][remaining[best]] {
+			if p.At(i, remaining[k]) < p.At(i, remaining[best]) {
 				best = k
 			}
 		}
@@ -95,14 +84,12 @@ func GreedyPair(agents []int, d [][]float64, match Matching) {
 	}
 }
 
-// AdaptedRoommates implements the paper's Stable Roommate (SR) policy:
-// run Irving's algorithm on the cardinal preferences derived from d; when
-// no perfectly stable solution exists, remove the witness agent (the one
-// rejected by all others) and retry, then greedily pair the removed agents
-// to minimize their individual disutilities. It reports the matching and
-// how many agents needed the greedy fallback.
+// AdaptedRoommates implements the paper's Stable Roommate (SR) policy over
+// an agent-level matrix: AdaptedRoommatesClasses with every agent its own
+// class. It reports the matching and how many agents needed the greedy
+// fallback.
 func AdaptedRoommates(d [][]float64) (Matching, int, error) {
-	match, stats, err := AdaptedRoommatesStats(d)
+	match, stats, err := AdaptedRoommatesClasses(Dense(d))
 	return match, stats.GreedyFallback, err
 }
 
@@ -120,14 +107,19 @@ type AdaptedStats struct {
 	GreedyFallback int
 }
 
-// AdaptedRoommatesStats is AdaptedRoommates plus the accumulated Irving
-// work counters.
-func AdaptedRoommatesStats(d [][]float64) (Matching, AdaptedStats, error) {
+// AdaptedRoommatesClasses implements the paper's Stable Roommate (SR)
+// policy: run Irving's algorithm on the cardinal preferences derived from
+// p; when no perfectly stable solution exists, remove the witness agent
+// (the one rejected by all others) and retry, then greedily pair the
+// removed agents to minimize their individual disutilities. Agents of one
+// class share their preference order, so an attempt costs
+// O(classes·agents) to set up, plus Irving's own work.
+func AdaptedRoommatesClasses(p Penalties) (Matching, AdaptedStats, error) {
 	var stats AdaptedStats
-	if err := ValidatePenalties(d); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, stats, err
 	}
-	n := len(d)
+	n := p.Agents()
 	match := make(Matching, n)
 	for i := range match {
 		match[i] = Unmatched
@@ -137,21 +129,12 @@ func AdaptedRoommatesStats(d [][]float64) (Matching, AdaptedStats, error) {
 	}
 
 	// ids maps positions in the shrinking sub-instance to original agents.
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
+	// It stays ascending, so ties break by position exactly as by agent.
+	ids := identity(n)
 	var leftovers []int
 
 	for len(ids) >= 2 {
-		sub := make([][]float64, len(ids))
-		for a, i := range ids {
-			sub[a] = make([]float64, len(ids))
-			for b, j := range ids {
-				sub[a][b] = d[i][j]
-			}
-		}
-		m, rs, err := StableRoommatesStats(PrefsFromPenalties(sub))
+		m, rs, err := stableRoommates(p.Lists(ids, ids), true)
 		stats.Proposals += rs.Proposals
 		stats.Rotations += rs.Rotations
 		if err == nil {
@@ -175,7 +158,7 @@ func AdaptedRoommatesStats(d [][]float64) (Matching, AdaptedStats, error) {
 	}
 	leftovers = append(leftovers, ids...)
 
-	GreedyPair(leftovers, d, match)
+	GreedyPair(leftovers, p, match)
 	stats.GreedyFallback = len(leftovers)
 	return match, stats, nil
 }

@@ -120,7 +120,7 @@ func TestGreedyPair(t *testing.T) {
 		{0.9, 0.3, 0.4, 0},
 	}
 	match := Matching{Unmatched, Unmatched, Unmatched, Unmatched}
-	GreedyPair([]int{0, 1, 2, 3}, d, match)
+	GreedyPair([]int{0, 1, 2, 3}, Dense(d), match)
 	if err := match.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestGreedyPairOddCount(t *testing.T) {
 	for i := range match {
 		match[i] = Unmatched
 	}
-	GreedyPair([]int{0, 1, 2, 3, 4}, d, match)
+	GreedyPair([]int{0, 1, 2, 3, 4}, Dense(d), match)
 	unmatched := 0
 	for _, j := range match {
 		if j == Unmatched {

@@ -189,13 +189,21 @@ func validateBipartite(proposerPrefs, receiverPrefs [][]int) error {
 		return fmt.Errorf("matching: %d proposers vs %d receivers",
 			n, len(receiverPrefs))
 	}
+	seen := make([]bool, n)
 	for side, prefs := range [][][]int{proposerPrefs, receiverPrefs} {
+		checked := make(map[*int]bool)
 		for i, list := range prefs {
 			if len(list) != n {
 				return fmt.Errorf("matching: side %d agent %d has %d prefs, want %d",
 					side, i, len(list), n)
 			}
-			seen := make([]bool, n)
+			// Agents of one class share one list (Penalties.Lists): a list
+			// of the right length is a permutation or not whoever holds it.
+			if checked[&list[0]] {
+				continue
+			}
+			checked[&list[0]] = true
+			clear(seen)
 			for _, j := range list {
 				if j < 0 || j >= n {
 					return fmt.Errorf("matching: side %d agent %d ranks out-of-range %d",
@@ -213,14 +221,30 @@ func validateBipartite(proposerPrefs, receiverPrefs [][]int) error {
 }
 
 // rankMatrix inverts preference lists: rank[i][j] = position of j in i's
-// list.
+// list. Lists that share storage share their rank row, so a side with few
+// distinct lists costs one inversion per list, not per agent.
 func rankMatrix(prefs [][]int) [][]int {
+	type key struct {
+		first *int
+		n     int
+	}
 	rank := make([][]int, len(prefs))
+	shared := make(map[key][]int)
 	for i, list := range prefs {
-		rank[i] = make([]int, len(prefs))
-		for pos, j := range list {
-			rank[i][j] = pos
+		if len(list) == 0 {
+			rank[i] = make([]int, len(prefs))
+			continue
 		}
+		k := key{&list[0], len(list)}
+		row, ok := shared[k]
+		if !ok {
+			row = make([]int, len(prefs))
+			for pos, j := range list {
+				row[j] = pos
+			}
+			shared[k] = row
+		}
+		rank[i] = row
 	}
 	return rank
 }

@@ -18,23 +18,35 @@ var ErrBadPreferences = errors.New("matching: bad preference lists")
 
 // validateRoomPrefs checks a roommates preference table before any
 // working storage is allocated, so malformed input — however large —
-// costs one scan, not an O(n²) table build.
-func validateRoomPrefs(prefs [][]int) error {
+// costs one scan, not an O(n²) table build. Lists rank the other n-1
+// agents; withOwner lists rank all n, their owner included, so one list
+// can serve every agent of a class — lists sharing storage are checked
+// once.
+func validateRoomPrefs(prefs [][]int, withOwner bool) error {
 	n := len(prefs)
 	if n < 2 {
 		return fmt.Errorf("%w: roommates needs at least 2 agents, got %d", ErrBadPreferences, n)
 	}
+	width := n - 1
+	if withOwner {
+		width = n
+	}
 	seen := make([]bool, n)
+	checked := make(map[*int]bool)
 	for i, list := range prefs {
-		if len(list) != n-1 {
+		if len(list) != width {
 			return fmt.Errorf("%w: agent %d ranks %d others, want %d",
-				ErrBadPreferences, i, len(list), n-1)
+				ErrBadPreferences, i, len(list), width)
 		}
-		for k := range seen {
-			seen[k] = false
+		if withOwner {
+			if checked[&list[0]] {
+				continue
+			}
+			checked[&list[0]] = true
 		}
+		clear(seen)
 		for _, j := range list {
-			if j < 0 || j >= n || j == i {
+			if j < 0 || j >= n || (j == i && !withOwner) {
 				return fmt.Errorf("%w: agent %d has invalid preference %d",
 					ErrBadPreferences, i, j)
 			}
@@ -63,8 +75,9 @@ func (e *NoStableError) Unwrap() error { return ErrNoStableMatching }
 // roomTable is the mutable preference table Irving's algorithm reduces.
 type roomTable struct {
 	n      int
-	prefs  [][]int  // original ordered lists, prefs[i] over the other n-1 agents
-	rank   [][]int  // rank[i][j] = position of j in prefs[i]; rank[i][i] = n
+	width  int      // entries per list: n-1, or n for lists that carry their owner
+	prefs  [][]int  // original ordered lists; agents of one class may share a row
+	rank   [][]int  // rank[i][j] = position of j in prefs[i]; rows shared like prefs
 	active [][]bool // active[i][k] = prefs[i][k] still in i's reduced list
 	count  []int    // active entries per agent
 	lo     []int    // first possibly-active index per agent (monotone)
@@ -74,16 +87,15 @@ type roomTable struct {
 	rotations int // phase-2 rotations eliminated
 }
 
-// newRoomTable validates prefs and builds the reduction table. The
-// validation pass runs first, before the O(n²) rank and active tables
-// exist, so bad input never pays the allocation.
-func newRoomTable(prefs [][]int) (*roomTable, error) {
-	if err := validateRoomPrefs(prefs); err != nil {
-		return nil, err
-	}
+// newRoomTable builds the reduction table over validated prefs. Only the
+// active flags are per agent: a list that carries its owner starts with
+// the owner's entry already struck out, which is all that tells two
+// agents sharing it apart, and every scan skips struck entries.
+func newRoomTable(prefs [][]int, withOwner bool) *roomTable {
 	n := len(prefs)
 	t := &roomTable{
 		n:      n,
+		width:  len(prefs[0]),
 		prefs:  prefs,
 		rank:   make([][]int, n),
 		active: make([][]bool, n),
@@ -91,29 +103,39 @@ func newRoomTable(prefs [][]int) (*roomTable, error) {
 		lo:     make([]int, n),
 		hi:     make([]int, n),
 	}
+	active := make([]bool, n*t.width)
+	for k := range active {
+		active[k] = true
+	}
+	shared := make(map[*int][]int)
 	for i, list := range prefs {
-		t.rank[i] = make([]int, n)
-		t.rank[i][i] = n
-		for pos, j := range list {
-			t.rank[i][j] = pos
+		rank, ok := shared[&list[0]]
+		if !ok {
+			rank = make([]int, n)
+			rank[i] = n // owner-less lists: no position
+			for pos, j := range list {
+				rank[j] = pos
+			}
+			shared[&list[0]] = rank
 		}
-		t.active[i] = make([]bool, n-1)
-		for k := range t.active[i] {
-			t.active[i][k] = true
+		t.rank[i] = rank
+		t.active[i] = active[i*t.width : (i+1)*t.width]
+		if withOwner {
+			t.active[i][rank[i]] = false
 		}
 		t.count[i] = n - 1
-		t.hi[i] = n - 2
+		t.hi[i] = t.width - 1
 	}
-	return t, nil
+	return t
 }
 
 // delete removes the mutual pair (i, j) from both reduced lists.
 func (t *roomTable) delete(i, j int) {
-	if pos := t.rank[i][j]; pos < t.n && t.active[i][pos] {
+	if pos := t.rank[i][j]; pos < t.width && t.active[i][pos] {
 		t.active[i][pos] = false
 		t.count[i]--
 	}
-	if pos := t.rank[j][i]; pos < t.n && t.active[j][pos] {
+	if pos := t.rank[j][i]; pos < t.width && t.active[j][pos] {
 		t.active[j][pos] = false
 		t.count[j]--
 	}
@@ -122,7 +144,7 @@ func (t *roomTable) delete(i, j int) {
 // first returns i's best remaining partner, or Unmatched if the list is
 // empty.
 func (t *roomTable) first(i int) int {
-	for ; t.lo[i] < t.n-1; t.lo[i]++ {
+	for ; t.lo[i] < t.width; t.lo[i]++ {
 		if t.active[i][t.lo[i]] {
 			return t.prefs[i][t.lo[i]]
 		}
@@ -135,7 +157,7 @@ func (t *roomTable) second(i int) int {
 	if t.first(i) == Unmatched {
 		return Unmatched
 	}
-	for k := t.lo[i] + 1; k < t.n-1; k++ {
+	for k := t.lo[i] + 1; k < t.width; k++ {
 		if t.active[i][k] {
 			return t.prefs[i][k]
 		}
@@ -174,15 +196,23 @@ type RoommateStats struct {
 // StableRoommatesStats is StableRoommates plus the algorithm's work
 // counters, for the telemetry layer.
 func StableRoommatesStats(prefs [][]int) (Matching, RoommateStats, error) {
-	t, err := newRoomTable(prefs)
-	if err != nil {
+	return stableRoommates(prefs, false)
+}
+
+// stableRoommates runs Irving's algorithm over lists that rank the other
+// n-1 agents, or — withOwner — all n (see validateRoomPrefs). An owner's
+// own entry is never proposed to, held or counted, so both forms reduce
+// alike, proposal for proposal.
+func stableRoommates(prefs [][]int, withOwner bool) (Matching, RoommateStats, error) {
+	if err := validateRoomPrefs(prefs, withOwner); err != nil {
 		return nil, RoommateStats{}, err
 	}
-	if t.n%2 == 1 {
+	if n := len(prefs); n%2 == 1 {
 		// An odd population can never be perfectly matched; phase 1 would
 		// discover this, but failing fast keeps the witness meaningful.
-		return nil, RoommateStats{}, &NoStableError{Agent: t.n - 1}
+		return nil, RoommateStats{}, &NoStableError{Agent: n - 1}
 	}
+	t := newRoomTable(prefs, withOwner)
 
 	if agent, ok := t.phase1(); !ok {
 		return nil, t.stats(), &NoStableError{Agent: agent}
@@ -247,7 +277,7 @@ func (t *roomTable) phase1() (int, bool) {
 	for q := 0; q < t.n; q++ {
 		p := holds[q]
 		keep := t.rank[q][p]
-		for k := keep + 1; k < t.n-1; k++ {
+		for k := keep + 1; k < t.width; k++ {
 			if t.active[q][k] {
 				t.delete(q, t.prefs[q][k])
 			}
@@ -315,7 +345,7 @@ func (t *roomTable) phase2() (int, bool) {
 		for _, mv := range moves {
 			// b accepts a: delete b's partners worse than a.
 			keep := t.rank[mv.b][mv.a]
-			for k := t.n - 2; k > keep; k-- {
+			for k := t.width - 1; k > keep; k-- {
 				if t.active[mv.b][k] {
 					t.delete(mv.b, t.prefs[mv.b][k])
 				}

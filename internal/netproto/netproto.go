@@ -164,7 +164,7 @@ type Server struct {
 	Seed int64
 	// Shards, when > 1, clears each epoch through the sharded colocation
 	// market: registered agents are consistent-hashed into shards, every
-	// shard is matched in parallel over its own sub-matrix, and a bounded
+	// shard is matched in parallel over its own members, and a bounded
 	// cross-shard refinement pass reconciles the boundaries. Zero or one
 	// keeps the single all-pairs market.
 	Shards int

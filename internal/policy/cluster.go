@@ -1,8 +1,9 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cooper/internal/matching"
 	"cooper/internal/stats"
@@ -24,12 +25,40 @@ type Clustered struct {
 // Name implements Policy.
 func (Clustered) Name() string { return "CL" }
 
-// Assign implements Policy.
+// Assign implements Policy. The k-means features are d's rows as given.
 func (c Clustered) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
-	if err := validate(d, ctx, false, true); err != nil {
+	p := matching.Dense(d)
+	if err := validate(p, ctx, false, true); err != nil {
 		return nil, err
 	}
-	n := len(d)
+	return c.assign(p, d, ctx)
+}
+
+// AssignClasses implements Policy. k-means wants one feature row per
+// agent — its penalty next to every other agent, zero next to itself —
+// which is the one place a policy gathers agent-level rows, privately and
+// for the duration of the call.
+func (c Clustered) AssignClasses(p matching.Penalties, ctx Context) (matching.Matching, error) {
+	if err := validate(p, ctx, false, true); err != nil {
+		return nil, err
+	}
+	n := p.Agents()
+	rows, backing := make([][]float64, n), make([]float64, n*n)
+	for i := range rows {
+		rows[i] = backing[i*n : (i+1)*n]
+		for j := range rows[i] {
+			if i != j {
+				rows[i][j] = p.At(i, j)
+			}
+		}
+	}
+	return c.assign(p, rows, ctx)
+}
+
+// assign clusters the agents by their feature rows and matches over p,
+// which the caller has validated.
+func (c Clustered) assign(p matching.Penalties, rows [][]float64, ctx Context) (matching.Matching, error) {
+	n := p.Agents()
 	match := newUnmatched(n)
 	if n < 2 {
 		return match, nil
@@ -42,7 +71,7 @@ func (c Clustered) Assign(d [][]float64, ctx Context) (matching.Matching, error)
 		k = n
 	}
 
-	assign, _, err := stats.KMeans(d, k, 50, ctx.Rand)
+	assign, _, err := stats.KMeans(rows, k, 50, ctx.Rand)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +91,7 @@ func (c Clustered) Assign(d [][]float64, ctx Context) (matching.Matching, error)
 			for _, i := range members[x] {
 				for _, j := range members[y] {
 					if i != j {
-						sum += d[i][j]
+						sum += p.At(i, j)
 						count++
 					}
 				}
@@ -80,9 +109,7 @@ func (c Clustered) Assign(d [][]float64, ctx Context) (matching.Matching, error)
 			order = append(order, x)
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(members[order[a]]) > len(members[order[b]])
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(members[b]), len(members[a])) })
 	matchedType := make([]int, k)
 	for x := range matchedType {
 		matchedType[x] = -1
@@ -131,7 +158,7 @@ func (c Clustered) Assign(d [][]float64, ctx Context) (matching.Matching, error)
 			leftovers = append(leftovers, ys...)
 		}
 	}
-	matching.GreedyPair(leftovers, d, match)
+	matching.GreedyPair(leftovers, p, match)
 	if err := match.Validate(); err != nil {
 		return nil, fmt.Errorf("policy: clustered produced invalid matching: %w", err)
 	}

@@ -4,15 +4,18 @@
 // Marriage Random, Stable Roommate), and the threshold scheme discussed
 // in the paper's related-work comparison.
 //
-// A policy consumes the agent-level penalty matrix (predicted by the
-// preference predictor or supplied by an oracle) plus per-agent
-// contentiousness, and emits a matching: which agents share each CMP.
+// A policy consumes penalties in their class view (matching.Penalties: a
+// job-level matrix, predicted by the preference predictor or supplied by
+// an oracle, plus each agent's row in it) and per-agent contentiousness,
+// and emits a matching: which agents share each CMP. An agent-level
+// matrix is the special case in which every agent is its own class.
 package policy
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"cooper/internal/matching"
 	"cooper/internal/telemetry"
@@ -33,22 +36,27 @@ type Context struct {
 	Metrics *telemetry.Registry
 }
 
-// Policy assigns co-runners to agents. d[i][j] is agent i's penalty when
-// colocated with agent j.
+// Policy assigns co-runners to agents.
 type Policy interface {
 	// Name returns the paper's abbreviation for the policy (GR, CO, ...).
 	Name() string
-	// Assign returns a matching over the agents of d.
+	// AssignClasses returns a matching over the agents of p. It is what the
+	// market engine calls: the work a policy does per class rather than per
+	// agent is what keeps a clear from growing with agents².
+	AssignClasses(p matching.Penalties, ctx Context) (matching.Matching, error)
+	// Assign is AssignClasses over an agent-level matrix: d[i][j] is agent
+	// i's penalty when colocated with agent j, and every agent is its own
+	// class (matching.Dense).
 	Assign(d [][]float64, ctx Context) (matching.Matching, error)
 }
 
-func validate(d [][]float64, ctx Context, needBW, needRand bool) error {
-	if err := matching.ValidatePenalties(d); err != nil {
+func validate(p matching.Penalties, ctx Context, needBW, needRand bool) error {
+	if err := p.Validate(); err != nil {
 		return err
 	}
-	if needBW && len(ctx.BandwidthGBps) != len(d) {
+	if needBW && len(ctx.BandwidthGBps) != p.Agents() {
 		return fmt.Errorf("policy: %d bandwidth entries for %d agents",
-			len(ctx.BandwidthGBps), len(d))
+			len(ctx.BandwidthGBps), p.Agents())
 	}
 	if needRand && ctx.Rand == nil {
 		return fmt.Errorf("policy: randomized policy needs ctx.Rand")
@@ -72,10 +80,15 @@ func (Greedy) Name() string { return "GR" }
 
 // Assign implements Policy.
 func (g Greedy) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
-	if err := validate(d, ctx, false, false); err != nil {
+	return g.AssignClasses(matching.Dense(d), ctx)
+}
+
+// AssignClasses implements Policy.
+func (g Greedy) AssignClasses(p matching.Penalties, ctx Context) (matching.Matching, error) {
+	if err := validate(p, ctx, false, false); err != nil {
 		return nil, err
 	}
-	n := len(d)
+	n := p.Agents()
 	machines := g.Machines
 	if machines <= 0 {
 		machines = (n + 1) / 2
@@ -99,7 +112,7 @@ func (g Greedy) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
 				}
 			case 1:
 				j := occupants[m][0]
-				cost := d[i][j] + d[j][i]
+				cost := p.At(i, j) + p.At(j, i)
 				if bestMachine == -1 || cost < bestCost {
 					bestMachine = m
 					bestCost = cost
@@ -129,11 +142,16 @@ type Complementary struct{}
 func (Complementary) Name() string { return "CO" }
 
 // Assign implements Policy.
-func (Complementary) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
-	if err := validate(d, ctx, true, false); err != nil {
+func (c Complementary) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
+	return c.AssignClasses(matching.Dense(d), ctx)
+}
+
+// AssignClasses implements Policy.
+func (Complementary) AssignClasses(p matching.Penalties, ctx Context) (matching.Matching, error) {
+	if err := validate(p, ctx, true, false); err != nil {
 		return nil, err
 	}
-	n := len(d)
+	n := p.Agents()
 	order := sortedByBandwidth(ctx.BandwidthGBps)
 	match := newUnmatched(n)
 	lo, hi := 0, n-1
@@ -155,15 +173,20 @@ type StableMarriagePartition struct{}
 func (StableMarriagePartition) Name() string { return "SMP" }
 
 // Assign implements Policy.
-func (StableMarriagePartition) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
-	if err := validate(d, ctx, true, false); err != nil {
+func (s StableMarriagePartition) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
+	return s.AssignClasses(matching.Dense(d), ctx)
+}
+
+// AssignClasses implements Policy.
+func (StableMarriagePartition) AssignClasses(p matching.Penalties, ctx Context) (matching.Matching, error) {
+	if err := validate(p, ctx, true, false); err != nil {
 		return nil, err
 	}
 	order := sortedByBandwidth(ctx.BandwidthGBps)
 	half := len(order) / 2
 	computeSet := order[:half]           // least intensive half
 	memorySet := order[len(order)-half:] // most intensive half proposes
-	return marriageBetween(d, memorySet, computeSet, ctx.Metrics)
+	return marriageBetween(p, memorySet, computeSet, ctx.Metrics)
 }
 
 // StableMarriageRandom is the paper's SMR policy: partition tasks into two
@@ -177,16 +200,21 @@ type StableMarriageRandom struct{}
 func (StableMarriageRandom) Name() string { return "SMR" }
 
 // Assign implements Policy.
-func (StableMarriageRandom) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
-	if err := validate(d, ctx, false, true); err != nil {
+func (s StableMarriageRandom) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
+	return s.AssignClasses(matching.Dense(d), ctx)
+}
+
+// AssignClasses implements Policy.
+func (StableMarriageRandom) AssignClasses(p matching.Penalties, ctx Context) (matching.Matching, error) {
+	if err := validate(p, ctx, false, true); err != nil {
 		return nil, err
 	}
-	n := len(d)
+	n := p.Agents()
 	order := ctx.Rand.Perm(n)
 	half := n / 2
 	proposers := order[:half]
 	receivers := order[half : 2*half]
-	return marriageBetween(d, proposers, receivers, ctx.Metrics)
+	return marriageBetween(p, proposers, receivers, ctx.Metrics)
 }
 
 // StableRoommate is the paper's SR policy: Irving's stable roommates over
@@ -198,11 +226,16 @@ type StableRoommate struct{}
 func (StableRoommate) Name() string { return "SR" }
 
 // Assign implements Policy.
-func (StableRoommate) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
-	if err := validate(d, ctx, false, false); err != nil {
+func (s StableRoommate) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
+	return s.AssignClasses(matching.Dense(d), ctx)
+}
+
+// AssignClasses implements Policy.
+func (StableRoommate) AssignClasses(p matching.Penalties, ctx Context) (matching.Matching, error) {
+	if err := validate(p, ctx, false, false); err != nil {
 		return nil, err
 	}
-	match, stats, err := matching.AdaptedRoommatesStats(d)
+	match, stats, err := matching.AdaptedRoommatesClasses(p)
 	if ctx.Metrics != nil {
 		ctx.Metrics.Counter("match.proposals").Add(int64(stats.Proposals))
 		ctx.Metrics.Counter("match.rotations").Add(int64(stats.Rotations))
@@ -226,10 +259,15 @@ func (Threshold) Name() string { return "TH" }
 
 // Assign implements Policy.
 func (th Threshold) Assign(d [][]float64, ctx Context) (matching.Matching, error) {
-	if err := validate(d, ctx, false, false); err != nil {
+	return th.AssignClasses(matching.Dense(d), ctx)
+}
+
+// AssignClasses implements Policy.
+func (th Threshold) AssignClasses(p matching.Penalties, ctx Context) (matching.Matching, error) {
+	if err := validate(p, ctx, false, false); err != nil {
 		return nil, err
 	}
-	n := len(d)
+	n := p.Agents()
 	match := newUnmatched(n)
 	for i := 0; i < n; i++ {
 		if match[i] != matching.Unmatched {
@@ -240,10 +278,11 @@ func (th Threshold) Assign(d [][]float64, ctx Context) (matching.Matching, error
 			if match[j] != matching.Unmatched {
 				continue
 			}
-			if d[i][j] > th.Tolerance || d[j][i] > th.Tolerance {
+			pij, pji := p.At(i, j), p.At(j, i)
+			if pij > th.Tolerance || pji > th.Tolerance {
 				continue
 			}
-			cost := d[i][j] + d[j][i]
+			cost := pij + pji
 			if best == -1 || cost < bestCost {
 				best, bestCost = j, cost
 			}
@@ -294,47 +333,27 @@ func sortedByBandwidth(bw []float64) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return bw[order[a]] < bw[order[b]]
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(bw[a], bw[b]) })
 	return order
 }
 
 // marriageBetween runs stable marriage between two equally sized agent
-// sets, building preference lists from the penalty matrix, and returns
-// the global matching. A leftover agent (odd population) stays solo.
+// sets and returns the global matching. Each side ranks the other by
+// penalty ascending, agent index on ties; agents of one class share their
+// list (Penalties.Lists), and the marriage validates and inverts each
+// distinct list once. A leftover agent (odd population) stays solo.
 // Proposal counts land in metrics when non-nil.
-func marriageBetween(d [][]float64, proposers, receivers []int, metrics *telemetry.Registry) (matching.Matching, error) {
+func marriageBetween(p matching.Penalties, proposers, receivers []int, metrics *telemetry.Registry) (matching.Matching, error) {
 	if len(proposers) != len(receivers) {
 		return nil, fmt.Errorf("policy: partition sizes differ: %d vs %d",
 			len(proposers), len(receivers))
 	}
-	n := len(d)
-	match := newUnmatched(n)
-	k := len(proposers)
-	if k == 0 {
+	match := newUnmatched(p.Agents())
+	if len(proposers) == 0 {
 		return match, nil
 	}
-	prefs := func(agents, others []int) [][]int {
-		lists := make([][]int, len(agents))
-		for a, i := range agents {
-			list := make([]int, len(others))
-			for b := range others {
-				list[b] = b
-			}
-			sort.SliceStable(list, func(x, y int) bool {
-				jx, jy := others[list[x]], others[list[y]]
-				if d[i][jx] != d[i][jy] {
-					return d[i][jx] < d[i][jy]
-				}
-				return jx < jy
-			})
-			lists[a] = list
-		}
-		return lists
-	}
 	proposerMatch, proposals, err := matching.StableMarriageProposals(
-		prefs(proposers, receivers), prefs(receivers, proposers))
+		p.Lists(proposers, receivers), p.Lists(receivers, proposers))
 	if err != nil {
 		return nil, err
 	}

@@ -475,6 +475,11 @@ func DensePenaltiesContext(ctx context.Context, m arch.CMP, jobs []workload.Job,
 // expanded row up to the diagonal, so the gather through the population's
 // row mapping happens once per distinct catalog job and every agent row
 // is a single copy, not n map/bounds-checked lookups.
+//
+// The market engine does not call this: it matches and assesses over the
+// job-level matrix and each agent's row in it (matching.Penalties). The
+// expansion is the reference form that parity tests compare the engine
+// against and that experiments perturbing single agents' rows need.
 func ExpandToAgents(jobD [][]float64, jobs []workload.Job, pop workload.Population) ([][]float64, error) {
 	idx := make(map[string]int, len(jobs))
 	for i, j := range jobs {

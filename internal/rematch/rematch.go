@@ -149,39 +149,32 @@ func Neighborhood(dirty []int, members []int, prev matching.Matching, pen func(i
 	return nbhd
 }
 
-// AssignWithin clears the members' sub-market under the policy: it
-// gathers their k×k job-level sub-matrix (flat-backed, zero diagonal)
-// and standalone bandwidths, and returns the policy's matching in
-// member-local indices. It is the one place a subset of the population
-// is handed to a policy — shard clears, shard repairs and neighborhood
-// rewires all go through it, so none of them materializes more than
-// its own members' penalties.
-func AssignWithin(members []int, pen func(i, j int) float64, bw func(i int) float64, pol policy.Policy, rng *rand.Rand, metrics *telemetry.Registry) (matching.Matching, error) {
-	k := len(members)
-	sub := make([][]float64, k)
-	backing := make([]float64, k*k)
-	subBW := make([]float64, k)
+// AssignWithin clears the members' sub-market under the policy: it hands
+// the policy the job-level matrix with each member's row in it
+// (jobIdx[i] is agent i's) and the members' standalone bandwidths, and
+// returns the policy's matching in member-local indices. It is the one
+// place a subset of the population is handed to a policy — shard clears,
+// shard repairs and neighborhood rewires all go through it — and it
+// allocates O(members): no sub-matrix is gathered.
+func AssignWithin(members []int, matrix [][]float64, jobIdx []int, bw func(i int) float64, pol policy.Policy, rng *rand.Rand, metrics *telemetry.Registry) (matching.Matching, error) {
+	class := make([]int, len(members))
+	subBW := make([]float64, len(members))
 	for a, i := range members {
-		row := backing[a*k : (a+1)*k]
-		for b, j := range members {
-			if i != j {
-				row[b] = pen(i, j)
-			}
-		}
-		sub[a] = row
+		class[a] = jobIdx[i]
 		subBW[a] = bw(i)
 	}
-	return pol.Assign(sub, policy.Context{BandwidthGBps: subBW, Rand: rng, Metrics: metrics})
+	return pol.AssignClasses(matching.Penalties{Matrix: matrix, Class: class},
+		policy.Context{BandwidthGBps: subBW, Rand: rng, Metrics: metrics})
 }
 
 // Rewire re-matches the neighborhood under the policy and returns the
 // repaired matching: pairs wholly outside nbhd are preserved from prev,
-// every nbhd member is re-assigned from scratch over the neighborhood
-// sub-matrix. nbhd must be closed under prev partnership (Neighborhood
-// guarantees this); bw[i] is agent i's standalone bandwidth for
-// partitioning policies. The returned Changed lists the agents whose
-// partner differs from prev, ascending.
-func Rewire(nbhd []int, prev matching.Matching, pen func(i, j int) float64, bw []float64, pol policy.Policy, rng *rand.Rand, metrics *telemetry.Registry) (matching.Matching, []int, error) {
+// every nbhd member is re-assigned from scratch among the neighborhood.
+// nbhd must be closed under prev partnership (Neighborhood guarantees
+// this); jobIdx[i] is agent i's row of matrix and bw[i] its standalone
+// bandwidth for partitioning policies. The returned Changed lists the
+// agents whose partner differs from prev, ascending.
+func Rewire(nbhd []int, prev matching.Matching, matrix [][]float64, jobIdx []int, bw []float64, pol policy.Policy, rng *rand.Rand, metrics *telemetry.Registry) (matching.Matching, []int, error) {
 	match := append(matching.Matching(nil), prev...)
 	for _, i := range nbhd {
 		if p := match[i]; p != matching.Unmatched && match[p] == i {
@@ -190,7 +183,7 @@ func Rewire(nbhd []int, prev matching.Matching, pen func(i, j int) float64, bw [
 		match[i] = matching.Unmatched
 	}
 	if len(nbhd) > 1 {
-		lm, err := AssignWithin(nbhd, pen, func(i int) float64 { return bw[i] }, pol, rng, metrics)
+		lm, err := AssignWithin(nbhd, matrix, jobIdx, func(i int) float64 { return bw[i] }, pol, rng, metrics)
 		if err != nil {
 			return nil, nil, fmt.Errorf("rematch: neighborhood of %d: %w", len(nbhd), err)
 		}

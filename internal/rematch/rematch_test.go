@@ -3,6 +3,7 @@ package rematch
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -197,7 +198,6 @@ func TestNeighborhoodClosureAndTopK(t *testing.T) {
 func TestRewirePreservesOutsidePairs(t *testing.T) {
 	jobIdx := []int{0, 1, 2, 0, 1, 2, 0, 1}
 	matrix := testMatrix(3)
-	pen := penFor(jobIdx, matrix)
 	bw := make([]float64, len(jobIdx))
 	for i := range bw {
 		bw[i] = 1 + float64(i)
@@ -205,7 +205,7 @@ func TestRewirePreservesOutsidePairs(t *testing.T) {
 	prev := matching.Matching{1, 0, 3, 2, 5, 4, 7, 6}
 	nbhd := []int{0, 1, 2, 3} // closed under prev partnership
 
-	match, changed, err := Rewire(nbhd, prev, pen, bw, policy.Greedy{}, rand.New(rand.NewSource(1)), nil)
+	match, changed, err := Rewire(nbhd, prev, matrix, jobIdx, bw, policy.Greedy{}, rand.New(rand.NewSource(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +257,7 @@ func TestRepairerEndToEnd(t *testing.T) {
 		jobIdx[i] = a.Job
 		bw[i] = float64(a.Job + 1)
 	}
-	pen := penFor(jobIdx, matrix)
-	full, _, err := Rewire(nbhdAll(len(d.Agents)), d.Prev, pen, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
+	full, _, err := Rewire(nbhdAll(len(d.Agents)), d.Prev, matrix, jobIdx, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +276,8 @@ func TestRepairerEndToEnd(t *testing.T) {
 		jobIdx = append(jobIdx, a.Job)
 		bw = append(bw, float64(a.Job+1))
 	}
-	pen = penFor(jobIdx, matrix)
-	nbhd := Neighborhood(d.Dirty, nil, d.Prev, pen, 4)
-	match, _, err := Rewire(nbhd, d.Prev, pen, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
+	nbhd := Neighborhood(d.Dirty, nil, d.Prev, penFor(jobIdx, matrix), 4)
+	match, _, err := Rewire(nbhd, d.Prev, matrix, jobIdx, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,66 +311,228 @@ func nbhdAll(n int) []int {
 	return all
 }
 
+// exchange runs the reference protocol (§IV-B) over the agents×agents
+// expansion of the job-level penalties.
+func exchange(t *testing.T, jobIdx []int, matrix [][]float64, match matching.Matching, alpha float64) []agent.Recommendation {
+	t.Helper()
+	agents := make([]*agent.Agent, len(jobIdx))
+	for i := range agents {
+		row := make([]float64, len(jobIdx))
+		for j := range row {
+			if i != j {
+				row[j] = matrix[jobIdx[i]][jobIdx[j]]
+			}
+		}
+		agents[i] = agent.New(i, "", row)
+	}
+	recs, err := agent.Exchange(agents, match, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// randomMatching pairs a random subset of n agents, leaving some solo.
+func randomMatching(rng *rand.Rand, n int) matching.Matching {
+	match := make(matching.Matching, n)
+	for i := range match {
+		match[i] = matching.Unmatched
+	}
+	perm := rng.Perm(n)
+	for k := 0; k+1 < len(perm); k += 2 {
+		if rng.Intn(4) != 0 {
+			match[perm[k]], match[perm[k+1]] = perm[k+1], perm[k]
+		}
+	}
+	return match
+}
+
+// TestRecommendationsParityWithExchange: uncapped, the class-bucket scan
+// is the message exchange — same Action, same ExpectedGain, same partners
+// in the same order — over random populations, Uniform and skewed (one
+// class holds most agents), with distinct penalties and with tie-heavy
+// ones. It is what lets the engine assess without expanding to agents.
 func TestRecommendationsParityWithExchange(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		classes := 2 + rng.Intn(4)
-		n := 4 + rng.Intn(20)
+	for trial := 0; trial < 60; trial++ {
+		classes := 2 + rng.Intn(6)
+		n := []int{2, 3, 17, 64, 200}[trial%5]
 		matrix := make([][]float64, classes)
 		for i := range matrix {
 			matrix[i] = make([]float64, classes)
 			for j := range matrix[i] {
-				matrix[i][j] = rng.Float64()
+				if matrix[i][j] = rng.Float64(); trial%3 == 2 {
+					matrix[i][j] = float64(rng.Intn(3)) * 0.2 // tie-heavy
+				}
 			}
 		}
 		jobIdx := make([]int, n)
 		for i := range jobIdx {
-			jobIdx[i] = rng.Intn(classes)
-		}
-		match := make(matching.Matching, n)
-		for i := range match {
-			match[i] = matching.Unmatched
-		}
-		perm := rng.Perm(n)
-		for k := 0; k+1 < len(perm); k += 2 {
-			if rng.Intn(4) == 0 {
-				continue // leave some solo
+			if jobIdx[i] = rng.Intn(classes); trial%2 == 1 && rng.Intn(5) < 3 {
+				jobIdx[i] = 0 // skewed
 			}
-			match[perm[k]], match[perm[k+1]] = perm[k+1], perm[k]
 		}
+		match := randomMatching(rng, n)
 		alpha := rng.Float64() * 0.3
 
-		agents := make([]*agent.Agent, n)
-		for i := range agents {
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = matrix[jobIdx[i]][jobIdx[j]]
-			}
-			agents[i] = agent.New(i, "", row)
-		}
-		want, err := agent.Exchange(agents, match, alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := exchange(t, jobIdx, matrix, match, alpha)
 		got := Recommendations(jobIdx, matrix, match, alpha, n)
 		for i := range want {
-			if got[i].Action != want[i].Action {
-				t.Fatalf("trial %d agent %d action = %v, want %v", trial, i, got[i].Action, want[i].Action)
-			}
-			if got[i].ExpectedGain != want[i].ExpectedGain {
-				t.Fatalf("trial %d agent %d gain = %v, want %v (exact parity required)",
-					trial, i, got[i].ExpectedGain, want[i].ExpectedGain)
-			}
-			// Partner lists agree as sets (ordering differs only on exact
-			// penalty ties, which random floats all but rule out).
-			g := append([]int(nil), got[i].BlockingPartners...)
-			w := append([]int(nil), want[i].BlockingPartners...)
-			sort.Ints(g)
-			sort.Ints(w)
-			if !reflect.DeepEqual(g, w) {
-				t.Fatalf("trial %d agent %d partners = %v, want %v", trial, i, g, w)
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("trial %d (n=%d) agent %d: class scan %+v, exchange %+v", trial, n, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestRecommendationsMergeEqualPenaltyClasses is the regression for the
+// partner order on exact ties: jobs 1 and 2 are the same column of the
+// matrix (every agent suffers alike next to either), so their agents form
+// one tier that the exchange orders by agent ID — the scan used to list
+// class 1's agents before class 2's. Row 3 is all zero, as a clamped
+// oracle matrix produces: its agents gain nothing anywhere.
+func TestRecommendationsMergeEqualPenaltyClasses(t *testing.T) {
+	matrix := [][]float64{
+		{0.9, 0.1, 0.1, 0.5},
+		{0.8, 0.2, 0.2, 0.6},
+		{0.8, 0.2, 0.2, 0.6},
+		{0, 0, 0, 0},
+	}
+	// Agents of jobs 1 and 2 alternate, all stuck with a job-0 partner.
+	jobIdx := []int{0, 2, 0, 1, 0, 2, 0, 1, 3, 3}
+	match := matching.Matching{1, 0, 3, 2, 5, 4, 7, 6, 9, 8}
+	want := exchange(t, jobIdx, matrix, match, 0)
+	got := Recommendations(jobIdx, matrix, match, 0, len(jobIdx))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("class scan %+v\nexchange   %+v", got, want)
+	}
+	// Agent 1 (job 2, suffering 0.8 next to job 0) prefers every job-1 and
+	// job-2 agent alike, and they prefer its kind over their job-0 partners.
+	if !reflect.DeepEqual(got[1].BlockingPartners, []int{3, 5, 7}) {
+		t.Fatalf("agent 1 lists %v, want the tier merged by agent ID: [3 5 7]", got[1].BlockingPartners)
+	}
+	for _, i := range []int{8, 9} {
+		if got[i].Action != agent.Participate {
+			t.Fatalf("all-zero-row agent %d recommends %v", i, got[i].Action)
+		}
+	}
+}
+
+// TestRecommendationsWithinPool: restricted to a pool, only pool members
+// assess and only pool members are listed, exactly the exchange's
+// partners filtered to the pool — the sharded market's shard-local
+// assessment, whose members may be paired outside the pool.
+func TestRecommendationsWithinPool(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	matrix := testMatrix(5)
+	n := 60
+	jobIdx := make([]int, n)
+	for i := range jobIdx {
+		jobIdx[i] = rng.Intn(5)
+	}
+	match := randomMatching(rng, n)
+	var pool []int
+	inPool := make(map[int]bool)
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 0 {
+			pool = append(pool, i)
+			inPool[i] = true
+		}
+	}
+	full := exchange(t, jobIdx, matrix, match, 0.01)
+	got := RecommendationsWithin(pool, jobIdx, matrix, match, 0.01, len(pool))
+	if len(got) != len(pool) {
+		t.Fatalf("%d recommendations for %d members", len(got), len(pool))
+	}
+	for a, i := range pool {
+		var partners []int
+		for _, j := range full[i].BlockingPartners {
+			if inPool[j] {
+				partners = append(partners, j)
+			}
+		}
+		if got[a].AgentID != i || !reflect.DeepEqual(got[a].BlockingPartners, partners) {
+			t.Fatalf("member %d: %+v, want partners %v", i, got[a], partners)
+		}
+	}
+}
+
+// subMatrixAssign is AssignWithin as it used to work: gather the members'
+// k×k agent-level sub-matrix (zero diagonal) and hand it to Assign.
+func subMatrixAssign(members []int, matrix [][]float64, jobIdx []int, bw []float64, pol policy.Policy, rng *rand.Rand) (matching.Matching, error) {
+	k := len(members)
+	sub, subBW := make([][]float64, k), make([]float64, k)
+	for a, i := range members {
+		sub[a] = make([]float64, k)
+		for b, j := range members {
+			if i != j {
+				sub[a][b] = matrix[jobIdx[i]][jobIdx[j]]
+			}
+		}
+		subBW[a] = bw[i]
+	}
+	return pol.Assign(sub, policy.Context{BandwidthGBps: subBW, Rand: rng})
+}
+
+// TestAssignWithinMatchesSubMatrix: over a member subset, every policy
+// returns through the class view the matching it returned over the
+// gathered sub-matrix, for the same seed.
+func TestAssignWithinMatchesSubMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	matrix := testMatrix(6)
+	matrix[2][4] = matrix[2][1] // a tie between classes
+	n := 120
+	jobIdx, bw := make([]int, n), make([]float64, n)
+	for i := range jobIdx {
+		jobIdx[i] = rng.Intn(6)
+		bw[i] = float64(jobIdx[i]%3) * 4
+	}
+	for _, k := range []int{2, 3, 17, 64} {
+		members := rng.Perm(n)[:k]
+		sort.Ints(members)
+		for _, pol := range append(policy.All(), policy.Threshold{Tolerance: 0.3}, policy.Clustered{}) {
+			want, err := subMatrixAssign(members, matrix, jobIdx, bw, pol, rand.New(rand.NewSource(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := AssignWithin(members, matrix, jobIdx, func(i int) float64 { return bw[i] }, pol, rand.New(rand.NewSource(3)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("k=%d %s: AssignWithin = %v, over the sub-matrix = %v", k, pol.Name(), got, want)
+			}
+		}
+	}
+}
+
+// TestAssignWithinAllocatesNoSubMatrix pins the point of the class view:
+// handing 300 members to a policy must not gather their 300×300 penalty
+// block (720 kB of float64) again. SMR's own lists, ranks and RNG
+// permutation stay far below that.
+func TestAssignWithinAllocatesNoSubMatrix(t *testing.T) {
+	const k = 300
+	matrix := testMatrix(20)
+	jobIdx, members := make([]int, 2*k), make([]int, k)
+	for i := range jobIdx {
+		jobIdx[i] = i % 20
+	}
+	for a := range members {
+		members[a] = 2 * a
+	}
+	clear := func() {
+		if _, err := AssignWithin(members, matrix, jobIdx, func(i int) float64 { return float64(jobIdx[i]) },
+			policy.StableMarriageRandom{}, rand.New(rand.NewSource(1)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clear()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	clear()
+	runtime.ReadMemStats(&after)
+	if got, block := after.TotalAlloc-before.TotalAlloc, uint64(k*k*8); got >= block/2 {
+		t.Fatalf("AssignWithin over %d members allocated %d bytes; a k×k float block is %d", k, got, block)
 	}
 }
 

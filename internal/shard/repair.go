@@ -76,7 +76,7 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 	}
 
 	// Shard-local repairs in parallel: each shard computes its restricted
-	// neighborhood and re-matches it over the sub-matrix with a private
+	// neighborhood and re-matches it among its members with a private
 	// SplitSeed RNG stream; results land in per-shard slots so the merge
 	// below is independent of scheduling.
 	nbhds := make([][]int, shards)
@@ -100,7 +100,7 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 		if k < 2 {
 			return nil
 		}
-		lm, err := rematch.AssignWithin(g, pen, func(i int) float64 { return jobs[i].BandwidthGBps },
+		lm, err := rematch.AssignWithin(g, matrix, jobIdx, func(i int) float64 { return jobs[i].BandwidthGBps },
 			m.Policy, stats.NewRand(parallel.SplitSeed(m.Seed, int64(s))), m.Tel.Registry())
 		if err != nil {
 			return fmt.Errorf("shard %d repair (%d agents): %w", s, k, err)

@@ -8,7 +8,7 @@
 // bandwidth bucket, agent position): the class and bucket give colocated
 // demand a stable home, the position spreads same-class agents so no
 // shard degenerates into one job. Each shard then runs the configured
-// colocation policy over its own sub-matrix with a private RNG stream
+// colocation policy over its own members with a private RNG stream
 // derived via parallel.SplitSeed, so the merged matching is bit-identical
 // at any worker count. Finally, refinement trades blocking pairs across
 // shard boundaries: each round picks the most dissatisfied agents,
@@ -16,10 +16,10 @@
 // greedily applies disjoint trades best-gain-first until no such pair
 // remains or the round budget is exhausted.
 //
-// Crucially, nothing in this package materializes the n×n agent-level
-// penalty matrix. Penalties are looked up through the job-level matrix
-// (the agent-level penalty of a pair is the matrix entry for their jobs),
-// so memory scales with shard size, not population size.
+// Nothing in this package materializes an agent-level penalty matrix, of
+// the population or of a shard. Penalties are looked up through the
+// job-level matrix (the agent-level penalty of a pair is the matrix entry
+// for their jobs), so memory is linear in the population.
 package shard
 
 import (
@@ -265,7 +265,7 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 	pen := func(i, j int) float64 { return matrix[jobIdx[i]][jobIdx[j]] }
 
 	// Clear every shard concurrently. Each shard sees only its own
-	// sub-matrix and a private SplitSeed RNG stream; results land in
+	// members and a private SplitSeed RNG stream; results land in
 	// per-shard slots, so the merge below is independent of scheduling.
 	// Shard spans are keyed by shard index (PhaseKeyed, not Phase): a
 	// counter-allocated span ID would depend on which worker created its
@@ -283,7 +283,7 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 		spans[s] = sp
 		defer m.Tel.End(sp)
 
-		lm, err := rematch.AssignWithin(g, pen, func(i int) float64 { return jobs[i].BandwidthGBps },
+		lm, err := rematch.AssignWithin(g, matrix, jobIdx, func(i int) float64 { return jobs[i].BandwidthGBps },
 			m.Policy, stats.NewRand(parallel.SplitSeed(m.Seed, int64(s))), m.Tel.Registry())
 		if err != nil {
 			return fmt.Errorf("shard %d (%d agents): %w", s, len(g), err)
@@ -337,11 +337,13 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 	}
 
 	// Recommendations against the final matching, one shard at a time in
-	// parallel, each agent's result written to its own slot.
+	// parallel, each agent's result written to its own slot: the agents'
+	// message exchange confined to shard co-members, uncapped.
 	recs := make([]agent.Recommendation, n)
 	err = parallel.ForEach(ctx, m.Workers, shards, func(s int) error {
-		for _, i := range groups[s] {
-			recs[i] = m.recommend(i, groups[s], match, pen)
+		g := groups[s]
+		for a, rec := range rematch.RecommendationsWithin(g, jobIdx, matrix, match, m.Alpha, len(g)) {
+			recs[g[a]] = rec
 		}
 		return nil
 	})
@@ -366,37 +368,6 @@ func current(i int, match matching.Matching, pen func(i, j int) float64) float64
 		return 0
 	}
 	return pen(i, match[i])
-}
-
-// recommend is the shard-local equivalent of the agents' message-exchange
-// protocol: agent i's blocking partners are shard co-members that i
-// prefers over its current partner by more than alpha and that prefer i
-// back by more than alpha, ordered best-first with index tie-breaks.
-func (m *Market) recommend(i int, group []int, match matching.Matching, pen func(i, j int) float64) agent.Recommendation {
-	curI := current(i, match, pen)
-	var blocking []int
-	for _, j := range group {
-		if j == i || j == match[i] {
-			continue
-		}
-		if curI-pen(i, j) > m.Alpha && current(j, match, pen)-pen(j, i) > m.Alpha {
-			blocking = append(blocking, j)
-		}
-	}
-	rec := agent.Recommendation{AgentID: i, Action: agent.Participate}
-	if len(blocking) > 0 {
-		sort.Slice(blocking, func(x, y int) bool {
-			px, py := pen(i, blocking[x]), pen(i, blocking[y])
-			if px != py {
-				return px < py
-			}
-			return blocking[x] < blocking[y]
-		})
-		rec.Action = agent.BreakAway
-		rec.BlockingPartners = blocking
-		rec.ExpectedGain = curI - pen(i, blocking[0])
-	}
-	return rec
 }
 
 // trade is one cross-shard rewiring candidate: pair i with j, both

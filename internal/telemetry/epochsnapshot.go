@@ -65,9 +65,8 @@ type EpochSnapshot struct {
 	Kernel string `json:"kernel,omitempty"`
 	// Matrix is the job-level predicted penalty matrix: Matrix[i][j] is
 	// catalog job i's penalty when colocated with catalog job j. The
-	// agent-level penalty of a pair is the matrix entry for their jobs
-	// (profiler.ExpandToAgents zeroes only the self-diagonal, which no
-	// real pair hits).
+	// agent-level penalty of a pair is the matrix entry for their jobs,
+	// which is how the market itself reads it.
 	Matrix [][]float64 `json:"matrix"`
 	// PopDigest and MatrixDigest fingerprint Agents+Jobs and
 	// Catalog+Matrix. Auditors recompute them to detect a tampered
