@@ -14,7 +14,6 @@ package cooper
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -318,9 +317,9 @@ func BenchmarkOverheadPrediction(b *testing.B) {
 }
 
 // BenchmarkOverheadPredictionReference runs the same §IV-A overhead
-// experiment through the retained naive kernel, so the committed flat-
-// kernel win (see BENCH_recommend.json) stays visible at the paper's
-// own operating point, not just on synthetic matrices.
+// experiment through the retained naive kernel, so the flat kernel's
+// win stays visible at the paper's own operating point, not just on
+// synthetic matrices.
 func BenchmarkOverheadPredictionReference(b *testing.B) {
 	l := getLab(b)
 	sparse := recommend.MaskPairs(l.Dense, 0.25, stats.NewRand(1))
@@ -635,8 +634,7 @@ func benchCampaign(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkProfilingCampaignSerial is the Workers:1 baseline for the
-// bench-compare Makefile target.
+// BenchmarkProfilingCampaignSerial is the Workers:1 campaign baseline.
 func BenchmarkProfilingCampaignSerial(b *testing.B) { benchCampaign(b, 1) }
 
 // BenchmarkProfilingCampaignParallel runs the same campaign fanned out
@@ -666,6 +664,24 @@ func BenchmarkEpochPipelineSerial(b *testing.B) { benchEpochPipeline(b, 1) }
 // BenchmarkEpochPipelineParallel runs the same epochs at 8 workers.
 func BenchmarkEpochPipelineParallel(b *testing.B) { benchEpochPipeline(b, 8) }
 
+// benchClear runs whole epochs — clear, assess, dispatch — over one
+// n-agent population on an oracle framework, reporting B/op.
+func benchClear(b *testing.B, n int, opts ...Option) {
+	f, err := New(append([]Option{WithOracle(), WithSeed(31)}, opts...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	pop := f.SamplePopulation(n, Uniform())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.RunEpoch(pop); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkClearUnsharded runs whole unsharded epochs — clear, assess,
 // dispatch — at growing populations, reporting B/op next to ns/op. No
 // agents×agents penalty matrix exists on that path, so n=20000 runs in
@@ -678,19 +694,21 @@ func BenchmarkClearUnsharded(b *testing.B) {
 	for _, p := range []Policy{SMR(), SMP(), SR()} {
 		for _, n := range []int{800, 5000, 20000} {
 			b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
-				f, err := New(WithOracle(), WithSeed(31), WithPolicy(p))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer f.Close()
-				pop := f.SamplePopulation(n, Uniform())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := f.RunEpoch(pop); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchClear(b, n, WithPolicy(p))
+			})
+		}
+	}
+}
+
+// BenchmarkClearSharded runs whole sharded SMR epochs at the populations
+// the all-pairs market is slowest at: n=20000 and n=100000 over 64 and
+// 256 shards, the far end of the agents-vs-epoch-time curve. bench-smoke
+// runs each once; compare with BenchmarkClearUnsharded/SMR at n=20000.
+func BenchmarkClearSharded(b *testing.B) {
+	for _, n := range []int{20000, 100000} {
+		for _, shards := range []int{64, 256} {
+			b.Run(fmt.Sprintf("n=%d/shards=%d", n, shards), func(b *testing.B) {
+				benchClear(b, n, WithPolicy(SMR()), WithShards(shards))
 			})
 		}
 	}
@@ -704,22 +722,9 @@ func BenchmarkEpochThroughput(b *testing.B) {
 }
 
 // BenchmarkEpochThroughputTelemetry measures the same epochs with the
-// full telemetry layer enabled (spans, counters, histograms). When
-// COOPER_TELEMETRY_OUT names a file, the final metrics snapshot is
-// written there as JSON, so CI can archive a machine-readable record of
-// the run.
+// full telemetry layer enabled (spans, counters, histograms).
 func BenchmarkEpochThroughputTelemetry(b *testing.B) {
 	tel := NewTelemetry()
 	benchEpochs(b, tel)
 	b.ReportMetric(float64(tel.Metrics.Snapshot().Counter("epoch.count")), "epochs")
-	if path := os.Getenv("COOPER_TELEMETRY_OUT"); path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		if err := tel.Metrics.WriteJSON(f); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -211,24 +211,26 @@ func TestEndToEndDeterministic(t *testing.T) {
 		srvErr := make(chan error, 1)
 		go func() { srvErr <- srv.Serve("127.0.0.1:0", func(a string) { addrCh <- a }) }()
 		addr := <-addrCh
+		// Dial one after the other: a Dial returns once the server has
+		// answered the registration, so agent IDs follow dial order and
+		// "-agent 0" names the same job in both runs.
 		var wg sync.WaitGroup
 		for _, job := range []string{"correlation", "dedup"} {
+			c, err := netproto.Dial(addr, job)
+			if err != nil {
+				t.Fatalf("dial %s: %v", job, err)
+			}
+			defer c.Close()
 			wg.Add(1)
-			go func(job string) {
+			go func() {
 				defer wg.Done()
-				c, err := netproto.Dial(addr, job)
-				if err != nil {
-					t.Errorf("dial %s: %v", job, err)
-					return
-				}
-				defer c.Close()
 				for e := 0; e < 2; e++ {
 					if _, _, err := c.RunEpoch(); err != nil {
-						t.Errorf("%s epoch %d: %v", job, e, err)
+						t.Errorf("%s epoch %d: %v", c.OwnJob, e, err)
 						return
 					}
 				}
-			}(job)
+			}()
 		}
 		wg.Wait()
 		if err := <-srvErr; err != nil {

@@ -11,7 +11,7 @@
 //   - stability: when a snapshot (or the caller) declares a contract
 //     α >= 0, the final matching of every round admits no blocking pair
 //     in which both agents gain strictly more than α (recomputed via
-//     matching.AlphaBlockingPairs on the snapshot's penalty matrix).
+//     matching.Penalties.BlockingPairs on the snapshot's penalty matrix).
 //   - conservation: each pair_matched Predicted penalty equals the
 //     snapshot matrix entry for the pair's jobs bit for bit, and the
 //     per-agent penalties, summed in roster order, reproduce the
@@ -1181,37 +1181,28 @@ func (a *Auditor) checkSegment(end telemetry.Event, final bool) {
 		}
 	}
 
-	// Stability: recompute blocking pairs over the full agent-level
-	// matrix. At α = 0 the count is informational (Figure 10's
-	// measurement); under a declared contract any pair is a violation.
+	// Stability: recompute blocking pairs over every pair of agents,
+	// reading penalties through each agent's catalog row — no
+	// agents×agents matrix. At α = 0 the count is informational (Figure
+	// 10's measurement); under a declared contract any pair is a
+	// violation.
 	if n > 1 {
-		d := make([][]float64, n)
-		ok := true
-		for i := range d {
-			d[i] = make([]float64, n)
-			for j := range d[i] {
-				if i == j {
-					continue
-				}
-				v, found := pen(i, j)
-				if !found {
-					ok = false
-					break
-				}
-				d[i][j] = v
+		d := matching.Penalties{Matrix: a.snap.Matrix, Class: make([]int, n)}
+		for i, r := range seg.roster {
+			row, ok := a.jobIdx[r.job]
+			if !ok {
+				return // a job missing from the snapshot catalog: nothing to recompute
 			}
+			d.Class[i] = row
 		}
-		if ok {
-			a.rep.BlockingPairs += len(matching.AlphaBlockingPairs(match, d, 0))
-			if alpha := a.alpha(); alpha >= 0 {
-				for _, bp := range matching.AlphaBlockingPairs(match, d, alpha) {
-					i, j := bp[0], bp[1]
-					gainI := soloPen(d, match, i) - d[i][j]
-					gainJ := soloPen(d, match, j) - d[j][i]
-					a.violate(InvStability, a.curEpoch, a.epochStartSeq, end.Seq,
-						"agents %d and %d block the matching: both gain more than α=%v by defecting (%v and %v)",
-						seg.roster[i].id, seg.roster[j].id, alpha, gainI, gainJ)
-				}
+		a.rep.BlockingPairs += d.CountBlockingPairs(match, 0)
+		if alpha := a.alpha(); alpha >= 0 {
+			for _, bp := range d.BlockingPairs(match, alpha) {
+				i, j := bp[0], bp[1]
+				a.violate(InvStability, a.curEpoch, a.epochStartSeq, end.Seq,
+					"agents %d and %d block the matching: both gain more than α=%v by defecting (%v and %v)",
+					seg.roster[i].id, seg.roster[j].id, alpha,
+					soloPen(d, match, i)-d.At(i, j), soloPen(d, match, j)-d.At(j, i))
 			}
 		}
 	}
@@ -1219,9 +1210,9 @@ func (a *Auditor) checkSegment(end telemetry.Event, final bool) {
 
 // soloPen is agent i's penalty under its current assignment (0 when
 // unmatched, as solo agents run alone).
-func soloPen(d [][]float64, match matching.Matching, i int) float64 {
+func soloPen(d matching.Penalties, match matching.Matching, i int) float64 {
 	if match[i] == matching.Unmatched {
 		return 0
 	}
-	return d[i][match[i]]
+	return d.At(i, match[i])
 }

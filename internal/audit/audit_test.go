@@ -2,6 +2,7 @@ package audit
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -613,4 +614,43 @@ func TestRefinementInvariant(t *testing.T) {
 	// An unparseable payload.
 	rep = Replay(mutate(func(e *telemetry.Event) { e.Data = "{" }), Options{})
 	wantViolation(t, rep, InvRefinement, "unparseable")
+}
+
+// TestReplayAllocatesNoAgentMatrix pins the stability check to the class
+// view: one clean round over 2000 agents used to build a 2000×2000
+// penalty matrix (32 MB) to scan for blocking pairs, and must now replay
+// in under 4 MiB — roster, partner maps and one penalty per agent.
+func TestReplayAllocatesNoAgentMatrix(t *testing.T) {
+	const n = 2000
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	l := &wireLog{}
+	l.register(0, ids...)
+	l.add(telemetry.Event{Type: telemetry.EventEpochStart, Epoch: 0,
+		Agent: -1, Partner: -1, Value: n})
+	l.snapshot(0, -1, ids)
+	var sum float64
+	for a := 0; a < n; a += 2 {
+		l.pair(0, a, a+1)
+		sum += pen(a, a+1) + pen(a+1, a)
+	}
+	l.add(telemetry.Event{Type: telemetry.EventEpochEnd, Epoch: 0,
+		Agent: -1, Partner: -1, Value: sum / n})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := Replay(l.events, Options{})
+	runtime.ReadMemStats(&after)
+	if !rep.OK() || len(rep.Warnings) != 0 {
+		t.Fatalf("violations %v, warnings %v", rep.Violations, rep.Warnings)
+	}
+	// Every two alpha-job agents of different pairs block, as in cleanLog.
+	if want := (n / 2) * (n/2 - 1) / 2; rep.BlockingPairs != want {
+		t.Fatalf("blocking pairs = %d, want %d", rep.BlockingPairs, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("replaying one %d-agent round allocated %.1f MiB, want < 4", n, float64(got)/(1<<20))
+	}
 }

@@ -32,34 +32,55 @@ func ValidatePenalties(d [][]float64) error {
 	return nil
 }
 
-// AlphaBlockingPairs returns the pairs that would break away under the
-// paper's Figure 10 criterion: (i, j) blocks when colocating with each
-// other strictly improves both agents' performance by more than alpha over
-// their assigned colocations. Improvement must be strict so that the
-// plentiful exact ties between agents running identical applications do
-// not register as instability at alpha = 0. Agents left unmatched run
-// alone with zero penalty; pairing can only add penalty, so solo agents
-// never block.
+// AlphaBlockingPairs is Penalties.BlockingPairs over an agent-level
+// matrix, every agent its own class.
 func AlphaBlockingPairs(match Matching, d [][]float64, alpha float64) [][2]int {
-	n := len(match)
-	current := func(i int) float64 {
-		if match[i] == Unmatched {
-			return 0
-		}
-		return d[i][match[i]]
-	}
+	return Dense(d).BlockingPairs(match, alpha)
+}
+
+// BlockingPairs returns the pairs that would break away under the
+// paper's Figure 10 criterion, in (i<j) order: (i, j) blocks when
+// colocating with each other strictly improves both agents' performance by
+// more than alpha over their assigned colocations. Improvement must be
+// strict so that the plentiful exact ties between agents running identical
+// applications do not register as instability at alpha = 0. Agents left
+// unmatched run alone with zero penalty; pairing can only add penalty, so
+// solo agents never block.
+func (p Penalties) BlockingPairs(match Matching, alpha float64) [][2]int {
 	var blocking [][2]int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+	p.eachBlockingPair(match, alpha, func(i, j int) { blocking = append(blocking, [2]int{i, j}) })
+	return blocking
+}
+
+// CountBlockingPairs is len(p.BlockingPairs(match, alpha)) without
+// building the list, which at alpha = 0 can be most of the same-class
+// pairs.
+func (p Penalties) CountBlockingPairs(match Matching, alpha float64) int {
+	count := 0
+	p.eachBlockingPair(match, alpha, func(int, int) { count++ })
+	return count
+}
+
+// eachBlockingPair calls yield for every blocking pair, i ascending, then
+// j ascending. It keeps one penalty per agent and nothing per pair.
+func (p Penalties) eachBlockingPair(match Matching, alpha float64, yield func(i, j int)) {
+	current := make([]float64, len(match))
+	for i, partner := range match {
+		if partner != Unmatched {
+			current[i] = p.At(i, partner)
+		}
+	}
+	for i := range match {
+		row := p.Matrix[p.Class[i]]
+		for j := i + 1; j < len(match); j++ {
 			if match[i] == j {
 				continue
 			}
-			if current(i)-d[i][j] > alpha && current(j)-d[j][i] > alpha {
-				blocking = append(blocking, [2]int{i, j})
+			if current[i]-row[p.Class[j]] > alpha && current[j]-p.Matrix[p.Class[j]][p.Class[i]] > alpha {
+				yield(i, j)
 			}
 		}
 	}
-	return blocking
 }
 
 // GreedyPair pairs the given agents to minimize individual disutilities,

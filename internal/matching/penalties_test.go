@@ -171,3 +171,57 @@ func TestStableRoommatesOwnerCarryingLists(t *testing.T) {
 		t.Fatalf("duplicate entry in an owner-carrying list: err = %v", err)
 	}
 }
+
+// TestBlockingPairsClassesMatchDense: the class-view scan lists exactly
+// the pairs, in the same order, that the Figure 10 definition yields over
+// the agents×agents matrix the view stands for — through
+// AlphaBlockingPairs and through a scan written out from the definition —
+// on tie-heavy instances with unmatched agents, and the count agrees
+// without the list.
+func TestBlockingPairsClassesMatchDense(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, n := range []int{2, 3, 17, 200} {
+		for trial := 0; trial < 10; trial++ {
+			p := tiedClasses(r, 1+r.Intn(6), n)
+			// A random matching that leaves about a fifth of the agents
+			// (and the odd one out) alone.
+			match := make(Matching, n)
+			for i := range match {
+				match[i] = Unmatched
+			}
+			perm := r.Perm(n)
+			for k := 0; k+1 < n; k += 2 {
+				if r.Intn(5) > 0 {
+					match[perm[k]], match[perm[k+1]] = perm[k+1], perm[k]
+				}
+			}
+			d := expand(p)
+			current := func(i int) float64 {
+				if match[i] == Unmatched {
+					return 0
+				}
+				return d[i][match[i]]
+			}
+			for _, alpha := range []float64{0, 0.02} {
+				var want [][2]int
+				for i := 0; i < n; i++ {
+					for j := i + 1; j < n; j++ {
+						if match[i] != j && current(i)-d[i][j] > alpha && current(j)-d[j][i] > alpha {
+							want = append(want, [2]int{i, j})
+						}
+					}
+				}
+				got := p.BlockingPairs(match, alpha)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d trial %d α=%v: class view lists %v, want %v", n, trial, alpha, got, want)
+				}
+				if dense := AlphaBlockingPairs(match, d, alpha); !reflect.DeepEqual(dense, want) {
+					t.Fatalf("n=%d trial %d α=%v: dense view lists %v, want %v", n, trial, alpha, dense, want)
+				}
+				if count := p.CountBlockingPairs(match, alpha); count != len(want) {
+					t.Fatalf("n=%d trial %d α=%v: counted %d blocking pairs, want %d", n, trial, alpha, count, len(want))
+				}
+			}
+		}
+	}
+}

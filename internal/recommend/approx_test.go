@@ -9,7 +9,7 @@ import (
 	"cooper/internal/telemetry"
 )
 
-// maskedGrid builds the bench-compare input shape: a dense 16-level
+// maskedGrid builds the pair-sampled input shape: a dense 16-level
 // penalty grid with a symmetric MaskPairs pass keeping the given
 // fraction of colocation pairs observed — the paper's sampling unit.
 func maskedGrid(n int, frac float64, seed int64) [][]float64 {
@@ -32,8 +32,8 @@ func maskedGrid(n int, frac float64, seed int64) [][]float64 {
 // prove the candidate build safe).
 //
 // The sweep covers the regime the approximation is specified for:
-// symmetric pair sampling at the paper's 25% measurement fraction (the
-// bench-compare shape) and at 50%, plus element-wise sparsity at 50%.
+// symmetric pair sampling at the paper's 25% measurement fraction and at
+// 50%, plus element-wise sparsity at 50%.
 // It deliberately excludes element-wise density below ~0.25 at this n:
 // there the exact similarity is an intersection-normalized statistic
 // over ~density²·n ≈ tens of shared entries, and no fixed-width sketch

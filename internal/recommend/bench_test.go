@@ -7,10 +7,10 @@ import (
 )
 
 // Kernel benchmarks: the flat production kernel against the retained
-// naive reference at the sizes cmd/bench-compare snapshots into
-// BENCH_recommend.json. Run with -benchmem: BenchmarkPredictCell is the
-// acceptance proof that the prediction hot path allocates nothing per
-// predicted cell.
+// naive reference at n = 20/100/400, and against its LSH-bucketed
+// approximate path at n = 2000. Run with -benchmem: BenchmarkPredictCell
+// is the acceptance proof that the prediction hot path allocates nothing
+// per predicted cell.
 
 // benchComplete runs one kernel over a fixed random sparse matrix.
 func benchComplete(b *testing.B, p Predictor, n int) {
@@ -27,9 +27,10 @@ func benchComplete(b *testing.B, p Predictor, n int) {
 
 // BenchmarkCompleteFlat measures the flat kernel end to end (single
 // worker, so speedups over the reference are representation wins, not
-// parallelism).
+// parallelism). The n=2000 leg is the exact all-pairs scan
+// BenchmarkCompleteApprox is measured against.
 func BenchmarkCompleteFlat(b *testing.B) {
-	for _, n := range []int{20, 100, 400} {
+	for _, n := range []int{20, 100, 400, 2000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			p := Default()
 			p.Workers = 1
@@ -49,6 +50,19 @@ func BenchmarkCompleteReference(b *testing.B) {
 			benchComplete(b, p, n)
 		})
 	}
+}
+
+// BenchmarkCompleteApprox measures the approximate kernel (SimHash
+// banding in front of the exact scorer, single worker) on the input of
+// BenchmarkCompleteFlat's n=2000 leg; their ratio is the approximation's
+// speedup.
+func BenchmarkCompleteApprox(b *testing.B) {
+	b.Run("n=2000", func(b *testing.B) {
+		p := Default()
+		p.Workers = 1
+		p.Approx = DefaultApprox()
+		benchComplete(b, p, 2000)
+	})
 }
 
 // BenchmarkCompleteFlatUserBased covers the zero-copy transposed-view

@@ -36,8 +36,7 @@ func topKLowest(row []float64, i, k int) map[int]bool {
 // TopKRecall measures, averaged over rows, how much of the exact
 // kernel's per-row top-K lowest-penalty set the approximate kernel
 // recovered — the bounded equivalence metric the approximate path is
-// gated on (bench-compare's approx leg and the package's recall-gate
-// test both use it).
+// gated on (TestApproxTopKRecallGate).
 func TopKRecall(exact, approx [][]float64, k int) float64 {
 	var hit, total int
 	for i := range exact {

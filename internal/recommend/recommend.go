@@ -96,8 +96,8 @@ func Default() Predictor {
 // WithReferenceKernel returns a copy of p that routes Complete through
 // the retained naive [][]float64 kernel instead of the flat one. The two
 // kernels produce bit-identical output; the reference exists as the
-// baseline for the equivalence suite and cmd/bench-compare's kernel
-// gate, and is not part of the cooper facade.
+// baseline for the equivalence suite and BenchmarkCompleteReference,
+// and is not part of the cooper facade.
 func (p Predictor) WithReferenceKernel() Predictor {
 	p.reference = true
 	return p

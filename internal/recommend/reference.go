@@ -14,8 +14,8 @@ import (
 // iteration, and a per-iteration transpose for user-based mode. It is
 // not the production path — kernel.go's flat kernel is — but stays as
 // the executable specification the randomized equivalence suite pins the
-// flat kernel against bit for bit, and as the baseline cmd/bench-compare
-// measures the kernel speedup from.
+// flat kernel against bit for bit, and as the baseline
+// BenchmarkCompleteReference measures the kernel speedup from.
 
 // completeReference is the naive CompleteContext implementation.
 func (p Predictor) completeReference(ctx context.Context, m [][]float64) ([][]float64, int, error) {

@@ -9,9 +9,8 @@ import (
 )
 
 // CommonFlags registers the flag groups Cooper's commands share, so
-// cooperd, cooper-sim, cooper-agent, and cooper-loadgen present one
-// surface: same names, same defaults, same help text, instead of four
-// drifting copies. A command builds the groups it needs:
+// cooperd, cooper-sim, and cooper-agent present one surface: same names,
+// same defaults, same help text, instead of drifting copies. A command builds the groups it needs:
 //
 //	cf := simcli.NewCommonFlags(flag.CommandLine).
 //		SeedWorkers().Events("").Chaos("every agent connection").
