@@ -94,6 +94,9 @@ bench:
 
 # bench-smoke executes every benchmark in the module exactly once — a
 # compile-and-run check, not a measurement. That includes
+# BenchmarkStreamRepair, streaming epochs at n=10000 over 32 shards with
+# 1% churn, repair beside forced full clear, whose B/op is what
+# TestStreamRepairEpochAllocation pins;
 # BenchmarkClearUnsharded, the unsharded clear at n up to 20000, which
 # reports B/op: a clear that builds anything agents×agents again shows
 # up there as gigabytes (SMR at n=20000 allocates ~65 MB) or as an

@@ -14,6 +14,7 @@ package cooper
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -727,4 +728,77 @@ func BenchmarkEpochThroughputTelemetry(b *testing.B) {
 	tel := NewTelemetry()
 	benchEpochs(b, tel)
 	b.ReportMetric(float64(tel.Metrics.Snapshot().Counter("epoch.count")), "epochs")
+}
+
+// streamMarket is the streaming market BenchmarkStreamRepair and the
+// allocation pin share: n agents over 32 shards, admitted by a cold epoch
+// 0, then epochs in which 1% of the population leaves and as many
+// Uniform jobs join.
+type streamMarket struct {
+	f   *Framework
+	ids []int // live agents' stable IDs, as of the last report
+	rng *rand.Rand
+}
+
+func newStreamMarket(tb testing.TB, n int, threshold float64) *streamMarket {
+	tb.Helper()
+	f, err := New(WithShards(32), WithRematch(), WithChurnThreshold(threshold), WithSeed(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := f.StreamEpoch(Churn{Join: f.SamplePopulation(n, Uniform()).Jobs})
+	if err != nil {
+		f.Close()
+		tb.Fatal(err)
+	}
+	return &streamMarket{f: f, ids: rep.AgentIDs, rng: stats.NewRand(7)}
+}
+
+// churn draws the next epoch's departures and joins.
+func (m *streamMarket) churn() Churn {
+	k := max(1, len(m.ids)/100)
+	depart := make([]int, k)
+	for i, p := range m.rng.Perm(len(m.ids))[:k] {
+		depart[i] = m.ids[p]
+	}
+	return Churn{Join: workload.Sample(k, m.f.Catalog(), Uniform(), m.rng).Jobs, Depart: depart}
+}
+
+// step plays one streaming epoch.
+func (m *streamMarket) step(tb testing.TB, c Churn) *EpochReport {
+	rep, err := m.f.StreamEpoch(c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.ids = rep.AgentIDs
+	return rep
+}
+
+// BenchmarkStreamRepair runs streaming epochs at the stream-sharded
+// workload's size — n=10000 over 32 shards, 1% churn — with the churn
+// threshold set so that every epoch repairs the standing matching
+// (repair) or every epoch clears all shards from scratch (full). What a
+// repair epoch costs beyond the repair itself is the epoch's per-agent
+// tail (assess, report, dispatch): the gap between the two legs is the
+// clear, and B/op is what TestStreamRepairEpochAllocation pins.
+func BenchmarkStreamRepair(b *testing.B) {
+	for _, leg := range []struct {
+		name      string
+		threshold float64
+	}{{"repair", 1e9}, {"full", 1e-9}} {
+		b.Run(leg.name, func(b *testing.B) {
+			m := newStreamMarket(b, 10000, leg.threshold)
+			defer m.f.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := m.churn()
+				b.StartTimer()
+				if rep := m.step(b, c); rep.Rematch.Mode != leg.name {
+					b.Fatalf("epoch ran in %s mode", rep.Rematch.Mode)
+				}
+			}
+		})
+	}
 }

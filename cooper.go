@@ -36,13 +36,14 @@
 // # Concurrency and cancellation
 //
 // The pipeline's hot phases — the profiling campaign, penalty-matrix
-// completion, and per-epoch assessment — fan out across a bounded worker
-// pool sized by Options.Workers (<= 0 means GOMAXPROCS, 1 forces the
-// serial path). Parallelism never perturbs results: every fan-out writes
-// to its own slot and seeds its own randomness, so reports are
-// bit-identical at any worker count. Repeated contention solves are
-// memoized in a pair-penalty cache shared by profiling, assessment, and
-// dispatch.
+// completion, and the sharded market's per-shard clears — fan out across
+// a bounded worker pool sized by Options.Workers (<= 0 means GOMAXPROCS,
+// 1 forces the serial path). Parallelism never perturbs results: every
+// fan-out writes to its own slot and seeds its own randomness, so reports
+// are bit-identical at any worker count. Contention solves are memoized
+// in a pair-penalty cache: the oracle matrix fills it once, epochs read
+// true penalties from that matrix, and dispatch consults the cache once
+// per distinct colocation.
 //
 // Context-aware variants of the entry points — NewContext,
 // Framework.RunEpochContext, Driver.RunContext — check their context

@@ -178,3 +178,27 @@ func TestUnshardedEpochAllocatesLinearly(t *testing.T) {
 		t.Fatalf("unsharded epoch over 800 agents allocated %.1f MiB, want < 8", float64(got)/(1<<20))
 	}
 }
+
+// TestStreamRepairEpochAllocation pins the per-class epoch tail: a
+// streaming repair epoch at the stream-sharded workload's size — 10,000
+// agents over 32 shards, 1% churn — used to allocate about 27 MiB, most
+// of it per agent for facts that are per job class (every colocation
+// executed twice into growing result slices, a ring and 10,000 hash keys
+// built per round), and now stays under 16 MiB (about 9: the report, the
+// dispatch batch and the round's roster).
+func TestStreamRepairEpochAllocation(t *testing.T) {
+	m := newStreamMarket(t, 10000, 1e9) // never a full clear after epoch 0
+	defer m.f.Close()
+	m.step(t, m.churn()) // warm the pair cache and the ledger's maps
+	c := m.churn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := m.step(t, c)
+	runtime.ReadMemStats(&after)
+	if rep.Rematch.Mode != "repair" {
+		t.Fatalf("epoch ran in %s mode", rep.Rematch.Mode)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Fatalf("repair epoch over 10000 agents allocated %.1f MiB, want < 16", float64(got)/(1<<20))
+	}
+}

@@ -206,26 +206,51 @@ func Exchange(agents []*Agent, match matching.Matching, alpha float64) ([]Recomm
 
 // BlockingPairsFromRecommendations reconstructs the set of mutual blocking
 // pairs from agents' recommendations (each pair counted once, i < j,
-// ascending). Agent IDs are population indices: non-negative, below 2³².
+// ascending). Agent IDs are population indices — non-negative, below 2³² —
+// and the work space is linear in the largest one.
 func BlockingPairsFromRecommendations(recs []Recommendation) [][2]int {
-	total := 0
+	// A listing is one end of a pair naming the other; a mutual pair is
+	// listed from both ends, a capped list may name it from one only.
+	// Bucket the listings by the pair's lower agent — a counting sort, so
+	// the buckets come out ascending — then order each bucket's handful of
+	// upper agents and drop the repeats.
+	total, buckets := 0, 0
 	for _, r := range recs {
 		total += len(r.BlockingPartners)
-	}
-	// One key per listing, lower agent in the high word, so that key order
-	// is pair order. A mutual pair is listed from both ends: sort, then
-	// drop the repeats.
-	keys := make([]uint64, 0, total)
-	for _, r := range recs {
 		for _, j := range r.BlockingPartners {
-			keys = append(keys, uint64(min(r.AgentID, j))<<32|uint64(max(r.AgentID, j)))
+			buckets = max(buckets, min(r.AgentID, j)+1)
 		}
 	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	pairs := make([][2]int, len(keys))
-	for k, key := range keys {
-		pairs[k] = [2]int{int(key >> 32), int(uint32(key))}
+	bounds := make([]int, buckets+1) // bucket lo is uppers[bounds[lo]:bounds[lo+1]]
+	for _, r := range recs {
+		for _, j := range r.BlockingPartners {
+			bounds[min(r.AgentID, j)+1]++
+		}
+	}
+	for lo := 0; lo < buckets; lo++ {
+		bounds[lo+1] += bounds[lo]
+	}
+	uppers := make([]uint32, total)
+	ends := slices.Clone(bounds[:buckets]) // where bucket lo's filled part ends
+	for _, r := range recs {
+		for _, j := range r.BlockingPartners {
+			lo := min(r.AgentID, j)
+			uppers[ends[lo]] = uint32(max(r.AgentID, j))
+			ends[lo]++
+		}
+	}
+	distinct := 0
+	for lo := 0; lo < buckets; lo++ {
+		bucket := uppers[bounds[lo]:ends[lo]]
+		slices.Sort(bucket)
+		ends[lo] = bounds[lo] + len(slices.Compact(bucket))
+		distinct += ends[lo] - bounds[lo]
+	}
+	pairs := make([][2]int, 0, distinct)
+	for lo := 0; lo < buckets; lo++ {
+		for _, hi := range uppers[bounds[lo]:ends[lo]] {
+			pairs = append(pairs, [2]int{lo, int(hi)})
+		}
 	}
 	return pairs
 }

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cooper/internal/matching"
@@ -183,5 +184,71 @@ func TestActionString(t *testing.T) {
 	}
 	if Action(9).String() == "" {
 		t.Error("unknown action should still format")
+	}
+}
+
+// referenceBlockingPairs is BlockingPairsFromRecommendations as it stood
+// before the counting sort: one key per listing, sorted globally, repeats
+// dropped.
+func referenceBlockingPairs(recs []Recommendation) [][2]int {
+	var keys []uint64
+	for _, r := range recs {
+		for _, j := range r.BlockingPartners {
+			keys = append(keys, uint64(min(r.AgentID, j))<<32|uint64(max(r.AgentID, j)))
+		}
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	pairs := make([][2]int, len(keys))
+	for k, key := range keys {
+		pairs[k] = [2]int{int(key >> 32), int(uint32(key))}
+	}
+	return pairs
+}
+
+// TestBlockingPairsMatchReference holds the bucketed reconstruction
+// equal to the sort-and-compact one on random listings: mutual pairs
+// listed from both ends, pairs a capped list names from one end only,
+// agents listing nobody, and recommendations in shuffled order.
+func TestBlockingPairsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		recs := make([]Recommendation, n)
+		for i := range recs {
+			recs[i].AgentID = i
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Intn(4) != 0 {
+					continue
+				}
+				// One pair in three is listed from one end only, as when
+				// the other end's list was capped before reaching it.
+				switch rng.Intn(6) {
+				case 0:
+					recs[i].BlockingPartners = append(recs[i].BlockingPartners, j)
+				case 1:
+					recs[j].BlockingPartners = append(recs[j].BlockingPartners, i)
+				default:
+					recs[i].BlockingPartners = append(recs[i].BlockingPartners, j)
+					recs[j].BlockingPartners = append(recs[j].BlockingPartners, i)
+				}
+			}
+		}
+		for i := range recs { // partners are listed best first, not by ID
+			p := recs[i].BlockingPartners
+			rng.Shuffle(len(p), func(a, b int) { p[a], p[b] = p[b], p[a] })
+		}
+		rng.Shuffle(n, func(a, b int) { recs[a], recs[b] = recs[b], recs[a] })
+		got, want := BlockingPairsFromRecommendations(recs), referenceBlockingPairs(recs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): pairs %v, reference %v", trial, n, got, want)
+		}
+	}
+	for _, empty := range [][]Recommendation{nil, {}, {{AgentID: 3}}} {
+		if got := BlockingPairsFromRecommendations(empty); got == nil || len(got) != 0 {
+			t.Errorf("no listings: pairs = %#v, want empty and non-nil", got)
+		}
 	}
 }

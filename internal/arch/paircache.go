@@ -10,11 +10,12 @@ import (
 // PairCache memoizes the analytic contention solver's results for catalog
 // job pairs on one CMP configuration. The solver is deterministic, so a
 // (job, co-runner) pair always yields the same equilibrium on the same
-// machine — yet the framework re-derives it in several places every
-// epoch: the oracle penalty matrix, the true-penalty assessment of each
-// matching, and the cluster's virtual execution of every dispatched
-// colocation. A shared cache makes all of those after the first epoch
-// near-free.
+// machine — and several layers ask for it: the oracle penalty matrix
+// (which solves every catalog pair once, the cache's warm-up), the
+// cluster's virtual execution of each distinct colocation it dispatches,
+// and the reference assessment that simulates a matching pair by pair
+// (policy.TruePenalties). A shared cache makes every solve after the
+// first a lookup.
 //
 // Keys are catalog job names plus the CMP configuration fixed at
 // construction; callers must not reuse one cache across machines or

@@ -8,13 +8,13 @@
 // time stretches each job's standalone runtime by its contention penalty
 // (the shorter job is re-run until the longer completes, per the paper's
 // multiprogrammed-benchmarking methodology), so the cluster reports
-// deterministic makespans and utilization.
+// deterministic makespans and utilization. The clock is sequential
+// arithmetic — a daemon is a queue position and a running sum, not a
+// goroutine — and a dispatch solves each distinct colocation once.
 package cluster
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"cooper/internal/arch"
 	"cooper/internal/workload"
@@ -41,27 +41,26 @@ type Result struct {
 	DurationB    float64 // JobB's stretched runtime
 }
 
-// Machine is one CMP plus its daemon's work queue.
+// Machine is one CMP and its daemon's virtual clock.
 type Machine struct {
 	ID  string
 	CMP arch.CMP
 
-	mu    sync.Mutex
-	queue []Assignment
 	clock float64 // virtual time at which the machine becomes free
 	busy  float64 // accumulated busy time
 }
 
-// Cluster is a set of machines fed by a dispatcher.
+// Cluster is a set of machines fed by a dispatcher. Not safe for
+// concurrent use: dispatches advance the machines' clocks.
 type Cluster struct {
 	machines []*Machine
 	cache    *arch.PairCache
 }
 
 // SetPairCache installs a memoization cache for the contention solves the
-// virtual execution performs (one solo+pair equilibrium per dispatched
-// colocation). The cache must be keyed to the machines' CMP; a cache for
-// different hardware is ignored. Nil uninstalls.
+// virtual execution performs (one solo+pair equilibrium per distinct
+// colocation of a dispatch). The cache must be keyed to the machines'
+// CMP; a cache for different hardware is ignored. Nil uninstalls.
 func (c *Cluster) SetPairCache(pc *arch.PairCache) {
 	if pc != nil && len(c.machines) > 0 && !pc.Keyed(c.machines[0].CMP) {
 		return
@@ -87,88 +86,134 @@ func New(n int, cmp arch.CMP) (*Cluster, error) {
 // Size returns the number of machines.
 func (c *Cluster) Size() int { return len(c.machines) }
 
+// outcome is what executing one assignment yields: each job's contention
+// penalty and stretched runtime (job B's are zero when A runs alone).
+type outcome struct {
+	penaltyA, penaltyB   float64
+	durationA, durationB float64
+}
+
+// duration is how long the assignment occupies its machine.
+func (o outcome) duration() float64 { return max(o.durationA, o.durationB) }
+
+// placement is one assignment's slot on the virtual clock.
+type placement struct {
+	outcome
+	startS float64
+	next   int // the following assignment in the same machine's queue, -1 at its end
+}
+
+func (p *placement) endS() float64 { return p.startS + p.duration() }
+
 // Dispatch assigns work to machines — each assignment goes to the machine
 // that will start it earliest (least-loaded first, ties by machine index,
-// so placement is deterministic) — then lets every machine daemon drain
-// its queue concurrently. It returns all execution results ordered by
-// start time.
+// so placement is deterministic) — and executes every machine's queue in
+// order on its virtual clock. It returns all execution results ordered by
+// start time, ties by machine ID (and by queue order within a machine).
 func (c *Cluster) Dispatch(assignments []Assignment) []Result {
-	// Deterministic placement on the least-loaded machine.
-	loads := make([]float64, len(c.machines))
-	for i, m := range c.machines {
-		loads[i] = m.clock
-	}
-	for _, a := range assignments {
-		best := 0
-		for i := 1; i < len(loads); i++ {
-			if loads[i] < loads[best] {
-				best = i
-			}
-		}
-		m := c.machines[best]
-		m.queue = append(m.queue, a)
-		loads[best] += estimateDuration(m.CMP, a, c.cache)
-	}
-
-	// Daemons drain their queues concurrently (the paper's per-machine
-	// polling daemons).
-	resultCh := make(chan []Result, len(c.machines))
-	var wg sync.WaitGroup
-	for _, m := range c.machines {
-		wg.Add(1)
-		go func(m *Machine) {
-			defer wg.Done()
-			resultCh <- m.drain(c.cache)
-		}(m)
-	}
-	wg.Wait()
-	close(resultCh)
-
-	var results []Result
-	for rs := range resultCh {
-		results = append(results, rs...)
-	}
-	sort.Slice(results, func(a, b int) bool {
-		if results[a].StartS != results[b].StartS {
-			return results[a].StartS < results[b].StartS
-		}
-		return results[a].Machine < results[b].Machine
+	results := make([]Result, 0, len(assignments))
+	c.run(assignments, func(k, machine int, p *placement) {
+		results = append(results, Result{
+			Machine:    c.machines[machine].ID,
+			Assignment: assignments[k],
+			StartS:     p.startS,
+			EndS:       p.endS(),
+			PenaltyA:   p.penaltyA,
+			PenaltyB:   p.penaltyB,
+			DurationA:  p.durationA,
+			DurationB:  p.durationB,
+		})
 	})
 	return results
 }
 
-// drain executes the machine's queued assignments in order on its virtual
-// clock, routing contention solves through cache when non-nil.
-func (m *Machine) drain(cache *arch.PairCache) []Result {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var results []Result
-	for _, a := range m.queue {
-		r := execute(m.CMP, a, cache)
-		r.Machine = m.ID
-		r.StartS = m.clock
-		duration := r.DurationA
-		if r.DurationB > duration {
-			duration = r.DurationB
-		}
-		r.EndS = m.clock + duration
-		m.clock = r.EndS
-		m.busy += duration
-		results = append(results, r)
-	}
-	m.queue = nil
-	return results
+// Run dispatches like Dispatch and returns the round's report alone:
+// Summarize(Dispatch(assignments)), without the results in between.
+func (c *Cluster) Run(assignments []Assignment) Report {
+	var t tally
+	c.run(assignments, func(k, _ int, p *placement) {
+		t.add(p.endS(), p.penaltyA, p.penaltyB, assignments[k].Solo())
+	})
+	return c.report(t)
 }
 
-// execute computes the simulated outcome of one assignment, memoizing
-// the contention solves through cache when non-nil.
-func execute(cmp arch.CMP, a Assignment, cache *arch.PairCache) Result {
-	if a.Solo() {
-		return Result{
-			Assignment: a,
-			DurationA:  a.JobA.RuntimeS,
-		}
+// run is the one dispatch pass: it places and executes assignments on the
+// machines' clocks, then calls emit for each in Dispatch's result order,
+// with the assignment's index and its machine's.
+func (c *Cluster) run(assignments []Assignment, emit func(k, machine int, p *placement)) {
+	// Placing and executing are one step: an assignment starts when its
+	// machine falls free and keeps it busy for the colocation's duration,
+	// so the least-loaded machine is the one whose clock is lowest. A
+	// colocation's outcome depends only on its two jobs, so each distinct
+	// colocation is solved once: the memo is keyed by the pair's job names,
+	// an entry remembers the jobs it was solved for, and a same-named pair
+	// that differs anywhere else (a re-calibrated model) is solved on its
+	// own.
+	type names struct{ a, b string }
+	type solved struct {
+		jobA, jobB workload.Job
+		outcome
 	}
+	memo := make(map[names]*solved)
+	placed := make([]placement, len(assignments))
+	head := make([]int, len(c.machines)) // each machine's queue, as indices into placed
+	tail := make([]int, len(c.machines))
+	for b := range head {
+		head[b], tail[b] = -1, -1
+	}
+	for k := range assignments {
+		a := &assignments[k]
+		o := outcome{durationA: a.JobA.RuntimeS}
+		if !a.Solo() {
+			key := names{a.JobA.Name, a.JobB.Name}
+			if s := memo[key]; s != nil && s.jobA == a.JobA && s.jobB == a.JobB {
+				o = s.outcome
+			} else {
+				o = execute(c.machines[0].CMP, a, c.cache)
+				if s == nil {
+					memo[key] = &solved{a.JobA, a.JobB, o}
+				}
+			}
+		}
+		best := 0
+		for b, m := range c.machines {
+			if m.clock < c.machines[best].clock {
+				best = b
+			}
+		}
+		m := c.machines[best]
+		placed[k] = placement{outcome: o, startS: m.clock, next: -1}
+		if tail[best] < 0 {
+			head[best] = k
+		} else {
+			placed[tail[best]].next = k
+		}
+		tail[best] = k
+		m.clock += o.duration()
+		m.busy += o.duration()
+	}
+
+	// Each machine's queue already ascends in start time: merge them.
+	for range assignments {
+		first := -1
+		for b, k := range head {
+			if k < 0 {
+				continue
+			}
+			if first < 0 || placed[k].startS < placed[head[first]].startS ||
+				placed[k].startS == placed[head[first]].startS && c.machines[b].ID < c.machines[first].ID {
+				first = b
+			}
+		}
+		k := head[first]
+		head[first] = placed[k].next
+		emit(k, first, &placed[k])
+	}
+}
+
+// execute computes the simulated outcome of one colocated pair, routing
+// the contention solves through cache when it serves cmp.
+func execute(cmp arch.CMP, a *Assignment, cache *arch.PairCache) outcome {
 	var soloA, soloB, perfA, perfB arch.Perf
 	if cache.Keyed(cmp) {
 		soloA = cache.Solo(a.JobA.Name, a.JobA.Model)
@@ -181,12 +226,11 @@ func execute(cmp arch.CMP, a Assignment, cache *arch.PairCache) Result {
 	}
 	dA := arch.Disutility(soloA, perfA)
 	dB := arch.Disutility(soloB, perfB)
-	return Result{
-		Assignment: a,
-		PenaltyA:   dA,
-		PenaltyB:   dB,
-		DurationA:  stretch(a.JobA.RuntimeS, dA),
-		DurationB:  stretch(a.JobB.RuntimeS, dB),
+	return outcome{
+		penaltyA:  dA,
+		penaltyB:  dB,
+		durationA: stretch(a.JobA.RuntimeS, dA),
+		durationB: stretch(a.JobB.RuntimeS, dB),
 	}
 }
 
@@ -202,14 +246,6 @@ func stretch(runtime, d float64) float64 {
 	return runtime / (1 - d)
 }
 
-func estimateDuration(cmp arch.CMP, a Assignment, cache *arch.PairCache) float64 {
-	r := execute(cmp, a, cache)
-	if r.DurationB > r.DurationA {
-		return r.DurationB
-	}
-	return r.DurationA
-}
-
 // Report summarizes a dispatch round.
 type Report struct {
 	MakespanS      float64 // time until the last machine finishes
@@ -221,24 +257,41 @@ type Report struct {
 
 // Summarize computes a Report over dispatch results for this cluster.
 func (c *Cluster) Summarize(results []Result) Report {
-	rep := Report{}
-	var penaltySum float64
-	for _, r := range results {
-		if r.EndS > rep.MakespanS {
-			rep.MakespanS = r.EndS
-		}
-		rep.Jobs++
-		penaltySum += r.PenaltyA
-		if !r.Assignment.Solo() {
-			rep.Jobs++
-			penaltySum += r.PenaltyB
-		}
+	var t tally
+	for i := range results {
+		r := &results[i]
+		t.add(r.EndS, r.PenaltyA, r.PenaltyB, r.Assignment.Solo())
 	}
+	return c.report(t)
+}
+
+// tally accumulates a round's executed assignments, in result order.
+type tally struct {
+	makespanS  float64
+	penaltySum float64
+	jobs       int
+}
+
+func (t *tally) add(endS, penaltyA, penaltyB float64, solo bool) {
+	if endS > t.makespanS {
+		t.makespanS = endS
+	}
+	t.jobs++
+	t.penaltySum += penaltyA
+	if !solo {
+		t.jobs++
+		t.penaltySum += penaltyB
+	}
+}
+
+// report closes a tally against the machines' busy time.
+func (c *Cluster) report(t tally) Report {
+	rep := Report{MakespanS: t.makespanS, Jobs: t.jobs}
 	for _, m := range c.machines {
 		rep.BusyS += m.busy
 	}
 	if rep.Jobs > 0 {
-		rep.MeanPenalty = penaltySum / float64(rep.Jobs)
+		rep.MeanPenalty = t.penaltySum / float64(rep.Jobs)
 	}
 	if rep.MakespanS > 0 {
 		rep.UtilizationPct = 100 * rep.BusyS / (float64(len(c.machines)) * rep.MakespanS)
@@ -246,13 +299,9 @@ func (c *Cluster) Summarize(results []Result) Report {
 	return rep
 }
 
-// Reset clears all machine clocks and queues.
+// Reset clears all machine clocks.
 func (c *Cluster) Reset() {
 	for _, m := range c.machines {
-		m.mu.Lock()
-		m.queue = nil
-		m.clock = 0
-		m.busy = 0
-		m.mu.Unlock()
+		m.clock, m.busy = 0, 0
 	}
 }

@@ -1,0 +1,198 @@
+package cluster
+
+import (
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"cooper/internal/arch"
+	"cooper/internal/workload"
+)
+
+// referenceDispatch is Dispatch as it stood before the one-pass rewrite,
+// kept as the oracle the rewrite is held equal to: every assignment is
+// executed twice (once to estimate its duration for placement, once when
+// its machine's daemon drains the queue), nothing is memoized beyond the
+// pair cache, one goroutine per machine drains, and the results are
+// sorted by (start, machine ID).
+func referenceDispatch(c *Cluster, assignments []Assignment) []Result {
+	run := func(a Assignment) Result {
+		o := outcome{durationA: a.JobA.RuntimeS}
+		if !a.Solo() {
+			o = execute(c.machines[0].CMP, &a, c.cache)
+		}
+		return Result{Assignment: a, PenaltyA: o.penaltyA, PenaltyB: o.penaltyB,
+			DurationA: o.durationA, DurationB: o.durationB}
+	}
+	loads := make([]float64, len(c.machines))
+	for i, m := range c.machines {
+		loads[i] = m.clock
+	}
+	queues := make([][]Assignment, len(c.machines))
+	for _, a := range assignments {
+		best := 0
+		for i := 1; i < len(loads); i++ {
+			if loads[i] < loads[best] {
+				best = i
+			}
+		}
+		queues[best] = append(queues[best], a)
+		r := run(a)
+		if r.DurationB > r.DurationA {
+			loads[best] += r.DurationB
+		} else {
+			loads[best] += r.DurationA
+		}
+	}
+
+	resultCh := make(chan []Result, len(c.machines))
+	var wg sync.WaitGroup
+	for i, m := range c.machines {
+		wg.Add(1)
+		go func(m *Machine, queue []Assignment) {
+			defer wg.Done()
+			var results []Result
+			for _, a := range queue {
+				r := run(a)
+				r.Machine = m.ID
+				r.StartS = m.clock
+				duration := r.DurationA
+				if r.DurationB > duration {
+					duration = r.DurationB
+				}
+				r.EndS = m.clock + duration
+				m.clock = r.EndS
+				m.busy += duration
+				results = append(results, r)
+			}
+			resultCh <- results
+		}(m, queues[i])
+	}
+	wg.Wait()
+	close(resultCh)
+
+	var results []Result
+	for rs := range resultCh {
+		results = append(results, rs...)
+	}
+	sort.Slice(results, func(a, b int) bool {
+		if results[a].StartS != results[b].StartS {
+			return results[a].StartS < results[b].StartS
+		}
+		return results[a].Machine < results[b].Machine
+	})
+	return results
+}
+
+// mixedBatch draws n assignments over the catalog, about one in eight of
+// them solo.
+func mixedBatch(jobs []workload.Job, n int, r *rand.Rand) []Assignment {
+	batch := make([]Assignment, n)
+	for k := range batch {
+		a := Assignment{AgentA: 2 * k, AgentB: 2*k + 1,
+			JobA: jobs[r.Intn(len(jobs))], JobB: jobs[r.Intn(len(jobs))]}
+		if r.Intn(8) == 0 {
+			a.AgentB, a.JobB = -1, workload.Job{}
+		}
+		batch[k] = a
+	}
+	return batch
+}
+
+// TestDispatchMatchesReference holds the one-pass Dispatch equal to the
+// reference bit for bit — every result in order, the Report (summarized
+// from the results and straight from Run), and the machines' clocks — at 5,000 mixed pair/solo assignments, with and
+// without a pair cache, more machines than two-digit IDs order
+// numerically, and across two dispatches that share the clocks.
+func TestDispatchMatchesReference(t *testing.T) {
+	cmp := arch.DefaultCMP()
+	jobs := testJobs(t)
+	for _, tc := range []struct {
+		name     string
+		machines int
+		cached   bool
+	}{
+		{"cached", 10, true},
+		{"uncached", 10, false},
+		{"one machine", 1, true},
+		{"120 machines", 120, true}, // "node-100" sorts before "node-11"
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, _ := New(tc.machines, cmp)
+			ran, _ := New(tc.machines, cmp) // the same rounds through Run
+			want, _ := New(tc.machines, cmp)
+			if tc.cached {
+				for _, c := range []*Cluster{got, ran, want} {
+					c.SetPairCache(arch.NewPairCache(cmp, nil))
+				}
+			}
+			r := rand.New(rand.NewSource(15))
+			// No Reset between the rounds: the second starts on the first's clocks.
+			for round, n := range []int{5000, 1201} {
+				batch := mixedBatch(jobs, n, r)
+				g, w := got.Dispatch(batch), referenceDispatch(want, batch)
+				if len(g) != len(w) {
+					t.Fatalf("round %d: %d results, reference %d", round, len(g), len(w))
+				}
+				for k := range w {
+					if g[k] != w[k] {
+						t.Fatalf("round %d: result %d = %+v, reference %+v", round, k, g[k], w[k])
+					}
+				}
+				wr := want.Summarize(w)
+				if gr := got.Summarize(g); gr != wr {
+					t.Fatalf("round %d: report %+v, reference %+v", round, gr, wr)
+				}
+				if rr := ran.Run(batch); rr != wr {
+					t.Fatalf("round %d: Run reports %+v, reference %+v", round, rr, wr)
+				}
+				for b := range want.machines {
+					if *got.machines[b] != *want.machines[b] || *ran.machines[b] != *want.machines[b] {
+						t.Fatalf("round %d: machine %d = %+v (Run: %+v), reference %+v", round, b,
+							*got.machines[b], *ran.machines[b], *want.machines[b])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDispatchKeepsSameNamedJobsApart pins the memo's key: two jobs that
+// share a name but differ in model or runtime never share an outcome.
+func TestDispatchKeepsSameNamedJobsApart(t *testing.T) {
+	jobs := testJobs(t)
+	corr, _ := workload.Find(jobs, "correlation")
+	stream, _ := workload.Find(jobs, "stream")
+	slow := corr
+	slow.RuntimeS *= 2
+	light := stream
+	light.Model.API /= 4
+	batch := []Assignment{
+		{AgentA: 0, AgentB: 1, JobA: corr, JobB: stream},
+		{AgentA: 2, AgentB: 3, JobA: slow, JobB: stream},
+		{AgentA: 4, AgentB: 5, JobA: corr, JobB: light},
+		{AgentA: 6, AgentB: 7, JobA: corr, JobB: stream},
+	}
+	got, _ := New(4, arch.DefaultCMP())
+	want, _ := New(4, arch.DefaultCMP())
+	g, w := got.Dispatch(batch), referenceDispatch(want, batch)
+	for k := range w {
+		if g[k] != w[k] {
+			t.Fatalf("result %d = %+v, reference %+v", k, g[k], w[k])
+		}
+	}
+	byAgent := make(map[int]Result)
+	for _, r := range g {
+		byAgent[r.Assignment.AgentA] = r
+	}
+	if byAgent[2].DurationA == byAgent[0].DurationA {
+		t.Error("a pair with a longer-running job A reused the shorter one's outcome")
+	}
+	if byAgent[4].PenaltyA == byAgent[0].PenaltyA {
+		t.Error("a pair with a lighter co-runner model reused the heavier one's outcome")
+	}
+	if byAgent[6].PenaltyA != byAgent[0].PenaltyA || byAgent[6].DurationA != byAgent[0].DurationA {
+		t.Error("an identical pair did not reproduce the first one's outcome")
+	}
+}

@@ -19,8 +19,8 @@ type MarketConfig = market.Config
 // budget, profiling and prediction configuration, and epoch deadlines.
 type PipelineConfig struct {
 	// Workers bounds the worker pool the pipeline's fan-out phases share
-	// (profiling campaign, matrix completion, oracle computation, epoch
-	// assessment, per-shard matching). <= 0 means GOMAXPROCS; 1 forces
+	// (profiling campaign, matrix completion, oracle computation,
+	// per-shard matching). <= 0 means GOMAXPROCS; 1 forces
 	// the serial pipeline. Any value produces bit-identical results —
 	// parallelism never perturbs the simulation.
 	Workers int

@@ -86,8 +86,8 @@ type Options struct {
 	// profile database out of band.
 	Penalties [][]float64
 	// Workers bounds the worker pool the pipeline's fan-out phases share
-	// (profiling campaign, matrix completion, oracle computation, epoch
-	// assessment). <= 0 means GOMAXPROCS; 1 forces the serial pipeline.
+	// (profiling campaign, matrix completion, oracle computation, sharded
+	// clears). <= 0 means GOMAXPROCS; 1 forces the serial pipeline.
 	// Any value produces bit-identical results — parallelism never
 	// perturbs the simulation.
 	Workers int
@@ -392,10 +392,10 @@ func (f *Framework) RunEpoch(pop workload.Population) (*EpochReport, error) {
 	return f.RunEpochContext(context.Background(), pop)
 }
 
-// RunEpochContext is RunEpoch with cancellation and parallel assessment.
-// The pipeline checks ctx between its phases (match, assess, dispatch)
-// and inside the assessment fan-out, returning an error that wraps
-// ErrCanceled if ctx fires. After Close it returns ErrClosed.
+// RunEpochContext is RunEpoch with cancellation. The pipeline checks ctx
+// between its phases (match, assess, dispatch) and inside the sharded
+// market's fan-out, returning an error that wraps ErrCanceled if ctx
+// fires. After Close it returns ErrClosed.
 func (f *Framework) RunEpochContext(ctx context.Context, pop workload.Population) (*EpochReport, error) {
 	return f.epoch(ctx, pop, func(ctx context.Context, ep *market.Epoch) (*market.Round, error) {
 		if len(pop.Jobs) == 0 {
@@ -445,14 +445,15 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 	pop.Jobs = r.Jobs
 	assess := f.tel.Phase(ep.Span(), "assess")
 
-	// True penalties come from simulating each matched pair on its own
-	// CMP, fanned out across the worker pool and memoized through the
-	// pair cache. The solve is deterministic, so this equals the oracle
-	// matrix lookup bit for bit at any worker count.
-	trueP, err := policy.TruePenalties(ctx, f.cfg.Machine, pop.Jobs, r.Match,
-		f.pool.Workers(), f.cache)
-	if err != nil {
-		return nil, wrapCanceled(ctx, err)
+	// True penalties are the oracle matrix read at (own job, partner's
+	// job): a pair's contention depends on nothing else, and the matrix
+	// holds, bit for bit, what simulating each matched pair on its own CMP
+	// would return (policy.TruePenalties, which tests hold this equal to).
+	trueP := make([]float64, len(r.Match))
+	for i, j := range r.Match {
+		if j != matching.Unmatched {
+			trueP[i] = f.truth[r.JobIdx[i]][r.JobIdx[j]]
+		}
 	}
 	predicted, meanPred := r.Penalties()
 	rep := &EpochReport{
@@ -469,8 +470,10 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 	if f.cfg.Market.Shards > 1 {
 		rep.Shards = f.cfg.Market.Shards
 	}
-	for i := range r.Match {
-		ep.Assigned(r, i, trueP[i])
+	if f.tel.EventRing() != nil { // an unobserved epoch builds no events
+		for i := range r.Match {
+			ep.Assigned(r, i, trueP[i])
+		}
 	}
 	assess.SetAttr("breakaways", rep.BreakAwayCount())
 	assess.SetAttr("blocking_pairs", len(rep.BlockingPairs))
@@ -483,7 +486,13 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 	}
 	dispatch := f.tel.Phase(ep.Span(), "dispatch")
 	f.cluster.Reset()
-	var batch []cluster.Assignment
+	solos := 0
+	for _, j := range r.Match {
+		if j == matching.Unmatched {
+			solos++
+		}
+	}
+	batch := make([]cluster.Assignment, 0, solos+(len(r.Match)-solos)/2)
 	for i, j := range r.Match {
 		switch {
 		case j == matching.Unmatched:
@@ -496,8 +505,7 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 			})
 		}
 	}
-	results := f.cluster.Dispatch(batch)
-	rep.Cluster = f.cluster.Summarize(results)
+	rep.Cluster = f.cluster.Run(batch)
 	dispatch.SetAttr("colocations", len(batch))
 	f.tel.End(dispatch)
 

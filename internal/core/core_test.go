@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"cooper/internal/arch"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
 	"cooper/internal/stats"
@@ -280,5 +283,82 @@ func TestPredictSpanSimPairAttrs(t *testing.T) {
 	reg := tel.Registry()
 	if total := reg.Counter("predict.sim_pairs_recomputed").Value(); rec > total {
 		t.Errorf("span delta %d exceeds counter total %d", rec, total)
+	}
+}
+
+// TestTruePenaltyIsTheSimulatedOne holds the epoch's TruePenalty — read
+// from the oracle matrix at (own job, partner's job) — equal, bit for
+// bit, to policy.TruePenalties simulating each matched pair on its own
+// CMP: for every policy, on the unsharded and the sharded market, over an
+// odd population (somebody runs alone), with agents that believe a
+// predicted matrix different from the oracle, and through a streaming
+// repair epoch.
+func TestTruePenaltyIsTheSimulatedOne(t *testing.T) {
+	ctx := context.Background()
+	profiled, err := newFromOptions(Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer profiled.Close()
+	predicted := profiled.PredictedPenalties() // what agents believe: not the oracle
+
+	check := func(t *testing.T, f *Framework, rep *EpochReport) {
+		t.Helper()
+		for _, cache := range []*arch.PairCache{nil, f.PairCache()} {
+			want, err := policy.TruePenalties(ctx, f.cfg.Machine, rep.Population.Jobs, rep.Match, 3, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rep.TruePenalty, want) {
+				t.Fatalf("TruePenalty differs from the simulated penalties (pair cache: %v)", cache != nil)
+			}
+		}
+		solo := 0
+		for i, j := range rep.Match {
+			if j == matching.Unmatched {
+				solo++
+				if rep.TruePenalty[i] != 0 {
+					t.Errorf("agent %d runs alone at true penalty %v", i, rep.TruePenalty[i])
+				}
+			}
+		}
+		if solo == 0 {
+			t.Error("an odd population left nobody alone: the unmatched case is untested")
+		}
+	}
+	policies := []policy.Policy{policy.Greedy{}, policy.Complementary{}, policy.StableMarriagePartition{},
+		policy.StableMarriageRandom{}, policy.StableRoommate{}, policy.Clustered{K: 4}, policy.Threshold{Tolerance: 0.1}}
+	for _, p := range policies {
+		for _, shards := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", p.Name(), shards), func(t *testing.T) {
+				f, err := NewFramework(ctx, Config{Seed: 3,
+					Market:   MarketConfig{Policy: p, Shards: shards, Rematch: true},
+					Pipeline: PipelineConfig{Penalties: predicted}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				rep, err := f.RunEpoch(f.SamplePopulation(151, stats.Uniform{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, f, rep)
+
+				cold, err := f.StreamEpoch(Churn{Join: f.SamplePopulation(151, stats.Uniform{}).Jobs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, f, cold)
+				repair, err := f.StreamEpoch(Churn{Join: f.SamplePopulation(2, stats.Uniform{}).Jobs,
+					Depart: cold.AgentIDs[10:12]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if repair.Rematch.Mode != "repair" {
+					t.Fatalf("churn of 4 over 151 agents ran a %s round", repair.Rematch.Mode)
+				}
+				check(t, f, repair)
+			})
+		}
 	}
 }

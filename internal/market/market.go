@@ -111,7 +111,17 @@ type Engine struct {
 	epochs  int            // brackets opened so far: the next epoch's index
 	rowOf   map[string]int // catalog job name → matrix row
 	catalog []string       // catalog job names, for snapshots
+
+	// A sharded engine keeps one ring for its lifetime and, for agents
+	// under stable IDs, each live agent's shard from the round that admits
+	// it to the one that sees it gone: an agent's shard is a function of
+	// its job and ID alone, so a round hashes only its newcomers.
+	ring    *shard.Ring
+	shardOf map[int]placement // by stable agent ID
 }
+
+// placement is a live agent's shard, next to the job it was hashed with.
+type placement struct{ row, shard int }
 
 // New readies an engine from its wiring: it defaults the policy, indexes
 // the catalog, and — for a streaming market — pre-creates the rematch.*
@@ -132,7 +142,47 @@ func New(e Engine) *Engine {
 			e.Tel.Counter("rematch." + c)
 		}
 	}
+	if e.Shards > 1 {
+		e.ring = shard.NewRing(e.Shards)
+		e.shardOf = make(map[int]placement)
+	}
 	return &e
+}
+
+// partition returns the shard of every agent of a sharded round. Agents
+// under stable IDs are hashed once, when a round first meets them; an
+// in-process batch population has positions for identities and new jobs
+// on them every epoch, so it is hashed every time.
+func (e *Engine) partition(r *Round) []int {
+	shardOf := make([]int, len(r.Jobs))
+	if r.IDs == nil {
+		for i, job := range r.Jobs {
+			shardOf[i] = e.ring.ShardOf(job, i)
+		}
+		return shardOf
+	}
+	for i, id := range r.IDs {
+		p, ok := e.shardOf[id]
+		if !ok || p.row != r.JobIdx[i] {
+			p = placement{row: r.JobIdx[i], shard: e.ring.ShardOf(r.Jobs[i], id)}
+			e.shardOf[id] = p
+		}
+		shardOf[i] = p.shard
+	}
+	if len(e.shardOf) > len(r.IDs) {
+		// The roster lost agents no Step was told about (a wire epoch's
+		// boundary clear after reaps): forget them.
+		live := make(map[int]bool, len(r.IDs))
+		for _, id := range r.IDs {
+			live[id] = true
+		}
+		for id := range e.shardOf {
+			if !live[id] {
+				delete(e.shardOf, id)
+			}
+		}
+	}
+	return shardOf
 }
 
 // rows maps jobs to their matrix rows.
@@ -420,6 +470,9 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	if err != nil {
 		return nil, err
 	}
+	for _, id := range delta.Departed {
+		delete(e.shardOf, id)
+	}
 	n := len(delta.Agents)
 	if n == 0 {
 		return nil, fmt.Errorf("market: empty population after churn")
@@ -503,7 +556,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, as
 		mk := &shard.Market{
 			Shards: e.Shards, RefinementBudget: e.RefinementBudget,
 			Policy: e.Policy, Alpha: e.Alpha, Workers: e.Workers,
-			Seed: e.Rand.Int63(), Epoch: ep.Index, IDs: r.IDs,
+			Seed: e.Rand.Int63(), Epoch: ep.Index, IDs: r.IDs, ShardOf: e.partition(r),
 			Tel: e.Tel, Span: span, SkipRecommendations: !assess,
 		}
 		if prev == nil {

@@ -2,6 +2,7 @@ package market
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"cooper/internal/matching"
 	"cooper/internal/policy"
 	"cooper/internal/profiler"
+	"cooper/internal/shard"
 	"cooper/internal/stats"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
@@ -206,5 +208,94 @@ func TestEngineBuildsNoAgentMatrix(t *testing.T) {
 				t.Errorf("%s uses %s", f.Name(), bad)
 			}
 		}
+	}
+}
+
+// TestEngineRemembersEachLiveAgentsShard runs 20 streaming epochs with
+// churn over a sharded engine and holds the partition it hands the
+// sharded market — each agent hashed once, at admission — equal to a
+// fresh ring's partition of the round's roster, every round, repair or
+// full; the memo holds exactly the live population, so a departed agent's
+// entry is gone. A wire-style boundary clear that silently lost agents
+// prunes it the same way, and an in-process batch round (no stable IDs)
+// neither reads nor writes it.
+func TestEngineRemembersEachLiveAgentsShard(t *testing.T) {
+	const shards = 8
+	e, catalog := testEngine(t, Config{Rematch: true, Shards: shards})
+	ctx := context.Background()
+	rng := stats.NewRand(15)
+	check := func(r *Round, what string) {
+		t.Helper()
+		want, _ := shard.NewRing(shards).PartitionIDs(r.Jobs, r.IDs)
+		if !reflect.DeepEqual(r.ShardOf, want) {
+			t.Fatalf("%s: the engine's partition differs from a fresh ring's", what)
+		}
+	}
+	sample := func(n int) []workload.Job {
+		jobs := make([]workload.Job, n)
+		for i := range jobs {
+			jobs[i] = catalog[rng.Intn(len(catalog))]
+		}
+		return jobs
+	}
+
+	var live []int
+	modes := make(map[string]int)
+	for epoch := 0; epoch < 20; epoch++ {
+		join, depart := sample(3+rng.Intn(4)), []int(nil)
+		if epoch == 0 {
+			join = sample(200)
+		} else {
+			for _, p := range rng.Perm(len(live))[:2+rng.Intn(4)] {
+				depart = append(depart, live[p])
+			}
+		}
+		ep := e.Begin()
+		r, err := ep.Step(ctx, Roster{Jobs: join}, depart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.End(Summary{})
+		modes[r.Mode]++
+		check(r, fmt.Sprintf("epoch %d (%s)", epoch, r.Mode))
+		if len(e.shardOf) != len(r.IDs) {
+			t.Fatalf("epoch %d: %d shards remembered for %d live agents", epoch, len(e.shardOf), len(r.IDs))
+		}
+		for _, id := range depart {
+			if _, ok := e.shardOf[id]; ok {
+				t.Fatalf("epoch %d: departed agent %d is still remembered", epoch, id)
+			}
+		}
+		live = r.IDs
+	}
+	if modes["repair"] == 0 || modes["full"] < 2 {
+		t.Fatalf("rounds ran as %v: want repairs and more than the cold full clear", modes)
+	}
+
+	// A batch round over positions: hashed afresh, the memo untouched.
+	ep := e.Begin()
+	batch, err := ep.Clear(ctx, Roster{Jobs: sample(51)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep.End(Summary{})
+	check(batch, "batch round")
+	if len(e.shardOf) != len(live) {
+		t.Fatalf("a batch round left %d shards remembered for %d live agents", len(e.shardOf), len(live))
+	}
+
+	// A boundary clear over a newcomer and half the survivors, their jobs
+	// drawn afresh: most come back running a different one.
+	roster := Roster{IDs: append([]int{9000}, live[:len(live)/2]...)}
+	roster.Jobs = sample(len(roster.IDs))
+	ep = e.Begin()
+	wire, err := ep.Clear(ctx, roster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep.End(Summary{})
+	check(wire, "boundary clear")
+	if len(e.shardOf) != len(roster.IDs) {
+		t.Fatalf("a boundary clear left %d shards remembered for %d live agents", len(e.shardOf), len(roster.IDs))
 	}
 }

@@ -15,9 +15,14 @@ import (
 // are simulated independently and fan out across workers (<= 0 means
 // GOMAXPROCS). jobs[i] is agent i's job; unmatched agents run alone and
 // suffer zero penalty. When cache is keyed to m, every solve is memoized
-// through it, so repeated epochs over a fixed catalog re-simulate
+// through it, so repeated calls over a fixed catalog re-simulate
 // nothing. The solver is deterministic: results are identical at any
 // worker count.
+//
+// It is the reference assessment: a pair's penalties depend only on the
+// two jobs, so the framework reads an epoch's true penalties from the
+// oracle matrix (truth[job i][job of i's partner]) instead, and tests
+// hold the two equal bit for bit.
 func TruePenalties(ctx context.Context, m arch.CMP, jobs []workload.Job, match matching.Matching, workers int, cache *arch.PairCache) ([]float64, error) {
 	n := len(match)
 	if len(jobs) != n {

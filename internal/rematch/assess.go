@@ -58,7 +58,15 @@ func RecommendationsWithin(members, jobIdx []int, matrix [][]float64, match matc
 	}
 	// Per-class member positions, most dissatisfied first (index
 	// tie-break): the within-class mutual-gain cut-off scans a prefix.
+	sizes := make([]int, classes)
+	for _, i := range members {
+		sizes[jobIdx[i]]++
+	}
+	positions := make([]int, len(members)) // every class's backing array
 	byClass := make([][]int, classes)
+	for c, size := range sizes {
+		byClass[c], positions = positions[:0:size], positions[size:]
+	}
 	for a, i := range members {
 		byClass[jobIdx[i]] = append(byClass[jobIdx[i]], a)
 	}

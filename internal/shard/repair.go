@@ -53,9 +53,6 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 	if len(prev) != n {
 		return nil, fmt.Errorf("shard: prior matching covers %d agents, want %d", len(prev), n)
 	}
-	if m.IDs != nil && len(m.IDs) != n {
-		return nil, fmt.Errorf("shard: %d event IDs for %d agents", len(m.IDs), n)
-	}
 	for _, i := range dirty {
 		if i < 0 || i >= n {
 			return nil, fmt.Errorf("shard: dirty agent %d outside population of %d", i, n)
@@ -65,9 +62,11 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 		}
 	}
 
-	ring := NewRing(m.Shards)
-	shardOf, groups := ring.PartitionIDs(jobs, m.IDs)
-	shards := ring.Shards()
+	shardOf, groups, err := m.partition(jobs)
+	if err != nil {
+		return nil, err
+	}
+	shards := len(groups)
 	pen := func(i, j int) float64 { return matrix[jobIdx[i]][jobIdx[j]] }
 
 	dirtyIn := make([][]int, shards)
@@ -81,7 +80,7 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 	// below is independent of scheduling.
 	nbhds := make([][]int, shards)
 	local := make([]matching.Matching, shards)
-	err := parallel.ForEach(ctx, m.Workers, shards, func(s int) error {
+	err = parallel.ForEach(ctx, m.Workers, shards, func(s int) error {
 		if len(dirtyIn[s]) == 0 {
 			return nil
 		}

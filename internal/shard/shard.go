@@ -26,8 +26,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"cooper/internal/agent"
 	"cooper/internal/matching"
@@ -85,9 +85,10 @@ func NewRing(shards int) *Ring {
 		shard int
 	}
 	points := make([]point, 0, shards*virtualNodes)
+	var buf [48]byte
 	for s := 0; s < shards; s++ {
 		for v := 0; v < virtualNodes; v++ {
-			points = append(points, point{hash64(fmt.Sprintf("shard-%d-vnode-%d", s, v)), s})
+			points = append(points, point{hash64(appendVnodeLabel(buf[:0], s, v)), s})
 		}
 	}
 	sort.Slice(points, func(a, b int) bool {
@@ -105,16 +106,28 @@ func NewRing(shards int) *Ring {
 	return r
 }
 
+// appendVnodeLabel appends the label a ring point is hashed from,
+// "shard-<s>-vnode-<v>".
+func appendVnodeLabel(buf []byte, s, v int) []byte {
+	buf = append(buf, "shard-"...)
+	buf = strconv.AppendInt(buf, int64(s), 10)
+	buf = append(buf, "-vnode-"...)
+	return strconv.AppendInt(buf, int64(v), 10)
+}
+
 // Shards returns the ring's shard count.
 func (r *Ring) Shards() int { return r.shards }
 
 // Shard returns the shard owning key: the first ring point at or after
 // the key's hash, wrapping around.
 func (r *Ring) Shard(key string) int {
+	return r.owning(hash64([]byte(key)))
+}
+
+func (r *Ring) owning(h uint64) int {
 	if r.shards == 1 {
 		return 0
 	}
-	h := hash64(key)
 	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
 	if i == len(r.hashes) {
 		i = 0
@@ -126,8 +139,25 @@ func (r *Ring) Shard(key string) int {
 // class and bandwidth bucket anchor the key, the position spreads
 // same-class agents across shards.
 func Key(job string, bandwidthGBps float64, i int) string {
-	bucket := int(bandwidthGBps / bandwidthBucketGBps)
-	return fmt.Sprintf("%s|%d|%d", job, bucket, i)
+	return string(appendKey(nil, job, bandwidthGBps, i))
+}
+
+// appendKey appends Key's bytes, "<job>|<bucket>|<i>".
+func appendKey(buf []byte, job string, bandwidthGBps float64, i int) []byte {
+	buf = append(buf, job...)
+	buf = append(buf, '|')
+	buf = strconv.AppendInt(buf, int64(int(bandwidthGBps/bandwidthBucketGBps)), 10)
+	buf = append(buf, '|')
+	return strconv.AppendInt(buf, int64(i), 10)
+}
+
+// ShardOf returns the shard of the agent running job under the hash
+// identity id — the one definition of which shard an agent belongs to.
+// It depends on nothing but the ring's shard count, the job and the id,
+// so whoever keeps an agent across epochs may keep its shard with it.
+func (r *Ring) ShardOf(job workload.Job, id int) int {
+	var buf [64]byte
+	return r.owning(hash64(appendKey(buf[:0], job.Name, job.BandwidthGBps, id)))
 }
 
 // Partition assigns every agent of the population to a shard. It returns
@@ -143,23 +173,41 @@ func (r *Ring) Partition(jobs []workload.Job) (shardOf []int, groups [][]int) {
 // as others come and go. ids nil means position keying.
 func (r *Ring) PartitionIDs(jobs []workload.Job, ids []int) (shardOf []int, groups [][]int) {
 	shardOf = make([]int, len(jobs))
-	groups = make([][]int, r.shards)
 	for i, j := range jobs {
 		id := i
 		if ids != nil {
 			id = ids[i]
 		}
-		s := r.Shard(Key(j.Name, j.BandwidthGBps, id))
-		shardOf[i] = s
-		groups[s] = append(groups[s], i)
+		shardOf[i] = r.ShardOf(j, id)
 	}
-	return shardOf, groups
+	return shardOf, group(shardOf, r.shards)
 }
 
-func hash64(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
+// group lists each shard's members in ascending agent order.
+func group(shardOf []int, shards int) [][]int {
+	sizes := make([]int, shards)
+	for _, s := range shardOf {
+		sizes[s]++
+	}
+	members := make([]int, len(shardOf)) // every group's backing array
+	groups := make([][]int, shards)
+	for s, size := range sizes {
+		groups[s], members = members[:0:size], members[size:]
+	}
+	for i, s := range shardOf {
+		groups[s] = append(groups[s], i)
+	}
+	return groups
+}
+
+// hash64 is 64-bit FNV-1a.
+func hash64(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // JobIndices maps each job name to its row in the catalog, the index
@@ -205,6 +253,12 @@ type Market struct {
 	// IDs maps agent indices to the event-log ID space (wire AgentIDs for
 	// netproto, nil for the identity mapping of in-process epochs).
 	IDs []int
+	// ShardOf, when non-nil, is the population's partition as the caller
+	// already knows it (agent index → shard, what Ring.ShardOf returns for
+	// each agent under IDs): an engine that keeps agents across rounds
+	// keeps their shards too and spares the round the hashing. Nil means
+	// the market partitions the population itself.
+	ShardOf []int
 	// Tel receives per-shard spans and shard_matched/refinement_round
 	// events. Nil disables observability.
 	Tel *telemetry.Telemetry
@@ -255,13 +309,11 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 			return nil, fmt.Errorf("shard: matrix row %d has %d entries, want %d", j, len(matrix[j]), len(matrix))
 		}
 	}
-	if m.IDs != nil && len(m.IDs) != n {
-		return nil, fmt.Errorf("shard: %d event IDs for %d agents", len(m.IDs), n)
+	shardOf, groups, err := m.partition(jobs)
+	if err != nil {
+		return nil, err
 	}
-
-	ring := NewRing(m.Shards)
-	shardOf, groups := ring.PartitionIDs(jobs, m.IDs)
-	shards := ring.Shards()
+	shards := len(groups)
 	pen := func(i, j int) float64 { return matrix[jobIdx[i]][jobIdx[j]] }
 
 	// Clear every shard concurrently. Each shard sees only its own
@@ -272,7 +324,7 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 	// span first, and the causal IDs must be schedule-independent.
 	local := make([]matching.Matching, shards)
 	spans := make([]*telemetry.Span, shards)
-	err := parallel.ForEach(ctx, m.Workers, shards, func(s int) error {
+	err = parallel.ForEach(ctx, m.Workers, shards, func(s int) error {
 		g := groups[s]
 		if len(g) == 0 {
 			return nil
@@ -352,6 +404,28 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 	}
 	res.Recommendations = recs
 	return res, nil
+}
+
+// partition returns the population's shards and their member lists: the
+// caller's partition when it supplied one, the ring's otherwise.
+func (m *Market) partition(jobs []workload.Job) (shardOf []int, groups [][]int, err error) {
+	n, shards := len(jobs), max(m.Shards, 1)
+	if m.IDs != nil && len(m.IDs) != n {
+		return nil, nil, fmt.Errorf("shard: %d event IDs for %d agents", len(m.IDs), n)
+	}
+	if m.ShardOf == nil {
+		shardOf, groups = NewRing(shards).PartitionIDs(jobs, m.IDs)
+		return shardOf, groups, nil
+	}
+	if len(m.ShardOf) != n {
+		return nil, nil, fmt.Errorf("shard: partition covers %d agents, want %d", len(m.ShardOf), n)
+	}
+	for i, s := range m.ShardOf {
+		if s < 0 || s >= shards {
+			return nil, nil, fmt.Errorf("shard: agent %d placed on shard %d of %d", i, s, shards)
+		}
+	}
+	return m.ShardOf, group(m.ShardOf, shards), nil
 }
 
 func (m *Market) id(i int) int {
