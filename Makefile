@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet test test-shuffle race chaos audit journey-soak ci loc bench bench-smoke bench-check clean
+.PHONY: all build lint vet test test-shuffle race chaos audit journey-soak ci loc bench bench-smoke fuzz-smoke bench-check clean
 
 all: build
 
@@ -69,12 +69,13 @@ journey-soak:
 # test suite under the race detector (plus a shuffled-order pass), the
 # chaos suite, the flight-log audit round-trip, the journey/tracing
 # soak, a one-iteration benchmark smoke run so benchmarks cannot
-# bit-rot silently, and the benchmark harness's own vet and tests. It
+# bit-rot silently, ten seconds of fuzzing the flat prediction kernel
+# against the reference, and the benchmark harness's own vet and tests. It
 # carries no timing floor: behaviour is pinned by the tests, and timing
 # is compared parent against change, workload by workload, by the
 # pipeline that runs BENCHMARK.json (benchmark/README.md). Nothing it
 # runs writes a tracked file.
-ci: lint build race test-shuffle chaos audit journey-soak bench-smoke bench-check
+ci: lint build race test-shuffle chaos audit journey-soak bench-smoke fuzz-smoke bench-check
 
 # loc prints code-only lines per package — non-test files, with blank
 # and comment-only lines left out — and their total: the counter ROADMAP
@@ -102,9 +103,17 @@ bench:
 # up there as gigabytes (SMR at n=20000 allocates ~65 MB) or as an
 # out-of-memory kill; BenchmarkClearSharded, 100000 agents over 256
 # shards; and the n=2000 exact and approximate prediction kernels
-# (internal/recommend BenchmarkCompleteFlat/BenchmarkCompleteApprox).
+# (internal/recommend BenchmarkCompleteFlat/BenchmarkCompleteApprox, and
+# the root BenchmarkPredictComplete on the predict-complete workload's
+# 600-job shape).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run xxx ./...
+
+# fuzz-smoke fuzzes flat-kernel ≡ reference-kernel on small arbitrary
+# matrices for a bounded time. Minimizing each newly covered input is
+# switched off: it can take the whole budget and finds nothing.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzFlatMatchesReference -fuzztime=10s -fuzzminimizetime=0 ./internal/recommend/
 
 # bench-check vets and tests the benchmark harness (benchmark/ is its own
 # module, so `./...` above does not reach it): its result checkers

@@ -802,3 +802,69 @@ func BenchmarkStreamRepair(b *testing.B) {
 		})
 	}
 }
+
+// predictCompleteInput builds the predict-complete workload's input: n
+// synthetic job specs — every Table I job's model at evenly spaced
+// fractions (0.5 to 1) of its bandwidth, shuffled by the seed —
+// calibrated into a catalog, its analytic penalty matrix solved, and 25%
+// of the colocations revealed. It repeats benchmark/predict.go's
+// construction, which lives in another module's main package.
+func predictCompleteInput(tb testing.TB, n int, seed int64) [][]float64 {
+	tb.Helper()
+	machine := arch.DefaultCMP()
+	rng := rand.New(rand.NewSource(seed))
+	base, err := workload.Catalog(machine)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	steps := (n + len(base) - 1) / len(base)
+	specs := make([]workload.Spec, n)
+	for i := range specs {
+		b := base[i%len(base)]
+		specs[i] = workload.Spec{
+			Application:   b.Application,
+			BandwidthGBps: b.BandwidthGBps * (0.5 + 0.5*(float64(i/len(base))+0.5)/float64(steps)),
+			RuntimeS:      b.RuntimeS,
+			WorkingSetMB:  b.Model.WSBytes / (1 << 20),
+			MissFloor:     b.Model.MissFloor,
+			CPI0:          b.Model.CPI0,
+			ThreadScale:   b.Model.ThreadScale,
+		}
+	}
+	rng.Shuffle(n, func(a, b int) { specs[a], specs[b] = specs[b], specs[a] })
+	for i := range specs {
+		specs[i].Name = fmt.Sprintf("job-%04d", i)
+	}
+	catalog, err := workload.BuildCatalog(machine, specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	truth, err := profiler.DensePenaltiesContext(context.Background(), machine, catalog, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return recommend.MaskPairs(truth, 0.25, rng)
+}
+
+// BenchmarkPredictComplete is Predictor.Complete on the harness's
+// predict-complete shape (600 jobs, 25% of pairs), exact kernel beside
+// the approximate one; the exact leg's B/op is what
+// TestPredictCompleteAllocation pins.
+func BenchmarkPredictComplete(b *testing.B) {
+	sparse := predictCompleteInput(b, 600, 7)
+	approx := recommend.Default()
+	approx.Approx = recommend.DefaultApprox()
+	for _, leg := range []struct {
+		name string
+		p    recommend.Predictor
+	}{{"exact", recommend.Default()}, {"approx", approx}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := leg.p.Complete(sparse); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

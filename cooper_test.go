@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"cooper/internal/recommend"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -176,6 +178,26 @@ func TestUnshardedEpochAllocatesLinearly(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
 		t.Fatalf("unsharded epoch over 800 agents allocated %.1f MiB, want < 8", float64(got)/(1<<20))
+	}
+}
+
+// TestPredictCompleteAllocation pins the in-place fill: one exact
+// Complete of the predict-complete workload's input (600 jobs, 25% of
+// pairs) used to allocate about 16.7 MiB — the flattened input, a second
+// value buffer swapped every iteration, and a copy for the result beside
+// the centered columns and the similarities — and now stays under 10 MiB
+// (about 8.5: three n×n arrays and the bitsets), so a fourth n×n array
+// cannot come back unnoticed.
+func TestPredictCompleteAllocation(t *testing.T) {
+	sparse := predictCompleteInput(t, 600, 7)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := recommend.Default().Complete(sparse); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 10<<20 {
+		t.Fatalf("exact Complete of a 600-job matrix allocated %.1f MiB, want < 10", float64(got)/(1<<20))
 	}
 }
 

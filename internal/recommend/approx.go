@@ -22,9 +22,17 @@ import (
 // with high probability, dissimilar ones almost never do. Only candidate
 // pairs are scored (by the unchanged exact bitset word-scan), and the
 // prediction pass masks each cell's neighbor scan through the candidate
-// bitset, so both hot loops drop from O(n) to O(candidates) per unit of
-// work. Non-candidate pairs keep similarity zero, exactly as if the exact
-// scorer had found them non-positive.
+// bitset. Non-candidate pairs keep similarity zero, exactly as if the
+// exact scorer had found them non-positive.
+//
+// What that buys is a constant, not an exponent: the mask removes the
+// non-candidate share of both loops (73–83% of pairs at the default
+// geometry), while the fill stays O(n² · known cells per row) and the
+// scorer O(candidate pairs · overlap) — measured exponent in n ≈ 2.7
+// between n = 500 and 2000 at 25% known, against the exact kernel's
+// ≈ 3.2 (docs/pr24-predict-kernel.md). It overtakes the exact kernel
+// near n = 1000 and leads by 1.4–1.7× at n = 2000; below that the exact
+// kernel is faster.
 //
 // Determinism: projection vectors derive from parallel.SplitSeed(Seed,
 // bit), each parallel pass writes only its own slots, and bucket pairs
@@ -52,10 +60,11 @@ const (
 // Approx configures the LSH-bucketed approximate similarity path of the
 // flat prediction kernel. The zero value disables it: Complete then runs
 // the exact all-pairs kernel bit for bit. With Bits > 0 each column only
-// scores candidates sharing at least one of its Bands signature bands,
-// turning the O(n²) similarity scan into O(n·b) candidate generation —
-// the sublinear path large catalogs need, at the price of a bounded
-// top-K recall guarantee instead of exact equivalence.
+// scores candidates sharing at least one of its Bands signature bands —
+// O(n·b) candidate generation in place of the all-pairs scan, which
+// prunes a constant share of the scoring and fill work (about three
+// quarters at the default geometry), at the price of a bounded top-K
+// recall guarantee instead of exact equivalence.
 type Approx struct {
 	// Bits is the SimHash signature width — the number of random
 	// hyperplanes each centered column is projected onto. Zero means
@@ -135,8 +144,15 @@ func (k *kernel) buildCandidates(ctx context.Context) error {
 	// signatures change across passes.
 	if k.proj == nil {
 		k.proj = make([]float64, n*a.Bits)
-		err := parallel.ForEach(ctx, k.p.Workers, a.Bits, func(b int) error {
-			r := rand.New(rand.NewSource(parallel.SplitSeed(a.Seed, int64(b))))
+		// One generator per worker of this fan-out (over Bits, not n — so
+		// not len(k.scratch)), reseeded per plane.
+		rngs := make([]*rand.Rand, min(parallel.Workers(k.p.Workers), a.Bits))
+		for i := range rngs {
+			rngs[i] = rand.New(rand.NewSource(0))
+		}
+		err := parallel.ForEachWorker(ctx, k.p.Workers, a.Bits, func(worker, b int) error {
+			r := rngs[worker]
+			r.Seed(parallel.SplitSeed(a.Seed, int64(b)))
 			for i := 0; i < n; i++ {
 				k.proj[i*a.Bits+b] = r.NormFloat64()
 			}
@@ -194,36 +210,53 @@ func (k *kernel) buildCandidates(ctx context.Context) error {
 		return err
 	}
 
-	// Bucket each band and mark colliding pairs as candidates. Marking is
-	// commutative bit-OR, so map iteration order cannot perturb the set,
-	// and the collision count (pairs already marked by an earlier band)
-	// is order-independent too. The previous pass's set rotates into
-	// candPrev; its buffer is recycled when there is one.
+	// Bucket each band by a counting sort on the key's low bits (the whole
+	// key at the usual band widths) and mark equal-key pairs as
+	// candidates. Marking is commutative bit-OR and a band's pairs are
+	// distinct, so neither the set nor the collision count (pairs already
+	// marked by an earlier band) depends on the order within a bucket. The
+	// previous pass's set rotates into candPrev; its buffer is recycled
+	// when there is one.
 	k.cand, k.candPrev = k.candPrev, k.cand
 	if k.cand == nil {
 		k.cand = make(bitset, n*w)
 	} else {
 		clear(k.cand)
 	}
-	bucket := make(map[uint64][]int, n)
+	slotMask := uint64(1)<<min(bandBits, 16) - 1
+	start := make([]int32, slotMask+2)
+	members := make([]int32, n) // columns grouped by slot, ascending within one
 	for t := 0; t < bands; t++ {
-		clear(bucket)
+		clear(start)
 		for j := 0; j < n; j++ {
-			key := keys[j*bands+t]
-			bucket[key] = append(bucket[key], j)
+			start[keys[j*bands+t]&slotMask+1]++
 		}
-		for _, members := range bucket {
-			for x := 0; x < len(members); x++ {
-				mx := members[x]
-				for y := x + 1; y < len(members); y++ {
-					my := members[y]
-					if k.cand[mx*w+my>>6]&(1<<uint(my&63)) != 0 {
-						k.bucketCollisions++
-						continue
-					}
-					k.cand[mx*w+my>>6] |= 1 << uint(my&63)
-					k.cand[my*w+mx>>6] |= 1 << uint(mx&63)
+		for s := 1; s < len(start); s++ {
+			start[s] += start[s-1]
+		}
+		for j := 0; j < n; j++ {
+			slot := keys[j*bands+t] & slotMask
+			members[start[slot]] = int32(j)
+			start[slot]++
+		}
+		for x := 0; x < n; x++ {
+			mx := int(members[x])
+			key := keys[mx*bands+t]
+			for y := x + 1; y < n; y++ {
+				my := int(members[y])
+				other := keys[my*bands+t]
+				if other&slotMask != key&slotMask {
+					break
 				}
+				if other != key {
+					continue
+				}
+				if k.cand[mx*w+my>>6]&(1<<uint(my&63)) != 0 {
+					k.bucketCollisions++
+					continue
+				}
+				k.cand[mx*w+my>>6] |= 1 << uint(my&63)
+				k.cand[my*w+mx>>6] |= 1 << uint(mx&63)
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package recommend
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -136,6 +139,35 @@ func TestApproxWorkerIndependence(t *testing.T) {
 	}
 }
 
+// TestApproxFewerJobsThanWorkers completes matrices smaller than the
+// worker count: the hyperplane fan-out runs over signature bits, not
+// columns, so its worker ids exceed the kernel's per-column scratch count
+// and anything indexed by them must be sized to that fan-out. The paper's
+// 20-job catalog on a many-core host is this shape.
+func TestApproxFewerJobsThanWorkers(t *testing.T) {
+	for _, n := range []int{1, 3, 5, 20} {
+		m := randSparse(n, 0.6, int64(40+n))
+		p := Default()
+		p.Approx = DefaultApprox()
+		p.Workers = 1
+		serial, iters1, err1 := p.Complete(m)
+		for _, workers := range []int{8, 64} {
+			p.Workers = workers
+			got, iters, err := p.Complete(m)
+			if (err != nil) != (err1 != nil) {
+				t.Fatalf("n=%d workers=%d: err %v vs serial %v", n, workers, err, err1)
+			}
+			if err != nil {
+				continue
+			}
+			if iters != iters1 {
+				t.Fatalf("n=%d workers=%d: %d iters vs serial %d", n, workers, iters, iters1)
+			}
+			mustEqualBits(t, fmt.Sprintf("n=%d workers=%d", n, workers), got, serial)
+		}
+	}
+}
+
 // TestApproxZeroValueIsExact pins the zero-value contract: a Predictor
 // whose Approx has Bits == 0 — even with stray Bands or Seed values —
 // routes through the exact flat kernel and reproduces the reference
@@ -217,6 +249,50 @@ func TestApproxCandidateCounters(t *testing.T) {
 	}
 	if got, want := p.KernelName(), fmt.Sprintf("approx(bits=%d,bands=%d)", DefaultApproxBits, DefaultApproxBands); got != want {
 		t.Errorf("KernelName() = %q, want %q", got, want)
+	}
+}
+
+// TestApproxOutputGolden pins the approximate kernel's output and its
+// candidate bookkeeping on TestApproxSameSeedRuns' input to what the
+// kernel produced before its buckets became a counting sort and its fill
+// tail was fused: the SHA-256 of the completed matrix's bits, the
+// candidate counters and bucket_collisions (pairs a later band found
+// already marked — independent of the order within a bucket). It also
+// bounds the call's allocations, which the per-band map buckets used to
+// put near 25,000 at n=600.
+func TestApproxOutputGolden(t *testing.T) {
+	m := randSparse(120, 0.2, 77)
+	reg := telemetry.NewRegistry()
+	p := Default()
+	p.Workers = 1
+	p.Approx = Approx{Bits: DefaultApproxBits, Bands: DefaultApproxBands, Seed: 42}
+	p.Metrics = reg
+	out, _, err := p.Complete(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, row := range out {
+		for _, v := range row {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	const golden = "ea1797fcc6a0978d5cdf99200dcf3061751cd94f6f2196d6ed641a5fa4cb6b45"
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Errorf("output digest %s, want %s", got, golden)
+	}
+	for name, want := range map[string]int64{
+		"predict.bucket_collisions":  419,
+		"predict.candidates_scored":  2581,
+		"predict.candidates_skipped": 11699,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	p.Metrics = nil
+	if allocs := testing.AllocsPerRun(3, func() { p.Complete(m) }); allocs >= 200 {
+		t.Errorf("approximate Complete made %.0f allocations, want < 200", allocs)
 	}
 }
 

@@ -267,3 +267,185 @@ func TestFlatKernelSimPairCounters(t *testing.T) {
 		t.Errorf("first pass must recompute all %d pairs, counted %d", pairs, rec)
 	}
 }
+
+// mustMatchReference completes m with the reference kernel and with the
+// flat kernel at Workers 1 and 8, and requires the same error outcome,
+// iteration count and output bits.
+func mustMatchReference(t *testing.T, label string, p Predictor, m [][]float64) {
+	t.Helper()
+	ref, refIters, refErr := p.WithReferenceKernel().Complete(m)
+	for _, workers := range []int{1, 8} {
+		p.Workers = workers
+		got, iters, err := p.Complete(m)
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("%s workers=%d: err %v vs reference %v", label, workers, err, refErr)
+		}
+		if err != nil {
+			continue
+		}
+		if iters != refIters {
+			t.Fatalf("%s workers=%d: %d iters vs reference %d", label, workers, iters, refIters)
+		}
+		mustEqualBits(t, fmt.Sprintf("%s workers=%d", label, workers), got, ref)
+	}
+}
+
+// edgeMatrix is randSparse with the shapes the row-list fill has edges
+// at: row 0 fully known, row 1 fully unknown, row 2 with one known cell,
+// column 3 known in one row only (below any overlap threshold, so every
+// similarity to it is zero and its cells can only fall back), and the
+// values in special scattered over known cells.
+func edgeMatrix(n int, density float64, seed int64, special []float64) [][]float64 {
+	m := randSparse(n, density, seed)
+	r := rand.New(rand.NewSource(seed))
+	for j := range m[0] {
+		m[0][j] = 0.05 * float64(r.Intn(16))
+		m[1][j] = math.NaN()
+		m[2][j] = math.NaN()
+	}
+	m[2][n/2] = 0.3
+	for i := range m {
+		m[i][3] = math.NaN()
+	}
+	m[n-1][3] = 0.4
+	for i := range m {
+		for j, v := range m[i] {
+			if len(special) > 0 && !math.IsNaN(v) && r.Intn(9) == 0 {
+				m[i][j] = special[r.Intn(len(special))]
+			}
+		}
+	}
+	return m
+}
+
+// TestFlatKernelMatchesReferenceEdges pins the four-column row-list fill
+// where it has edges: sizes around the bitset word boundaries, so the
+// unknown-column count of a row hits every residue mod 4 and row lists
+// cross words; full, empty and single-cell rows; a column no similarity
+// reaches; negative, signed-zero and denormal known values; 5% density,
+// where the in-place fill runs three iterations and apply() twice between
+// them; and infinite known values, whose rows must leave the branch-free
+// loop (0 × Inf is NaN, not the exact zero a clamped similarity relies
+// on). K > 0 rides along on the per-cell path.
+func TestFlatKernelMatchesReferenceEdges(t *testing.T) {
+	finite := []float64{-0.3, math.Copysign(0, -1), 5e-324, -2.5e-310, 0}
+	nonFinite := []float64{math.Inf(1), math.Inf(-1), -0.3, 1e308, -1e308}
+	seed := int64(500)
+	for _, n := range []int{63, 64, 65, 127, 130, 257} {
+		for _, density := range []float64{0.05, 0.25} {
+			for _, kk := range []int{0, 3, 10} {
+				for _, mode := range []Mode{ItemBased, UserBased} {
+					if n == 257 && kk != 0 {
+						continue // the largest size is for the row-list fill only
+					}
+					seed++
+					p := Predictor{K: kk, MinOverlap: 2, MaxIters: 3, Mode: mode}
+					label := fmt.Sprintf("n=%d density=%.2f K=%d mode=%d", n, density, kk, mode)
+					mustMatchReference(t, label, p, edgeMatrix(n, density, seed, finite))
+					if n <= 130 {
+						mustMatchReference(t, label+" non-finite", p, edgeMatrix(n, density, seed, nonFinite))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFlatKernelInPlaceFillIterates checks the premise of the 5% legs
+// above: sparse inputs really do take all three iterations, so in-place
+// predictions are read back as known values after apply().
+func TestFlatKernelInPlaceFillIterates(t *testing.T) {
+	_, iters, err := Default().Complete(edgeMatrix(130, 0.05, 1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iters != 3 {
+		t.Fatalf("5%% density filled in %d iterations, want 3", iters)
+	}
+}
+
+// TestNaNSimilarityDoesNotVote pins the specification for a similarity
+// that overflows to NaN (centered values near 1e200 square to Inf, and
+// Inf/Inf is NaN): it is not strictly positive, so it does not vote — the
+// reference skips it and the flat kernel stores it as zero. Cell (3, 0)
+// has column 1 as its only possible neighbor, through exactly that
+// similarity, so it can only fall back.
+func TestNaNSimilarityDoesNotVote(t *testing.T) {
+	nan := math.NaN()
+	m := [][]float64{
+		{1e200, -1e200, nan, 0.5},
+		{-1e200, 1e200, 0.2, 0.1},
+		{1e200, 1e200, 0.4, nan},
+		{nan, 0.3, nan, nan},
+	}
+	p := Predictor{MinOverlap: 2, MaxIters: 3}
+	sim, err := p.itemSimilarities(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(sim[0][1]) {
+		t.Fatalf("sim[0][1] = %v, want NaN (the premise of this test)", sim[0][1])
+	}
+	if v, ok := p.predict(m, sim, 3, 0); ok {
+		t.Fatalf("reference predicted %v for (3,0) through a NaN similarity", v)
+	}
+	k, err := newKernel(p, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.computeRowMeans()
+	k.computeCentered()
+	if err := k.similarityPass(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range k.sim {
+		if !(s >= 0) {
+			t.Fatalf("flat kernel stored similarity %v at %d, want clamped to >= 0", s, i)
+		}
+	}
+	for _, kk := range []int{0, 3} {
+		for _, mode := range []Mode{ItemBased, UserBased} {
+			p.K, p.Mode = kk, mode
+			mustMatchReference(t, fmt.Sprintf("K=%d mode=%d", kk, mode), p, m)
+		}
+	}
+}
+
+// TestNaNPredictionStaysUnknown pins the specification for a prediction
+// that comes out NaN: row 0 knows +Inf and −Inf under two columns that are
+// both positively similar to column 0, so the weighted sum is Inf − Inf.
+// In the reference NaN is what unknown means, so the cell is retried every
+// iteration and is finally left to the fallback; the flat kernel must not
+// mark it filled either (same iteration count, same bits).
+func TestNaNPredictionStaysUnknown(t *testing.T) {
+	nan := math.NaN()
+	m := [][]float64{
+		{nan, math.Inf(1), math.Inf(-1), 0.5, 0.5},
+		{0.8, 0.8, 0.8, 0.1, 0.1},
+		{0.2, 0.2, 0.2, 0.9, 0.7},
+		{0.6, 0.6, 0.6, 0.3, 0.2},
+		{0.1, 0.1, 0.1, 0.5, 0.6},
+	}
+	p := Predictor{MinOverlap: 2, MaxIters: 3}
+	sim, err := p.itemSimilarities(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(sim[0][1] > 0 && sim[0][2] > 0) {
+		t.Fatalf("sim[0][1], sim[0][2] = %v, %v, want both positive (the premise of this test)", sim[0][1], sim[0][2])
+	}
+	if v, ok := p.predict(m, sim, 0, 0); !ok || !math.IsNaN(v) {
+		t.Fatalf("reference predict(0,0) = %v, %v, want NaN, true", v, ok)
+	}
+	for _, kk := range []int{0, 3} {
+		p.K = kk
+		mustMatchReference(t, fmt.Sprintf("K=%d", kk), p, m)
+		_, iters, err := p.Complete(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iters != 3 {
+			t.Fatalf("K=%d: %d iterations, want all 3 (the cell never fills)", kk, iters)
+		}
+	}
+}

@@ -14,8 +14,8 @@ import (
 // work avoidance, never in arithmetic:
 //
 //   - The matrix lives in one flat row-major []float64 in "work"
-//     orientation (user-based mode enters through a zero-copy Dense
-//     column-major view, so no per-iteration transpose is materialized).
+//     orientation: the flattened input itself for item-based mode, its
+//     transpose — made once, not per iteration — for user-based mode.
 //   - Known entries are tracked by per-row and per-column uint64 bitsets;
 //     the O(n³) similarity inner loop is a word scan over the AND of two
 //     column bitsets against precomputed row-mean-centered columns, with
@@ -26,22 +26,35 @@ import (
 //     whose mean changed; clean pairs keep their previous (identical)
 //     value. predict.sim_pairs_recomputed / predict.sim_pairs_skipped
 //     count the split.
-//   - Prediction is allocation-free: each worker owns a scratch buffer
-//     (candidate arrays plus a top-K insertion buffer), and top-K uses
-//     partial selection ordered by similarity descending with ties
-//     broken toward the lower column index — the exact order the
-//     reference kernel's sort produces.
+//   - Similarities are clamped when stored (positive, else +0 — NaN
+//     included), so the fill never tests one. With K = 0 the fill pops a
+//     row's known cells once into an ascending (column, value) list and
+//     takes its unknown columns four at a time: one loop over the list
+//     feeds eight independent accumulators from four similarity rows, so
+//     the pass runs at instruction throughput rather than one
+//     floating-point add latency per visit. A zero similarity contributes
+//     an exact ±0, and each cell still sums over ascending known columns.
+//   - With K > 0 each cell collects its positive-similarity neighbors
+//     into per-worker scratch and selects the top K by partial insertion,
+//     ordered by similarity descending with ties toward the lower column
+//     index — the exact order the reference kernel's sort produces.
+//   - The fill writes predictions in place: a prediction reads only its
+//     row's known cells and the similarity matrix, and a filled cell
+//     becomes known only in apply, after the pass.
 //
 // Every accumulation visits the same values in the same order as the
 // reference kernel, so the output is bit-identical for both modes, any
 // K/MinOverlap, and any worker count.
 
 // predictScratch is one worker's private buffers for the prediction
-// pass. Contents are fully overwritten per cell, so results never depend
-// on which worker ran a row.
+// pass. Contents are fully overwritten per row or per cell, so results
+// never depend on which worker ran a row.
 type predictScratch struct {
-	cols    []int     // candidate neighbor columns, ascending
-	sims    []float64 // candidate similarities, parallel to cols
+	kcol    []int32   // row list: the row's known columns, ascending
+	kval    []float64 // row list: their values, parallel to kcol
+	ucol    []int32   // the row's unknown columns, ascending
+	cols    []int     // K > 0: a cell's candidate neighbor columns, ascending
+	sims    []float64 // K > 0: candidate similarities, parallel to cols
 	topCols []int     // top-K selection buffer, sorted
 	topSims []float64
 	dots    []float64 // approx only: per-hyperplane dot accumulators
@@ -57,17 +70,17 @@ type kernel struct {
 	n int // matrix order
 	w int // bitset words per row/column
 
-	cur, next []float64 // n*n row-major values; unknown cells hold NaN
-	rowKnown  bitset    // n*w words: row i's known columns
-	colKnown  bitset    // n*w words: column j's known rows
-	rowMean   []float64
-	centered  []float64 // n*n column-major row-mean-centered values
-	sim       []float64 // n*n similarity matrix, persisted across iters
-	simFresh  bool      // first full similarity pass done
-	dirtyCol  bitset    // columns that gained entries since last sim pass
-	dirtyRow  bitset    // rows that gained entries since last sim pass
-	filled    bitset    // n*w scratch: cells filled by the current pass
-	unknown   int
+	cur      []float64 // n*n row-major values, filled in place; unknown cells hold NaN
+	rowKnown bitset    // n*w words: row i's known columns
+	colKnown bitset    // n*w words: column j's known rows
+	rowMean  []float64
+	centered []float64 // n*n column-major row-mean-centered values
+	sim      []float64 // n*n similarities, each positive or +0, persisted across iters
+	simFresh bool      // first full similarity pass done
+	dirtyCol bitset    // columns that gained entries since last sim pass
+	dirtyRow bitset    // rows that gained entries since last sim pass
+	filled   bitset    // n*w scratch: cells filled by the current pass
+	unknown  int
 
 	recomputedBy, skippedBy []int64 // per-column pair counters (one owner each)
 	recomputed, skipped     int64
@@ -95,27 +108,17 @@ func (p Predictor) completeFlat(ctx context.Context, m [][]float64) ([][]float64
 		return nil, 0, err
 	}
 	n := len(m)
-	known, err := validateSquare(m)
-	if err != nil {
-		return nil, 0, err
-	}
 	if n == 0 {
 		return make([][]float64, 0), 0, nil
 	}
-	if known == 0 {
-		return nil, 0, fmt.Errorf("recommend: matrix has no known entries")
-	}
-
-	work, err := DenseFromRows(m)
+	k, err := newKernel(p, m)
 	if err != nil {
 		return nil, 0, err
 	}
-	if p.Mode == UserBased {
-		// User-based filtering is item-based filtering on the transpose;
-		// the column-major view reinterprets the same backing in place.
-		work = work.T()
+	known := n*n - k.unknown
+	if known == 0 {
+		return nil, 0, fmt.Errorf("recommend: matrix has no known entries")
 	}
-	k := newKernel(p, work)
 
 	maxIters := p.maxIters()
 	iters := 0
@@ -146,15 +149,18 @@ func (p Predictor) completeFlat(ctx context.Context, m [][]float64) ([][]float64
 	return out, iters, nil
 }
 
-// newKernel flattens the work view and builds the kernel's state: value
-// arrays, known bitsets, similarity storage, and per-worker scratch.
-func newKernel(p Predictor, work *Dense) *kernel {
-	n := work.N()
+// newKernel validates m and builds the kernel's state. One pass over the
+// input flattens it into work orientation — user-based filtering is
+// item-based filtering on the transpose, so that mode stores m transposed,
+// once — and sets the known bitsets.
+func newKernel(p Predictor, m [][]float64) (*kernel, error) {
+	n := len(m)
 	w := bitsetWords(n)
 	k := &kernel{
 		p: p, n: n, w: w,
 		cur:      make([]float64, n*n),
-		next:     make([]float64, n*n),
+		rowKnown: make(bitset, n*w),
+		colKnown: make(bitset, n*w),
 		rowMean:  make([]float64, n),
 		centered: make([]float64, n*n),
 		sim:      make([]float64, n*n),
@@ -166,37 +172,39 @@ func newKernel(p Predictor, work *Dense) *kernel {
 		skippedBy:    make([]int64, n),
 		approx:       p.Approx.enabled(),
 	}
-	for i := 0; i < n; i++ {
-		row := k.cur[i*n : (i+1)*n]
-		if work.RowMajor() {
-			copy(row, work.Row(i))
-		} else {
-			for j := range row {
-				row[j] = work.At(i, j)
+	transposed := p.Mode == UserBased
+	k.unknown = n * n
+	for i, row := range m {
+		if len(row) != n {
+			return nil, fmt.Errorf("recommend: row %d has %d entries, want %d", i, len(row), n)
+		}
+		for j, v := range row {
+			if transposed {
+				k.cur[j*n+i] = v
+			} else {
+				k.cur[i*n+j] = v
+			}
+			if v == v {
+				k.rowKnown[i*w+j>>6] |= 1 << uint(j&63)
+				k.colKnown[j*w+i>>6] |= 1 << uint(i&63)
+				k.unknown--
 			}
 		}
 	}
-	var known int
-	k.rowKnown, k.colKnown, known = work.KnownBitsets()
-	k.unknown = n*n - known
+	if transposed {
+		k.rowKnown, k.colKnown = k.colKnown, k.rowKnown
+	}
 	for j := 0; j < n; j++ {
 		k.sim[j*n+j] = 1
 	}
 
-	workers := parallel.Workers(p.Workers)
-	if workers > n {
-		workers = n
-	}
-	topCap := p.K
-	if topCap > n {
-		topCap = n
-	}
-	if topCap < 0 {
-		topCap = 0
-	}
-	k.scratch = make([]predictScratch, workers)
+	k.scratch = make([]predictScratch, min(parallel.Workers(p.Workers), n))
+	topCap := min(max(p.K, 0), n)
 	for i := range k.scratch {
 		k.scratch[i] = predictScratch{
+			kcol:    make([]int32, n),
+			kval:    make([]float64, n),
+			ucol:    make([]int32, n+3),
 			cols:    make([]int, n),
 			sims:    make([]float64, n),
 			topCols: make([]int, topCap),
@@ -209,7 +217,7 @@ func newKernel(p Predictor, work *Dense) *kernel {
 			k.scratch[i].psims = make([]float64, n)
 		}
 	}
-	return k
+	return k, nil
 }
 
 // iterate runs one fill iteration: fresh row means and centered columns,
@@ -334,9 +342,13 @@ func (k *kernel) similarityPass(ctx context.Context) error {
 					nc += b * b
 				}
 			}
+			// Clamped here so the fill never tests a similarity: only
+			// positive scores vote, and a NaN one is stored as +0 too.
 			var s float64
 			if overlap >= minOverlap && nj != 0 && nc != 0 {
-				s = dot / (math.Sqrt(nj) * math.Sqrt(nc))
+				if raw := dot / (math.Sqrt(nj) * math.Sqrt(nc)); raw > 0 {
+					s = raw
+				}
 			}
 			k.sim[j*n+c] = s
 			k.sim[c*n+j] = s
@@ -380,38 +392,93 @@ func (k *kernel) similarityPass(ctx context.Context) error {
 	return nil
 }
 
-// fillPass predicts every still-unknown cell from the previous
-// iteration's matrix into next, recording which cells produced a value.
-// Row i's worker reads only cur/sim and writes only row i's slices of
-// next and filled, so the fan-out is race-free; the per-worker scratch
-// makes the pass allocation-free.
+// fillPass predicts every still-unknown cell in place, recording which
+// cells produced a value. Row i's worker reads only row i's known cells
+// and sim, and writes only row i's unknown cells and its slice of filled
+// (rowKnown does not change until apply), so the fan-out is race-free;
+// the per-worker scratch makes the pass allocation-free.
 func (k *kernel) fillPass(ctx context.Context) error {
 	n, w := k.n, k.w
-	copy(k.next, k.cur)
 	k.filled.reset()
 	tail := tailMask(n)
 	return parallel.ForEachWorker(ctx, k.p.Workers, n, func(worker, i int) error {
 		sc := &k.scratch[worker]
-		rk := k.rowKnown[i*w : (i+1)*w]
-		rowFilled := k.filled[i*w : (i+1)*w]
-		nrow := k.next[i*n : (i+1)*n]
-		for wi := 0; wi < w; wi++ {
-			missing := ^rk[wi]
+		row := k.cur[i*n : (i+1)*n]
+
+		// Pop the row's bitset once into the row list and its complement.
+		nk, nu := 0, 0
+		finite := true
+		for wi, known := range k.rowKnown[i*w : (i+1)*w] {
+			missing := ^known
 			if wi == w-1 {
 				missing &= tail
 			}
-			base := wi << 6
-			for missing != 0 {
-				j := base + bits.TrailingZeros64(missing)
-				missing &= missing - 1
-				if v, ok := k.predictCell(sc, i, j); ok {
-					nrow[j] = v
-					rowFilled[wi] |= 1 << uint(j&63)
-				}
+			base := int32(wi << 6)
+			for ; known != 0; known &= known - 1 {
+				c := base + int32(bits.TrailingZeros64(known))
+				v := row[c]
+				sc.kcol[nk], sc.kval[nk] = c, v
+				nk++
+				finite = finite && !math.IsInf(v, 0)
 			}
+			for ; missing != 0; missing &= missing - 1 {
+				sc.ucol[nu] = base + int32(bits.TrailingZeros64(missing))
+				nu++
+			}
+		}
+		if k.p.K > 0 || !finite {
+			// Top-K needs each cell's candidates side by side, and an
+			// infinite known value would turn a clamped similarity's exact
+			// ±0 contribution into 0 × Inf = NaN: both go cell by cell.
+			for _, j := range sc.ucol[:nu] {
+				num, den := k.predictCell(sc, i, int(j))
+				k.store(i, int(j), num, den)
+			}
+			return nil
+		}
+
+		// Four unknown columns at a time over the row list: eight
+		// independent add chains instead of two. (i, j) unknown means j is
+		// not in the list, and every admitted similarity is strictly
+		// positive, so den != 0 exactly when the cell has a neighbor. A
+		// short last group repeats its last column.
+		for ; nu%4 != 0; nu++ {
+			sc.ucol[nu] = sc.ucol[nu-1]
+		}
+		kcol := sc.kcol[:nk]
+		kval := sc.kval[:nk]
+		for g := 0; g < nu; g += 4 {
+			j0, j1, j2, j3 := int(sc.ucol[g]), int(sc.ucol[g+1]), int(sc.ucol[g+2]), int(sc.ucol[g+3])
+			s0, s1 := k.sim[j0*n:(j0+1)*n], k.sim[j1*n:(j1+1)*n]
+			s2, s3 := k.sim[j2*n:(j2+1)*n], k.sim[j3*n:(j3+1)*n]
+			var n0, n1, n2, n3, d0, d1, d2, d3 float64
+			for t, c := range kcol {
+				v := kval[t]
+				a0, a1, a2, a3 := s0[c], s1[c], s2[c], s3[c]
+				n0, d0 = n0+a0*v, d0+a0
+				n1, d1 = n1+a1*v, d1+a1
+				n2, d2 = n2+a2*v, d2+a2
+				n3, d3 = n3+a3*v, d3+a3
+			}
+			k.store(i, j0, n0, d0)
+			k.store(i, j1, n1, d1)
+			k.store(i, j2, n2, d2)
+			k.store(i, j3, n3, d3)
 		}
 		return nil
 	})
+}
+
+// store writes the prediction num/den into its cell and marks the cell
+// filled, unless no neighbor voted (den is zero) or the quotient is NaN
+// (Inf − Inf, 0 × Inf: non-finite or overflowing input), which leaves the
+// cell unknown as it does in the reference kernel, where NaN is what
+// unknown means.
+func (k *kernel) store(i, j int, num, den float64) {
+	if v := num / den; den != 0 && v == v {
+		k.cur[i*k.n+j] = v
+		k.filled[i*k.w+j>>6] |= 1 << uint(j&63)
+	}
 }
 
 // fillTile is the row-block size of the approximate path's tiled fill
@@ -419,19 +486,18 @@ func (k *kernel) fillPass(ctx context.Context) error {
 // through the whole tile.
 const fillTile = 64
 
-// fillPassTiled is fillPass with a blocked loop order, used by the
-// approximate path. The candidate mask leaves so few neighbors per cell
-// that the pass is bound by cache misses, not arithmetic: with rows
-// outer, every cell faults in a fresh sim row. Iterating column-outer
-// within a block of rows keeps sim's row j hot across the whole tile and
-// the tile's cur rows resident, turning the gathers into cache hits.
-// Each cell still goes through predictCell — identical candidates,
-// order, and arithmetic — and a worker owns its tile's rows, so writes
-// stay disjoint and the result is byte-identical to the untiled pass at
-// any worker count.
+// fillPassTiled is the approximate path's fill, in place like fillPass
+// but with a blocked loop order. The candidate mask leaves so few
+// neighbors per cell that the pass is bound by cache misses, not
+// arithmetic: with rows outer, every cell faults in a fresh sim row.
+// Iterating column-outer within a block of rows keeps sim's row j hot
+// across the whole tile and the tile's cur rows resident, turning the
+// gathers into cache hits. Each cell sees the candidates, order and
+// arithmetic a per-cell scan would, and a worker owns its tile's rows, so
+// writes stay disjoint and the result is byte-identical at any worker
+// count.
 func (k *kernel) fillPassTiled(ctx context.Context) error {
 	n, w := k.n, k.w
-	copy(k.next, k.cur)
 	k.filled.reset()
 	tiles := (n + fillTile - 1) / fillTile
 	return parallel.ForEachWorker(ctx, k.p.Workers, tiles, func(worker, tile int) error {
@@ -477,10 +543,8 @@ func (k *kernel) fillPassTiled(ctx context.Context) error {
 				if k.rowKnown[i*w+wi]&bit != 0 {
 					continue
 				}
-				if v, ok := k.predictCellRanked(sc, i); ok {
-					k.next[i*n+j] = v
-					k.filled[i*w+wi] |= bit
-				}
+				num, den := k.predictCellRanked(sc, i)
+				k.store(i, j, num, den)
 			}
 		}
 		return nil
@@ -491,13 +555,15 @@ func (k *kernel) fillPassTiled(ctx context.Context) error {
 // sc (pos/pref/psims, built by fillPassTiled): candidates are the set
 // bits of rowKnown AND pos in ascending order with similarities ranked
 // out of the packed array — the exact (column, similarity) sequence
-// predictCell's per-cell scan produces, fed into the same weighted-mean
+// predictCell's per-cell scan produces. With K = 0 the weighted mean is
+// accumulated while ranking; K > 0 spills the candidates for the top-K
 // tail. The target column itself can never appear: the candidate
 // bitset's diagonal is clear.
-func (k *kernel) predictCellRanked(sc *predictScratch, i int) (float64, bool) {
+func (k *kernel) predictCellRanked(sc *predictScratch, i int) (num, den float64) {
 	n, w := k.n, k.w
 	row := k.cur[i*n : (i+1)*n]
 	rk := k.rowKnown[i*w : (i+1)*w]
+	topK := k.p.K > 0
 	cand := 0
 	for wi, pw := range sc.pos {
 		mask := rk[wi] & pw
@@ -509,44 +575,39 @@ func (k *kernel) predictCellRanked(sc *predictScratch, i int) (float64, bool) {
 		for mask != 0 {
 			b := bits.TrailingZeros64(mask)
 			mask &= mask - 1
-			sc.cols[cand] = base + b
-			sc.sims[cand] = sc.psims[rankBase+bits.OnesCount64(pw&(uint64(1)<<uint(b)-1))]
-			cand++
+			s := sc.psims[rankBase+bits.OnesCount64(pw&(uint64(1)<<uint(b)-1))]
+			if topK {
+				sc.cols[cand] = base + b
+				sc.sims[cand] = s
+				cand++
+			} else {
+				num += s * row[base+b]
+				den += s
+			}
 		}
 	}
-	return k.weightedMean(sc, row, cand)
+	if topK {
+		return k.weightedMean(sc, row, cand)
+	}
+	return num, den
 }
 
 // predictCell estimates cell (i, j) from row i's known ratings of
 // columns similar to j, matching the reference predict bit for bit: the
 // same candidates in the same order, the same top-K ordering (similarity
 // descending, ties toward the lower column), and the same weighted-sum
-// accumulation order. On the approximate path the scan additionally
-// masks through column j's LSH candidate set — non-candidates hold
-// similarity zero and could never pass the s > 0 test, so the mask only
-// removes guaranteed-dead work. No allocation: all state lives in sc.
-func (k *kernel) predictCell(sc *predictScratch, i, j int) (float64, bool) {
+// accumulation order. It is the K > 0 path and the exact fill's path for
+// rows with infinite known values. Cell (i, j) must be unknown, so j is
+// never among row i's known columns. No allocation: all state lives in sc.
+func (k *kernel) predictCell(sc *predictScratch, i, j int) (num, den float64) {
 	n, w := k.n, k.w
 	row := k.cur[i*n : (i+1)*n]
 	srow := k.sim[j*n : (j+1)*n]
-	rk := k.rowKnown[i*w : (i+1)*w]
-	var candJ bitset
-	if k.approx {
-		candJ = k.cand[j*w : (j+1)*w]
-	}
 	cand := 0
-	for wi := 0; wi < w; wi++ {
-		mask := rk[wi]
-		if candJ != nil {
-			mask &= candJ[wi]
-		}
+	for wi, mask := range k.rowKnown[i*w : (i+1)*w] {
 		base := wi << 6
-		for mask != 0 {
+		for ; mask != 0; mask &= mask - 1 {
 			c := base + bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if c == j {
-				continue
-			}
 			if s := srow[c]; s > 0 {
 				sc.cols[cand] = c
 				sc.sims[cand] = s
@@ -560,11 +621,7 @@ func (k *kernel) predictCell(sc *predictScratch, i, j int) (float64, bool) {
 // weightedMean is the shared prediction tail: optional partial top-K
 // selection over the collected candidates followed by the
 // similarity-weighted mean, in the reference kernel's exact order.
-func (k *kernel) weightedMean(sc *predictScratch, row []float64, cand int) (float64, bool) {
-	if cand == 0 {
-		return 0, false
-	}
-	var num, den float64
+func (k *kernel) weightedMean(sc *predictScratch, row []float64, cand int) (num, den float64) {
 	if kk := k.p.K; kk > 0 && cand > kk {
 		// Partial top-K selection: an insertion buffer holds the current
 		// best kk candidates in final order, so only the winners are
@@ -607,15 +664,11 @@ func (k *kernel) weightedMean(sc *predictScratch, row []float64, cand int) (floa
 			den += sc.sims[t]
 		}
 	}
-	if den == 0 {
-		return 0, false
-	}
-	return num / den, true
+	return num, den
 }
 
-// apply folds the pass's filled cells into the known bitsets, marks the
-// dirty rows/columns that drive the next incremental similarity pass,
-// and swaps the value buffers.
+// apply folds the pass's filled cells into the known bitsets and marks
+// the dirty rows/columns that drive the next incremental similarity pass.
 func (k *kernel) apply() {
 	n, w := k.n, k.w
 	for i := 0; i < n; i++ {
@@ -641,27 +694,26 @@ func (k *kernel) apply() {
 			k.dirtyRow.set(i)
 		}
 	}
-	k.cur, k.next = k.next, k.cur
 }
 
-// result materializes the completed matrix in the caller's (original)
-// orientation: rows sliced out of one flat backing, un-transposing for
-// user-based mode.
+// result hands out the completed matrix in the caller's (original)
+// orientation: rows sliced out of one flat backing — the kernel's own
+// value array for item-based mode (the kernel is discarded after the
+// call), a fresh un-transposed one for user-based mode.
 func (k *kernel) result() [][]float64 {
 	n := k.n
-	backing := make([]float64, n*n)
+	backing := k.cur
+	if k.p.Mode == UserBased {
+		backing = make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				backing[i*n+j] = k.cur[j*n+i]
+			}
+		}
+	}
 	rows := make([][]float64, n)
 	for i := range rows {
 		rows[i] = backing[i*n : (i+1)*n]
-	}
-	if k.p.Mode == UserBased {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				rows[i][j] = k.cur[j*n+i]
-			}
-		}
-	} else {
-		copy(backing, k.cur)
 	}
 	return rows
 }

@@ -11,18 +11,21 @@
 // the matrix.
 //
 // Two kernels implement the fill. The production kernel (kernel.go) works
-// on a flat Dense matrix with known-entry bitsets: similarity inner loops
-// are word scans over precomputed row-mean-centered columns, the
-// similarity matrix is recomputed incrementally across fill iterations,
-// and prediction is allocation-free with per-worker scratch. The retained
-// naive kernel (reference.go) is the bit-for-bit baseline the equivalence
-// suite and the benchmark gate compare against.
+// on one flat array with known-entry bitsets: similarity inner loops are
+// word scans over precomputed row-mean-centered columns, the similarity
+// matrix is recomputed incrementally across fill iterations, and the
+// fill runs in place, four cells per pass over a row's known cells, with
+// per-worker scratch. The retained naive kernel (reference.go) is the
+// bit-for-bit specification the equivalence suite and the fuzz target
+// compare against.
 package recommend
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"cooper/internal/telemetry"
 )
@@ -68,9 +71,9 @@ type Predictor struct {
 	Workers int
 	// Approx, when non-zero, routes similarity through the LSH-bucketed
 	// approximate path: each column only scores candidates sharing at
-	// least one SimHash band, O(n·b) candidate generation instead of the
-	// O(n²) all-pairs scan. The zero value reproduces the exact flat
-	// kernel bit for bit. Approximate output satisfies a bounded top-K
+	// least one SimHash band, which prunes a constant share of the
+	// all-pairs work (see approx.go). The zero value reproduces the exact
+	// flat kernel bit for bit. Approximate output satisfies a bounded top-K
 	// recall guarantee (see the recall gate in approx_test.go) rather
 	// than exact equivalence. Ignored by the reference kernel, which
 	// exists as the exact executable specification.
@@ -147,24 +150,6 @@ func (p Predictor) KernelName() string {
 	}
 }
 
-// validateSquare checks that m is square and counts its known entries,
-// reporting errors in the same shape for both kernels.
-func validateSquare(m [][]float64) (known int, err error) {
-	n := len(m)
-	for i, row := range m {
-		if len(row) != n {
-			return 0, fmt.Errorf("recommend: row %d has %d entries, want %d",
-				i, len(row), n)
-		}
-		for _, v := range row {
-			if !math.IsNaN(v) {
-				known++
-			}
-		}
-	}
-	return known, nil
-}
-
 // fallbackFill replaces entries no neighborhood could reach with the row
 // mean, then the global mean, returning how many cells it filled. Shared
 // by both kernels so the fallback arithmetic is identical bit for bit.
@@ -227,7 +212,9 @@ func hasNaN(m [][]float64) bool {
 // the prediction is wrong when the predicted relative order differs from
 // the true one. Diagonal entries are excluded from the candidate set
 // (an agent is never its own co-runner at the agent level; at the job
-// level self-pairs are included as columns for other rows).
+// level self-pairs are included as columns for other rows). Each row is
+// counted by sorting, O(n log n); a row holding a NaN, which no order
+// places, is counted pair by pair.
 func PreferenceAccuracy(truth, pred [][]float64) (float64, error) {
 	n := len(truth)
 	if len(pred) != n {
@@ -245,37 +232,96 @@ func PreferenceAccuracy(truth, pred [][]float64) (float64, error) {
 		return 1, nil
 	}
 	wrong := 0
+	ps := make([]ranked, 0, n)
+	buf := make([]ranked, 0, n)
 	for a := 0; a < n; a++ {
-		ta, pa := truth[a], pred[a]
-		for i := 0; i < n; i++ {
-			if i == a {
-				continue
+		ps = ps[:0]
+		ordered := true
+		for i, t := range truth[a] {
+			if i != a {
+				p := pred[a][i]
+				ps = append(ps, ranked{t, p})
+				ordered = ordered && t == t && p == p
 			}
-			ti, pi := ta[i], pa[i]
-			for j := i + 1; j < n; j++ {
-				if j == a {
-					continue
-				}
-				dt, dp := ti-ta[j], pi-pa[j]
-				// Wrong when sign(dt) != sign(dp); comparing the
-				// greater/less predicates directly avoids the branchy
-				// three-way sign helper and handles NaN like sign()
-				// does (NaN compares false on both sides, i.e. sign 0).
-				if (dt > 0) != (dp > 0) || (dt < 0) != (dp < 0) {
-					wrong++
-				}
-			}
+		}
+		if ordered {
+			wrong += wrongPairs(ps, buf)
+		} else {
+			wrong += wrongPairsNaN(ps)
 		}
 	}
 	return 1 - float64(wrong)/float64(total), nil
 }
 
-func sign(x float64) int {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
+// ranked is one candidate co-runner of a row: its true and its predicted
+// penalty.
+type ranked struct{ t, p float64 }
+
+// wrongPairs counts the pairs of ps that t and p order differently —
+// opposite ways, or tied in exactly one of the two — by Knight's method:
+// sort by (t, p), count the inversions of p with a merge sort, and take
+// tied pairs from run lengths. It reorders ps; buf is the merge's scratch.
+func wrongPairs(ps, buf []ranked) int {
+	slices.SortFunc(ps, func(a, b ranked) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.p, b.p)
+	})
+	tiedT := tiedPairs(ps, func(a, b ranked) bool { return a.t == b.t })
+	tiedBoth := tiedPairs(ps, func(a, b ranked) bool { return a == b })
+	opposite := sortByP(ps, buf)
+	tiedP := tiedPairs(ps, func(a, b ranked) bool { return a.p == b.p })
+	return opposite + (tiedT - tiedBoth) + (tiedP - tiedBoth)
+}
+
+// tiedPairs counts the pairs within each run of adjacent equal elements.
+func tiedPairs(ps []ranked, same func(a, b ranked) bool) int {
+	pairs, run := 0, 1
+	for x := 1; x <= len(ps); x++ {
+		if x < len(ps) && same(ps[x-1], ps[x]) {
+			run++
+			continue
+		}
+		pairs += run * (run - 1) / 2
+		run = 1
 	}
-	return 0
+	return pairs
+}
+
+// sortByP merge-sorts ps by p, stably, and returns how many pairs stood
+// in strictly descending p order.
+func sortByP(ps, buf []ranked) int {
+	if len(ps) < 2 {
+		return 0
+	}
+	l, r := ps[:len(ps)/2], ps[len(ps)/2:]
+	inv := sortByP(l, buf) + sortByP(r, buf)
+	out := buf[:0]
+	for len(l) > 0 && len(r) > 0 {
+		if r[0].p < l[0].p {
+			inv += len(l)
+			out, r = append(out, r[0]), r[1:]
+		} else {
+			out, l = append(out, l[0]), l[1:]
+		}
+	}
+	out = append(append(out, l...), r...)
+	copy(ps, out)
+	return inv
+}
+
+// wrongPairsNaN is wrongPairs pair by pair, for a row that holds a NaN: a
+// difference involving one has no sign, which counts as a tie.
+func wrongPairsNaN(ps []ranked) int {
+	wrong := 0
+	for i, a := range ps {
+		for _, b := range ps[i+1:] {
+			dt, dp := a.t-b.t, a.p-b.p
+			if (dt > 0) != (dp > 0) || (dt < 0) != (dp < 0) {
+				wrong++
+			}
+		}
+	}
+	return wrong
 }

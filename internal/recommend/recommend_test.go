@@ -212,6 +212,74 @@ func TestPreferenceAccuracyTies(t *testing.T) {
 	}
 }
 
+// preferenceAccuracyReference is the cubic pair-by-pair Equation 2 that
+// PreferenceAccuracy used to be: the specification its sort-based count
+// must reproduce exactly.
+func preferenceAccuracyReference(truth, pred [][]float64) float64 {
+	n := len(truth)
+	total := n * (n - 1) * (n - 2) / 2
+	if total == 0 {
+		return 1
+	}
+	wrong := 0
+	for a := 0; a < n; a++ {
+		ta, pa := truth[a], pred[a]
+		for i := 0; i < n; i++ {
+			if i == a {
+				continue
+			}
+			for j := i + 1; j < n; j++ {
+				if j == a {
+					continue
+				}
+				dt, dp := ta[i]-ta[j], pa[i]-pa[j]
+				if (dt > 0) != (dp > 0) || (dt < 0) != (dp < 0) {
+					wrong++
+				}
+			}
+		}
+	}
+	return 1 - float64(wrong)/float64(total)
+}
+
+// TestPreferenceAccuracyMatchesReference holds the sort-based count to
+// the pairwise one, bit for bit, where they could part: heavy ties in
+// either matrix or both, all-equal rows, signed zeros, infinities, rows
+// with NaN (counted pair by pair), and the smallest sizes.
+func TestPreferenceAccuracyMatchesReference(t *testing.T) {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	for _, n := range []int{0, 1, 2, 3, 4, 17, 65} {
+		for levels := 1; levels <= 64; levels *= 4 {
+			for seed := int64(0); seed < 4; seed++ {
+				r := rand.New(rand.NewSource(seed + int64(1000*n+levels)))
+				truth := make([][]float64, n)
+				pred := make([][]float64, n)
+				for i := range truth {
+					truth[i] = make([]float64, n)
+					pred[i] = make([]float64, n)
+					for j := range truth[i] {
+						truth[i][j] = float64(r.Intn(levels))
+						pred[i][j] = float64(r.Intn(levels))
+						if seed == 3 && r.Intn(40) == 0 {
+							pred[i][j] = special[r.Intn(len(special))]
+						}
+					}
+				}
+				if seed == 2 && n > 0 {
+					copy(pred[0], truth[0]) // one row predicted perfectly
+				}
+				got, err := PreferenceAccuracy(truth, pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := preferenceAccuracyReference(truth, pred); got != want {
+					t.Errorf("n=%d levels=%d seed=%d: accuracy %v, reference %v", n, levels, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPreferenceAccuracyErrors(t *testing.T) {
 	if _, err := PreferenceAccuracy([][]float64{{0}}, nil); err == nil {
 		t.Error("size mismatch accepted")

@@ -186,7 +186,9 @@ func (p Predictor) predict(m, sim [][]float64, i, j int) (float64, bool) {
 	}
 	var neighbors []neighbor
 	for k := range m[i] {
-		if k == j || math.IsNaN(m[i][k]) || sim[j][k] <= 0 {
+		// Only a strictly positive similarity votes; a NaN one (non-finite
+		// or overflowing input) does not.
+		if k == j || math.IsNaN(m[i][k]) || !(sim[j][k] > 0) {
 			continue
 		}
 		neighbors = append(neighbors, neighbor{k, sim[j][k]})
