@@ -20,6 +20,7 @@ import (
 
 	"cooper/internal/arch"
 	"cooper/internal/experiments"
+	"cooper/internal/market"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
 	"cooper/internal/profiler"
@@ -299,19 +300,15 @@ func BenchmarkFigure14Shapley(b *testing.B) {
 }
 
 // BenchmarkOverheadPrediction measures the §IV-A claim: preference
-// prediction completes within ~100ms for a 1000-agent population (whose
-// preference structure is the 20x20 job matrix plus agent expansion).
+// prediction completes within ~100ms for a 1000-agent population. Its
+// preference structure is the 20x20 job matrix, which agents read
+// through their catalog row, so the population's size costs nothing here.
 func BenchmarkOverheadPrediction(b *testing.B) {
 	l := getLab(b)
 	sparse := recommend.MaskPairs(l.Dense, 0.25, stats.NewRand(1))
-	pop := workload.Sample(1000, l.Catalog, stats.Uniform{}, stats.NewRand(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		filled, _, err := recommend.Default().Complete(sparse)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := profiler.ExpandToAgents(filled, l.Catalog, pop); err != nil {
+		if _, _, err := recommend.Default().Complete(sparse); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,14 +321,9 @@ func BenchmarkOverheadPrediction(b *testing.B) {
 func BenchmarkOverheadPredictionReference(b *testing.B) {
 	l := getLab(b)
 	sparse := recommend.MaskPairs(l.Dense, 0.25, stats.NewRand(1))
-	pop := workload.Sample(1000, l.Catalog, stats.Uniform{}, stats.NewRand(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		filled, _, err := recommend.Default().WithReferenceKernel().Complete(sparse)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := profiler.ExpandToAgents(filled, l.Catalog, pop); err != nil {
+		if _, _, err := recommend.Default().WithReferenceKernel().Complete(sparse); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -339,23 +331,18 @@ func BenchmarkOverheadPredictionReference(b *testing.B) {
 
 // BenchmarkOverheadMatching measures the §IV-C claim: stable matching
 // colocates 1000 agents in single-digit seconds (1-5s in the paper's
-// Java; this implementation is far faster).
+// Java; this implementation is far faster). Each iteration is one
+// unsharded market-engine clear over the job-level matrix and the
+// agents' catalog rows — the path every epoch takes.
 func BenchmarkOverheadMatching(b *testing.B) {
 	l := getLab(b)
-	pop := workload.Sample(1000, l.Catalog, stats.Uniform{}, stats.NewRand(3))
-	d, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bw := make([]float64, len(pop.Jobs))
-	for i, j := range pop.Jobs {
-		bw[i] = j.BandwidthGBps
-	}
+	roster := market.Roster{Jobs: workload.Sample(1000, l.Catalog, stats.Uniform{}, stats.NewRand(3)).Jobs}
 	for _, pol := range policy.All() {
 		b.Run(pol.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ctx := policy.Context{BandwidthGBps: bw, Rand: stats.NewRand(int64(i))}
-				if _, err := pol.Assign(d, ctx); err != nil {
+				ep := market.New(market.Engine{Config: market.Config{Policy: pol},
+					Catalog: l.Catalog, Matrix: l.Dense, Rand: stats.NewRand(int64(i))}).Begin()
+				if _, err := ep.Clear(context.Background(), roster); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -604,7 +591,7 @@ func BenchmarkHeterogeneity(b *testing.B) {
 // benchEpochs drives repeated scheduling epochs over a fixed 200-agent
 // population on an oracle framework (no profiling cost inside the loop).
 func benchEpochs(b *testing.B, tel *Telemetry) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 31, Telemetry: tel})
+	f, err := New(WithOracle(), WithSeed(31), WithTelemetry(tel))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -645,7 +632,7 @@ func BenchmarkProfilingCampaignParallel(b *testing.B) { benchCampaign(b, 8) }
 // benchEpochPipeline measures end-to-end epochs (expand, match, assess,
 // dispatch) through the worker pool and pair cache at a fixed count.
 func benchEpochPipeline(b *testing.B, workers int) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 31, Workers: workers})
+	f, err := New(WithOracle(), WithSeed(31), WithWorkers(workers))
 	if err != nil {
 		b.Fatal(err)
 	}

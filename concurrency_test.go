@@ -42,9 +42,9 @@ func sixPolicies() map[string]Policy {
 // epochJSON runs one epoch on a fresh framework and returns the report
 // serialized, so reports from different worker counts can be compared
 // bytewise.
-func epochJSON(t *testing.T, opts Options, agents int) []byte {
+func epochJSON(t *testing.T, cfg Config, agents int) []byte {
 	t.Helper()
-	f, err := NewWithOptions(opts)
+	f, err := New(WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,10 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	for name, pol := range sixPolicies() {
 		for _, seed := range []int64{3, 27} {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				base := Options{Policy: pol, Seed: seed, Sim: shortSim}
+				base := Config{Seed: seed, Sim: shortSim, Market: MarketConfig{Policy: pol}}
 				serial, parallel := base, base
-				serial.Workers = 1
-				parallel.Workers = 8
+				serial.Pipeline.Workers = 1
+				parallel.Pipeline.Workers = 8
 				a := epochJSON(t, serial, 60)
 				b := epochJSON(t, parallel, 60)
 				if string(a) != string(b) {
@@ -88,10 +88,10 @@ func TestWorkerCountDeterminism(t *testing.T) {
 // computation and dispatch, no campaign) at a larger population.
 func TestWorkerCountDeterminismOracle(t *testing.T) {
 	for _, seed := range []int64{1, 9} {
-		base := Options{Oracle: true, Seed: seed}
+		base := Config{Seed: seed, Pipeline: PipelineConfig{Oracle: true}}
 		serial, parallel := base, base
-		serial.Workers = 1
-		parallel.Workers = 8
+		serial.Pipeline.Workers = 1
+		parallel.Pipeline.Workers = 8
 		a := epochJSON(t, serial, 200)
 		b := epochJSON(t, parallel, 200)
 		if string(a) != string(b) {
@@ -110,7 +110,7 @@ func TestWorkerCountDeterminismOracle(t *testing.T) {
 // distinct (job, co-runner) the epoch dispatched.
 func TestPairCacheAccounting(t *testing.T) {
 	tel := NewTelemetry()
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 5, Telemetry: tel})
+	f, err := New(WithOracle(), WithSeed(5), WithTelemetry(tel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPairCacheAccounting(t *testing.T) {
 // TestFrameworkClose checks the drain semantics: Close is idempotent,
 // and epochs after Close are rejected with ErrClosed.
 func TestFrameworkClose(t *testing.T) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 11})
+	f, err := New(WithOracle(), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := NewWithOptionsContext(ctx, Options{Seed: 1, Sim: shortSim}); !errors.Is(err, ErrCanceled) {
+	if _, err := NewContext(ctx, WithConfig(Config{Sim: shortSim}), WithSeed(1)); !errors.Is(err, ErrCanceled) {
 		t.Errorf("NewContext with canceled ctx = %v, want ErrCanceled", err)
 	}
 
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 2})
+	f, err := New(WithOracle(), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestCancellation(t *testing.T) {
 // stats.Sampler — including a caller-defined one — feeds
 // SamplePopulation.
 func TestSamplePopulationMix(t *testing.T) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 7})
+	f, err := New(WithOracle(), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestErrNoStableMatchingFacade(t *testing.T) {
 // Ensure the report's population survives a JSON round trip (the
 // determinism tests depend on marshaling being total).
 func TestEpochReportMarshals(t *testing.T) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 13})
+	f, err := New(WithOracle(), WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
-	f, err := NewWithOptions(Options{Policy: SMR(), Oracle: true, Seed: 42})
+	f, err := New(WithPolicy(SMR()), WithOracle(), WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFacadeCatalogAndPrediction(t *testing.T) {
 
 func TestFacadeTelemetrySnapshot(t *testing.T) {
 	tel := NewTelemetry()
-	f, err := NewWithOptions(Options{Seed: 9, Telemetry: tel})
+	f, err := New(WithSeed(9), WithTelemetry(tel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFacadeTelemetrySnapshot(t *testing.T) {
 	}
 
 	// A disabled framework yields an empty snapshot without panicking.
-	f2, err := NewWithOptions(Options{Oracle: true, Seed: 9})
+	f2, err := New(WithOracle(), WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}

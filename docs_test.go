@@ -2,6 +2,7 @@ package cooper
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -54,4 +55,28 @@ func TestDocsNameExistingCommands(t *testing.T) {
 			t.Errorf("ci depends on %q, which the Makefile does not define", dep)
 		}
 	}
+}
+
+// TestDocsNameExistingFiles keeps the docs honest about files: every
+// backticked path ending in .go, .md, .txt or .json that README, DESIGN,
+// EXPERIMENTS and internal/README.md quote must exist, relative to the
+// repository root or to the quoting document.
+func TestDocsNameExistingFiles(t *testing.T) {
+	fileRef := regexp.MustCompile("`([^`\\s]+\\.(?:go|md|txt|json))`")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "internal/README.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range fileRef.FindAllStringSubmatch(string(data), -1) {
+			if !exists(m[1]) && !exists(filepath.Join(filepath.Dir(doc), m[1])) {
+				t.Errorf("%s quotes `%s`, which does not exist", doc, m[1])
+			}
+		}
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

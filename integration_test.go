@@ -19,7 +19,7 @@ func TestIntegrationEveryPolicyFullPipeline(t *testing.T) {
 		pol := mk()
 		t.Run(pol.Name(), func(t *testing.T) {
 			// Real profiling + prediction path, not the oracle.
-			f, err := NewWithOptions(Options{Policy: pol, Seed: 21})
+			f, err := New(WithPolicy(pol), WithSeed(21))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestIntegrationEveryPolicyFullPipeline(t *testing.T) {
 }
 
 func TestIntegrationClusteredPolicy(t *testing.T) {
-	f, err := NewWithOptions(Options{Policy: Clustered(4), Oracle: true, Seed: 22})
+	f, err := New(WithPolicy(Clustered(4)), WithOracle(), WithSeed(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestIntegrationClusteredPolicy(t *testing.T) {
 func TestIntegrationThresholdPolicy(t *testing.T) {
 	// Threshold leaves contentious agents solo; the framework must still
 	// dispatch them (on their own machines).
-	f, err := NewWithOptions(Options{Policy: Threshold(0.02), Oracle: true, Seed: 23, Machines: 100})
+	f, err := New(WithPolicy(Threshold(0.02)), WithOracle(), WithSeed(23), WithMachines(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestIntegrationThresholdPolicy(t *testing.T) {
 }
 
 func TestIntegrationDriverOverDay(t *testing.T) {
-	f, err := NewWithOptions(Options{Policy: SMR(), Oracle: true, Seed: 24})
+	f, err := New(WithPolicy(SMR()), WithOracle(), WithSeed(24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestIntegrationDriverOverDay(t *testing.T) {
 }
 
 func TestIntegrationQuads(t *testing.T) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 26})
+	f, err := New(WithOracle(), WithSeed(26))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestIntegrationQuads(t *testing.T) {
 
 func TestIntegrationDeterminism(t *testing.T) {
 	run := func() []int {
-		f, err := NewWithOptions(Options{Policy: SMR(), Oracle: true, Seed: 27})
+		f, err := New(WithPolicy(SMR()), WithOracle(), WithSeed(27))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestIntegrationDeterminism(t *testing.T) {
 }
 
 func TestIntegrationMixesAffectPenalties(t *testing.T) {
-	f, err := NewWithOptions(Options{Oracle: true, Seed: 28})
+	f, err := New(WithOracle(), WithSeed(28))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestIntegrationCustomCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewWithOptions(Options{Machine: machine, Catalog: jobs, Oracle: true, Seed: 30})
+	f, err := New(WithMachine(machine), WithCatalog(jobs), WithOracle(), WithSeed(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestIntegrationCustomCatalogProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewWithOptions(Options{Machine: machine, Catalog: jobs, Seed: 31, SampleFraction: 1.0})
+	f, err := New(WithMachine(machine), WithCatalog(jobs), WithSeed(31), WithSampleFraction(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,15 @@ import (
 	"cooper/internal/workload"
 )
 
-// newFramework builds a framework from the legacy flat Options.
-func newFramework(opts core.Options) (*core.Framework, error) {
-	return core.NewFramework(context.Background(), opts.Config())
+// newFramework builds an oracle framework.
+func newFramework(cfg core.Config) (*core.Framework, error) {
+	cfg.Pipeline.Oracle = true
+	return core.NewFramework(context.Background(), cfg)
 }
 
 func testDriver(t *testing.T) (*Driver, []workload.Job) {
 	t.Helper()
-	f, err := newFramework(core.Options{Oracle: true, Seed: 1})
+	f, err := newFramework(core.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestDriverValidation(t *testing.T) {
 	if _, _, err := (&Driver{}).Run(nil); err == nil {
 		t.Error("missing framework accepted")
 	}
-	f, err := newFramework(core.Options{Oracle: true, Seed: 9})
+	f, err := newFramework(core.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestDriverRecordsTelemetry(t *testing.T) {
 	tel := telemetry.New()
-	f, err := newFramework(core.Options{Oracle: true, Seed: 1, Telemetry: tel})
+	f, err := newFramework(core.Config{Seed: 1, Observe: core.ObserveConfig{Telemetry: tel}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,29 +101,3 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// Config converts the legacy flat Options into the grouped Config. The
-// two describe identical frameworks; Options simply predates the
-// Market/Pipeline/Observe grouping (and so has no shard knobs).
-func (o Options) Config() Config {
-	return Config{
-		Machine:  o.Machine,
-		Machines: o.Machines,
-		Seed:     o.Seed,
-		Sim:      o.Sim,
-		Catalog:  o.Catalog,
-		Market: MarketConfig{
-			Policy: o.Policy,
-			Alpha:  o.Alpha,
-		},
-		Pipeline: PipelineConfig{
-			Workers:        o.Workers,
-			SampleFraction: o.SampleFraction,
-			Predictor:      o.Predictor,
-			Oracle:         o.Oracle,
-			Penalties:      o.Penalties,
-			EpochTimeout:   o.EpochTimeout,
-		},
-		Observe: ObserveConfig{Telemetry: o.Telemetry},
-	}
-}

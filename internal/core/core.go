@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"cooper/internal/agent"
 	"cooper/internal/arch"
@@ -21,7 +20,6 @@ import (
 	"cooper/internal/market"
 	"cooper/internal/matching"
 	"cooper/internal/parallel"
-	"cooper/internal/policy"
 	"cooper/internal/profiler"
 	"cooper/internal/recommend"
 	"cooper/internal/stats"
@@ -37,70 +35,6 @@ var ErrCanceled = errors.New("cooper: pipeline canceled")
 // ErrClosed reports that the framework was Closed and accepts no more
 // epochs. Test with errors.Is(err, ErrClosed).
 var ErrClosed = errors.New("cooper: framework closed")
-
-// Options is the legacy flat configuration surface.
-//
-// Deprecated: Options predates the grouped Config
-// (Market/Pipeline/Observe) and has no market-sharding knobs. New code
-// should build frameworks with NewFramework(ctx, Config) — or, through
-// the facade, cooper.New with functional options. Options remains
-// supported indefinitely: Options.Config converts it, and the two
-// describe identical frameworks.
-type Options struct {
-	// Machine is the CMP model shared by every node. Zero value means
-	// arch.DefaultCMP().
-	Machine arch.CMP
-	// Machines is the cluster size in CMPs. Zero means 10 (the paper's
-	// five dual-socket nodes).
-	Machines int
-	// Policy assigns colocations. Nil means StableMarriageRandom, the
-	// paper's recommended policy.
-	Policy policy.Policy
-	// SampleFraction is the share of the colocation space profiled
-	// offline. Zero means 0.25, the paper's operating point.
-	SampleFraction float64
-	// Predictor completes the sparse penalty matrix. Zero value fields
-	// mean recommend.Default().
-	Predictor recommend.Predictor
-	// Alpha is the minimum performance gain for which an agent recommends
-	// breaking away.
-	Alpha float64
-	// Oracle skips profiling and prediction, giving the policy exact
-	// analytic penalties — the "oracular knowledge" configuration the
-	// paper compares collaborative filtering against.
-	Oracle bool
-	// Seed drives all randomness (profiling noise, sampling, SMR
-	// partitions).
-	Seed int64
-	// Sim overrides the profiling simulation config (zero value uses a
-	// short, noisy default suitable for experiments).
-	Sim arch.SimConfig
-	// Catalog overrides the built-in Table I catalog with a custom one
-	// (built via workload.BuildCatalog or workload.LoadCatalog against
-	// the same Machine). Nil uses the paper's 20 jobs.
-	Catalog []workload.Job
-	// Penalties, when non-nil, supplies the completed job-level penalty
-	// matrix directly (len(Catalog) x len(Catalog), row i = job i's
-	// penalty against each co-runner) and skips the profiling campaign
-	// and predictor entirely — for daemons that load measurements from a
-	// profile database out of band.
-	Penalties [][]float64
-	// Workers bounds the worker pool the pipeline's fan-out phases share
-	// (profiling campaign, matrix completion, oracle computation, sharded
-	// clears). <= 0 means GOMAXPROCS; 1 forces the serial pipeline.
-	// Any value produces bit-identical results — parallelism never
-	// perturbs the simulation.
-	Workers int
-	// Telemetry, when non-nil, receives phase spans and pipeline metrics
-	// from every layer the framework touches. Nil (the default) disables
-	// observability at near-zero cost.
-	Telemetry *telemetry.Telemetry
-	// EpochTimeout, when positive, bounds each RunEpoch's wall-clock time:
-	// the epoch's context is cut over to a deadline and a run that blows
-	// it returns an error wrapping ErrCanceled instead of stalling the
-	// caller's scheduling loop (cooperd -epoch-timeout).
-	EpochTimeout time.Duration
-}
 
 // Framework is a ready-to-run Cooper instance: calibrated catalog,
 // profiling database, completed preference model, worker pool, pair

@@ -16,14 +16,9 @@ import (
 	"cooper/internal/workload"
 )
 
-// newFromOptions builds a framework from the legacy flat Options.
-func newFromOptions(opts Options) (*Framework, error) {
-	return NewFramework(context.Background(), opts.Config())
-}
-
 func oracleFramework(t *testing.T, p policy.Policy, seed int64) *Framework {
 	t.Helper()
-	f, err := newFromOptions(Options{Policy: p, Oracle: true, Seed: seed})
+	f, err := NewFramework(context.Background(), Config{Seed: seed, Market: MarketConfig{Policy: p}, Pipeline: PipelineConfig{Oracle: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +43,7 @@ func TestNewOracle(t *testing.T) {
 }
 
 func TestNewWithProfiling(t *testing.T) {
-	f, err := newFromOptions(Options{Seed: 2})
+	f, err := NewFramework(context.Background(), Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +65,9 @@ func TestNewWithProfiling(t *testing.T) {
 }
 
 func TestNewInvalidMachine(t *testing.T) {
-	opts := Options{}
-	opts.Machine.Cores = -1
-	if _, err := newFromOptions(opts); err == nil {
+	cfg := Config{}
+	cfg.Machine.Cores = -1
+	if _, err := NewFramework(context.Background(), cfg); err == nil {
 		t.Error("invalid machine accepted")
 	}
 }
@@ -110,8 +105,8 @@ func TestRunEpochOracle(t *testing.T) {
 }
 
 func TestEpochTimeoutBoundsRunEpoch(t *testing.T) {
-	f, err := newFromOptions(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 1,
-		EpochTimeout: time.Nanosecond})
+	f, err := NewFramework(context.Background(), Config{Seed: 1, Market: MarketConfig{Policy: policy.Greedy{}},
+		Pipeline: PipelineConfig{Oracle: true, EpochTimeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +117,8 @@ func TestEpochTimeoutBoundsRunEpoch(t *testing.T) {
 	}
 
 	// A generous deadline must not perturb a normal epoch.
-	g, err := newFromOptions(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 1,
-		EpochTimeout: time.Hour})
+	g, err := NewFramework(context.Background(), Config{Seed: 1, Market: MarketConfig{Policy: policy.Greedy{}},
+		Pipeline: PipelineConfig{Oracle: true, EpochTimeout: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +174,8 @@ func TestRunEpochPerformanceWithinHeuristics(t *testing.T) {
 
 func TestBreakAwayCountsRespondToAlpha(t *testing.T) {
 	count := func(alpha float64) int {
-		f, err := newFromOptions(Options{Policy: policy.Greedy{}, Oracle: true, Seed: 7, Alpha: alpha})
+		f, err := NewFramework(context.Background(), Config{Seed: 7,
+			Market: MarketConfig{Policy: policy.Greedy{}, Alpha: alpha}, Pipeline: PipelineConfig{Oracle: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +211,7 @@ func TestSamplePopulationMixes(t *testing.T) {
 }
 
 func TestNewCustomCatalogValidation(t *testing.T) {
-	if _, err := newFromOptions(Options{Catalog: []workload.Job{}, Oracle: true}); err == nil {
+	if _, err := NewFramework(context.Background(), Config{Catalog: []workload.Job{}, Pipeline: PipelineConfig{Oracle: true}}); err == nil {
 		t.Error("empty custom catalog accepted")
 	}
 }
@@ -251,7 +247,7 @@ func TestRunEpochOddPopulation(t *testing.T) {
 
 func TestPredictSpanSimPairAttrs(t *testing.T) {
 	tel := telemetry.New()
-	f, err := newFromOptions(Options{Seed: 11, Telemetry: tel})
+	f, err := NewFramework(context.Background(), Config{Seed: 11, Observe: ObserveConfig{Telemetry: tel}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +291,7 @@ func TestPredictSpanSimPairAttrs(t *testing.T) {
 // repair epoch.
 func TestTruePenaltyIsTheSimulatedOne(t *testing.T) {
 	ctx := context.Background()
-	profiled, err := newFromOptions(Options{Seed: 3})
+	profiled, err := NewFramework(context.Background(), Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

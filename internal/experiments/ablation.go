@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"cooper/internal/arch"
 	"cooper/internal/matching"
@@ -33,42 +32,25 @@ type ProposerAdvantageResult struct {
 // agents' outcomes across the two role assignments.
 func (l *Lab) ProposerAdvantage(n int, seed int64) (*ProposerAdvantageResult, error) {
 	pop := l.uniformPopulation(n, seed)
-	d, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
-	if err != nil {
-		return nil, err
+	idx := l.jobIndex()
+	class := make([]int, len(pop.Jobs))
+	for i, j := range pop.Jobs {
+		class[i] = idx[j.Name]
 	}
+	pen := l.oracle(class)
 	r := stats.NewRand(seed + 1)
 	order := r.Perm(len(pop.Jobs))
 	half := len(order) / 2
 	setA := order[:half]
 	setB := order[half : 2*half]
 
-	prefs := func(agents, others []int) [][]int {
-		lists := make([][]int, len(agents))
-		for a, i := range agents {
-			list := make([]int, len(others))
-			for b := range others {
-				list[b] = b
-			}
-			sort.SliceStable(list, func(x, y int) bool {
-				jx, jy := others[list[x]], others[list[y]]
-				if d[i][jx] != d[i][jy] {
-					return d[i][jx] < d[i][jy]
-				}
-				return jx < jy
-			})
-			lists[a] = list
-		}
-		return lists
-	}
-
 	// Round 1: set A proposes.
-	aMatch, err := matching.StableMarriage(prefs(setA, setB), prefs(setB, setA))
+	aMatch, err := matching.StableMarriage(pen.Lists(setA, setB), pen.Lists(setB, setA))
 	if err != nil {
 		return nil, err
 	}
 	// Round 2: set B proposes; invert to find set A's partners.
-	bMatch, err := matching.StableMarriage(prefs(setB, setA), prefs(setA, setB))
+	bMatch, err := matching.StableMarriage(pen.Lists(setB, setA), pen.Lists(setA, setB))
 	if err != nil {
 		return nil, err
 	}
@@ -80,8 +62,8 @@ func (l *Lab) ProposerAdvantage(n int, seed int64) (*ProposerAdvantageResult, er
 	res := &ProposerAdvantageResult{Agents: half}
 	for a := range setA {
 		i := setA[a]
-		asProp := d[i][setB[aMatch[a]]]
-		asRecv := d[i][setB[partnerWhenReceiving[a]]]
+		asProp := pen.At(i, setB[aMatch[a]])
+		asRecv := pen.At(i, setB[partnerWhenReceiving[a]])
 		res.MeanAsProposer += asProp
 		res.MeanAsReceiver += asRecv
 		if asProp < asRecv {
@@ -117,32 +99,34 @@ type PredictionMatchingPoint struct {
 // prediction error costs the matching.
 func (l *Lab) PredictionToMatching(fractions []float64, n int, seed int64) ([]PredictionMatchingPoint, error) {
 	pop := l.uniformPopulation(n, seed)
-	trueD, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
-	if err != nil {
-		return nil, err
-	}
 	bw := make([]float64, len(pop.Jobs))
 	for i, j := range pop.Jobs {
 		bw[i] = j.BandwidthGBps
 	}
 	smr := policy.StableMarriageRandom{}
 
-	evalTrue := func(match matching.Matching) (float64, float64, int) {
-		pens := agentPenalties(match, trueD)
-		pairs := matching.AlphaBlockingPairs(match, trueD, 0.02)
-		agents := make(map[int]bool)
-		for _, bp := range pairs {
-			agents[bp[0]] = true
-			agents[bp[1]] = true
+	// evalTrue clears the population on matrix and scores the matching
+	// with the oracle's penalties.
+	evalTrue := func(matrix [][]float64) (float64, float64, int, error) {
+		round, err := l.clear(matrix, smr, pop.Jobs, stats.NewRand(seed+2))
+		if err != nil {
+			return 0, 0, 0, err
 		}
-		return stats.Mean(pens), stats.Spearman(bw, pens), len(agents)
+		truth := l.oracle(round.JobIdx)
+		pens := make([]float64, len(round.Match))
+		for i, j := range round.Match {
+			if j != matching.Unmatched {
+				pens[i] = truth.At(i, j)
+			}
+		}
+		blocking, _ := blockingAgents(truth, round.Match, 0.02)
+		return stats.Mean(pens), stats.Spearman(bw, pens), blocking, nil
 	}
 
-	oracleMatch, err := smr.Assign(trueD, policy.Context{BandwidthGBps: bw, Rand: stats.NewRand(seed + 2)})
+	oraclePenalty, _, _, err := evalTrue(l.Dense)
 	if err != nil {
 		return nil, err
 	}
-	oraclePenalty, _, _ := evalTrue(oracleMatch)
 
 	var out []PredictionMatchingPoint
 	for _, frac := range fractions {
@@ -155,15 +139,10 @@ func (l *Lab) PredictionToMatching(fractions []float64, n int, seed int64) ([]Pr
 		if err != nil {
 			return nil, err
 		}
-		predD, err := profiler.ExpandToAgents(filled, l.Catalog, pop)
+		mean, fair, blocking, err := evalTrue(filled)
 		if err != nil {
 			return nil, err
 		}
-		match, err := smr.Assign(predD, policy.Context{BandwidthGBps: bw, Rand: stats.NewRand(seed + 2)})
-		if err != nil {
-			return nil, err
-		}
-		mean, fair, blocking := evalTrue(match)
 		out = append(out, PredictionMatchingPoint{
 			Fraction:       frac,
 			Accuracy:       acc,
@@ -193,38 +172,32 @@ type ThresholdPoint struct {
 // greedy performs at least as well.
 func (l *Lab) ThresholdStudy(tolerances []float64, n int, seed int64) ([]ThresholdPoint, error) {
 	pop := l.uniformPopulation(n, seed)
-	d, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
+	// Neither policy draws randomness.
+	greedy, err := l.clear(l.Dense, policy.Greedy{}, pop.Jobs, nil)
 	if err != nil {
 		return nil, err
 	}
-	bw := make([]float64, len(pop.Jobs))
-	for i, j := range pop.Jobs {
-		bw[i] = j.BandwidthGBps
-	}
-	grMatch, err := (policy.Greedy{}).Assign(d, policy.Context{BandwidthGBps: bw})
-	if err != nil {
-		return nil, err
-	}
-	grPens := agentPenalties(grMatch, d)
+	_, greedyMean := greedy.Penalties()
 
 	var out []ThresholdPoint
 	for _, tol := range tolerances {
-		match, err := (policy.Threshold{Tolerance: tol}).Assign(d, policy.Context{})
+		round, err := l.clear(l.Dense, policy.Threshold{Tolerance: tol}, pop.Jobs, nil)
 		if err != nil {
 			return nil, err
 		}
 		machines := 0
-		for i, j := range match {
+		for i, j := range round.Match {
 			if j == matching.Unmatched || i < j {
 				machines++
 			}
 		}
+		_, mean := round.Penalties()
 		out = append(out, ThresholdPoint{
 			Tolerance:      tol,
 			Machines:       machines,
-			MeanPenalty:    stats.Mean(agentPenalties(match, d)),
+			MeanPenalty:    mean,
 			GreedyMachines: (n + 1) / 2,
-			GreedyPenalty:  stats.Mean(grPens),
+			GreedyPenalty:  greedyMean,
 		})
 	}
 	return out, nil
@@ -245,16 +218,17 @@ type QuadConsolidation struct {
 // Quads runs the hierarchical 4-way experiment on a uniform population.
 func (l *Lab) Quads(n int, seed int64) (*QuadConsolidation, error) {
 	pop := l.uniformPopulation(n, seed)
+	pairs, err := l.clear(l.Dense, policy.StableRoommate{}, pop.Jobs, nil)
+	if err != nil {
+		return nil, err
+	}
+	_, pairPenalty := pairs.Penalties()
+
+	// The quad matcher's pair-of-pairs level works on an agent-level matrix.
 	d, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
 	if err != nil {
 		return nil, err
 	}
-	match, _, err := matching.AdaptedRoommates(d)
-	if err != nil {
-		return nil, err
-	}
-	pairPens := agentPenalties(match, d)
-
 	groups, err := matching.HierarchicalQuads(d, nil)
 	if err != nil {
 		return nil, err
@@ -288,7 +262,7 @@ func (l *Lab) Quads(n int, seed int64) (*QuadConsolidation, error) {
 		Agents:       n,
 		PairMachines: (n + 1) / 2,
 		QuadMachines: machines,
-		PairPenalty:  stats.Mean(pairPens),
+		PairPenalty:  pairPenalty,
 		QuadPenalty:  stats.Mean(quadPens),
 		QuadFairness: stats.Spearman(bw, quadPens),
 	}, nil

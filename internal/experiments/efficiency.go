@@ -8,7 +8,6 @@ import (
 	"cooper/internal/game"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
-	"cooper/internal/profiler"
 	"cooper/internal/stats"
 )
 
@@ -32,14 +31,6 @@ type EfficiencyRow struct {
 // property, for every policy on one uniform population.
 func (l *Lab) EfficiencyStudy(n int, seed int64) ([]EfficiencyRow, error) {
 	pop := l.uniformPopulation(n, seed)
-	d, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
-	if err != nil {
-		return nil, err
-	}
-	bw := make([]float64, n)
-	for i, j := range pop.Jobs {
-		bw[i] = j.BandwidthGBps
-	}
 	server := energy.DefaultServer()
 
 	// Solo baseline: every job on its own machine.
@@ -55,13 +46,11 @@ func (l *Lab) EfficiencyStudy(n int, seed int64) ([]EfficiencyRow, error) {
 
 	var out []EfficiencyRow
 	for _, p := range policy.All() {
-		match, err := p.Assign(d, policy.Context{
-			BandwidthGBps: bw,
-			Rand:          stats.NewRand(seed + 11),
-		})
+		round, err := l.clear(l.Dense, p, pop.Jobs, stats.NewRand(seed+11))
 		if err != nil {
 			return nil, err
 		}
+		match := round.Match
 		machines := 0
 		var batch []cluster.Assignment
 		for i, j := range match {
@@ -87,16 +76,17 @@ func (l *Lab) EfficiencyStudy(n int, seed int64) ([]EfficiencyRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		si, err := game.SharingIncentive(match, d)
+		si, err := game.SharingIncentive(match, l.oracle(round.JobIdx))
 		if err != nil {
 			return nil, err
 		}
+		_, mean := round.Penalties()
 		out = append(out, EfficiencyRow{
 			Policy:              p.Name(),
 			EnergyPerJobJ:       cmp.Colocated.EnergyPerJobJ,
 			SavingsPct:          cmp.SavingsPct,
 			SharingIncentivePct: si * 100,
-			MeanPenalty:         stats.Mean(agentPenalties(match, d)),
+			MeanPenalty:         mean,
 		})
 	}
 	return out, nil

@@ -299,6 +299,28 @@ func TestFigure13ScalabilityTrend(t *testing.T) {
 	}
 }
 
+// Figure 13's within-application spread folds a sum over applications;
+// in map order its last bit drifts between same-seed runs.
+func TestFigure13Deterministic(t *testing.T) {
+	run := func() []Figure13Point {
+		points, err := lab(t).Figure13([]int{100, 400}, 3, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return points
+	}
+	want := run()
+	for k := 0; k < 4; k++ {
+		for i, p := range run() {
+			if math.Float64bits(p.PenaltyStdDev) != math.Float64bits(want[i].PenaltyStdDev) ||
+				math.Float64bits(p.FairnessCorr) != math.Float64bits(want[i].FairnessCorr) {
+				t.Fatalf("run %d, size %d: stddev %v corr %v, first run %v %v", k, p.Population,
+					p.PenaltyStdDev, p.FairnessCorr, want[i].PenaltyStdDev, want[i].FairnessCorr)
+			}
+		}
+	}
+}
+
 func TestFigure14(t *testing.T) {
 	r, err := Figure14()
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"cooper/internal/arch"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
-	"cooper/internal/profiler"
 	"cooper/internal/stats"
 )
 
@@ -52,18 +51,7 @@ type HeteroResult struct {
 // would).
 func (l *Lab) Heterogeneity(n int, seed int64) (*HeteroResult, error) {
 	pop := l.uniformPopulation(n, seed)
-	d, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
-	if err != nil {
-		return nil, err
-	}
-	bw := make([]float64, n)
-	for i, j := range pop.Jobs {
-		bw[i] = j.BandwidthGBps
-	}
-	match, err := (policy.StableMarriageRandom{}).Assign(d, policy.Context{
-		BandwidthGBps: bw,
-		Rand:          stats.NewRand(seed + 3),
-	})
+	round, err := l.clear(l.Dense, policy.StableMarriageRandom{}, pop.Jobs, stats.NewRand(seed+3))
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +74,7 @@ func (l *Lab) Heterogeneity(n int, seed int64) (*HeteroResult, error) {
 		pa, pb := m.Pair(pop.Jobs[a].Model, pop.Jobs[b].Model)
 		return (arch.Disutility(soloA, pa) + arch.Disutility(soloB, pb)) / 2
 	}
-	for i, j := range match {
+	for i, j := range round.Match {
 		if j == matching.Unmatched || i > j {
 			continue
 		}

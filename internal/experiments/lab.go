@@ -8,13 +8,18 @@
 //
 // Each experiment is a method on Lab, parameterized so benchmarks can run
 // scaled-down versions; the cmd/cooper-sim tool runs them at paper scale.
+// Every policy study clears its populations through the unsharded
+// market engine (internal/market) over the job-level oracle matrix, the
+// path the framework's epochs take.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"cooper/internal/arch"
+	"cooper/internal/market"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
 	"cooper/internal/profiler"
@@ -49,33 +54,42 @@ func NewLab() (*Lab, error) {
 	}, nil
 }
 
-// assign runs a policy on a population using oracle penalties and returns
-// the matching plus the agent-level penalty matrix it was computed from.
-func (l *Lab) assign(p policy.Policy, pop workload.Population, r *rand.Rand) (matching.Matching, [][]float64, error) {
-	d, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
-	if err != nil {
-		return nil, nil, err
-	}
-	bw := make([]float64, len(pop.Jobs))
-	for i, j := range pop.Jobs {
-		bw[i] = j.BandwidthGBps
-	}
-	match, err := p.Assign(d, policy.Context{BandwidthGBps: bw, Rand: r})
-	if err != nil {
-		return nil, nil, err
-	}
-	return match, d, nil
+// clear runs one market clear of a population under policy p through the
+// unsharded market engine the framework ships: penalties are matrix (the
+// oracle l.Dense, or a completed prediction of it) viewed through each
+// agent's catalog row, and r drives the policy's randomness.
+func (l *Lab) clear(matrix [][]float64, p policy.Policy, jobs []workload.Job, r *rand.Rand) (*market.Round, error) {
+	ep := market.New(market.Engine{
+		Config:  market.Config{Policy: p},
+		Catalog: l.Catalog,
+		Matrix:  matrix,
+		Rand:    r,
+	}).Begin()
+	defer ep.Close()
+	return ep.Clear(context.Background(), market.Roster{Jobs: jobs})
 }
 
-// agentPenalties returns each agent's oracle penalty under the matching.
-func agentPenalties(match matching.Matching, d [][]float64) []float64 {
-	pen := make([]float64, len(match))
-	for i, j := range match {
-		if j != matching.Unmatched {
-			pen[i] = d[i][j]
+// oracle views a population, given each agent's catalog row, through the
+// oracle penalties.
+func (l *Lab) oracle(class []int) matching.Penalties {
+	return matching.Penalties{Matrix: l.Dense, Class: class}
+}
+
+// blockingAgents returns how many agents belong to at least one α-blocking
+// pair of match under p — the paper's Figure 10 "agents recommending
+// break-away" — and how many such pairs there are.
+func blockingAgents(p matching.Penalties, match matching.Matching, alpha float64) (agents, pairs int) {
+	blocking := p.BlockingPairs(match, alpha)
+	in := make([]bool, len(match))
+	for _, bp := range blocking {
+		for _, i := range bp {
+			if !in[i] {
+				in[i] = true
+				agents++
+			}
 		}
 	}
-	return pen
+	return agents, len(blocking)
 }
 
 // jobIndex maps catalog names to indices.

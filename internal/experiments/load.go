@@ -27,12 +27,12 @@ type LoadPoint struct {
 // LoadSweep drives the coordinator over increasing Poisson arrival rates
 // on a fixed cluster and scheduling period.
 func (l *Lab) LoadSweep(ratesPerHour []float64, hours float64, seed int64) ([]LoadPoint, error) {
-	f, err := core.NewFramework(context.Background(), core.Options{
-		Machine: l.Machine,
-		Policy:  policy.StableMarriageRandom{},
-		Oracle:  true,
-		Seed:    seed,
-	}.Config())
+	f, err := core.NewFramework(context.Background(), core.Config{
+		Machine:  l.Machine,
+		Seed:     seed,
+		Market:   core.MarketConfig{Policy: policy.StableMarriageRandom{}},
+		Pipeline: core.PipelineConfig{Oracle: true},
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -55,11 +55,11 @@ type AppPenalty struct {
 // suffered by agents running it — the data behind Figures 1 and 7.
 func (l *Lab) PenaltyProfile(p policy.Policy, n int, seed int64) ([]AppPenalty, error) {
 	pop := l.uniformPopulation(n, seed)
-	match, d, err := l.assign(p, pop, stats.NewRand(seed+1))
+	round, err := l.clear(l.Dense, p, pop.Jobs, stats.NewRand(seed+1))
 	if err != nil {
 		return nil, err
 	}
-	pens := agentPenalties(match, d)
+	pens, _ := round.Penalties()
 	byApp := make(map[string][]float64)
 	for i, j := range pop.Jobs {
 		byApp[j.Name] = append(byApp[j.Name], pens[i])

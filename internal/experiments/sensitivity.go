@@ -36,17 +36,17 @@ func (l *Lab) Figure11(n int, seed int64) ([]Figure11Cell, error) {
 		popSeed := seed + int64(mi)*101
 		pop := workload.Sample(n, l.Catalog, mix, stats.NewRand(popSeed))
 		for pi, p := range policy.All() {
-			match, d, err := l.assign(p, pop, stats.NewRand(popSeed+int64(pi)+500))
+			round, err := l.clear(l.Dense, p, pop.Jobs, stats.NewRand(popSeed+int64(pi)+500))
 			if err != nil {
 				return nil, err
 			}
-			pens := agentPenalties(match, d)
+			pens, mean := round.Penalties()
 			out = append(out, Figure11Cell{
 				Mix:       mix.Name(),
 				Policy:    p.Name(),
 				Penalties: pens,
 				Box:       stats.NewBoxplotWhisker(pens, 3),
-				Mean:      stats.Mean(pens),
+				Mean:      mean,
 			})
 		}
 	}
@@ -81,21 +81,22 @@ func (l *Lab) Figure13(sizes []int, trials int, seed int64) ([]Figure13Point, er
 		for k := 0; k < trials; k++ {
 			popSeed := seed + int64(size)*977 + int64(k)
 			pop := l.uniformPopulation(size, popSeed)
-			match, d, err := l.assign(smr, pop, stats.NewRand(popSeed+1))
+			round, err := l.clear(l.Dense, smr, pop.Jobs, stats.NewRand(popSeed+1))
 			if err != nil {
 				return nil, err
 			}
-			pens := agentPenalties(match, d)
+			pens, _ := round.Penalties()
 			pt.Penalties = append(pt.Penalties, pens...)
 			bw := make([]float64, len(pop.Jobs))
 			for i, j := range pop.Jobs {
 				bw[i] = j.BandwidthGBps
 			}
 			corrSum += stats.Spearman(bw, pens)
-			// Within-application spread.
-			byApp := make(map[string][]float64)
-			for i, j := range pop.Jobs {
-				byApp[j.Name] = append(byApp[j.Name], pens[i])
+			// Within-application spread, folded in catalog order so the sum
+			// is the same float on every run.
+			byApp := make([][]float64, len(l.Catalog))
+			for i, row := range round.JobIdx {
+				byApp[row] = append(byApp[row], pens[i])
 			}
 			for _, samples := range byApp {
 				if len(samples) >= 2 {

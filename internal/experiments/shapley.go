@@ -6,7 +6,6 @@ import (
 	"cooper/internal/game"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
-	"cooper/internal/profiler"
 	"cooper/internal/stats"
 	"cooper/internal/workload"
 )
@@ -97,29 +96,17 @@ func (l *Lab) ShapleyAttributionStudy(samples, agentsPerJob int, seed int64) (*S
 			pop.Jobs = append(pop.Jobs, j)
 		}
 	}
-	d, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
-	if err != nil {
-		return nil, err
-	}
-	agentBW := make([]float64, len(pop.Jobs))
-	for i, j := range pop.Jobs {
-		agentBW[i] = j.BandwidthGBps
-	}
-	idx := l.jobIndex()
 	for _, p := range policy.All() {
-		match, err := p.Assign(d, policy.Context{
-			BandwidthGBps: agentBW,
-			Rand:          stats.NewRand(seed + 1),
-		})
+		round, err := l.clear(l.Dense, p, pop.Jobs, stats.NewRand(seed+1))
 		if err != nil {
 			return nil, err
 		}
-		pens := agentPenalties(match, d)
+		pens, _ := round.Penalties()
 		perJob := make([]float64, n)
 		counts := make([]int, n)
-		for i, j := range pop.Jobs {
-			perJob[idx[j.Name]] += pens[i]
-			counts[idx[j.Name]]++
+		for i, row := range round.JobIdx {
+			perJob[row] += pens[i]
+			counts[row]++
 		}
 		for i := range perJob {
 			if counts[i] > 0 {

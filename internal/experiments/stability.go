@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"cooper/internal/matching"
 	"cooper/internal/policy"
 	"cooper/internal/stats"
 )
@@ -49,16 +48,16 @@ func (l *Lab) Figure9(pops, n int, epsilon float64, seed int64) ([]Figure9Result
 			for k := 0; k < pops; k++ {
 				popSeed := seed + int64(k)
 				pop := l.uniformPopulation(n, popSeed)
-				mStable, d, err := l.assign(stable, pop, stats.NewRand(popSeed+1000))
+				rStable, err := l.clear(l.Dense, stable, pop.Jobs, stats.NewRand(popSeed+1000))
 				if err != nil {
 					return nil, err
 				}
-				mBase, _, err := l.assign(base, pop, stats.NewRand(popSeed+2000))
+				rBase, err := l.clear(l.Dense, base, pop.Jobs, stats.NewRand(popSeed+2000))
 				if err != nil {
 					return nil, err
 				}
-				pStable := agentPenalties(mStable, d)
-				pBase := agentPenalties(mBase, d)
+				pStable, _ := rStable.Penalties()
+				pBase, _ := rBase.Penalties()
 				for i := range pStable {
 					diff := pBase[i] - pStable[i] // positive = stable is better
 					switch {
@@ -110,19 +109,14 @@ func (l *Lab) Figure10(pops, n int, alphas []float64, seed int64) ([]Figure10Res
 		for k := 0; k < pops; k++ {
 			popSeed := seed + int64(k)
 			pop := l.uniformPopulation(n, popSeed)
-			match, d, err := l.assign(p, pop, stats.NewRand(popSeed+3000))
+			round, err := l.clear(l.Dense, p, pop.Jobs, stats.NewRand(popSeed+3000))
 			if err != nil {
 				return nil, err
 			}
 			for ai, alpha := range alphas {
-				pairs := matching.AlphaBlockingPairs(match, d, alpha)
-				agents := make(map[int]bool)
-				for _, bp := range pairs {
-					agents[bp[0]] = true
-					agents[bp[1]] = true
-				}
-				res.Counts[ai] = append(res.Counts[ai], float64(len(agents)))
-				res.PairCounts[ai] = append(res.PairCounts[ai], float64(len(pairs)))
+				agents, pairs := blockingAgents(l.oracle(round.JobIdx), round.Match, alpha)
+				res.Counts[ai] = append(res.Counts[ai], float64(agents))
+				res.PairCounts[ai] = append(res.PairCounts[ai], float64(pairs))
 			}
 		}
 		for _, counts := range res.Counts {

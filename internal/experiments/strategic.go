@@ -46,22 +46,19 @@ func (l *Lab) Manipulation(n int, agentIdx int, seed int64) (*ManipulationResult
 	if agentIdx < 0 || agentIdx >= n {
 		return nil, fmt.Errorf("experiments: agent %d outside population of %d", agentIdx, n)
 	}
+	// The manipulator's report is a row no catalog job has, so this study
+	// alone matches over an agent-level matrix.
 	trueD, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
 	if err != nil {
 		return nil, err
-	}
-	bw := make([]float64, n)
-	for i, j := range pop.Jobs {
-		bw[i] = j.BandwidthGBps
 	}
 	smr := policy.StableMarriageRandom{}
 
 	evaluate := func(reported [][]float64) (float64, error) {
 		// Same seed: the random partition is identical across reports, so
 		// only the manipulation differs.
-		match, err := smr.Assign(reported, policy.Context{
-			BandwidthGBps: bw,
-			Rand:          stats.NewRand(seed + 7),
+		match, err := smr.AssignClasses(matching.Dense(reported), policy.Context{
+			Rand: stats.NewRand(seed + 7),
 		})
 		if err != nil {
 			return 0, err
@@ -72,11 +69,10 @@ func (l *Lab) Manipulation(n int, agentIdx int, seed int64) (*ManipulationResult
 		return trueD[agentIdx][match[agentIdx]], nil
 	}
 
+	// withRow shares every honest row and copies only the manipulator's.
 	withRow := func(mutate func(row []float64)) [][]float64 {
-		reported := make([][]float64, n)
-		for i := range trueD {
-			reported[i] = append([]float64(nil), trueD[i]...)
-		}
+		reported := append([][]float64(nil), trueD...)
+		reported[agentIdx] = append([]float64(nil), trueD[agentIdx]...)
 		mutate(reported[agentIdx])
 		return reported
 	}
@@ -197,18 +193,11 @@ func (l *Lab) Churn(n, epochs int, churnFraction float64, seed int64) ([]ChurnPo
 				}
 			}
 		}
-		d, err := profiler.ExpandToAgents(l.Dense, l.Catalog, pop)
+		round, err := l.clear(l.Dense, smr, pop.Jobs, r)
 		if err != nil {
 			return nil, err
 		}
-		bw := make([]float64, n)
-		for i, j := range pop.Jobs {
-			bw[i] = j.BandwidthGBps
-		}
-		match, err := smr.Assign(d, policy.Context{BandwidthGBps: bw, Rand: r})
-		if err != nil {
-			return nil, err
-		}
+		match := round.Match
 		point := ChurnPoint{Epoch: e, Replaced: replaced}
 		for i, j := range match {
 			if j == matching.Unmatched || i > j {
@@ -219,15 +208,9 @@ func (l *Lab) Churn(n, epochs int, churnFraction float64, seed int64) ([]ChurnPo
 				point.PairsKept++
 			}
 		}
-		pens := agentPenalties(match, d)
-		point.MeanPenalty = stats.Mean(pens)
-		pairs := matching.AlphaBlockingPairs(match, d, 0.02)
-		agents := map[int]bool{}
-		for _, bp := range pairs {
-			agents[bp[0]] = true
-			agents[bp[1]] = true
-		}
-		point.BlockingPct = 100 * float64(len(agents)) / float64(n)
+		_, point.MeanPenalty = round.Penalties()
+		agents, _ := blockingAgents(l.oracle(round.JobIdx), match, 0.02)
+		point.BlockingPct = 100 * float64(agents) / float64(n)
 		out = append(out, point)
 		prev = match
 	}

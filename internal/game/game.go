@@ -243,14 +243,16 @@ func Analyze(d [][]float64) (MatchingAnalysis, error) {
 // paired with a uniformly random co-runner (the colocation analogue of
 // the equal-division benchmark in the allocation games the paper cites).
 // A policy with a high sharing-incentive fraction gives almost every user
-// a reason to join the shared system rather than take pot luck.
-func SharingIncentive(m matching.Matching, d [][]float64) (float64, error) {
+// a reason to join the shared system rather than take pot luck. Penalties
+// are read through their class view, so a population costs O(n²) lookups
+// and no agent-level matrix.
+func SharingIncentive(m matching.Matching, p matching.Penalties) (float64, error) {
 	n := len(m)
-	if err := matching.ValidatePenalties(d); err != nil {
+	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	if len(d) != n {
-		return 0, fmt.Errorf("game: matching over %d agents but %d penalty rows", n, len(d))
+	if p.Agents() != n {
+		return 0, fmt.Errorf("game: matching over %d agents but %d penalty agents", n, p.Agents())
 	}
 	if n == 0 {
 		return 1, nil
@@ -260,7 +262,7 @@ func SharingIncentive(m matching.Matching, d [][]float64) (float64, error) {
 		var expected float64
 		for j := 0; j < n; j++ {
 			if j != i {
-				expected += d[i][j]
+				expected += p.At(i, j)
 			}
 		}
 		if n > 1 {
@@ -268,7 +270,7 @@ func SharingIncentive(m matching.Matching, d [][]float64) (float64, error) {
 		}
 		actual := 0.0
 		if m[i] != matching.Unmatched {
-			actual = d[i][m[i]]
+			actual = p.At(i, m[i])
 		}
 		if actual <= expected+1e-12 {
 			satisfied++

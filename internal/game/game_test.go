@@ -290,7 +290,7 @@ func TestSharingIncentive(t *testing.T) {
 	// Agents 0 and 1 paired (penalty 0.1 each, expected 0.3): satisfied.
 	// Agent 2 solo (penalty 0, expected 0.5): satisfied.
 	m := matching.Matching{1, 0, matching.Unmatched}
-	frac, err := SharingIncentive(m, d)
+	frac, err := SharingIncentive(m, matching.Dense(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestSharingIncentive(t *testing.T) {
 	}
 	// Pair 0 with 2: agent 0 pays 0.5 > expected 0.3: violated.
 	m2 := matching.Matching{2, matching.Unmatched, 0}
-	frac2, err := SharingIncentive(m2, d)
+	frac2, err := SharingIncentive(m2, matching.Dense(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,10 +309,10 @@ func TestSharingIncentive(t *testing.T) {
 }
 
 func TestSharingIncentiveValidation(t *testing.T) {
-	if _, err := SharingIncentive(matching.Matching{0}, [][]float64{{0, 1}, {1, 0}}); err == nil {
+	if _, err := SharingIncentive(matching.Matching{0}, matching.Dense([][]float64{{0, 1}, {1, 0}})); err == nil {
 		t.Error("size mismatch accepted")
 	}
-	frac, err := SharingIncentive(matching.Matching{}, [][]float64{})
+	frac, err := SharingIncentive(matching.Matching{}, matching.Dense(nil))
 	if err != nil || frac != 1 {
 		t.Errorf("empty game: %v %v", frac, err)
 	}
