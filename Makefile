@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint vet test test-shuffle race chaos audit journey-soak ci loc bench bench-smoke fuzz-smoke bench-check clean
+.PHONY: all build lint vet test test-shuffle race chaos flake audit journey-soak ci loc bench bench-smoke fuzz-smoke bench-check clean
 
 all: build
 
@@ -34,14 +34,25 @@ test-shuffle:
 race:
 	$(GO) test -race ./...
 
-# chaos runs the fault-injection suite under the race detector, three
-# times over: the seeded 50-epoch soak plus every resilience regression
-# (reaping, rejoin, deadlines, backoff, shutdown races). Repetition
-# shakes out scheduling-dependent flakes the single-run suite would miss.
+# chaos runs the fault-injection suites under the race detector, three
+# times over: the injector's unit tests, netproto's seeded chaos soak and
+# resilience regressions (mute agents, reaping, rejoin, dial backoff,
+# shutdown races), and cooperd's fault-armed soaks. Three runs catch data
+# races; make flake is the gate on scheduling-dependent event order.
 chaos:
 	$(GO) test -race -count=3 ./internal/faults/
 	$(GO) test -race -count=3 -run 'Chaos|Mute|Reap|Rejoin|Dial|Shutdown' ./internal/netproto/
 	$(GO) test -race -count=3 ./cmd/cooperd/
+
+# flake is the gate on deterministic event order: the same-seed
+# determinism and soak tests, 200 times plain and 50 times under the race
+# detector, each at 1, 2, 4 and 8 Ps. The flight log has one writer, so
+# a same-seed run reproduces the log byte for byte whatever the
+# scheduler does; one divergence in 1,000 runs fails the target.
+FLAKE_TESTS = ^(TestEventLogCompleteAndDeterministic|TestJourneySoak|TestEndToEndDeterministic)$$
+flake:
+	$(GO) test -count=200 -cpu 1,2,4,8 -run '$(FLAKE_TESTS)' ./cmd/cooperd/ ./cmd/cooper-trace/
+	$(GO) test -race -count=50 -cpu 1,2,4,8 -run '$(FLAKE_TESTS)' ./cmd/cooperd/ ./cmd/cooper-trace/
 
 # audit round-trips a real flight recording through the offline
 # invariant auditor: cooper-sim writes a multi-epoch event log with
@@ -67,15 +78,15 @@ journey-soak:
 
 # ci is the full verification gate: static checks, a clean build, the
 # test suite under the race detector (plus a shuffled-order pass), the
-# chaos suite, the flight-log audit round-trip, the journey/tracing
-# soak, a one-iteration benchmark smoke run so benchmarks cannot
-# bit-rot silently, ten seconds of fuzzing the flat prediction kernel
-# against the reference, and the benchmark harness's own vet and tests. It
-# carries no timing floor: behaviour is pinned by the tests, and timing
-# is compared parent against change, workload by workload, by the
-# pipeline that runs BENCHMARK.json (benchmark/README.md). Nothing it
-# runs writes a tracked file.
-ci: lint build race test-shuffle chaos audit journey-soak bench-smoke fuzz-smoke bench-check
+# chaos suite, the event-order flake gate, the flight-log audit
+# round-trip, the journey/tracing soak, a one-iteration benchmark smoke
+# run so benchmarks cannot bit-rot silently, ten seconds of fuzzing the
+# flat prediction kernel against the reference, and the benchmark
+# harness's own vet and tests. It carries no timing floor: behaviour is
+# pinned by the tests, and timing is compared parent against change,
+# workload by workload, by the pipeline that runs BENCHMARK.json
+# (benchmark/README.md). Nothing it runs writes a tracked file.
+ci: lint build race test-shuffle chaos flake audit journey-soak bench-smoke fuzz-smoke bench-check
 
 # loc prints code-only lines per package — non-test files, with blank
 # and comment-only lines left out — and their total: the counter ROADMAP

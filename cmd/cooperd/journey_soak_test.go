@@ -7,9 +7,11 @@ package main
 // what the journey tentpole promises: every registered agent folds
 // into a complete, gap-free journey under one trace ID with zero
 // orphans, the journeys agree with the audit engine (no lifecycle
-// violations), the offline fold of the sink reproduces the live fold
-// byte for byte, and a second same-seed run stitches byte-identical
-// trace/span ID sequences.
+// violations), the live auditor fed by the ring reports no warning
+// either — so no Seq gap, which a second writer to the log would open —
+// the offline fold of the sink reproduces the live fold byte for byte,
+// and a second same-seed run stitches byte-identical trace/span ID
+// sequences.
 
 import (
 	"encoding/json"
@@ -51,7 +53,8 @@ type journeySoakRun struct {
 	journeys   []journey.Journey // live builder's fold
 	offline    []journey.Journey // offline fold of the sink file
 	violations []audit.Violation
-	trace      string // the run's root trace ID
+	warnings   []string // the live auditor's, at the end of the run
+	trace      string   // the run's root trace ID
 	admitWait  telemetry.HistogramSummary
 }
 
@@ -75,10 +78,9 @@ func runJourneySoak(t *testing.T, seed int64, dir string) journeySoakRun {
 	auditor := audit.New(audit.Options{OnViolation: func(v audit.Violation) {
 		violations = append(violations, v)
 	}})
-	tel.Events.AddObserver(auditor.Observe)
+	tel.Events.AddObserver(auditor.Feed)
 
 	plan := faults.NewPlan(journeySoakConfig(seed), reg, nil)
-	plan.SetEvents(tel.Events)
 
 	h := newSoakHarness(t, len(soakJobs))
 	srv := newSoakServer(t, tel, plan, h)
@@ -109,6 +111,7 @@ func runJourneySoak(t *testing.T, seed int64, dir string) journeySoakRun {
 		journeys:   jb.Journeys(),
 		offline:    journey.Build(sunk).Journeys(),
 		violations: violations,
+		warnings:   auditor.Finish().Warnings,
 		trace:      tel.Trace.Trace().String(),
 		admitWait:  reg.Snapshot().Histograms["net.admit_wait"],
 	}
@@ -171,6 +174,11 @@ func TestJourneySoak(t *testing.T) {
 		} else {
 			t.Errorf("audit violation during soak: %v", v)
 		}
+	}
+	// The live auditor checks Seq continuity like an offline replay: with
+	// one writer, observers see a gap-free sequence and no warning.
+	for _, w := range run.warnings {
+		t.Errorf("live audit warning during soak: %s", w)
 	}
 
 	// The offline fold of the -events-out sink reproduces the live fold

@@ -183,7 +183,6 @@ func main() {
 	}
 	if *chaosSeed != 0 {
 		srv.Faults = faults.NewPlan(faults.Hostile(*chaosSeed), reg, nil)
-		srv.Faults.SetEvents(tel.Events)
 		fmt.Printf("cooperd: CHAOS MODE: injecting faults on every connection (seed %d)\n", *chaosSeed)
 	}
 
@@ -197,9 +196,10 @@ func main() {
 	if *auditOn {
 		// The live auditor rides the flight recorder's observer hook:
 		// every coordinator event flows through the invariant engine, and
-		// each violation loops back into the same stream (Observe filters
-		// the type, so this cannot recurse) plus the audit.violations
-		// counters cooper-top surfaces.
+		// each violation loops back into the same stream (Feed hands it
+		// over after releasing its lock, and the event type is outside the
+		// epoch state machine, so this cannot recurse) plus the
+		// audit.violations counters cooper-top surfaces.
 		reg.Counter("audit.violations")
 		auditor = audit.New(audit.Options{OnViolation: func(v audit.Violation) {
 			reg.Counter("audit.violations").Inc()
@@ -207,7 +207,7 @@ func main() {
 			tel.Events.Record(v.Event())
 			fmt.Fprintln(os.Stderr, "cooperd: audit:", v)
 		}})
-		tel.Events.AddObserver(auditor.Observe)
+		tel.Events.AddObserver(auditor.Feed)
 		fmt.Println("cooperd: live invariant auditor armed")
 	}
 

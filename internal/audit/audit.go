@@ -35,15 +35,14 @@
 //     event's declared count, pair distinct agents across shard
 //     boundaries, and stay disjoint within a round.
 //
-// The engine runs in two modes. Offline (Feed/Replay, cooper-replay) it
-// consumes a complete JSONL stream and also tracks Seq continuity — a
-// gap degrades to a warning (ring overflow and truncated logs are facts
-// of life, not bugs) and the roster resynchronizes at the next
-// epoch_snapshot, which is what makes a /debug/events tail auditable.
-// Live (Observe, cooperd -audit) it hangs off EventRing.SetObserver,
-// where Seq continuity is meaningless: fault-injection events recorded
-// by connection goroutines punch holes in the observed sequence, so
-// Observe filters those types and skips gap tracking entirely.
+// There is one entry point, Feed, for both modes. Offline (Replay,
+// cooper-replay) it consumes a complete JSONL stream; live (cooperd
+// -audit) it hangs off EventRing.AddObserver. Either way it tracks Seq
+// continuity: a gap degrades to a warning (ring overflow and truncated
+// logs are facts of life, not bugs) and the roster resynchronizes at the
+// next epoch_snapshot, which is what makes a /debug/events tail
+// auditable. Live, the flight recorder has one writer, so the observed
+// sequence is gap-free and a gap warning means a second writer appeared.
 package audit
 
 import (
@@ -101,8 +100,10 @@ func (v Violation) String() string {
 }
 
 // Event converts the violation into its flight-recorder form, so a live
-// auditor's findings land in the same stream it audits (and Observe
-// ignores the type, closing the loop).
+// auditor's findings land in the same stream it audits. Recorded back
+// into that stream, it reaches Feed like any other event: it keeps the
+// Seq sequence gap-free and, being outside the epoch state machine,
+// cannot trigger a violation of its own.
 func (v Violation) Event() telemetry.Event {
 	return telemetry.Event{
 		Type: telemetry.EventInvariantViolated, Epoch: v.Epoch,
@@ -141,9 +142,11 @@ type Options struct {
 	// from each snapshot's Alpha field, negative meaning none.
 	Alpha      float64
 	ForceAlpha bool
-	// OnViolation, when non-nil, is invoked synchronously with each
-	// violation as it is found — the live path turns them into
-	// invariant_violated events and audit.violations counters.
+	// OnViolation, when non-nil, is invoked with each violation found
+	// while feeding an event, in order, after Feed has released the
+	// auditor's lock — so the live path may record each one back into
+	// the audited ring (and so into Feed) as an invariant_violated
+	// event, beside its audit.violations counters.
 	OnViolation func(Violation)
 }
 
@@ -196,12 +199,15 @@ type rematchChurn struct {
 }
 
 // Auditor is the invariant engine. It is a state machine over the event
-// stream; feed it events in order via Feed (offline) or Observe (live),
-// then Finish. Safe for concurrent use.
+// stream; feed it events in order via Feed, then Finish. Safe for
+// concurrent use.
 type Auditor struct {
 	mu   sync.Mutex
 	opts Options
 	rep  Report
+	// found queues the violations of the event being fed, for Feed to
+	// hand to OnViolation once it has released mu.
+	found []Violation
 
 	started bool
 	lastSeq int64
@@ -241,12 +247,12 @@ func New(opts Options) *Auditor {
 	return &Auditor{opts: opts, lastEpoch: -1}
 }
 
-// Feed consumes one event of an offline stream, tracking Seq
-// continuity: a gap (or a stream starting past Seq 0) is warned about
-// and desynchronizes the derived roster until the next snapshot.
+// Feed consumes the next event of the stream, tracking Seq continuity:
+// a gap (or a stream starting past Seq 0) is warned about and
+// desynchronizes the derived roster until the next snapshot. Violations
+// the event reveals go to OnViolation after the lock is released.
 func (a *Auditor) Feed(e telemetry.Event) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	if !a.started {
 		a.started = true
 		if e.Seq == 0 {
@@ -261,42 +267,28 @@ func (a *Auditor) Feed(e telemetry.Event) {
 	}
 	a.lastSeq = e.Seq
 	a.feed(e)
+	found := a.found
+	a.found = nil
+	a.mu.Unlock()
+	for _, v := range found {
+		a.opts.OnViolation(v)
+	}
 }
 
-// Observe consumes one live event from EventRing.SetObserver. Event
-// types recorded off the coordinator goroutine (fault injections,
-// rejoin schedules) and the auditor's own violation records are
-// filtered out, and no Seq continuity is tracked — the filtered types
-// make gaps routine.
-func (a *Auditor) Observe(e telemetry.Event) {
-	switch e.Type {
-	case telemetry.EventFaultInjected, telemetry.EventAgentRejoined,
-		telemetry.EventInvariantViolated:
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.started {
-		a.started = true
-		a.synced = true
-	}
-	a.lastSeq = e.Seq
-	a.feed(e)
-}
-
-// Finish flags a stream that ends mid-epoch and returns the report. The
-// auditor remains usable (a live dashboard can snapshot periodically),
-// but the mid-epoch warning repeats on each call while an epoch is
-// open.
+// Finish returns a copy of the report, flagging a stream that ends
+// mid-epoch in that copy only. The auditor remains usable (a live
+// dashboard can snapshot periodically), and each call reports the
+// stream as it stands.
 func (a *Auditor) Finish() *Report {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.inEpoch {
-		a.warnf("stream ends inside epoch %d (truncated log or live tail); its checks were skipped", a.curEpoch)
-	}
 	rep := a.rep
 	rep.Violations = append([]Violation(nil), a.rep.Violations...)
 	rep.Warnings = append([]string(nil), a.rep.Warnings...)
+	if a.inEpoch {
+		rep.Warnings = append(rep.Warnings, fmt.Sprintf(
+			"stream ends inside epoch %d (truncated log or live tail); its checks were skipped", a.curEpoch))
+	}
 	return &rep
 }
 
@@ -318,7 +310,7 @@ func (a *Auditor) violate(inv string, epoch int, seqStart, seqEnd int64, format 
 		SeqStart: seqStart, SeqEnd: seqEnd, Detail: fmt.Sprintf(format, args...)}
 	a.rep.Violations = append(a.rep.Violations, v)
 	if a.opts.OnViolation != nil {
-		a.opts.OnViolation(v)
+		a.found = append(a.found, v)
 	}
 }
 
@@ -356,8 +348,8 @@ func (a *Auditor) feed(e telemetry.Event) {
 	case telemetry.EventEpochEnd:
 		a.onEpochEnd(e)
 	}
-	// Everything else (cache_hit_rate, batch_scheduled, fault noise) is
-	// outside the epoch state machine.
+	// Everything else (cache_hit_rate, batch_scheduled, the auditor's own
+	// invariant_violated records) is outside the epoch state machine.
 }
 
 func (a *Auditor) onRegistered(e telemetry.Event) {

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -380,9 +381,10 @@ func TestTruncatedLogWarns(t *testing.T) {
 	}
 }
 
-// TestLiveObserver wires the auditor the way cooperd -audit does:
-// Observe on the ring's observer hook, violations recorded back into
-// the same ring.
+// TestLiveObserver wires the auditor the way cooperd -audit does: Feed
+// on the ring's observer hook, violations recorded back into the same
+// ring. The re-entrant record must not deadlock, and it reaches Feed in
+// Seq order, so the live stream stays gap-free.
 func TestLiveObserver(t *testing.T) {
 	ring := telemetry.NewEventRing(64)
 	var violations []Violation
@@ -390,12 +392,10 @@ func TestLiveObserver(t *testing.T) {
 		violations = append(violations, v)
 		ring.Record(v.Event())
 	}})
-	ring.SetObserver(a.Observe)
+	ring.AddObserver(a.Feed)
 
-	// Noise the live filter must pass over without desyncing.
-	ring.Record(telemetry.Event{Type: telemetry.EventFaultInjected,
-		Kind: "drop", Epoch: -1, Agent: 0, Partner: -1})
-	for _, e := range cleanLog().events {
+	clean := cleanLog().events
+	for _, e := range clean {
 		e.Seq = 0 // the ring stamps its own
 		ring.Record(e)
 	}
@@ -412,6 +412,42 @@ func TestLiveObserver(t *testing.T) {
 	tail := ring.Tail(1)
 	if tail[0].Type != telemetry.EventInvariantViolated || tail[0].Kind != InvBracket {
 		t.Fatalf("ring tail = %+v", tail[0])
+	}
+
+	// The auditor saw every record, its own violation included, with no
+	// Seq gap.
+	rep := a.Finish()
+	if want := len(clean) + 2; rep.Events != want {
+		t.Errorf("auditor fed %d events, want %d", rep.Events, want)
+	}
+	if len(rep.Warnings) != 0 {
+		t.Errorf("live stream warned: %v", rep.Warnings)
+	}
+}
+
+// TestFinishTwiceMidEpoch: Finish reports a stream that ends inside an
+// epoch on the copy it returns, so calling it again reports the same
+// single warning rather than accumulating one per call.
+func TestFinishTwiceMidEpoch(t *testing.T) {
+	events := cleanLog().events
+	a := New(Options{})
+	for _, e := range events[:len(events)-2] {
+		a.Feed(e)
+	}
+	first, second := a.Finish(), a.Finish()
+	if len(first.Warnings) != 1 || !strings.Contains(first.Warnings[0], "ends inside epoch 1") {
+		t.Fatalf("first Finish warnings = %v, want the one mid-epoch warning", first.Warnings)
+	}
+	if !reflect.DeepEqual(first.Warnings, second.Warnings) {
+		t.Errorf("second Finish warnings = %v, want %v", second.Warnings, first.Warnings)
+	}
+	// The stream continues past the live tail: once the epoch closes,
+	// the warning is gone.
+	for _, e := range events[len(events)-2:] {
+		a.Feed(e)
+	}
+	if rep := a.Finish(); len(rep.Warnings) != 0 || !rep.OK() {
+		t.Errorf("after the epoch closes: warnings %v, violations %v", rep.Warnings, rep.Violations)
 	}
 }
 

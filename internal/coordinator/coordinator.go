@@ -143,7 +143,7 @@ func (d *Driver) RunContext(ctx context.Context, arrivals []Arrival) ([]Epoch, S
 				reg.Histogram("driver.wait_s", telemetry.DurationBuckets()).
 					Observe(ep.MeanWaitS)
 			}
-			tel.Record(telemetry.Event{
+			tel.RecordIn(nil, telemetry.Event{
 				Type: telemetry.EventBatchScheduled, Epoch: len(epochs) - 1,
 				Agent: -1, Partner: -1,
 				Queued: ep.QueuedAfter, Value: ep.MeanWaitS,

@@ -18,7 +18,9 @@
 // Every injected fault is counted through internal/telemetry under
 // fault.injected.{connect_fail,drop,dup,stall,reset,crash,rejoin}; the
 // counters are pre-created by NewPlan so exposition snapshots list them
-// even before the first injection.
+// even before the first injection. Faults are counted, never logged: the
+// injector runs on connection goroutines, and the flight recorder has one
+// writer (the coordinator), so its event order stays deterministic.
 package faults
 
 import (
@@ -136,7 +138,6 @@ type Plan struct {
 	cfg     Config
 	clock   Clock
 	metrics *telemetry.Registry
-	events  *telemetry.EventRing
 
 	mu  sync.Mutex
 	inj map[int64]*Injector
@@ -158,25 +159,6 @@ func NewPlan(cfg Config, metrics *telemetry.Registry, clock Clock) *Plan {
 		metrics.Counter(name)
 	}
 	return &Plan{cfg: cfg, clock: clock, metrics: metrics, inj: make(map[int64]*Injector)}
-}
-
-// SetEvents attaches a flight-recorder ring: every injected fault is
-// then also recorded as a typed fault_injected event (and every rejoin
-// as agent_rejoined) alongside its counter. Call before the first
-// Injector is created — injectors capture the ring at creation. Nil
-// plans and nil rings are no-ops.
-func (p *Plan) SetEvents(ev *telemetry.EventRing) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.events = ev
-	for _, in := range p.inj {
-		in.mu.Lock()
-		in.events = ev
-		in.mu.Unlock()
-	}
 }
 
 // Config returns the plan's configuration (zero value for a nil plan).
@@ -205,7 +187,6 @@ func (p *Plan) Injector(key int64) *Injector {
 			cfg:     p.cfg,
 			clock:   p.clock,
 			metrics: p.metrics,
-			events:  p.events,
 			rng:     rand.New(rand.NewSource(parallel.SplitSeed(p.cfg.Seed, key))),
 		}
 		p.inj[key] = in
@@ -238,11 +219,6 @@ func (p *Plan) RecordCrash() {
 		return
 	}
 	p.metrics.Counter("fault.injected.crash").Inc()
-	p.mu.Lock()
-	ev := p.events
-	p.mu.Unlock()
-	ev.Record(telemetry.Event{Type: telemetry.EventFaultInjected,
-		Epoch: -1, Agent: -1, Partner: -1, Kind: "crash"})
 }
 
 // RecordRejoin counts one executed scheduled rejoin.
@@ -251,11 +227,6 @@ func (p *Plan) RecordRejoin() {
 		return
 	}
 	p.metrics.Counter("fault.injected.rejoin").Inc()
-	p.mu.Lock()
-	ev := p.events
-	p.mu.Unlock()
-	ev.Record(telemetry.Event{Type: telemetry.EventAgentRejoined,
-		Epoch: -1, Agent: -1, Partner: -1, Kind: "rejoin"})
 }
 
 // Injector draws fault decisions for one connection key. All methods are
@@ -266,10 +237,9 @@ type Injector struct {
 	clock   Clock
 	metrics *telemetry.Registry
 
-	mu     sync.Mutex
-	events *telemetry.EventRing // guarded by mu (SetEvents may retrofit it)
-	rng    *rand.Rand
-	draws  int64
+	mu    sync.Mutex
+	rng   *rand.Rand
+	draws int64
 }
 
 func (in *Injector) draw() float64 {
@@ -294,11 +264,6 @@ func (in *Injector) Draws() int64 {
 
 func (in *Injector) count(kind string) {
 	in.metrics.Counter("fault.injected." + kind).Inc()
-	in.mu.Lock()
-	ev := in.events
-	in.mu.Unlock()
-	ev.Record(telemetry.Event{Type: telemetry.EventFaultInjected,
-		Epoch: -1, Agent: int(in.key), Partner: -1, Kind: kind})
 }
 
 // Float64 exposes the injector's RNG stream for auxiliary randomness

@@ -138,9 +138,7 @@ func Build(events []telemetry.Event) *Builder {
 }
 
 // Observe folds one event. Non-lifecycle events (epoch bookkeeping,
-// faults, snapshots) only advance the clock; events recorded off the
-// coordinator goroutine carry injector keys, not agent IDs, and are
-// ignored exactly as the audit engine ignores them.
+// snapshots, audit violations) only advance the clock.
 func (b *Builder) Observe(e telemetry.Event) {
 	if b == nil {
 		return

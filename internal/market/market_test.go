@@ -88,7 +88,7 @@ func TestStepRepairsAroundTheEpochsClear(t *testing.T) {
 	// The wire auditor derives rosters from lifecycle events, as the
 	// server emits them at admission.
 	for i, id := range base.IDs {
-		tel.Record(telemetry.Event{Type: telemetry.EventAgentRegistered, Agent: id, Partner: -1, Job: base.Jobs[i].Name})
+		tel.RecordIn(nil, telemetry.Event{Type: telemetry.EventAgentRegistered, Agent: id, Partner: -1, Job: base.Jobs[i].Name})
 	}
 	ep := e.Begin()
 	r0, err := ep.Clear(ctx, base)
@@ -99,8 +99,8 @@ func TestStepRepairsAroundTheEpochsClear(t *testing.T) {
 		ep.Assigned(r0, i, 0)
 	}
 	// Agent 103 dies, agent 900 registers, and a round absorbs them.
-	tel.Record(telemetry.Event{Type: telemetry.EventAgentReaped, Epoch: 0, Agent: 103, Partner: -1})
-	tel.Record(telemetry.Event{Type: telemetry.EventAgentRegistered, Epoch: 0, Agent: 900, Partner: -1, Job: "b"})
+	tel.RecordIn(nil, telemetry.Event{Type: telemetry.EventAgentReaped, Epoch: 0, Agent: 103, Partner: -1})
+	tel.RecordIn(nil, telemetry.Event{Type: telemetry.EventAgentRegistered, Epoch: 0, Agent: 900, Partner: -1, Job: "b"})
 	r1, err := ep.Step(ctx, Roster{IDs: []int{900}, Jobs: catalog[1:2]}, []int{103})
 	if err != nil {
 		t.Fatal(err)

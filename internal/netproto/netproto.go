@@ -282,17 +282,13 @@ func (s *Server) spanNow() *telemetry.Span {
 	return s.Span
 }
 
-// record emits one flight-recorder event stamped with the current
-// span's causal identity, returning the stamped sequence (-1 with no
-// recorder). Every server-side emission funnels through here, on the
-// Serve goroutine, so the trace/span stamps are as deterministic as the
-// event sequence itself.
+// record emits one flight-recorder event through the engine's
+// Telemetry, stamped with the current span's causal identity, returning
+// the stamped sequence (-1 with no recorder). Every server-side emission
+// funnels through here, on the Serve goroutine, so the trace/span stamps
+// are as deterministic as the event sequence itself.
 func (s *Server) record(e telemetry.Event) int64 {
-	if tc := s.spanNow().Context(); !tc.IsZero() {
-		e.Trace = tc.Trace.String()
-		e.Span = tc.Span.String()
-	}
-	return s.Events.Record(e)
+	return s.engine.Tel.RecordIn(s.spanNow(), e)
 }
 
 type session struct {

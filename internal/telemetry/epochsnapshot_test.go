@@ -89,25 +89,6 @@ func TestDigestsDiscriminate(t *testing.T) {
 	}
 }
 
-func TestSetObserver(t *testing.T) {
-	r := NewEventRing(8)
-	var seen []Event
-	r.SetObserver(func(e Event) { seen = append(seen, e) })
-	r.Record(Event{Type: EventEpochStart, Epoch: 0, Agent: -1, Partner: -1})
-	r.Record(Event{Type: EventEpochEnd, Epoch: 0, Agent: -1, Partner: -1})
-	if len(seen) != 2 || seen[0].Type != EventEpochStart || seen[1].Seq != 1 {
-		t.Fatalf("observer saw %+v", seen)
-	}
-	r.SetObserver(nil)
-	r.Record(Event{Type: EventEpochStart, Epoch: 1, Agent: -1, Partner: -1})
-	if len(seen) != 2 {
-		t.Fatal("cleared observer still invoked")
-	}
-	// Nil ring: no-op, no panic.
-	var nilRing *EventRing
-	nilRing.SetObserver(func(Event) {})
-}
-
 // TestObserverMayRecord is the live-auditor shape: the observer itself
 // records into the same ring (a violation event). The callback runs
 // outside the ring's lock, so this must not deadlock, and the re-entrant
@@ -115,7 +96,7 @@ func TestSetObserver(t *testing.T) {
 // the observer filters its own event type.
 func TestObserverMayRecord(t *testing.T) {
 	r := NewEventRing(8)
-	r.SetObserver(func(e Event) {
+	r.AddObserver(func(e Event) {
 		if e.Type == EventInvariantViolated {
 			return
 		}

@@ -32,13 +32,6 @@ const (
 	// EventAgentReaped records an agent's removal after a dead or mute
 	// connection.
 	EventAgentReaped EventType = "agent_reaped"
-	// EventAgentRejoined records a scheduled post-crash rejoin (the agent
-	// re-registers under a fresh ID; Agent carries the injector key).
-	EventAgentRejoined EventType = "agent_rejoined"
-	// EventFaultInjected records one injected fault; Kind is the
-	// fault.injected.* suffix (drop, dup, stall, reset, connect_fail,
-	// crash) and Agent the injector key.
-	EventFaultInjected EventType = "fault_injected"
 	// EventCacheHitRate samples the pair-penalty cache at an epoch
 	// boundary (Value = hit rate in [0, 1]).
 	EventCacheHitRate EventType = "cache_hit_rate"
@@ -76,7 +69,7 @@ const (
 	EventAgentUnpaired EventType = "agent_unpaired"
 	// EventInvariantViolated records a live audit failure: Kind is the
 	// invariant (stability, conservation, coverage, lifecycle, bracket,
-	// snapshot, shard, refinement), Data the human-readable detail.
+	// snapshot, shard, refinement, repair), Data the human-readable detail.
 	EventInvariantViolated EventType = "invariant_violated"
 	// EventShardMatched records one cleared market shard: Round is the
 	// shard index, Value the shard's population size, and Data a JSON
@@ -114,8 +107,8 @@ type Event struct {
 
 	// Epoch is the 0-based scheduling epoch, -1 when not tied to one.
 	Epoch int `json:"epoch"`
-	// Agent and Partner are wire agent IDs (or injector keys for fault
-	// events); -1 means not applicable.
+	// Agent and Partner are agent IDs (wire IDs, or epoch-local indices
+	// for in-process epochs); -1 means not applicable.
 	Agent   int `json:"agent"`
 	Partner int `json:"partner"`
 
@@ -220,32 +213,15 @@ func (r *EventRing) SetSink(w io.Writer) {
 	r.mu.Unlock()
 }
 
-// SetObserver registers fn to be called with every subsequent record,
-// after it has been stamped and appended, replacing every observer
-// registered so far. The callback runs outside the ring's lock on the
-// recording goroutine, so it may itself Record (a live auditor turning
-// a violation into an event) without deadlocking; the flip side is that
-// records from different goroutines may reach the observer out of
-// sequence order, so observers needing a total order must sort by Seq
-// or ignore cross-goroutine event types. nil clears.
-func (r *EventRing) SetObserver(fn func(Event)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if fn == nil {
-		r.observers = nil
-	} else {
-		r.observers = []func(Event){fn}
-	}
-	r.mu.Unlock()
-}
-
-// AddObserver registers fn alongside any observers already present
-// (SetObserver replaces; AddObserver accumulates), so the live auditor
-// and the journey builder can both watch one ring. Observers run in
-// registration order under SetObserver's delivery contract. A nil fn is
-// ignored.
+// AddObserver registers fn to be called with every subsequent record,
+// after it has been stamped and appended, alongside any observers
+// already present, so the live auditor and the journey builder can both
+// watch one ring. Observers run in registration order, outside the
+// ring's lock on the recording goroutine, so one may itself Record (a
+// live auditor turning a violation into an event) without deadlocking.
+// Observers see records in Seq order because the ring has one writer;
+// records from a second goroutine could reach them out of order. A nil
+// fn is ignored.
 func (r *EventRing) AddObserver(fn func(Event)) {
 	if r == nil || fn == nil {
 		return

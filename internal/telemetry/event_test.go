@@ -54,7 +54,7 @@ func TestEventSinkSeesEverything(t *testing.T) {
 	r := NewEventRing(2)
 	r.SetSink(&buf)
 	for i := 0; i < 5; i++ {
-		r.Record(Event{Type: EventFaultInjected, Kind: "drop", Epoch: -1, Agent: i, Partner: -1})
+		r.Record(Event{Type: EventPairMatched, Epoch: 0, Agent: i, Partner: i + 1})
 	}
 	if r.Err() != nil {
 		t.Fatalf("sink error: %v", r.Err())
@@ -70,7 +70,7 @@ func TestEventSinkSeesEverything(t *testing.T) {
 		t.Fatalf("parsed %d events, want 5", len(events))
 	}
 	for i, e := range events {
-		if e.Seq != int64(i) || e.Agent != i || e.Type != EventFaultInjected || e.Kind != "drop" {
+		if e.Seq != int64(i) || e.Agent != i || e.Partner != i+1 || e.Type != EventPairMatched {
 			t.Errorf("event %d round-tripped wrong: %+v", i, e)
 		}
 		if e.TimeUnixNano == 0 {
@@ -92,7 +92,7 @@ func TestEventRingNilSafety(t *testing.T) {
 	}
 
 	var tel *Telemetry
-	tel.Record(Event{Type: EventEpochEnd})
+	tel.RecordIn(nil, Event{Type: EventEpochEnd})
 	if tel.EventRing() != nil {
 		t.Fatal("nil telemetry should yield nil ring")
 	}
@@ -102,9 +102,9 @@ func TestEventRingNilSafety(t *testing.T) {
 	if live.Events == nil {
 		t.Fatal("New should create the flight recorder")
 	}
-	live.Record(Event{Type: EventEpochStart, Epoch: 0, Agent: -1, Partner: -1})
+	live.RecordIn(nil, Event{Type: EventEpochStart, Epoch: 0, Agent: -1, Partner: -1})
 	if live.Events.Len() != 1 {
-		t.Fatal("Record through Telemetry should land in the ring")
+		t.Fatal("RecordIn through Telemetry should land in the ring")
 	}
 	if _, ok := live.Metrics.Snapshot().Counters["events.dropped"]; !ok {
 		t.Fatal("events.dropped should be pre-created in the registry")
@@ -120,7 +120,7 @@ func TestEventRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Record(Event{Type: EventFaultInjected, Agent: w, Partner: -1, Epoch: -1})
+				r.Record(Event{Type: EventPairMatched, Agent: w, Partner: -1, Epoch: -1})
 				if i%100 == 0 {
 					_ = r.Events()
 				}

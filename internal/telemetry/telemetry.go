@@ -11,8 +11,8 @@ type Telemetry struct {
 	// Trace is the root span the pipeline's phases nest under.
 	Trace *Span
 	// Events is the epoch flight recorder: a bounded ring of typed
-	// events (epoch boundaries, matches, reaps, faults) every layer
-	// appends to.
+	// events (epoch boundaries, matches, admissions, reaps) that the
+	// coordinating goroutine appends to.
 	Events *EventRing
 }
 
@@ -84,19 +84,11 @@ func (t *Telemetry) End(s *Span) {
 		Observe(s.Duration().Seconds())
 }
 
-// Record appends an event to the flight recorder (nil-safe), returning
+// RecordIn appends an event to the flight recorder (nil-safe), first
+// stamping it with sp's causal identity (Trace and Span fields) so the
+// event is tied to the span that was open when it happened. A nil or
+// identity-less sp leaves the fields as the caller set them. It returns
 // the stamped sequence number (-1 when telemetry is disabled).
-func (t *Telemetry) Record(e Event) int64 {
-	if t == nil {
-		return -1
-	}
-	return t.Events.Record(e)
-}
-
-// RecordIn stamps e with sp's causal identity (Trace and Span fields)
-// before recording it, tying the event to the span that was open when
-// it happened. A nil or identity-less sp leaves the fields as the
-// caller set them.
 func (t *Telemetry) RecordIn(sp *Span, e Event) int64 {
 	if t == nil {
 		return -1
