@@ -11,7 +11,6 @@
 //
 //	/metrics        JSON snapshot; Prometheus text with Accept: text/plain
 //	/metrics/prom   Prometheus text exposition, unconditionally
-//	/debug/vars     expvar-style flat object (histograms flattened)
 //	/debug/events   the flight recorder's retained tail as JSON lines
 //	/debug/trace    the live span tree as Chrome trace_event JSON
 //	/debug/pprof/   the standard net/http/pprof profiles
@@ -20,9 +19,8 @@
 // into the same registry while the endpoint is up. With -events-out the
 // full event stream — not just the ring's tail — is appended to a JSONL
 // file as it is recorded. SIGINT or SIGTERM triggers a graceful
-// shutdown: the listener closes, the in-flight epoch drains, and the
-// framework is Closed — its worker pool shut down and in-flight work
-// drained — before the final telemetry snapshot is printed.
+// shutdown: the listener closes and the in-flight epoch drains before the
+// final telemetry snapshot is printed.
 package main
 
 import (
@@ -40,10 +38,10 @@ import (
 
 	"cooper/internal/arch"
 	"cooper/internal/audit"
-	"cooper/internal/core"
 	"cooper/internal/faults"
 	"cooper/internal/journey"
 	"cooper/internal/netproto"
+	"cooper/internal/parallel"
 	"cooper/internal/policy"
 	"cooper/internal/profiler"
 	"cooper/internal/recommend"
@@ -97,33 +95,31 @@ func main() {
 		tel.Events.SetSink(f)
 		fmt.Printf("cooperd: recording events to %s\n", *eventsOut)
 	}
-	cfg := core.Config{
-		Seed: *seed,
-		Market: core.MarketConfig{
-			Policy:           pol,
-			Shards:           *cf.Shards,
-			RefinementBudget: *cf.RefineBudget,
-		},
-		Pipeline: core.PipelineConfig{
-			Oracle:  true,
-			Workers: *workers,
-		},
-		Observe: core.ObserveConfig{Telemetry: tel},
+	machine := arch.DefaultCMP()
+	catalog, err := workload.Catalog(machine)
+	if err != nil {
+		fatal(err)
 	}
+	// From here on the solver's arch.* work counters land in the served
+	// registry: the catalog's calibration solves are not counted.
+	reg := tel.Registry()
+	arch.SetMetrics(reg)
+	// Agents are matched on the oracle matrix, or on the profiled sparse
+	// matrix completed by the predictor.
+	var penalties [][]float64
 	kernel := "oracle"
-	if *profiles != "" {
-		// Complete the profiled sparse matrix out of band and hand the
-		// framework the dense result; it then skips its own campaign.
+	if *profiles == "" {
+		penalties, err = profiler.DensePenaltiesContext(context.Background(), machine, catalog, *workers, nil)
+		if err != nil {
+			fatal(err)
+		}
+	} else {
 		f, err := os.Open(*profiles)
 		if err != nil {
 			fatal(err)
 		}
 		db, err := profiler.Load(f)
 		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		catalog, err := workload.Catalog(arch.DefaultCMP())
 		if err != nil {
 			fatal(err)
 		}
@@ -135,44 +131,34 @@ func main() {
 		pred.Workers = *workers
 		pred.Approx = cf.ApproxConfig()
 		kernel = pred.KernelName()
-		penalties, _, err := pred.CompleteContext(context.Background(), sparse)
+		penalties, _, err = pred.CompleteContext(context.Background(), sparse)
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Pipeline.Oracle = false
-		cfg.Pipeline.Penalties = penalties
 		fmt.Printf("cooperd: predicted penalties from %d profiled records (%s kernel)\n",
 			db.Len(), kernel)
 	}
 
-	fw, err := core.NewFramework(context.Background(), cfg)
-	if err != nil {
-		fatal(err)
-	}
-	defer fw.Close()
-
-	reg := tel.Registry()
 	srv := &netproto.Server{
-		Epoch:            *epoch,
-		Epochs:           *epochs,
-		Policy:           pol,
-		Catalog:          fw.Catalog(),
-		Penalties:        fw.PredictedPenalties(),
-		Kernel:           kernel,
-		Seed:             *seed,
-		Shards:           *cf.Shards,
-		RefinementBudget: *cf.RefineBudget,
-		Rematch:          *cf.RematchOn,
-		ChurnThreshold:   *cf.ChurnThreshold,
-		Workers:          *workers,
-		Metrics:          reg,
-		Events:           tel.Events,
-		Span:             tel.Trace,
-		StabilityAlpha:   *auditAlpha,
-		AuditStability:   *auditAlpha >= 0,
-		ReadTimeout:      *cf.ReadTimeout,
-		WriteTimeout:     *cf.WriteTimeout,
-		EpochTimeout:     *cf.EpochTimeout,
+		Epoch:          *epoch,
+		Epochs:         *epochs,
+		Policy:         pol,
+		Catalog:        catalog,
+		Penalties:      penalties,
+		Kernel:         kernel,
+		Seed:           *seed,
+		Shards:         *cf.Shards,
+		Rematch:        *cf.RematchOn,
+		ChurnThreshold: *cf.ChurnThreshold,
+		Workers:        *workers,
+		Metrics:        reg,
+		Events:         tel.Events,
+		Span:           tel.Trace,
+		StabilityAlpha: *auditAlpha,
+		AuditStability: *auditAlpha >= 0,
+		ReadTimeout:    *cf.ReadTimeout,
+		WriteTimeout:   *cf.WriteTimeout,
+		EpochTimeout:   *cf.EpochTimeout,
 		OnEpoch: func(e int, sum netproto.Message) {
 			fmt.Printf("cooperd: epoch %d done: mean penalty %.4f, %d break-aways, %d participating\n",
 				e, sum.MeanPenalty, sum.BreakAways, sum.Participating)
@@ -222,20 +208,18 @@ func main() {
 		fmt.Printf("cooperd: telemetry on http://%s/metrics\n", *metricsAddr)
 	}
 
-	// Graceful shutdown: close the listener, drain the in-flight epoch,
-	// then drain the framework's worker pool.
+	// Graceful shutdown: close the listener and drain the in-flight epoch.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
 		sig := <-sigs
 		fmt.Printf("cooperd: %s received, draining\n", sig)
 		srv.Shutdown()
-		fw.Close()
 	}()
 
 	err = srv.Serve(*addr, func(bound string) {
 		fmt.Printf("cooperd: coordinating %d-agent epochs on %s with %s (%d workers)\n",
-			*epoch, bound, pol.Name(), fw.Workers())
+			*epoch, bound, pol.Name(), parallel.Workers(*workers))
 	})
 	switch err {
 	case nil:
@@ -271,7 +255,6 @@ func main() {
 		}
 	}
 	if code != 0 {
-		fw.Close()
 		sinkFile.Close()
 		os.Exit(code)
 	}
@@ -280,9 +263,8 @@ func main() {
 // metricsMux builds the telemetry HTTP handler: /metrics serves the full
 // JSON snapshot (or Prometheus text when the Accept header asks for
 // text/plain), /metrics/prom the Prometheus exposition unconditionally,
-// /debug/vars the expvar-style flat object, /debug/events the flight
-// recorder's retained tail as JSON lines (?n= trims to the newest n,
-// default 256, ?n=0 the whole retained tail),
+// /debug/events the flight recorder's retained tail as JSON lines (?n=
+// trims to the newest n, default 256, ?n=0 the whole retained tail),
 // /debug/trace the live span tree as Chrome trace_event JSON,
 // /debug/journey?agent=N one agent's live journey (?n= trims to the
 // newest n steps, newest first, like /debug/events; unknown agents get
@@ -310,12 +292,6 @@ func metricsMux(tel *telemetry.Telemetry, jb *journey.Builder) *http.ServeMux {
 	})
 	mux.HandleFunc("/metrics/prom", func(w http.ResponseWriter, _ *http.Request) {
 		servePlain(w)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := reg.WriteExpvar(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
 		ring := tel.EventRing()

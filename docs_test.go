@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -154,6 +155,93 @@ func TestDocsNameExistingTests(t *testing.T) {
 					if !resolves(pkg, name, prefix) {
 						t.Errorf("%s quotes `%s`, but no _test.go file declares %s", doc, m[0], name)
 					}
+				}
+			}
+		}
+	}
+}
+
+// goTestFlags are the go test flags the docs may quote in a command.
+var goTestFlags = map[string]bool{
+	"bench": true, "benchmem": true, "benchtime": true, "count": true, "cpu": true,
+	"fuzz": true, "fuzztime": true, "race": true, "run": true, "shuffle": true,
+	"timeout": true, "v": true,
+}
+
+// flagRegistrations are the flag.FlagSet methods that define a flag.
+var flagRegistrations = map[string]bool{
+	"Bool": true, "BoolFunc": true, "BoolVar": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "Int64": true,
+	"Int64Var": true, "IntVar": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "Uint64": true, "Uint64Var": true, "UintVar": true,
+}
+
+// TestDocsNameRegisteredFlags keeps the docs honest about flags: every
+// -flag inside a backticked span of README, DESIGN, EXPERIMENTS and
+// internal/README.md is registered in cmd/ or internal/simcli, or is a
+// go test flag. A registration is a flag.X or fs.X call (X in
+// flagRegistrations) whose first string-literal argument is the name.
+func TestDocsNameRegisteredFlags(t *testing.T) {
+	registered := make(map[string]bool)
+	for _, root := range []string{"cmd", "internal/simcli"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !flagRegistrations[sel.Sel.Name] {
+					return true
+				}
+				var recv string
+				switch x := sel.X.(type) {
+				case *ast.Ident:
+					recv = x.Name
+				case *ast.SelectorExpr:
+					recv = x.Sel.Name
+				}
+				if recv != "flag" && recv != "fs" {
+					return true
+				}
+				for _, arg := range call.Args {
+					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						name, _ := strconv.Unquote(lit.Value)
+						registered[name] = true
+						break
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !registered["shards"] || !registered["metrics"] {
+		t.Fatalf("found no -shards or -metrics registration among %v", registered)
+	}
+
+	fenced := regexp.MustCompile("(?s)```.*?```")
+	span := regexp.MustCompile("`[^`]+`")
+	flagRef := regexp.MustCompile(`(?:^|[\s(/\[])--?([a-z][a-z0-9-]*)`)
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range span.FindAllString(fenced.ReplaceAllString(string(data), ""), -1) {
+			for _, m := range flagRef.FindAllStringSubmatch(code[1:len(code)-1], -1) {
+				if !registered[m[1]] && !goTestFlags[m[1]] {
+					t.Errorf("%s quotes -%s in %s, which no command registers", doc, m[1], code)
 				}
 			}
 		}

@@ -1,9 +1,8 @@
 // Package agent implements Cooper's decentralized agents. An agent acts
-// on a user's behalf: it queries the system profiler for sparse colocation
-// profiles, predicts preferences for co-runners, and — once the
-// coordinator assigns colocations — assesses the assignment and
-// recommends strategic action: participate in the shared system, or break
-// away with mutually preferring partners.
+// on a user's behalf: it is built with its predicted penalty row (New)
+// and — once the coordinator assigns colocations — assesses the
+// assignment and recommends strategic action: participate in the shared
+// system, or break away with mutually preferring partners.
 //
 // The action recommender follows the paper's message-exchange protocol
 // (§IV-B): an agent sends a message to every agent it prefers over its
@@ -65,24 +64,6 @@ func New(id int, jobName string, penalties []float64) *Agent {
 		Penalties: penalties,
 		inbox:     make(chan int, len(penalties)),
 	}
-}
-
-// PreferenceList returns candidate co-runners ordered best-first (lowest
-// predicted penalty), excluding the agent itself. Ties break by index.
-func (a *Agent) PreferenceList() []int {
-	list := make([]int, 0, len(a.Penalties)-1)
-	for j := range a.Penalties {
-		if j != a.ID {
-			list = append(list, j)
-		}
-	}
-	sort.SliceStable(list, func(x, y int) bool {
-		if a.Penalties[list[x]] != a.Penalties[list[y]] {
-			return a.Penalties[list[x]] < a.Penalties[list[y]]
-		}
-		return list[x] < list[y]
-	})
-	return list
 }
 
 // preferredOver returns the agents this agent strictly prefers (by more

@@ -16,17 +16,6 @@ func buildAgents(d [][]float64) []*Agent {
 	return agents
 }
 
-func TestPreferenceList(t *testing.T) {
-	a := New(1, "x", []float64{0.3, 0, 0.1, 0.3})
-	got := a.PreferenceList()
-	want := []int{2, 0, 3} // 0.1 first; tie between 0 and 3 breaks by index
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PreferenceList = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestExchangeFindsBlockingPair(t *testing.T) {
 	// Figure 2's scenario: optimal matching {AD, BC} leaves A and B
 	// mutually preferring each other.

@@ -122,16 +122,6 @@ func (pc *PairCache) Pair(aName string, a TaskModel, bName string, b TaskModel) 
 	return pa, pb
 }
 
-// PairPenalties returns both sides' disutilities for the named
-// colocation, d = 1 - colocated/standalone throughput, memoizing the
-// solo and pair solves it needs.
-func (pc *PairCache) PairPenalties(aName string, a TaskModel, bName string, b TaskModel) (float64, float64) {
-	soloA := pc.Solo(aName, a)
-	soloB := pc.Solo(bName, b)
-	pa, pb := pc.Pair(aName, a, bName, b)
-	return Disutility(soloA, pa), Disutility(soloB, pb)
-}
-
 // Stats returns the cumulative hit and miss counts (pairs plus solos).
 // Without a registry both are zero.
 func (pc *PairCache) Stats() (hits, misses int64) {

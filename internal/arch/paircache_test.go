@@ -126,15 +126,25 @@ func TestPairCacheKeyed(t *testing.T) {
 	}
 }
 
+// TestPairCachePenalties pins that penalties solved through a cold cache
+// are the direct solve's bit for bit in either lookup order, including
+// the one the cache solves swapped ("b" sorts after "a"): an oracle
+// matrix is the same with or without a cache.
 func TestPairCachePenalties(t *testing.T) {
 	cmp := DefaultCMP()
 	a, b := cacheTasks()
-	pc := NewPairCache(cmp, telemetry.NewRegistry())
-	dA, dB := pc.PairPenalties("a", a, "b", b)
-	soloA, soloB := cmp.Solo(a), cmp.Solo(b)
-	pa, pb := cmp.Pair(a, b)
-	if dA != Disutility(soloA, pa) || dB != Disutility(soloB, pb) {
-		t.Fatal("cached penalties differ from direct computation")
+	for _, swap := range []bool{false, true} {
+		xName, x, yName, y := "a", a, "b", b
+		if swap {
+			xName, x, yName, y = "b", b, "a", a
+		}
+		pc := NewPairCache(cmp, nil)
+		px, py := pc.Pair(xName, x, yName, y)
+		wx, wy := cmp.Pair(x, y)
+		if Disutility(pc.Solo(xName, x), px) != Disutility(cmp.Solo(x), wx) ||
+			Disutility(pc.Solo(yName, y), py) != Disutility(cmp.Solo(y), wy) {
+			t.Fatalf("swap=%v: cached penalties differ from direct computation", swap)
+		}
 	}
 }
 

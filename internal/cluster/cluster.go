@@ -83,9 +83,6 @@ func New(n int, cmp arch.CMP) (*Cluster, error) {
 	return c, nil
 }
 
-// Size returns the number of machines.
-func (c *Cluster) Size() int { return len(c.machines) }
-
 // outcome is what executing one assignment yields: each job's contention
 // penalty and stretched runtime (job B's are zero when A runs alone).
 type outcome struct {

@@ -21,9 +21,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(0, arch.DefaultCMP()); err == nil {
 		t.Error("zero machines accepted")
 	}
-	c, err := New(5, arch.DefaultCMP())
-	if err != nil || c.Size() != 5 {
-		t.Errorf("size = %d, err = %v", c.Size(), err)
+	if _, err := New(5, arch.DefaultCMP()); err != nil {
+		t.Error(err)
 	}
 }
 

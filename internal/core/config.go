@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"cooper/internal/arch"
 	"cooper/internal/market"
 	"cooper/internal/recommend"
@@ -16,7 +14,8 @@ import (
 type MarketConfig = market.Config
 
 // PipelineConfig groups the epoch pipeline's execution knobs: worker
-// budget, profiling and prediction configuration, and epoch deadlines.
+// budget and profiling and prediction configuration. An epoch's deadline
+// is its context's (RunEpochContext, StreamEpochContext).
 type PipelineConfig struct {
 	// Workers bounds the worker pool the pipeline's fan-out phases share
 	// (profiling campaign, matrix completion, oracle computation,
@@ -39,11 +38,6 @@ type PipelineConfig struct {
 	// profiling campaign and predictor entirely — for daemons that load
 	// measurements from a profile database out of band.
 	Penalties [][]float64
-	// EpochTimeout, when positive, bounds each RunEpoch's wall-clock
-	// time: the epoch's context is cut over to a deadline and a run that
-	// blows it returns an error wrapping ErrCanceled instead of stalling
-	// the caller's scheduling loop (cooperd -epoch-timeout).
-	EpochTimeout time.Duration
 }
 
 // ObserveConfig groups the observability attachments.
@@ -72,8 +66,8 @@ type Config struct {
 	// short, noisy default suitable for experiments).
 	Sim arch.SimConfig
 	// Catalog overrides the built-in Table I catalog with a custom one
-	// (built via workload.BuildCatalog or workload.LoadCatalog against
-	// the same Machine). Nil uses the paper's 20 jobs.
+	// (built via workload.BuildCatalog against the same Machine). Nil uses
+	// the paper's 20 jobs.
 	Catalog []workload.Job
 
 	Market   MarketConfig

@@ -359,11 +359,6 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 	f.epochMu.Lock()
 	defer f.epochMu.Unlock()
 
-	if f.cfg.Pipeline.EpochTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.Pipeline.EpochTimeout)
-		defer cancel()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCanceled(ctx, err)
 	}

@@ -104,27 +104,24 @@ func TestRunEpochOracle(t *testing.T) {
 	}
 }
 
+// TestEpochTimeoutBoundsRunEpoch: an epoch's deadline is its context's.
+// A blown one aborts the epoch with an error wrapping ErrCanceled; a
+// generous one leaves the epoch alone.
 func TestEpochTimeoutBoundsRunEpoch(t *testing.T) {
-	f, err := NewFramework(context.Background(), Config{Seed: 1, Market: MarketConfig{Policy: policy.Greedy{}},
-		Pipeline: PipelineConfig{Oracle: true, EpochTimeout: time.Nanosecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := oracleFramework(t, policy.Greedy{}, 1)
 	defer f.Close()
 	pop := f.SamplePopulation(8, stats.Uniform{})
-	if _, err := f.RunEpoch(pop); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("RunEpoch under 1ns epoch timeout = %v, want ErrCanceled", err)
+	run := func(d time.Duration) error {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		_, err := f.RunEpochContext(ctx, pop)
+		return err
 	}
-
-	// A generous deadline must not perturb a normal epoch.
-	g, err := NewFramework(context.Background(), Config{Seed: 1, Market: MarketConfig{Policy: policy.Greedy{}},
-		Pipeline: PipelineConfig{Oracle: true, EpochTimeout: time.Hour}})
-	if err != nil {
-		t.Fatal(err)
+	if err := run(time.Nanosecond); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("RunEpochContext under a 1ns deadline = %v, want ErrCanceled", err)
 	}
-	defer g.Close()
-	if _, err := g.RunEpoch(pop); err != nil {
-		t.Fatalf("RunEpoch under 1h epoch timeout: %v", err)
+	if err := run(time.Hour); err != nil {
+		t.Fatalf("RunEpochContext under a 1h deadline: %v", err)
 	}
 }
 

@@ -34,17 +34,6 @@ func (m ServerModel) Validate() error {
 	return nil
 }
 
-// Power returns the draw at utilization u in [0, 1].
-func (m ServerModel) Power(u float64) float64 {
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
-	return m.IdleWatts + (m.PeakWatts-m.IdleWatts)*u
-}
-
 // Report is the energy accounting of one dispatch round.
 type Report struct {
 	Machines        int

@@ -25,14 +25,25 @@ func TestServerModelValidate(t *testing.T) {
 	}
 }
 
+// TestPowerCurve pins the linear model P(u) = idle + (peak-idle)·u as
+// Account applies it: one machine busy for the whole makespan draws
+// P(0.5) under a solo job and P(1) under a colocated pair.
 func TestPowerCurve(t *testing.T) {
 	m := ServerModel{IdleWatts: 100, PeakWatts: 300}
-	cases := []struct{ u, want float64 }{
-		{0, 100}, {0.5, 200}, {1, 300}, {-1, 100}, {2, 300},
+	cases := []struct {
+		a     cluster.Assignment
+		watts float64
+	}{
+		{cluster.Assignment{AgentA: 0, AgentB: -1}, 200},
+		{cluster.Assignment{AgentA: 0, AgentB: 1}, 300},
 	}
 	for _, tt := range cases {
-		if got := m.Power(tt.u); got != tt.want {
-			t.Errorf("Power(%v) = %v, want %v", tt.u, got, tt.want)
+		rep, err := Account(m, 1, []cluster.Result{{Assignment: tt.a, StartS: 0, EndS: 10}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.EnergyJ != tt.watts*10 {
+			t.Errorf("solo=%v: %v J over 10 s, want %v W", tt.a.Solo(), rep.EnergyJ, tt.watts)
 		}
 	}
 }

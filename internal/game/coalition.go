@@ -173,14 +173,3 @@ func tryCoalition(agents []int, current []float64, d [][]float64, alpha float64,
 	rec(0)
 	return best
 }
-
-// CoalitionStable reports whether no coalition of up to maxSize agents
-// blocks the matching under the given hardware model.
-func CoalitionStable(m matching.Matching, d [][]float64, alpha float64,
-	maxSize int, model CoalitionModel) (bool, error) {
-	bc, err := FindBlockingCoalition(m, d, alpha, maxSize, model)
-	if err != nil {
-		return false, err
-	}
-	return bc == nil, nil
-}

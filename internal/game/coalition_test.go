@@ -42,12 +42,12 @@ func TestFindBlockingCoalitionPair(t *testing.T) {
 func TestCoalitionStableMatchingSharedHardware(t *testing.T) {
 	d := figure2Penalties()
 	m := matching.Matching{1, 0, 3, 2} // {AB, CD}: pairwise stable
-	stable, err := CoalitionStable(m, d, 0, 4, SharedHardware)
+	bc, err := FindBlockingCoalition(m, d, 0, 4, SharedHardware)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stable {
-		t.Error("{AB, CD} should be coalition-stable under shared hardware")
+	if bc != nil {
+		t.Errorf("{AB, CD} should be coalition-stable under shared hardware, blocked by %+v", bc)
 	}
 }
 
@@ -64,14 +64,14 @@ func TestPrivateHardwareIsStrictlyStronger(t *testing.T) {
 	if pairs := matching.AlphaBlockingPairs(m, d, 0); len(pairs) != 0 {
 		t.Fatalf("unexpected classic blocking pairs %v", pairs)
 	}
-	stable, err := CoalitionStable(m, d, 0, 4, SharedHardware)
+	bc, err := FindBlockingCoalition(m, d, 0, 4, SharedHardware)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stable {
-		t.Error("no feasible re-pairing should block under shared hardware")
+	if bc != nil {
+		t.Errorf("no feasible re-pairing should block under shared hardware, blocked by %+v", bc)
 	}
-	bc, err := FindBlockingCoalition(m, d, 0, 2, PrivateHardware)
+	bc, err = FindBlockingCoalition(m, d, 0, 2, PrivateHardware)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,18 +53,10 @@ type Config struct {
 	// boundaries (see internal/shard). Values <= 1 mean the single
 	// unsharded market, which reproduces the classic pipeline exactly.
 	Shards int
-	// RefinementBudget caps cross-shard refinement rounds per epoch:
-	// 0 means shard.DefaultRefinementBudget, negative disables
-	// refinement. Ignored by the unsharded market.
-	RefinementBudget int
 	// Rematch enables the streaming market: churn is admitted mid-stream
 	// and the standing matching repaired incrementally (see
 	// internal/rematch) instead of re-cleared from scratch.
 	Rematch bool
-	// RematchTopK bounds the preference candidates each churned agent
-	// pulls into its repair neighborhood (<= 0 means
-	// rematch.DefaultTopK).
-	RematchTopK int
 	// ChurnThreshold is the fraction of the population whose cumulative
 	// churn since the last full clear forces the next round to re-match
 	// from scratch (<= 0 means rematch.DefaultChurnThreshold).
@@ -554,8 +546,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, as
 		// Sharded market: per-shard clears or repairs in parallel on
 		// split-seed streams.
 		mk := &shard.Market{
-			Shards: e.Shards, RefinementBudget: e.RefinementBudget,
-			Policy: e.Policy, Alpha: e.Alpha, Workers: e.Workers,
+			Shards: e.Shards, Policy: e.Policy, Alpha: e.Alpha, Workers: e.Workers,
 			Seed: e.Rand.Int63(), Epoch: ep.Index, IDs: r.IDs, ShardOf: e.partition(r),
 			Tel: e.Tel, Span: span, SkipRecommendations: !assess,
 		}
@@ -570,7 +561,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, as
 			span.SetAttr("refinement_rounds", res.RefinementRounds)
 			span.SetAttr("refinement_trades", res.RefinementTrades)
 		} else {
-			res, err := mk.Repair(ctx, r.Jobs, r.JobIdx, e.Matrix, prev, r.Dirty, e.RematchTopK)
+			res, err := mk.Repair(ctx, r.Jobs, r.JobIdx, e.Matrix, prev, r.Dirty, rematch.DefaultTopK)
 			if err != nil {
 				return err
 			}
@@ -588,7 +579,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, as
 				policy.Context{BandwidthGBps: bw, Rand: e.Rand, Metrics: reg})
 		} else {
 			pen := func(i, j int) float64 { return e.Matrix[r.JobIdx[i]][r.JobIdx[j]] }
-			r.Neighborhood = rematch.Neighborhood(r.Dirty, nil, prev, pen, e.RematchTopK)
+			r.Neighborhood = rematch.Neighborhood(r.Dirty, nil, prev, pen, rematch.DefaultTopK)
 			r.Match, r.Changed, err = rematch.Rewire(r.Neighborhood, prev, e.Matrix, r.JobIdx, bw, e.Policy, e.Rand, reg)
 		}
 		if err != nil {

@@ -168,10 +168,6 @@ type Server struct {
 	// cross-shard refinement pass reconciles the boundaries. Zero or one
 	// keeps the single all-pairs market.
 	Shards int
-	// RefinementBudget caps cross-shard refinement rounds when sharded:
-	// zero means shard.DefaultRefinementBudget, negative disables the
-	// pass entirely.
-	RefinementBudget int
 	// Workers bounds the sharded market's per-shard fan-out (<= 0 means
 	// GOMAXPROCS). Matchings are bit-identical at any worker count.
 	Workers int
@@ -183,9 +179,6 @@ type Server struct {
 	// re-matches of the survivors. Each epoch's first round is still a
 	// full clear, so the repair baseline is always a fresh matching.
 	Rematch bool
-	// RematchTopK bounds the preference candidates each churned agent
-	// pulls into its repair neighborhood (<= 0 means rematch.DefaultTopK).
-	RematchTopK int
 	// ChurnThreshold is the fraction of the population whose cumulative
 	// churn since the epoch's last full clear forces the next round to
 	// re-match from scratch (<= 0 means rematch.DefaultChurnThreshold).
@@ -453,9 +446,8 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 	}
 	s.engine = market.New(market.Engine{
 		Config: market.Config{
-			Policy: s.Policy, Alpha: alpha,
-			Shards: s.Shards, RefinementBudget: s.RefinementBudget,
-			Rematch: s.Rematch, RematchTopK: s.RematchTopK, ChurnThreshold: s.ChurnThreshold,
+			Policy: s.Policy, Alpha: alpha, Shards: s.Shards,
+			Rematch: s.Rematch, ChurnThreshold: s.ChurnThreshold,
 		},
 		Workers:  s.Workers,
 		Catalog:  s.Catalog,

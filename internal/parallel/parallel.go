@@ -170,16 +170,6 @@ func (p *Pool) Close() {
 	p.inflight.Wait()
 }
 
-// Closed reports whether Close has been called.
-func (p *Pool) Closed() bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
-}
-
 // SplitSeed derives a child seed for work item i from a base seed using a
 // SplitMix64-style finalizer. Fan-out sites that need randomness seed one
 // RNG per item with SplitSeed(base, i) instead of sharing a stream, which

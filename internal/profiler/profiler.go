@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"cooper/internal/arch"
@@ -59,7 +58,7 @@ type Query struct {
 const Solo = "solo"
 
 // Database stores profiling records and answers queries. Safe for
-// concurrent use; the paper's agents query it while the profiler appends.
+// concurrent use: readers query it while the profiler appends.
 type Database struct {
 	mu      sync.RWMutex
 	records []Record
@@ -516,19 +515,4 @@ func ExpandToAgents(jobD [][]float64, jobs []workload.Job, pop workload.Populati
 		d[a][a] = 0
 	}
 	return d, nil
-}
-
-// SortedJobNames returns the distinct job names in the database, sorted —
-// a convenience for reports.
-func SortedJobNames(db *Database) []string {
-	seen := make(map[string]bool)
-	for _, r := range db.Select(Query{}) {
-		seen[r.Job] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

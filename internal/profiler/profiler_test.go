@@ -1,7 +1,9 @@
 package profiler
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -172,6 +174,22 @@ func TestDensePenaltiesStructure(t *testing.T) {
 	}
 }
 
+// TestDensePenaltiesCacheInvariant pins that a pair cache only memoizes:
+// the oracle matrix is the same bits with or without one, at any worker
+// count — so a daemon that builds it without a cache serves what an
+// in-process framework warming its cache would.
+func TestDensePenaltiesCacheInvariant(t *testing.T) {
+	cmp, jobs, _, _ := testSetup(t)
+	want := DensePenalties(cmp, jobs)
+	got, err := DensePenaltiesContext(context.Background(), cmp, jobs, 3, arch.NewPairCache(cmp, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("cached oracle matrix differs from the direct one")
+	}
+}
+
 func TestNoiselessPairMatchesDense(t *testing.T) {
 	cmp, jobs, db, p := testSetup(t)
 	p.MeasureNoise = 0
@@ -218,16 +236,6 @@ func TestExpandToAgents(t *testing.T) {
 	bad := workload.Population{Jobs: []workload.Job{{Name: "ghost"}}}
 	if _, err := ExpandToAgents(jobD, jobs, bad); err == nil {
 		t.Error("unknown population job accepted")
-	}
-}
-
-func TestSortedJobNames(t *testing.T) {
-	_, jobs, db, p := testSetup(t)
-	p.ProfileStandalone(jobs[1])
-	p.ProfileStandalone(jobs[0])
-	names := SortedJobNames(db)
-	if len(names) != 2 || names[0] > names[1] {
-		t.Errorf("names = %v", names)
 	}
 }
 

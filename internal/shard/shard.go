@@ -39,16 +39,15 @@ import (
 	"cooper/internal/workload"
 )
 
-// Defaults for the refinement pass.
 const (
-	// DefaultRefinementBudget is the maximum number of cross-shard
-	// refinement rounds when Market.RefinementBudget is zero.
-	DefaultRefinementBudget = 4
-	// DefaultRefinementCandidates bounds how many of the most dissatisfied
-	// agents each refinement round considers for cross-shard trades. The
-	// bound is what keeps refinement sub-quadratic: a round inspects at
-	// most candidates² pairs regardless of population size.
-	DefaultRefinementCandidates = 128
+	// RefinementRounds is the maximum number of cross-shard refinement
+	// rounds per clear.
+	RefinementRounds = 4
+	// refinementCandidates bounds how many of the most dissatisfied agents
+	// each refinement round considers for cross-shard trades. The bound is
+	// what keeps refinement sub-quadratic: a round inspects at most
+	// candidates² pairs regardless of population size.
+	refinementCandidates = 128
 
 	// virtualNodes is the number of ring points per shard. Enough that
 	// shard loads stay within a few percent of each other, small enough
@@ -160,17 +159,12 @@ func (r *Ring) ShardOf(job workload.Job, id int) int {
 	return r.owning(hash64(appendKey(buf[:0], job.Name, job.BandwidthGBps, id)))
 }
 
-// Partition assigns every agent of the population to a shard. It returns
-// shardOf (agent index → shard) and the member lists per shard, each in
-// ascending agent order.
-func (r *Ring) Partition(jobs []workload.Job) (shardOf []int, groups [][]int) {
-	return r.PartitionIDs(jobs, nil)
-}
-
-// PartitionIDs is Partition with explicit hash identities: agent i is
-// keyed by ids[i] instead of its position, so in a streaming market —
-// where departures shift positions — a surviving agent keeps its shard
-// as others come and go. ids nil means position keying.
+// PartitionIDs assigns every agent of the population to a shard. It
+// returns shardOf (agent index → shard) and the member lists per shard,
+// each in ascending agent order. Agent i is keyed by ids[i], so in a
+// streaming market — where departures shift positions — a surviving
+// agent keeps its shard as others come and go. ids nil means position
+// keying.
 func (r *Ring) PartitionIDs(jobs []workload.Job, ids []int) (shardOf []int, groups [][]int) {
 	shardOf = make([]int, len(jobs))
 	for i, j := range jobs {
@@ -232,12 +226,6 @@ func JobIndices(catalog []workload.Job, jobs []string) ([]int, error) {
 type Market struct {
 	// Shards is the shard count; < 1 means 1.
 	Shards int
-	// RefinementBudget caps cross-shard refinement rounds: 0 means
-	// DefaultRefinementBudget, negative disables refinement.
-	RefinementBudget int
-	// RefinementCandidates bounds the per-round trade candidate set
-	// (0 means DefaultRefinementCandidates).
-	RefinementCandidates int
 	// Policy clears each shard. Required.
 	Policy policy.Policy
 	// Alpha is the minimum mutual gain for refinement trades and blocking
@@ -454,25 +442,17 @@ type trade struct {
 // refine runs the bounded cross-shard refinement loop on res.Match,
 // recording one refinement_round event per applied round.
 func (m *Market) refine(res *Result, pen func(i, j int) float64) {
-	budget := m.RefinementBudget
-	if budget == 0 {
-		budget = DefaultRefinementBudget
-	}
-	if budget < 0 || len(res.Groups) < 2 {
+	if len(res.Groups) < 2 {
 		return
 	}
-	cands := m.RefinementCandidates
-	if cands <= 0 {
-		cands = DefaultRefinementCandidates
-	}
-	for round := 1; round <= budget; round++ {
+	for round := 1; round <= RefinementRounds; round++ {
 		// Each round gets its own span — keyed by round number so the ID
 		// is run-stable — which is what puts per-round durations of
 		// cross-shard trades in Chrome traces, not just the event log.
 		// The final tradeless round keeps its span too (it shows the cost
 		// of the convergence check) but emits no event.
 		sp := m.Tel.PhaseKeyed(m.Span, "refinement_round", int64(round))
-		trades, gain := m.refineOnce(res, pen, cands)
+		trades, gain := m.refineOnce(res, pen)
 		if len(trades) == 0 {
 			m.Tel.End(sp)
 			break
@@ -499,7 +479,7 @@ func (m *Market) refine(res *Result, pen func(i, j int) float64) {
 
 // refineOnce selects and applies one round of disjoint cross-shard
 // trades, best combined gain first, and returns the trades applied.
-func (m *Market) refineOnce(res *Result, pen func(i, j int) float64, cands int) ([]trade, float64) {
+func (m *Market) refineOnce(res *Result, pen func(i, j int) float64) ([]trade, float64) {
 	match := res.Match
 	// The most dissatisfied agents: highest current predicted penalty
 	// first, index tie-break. Solo agents carry zero penalty and only
@@ -515,8 +495,8 @@ func (m *Market) refineOnce(res *Result, pen func(i, j int) float64, cands int) 
 		}
 		return order[a] < order[b]
 	})
-	if len(order) > cands {
-		order = order[:cands]
+	if len(order) > refinementCandidates {
+		order = order[:refinementCandidates]
 	}
 
 	// Every cross-shard pair of candidates in which both sides gain more

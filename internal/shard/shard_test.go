@@ -40,7 +40,7 @@ func TestRingPartitionCoverage(t *testing.T) {
 	jobs, _ := testJobs(500, "a", "b", "c", "d")
 	for _, shards := range []int{1, 3, 8} {
 		ring := NewRing(shards)
-		shardOf, groups := ring.Partition(jobs)
+		shardOf, groups := ring.PartitionIDs(jobs, nil)
 		seen := make(map[int]int)
 		for s, g := range groups {
 			for _, i := range g {
@@ -74,7 +74,7 @@ func TestRingStableAssignment(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	jobs, _ := testJobs(4000, "a", "b", "c", "d", "e")
-	_, groups := NewRing(8).Partition(jobs)
+	_, groups := NewRing(8).PartitionIDs(jobs, nil)
 	for s, g := range groups {
 		if len(g) < 100 {
 			t.Errorf("shard %d has only %d of 4000 agents", s, len(g))
@@ -246,28 +246,6 @@ func TestRefineRespectsAlpha(t *testing.T) {
 	m.refine(res, pen)
 	if res.RefinementTrades != 0 {
 		t.Fatalf("trade applied despite alpha: %v", res.Match)
-	}
-}
-
-func TestRefineBudgetDisablesPass(t *testing.T) {
-	pen := func(i, j int) float64 {
-		cost := [][]float64{
-			{0, 0.9, 0.1, 0.8},
-			{0.9, 0, 0.8, 0.7},
-			{0.1, 0.8, 0, 0.9},
-			{0.8, 0.7, 0, 0},
-		}
-		return cost[i][j]
-	}
-	res := &Result{
-		Match:   matching.Matching{1, 0, 3, 2},
-		ShardOf: []int{0, 0, 1, 1},
-		Groups:  [][]int{{0, 1}, {2, 3}},
-	}
-	m := &Market{Shards: 2, RefinementBudget: -1}
-	m.refine(res, pen)
-	if res.RefinementTrades != 0 {
-		t.Fatal("refinement ran with negative budget")
 	}
 }
 

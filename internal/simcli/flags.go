@@ -50,8 +50,7 @@ type CommonFlags struct {
 	AuditAlpha *float64
 
 	// Market group.
-	Shards       *int
-	RefineBudget *int
+	Shards *int
 
 	// Rematch group.
 	RematchOn      *bool
@@ -170,16 +169,12 @@ func (c *CommonFlags) ApproxConfig() recommend.Approx {
 	return recommend.Approx{Bits: *c.ApproxBits, Bands: *c.ApproxBands}
 }
 
-// Market registers the sharded-market knobs: -shards and
-// -refine-budget.
+// Market registers the sharded-market knob, -shards.
 func (c *CommonFlags) Market() *CommonFlags {
 	c.Shards = c.fs.Int("shards", 0,
 		"clear each epoch through the sharded colocation market with this "+
 			"many consistent-hash shards matched in parallel; 0 or 1 keeps "+
 			"the single all-pairs market")
-	c.RefineBudget = c.fs.Int("refine-budget", 0,
-		"with -shards, cap cross-shard refinement rounds; 0 means the "+
-			"default (4), negative disables the refinement pass")
 	return c
 }
 

@@ -43,8 +43,6 @@ func TestCommonFlagsHelpGolden(t *testing.T) {
     	append the flight-recorder event stream (epoch snapshots included) to this JSONL file as it is recorded — every event, not just the ring's retained tail; replayable and auditable with cooper-replay
   -read-timeout duration
     	per-message read deadline for agent connections; 0 means the default (30s), negative disables
-  -refine-budget int
-    	with -shards, cap cross-shard refinement rounds; 0 means the default (4), negative disables the refinement pass
   -seed int
     	RNG seed (default 1)
   -shards int
@@ -85,10 +83,9 @@ func TestCommonFlagsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if *cf.Seed != 1 || *cf.Workers != 0 || *cf.AuditOn || *cf.AuditAlpha != -1 ||
-		*cf.Shards != 0 || *cf.RefineBudget != 0 ||
-		*cf.ApproxBits != 0 || *cf.ApproxBands != 0 {
-		t.Fatalf("defaults wrong: seed=%d workers=%d audit=%v α=%v shards=%d budget=%d approx=%d/%d",
-			*cf.Seed, *cf.Workers, *cf.AuditOn, *cf.AuditAlpha, *cf.Shards, *cf.RefineBudget,
+		*cf.Shards != 0 || *cf.ApproxBits != 0 || *cf.ApproxBands != 0 {
+		t.Fatalf("defaults wrong: seed=%d workers=%d audit=%v α=%v shards=%d approx=%d/%d",
+			*cf.Seed, *cf.Workers, *cf.AuditOn, *cf.AuditAlpha, *cf.Shards,
 			*cf.ApproxBits, *cf.ApproxBands)
 	}
 }

@@ -62,40 +62,3 @@ func Spearman(xs, ys []float64) float64 {
 	}
 	return Pearson(Ranks(xs), Ranks(ys))
 }
-
-// KendallTau returns the Kendall rank correlation (tau-a) of xs and ys:
-// (concordant - discordant) / (n choose 2). Pairs tied in either series
-// count as neither. This is the statistic underlying the paper's Equation 2
-// prediction-accuracy metric.
-func KendallTau(xs, ys []float64) float64 {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0
-	}
-	var concordant, discordant int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := sign(xs[i] - xs[j])
-			dy := sign(ys[i] - ys[j])
-			switch {
-			case dx == 0 || dy == 0:
-			case dx == dy:
-				concordant++
-			default:
-				discordant++
-			}
-		}
-	}
-	pairs := n * (n - 1) / 2
-	return float64(concordant-discordant) / float64(pairs)
-}
-
-func sign(x float64) int {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	}
-	return 0
-}

@@ -158,38 +158,3 @@ func NewBoxplotWhisker(xs []float64, whisker float64) Boxplot {
 	sort.Float64s(b.Outliers)
 	return b
 }
-
-// Histogram counts xs into n equal-width bins spanning [lo, hi]. Values
-// outside the range are clamped into the first/last bin. Edges has n+1
-// entries.
-type Histogram struct {
-	Edges  []float64
-	Counts []int
-}
-
-// NewHistogram builds a Histogram with n bins over [lo, hi]. It panics if
-// n <= 0 or hi <= lo.
-func NewHistogram(xs []float64, n int, lo, hi float64) Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram range is empty")
-	}
-	h := Histogram{Edges: make([]float64, n+1), Counts: make([]int, n)}
-	width := (hi - lo) / float64(n)
-	for i := range h.Edges {
-		h.Edges[i] = lo + float64(i)*width
-	}
-	for _, x := range xs {
-		bin := int((x - lo) / width)
-		if bin < 0 {
-			bin = 0
-		}
-		if bin >= n {
-			bin = n - 1
-		}
-		h.Counts[bin]++
-	}
-	return h
-}

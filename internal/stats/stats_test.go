@@ -137,20 +137,6 @@ func TestBoxplotWiderWhiskerAbsorbsOutlier(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.55, 0.9, -5, 5}
-	h := NewHistogram(xs, 2, 0, 1)
-	if got := h.Counts[0]; got != 3 { // 0.1, 0.2, clamped -5
-		t.Errorf("bin 0 = %d, want 3", got)
-	}
-	if got := h.Counts[1]; got != 3 { // 0.55, 0.9, clamped 5
-		t.Errorf("bin 1 = %d, want 3", got)
-	}
-	if len(h.Edges) != 3 {
-		t.Errorf("edges = %v", h.Edges)
-	}
-}
-
 func TestRanks(t *testing.T) {
 	tests := []struct {
 		name string
@@ -200,19 +186,6 @@ func TestSpearmanMonotone(t *testing.T) {
 	}
 }
 
-func TestKendallTau(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	if got := KendallTau(xs, []float64{10, 20, 30}); got != 1 {
-		t.Errorf("concordant tau = %v", got)
-	}
-	if got := KendallTau(xs, []float64{30, 20, 10}); got != -1 {
-		t.Errorf("discordant tau = %v", got)
-	}
-	if got := KendallTau(xs, []float64{5, 5, 5}); got != 0 {
-		t.Errorf("tied tau = %v", got)
-	}
-}
-
 func TestCorrelationSymmetryProperty(t *testing.T) {
 	squash := func(x float64) float64 {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -224,8 +197,7 @@ func TestCorrelationSymmetryProperty(t *testing.T) {
 		xs := []float64{squash(a), squash(b), squash(c), squash(d)}
 		ys := []float64{squash(e), squash(f2), squash(g), squash(h)}
 		return almostEqual(Pearson(xs, ys), Pearson(ys, xs), 1e-9) &&
-			almostEqual(Spearman(xs, ys), Spearman(ys, xs), 1e-9) &&
-			almostEqual(KendallTau(xs, ys), KendallTau(ys, xs), 1e-9)
+			almostEqual(Spearman(xs, ys), Spearman(ys, xs), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -245,7 +217,6 @@ func TestCorrelationBoundedProperty(t *testing.T) {
 		for name, got := range map[string]float64{
 			"pearson":  Pearson(xs, ys),
 			"spearman": Spearman(xs, ys),
-			"kendall":  KendallTau(xs, ys),
 		} {
 			if got < -1-1e-9 || got > 1+1e-9 {
 				t.Fatalf("%s out of [-1,1]: %v", name, got)

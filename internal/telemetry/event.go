@@ -323,18 +323,6 @@ func (r *EventRing) Dropped() int64 {
 	return r.dropped
 }
 
-// WriteJSONL dumps the retained tail as JSON lines, oldest first — the
-// same format the sink streams. /debug/events serves this.
-func (r *EventRing) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReadEvents parses a JSONL event stream (a sink file or /debug/events
 // body) back into events, in order.
 func ReadEvents(rd io.Reader) ([]Event, error) {

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -182,48 +181,5 @@ func TestPromNameSanitization(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// TestWriteExpvarFlattensHistograms pins the satellite contract:
-// /debug/vars carries histograms as flat scalar keys.
-func TestWriteExpvarFlattensHistograms(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("epoch.penalty", []float64{0.1, 0.5})
-	h.Observe(0.05)
-	h.Observe(0.3)
-	h.Observe(0.4)
-	var buf bytes.Buffer
-	if err := r.WriteExpvar(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]float64
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("expvar output not flat JSON numbers: %v\n%s", err, buf.String())
-	}
-	want := map[string]float64{
-		"epoch.penalty.count": 3,
-		"epoch.penalty.sum":   0.75,
-		"epoch.penalty.mean":  0.25,
-		"epoch.penalty.min":   0.05,
-		"epoch.penalty.max":   0.4,
-	}
-	for k, v := range want {
-		got, ok := m[k]
-		if !ok {
-			t.Errorf("expvar missing flattened key %q", k)
-			continue
-		}
-		if diff := got - v; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("%s = %v, want %v", k, got, v)
-		}
-	}
-	for _, k := range []string{"epoch.penalty.p50", "epoch.penalty.p95", "epoch.penalty.p99"} {
-		if _, ok := m[k]; !ok {
-			t.Errorf("expvar missing quantile key %q", k)
-		}
-	}
-	if _, ok := m["epoch.penalty"]; ok {
-		t.Error("expvar should not carry the nested histogram object anymore")
 	}
 }

@@ -12,7 +12,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -455,57 +454,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// WriteExpvar writes the snapshot in expvar's flat style: one JSON object
-// whose keys are metric names and whose values are scalars, with names
-// sorted for stable output. Histograms are flattened into scalar keys —
-// <name>.count, <name>.sum, <name>.mean, <name>.min, <name>.max,
-// <name>.p50, <name>.p95, <name>.p99 — so expvar consumers that only
-// understand numbers (dashboards, jq one-liners) see the digest instead
-// of nothing.
-func (r *Registry) WriteExpvar(w io.Writer) error {
-	snap := r.Snapshot()
-	type kv struct {
-		key string
-		val any
-	}
-	var entries []kv
-	for k, v := range snap.Counters {
-		entries = append(entries, kv{k, v})
-	}
-	for k, v := range snap.Gauges {
-		entries = append(entries, kv{k, v})
-	}
-	for k, h := range snap.Histograms {
-		entries = append(entries,
-			kv{k + ".count", h.Count},
-			kv{k + ".sum", h.Sum},
-			kv{k + ".mean", h.Mean},
-			kv{k + ".min", h.Min},
-			kv{k + ".max", h.Max},
-			kv{k + ".p50", h.P50},
-			kv{k + ".p95", h.P95},
-			kv{k + ".p99", h.P99},
-		)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	if _, err := fmt.Fprintln(w, "{"); err != nil {
-		return err
-	}
-	for i, e := range entries {
-		val, err := json.Marshal(e.val)
-		if err != nil {
-			return err
-		}
-		comma := ","
-		if i == len(entries)-1 {
-			comma = ""
-		}
-		if _, err := fmt.Fprintf(w, "%q: %s%s\n", e.key, val, comma); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
 }

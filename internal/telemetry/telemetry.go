@@ -1,7 +1,5 @@
 package telemetry
 
-import "time"
-
 // Telemetry bundles a metrics registry with a trace: the one handle the
 // framework, coordinator, and CLIs thread through the pipeline. A nil
 // *Telemetry disables everything at near-zero cost.
@@ -118,12 +116,6 @@ func (t *Telemetry) Gauge(name string) *Gauge { return t.Registry().Gauge(name) 
 // Histogram is shorthand for t.Metrics.Histogram (nil-safe).
 func (t *Telemetry) Histogram(name string, bounds []float64) *Histogram {
 	return t.Registry().Histogram(name, bounds)
-}
-
-// ObserveDuration records a wall time in seconds into the named duration
-// histogram.
-func (t *Telemetry) ObserveDuration(name string, d time.Duration) {
-	t.Histogram(name, DurationBuckets()).Observe(d.Seconds())
 }
 
 // Snapshot copies the metrics and the trace. A nil Telemetry yields an

@@ -1,6 +1,7 @@
 package topui
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,8 +24,11 @@ func fakeEndpoint(t *testing.T, reg *telemetry.Registry, ring *telemetry.EventRi
 		}
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-		if err := ring.WriteJSONL(w); err != nil {
-			t.Errorf("writing /debug/events: %v", err)
+		enc := json.NewEncoder(w)
+		for _, e := range ring.Tail(0) {
+			if err := enc.Encode(e); err != nil {
+				t.Errorf("writing /debug/events: %v", err)
+			}
 		}
 	})
 	ts := httptest.NewServer(mux)

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"cooper/internal/arch"
 )
@@ -102,37 +100,4 @@ func BuildCatalog(m arch.CMP, specs []Spec) ([]Job, error) {
 		})
 	}
 	return jobs, nil
-}
-
-// LoadCatalog reads a JSON array of Specs and calibrates it against m.
-func LoadCatalog(r io.Reader, m arch.CMP) ([]Job, error) {
-	var specs []Spec
-	if err := json.NewDecoder(r).Decode(&specs); err != nil {
-		return nil, fmt.Errorf("workload: parsing catalog: %w", err)
-	}
-	return BuildCatalog(m, specs)
-}
-
-// SaveSpecs writes the catalog's serializable description (so a calibrated
-// catalog can round-trip through JSON; the task models are re-derived on
-// load).
-func SaveSpecs(w io.Writer, jobs []Job) error {
-	specs := make([]Spec, 0, len(jobs))
-	for _, j := range jobs {
-		specs = append(specs, Spec{
-			Name:          j.Name,
-			Application:   j.Application,
-			Dataset:       j.Dataset,
-			Suite:         j.Suite,
-			BandwidthGBps: j.BandwidthGBps,
-			RuntimeS:      j.RuntimeS,
-			WorkingSetMB:  j.Model.WSBytes / (1 << 20),
-			MissFloor:     j.Model.MissFloor,
-			CPI0:          j.Model.CPI0,
-			ThreadScale:   j.Model.ThreadScale,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(specs)
 }

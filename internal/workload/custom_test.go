@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"cooper/internal/arch"
@@ -62,52 +60,5 @@ func TestBuildCatalogValidation(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
-	}
-}
-
-func TestLoadCatalogJSON(t *testing.T) {
-	cmp := arch.DefaultCMP()
-	doc := `[
-		{"name": "svc-a", "bandwidth_gbps": 3.0, "runtime_s": 240},
-		{"name": "svc-b", "bandwidth_gbps": 12.0, "runtime_s": 600,
-		 "working_set_mb": 256, "miss_floor": 0.6}
-	]`
-	jobs, err := LoadCatalog(strings.NewReader(doc), cmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 2 || jobs[1].Name != "svc-b" {
-		t.Fatalf("jobs = %v", jobs)
-	}
-	if _, err := LoadCatalog(strings.NewReader("not json"), cmp); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
-func TestSaveSpecsRoundTrip(t *testing.T) {
-	cmp := arch.DefaultCMP()
-	orig, err := Catalog(cmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveSpecs(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCatalog(&buf, cmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != len(orig) {
-		t.Fatalf("loaded %d jobs, want %d", len(loaded), len(orig))
-	}
-	for i := range orig {
-		if loaded[i].Name != orig[i].Name {
-			t.Errorf("job %d: %s vs %s", i, loaded[i].Name, orig[i].Name)
-		}
-		if math.Abs(loaded[i].Model.API-orig[i].Model.API) > orig[i].Model.API*0.01 {
-			t.Errorf("%s: API drifted %v -> %v",
-				orig[i].Name, orig[i].Model.API, loaded[i].Model.API)
-		}
 	}
 }

@@ -130,16 +130,6 @@ func Catalog(m arch.CMP) ([]Job, error) {
 	return jobs, nil
 }
 
-// MustCatalog is Catalog for callers with a known-good machine (panics on
-// calibration failure). The default CMP is always good.
-func MustCatalog(m arch.CMP) []Job {
-	jobs, err := Catalog(m)
-	if err != nil {
-		panic(err)
-	}
-	return jobs
-}
-
 // ByIntensity returns the catalog sorted by increasing memory bandwidth
 // demand (the paper's contentiousness ordering, used as the x-axis of
 // Figures 1, 7 and 8 and as the domain of the workload-mix densities).

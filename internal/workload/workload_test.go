@@ -98,17 +98,6 @@ func TestCatalogUnreachableBandwidth(t *testing.T) {
 	}
 }
 
-func TestMustCatalogPanicsOnBadMachine(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	bad := arch.DefaultCMP()
-	bad.Cores = 0
-	MustCatalog(bad)
-}
-
 func TestByIntensityOrdering(t *testing.T) {
 	jobs := defaultCatalog(t)
 	ordered := ByIntensity(jobs)

@@ -1,8 +1,6 @@
 package cooper
 
 import (
-	"time"
-
 	"cooper/internal/core"
 	"cooper/internal/recommend"
 )
@@ -20,8 +18,8 @@ type (
 	// stability threshold alpha, and market sharding.
 	MarketConfig = core.MarketConfig
 	// PipelineConfig groups the epoch pipeline's execution knobs:
-	// workers, profiling fraction, predictor, oracle mode, supplied
-	// penalties, and the epoch deadline.
+	// workers, profiling fraction, predictor, oracle mode, and supplied
+	// penalties.
 	PipelineConfig = core.PipelineConfig
 	// ObserveConfig groups the observability attachments.
 	ObserveConfig = core.ObserveConfig
@@ -53,26 +51,12 @@ func WithShards(n int) Option {
 	return func(c *Config) { c.Market.Shards = n }
 }
 
-// WithRefinementBudget caps cross-shard refinement rounds per epoch in a
-// sharded market: 0 uses the default budget, negative disables
-// refinement entirely.
-func WithRefinementBudget(rounds int) Option {
-	return func(c *Config) { c.Market.RefinementBudget = rounds }
-}
-
 // WithRematch enables the streaming market: Framework.StreamEpoch
 // accepts mid-stream joins and departures and repairs the prior epoch's
 // matching incrementally around them (see internal/rematch) instead of
 // re-clearing from scratch.
 func WithRematch() Option {
 	return func(c *Config) { c.Market.Rematch = true }
-}
-
-// WithRematchTopK bounds how many preference candidates each churned
-// agent pulls into its repair neighborhood. k <= 0 uses the default
-// (rematch.DefaultTopK).
-func WithRematchTopK(k int) Option {
-	return func(c *Config) { c.Market.RematchTopK = k }
 }
 
 // WithChurnThreshold sets the fraction of the population whose
@@ -133,12 +117,6 @@ func WithOracle() Option {
 // measurements out of band.
 func WithPenalties(d [][]float64) Option {
 	return func(c *Config) { c.Pipeline.Penalties = d }
-}
-
-// WithEpochTimeout bounds each RunEpoch's wall-clock time; a run that
-// blows the deadline returns an error wrapping ErrCanceled.
-func WithEpochTimeout(d time.Duration) Option {
-	return func(c *Config) { c.Pipeline.EpochTimeout = d }
 }
 
 // WithTelemetry attaches a telemetry handle: phase spans, pipeline
