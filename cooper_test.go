@@ -181,23 +181,26 @@ func TestUnshardedEpochAllocatesLinearly(t *testing.T) {
 	}
 }
 
-// TestPredictCompleteAllocation pins the in-place fill: one exact
+// TestPredictCompleteAllocation pins the kernel's memory: one exact
 // Complete of the predict-complete workload's input (600 jobs, 25% of
-// pairs) used to allocate about 16.7 MiB — the flattened input, a second
-// value buffer swapped every iteration, and a copy for the result beside
-// the centered columns and the similarities — and now stays under 10 MiB
-// (about 8.5: three n×n arrays and the bitsets), so a fourth n×n array
-// cannot come back unnoticed.
+// pairs, one fill iteration) stays under 7 MiB — about 6: two n×n arrays
+// (the values, filled in place, and the similarities), the bitsets and
+// each worker's scratch — so a third n×n array cannot come in unnoticed.
+// The centered columns are one, and only an incremental similarity pass
+// may make them. Workers is fixed because each worker adds its own
+// ≈ 0.2 MiB of scratch.
 func TestPredictCompleteAllocation(t *testing.T) {
 	sparse := predictCompleteInput(t, 600, 7)
+	p := recommend.Default()
+	p.Workers = 2
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, err := recommend.Default().Complete(sparse); err != nil {
-		t.Fatal(err)
+	if _, iters, err := p.Complete(sparse); err != nil || iters != 1 {
+		t.Fatalf("Complete: %d iterations, %v; want one iteration", iters, err)
 	}
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 10<<20 {
-		t.Fatalf("exact Complete of a 600-job matrix allocated %.1f MiB, want < 10", float64(got)/(1<<20))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 7<<20 {
+		t.Fatalf("exact Complete of a 600-job matrix allocated %.1f MiB, want < 7", float64(got)/(1<<20))
 	}
 }
 

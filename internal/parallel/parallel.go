@@ -93,7 +93,10 @@ func ForEachWorker(ctx context.Context, workers, n int, fn func(worker, i int) e
 					return
 				}
 				if err := fn(worker, i); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
+					// Address a copy: taking &err would move the loop's
+					// err to the heap on every item, not only on failure.
+					failed := err
+					firstErr.CompareAndSwap(nil, &failed)
 					cancel()
 					return
 				}

@@ -291,3 +291,19 @@ func TestForEachWorkerScratchIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestForEachWorkerAllocatesPerWorkerNotPerItem pins the fan-out's own
+// allocations to its set-up and its goroutines: a 10,000-item fan-out at
+// two workers used to allocate once per item (the error slot escaped).
+func TestForEachWorkerAllocatesPerWorkerNotPerItem(t *testing.T) {
+	const items, workers = 10000, 2
+	allocs := testing.AllocsPerRun(5, func() {
+		err := ForEachWorker(context.Background(), workers, items, func(_, _ int) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10*workers {
+		t.Fatalf("%d-item fan-out at %d workers allocated %.0f times, want at most %d", items, workers, allocs, 10*workers)
+	}
+}

@@ -30,9 +30,10 @@ import (
 // geometry), while the fill stays O(n² · known cells per row) and the
 // scorer O(candidate pairs · overlap) — measured exponent in n ≈ 2.7
 // between n = 500 and 2000 at 25% known, against the exact kernel's
-// ≈ 3.2 (docs/pr24-predict-kernel.md). It overtakes the exact kernel
-// near n = 1000 and leads by 1.4–1.7× at n = 2000; below that the exact
-// kernel is faster.
+// ≈ 3.2 (docs/pr24-predict-kernel.md). Since the exact kernel is
+// cache-blocked it is the faster one at every size measured: ≈ 2× at
+// n = 600, and at n = 2000, single worker, 2.8–3.8 s exact against
+// 3.0–6.5 s approximate in the same runs (docs/pr30-predict-tiles.md).
 //
 // Determinism: projection vectors derive from parallel.SplitSeed(Seed,
 // bit), each parallel pass writes only its own slots, and bucket pairs

@@ -266,15 +266,33 @@ func TestFlatKernelSimPairCounters(t *testing.T) {
 	if rec < pairs {
 		t.Errorf("first pass must recompute all %d pairs, counted %d", pairs, rec)
 	}
+
+	// One iteration over three similarity tiles is the tiled first pass
+	// alone: every pair recomputed, none skipped.
+	reg = telemetry.NewRegistry()
+	p = Predictor{MinOverlap: 2, MaxIters: 1, Metrics: reg}
+	if _, _, err := p.Complete(randSparse(130, 0.25, 9)); err != nil {
+		t.Fatal(err)
+	}
+	pairs = 130 * 129 / 2
+	rec = reg.Counter("predict.sim_pairs_recomputed").Value()
+	skip = reg.Counter("predict.sim_pairs_skipped").Value()
+	if rec != pairs || skip != 0 {
+		t.Errorf("MaxIters 1 at n=130: recomputed %d, skipped %d; want %d and 0", rec, skip, pairs)
+	}
 }
 
 // mustMatchReference completes m with the reference kernel and with the
-// flat kernel at Workers 1 and 8, and requires the same error outcome,
-// iteration count and output bits.
-func mustMatchReference(t *testing.T, label string, p Predictor, m [][]float64) {
+// flat kernel at each of the given worker counts (Workers 1 and 8 when
+// none are given), and requires the same error outcome, iteration count
+// and output bits.
+func mustMatchReference(t *testing.T, label string, p Predictor, m [][]float64, workerCounts ...int) {
 	t.Helper()
+	if len(workerCounts) == 0 {
+		workerCounts = []int{1, 8}
+	}
 	ref, refIters, refErr := p.WithReferenceKernel().Complete(m)
-	for _, workers := range []int{1, 8} {
+	for _, workers := range workerCounts {
 		p.Workers = workers
 		got, iters, err := p.Complete(m)
 		if (err != nil) != (refErr != nil) {
@@ -446,6 +464,54 @@ func TestNaNPredictionStaysUnknown(t *testing.T) {
 		}
 		if iters != 3 {
 			t.Fatalf("K=%d: %d iterations, want all 3 (the cell never fills)", kk, iters)
+		}
+	}
+}
+
+// tileMatrix is randSparse with shapes at the cache-blocked loops' edges:
+// the first fill block of rows knows every cell of the first column tile,
+// a row of the second block knows no cell of the second tile, and the
+// next row holds an infinite value.
+func tileMatrix(n int, density float64, seed int64) [][]float64 {
+	m := randSparse(n, density, seed)
+	for i := 0; i < min(n, fillBlock); i++ {
+		for j := 0; j < min(n, simTile); j++ {
+			if math.IsNaN(m[i][j]) {
+				m[i][j] = 0.05 * float64((i+j)%16)
+			}
+		}
+	}
+	if r := fillBlock + 1; r+1 < n {
+		for j := simTile; j < min(n, 2*simTile); j++ {
+			m[r][j] = math.NaN()
+		}
+		m[r+1][n-1] = math.Inf(1)
+	}
+	return m
+}
+
+// TestFlatKernelMatchesReferenceTiles pins the cache-blocked loops where
+// they have edges: sizes one below, at and one above the similarity tile
+// (one bitset word), two tiles and a column, and three fill blocks and a
+// short fourth; a block's rows fully known across a tile; a row with no
+// known cell in one tile; an infinite value that sends one row of a block
+// cell by cell while the rest take the four-column loop; and MinOverlap
+// above and at zero, where the popcount overlap decides. Workers 3 splits
+// tile pairs and blocks unevenly.
+func TestFlatKernelMatchesReferenceTiles(t *testing.T) {
+	seed := int64(900)
+	for _, n := range []int{simTile - 1, simTile, simTile + 1, 3*fillBlock + 4, 2*simTile + 1} {
+		for _, density := range []float64{0.05, 0.25} {
+			for _, kk := range []int{0, 3} {
+				for _, mode := range []Mode{ItemBased, UserBased} {
+					for _, minOverlap := range []int{0, 4} {
+						seed++
+						p := Predictor{K: kk, MinOverlap: minOverlap, MaxIters: 3, Mode: mode}
+						label := fmt.Sprintf("n=%d density=%.2f K=%d mode=%d minOverlap=%d", n, density, kk, mode, minOverlap)
+						mustMatchReference(t, label, p, tileMatrix(n, density, seed), 1, 3, 8)
+					}
+				}
+			}
 		}
 	}
 }

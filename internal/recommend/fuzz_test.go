@@ -46,8 +46,10 @@ func fuzzCells(m [][]float64) []byte {
 // FuzzFlatMatchesReference holds the flat kernel to the reference on
 // arbitrary small matrices — any float bit pattern, any known mask — and
 // every K, MinOverlap and mode: both fail, or both succeed with the same
-// iteration count and the same bits. The seeds are the shapes
-// TestFlatKernelMatchesReferenceEdges names, at fuzzing size.
+// iteration count and the same bits. Sizes run past one fill block and
+// one similarity tile. The seeds are the shapes
+// TestFlatKernelMatchesReferenceEdges names, at fuzzing size, then the
+// same shapes one past the block and the tile.
 func FuzzFlatMatchesReference(f *testing.F) {
 	specials := [][]float64{
 		nil,
@@ -62,8 +64,13 @@ func FuzzFlatMatchesReference(f *testing.F) {
 		}
 	}
 	f.Add(uint8(2), uint8(0), fuzzCells([][]float64{{math.NaN(), math.NaN()}, {math.NaN(), math.NaN()}}))
+	for s, special := range specials[1:] {
+		for _, n := range []int{fillBlock + 1, simTile + 1} {
+			f.Add(uint8(n-1), uint8(7*s+n), fuzzCells(edgeMatrix(n, 0.3, int64(n+s), special)))
+		}
+	}
 	f.Fuzz(func(t *testing.T, size, cfg uint8, cells []byte) {
-		n := 1 + int(size)%24
+		n := 1 + int(size)%(simTile+8)
 		p := Predictor{
 			K:          []int{0, 1, 3, 10}[cfg&3],
 			MinOverlap: int(cfg >> 2 & 3),

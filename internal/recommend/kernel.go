@@ -16,24 +16,31 @@ import (
 //   - The matrix lives in one flat row-major []float64 in "work"
 //     orientation: the flattened input itself for item-based mode, its
 //     transpose — made once, not per iteration — for user-based mode.
-//   - Known entries are tracked by per-row and per-column uint64 bitsets;
-//     the O(n³) similarity inner loop is a word scan over the AND of two
-//     column bitsets against precomputed row-mean-centered columns, with
-//     no per-cell NaN test.
-//   - The similarity matrix persists across fill iterations and is
-//     recomputed incrementally: a pair (j, k) is recomputed only when a
-//     column gained a known entry or the pair's overlap touches a row
-//     whose mean changed; clean pairs keep their previous (identical)
-//     value. predict.sim_pairs_recomputed / predict.sim_pairs_skipped
-//     count the split.
+//   - Known entries are tracked by per-row and per-column uint64 bitsets,
+//     so no inner loop tests a cell for NaN.
+//   - The first similarity pass scores every column pair, driven by rows
+//     and blocked for the cache (similarityTiles): columns go in tiles of
+//     one bitset word, and for each tile pair every row adds its term to
+//     all pairs of its known cells in the two tiles, held in per-worker
+//     accumulators. Each pair still sums over ascending rows.
+//   - The similarity matrix persists across fill iterations and later
+//     passes are incremental (similarityScan): a pair (j, k) is recomputed
+//     — by a word scan over the AND of two column bitsets against
+//     precomputed row-mean-centered columns — only when a column gained a
+//     known entry or the pair's overlap touches a row whose mean changed;
+//     clean pairs keep their previous (identical) value.
+//     predict.sim_pairs_recomputed / predict.sim_pairs_skipped count the
+//     split.
 //   - Similarities are clamped when stored (positive, else +0 — NaN
-//     included), so the fill never tests one. With K = 0 the fill pops a
-//     row's known cells once into an ascending (column, value) list and
-//     takes its unknown columns four at a time: one loop over the list
-//     feeds eight independent accumulators from four similarity rows, so
-//     the pass runs at instruction throughput rather than one
-//     floating-point add latency per visit. A zero similarity contributes
-//     an exact ±0, and each cell still sums over ascending known columns.
+//     included), so the fill never tests one. With K = 0 the fill takes
+//     blocks of rows: it pops each row's known columns once into an
+//     ascending list, then walks the block's unknown cells one column word
+//     at a time, four columns at a time: one loop over a row list feeds
+//     eight independent accumulators from four similarity rows, so the
+//     pass runs at instruction throughput rather than one floating-point
+//     add latency per visit, and a word's similarity rows stay cached for
+//     the whole block. A zero similarity contributes an exact ±0, and each
+//     cell still sums over ascending known columns.
 //   - With K > 0 each cell collects its positive-similarity neighbors
 //     into per-worker scratch and selects the top K by partial insertion,
 //     ordered by similarity descending with ties toward the lower column
@@ -46,13 +53,49 @@ import (
 // reference kernel, so the output is bit-identical for both modes, any
 // K/MinOverlap, and any worker count.
 
-// predictScratch is one worker's private buffers for the prediction
-// pass. Contents are fully overwritten per row or per cell, so results
-// never depend on which worker ran a row.
+// Cache-blocking constants of the exact kernel. simTile is the column
+// tile of the first similarity pass: one rowKnown word, so a row's cells
+// in a tile are one word's set bits. fillBlock is the row block of the
+// exact fill: while a block walks one column word's unknown cells, the
+// similarity rows of that word stay cache-resident across the block. It
+// is at most 64, so one word flags a block's rows.
+const (
+	simTile   = 64
+	fillBlock = 32
+)
+
+// tileList is one row's known cells inside one column tile, ascending:
+// offsets into the tile and centered values.
+type tileList struct {
+	n   int
+	idx [simTile]int
+	val [simTile]float64
+}
+
+// pop fills l from a row's known-cell word, centering vals (the row's
+// cells from the tile's first column on) on the row mean exactly as
+// computeCentered does.
+func (l *tileList) pop(word uint64, vals []float64, mean float64) {
+	l.n = 0
+	for ; word != 0; word &= word - 1 {
+		x := bits.TrailingZeros64(word)
+		l.idx[l.n], l.val[l.n] = x, vals[x]-mean
+		l.n++
+	}
+}
+
+// pairAcc is one column pair's running adjusted-cosine sums.
+type pairAcc struct{ dot, nj, nc float64 }
+
+// predictScratch is one worker's private buffers for the similarity and
+// prediction passes. Contents are fully overwritten per tile pair, row or
+// cell, so results never depend on which worker ran an item.
 type predictScratch struct {
-	kcol    []int32   // row list: the row's known columns, ascending
-	kval    []float64 // row list: their values, parallel to kcol
-	ucol    []int32   // the row's unknown columns, ascending
+	acc     []pairAcc // exact first pass: a tile pair's sums, min(n, simTile)² row-major, then a junk row
+	ta, tb  tileList  // exact first pass: the current row in the pair's two tiles
+	kcol    []int32   // exact fill: the block's rows' known columns, ascending, back to back
+	rowEnd  []int     // exact fill: where each block row's columns end in kcol
+	ucol    []int32   // exact fill: a row's unknown columns in one word, ascending
 	cols    []int     // K > 0: a cell's candidate neighbor columns, ascending
 	sims    []float64 // K > 0: candidate similarities, parallel to cols
 	topCols []int     // top-K selection buffer, sorted
@@ -74,7 +117,7 @@ type kernel struct {
 	rowKnown bitset    // n*w words: row i's known columns
 	colKnown bitset    // n*w words: column j's known rows
 	rowMean  []float64
-	centered []float64 // n*n column-major row-mean-centered values
+	centered []float64 // n*n column-major row-mean-centered values; nil until a scan reads them
 	sim      []float64 // n*n similarities, each positive or +0, persisted across iters
 	simFresh bool      // first full similarity pass done
 	dirtyCol bitset    // columns that gained entries since last sim pass
@@ -162,7 +205,6 @@ func newKernel(p Predictor, m [][]float64) (*kernel, error) {
 		rowKnown: make(bitset, n*w),
 		colKnown: make(bitset, n*w),
 		rowMean:  make([]float64, n),
-		centered: make([]float64, n*n),
 		sim:      make([]float64, n*n),
 		dirtyCol: newBitset(n),
 		dirtyRow: newBitset(n),
@@ -200,17 +242,20 @@ func newKernel(p Predictor, m [][]float64) (*kernel, error) {
 
 	k.scratch = make([]predictScratch, min(parallel.Workers(p.Workers), n))
 	topCap := min(max(p.K, 0), n)
+	tw := min(n, simTile)
 	for i := range k.scratch {
 		k.scratch[i] = predictScratch{
-			kcol:    make([]int32, n),
-			kval:    make([]float64, n),
-			ucol:    make([]int32, n+3),
 			cols:    make([]int, n),
 			sims:    make([]float64, n),
 			topCols: make([]int, topCap),
 			topSims: make([]float64, topCap),
 		}
-		if k.approx {
+		if !k.approx {
+			k.scratch[i].acc = make([]pairAcc, (tw+1)*tw)
+			k.scratch[i].kcol = make([]int32, min(n, fillBlock)*n)
+			k.scratch[i].rowEnd = make([]int, fillBlock)
+			k.scratch[i].ucol = make([]int32, 64+3)
+		} else {
 			k.scratch[i].dots = make([]float64, p.Approx.Bits)
 			k.scratch[i].pos = make(bitset, w)
 			k.scratch[i].pref = make([]int, w)
@@ -220,12 +265,16 @@ func newKernel(p Predictor, m [][]float64) (*kernel, error) {
 	return k, nil
 }
 
-// iterate runs one fill iteration: fresh row means and centered columns,
-// the (incremental) similarity pass, the prediction pass, and the state
-// update that makes the predictions known.
+// iterate runs one fill iteration: fresh row means (and centered columns
+// where a scan reads them), the (incremental) similarity pass, the
+// prediction pass, and the state update that makes the predictions known.
 func (k *kernel) iterate(ctx context.Context) error {
 	k.computeRowMeans()
-	k.computeCentered()
+	if k.approx || k.simFresh {
+		// The exact kernel's tiled first pass centers values as it reads
+		// them; the bitset scan and the LSH signatures read the columns.
+		k.computeCentered()
+	}
 	if err := k.similarityPass(ctx); err != nil {
 		return err
 	}
@@ -268,10 +317,14 @@ func (k *kernel) computeRowMeans() {
 }
 
 // computeCentered refreshes the column-major centered values at every
-// known cell. Unknown cells are never read (the similarity loop masks
-// through the column bitsets), so they need no clearing.
+// known cell, allocating them on first use. Unknown cells are never read
+// (the similarity loop masks through the column bitsets), so they need no
+// clearing.
 func (k *kernel) computeCentered() {
 	n, w := k.n, k.w
+	if k.centered == nil {
+		k.centered = make([]float64, n*n)
+	}
 	for j := 0; j < n; j++ {
 		col := k.centered[j*n : (j+1)*n]
 		ck := k.colKnown[j*w : (j+1)*w]
@@ -287,14 +340,138 @@ func (k *kernel) computeCentered() {
 }
 
 // similarityPass recomputes adjusted-cosine similarities between column
-// pairs. The first pass computes every pair — or, on the approximate
-// path, builds the LSH candidate structure and scores only candidate
+// pairs: the exact kernel's first pass through similarityTiles, every
+// other pass through similarityScan.
+func (k *kernel) similarityPass(ctx context.Context) error {
+	scan := k.similarityScan
+	if !k.approx && !k.simFresh {
+		scan = k.similarityTiles
+	}
+	if err := scan(ctx); err != nil {
+		return err
+	}
+	k.simFresh = true
+	k.dirtyCol.reset()
+	k.dirtyRow.reset()
+	return nil
+}
+
+// similarityTiles is the exact kernel's first, full similarity pass,
+// driven by rows instead of by pairs. Columns go in simTile-wide tiles,
+// and a work item is a tile pair (J ≤ C): for each row in ascending
+// order it pops the row's two tile words once into centered-value lists
+// and adds the row's term to every pair of listed columns in per-worker
+// accumulators. That is the bitset scan's multiply-add sequence per pair —
+// ascending rows, the same centered values — without a bit-pop loop exit
+// per pair and word. Overlap counts come from popcounts of the ANDed
+// column words. A tile pair's worker owns sim[j][c] and sim[c][j] for its
+// pairs, so the fan-out is race-free.
+func (k *kernel) similarityTiles(ctx context.Context) error {
+	n, w := k.n, k.w
+	tw := min(n, simTile)
+	err := parallel.ForEachWorker(ctx, k.p.Workers, w*(w+1)/2, func(worker, item int) error {
+		sc := &k.scratch[worker]
+		tj, tc := 0, item
+		for tc >= w-tj {
+			tc -= w - tj
+			tj++
+		}
+		tc += tj
+		diag := tj == tc
+		j0, c0 := tj*simTile, tc*simTile
+		acc := sc.acc
+		clear(acc)
+		ta, tb := &sc.ta, &sc.tb
+		if diag {
+			tb = ta
+		}
+		for i := 0; i < n; i++ {
+			a, c := k.rowKnown[i*w+tj], k.rowKnown[i*w+tc]
+			if a == 0 || c == 0 {
+				continue
+			}
+			row := k.cur[i*n : (i+1)*n]
+			ta.pop(a, row[j0:], k.rowMean[i])
+			if !diag {
+				tb.pop(c, row[c0:], k.rowMean[i])
+			}
+			bidx, bval := tb.idx[:tb.n], tb.val[:tb.n]
+			// Two listed columns of tile tj per pass over tile tc's list:
+			// half the loop exits, and each load feeds two accumulators. An
+			// odd list's last column is paired with a zero whose sums land
+			// in the junk row.
+			for x := 0; x < ta.n; x += 2 {
+				va, vx := ta.val[x], 0.0
+				pa, px := acc[ta.idx[x]*tw:][:tw], acc[tw*tw:]
+				if x+1 < ta.n {
+					vx, px = ta.val[x+1], acc[ta.idx[x+1]*tw:][:tw]
+				}
+				qa, qx := va*va, vx*vx
+				y := 0
+				if diag {
+					if y = x + 1; y < len(bval) {
+						p := &pa[bidx[y]]
+						p.dot, p.nj, p.nc = p.dot+va*vx, p.nj+qa, p.nc+qx
+						y++
+					}
+				}
+				for ; y < len(bval); y++ {
+					c, vb := bidx[y], bval[y]
+					qb := vb * vb
+					p, q := &pa[c], &px[c]
+					p.dot, p.nj, p.nc = p.dot+va*vb, p.nj+qa, p.nc+qb
+					q.dot, q.nj, q.nc = q.dot+vx*vb, q.nj+qx, q.nc+qb
+				}
+			}
+		}
+		for x := 0; x < min(simTile, n-j0); x++ {
+			j := j0 + x
+			kj := k.colKnown[j*w : (j+1)*w]
+			y := 0
+			if diag {
+				y = x + 1
+			}
+			for ; y < min(simTile, n-c0); y++ {
+				c := c0 + y
+				overlap := 0
+				for wi, word := range k.colKnown[c*w : (c+1)*w] {
+					overlap += bits.OnesCount64(word & kj[wi])
+				}
+				p := acc[x*tw+y]
+				k.storeSim(j, c, overlap, p.dot, p.nj, p.nc)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	k.recomputed += int64(n) * int64(n-1) / 2
+	return nil
+}
+
+// storeSim stores pair (j, c)'s adjusted-cosine similarity in both
+// triangles, clamped so the fill never tests one: only positive scores
+// vote, and a NaN one is stored as +0 too.
+func (k *kernel) storeSim(j, c, overlap int, dot, nj, nc float64) {
+	var s float64
+	if overlap >= k.p.MinOverlap && nj != 0 && nc != 0 {
+		if raw := dot / (math.Sqrt(nj) * math.Sqrt(nc)); raw > 0 {
+			s = raw
+		}
+	}
+	k.sim[j*k.n+c] = s
+	k.sim[c*k.n+j] = s
+}
+
+// similarityScan is the bitset scorer. On the approximate path its first
+// pass builds the LSH candidate structure and scores only candidate
 // pairs; later passes recompute only pairs invalidated since — at least
 // one column gained an entry, or the pair's overlap contains a row whose
 // mean changed — and count the rest as skipped. Column j's worker owns
 // sim[j][k] and sim[k][j] for k > j plus its own counter slots, so the
 // fan-out is race-free and the result worker-count independent.
-func (k *kernel) similarityPass(ctx context.Context) error {
+func (k *kernel) similarityScan(ctx context.Context) error {
 	n, w := k.n, k.w
 	full := !k.simFresh
 	if k.approx {
@@ -306,7 +483,6 @@ func (k *kernel) similarityPass(ctx context.Context) error {
 			return err
 		}
 	}
-	minOverlap := k.p.MinOverlap
 	err := parallel.ForEach(ctx, k.p.Workers, n, func(j int) error {
 		var rec, skip int64
 		kj := k.colKnown[j*w : (j+1)*w]
@@ -342,16 +518,7 @@ func (k *kernel) similarityPass(ctx context.Context) error {
 					nc += b * b
 				}
 			}
-			// Clamped here so the fill never tests a similarity: only
-			// positive scores vote, and a NaN one is stored as +0 too.
-			var s float64
-			if overlap >= minOverlap && nj != 0 && nc != 0 {
-				if raw := dot / (math.Sqrt(nj) * math.Sqrt(nc)); raw > 0 {
-					s = raw
-				}
-			}
-			k.sim[j*n+c] = s
-			k.sim[c*n+j] = s
+			k.storeSim(j, c, overlap, dot, nj, nc)
 		}
 		if k.approx {
 			// Only candidate pairs are ever scored; the rest stay at
@@ -386,87 +553,103 @@ func (k *kernel) similarityPass(ctx context.Context) error {
 		k.recomputed += k.recomputedBy[j]
 		k.skipped += k.skippedBy[j]
 	}
-	k.simFresh = true
-	k.dirtyCol.reset()
-	k.dirtyRow.reset()
 	return nil
 }
 
 // fillPass predicts every still-unknown cell in place, recording which
-// cells produced a value. Row i's worker reads only row i's known cells
-// and sim, and writes only row i's unknown cells and its slice of filled
-// (rowKnown does not change until apply), so the fan-out is race-free;
-// the per-worker scratch makes the pass allocation-free.
+// cells produced a value. Work items are blocks of fillBlock rows: a
+// block pops each row's known columns once into its row list, then walks
+// the unknown cells one column word at a time, so the 64 similarity rows
+// a word reads stay cache-resident across the whole block instead of
+// being fetched again for every row. A row's cells read only its known
+// cells and sim, and a block's worker writes only its rows' unknown cells
+// and slices of filled (rowKnown does not change until apply), so the
+// fan-out is race-free; the per-worker scratch makes the pass
+// allocation-free.
 func (k *kernel) fillPass(ctx context.Context) error {
 	n, w := k.n, k.w
 	k.filled.reset()
 	tail := tailMask(n)
-	return parallel.ForEachWorker(ctx, k.p.Workers, n, func(worker, i int) error {
+	blocks := (n + fillBlock - 1) / fillBlock
+	return parallel.ForEachWorker(ctx, k.p.Workers, blocks, func(worker, b int) error {
 		sc := &k.scratch[worker]
-		row := k.cur[i*n : (i+1)*n]
-
-		// Pop the row's bitset once into the row list and its complement.
-		nk, nu := 0, 0
-		finite := true
-		for wi, known := range k.rowKnown[i*w : (i+1)*w] {
-			missing := ^known
-			if wi == w-1 {
-				missing &= tail
+		i0, i1 := b*fillBlock, min((b+1)*fillBlock, n)
+		// Top-K needs each cell's candidates side by side, and an infinite
+		// known value would turn a clamped similarity's exact ±0
+		// contribution into 0 × Inf = NaN: such rows go cell by cell.
+		var cellwise uint64
+		for i, nk := i0, 0; i < i1; i++ {
+			finite := true
+			for wi, known := range k.rowKnown[i*w : (i+1)*w] {
+				for ; known != 0; known &= known - 1 {
+					c := wi<<6 + bits.TrailingZeros64(known)
+					sc.kcol[nk] = int32(c)
+					finite = finite && !math.IsInf(k.cur[i*n+c], 0)
+					nk++
+				}
 			}
-			base := int32(wi << 6)
-			for ; known != 0; known &= known - 1 {
-				c := base + int32(bits.TrailingZeros64(known))
-				v := row[c]
-				sc.kcol[nk], sc.kval[nk] = c, v
-				nk++
-				finite = finite && !math.IsInf(v, 0)
-			}
-			for ; missing != 0; missing &= missing - 1 {
-				sc.ucol[nu] = base + int32(bits.TrailingZeros64(missing))
-				nu++
+			sc.rowEnd[i-i0] = nk
+			if k.p.K > 0 || !finite {
+				cellwise |= 1 << uint(i-i0)
 			}
 		}
-		if k.p.K > 0 || !finite {
-			// Top-K needs each cell's candidates side by side, and an
-			// infinite known value would turn a clamped similarity's exact
-			// ±0 contribution into 0 × Inf = NaN: both go cell by cell.
-			for _, j := range sc.ucol[:nu] {
-				num, den := k.predictCell(sc, i, int(j))
-				k.store(i, int(j), num, den)
+		for wi := 0; wi < w; wi++ {
+			for i, start := i0, 0; i < i1; i++ {
+				kcol := sc.kcol[start:sc.rowEnd[i-i0]]
+				start = sc.rowEnd[i-i0]
+				missing := ^k.rowKnown[i*w+wi]
+				if wi == w-1 {
+					missing &= tail
+				}
+				nu := 0
+				for ; missing != 0; missing &= missing - 1 {
+					sc.ucol[nu] = int32(wi<<6 + bits.TrailingZeros64(missing))
+					nu++
+				}
+				if cellwise>>uint(i-i0)&1 == 0 {
+					k.fillGroups(i, sc.ucol, nu, kcol)
+					continue
+				}
+				for _, j := range sc.ucol[:nu] {
+					num, den := k.predictCell(sc, i, int(j))
+					k.store(i, int(j), num, den)
+				}
 			}
-			return nil
-		}
-
-		// Four unknown columns at a time over the row list: eight
-		// independent add chains instead of two. (i, j) unknown means j is
-		// not in the list, and every admitted similarity is strictly
-		// positive, so den != 0 exactly when the cell has a neighbor. A
-		// short last group repeats its last column.
-		for ; nu%4 != 0; nu++ {
-			sc.ucol[nu] = sc.ucol[nu-1]
-		}
-		kcol := sc.kcol[:nk]
-		kval := sc.kval[:nk]
-		for g := 0; g < nu; g += 4 {
-			j0, j1, j2, j3 := int(sc.ucol[g]), int(sc.ucol[g+1]), int(sc.ucol[g+2]), int(sc.ucol[g+3])
-			s0, s1 := k.sim[j0*n:(j0+1)*n], k.sim[j1*n:(j1+1)*n]
-			s2, s3 := k.sim[j2*n:(j2+1)*n], k.sim[j3*n:(j3+1)*n]
-			var n0, n1, n2, n3, d0, d1, d2, d3 float64
-			for t, c := range kcol {
-				v := kval[t]
-				a0, a1, a2, a3 := s0[c], s1[c], s2[c], s3[c]
-				n0, d0 = n0+a0*v, d0+a0
-				n1, d1 = n1+a1*v, d1+a1
-				n2, d2 = n2+a2*v, d2+a2
-				n3, d3 = n3+a3*v, d3+a3
-			}
-			k.store(i, j0, n0, d0)
-			k.store(i, j1, n1, d1)
-			k.store(i, j2, n2, d2)
-			k.store(i, j3, n3, d3)
 		}
 		return nil
 	})
+}
+
+// fillGroups predicts row i's unknown columns ucol[:nu] from its known
+// columns kcol, four columns at a time: one loop over the list feeds
+// eight independent add chains instead of two. (i, j) unknown means j is
+// not in the list, and every admitted similarity is strictly positive, so
+// den != 0 exactly when the cell has a neighbor. A short last group
+// repeats its last column, which ucol has room for.
+func (k *kernel) fillGroups(i int, ucol []int32, nu int, kcol []int32) {
+	n := k.n
+	row := k.cur[i*n : (i+1)*n]
+	for ; nu%4 != 0; nu++ {
+		ucol[nu] = ucol[nu-1]
+	}
+	for g := 0; g < nu; g += 4 {
+		j0, j1, j2, j3 := int(ucol[g]), int(ucol[g+1]), int(ucol[g+2]), int(ucol[g+3])
+		s0, s1 := k.sim[j0*n:(j0+1)*n], k.sim[j1*n:(j1+1)*n]
+		s2, s3 := k.sim[j2*n:(j2+1)*n], k.sim[j3*n:(j3+1)*n]
+		var n0, n1, n2, n3, d0, d1, d2, d3 float64
+		for _, c := range kcol {
+			v := row[c]
+			a0, a1, a2, a3 := s0[c], s1[c], s2[c], s3[c]
+			n0, d0 = n0+a0*v, d0+a0
+			n1, d1 = n1+a1*v, d1+a1
+			n2, d2 = n2+a2*v, d2+a2
+			n3, d3 = n3+a3*v, d3+a3
+		}
+		k.store(i, j0, n0, d0)
+		k.store(i, j1, n1, d1)
+		k.store(i, j2, n2, d2)
+		k.store(i, j3, n3, d3)
+	}
 }
 
 // store writes the prediction num/den into its cell and marks the cell
@@ -697,23 +880,21 @@ func (k *kernel) apply() {
 }
 
 // result hands out the completed matrix in the caller's (original)
-// orientation: rows sliced out of one flat backing — the kernel's own
-// value array for item-based mode (the kernel is discarded after the
-// call), a fresh un-transposed one for user-based mode.
+// orientation: rows sliced out of the kernel's own value array (the
+// kernel is discarded after the call), which user-based mode first
+// transposes back in place.
 func (k *kernel) result() [][]float64 {
-	n := k.n
-	backing := k.cur
+	n, cur := k.n, k.cur
 	if k.p.Mode == UserBased {
-		backing = make([]float64, n*n)
 		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				backing[i*n+j] = k.cur[j*n+i]
+			for j := i + 1; j < n; j++ {
+				cur[i*n+j], cur[j*n+i] = cur[j*n+i], cur[i*n+j]
 			}
 		}
 	}
 	rows := make([][]float64, n)
 	for i := range rows {
-		rows[i] = backing[i*n : (i+1)*n]
+		rows[i] = cur[i*n : (i+1)*n]
 	}
 	return rows
 }

@@ -11,13 +11,14 @@
 // the matrix.
 //
 // Two kernels implement the fill. The production kernel (kernel.go) works
-// on one flat array with known-entry bitsets: similarity inner loops are
-// word scans over precomputed row-mean-centered columns, the similarity
-// matrix is recomputed incrementally across fill iterations, and the
-// fill runs in place, four cells per pass over a row's known cells, with
-// per-worker scratch. The retained naive kernel (reference.go) is the
-// bit-for-bit specification the equivalence suite and the fuzz target
-// compare against.
+// on one flat array with known-entry bitsets and is blocked for the cache:
+// the first similarity pass runs row by row over pairs of 64-column tiles,
+// later passes recompute only the pairs a fill iteration invalidated, by
+// word scans over row-mean-centered columns, and the fill runs in place
+// over blocks of rows, one column word at a time, four cells per pass over
+// a row's known cells, with per-worker scratch. The retained naive kernel
+// (reference.go) is the bit-for-bit specification the equivalence suite
+// and the fuzz target compare against.
 package recommend
 
 import (
