@@ -80,12 +80,13 @@ journey-soak:
 # test suite under the race detector (plus a shuffled-order pass), the
 # chaos suite, the event-order flake gate, the flight-log audit
 # round-trip, the journey/tracing soak, a one-iteration benchmark smoke
-# run so benchmarks cannot bit-rot silently, ten seconds of fuzzing the
-# flat prediction kernel against the reference, and the benchmark
-# harness's own vet and tests. It carries no timing floor: behaviour is
-# pinned by the tests, and timing is compared parent against change,
-# workload by workload, by the pipeline that runs BENCHMARK.json
-# (benchmark/README.md). Nothing it runs writes a tracked file.
+# run so benchmarks cannot bit-rot silently, ten seconds each of fuzzing
+# the flat prediction kernel against the reference and the wire codec
+# against encoding/json, and the benchmark harness's own vet and tests.
+# It carries no timing floor: behaviour is pinned by the tests, and
+# timing is compared parent against change, workload by workload, by the
+# pipeline that runs BENCHMARK.json (benchmark/README.md). Nothing it
+# runs writes a tracked file.
 ci: lint build race test-shuffle chaos flake audit journey-soak bench-smoke fuzz-smoke bench-check
 
 # loc prints code-only lines per package — non-test files, with blank
@@ -120,11 +121,14 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run xxx ./...
 
-# fuzz-smoke fuzzes flat-kernel ≡ reference-kernel on small arbitrary
-# matrices for a bounded time. Minimizing each newly covered input is
+# fuzz-smoke fuzzes, each for a bounded time, flat-kernel ≡
+# reference-kernel on small arbitrary matrices, and the wire codec ≡
+# encoding/json on arbitrary lines (seeded from the golden transcripts in
+# internal/netproto/testdata/). Minimizing each newly covered input is
 # switched off: it can take the whole budget and finds nothing.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFlatMatchesReference -fuzztime=10s -fuzzminimizetime=0 ./internal/recommend/
+	$(GO) test -run xxx -fuzz FuzzMessageCodec -fuzztime=10s -fuzzminimizetime=0 ./internal/netproto/
 
 # bench-check vets and tests the benchmark harness (benchmark/ is its own
 # module, so `./...` above does not reach it): its result checkers

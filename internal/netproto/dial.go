@@ -1,9 +1,7 @@
 package netproto
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -141,8 +139,7 @@ func dialOnce(addr, job string, opts DialOptions, attempt int) (*Client, error) 
 	conn = opts.Faults.Wrap(conn)
 	c := &Client{
 		conn:         conn,
-		enc:          json.NewEncoder(conn),
-		dec:          json.NewDecoder(bufio.NewReader(conn)),
+		rd:           newLineReader(conn),
 		OwnJob:       job,
 		ReadTimeout:  opts.ReadTimeout,
 		WriteTimeout: opts.WriteTimeout,
@@ -154,7 +151,7 @@ func dialOnce(addr, job string, opts DialOptions, attempt int) (*Client, error) 
 	if timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(timeout))
 	}
-	if err := c.enc.Encode(Message{Type: "register", Job: job}); err != nil {
+	if err := c.write(&Message{Type: "register", Job: job}); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -162,7 +159,7 @@ func dialOnce(addr, job string, opts DialOptions, attempt int) (*Client, error) 
 		conn.SetReadDeadline(time.Now().Add(timeout))
 	}
 	var reg Message
-	if err := c.dec.Decode(&reg); err != nil {
+	if err := readMessage(c.rd, &reg); err != nil {
 		conn.Close()
 		return nil, err
 	}

@@ -5,13 +5,23 @@
 // with an epoch summary — the networked deployment style of the paper's
 // Java agents.
 //
-// Message flow (one JSON object per line):
+// Message flow:
 //
 //	agent -> coordinator   {"type":"register","job":"dedup"}
 //	coordinator -> agent   {"type":"registered","agent_id":3}
 //	coordinator -> agent   {"type":"assignment","partner_id":7,"seq":1,...}
 //	agent -> coordinator   {"type":"assess","action":"participate","seq":1}
 //	coordinator -> agent   {"type":"summary","mean_penalty":...}
+//
+// Framing is one JSON object per line, and a line is at most 4 KiB,
+// newline included: a longer one is a malformed message, counted by the
+// coordinator as net.rejected.line_too_long. Both ends write each message
+// with exactly one conn.Write, in the bytes encoding/json would write
+// (same field order, omitempty, float format and HTML-safe escaping), and
+// accept exactly what encoding/json accepts; a small codec (codec.go)
+// does both without reflection for the messages the protocol exchanges.
+// A line holding two objects, or an object split across lines, is
+// malformed.
 //
 // The coordinator is resilient to agent churn: every read and write
 // carries a deadline, an agent that dies or goes mute mid-epoch is reaped
@@ -27,9 +37,9 @@ package netproto
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -264,6 +274,32 @@ type Server struct {
 	// loop starts so registration goroutines can stamp replies without
 	// touching the span tree.
 	traceCtx string
+	// msgIn and msgOut count net.msg_in.<type> and net.msg_out.<type>.
+	msgIn, msgOut msgCounters
+}
+
+// wireTypes are the protocol's message types.
+var wireTypes = [...]string{"register", "registered", "assignment", "assess", "summary", "error"}
+
+// msgCounters caches one direction's per-type message counters for the
+// protocol's types, each resolved from the registry on first use, so a
+// message costs neither a name concatenation nor a registry lock. Any
+// other type a peer sends is looked up every time.
+type msgCounters [len(wireTypes)]atomic.Pointer[telemetry.Counter]
+
+func (mc *msgCounters) inc(reg *telemetry.Registry, prefix, typ string) {
+	for i, t := range wireTypes {
+		if t == typ {
+			c := mc[i].Load()
+			if c == nil {
+				c = reg.Counter(prefix + typ)
+				mc[i].Store(c)
+			}
+			c.Inc()
+			return
+		}
+	}
+	reg.Counter(prefix + typ).Inc()
 }
 
 // spanNow returns the span open "now" from the Serve goroutine's
@@ -286,8 +322,8 @@ func (s *Server) record(e telemetry.Event) int64 {
 
 type session struct {
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	rd   *bufio.Reader // line reader, capped at maxLine
+	buf  []byte        // encode buffer, reused under writeMu
 	job  workload.Job
 	id   int // wire AgentID: stable for the connection's lifetime
 	// queuedAt is when the registration entered the admission queue,
@@ -295,15 +331,16 @@ type session struct {
 	// admission observes the wait in the net.admit_wait histogram.
 	queuedAt time.Time
 
-	// writeMu serializes all writes to the conn. A session is queued for
-	// admission before its "registered" reply goes out (so an agent that
-	// has seen the reply is guaranteed visible to the next admission),
-	// which means the Serve goroutine can start pushing assignments while
-	// the registration goroutine is still around — without the mutex the
-	// two would race on the encoder, and the assignment could overtake
-	// the reply on the wire. needsReply marks the queued-but-unreplied
-	// window; whichever goroutine writes first flushes the reply, so it
-	// always precedes the session's first assignment.
+	// writeMu serializes all writes to the conn and guards buf. A session
+	// is queued for admission before its "registered" reply goes out (so
+	// an agent that has seen the reply is guaranteed visible to the next
+	// admission), which means the Serve goroutine can start pushing
+	// assignments while the registration goroutine is still around —
+	// without the mutex the two would race on the buffer, and the
+	// assignment could overtake the reply on the wire. needsReply marks
+	// the queued-but-unreplied window; whichever goroutine writes first
+	// flushes the reply, so it always precedes the session's first
+	// assignment.
 	writeMu    sync.Mutex
 	needsReply bool
 }
@@ -364,7 +401,18 @@ func (s *Server) send(sess *session, msg Message) error {
 	if err := s.flushReplyLocked(sess); err != nil {
 		return err
 	}
-	return s.encodeLocked(sess, msg)
+	return s.encodeLocked(sess, &msg)
+}
+
+// sendLine is send for a message already encoded as line: a payload every
+// session receives is encoded once.
+func (s *Server) sendLine(sess *session, typ string, line []byte) error {
+	sess.writeMu.Lock()
+	defer sess.writeMu.Unlock()
+	if err := s.flushReplyLocked(sess); err != nil {
+		return err
+	}
+	return s.writeLocked(sess, typ, line)
 }
 
 // flushReplyLocked sends the session's "registered" reply if it is still
@@ -374,23 +422,37 @@ func (s *Server) flushReplyLocked(sess *session) error {
 		return nil
 	}
 	sess.needsReply = false
-	return s.encodeLocked(sess, Message{Type: "registered", AgentID: sess.id,
+	return s.encodeLocked(sess, &Message{Type: "registered", AgentID: sess.id,
 		PartnerID: -1, TraceContext: s.traceCtx})
 }
 
-// encodeLocked writes one message under the write deadline and counts it
-// as net.msg_out.<type>. Caller holds sess.writeMu.
-func (s *Server) encodeLocked(sess *session, msg Message) error {
+// encodeLocked encodes msg into the session's buffer and writes it.
+// Caller holds sess.writeMu.
+func (s *Server) encodeLocked(sess *session, msg *Message) error {
+	line, err := appendMessage(sess.buf[:0], msg)
+	if err != nil {
+		return err
+	}
+	sess.buf = line
+	return s.writeLocked(sess, msg.Type, line)
+}
+
+// writeLocked writes one encoded message with one conn.Write under the
+// write deadline and counts it as net.msg_out.<typ>. Caller holds
+// sess.writeMu.
+func (s *Server) writeLocked(sess *session, typ string, line []byte) error {
 	if t := timeoutOrDefault(s.WriteTimeout, DefaultWriteTimeout); t > 0 {
 		sess.conn.SetWriteDeadline(time.Now().Add(t))
 	}
-	s.Metrics.Counter("net.msg_out." + msg.Type).Inc()
-	return sess.enc.Encode(msg)
+	s.msgOut.inc(s.Metrics, "net.msg_out.", typ)
+	_, err := sess.conn.Write(line)
+	return err
 }
 
 // recv decodes one message from the session under the read deadline
 // (clamped to epochDeadline when set) and counts it as
-// net.msg_in.<type>.
+// net.msg_in.<type>, or as net.rejected.line_too_long when the line
+// overflows maxLine.
 func (s *Server) recv(sess *session, epochDeadline time.Time) (Message, error) {
 	var dl time.Time
 	if t := timeoutOrDefault(s.ReadTimeout, DefaultReadTimeout); t > 0 {
@@ -401,10 +463,13 @@ func (s *Server) recv(sess *session, epochDeadline time.Time) (Message, error) {
 	}
 	sess.conn.SetReadDeadline(dl)
 	var msg Message
-	if err := sess.dec.Decode(&msg); err != nil {
+	if err := readMessage(sess.rd, &msg); err != nil {
+		if err == errLineTooLong {
+			s.Metrics.Counter("net.rejected.line_too_long").Inc()
+		}
 		return msg, err
 	}
-	s.Metrics.Counter("net.msg_in." + msg.Type).Inc()
+	s.msgIn.inc(s.Metrics, "net.msg_in.", msg.Type)
 	return msg, nil
 }
 
@@ -418,6 +483,9 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 	}
 	if len(s.Catalog) == 0 || len(s.Penalties) == 0 {
 		return fmt.Errorf("netproto: server needs a catalog and penalties")
+	}
+	if err := checkPenalties(s.Penalties, len(s.Catalog)); err != nil {
+		return err
 	}
 	epochs := s.Epochs
 	if epochs <= 0 {
@@ -469,6 +537,7 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 	// them at zero before the first fault.
 	s.Metrics.Counter("net.reaped")
 	s.Metrics.Counter("net.stale")
+	s.Metrics.Counter("net.rejected.line_too_long")
 	s.Metrics.Counter("epoch.degraded")
 	s.Metrics.Histogram("net.admit_wait", telemetry.DurationBuckets())
 	go s.acceptLoop(ln)
@@ -539,6 +608,26 @@ func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
 	return nil
 }
 
+// checkPenalties reports why m cannot be served over a catalog of n jobs:
+// it must be n×n, or the first clear indexes out of range, and finite,
+// or the assignment of a pair it prices cannot be encoded.
+func checkPenalties(m [][]float64, n int) error {
+	if len(m) != n {
+		return fmt.Errorf("netproto: penalty matrix has %d rows for %d catalog jobs", len(m), n)
+	}
+	for i, row := range m {
+		if len(row) != n {
+			return fmt.Errorf("netproto: penalty row %d has %d entries, want %d", i, len(row), n)
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("netproto: penalty [%d][%d] = %v is not finite", i, j, v)
+			}
+		}
+	}
+	return nil
+}
+
 // acceptLoop accepts connections for the listener's lifetime and
 // registers each on its own goroutine, so one slow or half-written
 // registration cannot block the others. It closes the registrations
@@ -576,11 +665,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // admits the session and pushes its first assignment first (see send).
 func (s *Server) register(conn net.Conn) {
 	defer s.untrackPending(conn)
-	sess := &session{
-		conn: conn,
-		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-	}
+	sess := &session{conn: conn, rd: newLineReader(conn)}
 	reg, err := s.recv(sess, time.Time{})
 	if err != nil || reg.Type != "register" {
 		_ = s.send(sess, Message{Type: "error", Error: "expected register", PartnerID: -1})
@@ -849,9 +934,12 @@ func (s *Server) runEpoch(ep *market.Epoch) (Message, error) {
 		BreakAways:    breakAways,
 		Participating: len(live) - breakAways,
 	}
+	// Every live session gets the same bytes, encoded once; a summary that
+	// cannot be encoded reaches nobody.
+	line, err := appendMessage(nil, &summary)
 	var dead []*session
 	for _, sess := range live {
-		if err := s.send(sess, summary); err != nil {
+		if err != nil || s.sendLine(sess, summary.Type, line) != nil {
 			dead = append(dead, sess)
 		}
 	}
@@ -867,8 +955,12 @@ func (s *Server) runEpoch(ep *market.Epoch) (Message, error) {
 // Client is one networked agent.
 type Client struct {
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	rd   *bufio.Reader // line reader, capped at maxLine
+	buf  []byte        // encode buffer
+	// echoed is the TraceCtx whose string form echoedAs holds, so an
+	// assessment echoes it without formatting it again.
+	echoed   telemetry.TraceContext
+	echoedAs string
 
 	// AgentID is assigned at registration.
 	AgentID int
@@ -903,6 +995,18 @@ type Client struct {
 // Close releases the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
+// write encodes msg into the client's buffer and sends it with one
+// conn.Write.
+func (c *Client) write(msg *Message) error {
+	line, err := appendMessage(c.buf[:0], msg)
+	if err != nil {
+		return err
+	}
+	c.buf = line
+	_, err = c.conn.Write(line)
+	return err
+}
+
 func (c *Client) setReadDeadline() {
 	if t := timeoutOrDefault(c.ReadTimeout, DefaultClientReadTimeout); t > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(t))
@@ -933,7 +1037,7 @@ func (c *Client) RunEpoch() (assignment, summary Message, err error) {
 		var msg Message
 		wait := ep.Child("await_assignment")
 		c.setReadDeadline()
-		if err = c.dec.Decode(&msg); err != nil {
+		if err = readMessage(c.rd, &msg); err != nil {
 			wait.Finish()
 			return
 		}
@@ -943,8 +1047,9 @@ func (c *Client) RunEpoch() (assignment, summary Message, err error) {
 			assigned = true
 			assignment = msg
 			ep.SetAttr("partner", msg.PartnerID)
+			assess := c.assess(msg)
 			c.setWriteDeadline()
-			if err = c.enc.Encode(c.assess(msg)); err != nil {
+			if err = c.write(&assess); err != nil {
 				return
 			}
 		case "summary":
@@ -968,7 +1073,10 @@ func (c *Client) RunEpoch() (assignment, summary Message, err error) {
 func (c *Client) assess(assignment Message) Message {
 	assess := Message{Type: "assess", Action: "participate", Seq: assignment.Seq}
 	if !c.TraceCtx.IsZero() {
-		assess.TraceContext = c.TraceCtx.String()
+		if c.TraceCtx != c.echoed {
+			c.echoed, c.echoedAs = c.TraceCtx, c.TraceCtx.String()
+		}
+		assess.TraceContext = c.echoedAs
 	}
 	if assignment.PartnerID >= 0 && c.Penalties != nil {
 		current := assignment.PredictedPenalty

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -134,6 +135,32 @@ func TestServerValidation(t *testing.T) {
 	}
 	if err := (&Server{Epoch: 2}).Serve("127.0.0.1:0", nil); err == nil {
 		t.Error("missing catalog accepted")
+	}
+}
+
+// TestServeRejectsUnservableMatrix: Serve validates the penalty matrix
+// before it listens. Accepted, an Inf or NaN cell made its pair's
+// assignment unencodable, so a healthy agent was reaped as a dead peer,
+// and a matrix short of the catalog indexed out of range at the first
+// clear.
+func TestServeRejectsUnservableMatrix(t *testing.T) {
+	_, catalog := testServer(t, 2, nil)
+	n := len(catalog)
+	for name, mutate := range map[string]func([][]float64) [][]float64{
+		"inf cell":   func(m [][]float64) [][]float64 { m[0][1] = math.Inf(1); return m },
+		"nan cell":   func(m [][]float64) [][]float64 { m[n-1][0] = math.NaN(); return m },
+		"short":      func(m [][]float64) [][]float64 { return m[:n-1] },
+		"ragged row": func(m [][]float64) [][]float64 { m[2] = m[2][:n-1]; return m },
+	} {
+		srv, _ := testServer(t, 2, nil)
+		srv.Penalties = mutate(srv.Penalties)
+		err := srv.Serve("127.0.0.1:0", func(string) {
+			t.Errorf("%s: Serve accepted a matrix it cannot serve", name)
+			go srv.Shutdown()
+		})
+		if err == nil || err == ErrServerClosed {
+			t.Errorf("%s: Serve = %v, want a validation error", name, err)
+		}
 	}
 }
 
@@ -718,7 +745,6 @@ func TestRegisteredReplyPrecedesFirstAssignment(t *testing.T) {
 	defer client.Close()
 	sess := &session{
 		conn:       server,
-		enc:        json.NewEncoder(server),
 		id:         7,
 		needsReply: true,
 	}
@@ -806,8 +832,7 @@ func TestClientWriteDeadlineOnStalledCoordinator(t *testing.T) {
 	defer server.Close()
 	c := &Client{
 		conn:         client,
-		enc:          json.NewEncoder(client),
-		dec:          json.NewDecoder(bufio.NewReader(client)),
+		rd:           newLineReader(client),
 		ReadTimeout:  5 * time.Second,
 		WriteTimeout: 100 * time.Millisecond,
 	}
