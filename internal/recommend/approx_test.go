@@ -28,8 +28,8 @@ func maskedGrid(n int, frac float64, seed int64) [][]float64 {
 }
 
 // TestApproxTopKRecallGate is the bounded equivalence contract of the
-// approximate path: at n=400, across the matrix-shape/mode/MinOverlap
-// sweep, the approximate kernel must recover at least 95% of the exact
+// approximate path: at n=400, across the matrix-shape sweep, the
+// approximate kernel must recover at least 95% of the exact
 // kernel's per-row top-10 lowest-penalty neighbors, and its own output
 // must be byte-identical at Workers 1 vs 8 (run under -race to also
 // prove the candidate build safe).
@@ -56,32 +56,28 @@ func TestApproxTopKRecallGate(t *testing.T) {
 	}
 	seed := int64(4000)
 	for _, g := range generators {
-		for _, mode := range []Mode{ItemBased, UserBased} {
-			for _, minOverlap := range []int{2, 5} {
-				seed++
-				label := fmt.Sprintf("%s mode=%d minOverlap=%d", g.name, mode, minOverlap)
-				m := g.gen(seed)
-				p := Predictor{MinOverlap: minOverlap, MaxIters: 3, Mode: mode, Workers: 8}
-				exact, _, err := p.Complete(m)
-				if err != nil {
-					t.Fatalf("%s: exact: %v", label, err)
-				}
-				pa := p
-				pa.Approx = DefaultApprox()
-				approx8, _, err := pa.Complete(m)
-				if err != nil {
-					t.Fatalf("%s: approx workers=8: %v", label, err)
-				}
-				pa.Workers = 1
-				approx1, _, err := pa.Complete(m)
-				if err != nil {
-					t.Fatalf("%s: approx workers=1: %v", label, err)
-				}
-				mustEqualBits(t, label+" approx workers 1 vs 8", approx1, approx8)
-				if recall := TopKRecall(exact, approx8, topK); recall < floor {
-					t.Errorf("%s: top-%d recall %.4f < %.2f", label, topK, recall, floor)
-				}
-			}
+		seed++
+		label := g.name
+		m := g.gen(seed)
+		p := Predictor{MaxIters: 3, Workers: 8}
+		exact, _, err := p.Complete(m)
+		if err != nil {
+			t.Fatalf("%s: exact: %v", label, err)
+		}
+		pa := p
+		pa.Approx = DefaultApprox()
+		approx8, _, err := pa.Complete(m)
+		if err != nil {
+			t.Fatalf("%s: approx workers=8: %v", label, err)
+		}
+		pa.Workers = 1
+		approx1, _, err := pa.Complete(m)
+		if err != nil {
+			t.Fatalf("%s: approx workers=1: %v", label, err)
+		}
+		mustEqualBits(t, label+" approx workers 1 vs 8", approx1, approx8)
+		if recall := TopKRecall(exact, approx8, topK); recall < floor {
+			t.Errorf("%s: top-%d recall %.4f < %.2f", label, topK, recall, floor)
 		}
 	}
 }
@@ -114,28 +110,25 @@ func TestApproxSameSeedRuns(t *testing.T) {
 // SplitSeed-per-hyperplane projection and disjoint-slot signature writes
 // must make the candidate structure independent of the fan-out.
 func TestApproxWorkerIndependence(t *testing.T) {
-	for _, mode := range []Mode{ItemBased, UserBased} {
-		m := randSparse(90, 0.25, int64(900+int(mode)))
-		p := Default()
-		p.Mode = mode
-		p.Approx = DefaultApprox()
-		p.Workers = 1
-		serial, iters1, err := p.Complete(m)
+	m := randSparse(90, 0.25, 900)
+	p := Default()
+	p.Approx = DefaultApprox()
+	p.Workers = 1
+	serial, iters1, err := p.Complete(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 8} {
+		pw := p
+		pw.Workers = workers
+		got, iters, err := pw.Complete(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 8} {
-			pw := p
-			pw.Workers = workers
-			got, iters, err := pw.Complete(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if iters != iters1 {
-				t.Fatalf("mode=%d workers=%d: %d iters vs serial %d", mode, workers, iters, iters1)
-			}
-			mustEqualBits(t, fmt.Sprintf("mode=%d workers=%d", mode, workers), got, serial)
+		if iters != iters1 {
+			t.Fatalf("workers=%d: %d iters vs serial %d", workers, iters, iters1)
 		}
+		mustEqualBits(t, fmt.Sprintf("workers=%d", workers), got, serial)
 	}
 }
 
@@ -302,9 +295,9 @@ func TestApproxOutputGolden(t *testing.T) {
 // Predictor iterates rather than degenerating into a pure fallback fill.
 func TestMaxItersZeroValue(t *testing.T) {
 	m := randSparse(40, 0.15, 5)
-	want := Predictor{MinOverlap: 2, MaxIters: 3}
+	want := Predictor{MaxIters: 3}
 	for _, maxIters := range []int{0, -1} {
-		p := Predictor{MinOverlap: 2, MaxIters: maxIters}
+		p := Predictor{MaxIters: maxIters}
 		if got := p.maxIters(); got != 3 {
 			t.Fatalf("maxIters(%d) = %d, want 3", maxIters, got)
 		}
@@ -330,7 +323,7 @@ func TestMaxItersZeroValue(t *testing.T) {
 		}
 	}
 	// The explicit bound still binds: one iteration is genuinely fewer.
-	p1 := Predictor{MinOverlap: 2, MaxIters: 1}
+	p1 := Predictor{MaxIters: 1}
 	if got := p1.maxIters(); got != 1 {
 		t.Fatalf("maxIters(1) = %d, want 1", got)
 	}

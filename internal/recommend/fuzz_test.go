@@ -44,9 +44,9 @@ func fuzzCells(m [][]float64) []byte {
 }
 
 // FuzzFlatMatchesReference holds the flat kernel to the reference on
-// arbitrary small matrices — any float bit pattern, any known mask — and
-// every K, MinOverlap and mode: both fail, or both succeed with the same
-// iteration count and the same bits. Sizes run past one fill block and
+// arbitrary small matrices — any float bit pattern, any known mask — at
+// MaxIters 1 to 3 and Workers 1, 3 or 8: both fail, or both succeed with
+// the same iteration count and the same bits. Sizes run past one fill block and
 // one similarity tile. The seeds are the shapes
 // TestFlatKernelMatchesReferenceEdges names, at fuzzing size, then the
 // same shapes one past the block and the tile.
@@ -71,13 +71,9 @@ func FuzzFlatMatchesReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, size, cfg uint8, cells []byte) {
 		n := 1 + int(size)%(simTile+8)
-		p := Predictor{
-			K:          []int{0, 1, 3, 10}[cfg&3],
-			MinOverlap: int(cfg >> 2 & 3),
-			MaxIters:   3,
-			Mode:       Mode(cfg >> 4 & 1),
-		}
-		label := fmt.Sprintf("n=%d K=%d minOverlap=%d mode=%d", n, p.K, p.MinOverlap, p.Mode)
-		mustMatchReference(t, label, p, fuzzMatrix(n, cells))
+		p := Predictor{MaxIters: 1 + int(cfg)%3}
+		workers := []int{1, 3, 8}[int(cfg)/3%3]
+		label := fmt.Sprintf("n=%d maxIters=%d", n, p.MaxIters)
+		mustMatchReference(t, label, p, fuzzMatrix(n, cells), workers)
 	})
 }

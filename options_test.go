@@ -11,10 +11,10 @@ func TestWithApproxPredictor(t *testing.T) {
 		t.Fatalf("default geometry = %+v, want %+v", got, want)
 	}
 	pred := DefaultPredictor()
-	pred.MinOverlap = 4
+	pred.MaxIters = 2
 	cfg = buildConfig([]Option{WithPredictor(pred), WithApproxPredictor(256, 32)})
 	p := cfg.Pipeline.Predictor
-	if p.MinOverlap != 4 {
+	if p.MaxIters != 2 {
 		t.Fatalf("WithApproxPredictor clobbered the predictor: %+v", p)
 	}
 	if got, want := p.Approx, (Approx{Bits: 256, Bands: 32}); got != want {
