@@ -186,8 +186,8 @@ func TestUnshardedEpochAllocatesLinearly(t *testing.T) {
 // pairs, one fill iteration) stays under 7 MiB — about 6: two n×n arrays
 // (the values, filled in place, and the similarities), the bitsets and
 // each worker's scratch — so a third n×n array cannot come in unnoticed.
-// The centered columns are one, and only an incremental similarity pass
-// may make them. Workers is fixed because each worker adds its own
+// The centered columns are one, and only the approximate path makes
+// them. Workers is fixed because each worker adds its own
 // ≈ 0.2 MiB of scratch.
 func TestPredictCompleteAllocation(t *testing.T) {
 	sparse := predictCompleteInput(t, 600, 7)

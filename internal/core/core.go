@@ -164,7 +164,6 @@ func (f *Framework) train(ctx context.Context) error {
 	predict := f.tel.Phase(nil, "predict")
 	predict.SetAttr("sparsity", profiler.Sparsity(sparse))
 	preRecomputed := reg.Counter("predict.sim_pairs_recomputed").Value()
-	preSkipped := reg.Counter("predict.sim_pairs_skipped").Value()
 	preCandScored := reg.Counter("predict.candidates_scored").Value()
 	preCandSkipped := reg.Counter("predict.candidates_skipped").Value()
 	pred := cfg.Pipeline.Predictor
@@ -178,7 +177,6 @@ func (f *Framework) train(ctx context.Context) error {
 	}
 	predict.SetAttr("fill_iters", f.iters)
 	predict.SetAttr("sim_pairs_recomputed", reg.Counter("predict.sim_pairs_recomputed").Value()-preRecomputed)
-	predict.SetAttr("sim_pairs_skipped", reg.Counter("predict.sim_pairs_skipped").Value()-preSkipped)
 	if scored := reg.Counter("predict.candidates_scored").Value() - preCandScored; scored > 0 {
 		predict.SetAttr("candidates_scored", scored)
 		predict.SetAttr("candidates_skipped", reg.Counter("predict.candidates_skipped").Value()-preCandSkipped)

@@ -261,15 +261,8 @@ func TestPredictSpanSimPairAttrs(t *testing.T) {
 	if !ok {
 		t.Fatalf("sim_pairs_recomputed attr missing or wrong type: %v", attrs)
 	}
-	skip, ok := attrs["sim_pairs_skipped"].(int64)
-	if !ok {
-		t.Fatalf("sim_pairs_skipped attr missing or wrong type: %v", attrs)
-	}
 	if rec <= 0 {
 		t.Errorf("sim_pairs_recomputed = %d, want > 0 for a profiled fill", rec)
-	}
-	if rec+skip <= 0 || skip < 0 {
-		t.Errorf("sim pair counters implausible: recomputed=%d skipped=%d", rec, skip)
 	}
 	// The span attrs are deltas of the registry counters, so they must not
 	// exceed the totals.

@@ -5,39 +5,14 @@ import (
 	"math/rand"
 )
 
-// Mask returns a copy of dense with only a sampled fraction of entries
-// kept and the rest NaN — the sparse observation matrix used to train the
-// predictor in the paper's Figure 12 accuracy sweep. Sampling is uniform
-// without replacement over all entries. fraction is clamped to [0, 1].
-func Mask(dense [][]float64, fraction float64, r *rand.Rand) [][]float64 {
-	n := len(dense)
-	out := make([][]float64, n)
-	var cells [][2]int
-	for i := range dense {
-		out[i] = make([]float64, len(dense[i]))
-		for j := range dense[i] {
-			out[i][j] = math.NaN()
-			cells = append(cells, [2]int{i, j})
-		}
-	}
-	if fraction < 0 {
-		fraction = 0
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	r.Shuffle(len(cells), func(a, b int) { cells[a], cells[b] = cells[b], cells[a] })
-	keep := int(math.Round(fraction * float64(len(cells))))
-	for _, c := range cells[:keep] {
-		out[c[0]][c[1]] = dense[c[0]][c[1]]
-	}
-	return out
-}
-
-// MaskPairs is like Mask but samples unordered colocations: keeping pair
-// (i, j) reveals both d[i][j] and d[j][i], matching how the profiler
-// observes both sides of one colocated run. This is the paper's actual
-// sampling unit ("100 sampled colocations" for 20 jobs at 25%).
+// MaskPairs returns a copy of dense with only a sampled fraction of its
+// unordered colocations kept and every other entry NaN — the sparse
+// observation matrix the predictor is trained on, as in the paper's
+// Figure 12 accuracy sweep. Keeping pair (i, j), i ≤ j, reveals both
+// d[i][j] and d[j][i], matching how the profiler observes both sides of
+// one colocated run; this is the paper's sampling unit ("100 sampled
+// colocations" for 20 jobs at 25%). Sampling is uniform without
+// replacement over the pairs, and fraction is clamped to [0, 1].
 func MaskPairs(dense [][]float64, fraction float64, r *rand.Rand) [][]float64 {
 	n := len(dense)
 	out := make([][]float64, n)
