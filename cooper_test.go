@@ -181,26 +181,36 @@ func TestUnshardedEpochAllocatesLinearly(t *testing.T) {
 	}
 }
 
-// TestPredictCompleteAllocation pins the kernel's memory: one exact
-// Complete of the predict-complete workload's input (600 jobs, 25% of
-// pairs, one fill iteration) stays under 7 MiB — about 6: two n×n arrays
-// (the values, filled in place, and the similarities), the bitsets and
-// each worker's scratch — so a third n×n array cannot come in unnoticed.
-// The centered columns are one, and only the approximate path makes
-// them. Workers is fixed because each worker adds its own
-// ≈ 0.2 MiB of scratch.
+// TestPredictCompleteAllocation pins the kernel's memory on the
+// predict-complete workload's input (600 jobs, 25% of pairs, one fill
+// iteration). One exact Complete stays under 7 MiB — about 6: two n×n
+// arrays (the values, filled in place, and the similarities), the
+// bitsets and each worker's scratch — so a third n×n array cannot come
+// in unnoticed. The approximate path runs the same kernel and adds its
+// candidate bitset, projection hyperplanes and signatures: about 8 MiB,
+// under 9. Workers is fixed because each worker adds its own ≈ 0.2 MiB
+// of scratch.
 func TestPredictCompleteAllocation(t *testing.T) {
 	sparse := predictCompleteInput(t, 600, 7)
-	p := recommend.Default()
-	p.Workers = 2
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, iters, err := p.Complete(sparse); err != nil || iters != 1 {
-		t.Fatalf("Complete: %d iterations, %v; want one iteration", iters, err)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 7<<20 {
-		t.Fatalf("exact Complete of a 600-job matrix allocated %.1f MiB, want < 7", float64(got)/(1<<20))
+	approx := recommend.Default()
+	approx.Approx = recommend.DefaultApprox()
+	for _, leg := range []struct {
+		name  string
+		p     recommend.Predictor
+		bound uint64
+	}{{"exact", recommend.Default(), 7 << 20}, {"approximate", approx, 9 << 20}} {
+		p := leg.p
+		p.Workers = 2
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, iters, err := p.Complete(sparse); err != nil || iters != 1 {
+			t.Fatalf("%s Complete: %d iterations, %v; want one iteration", leg.name, iters, err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= leg.bound {
+			t.Errorf("%s Complete of a 600-job matrix allocated %.1f MiB, want < %d",
+				leg.name, float64(got)/(1<<20), leg.bound>>20)
+		}
 	}
 }
 

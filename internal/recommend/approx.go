@@ -9,65 +9,55 @@ import (
 	"cooper/internal/parallel"
 )
 
-// This file is the approximate similarity path of the flat kernel: a
-// SimHash (sign random projection) banding scheme that replaces the
-// all-pairs O(n²) similarity scan with bucketed candidate generation.
+// This file is the approximate path of the flat kernel: a SimHash (sign
+// random projection) banding scheme that picks which column pairs may
+// vote in the fill.
 //
-// Each column's row-mean-centered values (the vectors similarityScan
-// scores candidates over) are projected onto Approx.Bits random
-// hyperplanes; the sign bits form the column's signature. The signature
-// splits into Approx.Bands bands, and two columns become similarity
-// *candidates* when at least one band's sub-signature collides — the
-// classic LSH amplification: near-angular columns agree on whole bands
-// with high probability, dissimilar ones almost never do. Only candidate
-// pairs are scored (by similarityScan's word scan, the exact adjusted
-// cosine), and the prediction pass masks each cell's neighbor scan
-// through the candidate bitset. Non-candidate pairs never vote, exactly
-// as if the exact scorer had found them non-positive.
+// Each column's row-mean-centered values (the vectors the similarity pass
+// scores) are projected onto Approx.Bits random hyperplanes; the sign
+// bits form the column's signature. The signature splits into
+// Approx.Bands bands, and two columns become *candidates* when at least
+// one band's sub-signature collides — the classic LSH amplification:
+// near-angular columns agree on whole bands with high probability,
+// dissimilar ones almost never do. Scoring and filling are the exact
+// kernel's own passes (similarityTiles, fillPass); between them
+// maskCandidates zeroes every non-candidate similarity, so a
+// non-candidate pair never votes, exactly as if the exact scorer had
+// found it non-positive, and a candidate pair's similarity is the exact
+// one bit for bit.
 //
-// What that buys is a constant, not an exponent: the mask removes the
-// non-candidate share of both loops (73–83% of pairs at the default
-// geometry), while the fill stays O(n² · known cells per row) and the
-// scorer O(candidate pairs · overlap) — measured exponent in n ≈ 2.7
-// between n = 500 and 2000 at 25% known, against the exact kernel's
-// ≈ 3.2 (docs/pr24-predict-kernel.md). The cache-blocked exact kernel is
-// faster on one-iteration inputs: ≈ 2× at n = 600, and at n = 2000,
-// single worker, 2.8–3.8 s exact against 3.0–6.5 s approximate in the
-// same runs (docs/pr30-predict-tiles.md). The pruning pays on the denser
-// later passes of sparse inputs instead: at n = 600 with 5% of cells
-// known, two iterations, single worker, approximate beat exact (median
-// 221 ms against 249 ms); DESIGN.md, "Approximate prediction", records
-// where the crossover lies.
+// The mask saves no work: every pair is still scored and the fill walks
+// every known column, so the approximate path costs the exact kernel
+// plus the candidate build and is never faster. It remains as the
+// benchmark harness's second predict-complete leg and its accuracy gate
+// (TopKRecall); DESIGN.md, "Approximate prediction", says why.
 //
 // Determinism: projection vectors derive from parallel.SplitSeed(Seed,
 // bit), each parallel pass writes only its own slots, and bucket pairs
 // are marked by commutative bit-OR — so the completed matrix is
 // byte-identical at any worker count and across same-seed runs. The
-// candidate set is rebuilt every similarity pass from the then-current
-// centered values (fill iterations densify the matrix, and the
-// signatures must follow it the way the exact scorer does), and every
-// candidate pair is scored afresh.
+// candidate set is rebuilt every pass from the then-current centered
+// values: fill iterations densify the matrix, and the signatures follow
+// it the way the exact scorer does.
 
 // Default approximate-kernel geometry: 384 signature bits in 48 bands of
 // 8 bits. Eight-bit bands keep buckets selective (256 keys per band, so
 // unrelated columns collide on any band with probability 48/256 ≈ 19%)
 // while 48 independent chances catch moderately similar columns; wider
-// bands prune harder but lose the mid-similarity neighbors the n=400
-// top-K recall gate (>=95%) is pinned at, and more 8-bit bands buy
-// recall that is already ~0.99 at the cost of the n=2000 speedup floor.
+// bands drop more pairs but lose the mid-similarity neighbors the n=400
+// top-K recall gate (>=95%) is pinned at.
 const (
 	DefaultApproxBits  = 384
 	DefaultApproxBands = 48
 )
 
-// Approx configures the LSH-bucketed approximate similarity path of the
-// flat prediction kernel. The zero value disables it: Complete then runs
-// the exact all-pairs kernel bit for bit. With Bits > 0 each column only
-// scores candidates sharing at least one of its Bands signature bands —
-// O(n·b) candidate generation in place of the all-pairs scan, which
-// prunes a constant share of the scoring and fill work (about three
-// quarters at the default geometry), at the price of a bounded top-K
-// recall guarantee instead of exact equivalence.
+// Approx configures the LSH-bucketed approximate path of the flat
+// prediction kernel. The zero value disables it: Complete then runs the
+// exact kernel bit for bit. With Bits > 0 a column pair votes in the
+// fill only if the two columns share at least one of their Bands
+// signature bands (about a quarter of the pairs at the default
+// geometry), which bounds top-K recall instead of guaranteeing exact
+// equivalence.
 type Approx struct {
 	// Bits is the SimHash signature width — the number of random
 	// hyperplanes each centered column is projected onto. Zero means
@@ -124,12 +114,11 @@ func DefaultApprox() Approx {
 }
 
 // buildCandidates computes every column's banded SimHash signature from
-// the current centered values and marks candidate pairs in k.cand — the
-// O(n·bits·density + collisions) replacement for the O(n²) pair
-// enumeration. It runs on every similarity pass, after computeCentered:
-// as fill iterations densify the matrix the signatures follow, so the
-// candidate set converges toward what the exact scorer would consider
-// similar on the same data.
+// the current centered values and marks candidate pairs in k.cand. It
+// runs before every similarity pass, after the row means: as fill
+// iterations densify the matrix the signatures follow, so the candidate
+// set converges toward what the exact scorer considers similar on the
+// same data.
 func (k *kernel) buildCandidates(ctx context.Context) error {
 	n, w := k.n, k.w
 	a := k.p.Approx
@@ -168,8 +157,9 @@ func (k *kernel) buildCandidates(ctx context.Context) error {
 	// Banded signatures: keys[j*bands+t] is column j's band-t
 	// sub-signature. The dot products run over the column's known rows
 	// only — the same sparse support the exact scorer scans — gathered
-	// once per column into the worker's scratch, accumulating all Bits
-	// dots per support row over the contiguous transposed plane row.
+	// once per column into the worker's scratch and centered on the row
+	// mean as the scorer centers them, accumulating all Bits dots per
+	// support row over the contiguous transposed plane row.
 	if k.keys == nil {
 		k.keys = make([]uint64, n*bands)
 	} else {
@@ -179,7 +169,6 @@ func (k *kernel) buildCandidates(ctx context.Context) error {
 	err := parallel.ForEachWorker(ctx, k.p.Workers, n, func(worker, j int) error {
 		sc := &k.scratch[worker]
 		ck := k.colKnown[j*w : (j+1)*w]
-		cj := k.centered[j*n : (j+1)*n]
 		cnt := 0
 		for wi, mask := range ck {
 			base := wi << 6
@@ -187,7 +176,7 @@ func (k *kernel) buildCandidates(ctx context.Context) error {
 				i := base + bits.TrailingZeros64(mask)
 				mask &= mask - 1
 				sc.rows[cnt] = i
-				sc.vals[cnt] = cj[i]
+				sc.vals[cnt] = k.cur[i*n+j] - k.rowMean[i]
 				cnt++
 			}
 		}
@@ -263,4 +252,20 @@ func (k *kernel) buildCandidates(ctx context.Context) error {
 	k.candScored += pairs
 	k.candSkipped += int64(n)*int64(n-1)/2 - pairs
 	return nil
+}
+
+// maskCandidates zeroes the similarity of every pair outside the
+// candidate set. The fill then treats a non-candidate as it treats a
+// non-positive exact score: the four-column loop adds its exact ±0 and
+// the per-cell path skips it. A candidate keeps its exact similarity.
+func (k *kernel) maskCandidates() {
+	n, w := k.n, k.w
+	for j := 0; j < n; j++ {
+		srow, cand := k.sim[j*n:(j+1)*n], k.cand[j*w:(j+1)*w]
+		for c := range srow {
+			if c != j && cand[c>>6]>>uint(c&63)&1 == 0 {
+				srow[c] = 0
+			}
+		}
+	}
 }

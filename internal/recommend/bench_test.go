@@ -59,10 +59,10 @@ func BenchmarkCompleteReference(b *testing.B) {
 	}
 }
 
-// BenchmarkCompleteApprox measures the approximate kernel (SimHash
-// banding in front of its own scorer, single worker) on the inputs of
+// BenchmarkCompleteApprox measures the approximate kernel (the exact
+// kernel behind a SimHash candidate mask, single worker) on the inputs of
 // BenchmarkCompleteFlat's n=2000 and multi-iteration legs; their ratio is
-// the approximation's speedup.
+// what the candidate build costs.
 func BenchmarkCompleteApprox(b *testing.B) {
 	p := Default()
 	p.Workers = 1

@@ -174,8 +174,9 @@ func TestFlatKernelWorkerIndependenceRandom(t *testing.T) {
 	}
 }
 
-// TestFlatKernelSimPairCounters checks the similarity pair counter: the
-// exact path scores every pair on every pass.
+// TestFlatKernelSimPairCounters checks the similarity pair counter:
+// every pair is scored on every pass, on the approximate path too, whose
+// candidate mask drops votes, not scoring.
 func TestFlatKernelSimPairCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := Default()
@@ -204,6 +205,20 @@ func TestFlatKernelSimPairCounters(t *testing.T) {
 	rec = reg.Counter("predict.sim_pairs_recomputed").Value()
 	if rec != pairs {
 		t.Errorf("MaxIters 1 at n=130: recomputed %d, want %d", rec, pairs)
+	}
+
+	// The approximate path over a multi-iteration input.
+	reg = telemetry.NewRegistry()
+	p = Predictor{Approx: DefaultApprox(), Metrics: reg}
+	if _, iters, err = p.Complete(randSparse(130, 0.05, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if iters < 2 {
+		t.Fatalf("approx at 5%% known: %d iterations, want at least 2", iters)
+	}
+	rec = reg.Counter("predict.sim_pairs_recomputed").Value()
+	if rec != pairs*int64(iters) {
+		t.Errorf("approx: recomputed %d != %d pairs x %d iters", rec, pairs, iters)
 	}
 }
 

@@ -40,11 +40,14 @@ import (
 //
 // Every accumulation visits the same values in the same order as the
 // reference kernel, so the output is bit-identical at any worker count.
+// The approximate path (approx.go) runs these same passes. It only
+// builds an LSH candidate set before the similarity pass and zeroes the
+// similarity of every pair outside that set before the fill.
 
-// Cache-blocking constants of the exact kernel. simTile is the column
+// Cache-blocking constants of the kernel. simTile is the column
 // tile of the similarity pass: one rowKnown word, so a row's cells
 // in a tile are one word's set bits. fillBlock is the row block of the
-// exact fill: while a block walks one column word's unknown cells, the
+// fill: while a block walks one column word's unknown cells, the
 // similarity rows of that word stay cache-resident across the block. It
 // is at most 64, so one word flags a block's rows.
 const (
@@ -61,8 +64,7 @@ type tileList struct {
 }
 
 // pop fills l from a row's known-cell word, centering vals (the row's
-// cells from the tile's first column on) on the row mean exactly as
-// computeCentered does.
+// cells from the tile's first column on) on the row mean.
 func (l *tileList) pop(word uint64, vals []float64, mean float64) {
 	l.n = 0
 	for ; word != 0; word &= word - 1 {
@@ -79,17 +81,14 @@ type pairAcc struct{ dot, nj, nc float64 }
 // prediction passes. Contents are fully overwritten per tile pair, row or
 // cell, so results never depend on which worker ran an item.
 type predictScratch struct {
-	acc    []pairAcc // exact similarity pass: a tile pair's sums, min(n, simTile)² row-major, then a junk row
-	ta, tb tileList  // exact similarity pass: the current row in the pair's two tiles
-	kcol   []int32   // exact fill: the block's rows' known columns, ascending, back to back
-	rowEnd []int     // exact fill: where each block row's columns end in kcol
-	ucol   []int32   // exact fill: a row's unknown columns in one word, ascending
+	acc    []pairAcc // similarity pass: a tile pair's sums, min(n, simTile)² row-major, then a junk row
+	ta, tb tileList  // similarity pass: the current row in the pair's two tiles
+	kcol   []int32   // fill: the block's rows' known columns, ascending, back to back
+	rowEnd []int     // fill: where each block row's columns end in kcol
+	ucol   []int32   // fill: a row's unknown columns in one word, ascending
 	rows   []int     // approx only: a column's known rows, ascending
 	vals   []float64 // approx only: their centered values, parallel to rows
 	dots   []float64 // approx only: per-hyperplane dot accumulators
-	pos    bitset    // approx only: current column's positive-sim candidates
-	pref   []int     // approx only: per-word popcount prefix ranks into psims
-	psims  []float64 // approx only: packed positive similarities
 }
 
 // kernel is the flat working state of one completeFlat call.
@@ -102,7 +101,6 @@ type kernel struct {
 	rowKnown bitset    // n*w words: row i's known columns
 	colKnown bitset    // n*w words: column j's known rows
 	rowMean  []float64
-	centered []float64 // approx only: n*n column-major row-mean-centered values
 	sim      []float64 // n*n similarities, each positive or +0
 	filled   bitset    // n*w scratch: cells filled by the current pass
 	unknown  int
@@ -110,9 +108,9 @@ type kernel struct {
 	recomputed int64 // similarity pairs scored, over all passes
 
 	// Approximate path (p.Approx.enabled()): cand marks each column's
-	// LSH candidate neighbors for the current iteration; non-candidates
-	// are never scored or read. The structure is rebuilt each similarity
-	// pass from the current centered values. See approx.go.
+	// LSH candidate neighbors for the current iteration, and every
+	// non-candidate similarity is zeroed before the fill. The structure is
+	// rebuilt each pass from the current centered values. See approx.go.
 	approx                  bool
 	cand                    bitset    // n*w words, symmetric, diagonal clear
 	proj                    []float64 // Bits*n projection hyperplanes, seeded once
@@ -205,22 +203,15 @@ func newKernel(p Predictor, m [][]float64) (*kernel, error) {
 	k.scratch = make([]predictScratch, min(parallel.Workers(p.Workers), n))
 	tw := min(n, simTile)
 	for i := range k.scratch {
-		if !k.approx {
-			k.scratch[i] = predictScratch{
-				acc:    make([]pairAcc, (tw+1)*tw),
-				kcol:   make([]int32, min(n, fillBlock)*n),
-				rowEnd: make([]int, fillBlock),
-				ucol:   make([]int32, 64+3),
-			}
-		} else {
-			k.scratch[i] = predictScratch{
-				rows:  make([]int, n),
-				vals:  make([]float64, n),
-				dots:  make([]float64, p.Approx.Bits),
-				pos:   make(bitset, w),
-				pref:  make([]int, w),
-				psims: make([]float64, n),
-			}
+		k.scratch[i] = predictScratch{
+			acc:    make([]pairAcc, (tw+1)*tw),
+			kcol:   make([]int32, min(n, fillBlock)*n),
+			rowEnd: make([]int, fillBlock),
+			ucol:   make([]int32, 64+3),
+		}
+		if k.approx {
+			sc := &k.scratch[i]
+			sc.rows, sc.vals, sc.dots = make([]int, n), make([]float64, n), make([]float64, p.Approx.Bits)
 		}
 	}
 	return k, nil
@@ -228,20 +219,24 @@ func newKernel(p Predictor, m [][]float64) (*kernel, error) {
 
 // iterate runs one fill iteration: fresh row means, the similarity pass,
 // the prediction pass, and the state update that makes the predictions
-// known. The exact path scores pairs with similarityTiles, which centers
-// values as it reads them; the approximate path centers the columns its
-// signatures and scorer read, then runs similarityScan.
+// known. The approximate path adds two steps around the similarity pass:
+// it builds the LSH candidate set first and zeroes every non-candidate
+// similarity after, so the fill sees non-candidates as the exact kernel
+// sees non-positive pairs.
 func (k *kernel) iterate(ctx context.Context) error {
 	k.computeRowMeans()
-	similarity, fill := k.similarityTiles, k.fillPass
 	if k.approx {
-		k.computeCentered()
-		similarity, fill = k.similarityScan, k.fillPassTiled
+		if err := k.buildCandidates(ctx); err != nil {
+			return err
+		}
 	}
-	if err := similarity(ctx); err != nil {
+	if err := k.similarityTiles(ctx); err != nil {
 		return err
 	}
-	if err := fill(ctx); err != nil {
+	if k.approx {
+		k.maskCandidates()
+	}
+	if err := k.fillPass(ctx); err != nil {
 		return err
 	}
 	k.apply()
@@ -275,30 +270,7 @@ func (k *kernel) computeRowMeans() {
 	}
 }
 
-// computeCentered refreshes the approximate path's column-major centered
-// values at every known cell, allocating them on first use. Unknown cells
-// are never read (the similarity loop masks through the column bitsets),
-// so they need no clearing.
-func (k *kernel) computeCentered() {
-	n, w := k.n, k.w
-	if k.centered == nil {
-		k.centered = make([]float64, n*n)
-	}
-	for j := 0; j < n; j++ {
-		col := k.centered[j*n : (j+1)*n]
-		ck := k.colKnown[j*w : (j+1)*w]
-		for wi, mask := range ck {
-			base := wi << 6
-			for mask != 0 {
-				i := base + bits.TrailingZeros64(mask)
-				mask &= mask - 1
-				col[i] = k.cur[i*n+j] - k.rowMean[i]
-			}
-		}
-	}
-}
-
-// similarityTiles is the exact kernel's similarity pass over every column
+// similarityTiles is the kernel's similarity pass over every column
 // pair, driven by rows instead of by pairs. Columns go in simTile-wide
 // tiles, and a work item is a tile pair (J ≤ C): for each row in
 // ascending order it pops the row's two tile words once into
@@ -404,64 +376,6 @@ func (k *kernel) storeSim(j, c, overlap int, dot, nj, nc float64) {
 	}
 	k.sim[j*k.n+c] = s
 	k.sim[c*k.n+j] = s
-}
-
-// similarityScan is the approximate path's scorer. It builds the LSH
-// candidate structure from the current centered values, then scores each
-// candidate pair by a word scan over the AND of the two column bitsets.
-// No other pair is read: the fill masks through the same candidate set,
-// as if a non-positive exact score had been stored. Column j's worker owns sim[j][c] and sim[c][j] for c > j,
-// so the fan-out is race-free and the result worker-count independent.
-func (k *kernel) similarityScan(ctx context.Context) error {
-	n, w := k.n, k.w
-	// Rebuild the candidate structure from the current centered values:
-	// as fill iterations densify the matrix, signatures track the same
-	// data the scorer scans, so pairs that only become similar after
-	// filling still get promoted to candidates.
-	if err := k.buildCandidates(ctx); err != nil {
-		return err
-	}
-	err := parallel.ForEach(ctx, k.p.Workers, n, func(j int) error {
-		kj := k.colKnown[j*w : (j+1)*w]
-		cj := k.centered[j*n : (j+1)*n]
-		candJ := k.cand[j*w : (j+1)*w]
-		for wi := j >> 6; wi < w; wi++ {
-			mask := candJ[wi]
-			if wi == j>>6 {
-				// Keep strictly-above-j bits of the first word (the double
-				// shift sidesteps the 1<<64 overflow at j&63=63).
-				mask &^= uint64(1)<<uint(j&63)<<1 - 1
-			}
-			for ; mask != 0; mask &= mask - 1 {
-				c := wi<<6 + bits.TrailingZeros64(mask)
-				kc := k.colKnown[c*w : (c+1)*w]
-				cc := k.centered[c*n : (c+1)*n]
-				var dot, nj, nc float64
-				overlap := 0
-				for xi := 0; xi < w; xi++ {
-					both := kj[xi] & kc[xi]
-					if both == 0 {
-						continue
-					}
-					overlap += bits.OnesCount64(both)
-					for ; both != 0; both &= both - 1 {
-						i := xi<<6 + bits.TrailingZeros64(both)
-						a, b := cj[i], cc[i]
-						dot += a * b
-						nj += a * a
-						nc += b * b
-					}
-				}
-				k.storeSim(j, c, overlap, dot, nj, nc)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	k.recomputed += int64(k.cand.count() / 2)
-	return nil
 }
 
 // fillPass predicts every still-unknown cell in place, recording which
@@ -571,108 +485,9 @@ func (k *kernel) store(i, j int, num, den float64) {
 	}
 }
 
-// fillTile is the row-block size of the approximate path's tiled fill
-// pass: cur's tile rows stay cache-resident while each sim row streams
-// through the whole tile.
-const fillTile = 64
-
-// fillPassTiled is the approximate path's fill, in place like fillPass
-// but with a blocked loop order. The candidate mask leaves so few
-// neighbors per cell that the pass is bound by cache misses, not
-// arithmetic: with rows outer, every cell faults in a fresh sim row.
-// Iterating column-outer within a block of rows keeps sim's row j hot
-// across the whole tile and the tile's cur rows resident, turning the
-// gathers into cache hits. Each cell sees the candidates, order and
-// arithmetic a per-cell scan would, and a worker owns its tile's rows, so
-// writes stay disjoint and the result is byte-identical at any worker
-// count.
-func (k *kernel) fillPassTiled(ctx context.Context) error {
-	n, w := k.n, k.w
-	clear(k.filled)
-	tiles := (n + fillTile - 1) / fillTile
-	return parallel.ForEachWorker(ctx, k.p.Workers, tiles, func(worker, tile int) error {
-		sc := &k.scratch[worker]
-		i0 := tile * fillTile
-		i1 := i0 + fillTile
-		if i1 > n {
-			i1 = n
-		}
-		for j := 0; j < n; j++ {
-			// Distill column j once for the whole tile into a
-			// positive-similarity bitset with per-word popcount prefix
-			// ranks and a packed similarity array: each cell below scans
-			// rowKnown AND positive and ranks its hits into psims, so the
-			// inner loop never gathers from the 8n-byte sim row at all.
-			// Non-candidates hold similarity zero and are excluded by the
-			// same s > 0 test the exact path applies.
-			srow := k.sim[j*n : (j+1)*n]
-			candJ := k.cand[j*w : (j+1)*w]
-			pos, pref, psims := sc.pos, sc.pref, sc.psims
-			pcnt := 0
-			for cwi, mask := range candJ {
-				pref[cwi] = pcnt
-				var pw uint64
-				base := cwi << 6
-				for mask != 0 {
-					b := bits.TrailingZeros64(mask)
-					mask &= mask - 1
-					if s := srow[base+b]; s > 0 {
-						pw |= uint64(1) << uint(b)
-						psims[pcnt] = s
-						pcnt++
-					}
-				}
-				pos[cwi] = pw
-			}
-			if pcnt == 0 {
-				continue
-			}
-			wi := j >> 6
-			bit := uint64(1) << uint(j&63)
-			for i := i0; i < i1; i++ {
-				if k.rowKnown[i*w+wi]&bit != 0 {
-					continue
-				}
-				num, den := k.predictCellRanked(sc, i)
-				k.store(i, j, num, den)
-			}
-		}
-		return nil
-	})
-}
-
-// predictCellRanked is predictCell against the distilled column state in
-// sc (pos/pref/psims, built by fillPassTiled): candidates are the set
-// bits of rowKnown AND pos in ascending order with similarities ranked
-// out of the packed array — the exact (column, similarity) sequence
-// predictCell's per-cell scan produces — and the weighted mean is
-// accumulated while ranking. The target column itself can never appear:
-// the candidate bitset's diagonal is clear.
-func (k *kernel) predictCellRanked(sc *predictScratch, i int) (num, den float64) {
-	n, w := k.n, k.w
-	row := k.cur[i*n : (i+1)*n]
-	rk := k.rowKnown[i*w : (i+1)*w]
-	for wi, pw := range sc.pos {
-		mask := rk[wi] & pw
-		if mask == 0 {
-			continue
-		}
-		base := wi << 6
-		rankBase := sc.pref[wi]
-		for mask != 0 {
-			b := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			s := sc.psims[rankBase+bits.OnesCount64(pw&(uint64(1)<<uint(b)-1))]
-			num += s * row[base+b]
-			den += s
-		}
-	}
-	return num, den
-}
-
 // predictCell estimates cell (i, j) from row i's known ratings of
 // columns similar to j, matching the reference predict bit for bit: the
-// same neighbors, accumulated in ascending column order. It is the exact
+// same neighbors, accumulated in ascending column order. It is the
 // fill's path for rows with infinite known values. Cell (i, j) must be
 // unknown, so j is never among row i's known columns.
 func (k *kernel) predictCell(i, j int) (num, den float64) {

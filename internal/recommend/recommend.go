@@ -50,14 +50,14 @@ type Predictor struct {
 	// functions of the previous iteration's matrix, so results are
 	// identical at any worker count.
 	Workers int
-	// Approx, when non-zero, routes similarity through the LSH-bucketed
-	// approximate path: each column only scores candidates sharing at
-	// least one SimHash band, which prunes a constant share of the
-	// all-pairs work (see approx.go). The zero value reproduces the exact
-	// flat kernel bit for bit. Approximate output satisfies a bounded top-K
-	// recall guarantee (see the recall gate in approx_test.go) rather
-	// than exact equivalence. Ignored by the reference kernel, which
-	// exists as the exact executable specification.
+	// Approx, when non-zero, runs the LSH-bucketed approximate path: a
+	// column pair votes in the fill only if the two columns share at least
+	// one SimHash band (see approx.go). The zero value reproduces the
+	// exact flat kernel bit for bit. Approximate output satisfies a
+	// bounded top-K recall guarantee (see the recall gate in
+	// approx_test.go) rather than exact equivalence. Ignored by the
+	// reference kernel, which exists as the exact executable
+	// specification.
 	Approx Approx
 	// Metrics, when non-nil, receives the predictor's work counters
 	// (predict.fill_iters, predict.cells_filled, predict.fallback_cells,
