@@ -26,9 +26,6 @@
 //	-epochs     with -trace, scheduling epochs to run (fresh population each)
 //	-events-out with -trace, append the flight-recorder event stream to a
 //	        JSONL file, replayable and auditable with cooper-replay
-//	-approx-bits, -approx-bands  with -trace, route preference prediction
-//	        through the LSH-bucketed approximate similarity kernel
-//	        (-approx-bits -1 selects the tuned default geometry)
 package main
 
 import (
@@ -54,7 +51,7 @@ func main() {
 	epochs := flag.Int("epochs", 1,
 		"with -trace, scheduling epochs to run, each over a freshly "+
 			"sampled population")
-	cf := simcli.NewCommonFlags(flag.CommandLine).SeedWorkers().Events("with -trace, ").Approx()
+	cf := simcli.NewCommonFlags(flag.CommandLine).SeedWorkers().Events("with -trace, ")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: cooper-sim [flags] <experiment>\n\n"+
 			"experiments: %s\n\nflags:\n", strings.Join(simcli.Names(), " "))
@@ -66,7 +63,7 @@ func main() {
 	if *trace {
 		opts := simcli.Options{N: *n, Pops: *pops, Seed: *seed, Quick: *quick,
 			Workers: *workers, JSON: *jsonOut, TraceOut: *traceOut,
-			Epochs: *epochs, EventsOut: *cf.EventsOut, Approx: cf.ApproxConfig()}
+			Epochs: *epochs, EventsOut: *cf.EventsOut}
 		if *n == 1000 {
 			opts.N = 64 // tracing one epoch needs no paper-scale population
 		}

@@ -68,8 +68,7 @@ func main() {
 		ServerTimeouts().
 		Audit().
 		Market().
-		Rematch().
-		Approx()
+		Rematch()
 	flag.Parse()
 	seed, workers := cf.Seed, cf.Workers
 	eventsOut, chaosSeed := cf.EventsOut, cf.ChaosSeed
@@ -129,7 +128,6 @@ func main() {
 		}
 		pred := recommend.Default()
 		pred.Workers = *workers
-		pred.Approx = cf.ApproxConfig()
 		kernel = pred.KernelName()
 		penalties, _, err = pred.CompleteContext(context.Background(), sparse)
 		if err != nil {

@@ -127,9 +127,6 @@ type (
 	Recommendation = agent.Recommendation
 	// Predictor is the collaborative-filtering preference predictor.
 	Predictor = recommend.Predictor
-	// Approx configures the predictor's LSH-bucketed approximate
-	// similarity path; the zero value means exact.
-	Approx = recommend.Approx
 )
 
 // Unmatched marks an agent with no co-runner in a Matching.

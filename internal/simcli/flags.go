@@ -4,8 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"time"
-
-	"cooper/internal/recommend"
 )
 
 // CommonFlags registers the flag groups Cooper's commands share, so
@@ -55,10 +53,6 @@ type CommonFlags struct {
 	// Rematch group.
 	RematchOn      *bool
 	ChurnThreshold *float64
-
-	// Approx group.
-	ApproxBits  *int
-	ApproxBands *int
 }
 
 // NewCommonFlags wraps fs (typically flag.CommandLine) for group
@@ -140,33 +134,6 @@ func (c *CommonFlags) Audit() *CommonFlags {
 			"(live or cooper-replay) flag any blocking pair where both agents "+
 			"gain more than α; negative declares no contract")
 	return c
-}
-
-// Approx registers the approximate-predictor knobs: -approx-bits and
-// -approx-bands.
-func (c *CommonFlags) Approx() *CommonFlags {
-	c.ApproxBits = c.fs.Int("approx-bits", 0,
-		"route preference prediction through the LSH-bucketed approximate "+
-			"similarity kernel with this SimHash signature width; -1 selects "+
-			"the tuned default geometry, 0 keeps the exact kernel")
-	c.ApproxBands = c.fs.Int("approx-bands", 0,
-		"with -approx-bits, split each signature into this many bands "+
-			"(columns sharing any band become similarity candidates); 0 "+
-			"derives 8-bit bands from the signature width")
-	return c
-}
-
-// ApproxConfig resolves the Approx group into the predictor knob:
-// the zero value (exact) unless -approx-bits is set, with -1 meaning
-// the tuned default geometry.
-func (c *CommonFlags) ApproxConfig() recommend.Approx {
-	if c.ApproxBits == nil || *c.ApproxBits == 0 {
-		return recommend.Approx{}
-	}
-	if *c.ApproxBits < 0 {
-		return recommend.DefaultApprox()
-	}
-	return recommend.Approx{Bits: *c.ApproxBits, Bands: *c.ApproxBands}
 }
 
 // Market registers the sharded-market knob, -shards.

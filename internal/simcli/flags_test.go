@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"testing"
-
-	"cooper/internal/recommend"
 )
 
 // The shared flag surface is a contract: scripts and docs depend on the
@@ -20,18 +18,13 @@ func TestCommonFlagsHelpGolden(t *testing.T) {
 		Chaos("every agent connection").
 		ServerTimeouts().
 		Audit().
-		Market().
-		Approx()
+		Market()
 
 	var buf bytes.Buffer
 	fs.SetOutput(&buf)
 	fs.PrintDefaults()
 
-	const golden = `  -approx-bands int
-    	with -approx-bits, split each signature into this many bands (columns sharing any band become similarity candidates); 0 derives 8-bit bands from the signature width
-  -approx-bits int
-    	route preference prediction through the LSH-bucketed approximate similarity kernel with this SimHash signature width; -1 selects the tuned default geometry, 0 keeps the exact kernel
-  -audit
+	const golden = `  -audit
     	run the live invariant auditor on the event stream: violations are recorded as invariant_violated events, counted under audit.violations.*, and fail the exit status
   -audit-alpha float
     	declare a stability contract α in each epoch snapshot: auditors (live or cooper-replay) flag any blocking pair where both agents gain more than α; negative declares no contract (default -1)
@@ -78,41 +71,13 @@ func TestCommonFlagsClientGroup(t *testing.T) {
 // Defaults survive an empty parse — what every command relies on.
 func TestCommonFlagsDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	cf := NewCommonFlags(fs).SeedWorkers().Audit().Market().Approx()
+	cf := NewCommonFlags(fs).SeedWorkers().Audit().Market()
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
 	if *cf.Seed != 1 || *cf.Workers != 0 || *cf.AuditOn || *cf.AuditAlpha != -1 ||
-		*cf.Shards != 0 || *cf.ApproxBits != 0 || *cf.ApproxBands != 0 {
-		t.Fatalf("defaults wrong: seed=%d workers=%d audit=%v α=%v shards=%d approx=%d/%d",
-			*cf.Seed, *cf.Workers, *cf.AuditOn, *cf.AuditAlpha, *cf.Shards,
-			*cf.ApproxBits, *cf.ApproxBands)
-	}
-}
-
-// ApproxConfig resolves the flag pair into the predictor knob: 0 stays
-// exact (zero value), -1 selects the tuned default geometry, explicit
-// widths pass through, and an unregistered group is safely exact.
-func TestCommonFlagsApproxConfig(t *testing.T) {
-	parse := func(argv ...string) *CommonFlags {
-		fs := flag.NewFlagSet("x", flag.ContinueOnError)
-		cf := NewCommonFlags(fs).Approx()
-		if err := fs.Parse(argv); err != nil {
-			t.Fatal(err)
-		}
-		return cf
-	}
-	if a := parse().ApproxConfig(); a != (recommend.Approx{}) {
-		t.Fatalf("default ApproxConfig = %+v, want exact", a)
-	}
-	if a := parse("-approx-bits", "-1").ApproxConfig(); a != recommend.DefaultApprox() {
-		t.Fatalf("-approx-bits -1 = %+v, want tuned default", a)
-	}
-	if a, want := parse("-approx-bits", "256", "-approx-bands", "32").ApproxConfig(),
-		(recommend.Approx{Bits: 256, Bands: 32}); a != want {
-		t.Fatalf("explicit geometry = %+v, want %+v", a, want)
-	}
-	if a := (&CommonFlags{}).ApproxConfig(); a != (recommend.Approx{}) {
-		t.Fatalf("unregistered group = %+v, want exact", a)
+		*cf.Shards != 0 {
+		t.Fatalf("defaults wrong: seed=%d workers=%d audit=%v α=%v shards=%d",
+			*cf.Seed, *cf.Workers, *cf.AuditOn, *cf.AuditAlpha, *cf.Shards)
 	}
 }

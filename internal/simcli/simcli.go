@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"cooper/internal/experiments"
-	"cooper/internal/recommend"
 )
 
 // Options scales and shapes a run.
@@ -43,11 +42,6 @@ type Options struct {
 	// stream — epoch snapshots included — to this JSONL file as it is
 	// recorded: the cooper-replay input, parity with cooperd -events-out.
 	EventsOut string
-	// Approx routes Trace's preference prediction through the
-	// LSH-bucketed approximate similarity kernel (the traced spans, work
-	// counters, and epoch snapshots then carry the approximate kernel's
-	// telemetry); the zero value keeps the exact kernel.
-	Approx recommend.Approx
 }
 
 // Names lists the runnable experiments in presentation order.

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"cooper/internal/core"
-	"cooper/internal/recommend"
 	"cooper/internal/stats"
 	"cooper/internal/telemetry"
 	"cooper/internal/textplot"
@@ -40,16 +39,9 @@ func Trace(w io.Writer, opts Options) error {
 		Pipeline: core.PipelineConfig{Workers: opts.Workers},
 		Observe:  core.ObserveConfig{Telemetry: tel},
 	}
-	if opts.Approx.Bits > 0 {
-		cfg.Pipeline.Predictor = recommend.Default()
-		cfg.Pipeline.Predictor.Approx = opts.Approx
-	}
 	fw, err := core.NewFramework(context.Background(), cfg)
 	if err != nil {
 		return err
-	}
-	if opts.Approx.Bits > 0 {
-		fmt.Fprintf(w, "prediction kernel: %s\n\n", cfg.Pipeline.Predictor.KernelName())
 	}
 	epochs := opts.Epochs
 	if epochs <= 0 {

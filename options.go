@@ -1,9 +1,6 @@
 package cooper
 
-import (
-	"cooper/internal/core"
-	"cooper/internal/recommend"
-)
+import "cooper/internal/core"
 
 // Grouped configuration types. Config is what the functional options
 // below assemble; it can also be built literally and passed to the
@@ -84,26 +81,6 @@ func WithSampleFraction(frac float64) Option {
 // predictor.
 func WithPredictor(p Predictor) Option {
 	return func(c *Config) { c.Pipeline.Predictor = p }
-}
-
-// WithApproxPredictor routes preference prediction through the
-// LSH-bucketed approximate similarity kernel: each job only scores
-// candidates sharing at least one of its SimHash signature bands, so
-// candidate generation is O(n·bands) instead of the exact kernel's
-// O(n²) all-pairs scan. bits <= 0 selects the tuned default geometry
-// (recommend.DefaultApprox); bands <= 0 derives 8-bit bands from the
-// signature width. The approximation trades exact equivalence for a
-// bounded top-K recall guarantee and stays byte-identical at any
-// worker count. Composes with WithPredictor: apply it after to keep
-// the predictor's other knobs.
-func WithApproxPredictor(bits, bands int) Option {
-	return func(c *Config) {
-		a := recommend.Approx{Bits: bits, Bands: bands}
-		if bits <= 0 {
-			a = recommend.DefaultApprox()
-		}
-		c.Pipeline.Predictor.Approx = a
-	}
 }
 
 // WithOracle skips profiling and prediction, giving the policy exact
