@@ -81,8 +81,9 @@ journey-soak:
 # chaos suite, the event-order flake gate, the flight-log audit
 # round-trip, the journey/tracing soak, a one-iteration benchmark smoke
 # run so benchmarks cannot bit-rot silently, ten seconds each of fuzzing
-# the flat prediction kernel against the reference and the wire codec
-# against encoding/json, and the benchmark harness's own vet and tests.
+# the flat prediction kernel against the reference, the wire codec
+# against encoding/json and the class-count assessment against the
+# pairwise count, and the benchmark harness's own vet and tests.
 # It carries no timing floor: behaviour is pinned by the tests, and
 # timing is compared parent against change, workload by workload, by the
 # pipeline that runs BENCHMARK.json (benchmark/README.md). Nothing it
@@ -122,13 +123,17 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run xxx ./...
 
 # fuzz-smoke fuzzes, each for a bounded time, flat-kernel ≡
-# reference-kernel on small arbitrary matrices, and the wire codec ≡
+# reference-kernel on small arbitrary matrices, the wire codec ≡
 # encoding/json on arbitrary lines (seeded from the golden transcripts in
-# internal/netproto/testdata/). Minimizing each newly covered input is
-# switched off: it can take the whole budget and finds nothing.
+# internal/netproto/testdata/), and the class-count assessment ≡ the
+# partner-listing scan and the pairwise blocking-pair count on tie-heavy
+# markets (seeded from its property test's table). Minimizing each newly
+# covered input is switched off: it can take the whole budget and finds
+# nothing.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFlatMatchesReference -fuzztime=10s -fuzzminimizetime=0 ./internal/recommend/
 	$(GO) test -run xxx -fuzz FuzzMessageCodec -fuzztime=10s -fuzzminimizetime=0 ./internal/netproto/
+	$(GO) test -run xxx -fuzz FuzzAssess -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 
 # bench-check vets and tests the benchmark harness (benchmark/ is its own
 # module, so `./...` above does not reach it): its result checkers

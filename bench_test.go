@@ -673,11 +673,12 @@ func benchClear(b *testing.B, n int, opts ...Option) {
 // BenchmarkClearUnsharded runs whole unsharded epochs — clear, assess,
 // dispatch — at growing populations, reporting B/op next to ns/op. No
 // agents×agents penalty matrix exists on that path, so n=20000 runs in
-// default memory. What still grows with n² is output and Irving's own
-// state: SMP leaves every same-half pair free to block, and the report
-// lists them all; SR keeps one struck-out flag per (agent, candidate).
-// SMR's B/op grows with n. bench-smoke runs each once, which is how CI
-// notices the clear going quadratic in memory again.
+// default memory. SMP leaves every same-half pair free to block — tens of
+// millions of pairs at n=20000 — and the assessment counts them from
+// class counts without listing one, so SMP's B/op grows with n, as
+// SMR's does. What still grows with n² is Irving's own state: SR keeps
+// one struck-out flag per (agent, candidate). bench-smoke runs each once,
+// which is how CI notices the clear going quadratic in memory again.
 func BenchmarkClearUnsharded(b *testing.B) {
 	for _, p := range []Policy{SMR(), SMP(), SR()} {
 		for _, n := range []int{800, 5000, 20000} {
@@ -768,6 +769,8 @@ func (m *streamMarket) step(tb testing.TB, c Churn) *EpochReport {
 // repair epoch costs beyond the repair itself is the epoch's per-agent
 // tail (assess, report, dispatch): the gap between the two legs is the
 // clear, and B/op is what TestStreamRepairEpochAllocation pins.
+// blocking_pairs/op is the epochs' mean blocking-pair count over the
+// whole market: the stability price of the sharded streaming market.
 func BenchmarkStreamRepair(b *testing.B) {
 	for _, leg := range []struct {
 		name      string
@@ -778,14 +781,18 @@ func BenchmarkStreamRepair(b *testing.B) {
 			defer m.f.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
+			blocking := 0
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				c := m.churn()
 				b.StartTimer()
-				if rep := m.step(b, c); rep.Rematch.Mode != leg.name {
+				rep := m.step(b, c)
+				if rep.Rematch.Mode != leg.name {
 					b.Fatalf("epoch ran in %s mode", rep.Rematch.Mode)
 				}
+				blocking += rep.BlockingPairCount
 			}
+			b.ReportMetric(float64(blocking)/float64(b.N), "blocking_pairs/op")
 		})
 	}
 }

@@ -216,11 +216,11 @@ func TestPredictCompleteAllocation(t *testing.T) {
 
 // TestStreamRepairEpochAllocation pins the per-class epoch tail: a
 // streaming repair epoch at the stream-sharded workload's size — 10,000
-// agents over 32 shards, 1% churn — used to allocate about 27 MiB, most
-// of it per agent for facts that are per job class (every colocation
-// executed twice into growing result slices, a ring and 10,000 hash keys
-// built per round), and now stays under 16 MiB (about 9: the report, the
-// dispatch batch and the round's roster).
+// agents over 32 shards, 1% churn — stays under 8 MiB (about 6: the
+// report, the dispatch batch and the round's roster). Facts that are per
+// job class are computed per class: the pair penalties a colocation
+// executes, the shard an agent hashes to, and the assessment, which
+// counts blocking pairs from class counts instead of listing partners.
 func TestStreamRepairEpochAllocation(t *testing.T) {
 	m := newStreamMarket(t, 10000, 1e9) // never a full clear after epoch 0
 	defer m.f.Close()
@@ -233,7 +233,37 @@ func TestStreamRepairEpochAllocation(t *testing.T) {
 	if rep.Rematch.Mode != "repair" {
 		t.Fatalf("epoch ran in %s mode", rep.Rematch.Mode)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
-		t.Fatalf("repair epoch over 10000 agents allocated %.1f MiB, want < 16", float64(got)/(1<<20))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("repair epoch over 10000 agents allocated %.1f MiB, want < 8", float64(got)/(1<<20))
+	}
+}
+
+// TestAllPairsEpochAllocation pins the assessment of an unsharded SMP
+// epoch at the epoch-allpairs workload's size, n = 800: SMP leaves every
+// same-half pair free to block, tens of thousands of pairs, yet the epoch
+// allocates under 1 MiB (about 0.4), because the blocking pairs are
+// counted from class counts and never listed.
+func TestAllPairsEpochAllocation(t *testing.T) {
+	f, err := New(WithOracle(), WithSeed(31), WithPolicy(SMP()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pop := f.SamplePopulation(800, Uniform())
+	if _, err := f.RunEpoch(pop); err != nil { // warm the pair cache
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := f.RunEpoch(pop)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BlockingPairCount < 10000 {
+		t.Fatalf("SMP epoch over 800 agents left %d blocking pairs; the pin wants a market with many", rep.BlockingPairCount)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("SMP epoch over 800 agents allocated %.2f MiB, want < 1", float64(got)/(1<<20))
 	}
 }

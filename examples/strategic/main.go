@@ -57,18 +57,44 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// An agent's best blocking partner is the one it suffers least next
+	// to, lowest index on ties. The blocking pairs are read over the
+	// agents' own penalty rows: their predicted job-level penalties,
+	// looked up by job.
+	row := make(map[string]int, len(f.Catalog()))
+	for i, job := range f.Catalog() {
+		row[job.Name] = i
+	}
+	predicted := f.PredictedPenalties()
+	penalties := make([][]float64, agents)
+	for i := range penalties {
+		penalties[i] = make([]float64, agents)
+		for j := range penalties[i] {
+			penalties[i][j] = predicted[row[pop.Jobs[i].Name]][row[pop.Jobs[j].Name]]
+		}
+	}
+	best := make(map[int]int) // agent → its best blocking partner
+	prefer := func(i, j int) {
+		if b, ok := best[i]; !ok || penalties[i][j] < penalties[i][b] || penalties[i][j] == penalties[i][b] && j < b {
+			best[i] = j
+		}
+	}
+	for _, pair := range cooper.BlockingPairs(rep.Match, penalties, 0) {
+		prefer(pair[0], pair[1])
+		prefer(pair[1], pair[0])
+	}
+
 	fmt.Println("\nmost dissatisfied agents under Greedy:")
 	shown := 0
 	for _, rec := range rep.Recommendations {
 		if rec.Action != cooper.BreakAway || shown >= 5 {
 			continue
 		}
-		partner := rep.Match[rec.AgentID]
+		partner, other := rep.Match[rec.AgentID], best[rec.AgentID]
 		fmt.Printf("  agent %3d (%-11s) paired with %-11s penalty %.3f — "+
 			"would gain %.3f with agent %d (%s)\n",
 			rec.AgentID, pop.Jobs[rec.AgentID].Name, pop.Jobs[partner].Name,
-			rep.TruePenalty[rec.AgentID], rec.ExpectedGain,
-			rec.BlockingPartners[0], pop.Jobs[rec.BlockingPartners[0]].Name)
+			rep.TruePenalty[rec.AgentID], rec.ExpectedGain, other, pop.Jobs[other].Name)
 		shown++
 	}
 	fmt.Printf("\n%d of %d agents would leave a Greedy-managed system at alpha=0\n",

@@ -91,7 +91,9 @@ type Recommendation struct {
 	AgentID int
 	Action  Action
 	// BlockingPartners lists agents that mutually prefer this agent, best
-	// first.
+	// first. Exchange and rematch.Recommendations fill it; the market
+	// engine's assessment (rematch.Assess) leaves it nil and counts the
+	// blocking pairs instead.
 	BlockingPartners []int
 	// ExpectedGain is the penalty reduction from pairing with the best
 	// blocking partner (zero when participating).
@@ -106,8 +108,9 @@ type Recommendation struct {
 // distributed Java implementation.
 //
 // It is the reference protocol: the market engine computes the same
-// recommendations from the job-level matrix without per-agent rows
-// (rematch.Recommendations), and tests hold the two equal.
+// Action and ExpectedGain, and the number of blocking pairs, from the
+// job-level matrix without per-agent rows (rematch.Assess), and tests hold
+// the two equal.
 func Exchange(agents []*Agent, match matching.Matching, alpha float64) ([]Recommendation, error) {
 	n := len(agents)
 	if len(match) != n {

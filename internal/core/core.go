@@ -300,11 +300,21 @@ type EpochReport struct {
 	// them.
 	PredictedPenalty []float64
 	TruePenalty      []float64
-	// Recommendations are the agents' strategic assessments.
+	// Recommendations are the agents' strategic assessments: each
+	// agent's Action and ExpectedGain against the whole population, with
+	// no BlockingPartners listed.
 	Recommendations []agent.Recommendation
-	// BlockingPairs are the mutual break-away opportunities agents
-	// discovered (under their predicted preferences, with the
-	// framework's alpha).
+	// BlockingPairCount is how many pairs of agents would both gain more
+	// than the framework's alpha by leaving their partners for each other
+	// (under their predicted preferences), over the whole population in
+	// every market mode: Penalties.CountBlockingPairs of the matching.
+	BlockingPairCount int
+	// BlockingPairs is left nil.
+	//
+	// Deprecated: read BlockingPairCount, or list the pairs with
+	// matching.Penalties.BlockingPairs. The field's last readers are
+	// benchmark/epoch.go and benchmark/stream.go, whose replays read
+	// len(rep.BlockingPairs).
 	BlockingPairs [][2]int
 	// Cluster summarizes the dispatch of participating colocations.
 	Cluster cluster.Report
@@ -384,15 +394,15 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 	}
 	predicted, meanPred := r.Penalties()
 	rep := &EpochReport{
-		Population:       pop,
-		Match:            r.Match,
-		RefinementRounds: r.RefinementRounds,
-		RefinementTrades: r.RefinementTrades,
-		PredictedPenalty: predicted,
-		TruePenalty:      trueP,
-		Recommendations:  r.Recommendations,
-		BlockingPairs:    agent.BlockingPairsFromRecommendations(r.Recommendations),
-		AgentIDs:         r.IDs,
+		Population:        pop,
+		Match:             r.Match,
+		RefinementRounds:  r.RefinementRounds,
+		RefinementTrades:  r.RefinementTrades,
+		PredictedPenalty:  predicted,
+		TruePenalty:       trueP,
+		Recommendations:   r.Recommendations,
+		BlockingPairCount: r.BlockingPairCount,
+		AgentIDs:          r.IDs,
 	}
 	if f.cfg.Market.Shards > 1 {
 		rep.Shards = f.cfg.Market.Shards
@@ -403,7 +413,7 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 		}
 	}
 	assess.SetAttr("breakaways", rep.BreakAwayCount())
-	assess.SetAttr("blocking_pairs", len(rep.BlockingPairs))
+	assess.SetAttr("blocking_pairs", rep.BlockingPairCount)
 	f.tel.End(assess)
 
 	// Dispatch: agents participate by default (the paper's
@@ -436,7 +446,7 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 	dispatch.SetAttr("colocations", len(batch))
 	f.tel.End(dispatch)
 
-	f.tel.Counter("epoch.blocking_pairs").Add(int64(len(rep.BlockingPairs)))
+	f.tel.Counter("epoch.blocking_pairs").Add(int64(rep.BlockingPairCount))
 	f.tel.RecordIn(ep.Span(), telemetry.Event{
 		Type: telemetry.EventCacheHitRate, Epoch: ep.Index,
 		Agent: -1, Partner: -1, Value: f.cache.HitRate(),

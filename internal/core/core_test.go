@@ -141,7 +141,7 @@ func TestStablePolicyBlocksLessThanGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(rep.BlockingPairs)
+		return rep.BlockingPairCount
 	}
 	gr := blockCount(policy.Greedy{})
 	smr := blockCount(policy.StableMarriageRandom{})

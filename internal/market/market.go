@@ -95,7 +95,9 @@ type Engine struct {
 	// policies are stable only within their random partition.
 	Contract bool
 	// Assess makes the engine run the agents' strategic assessment after
-	// each round, for in-process agents. Remote agents assess the
+	// each round, for in-process agents: rematch.Assess over the whole
+	// population, unsharded, sharded or streaming, filling the round's
+	// Recommendations and BlockingPairCount. Remote agents assess the
 	// assignments pushed to them, so the wire driver leaves it off.
 	Assess bool
 
@@ -224,11 +226,13 @@ type Round struct {
 	// Changed those that ended with a different partner. All ascending.
 	Joined, Departed             int
 	Dirty, Neighborhood, Changed []int
-	// Recommendations are the agents' strategic assessments (Assess
-	// engines only), from the class-bucket scan: every blocking partner in
-	// the message exchange's order after a Clear, a bounded list after a
-	// Step.
-	Recommendations []agent.Recommendation
+	// Recommendations are the agents' strategic assessments and
+	// BlockingPairCount the matching's blocking pairs over the whole
+	// population (Assess engines only, in every mode), from
+	// rematch.Assess: each agent's Action and ExpectedGain, no partner
+	// lists.
+	Recommendations   []agent.Recommendation
+	BlockingPairCount int
 
 	index  int // the round's position within its epoch, from 0
 	matrix [][]float64
@@ -405,18 +409,16 @@ func (ep *Epoch) Clear(ctx context.Context, roster Roster) (*Round, error) {
 	if len(rows) == 0 {
 		return r, nil
 	}
-	if err := ep.match(ctx, r, nil, e.Assess); err != nil {
+	if err := ep.match(ctx, r, nil); err != nil {
 		return nil, err
 	}
-	if e.Assess && e.Shards <= 1 {
-		// The unsharded market's agents assess against everyone, every
-		// blocking partner listed: what their message exchange (§IV-B)
-		// would tell them. A sharded clear already assessed shard-locally,
-		// as a decentralized deployment would.
+	if e.Assess {
+		// The agents assess against the whole population, sharded or
+		// not: what their message exchange (§IV-B) would tell them.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r.Recommendations = rematch.Recommendations(rows, e.Matrix, r.Match, e.Alpha, len(rows))
+		r.Recommendations, r.BlockingPairCount = rematch.Assess(rows, e.Matrix, r.Match, e.Alpha)
 	}
 	return r, nil
 }
@@ -500,9 +502,9 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 		// shard_matched events land in the fresh audit segment.
 		r.Mode = "full"
 		announce()
-		err = ep.match(ctx, r, nil, false)
+		err = ep.match(ctx, r, nil)
 	} else {
-		err = ep.match(ctx, r, delta.Prev, false)
+		err = ep.match(ctx, r, delta.Prev)
 	}
 	if err != nil {
 		return nil, err
@@ -519,10 +521,7 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	e.Tel.Counter("rematch.joined").Add(int64(r.Joined))
 	e.Tel.Counter("rematch.departed").Add(int64(r.Departed))
 	if e.Assess {
-		// Streaming rounds bound the partner lists: exact Action and
-		// ExpectedGain, but a repair round must not pay for listing every
-		// blocking partner of every agent.
-		r.Recommendations = rematch.Recommendations(rows, e.Matrix, r.Match, e.Alpha, 0)
+		r.Recommendations, r.BlockingPairCount = rematch.Assess(rows, e.Matrix, r.Match, e.Alpha)
 	}
 	return r, nil
 }
@@ -533,7 +532,7 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 // from scratch; otherwise prev is the standing matching and r.Dirty is
 // repaired around. It fills r.Match and the round's shard or repair
 // details.
-func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, assess bool) error {
+func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching) error {
 	e := ep.eng
 	reg := e.Tel.Registry()
 	span := e.Tel.PhaseKeyed(ep.Span(), "match", int64(r.index))
@@ -548,14 +547,14 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, as
 		mk := &shard.Market{
 			Shards: e.Shards, Policy: e.Policy, Alpha: e.Alpha, Workers: e.Workers,
 			Seed: e.Rand.Int63(), Epoch: ep.Index, IDs: r.IDs, ShardOf: e.partition(r),
-			Tel: e.Tel, Span: span, SkipRecommendations: !assess,
+			Tel: e.Tel, Span: span, SkipRecommendations: true,
 		}
 		if prev == nil {
 			res, err := mk.Clear(ctx, r.Jobs, r.JobIdx, e.Matrix)
 			if err != nil {
 				return err
 			}
-			r.Match, r.ShardOf, r.Recommendations = res.Match, res.ShardOf, res.Recommendations
+			r.Match, r.ShardOf = res.Match, res.ShardOf
 			r.RefinementRounds, r.RefinementTrades = res.RefinementRounds, res.RefinementTrades
 			span.SetAttr("shards", e.Shards)
 			span.SetAttr("refinement_rounds", res.RefinementRounds)

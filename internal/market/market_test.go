@@ -143,9 +143,10 @@ func TestStepRepairsAroundTheEpochsClear(t *testing.T) {
 
 // TestClearMatchesAndAssessesLikeTheReferenceProtocol: an unsharded clear
 // never expands penalties to agents, yet its matching is the policy's
-// over the agents×agents expansion for the same RNG draws, and its
+// over the agents×agents expansion for the same RNG draws, its
 // recommendations are the message exchange's (§IV-B) over the expanded
-// rows — Action, ExpectedGain and every blocking partner, in order.
+// rows — Action and ExpectedGain — and its blocking-pair count is the
+// number of pairs that exchange reveals.
 func TestClearMatchesAndAssessesLikeTheReferenceProtocol(t *testing.T) {
 	for _, pol := range []policy.Policy{policy.StableMarriageRandom{}, policy.StableMarriagePartition{}, policy.StableRoommate{}, policy.Greedy{}} {
 		e, catalog := testEngine(t, Config{Alpha: 0.05})
@@ -180,16 +181,22 @@ func TestClearMatchesAndAssessesLikeTheReferenceProtocol(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r.Recommendations, recs) {
-			t.Fatalf("%s: engine assessed %+v, the exchange %+v", pol.Name(), r.Recommendations, recs)
+		for i, rec := range recs {
+			got := r.Recommendations[i]
+			if got.AgentID != i || got.Action != rec.Action || got.ExpectedGain != rec.ExpectedGain {
+				t.Fatalf("%s: engine assessed agent %d %+v, the exchange %+v", pol.Name(), i, got, rec)
+			}
+		}
+		if want := len(agent.BlockingPairsFromRecommendations(recs)); r.BlockingPairCount != want {
+			t.Fatalf("%s: engine counted %d blocking pairs, the exchange %d", pol.Name(), r.BlockingPairCount, want)
 		}
 	}
 }
 
 // TestEngineBuildsNoAgentMatrix pins what keeps a clear linear in agents:
 // the engine neither imports the expansion's package nor runs the
-// per-agent message exchange; both stay reference code for tests and
-// experiments.
+// per-agent message exchange, nor lists blocking partners; all of them
+// stay reference code for tests, experiments and the benchmark.
 func TestEngineBuildsNoAgentMatrix(t *testing.T) {
 	files, err := os.ReadDir(".")
 	if err != nil {
@@ -203,7 +210,8 @@ func TestEngineBuildsNoAgentMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, bad := range []string{`"cooper/internal/profiler"`, "agent.Exchange(", "agent.New("} {
+		for _, bad := range []string{`"cooper/internal/profiler"`, "agent.Exchange(", "agent.New(",
+			"rematch.Recommendations(", "rematch.RecommendationsWithin(", "agent.BlockingPairsFromRecommendations("} {
 			if strings.Contains(string(src), bad) {
 				t.Errorf("%s uses %s", f.Name(), bad)
 			}

@@ -18,11 +18,11 @@
 //     neighborhood are untouched, which is what makes repair cheap: the
 //     sub-instance is O(churn · K) agents, not O(n), because same-job
 //     agents share preference rows and therefore candidate lists.
-//   - Recommendations is the streaming market's bounded strategic
-//     assessment: a class-bucketed scan that reproduces the agents'
-//     message-exchange Action and ExpectedGain exactly while listing at
-//     most a bounded number of blocking partners per agent, so the
-//     assessment phase stays O(n·classes) instead of O(n²).
+//   - Assess is the market's strategic assessment, in every mode: the
+//     agents' message-exchange Action and ExpectedGain and the exact
+//     blocking-pair count, from class counts in O(n + classes³), with no
+//     partner listed. Recommendations lists the partners too, for tests
+//     and the benchmark's replays.
 //
 // When cumulative churn since the last full clear exceeds a configurable
 // fraction of the population (DefaultChurnThreshold), the caller falls
@@ -50,8 +50,8 @@ const (
 	// cumulative churn forces a full re-match (the WithChurnThreshold
 	// facade default).
 	DefaultChurnThreshold = 0.10
-	// DefaultRecommendCap bounds the blocking partners each agent's
-	// bounded recommendation lists.
+	// DefaultRecommendCap is how many blocking partners Recommendations
+	// lists per agent when its caller passes no cap.
 	DefaultRecommendCap = 8
 )
 

@@ -253,8 +253,8 @@ type Market struct {
 	// Span, when non-nil, parents the per-shard spans.
 	Span *telemetry.Span
 	// SkipRecommendations suppresses the per-shard recommendation pass.
-	// Streaming epochs set it and run the bounded rematch assessment
-	// instead, so full-fallback epochs don't pay O(n·shardSize) twice.
+	// The market engine always sets it: its agents assess against the
+	// whole population (rematch.Assess), not within their shard.
 	SkipRecommendations bool
 }
 
