@@ -82,8 +82,9 @@ journey-soak:
 # round-trip, the journey/tracing soak, a one-iteration benchmark smoke
 # run so benchmarks cannot bit-rot silently, ten seconds each of fuzzing
 # the flat prediction kernel against the reference, the wire codec
-# against encoding/json and the class-count assessment against the
-# pairwise count, and the benchmark harness's own vet and tests.
+# against encoding/json, the class-count assessment against the
+# pairwise count and the preference lists against their comparator-sort
+# reference, and the benchmark harness's own vet and tests.
 # It carries no timing floor: behaviour is pinned by the tests, and
 # timing is compared parent against change, workload by workload, by the
 # pipeline that runs BENCHMARK.json (benchmark/README.md). Nothing it
@@ -114,8 +115,10 @@ bench:
 # BenchmarkClearUnsharded, the unsharded clear at n up to 20000, which
 # reports B/op: a clear that builds anything agents×agents again shows
 # up there as gigabytes (SMR at n=20000 allocates ~65 MB) or as an
-# out-of-memory kill; BenchmarkClearSharded, 100000 agents over 256
-# shards; and the n=2000 exact and approximate prediction kernels
+# out-of-memory kill; BenchmarkClearPredicted, the same clear over the
+# predicted matrix, whose tied rows build the preference lists' tie
+# tiers; BenchmarkClearSharded, 100000 agents over 256 shards; and the
+# n=2000 exact and approximate prediction kernels
 # (internal/recommend BenchmarkCompleteFlat/BenchmarkCompleteApprox, and
 # the root BenchmarkPredictComplete on the predict-complete workload's
 # 600-job shape).
@@ -127,13 +130,16 @@ bench-smoke:
 # encoding/json on arbitrary lines (seeded from the golden transcripts in
 # internal/netproto/testdata/), and the class-count assessment ≡ the
 # partner-listing scan and the pairwise blocking-pair count on tie-heavy
-# markets (seeded from its property test's table). Minimizing each newly
+# markets (seeded from its property test's table), and Penalties.Lists ≡
+# the comparator-sort reference on tie-heavy class views, overlapping and
+# shuffled sides included (seeded likewise). Minimizing each newly
 # covered input is switched off: it can take the whole budget and finds
 # nothing.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFlatMatchesReference -fuzztime=10s -fuzzminimizetime=0 ./internal/recommend/
 	$(GO) test -run xxx -fuzz FuzzMessageCodec -fuzztime=10s -fuzzminimizetime=0 ./internal/netproto/
 	$(GO) test -run xxx -fuzz FuzzAssess -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
+	$(GO) test -run xxx -fuzz FuzzLists -fuzztime=10s -fuzzminimizetime=0 ./internal/matching/
 
 # bench-check vets and tests the benchmark harness (benchmark/ is its own
 # module, so `./...` above does not reach it): its result checkers

@@ -655,7 +655,12 @@ func BenchmarkEpochPipelineParallel(b *testing.B) { benchEpochPipeline(b, 8) }
 // benchClear runs whole epochs — clear, assess, dispatch — over one
 // n-agent population on an oracle framework, reporting B/op.
 func benchClear(b *testing.B, n int, opts ...Option) {
-	f, err := New(append([]Option{WithOracle(), WithSeed(31)}, opts...)...)
+	benchClearOn(b, n, append([]Option{WithOracle(), WithSeed(31)}, opts...)...)
+}
+
+// benchClearOn is benchClear on a framework built from opts alone.
+func benchClearOn(b *testing.B, n int, opts ...Option) {
+	f, err := New(opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -684,6 +689,23 @@ func BenchmarkClearUnsharded(b *testing.B) {
 		for _, n := range []int{800, 5000, 20000} {
 			b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
 				benchClear(b, n, WithPolicy(p))
+			})
+		}
+	}
+}
+
+// BenchmarkClearPredicted runs whole unsharded SMR and SMP epochs over
+// the predicted penalty matrix: the default framework's, which every
+// in-process clear runs on, with the population drawn from its catalog.
+// Collaborative filtering copies revealed values, so a predicted row ties
+// classes where an oracle row never does; BenchmarkClearUnsharded's
+// oracle matrix never builds a tie tier in a preference list, this one
+// does. bench-smoke runs each once.
+func BenchmarkClearPredicted(b *testing.B) {
+	for _, p := range []Policy{SMR(), SMP()} {
+		for _, n := range []int{800, 5000} {
+			b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
+				benchClearOn(b, n, WithSeed(1), WithPolicy(p))
 			})
 		}
 	}

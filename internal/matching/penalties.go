@@ -63,55 +63,81 @@ func (p Penalties) Validate() error {
 // the penalty agents[a] suffers next to others[b], ascending, ties broken
 // by the agent index others[b]. Agents of one class rank alike, so they
 // share one list — the same slice, which callers must not modify — and
-// the work is O(classes·len(others)), not one sort per agent.
+// every list is carved from one allocation. The work is one O(n log n)
+// integer sort of others by agent index, then per class a sort of the
+// classes present in others and one O(n) pass, not one sort per agent.
 func (p Penalties) Lists(agents, others []int) [][]int {
-	// Positions of others grouped by class, ascending agent index within
-	// each class: a list is whole groups laid end to end, since a class's
-	// members differ only in the tie-break.
-	grouped := identity(len(others))
-	slices.SortFunc(grouped, func(x, y int) int {
-		if c := cmp.Compare(p.Class[others[x]], p.Class[others[y]]); c != 0 {
-			return c
-		}
-		return cmp.Compare(others[x], others[y])
-	})
-	var classes, start []int // group g is grouped[start[g]:start[g+1]], of class classes[g]
-	for at, b := range grouped {
-		if c := p.Class[others[b]]; at == 0 || c != classes[len(classes)-1] {
-			classes = append(classes, c)
-			start = append(start, at)
+	n := len(others)
+	// others' positions in ascending agent index, packed as index<<32 |
+	// position so the sort compares integers, then rewritten in place as
+	// class<<32 | position: a list is these positions bucketed by the
+	// viewer's penalty tiers, and a stable bucketing keeps equal-penalty
+	// classes merged by agent index.
+	keys := make([]uint64, n)
+	for b, j := range others {
+		keys[b] = uint64(j)<<32 | uint64(b)
+	}
+	slices.Sort(keys)
+	classes := len(p.Matrix)
+	perClass := make([]int, 3*classes)
+	// members[c] counts class c among others; slot[c] is 1 + the index of
+	// class c's list in the backing array, 0 if no agent is of class c;
+	// tier[c] is class c's tier under the list being built.
+	members, slot, tier := perClass[:classes], perClass[classes:2*classes], perClass[2*classes:]
+	for k, key := range keys {
+		b := uint64(uint32(key))
+		c := p.Class[others[b]]
+		keys[k] = uint64(c)<<32 | b
+		members[c]++
+	}
+	present := make([]int, 0, classes) // classes with members among others
+	for c, m := range members {
+		if m > 0 {
+			present = append(present, c)
 		}
 	}
-	start = append(start, len(grouped))
+	distinct := 0
+	for _, i := range agents {
+		if c := p.Class[i]; slot[c] == 0 {
+			distinct++
+			slot[c] = distinct
+		}
+	}
+	backing := make([]int, distinct*n)
+	list := func(s int) []int { return backing[(s-1)*n : s*n : s*n] }
 
-	order := make([]int, len(classes))
-	shared := make(map[int][]int)
+	next := make([]int, len(present)) // tier t's bucket fills from next[t]
+	for c, s := range slot {
+		if s == 0 {
+			continue
+		}
+		row := p.Matrix[c]
+		// Within a tier the class order is immaterial: the bucketing
+		// below merges a tier's classes by agent index.
+		slices.SortFunc(present, func(x, y int) int { return cmp.Compare(row[x], row[y]) })
+		clear(next)
+		t := 0
+		for x, d := range present {
+			if x > 0 && row[d] != row[present[x-1]] {
+				t++
+			}
+			tier[d] = t
+			next[t] += members[d]
+		}
+		for t, at := 0, 0; t < len(next); t++ {
+			next[t], at = at, at+next[t]
+		}
+		l := list(s)
+		for _, key := range keys {
+			t := tier[key>>32]
+			l[next[t]] = int(uint32(key))
+			next[t]++
+		}
+	}
+
 	lists := make([][]int, len(agents))
 	for a, i := range agents {
-		c := p.Class[i]
-		list, ok := shared[c]
-		if !ok {
-			row := p.Matrix[c]
-			for g := range order {
-				order[g] = g
-			}
-			slices.SortFunc(order, func(x, y int) int { return cmp.Compare(row[classes[x]], row[classes[y]]) })
-			list = make([]int, 0, len(others))
-			for x, y := 0, 0; x < len(order); x = y {
-				for y = x + 1; y < len(order) && row[classes[order[y]]] == row[classes[order[x]]]; y++ {
-				}
-				from := len(list)
-				for _, g := range order[x:y] {
-					list = append(list, grouped[start[g]:start[g+1]]...)
-				}
-				if y-x > 1 {
-					// Classes of equal penalty interleave by agent index.
-					slices.SortFunc(list[from:], func(u, v int) int { return cmp.Compare(others[u], others[v]) })
-				}
-			}
-			shared[c] = list
-		}
-		lists[a] = list
+		lists[a] = list(slot[p.Class[i]])
 	}
 	return lists
 }

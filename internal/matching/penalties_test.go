@@ -1,9 +1,12 @@
 package matching
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -69,6 +72,204 @@ func TestListsOrderAndSharing(t *testing.T) {
 				t.Fatalf("trial %d: two agents of class %d hold different slices", trial, p.Class[i])
 			}
 			byClass[p.Class[i]] = &lists[a][0]
+		}
+	}
+}
+
+// listsReference is Penalties.Lists as it was first written: others
+// grouped by (class, agent index) with a comparator sort, the groups laid
+// end to end in each viewer class's penalty order, and every tier of
+// equal-penalty classes sorted again by agent index. It is the oracle
+// FuzzLists holds the index-sort-and-bucket version to.
+func listsReference(p Penalties, agents, others []int) [][]int {
+	// Positions of others grouped by class, ascending agent index within
+	// each class: a list is whole groups laid end to end, since a class's
+	// members differ only in the tie-break.
+	grouped := identity(len(others))
+	slices.SortFunc(grouped, func(x, y int) int {
+		if c := cmp.Compare(p.Class[others[x]], p.Class[others[y]]); c != 0 {
+			return c
+		}
+		return cmp.Compare(others[x], others[y])
+	})
+	var classes, start []int // group g is grouped[start[g]:start[g+1]], of class classes[g]
+	for at, b := range grouped {
+		if c := p.Class[others[b]]; at == 0 || c != classes[len(classes)-1] {
+			classes = append(classes, c)
+			start = append(start, at)
+		}
+	}
+	start = append(start, len(grouped))
+
+	order := make([]int, len(classes))
+	shared := make(map[int][]int)
+	lists := make([][]int, len(agents))
+	for a, i := range agents {
+		c := p.Class[i]
+		list, ok := shared[c]
+		if !ok {
+			row := p.Matrix[c]
+			for g := range order {
+				order[g] = g
+			}
+			slices.SortFunc(order, func(x, y int) int { return cmp.Compare(row[classes[x]], row[classes[y]]) })
+			list = make([]int, 0, len(others))
+			for x, y := 0, 0; x < len(order); x = y {
+				for y = x + 1; y < len(order) && row[classes[order[y]]] == row[classes[order[x]]]; y++ {
+				}
+				from := len(list)
+				for _, g := range order[x:y] {
+					list = append(list, grouped[start[g]:start[g+1]]...)
+				}
+				if y-x > 1 {
+					// Classes of equal penalty interleave by agent index.
+					slices.SortFunc(list[from:], func(u, v int) int { return cmp.Compare(others[u], others[v]) })
+				}
+			}
+			shared[c] = list
+		}
+		lists[a] = list
+	}
+	return lists
+}
+
+// listsInstance decodes bytes into a Lists call, reading zero once the
+// bytes run out: 1–8 classes, 0–64 agents, penalties from {0, 0.1, 0.2}
+// so that tiers are common, each agent's class, and a shape — Lists(ids,
+// ids) over an ascending subset, the way the SR policy calls it, or
+// agents and others drawn independently (so they may overlap) with
+// others shuffled.
+func listsInstance(data []byte) (p Penalties, agents, others []int) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	classes, n := 1+next()%8, next()%65
+	p = Penalties{Matrix: make([][]float64, classes), Class: make([]int, n)}
+	for a := range p.Matrix {
+		p.Matrix[a] = make([]float64, classes)
+		for b := range p.Matrix[a] {
+			p.Matrix[a][b] = float64(next()%3) * 0.1
+		}
+	}
+	for i := range p.Class {
+		p.Class[i] = next() % classes
+	}
+	sr := next()%2 == 0
+	for i := 0; i < n; i++ {
+		k := next()
+		if sr {
+			if k%4 != 0 {
+				agents = append(agents, i)
+			}
+			continue
+		}
+		if k&1 != 0 {
+			agents = append(agents, i)
+		}
+		if k&2 != 0 {
+			others = append(others, i)
+		}
+	}
+	if sr {
+		return p, agents, agents
+	}
+	for b := len(others) - 1; b > 0; b-- {
+		c := next() % (b + 1)
+		others[b], others[c] = others[c], others[b]
+	}
+	return p, agents, others
+}
+
+// checkLists holds Lists on one decoded instance to listsReference
+// element for element, and checks the sharing contract: agents of one
+// class hold the same slice, agents of different classes different
+// ones, and no list has room to grow into another's.
+func checkLists(t *testing.T, data []byte) {
+	t.Helper()
+	p, agents, others := listsInstance(data)
+	got, want := p.Lists(agents, others), listsReference(p, agents, others)
+	if len(got) != len(want) {
+		t.Fatalf("%d lists, want %d", len(got), len(want))
+	}
+	first := make(map[int]*int)
+	for a, i := range agents {
+		if !slices.Equal(got[a], want[a]) || len(got[a]) != len(others) {
+			t.Fatalf("classes %v matrix %v agents %v others %v: agent %d's list %v, want %v",
+				p.Class, p.Matrix, agents, others, i, got[a], want[a])
+		}
+		if len(others) == 0 {
+			continue
+		}
+		if cap(got[a]) != len(got[a]) {
+			t.Fatalf("agent %d's list has capacity %d beyond its length %d", i, cap(got[a]), len(got[a]))
+		}
+		c := p.Class[i]
+		if f, ok := first[c]; ok && f != &got[a][0] {
+			t.Fatalf("two agents of class %d hold different slices", c)
+		}
+		first[c] = &got[a][0]
+	}
+	seen := make(map[*int]int)
+	for c, f := range first {
+		if d, ok := seen[f]; ok {
+			t.Fatalf("classes %d and %d hold the same slice", d, c)
+		}
+		seen[f] = c
+	}
+}
+
+// listsSeeds is FuzzLists's corpus and its property test's table: 300
+// random byte strings, long enough for any decoded instance.
+func listsSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(36))
+	seeds := make([][]byte, 300)
+	for s := range seeds {
+		seeds[s] = make([]byte, 3+8*8+64+64+64)
+		rng.Read(seeds[s])
+	}
+	return seeds
+}
+
+// TestListsMatchReference: on tie-heavy instances of every shape, Lists
+// yields listsReference's lists and shares them by class.
+func TestListsMatchReference(t *testing.T) {
+	for _, seed := range listsSeeds() {
+		checkLists(t, seed)
+	}
+}
+
+// FuzzLists is TestListsMatchReference on arbitrary bytes.
+func FuzzLists(f *testing.F) {
+	for _, seed := range listsSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(checkLists)
+}
+
+// TestListsAllocations is Lists's complexity pin. Growth class: O(1)
+// allocations in agents and in classes — one backing array carries every
+// class's list — so one call allocates the same number of times at n=400
+// and n=1600, with 4 and with 20 classes; a per-class allocation shows up
+// as a count that grows with the classes.
+func TestListsAllocations(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	counts := make(map[string]float64)
+	for _, n := range []int{400, 1600} {
+		for _, classes := range []int{4, 20} {
+			p := tiedClasses(r, classes, n)
+			ids := identity(n)
+			counts[fmt.Sprintf("n=%d classes=%d", n, classes)] = testing.AllocsPerRun(5, func() { p.Lists(ids, ids) })
+		}
+	}
+	want := counts["n=400 classes=4"]
+	for row, got := range counts {
+		if got != want {
+			t.Fatalf("Lists allocates %v times at %s, %v at n=400 classes=4: %v", got, row, want, counts)
 		}
 	}
 }

@@ -34,7 +34,7 @@ package rematch
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"cooper/internal/matching"
 	"cooper/internal/policy"
@@ -77,26 +77,35 @@ func ThresholdOrDefault(t float64) float64 {
 // under pen (lowest penalty first, index tie-break), and the prev
 // partners of those candidates. members restricts the candidate pool
 // (nil means all agents 0..len(prev)-1, a sharded market passes one
-// shard's member list); a member whose prev partner falls outside the
-// pool is ineligible as a candidate, so the result is always closed
-// under prev partnership within the pool. The returned indices are
-// ascending and the dirty agents are always included.
+// shard's member list) and is ascending, as a shard's is. A member whose
+// prev partner falls outside the pool is ineligible as a candidate, so
+// the result is always closed under prev partnership within the pool.
+// The returned indices are ascending and the dirty agents are always
+// included. Eligibility is decided once per member, and with members
+// given nothing of population size is allocated.
 func Neighborhood(dirty []int, members []int, prev matching.Matching, pen func(i, j int) float64, topK int) []int {
 	topK = TopKOrDefault(topK)
+	// The eligible candidates, decided once per pool member: a member
+	// whose prev partner is outside the pool cannot be rewired without
+	// displacing that partner.
+	var eligible []int
 	if members == nil {
-		members = make([]int, len(prev))
-		for i := range members {
-			members[i] = i
+		eligible = make([]int, len(prev))
+		for i := range eligible {
+			eligible[i] = i
+		}
+	} else {
+		eligible = make([]int, 0, len(members))
+		for _, j := range members {
+			if p := prev[j]; p != matching.Unmatched {
+				if _, ok := slices.BinarySearch(members, p); !ok {
+					continue
+				}
+			}
+			eligible = append(eligible, j)
 		}
 	}
-	inPool := make(map[int]bool, len(members))
-	for _, i := range members {
-		inPool[i] = true
-	}
-	in := make(map[int]bool, len(dirty)*(topK+2))
-	for _, i := range dirty {
-		in[i] = true
-	}
+	nbhd := append(make([]int, 0, len(dirty)*(topK+1)), dirty...)
 	// Top-K candidate selection per dirty agent by bounded insertion:
 	// same-job dirty agents produce the same candidate list, so the
 	// union stays O(classes · K) regardless of how many agents churned.
@@ -107,12 +116,8 @@ func Neighborhood(dirty []int, members []int, prev matching.Matching, pen func(i
 	best := make([]cand, 0, topK)
 	for _, i := range dirty {
 		best = best[:0]
-		for _, j := range members {
+		for _, j := range eligible {
 			if j == i {
-				continue
-			}
-			if p := prev[j]; p != matching.Unmatched && !inPool[p] {
-				// Rewiring j would displace a partner outside the pool.
 				continue
 			}
 			c := cand{p: pen(i, j), j: j}
@@ -130,23 +135,21 @@ func Neighborhood(dirty []int, members []int, prev matching.Matching, pen func(i
 			best[at] = c
 		}
 		for _, c := range best {
-			in[c.j] = true
+			nbhd = append(nbhd, c.j)
 		}
 	}
 	// Close under prev partnership: a neighborhood member's partner is
 	// pulled in so re-matching the member cannot strand it. One pass
 	// suffices — the added partner's own partner is the member itself.
-	for i := range in {
-		if p := prev[i]; p != matching.Unmatched && !in[p] {
-			in[p] = true
+	slices.Sort(nbhd)
+	nbhd = slices.Compact(nbhd)
+	for _, i := range nbhd {
+		if p := prev[i]; p != matching.Unmatched {
+			nbhd = append(nbhd, p)
 		}
 	}
-	nbhd := make([]int, 0, len(in))
-	for i := range in {
-		nbhd = append(nbhd, i)
-	}
-	sort.Ints(nbhd)
-	return nbhd
+	slices.Sort(nbhd)
+	return slices.Compact(nbhd)
 }
 
 // AssignWithin clears the members' sub-market under the policy: it hands

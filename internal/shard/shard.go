@@ -23,9 +23,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -46,7 +48,9 @@ const (
 	// refinementCandidates bounds how many of the most dissatisfied agents
 	// each refinement round considers for cross-shard trades. The bound is
 	// what keeps refinement sub-quadratic: a round inspects at most
-	// candidates² pairs regardless of population size.
+	// candidates² pairs regardless of population size, and picking the
+	// candidates is a bounded selection (dissatisfied), O(n log
+	// candidates), not a sort of the whole market.
 	refinementCandidates = 128
 
 	// virtualNodes is the number of ring points per shard. Enough that
@@ -439,6 +443,53 @@ type trade struct {
 	gain float64
 }
 
+// candidate is an agent and its current predicted penalty.
+type candidate struct {
+	p float64
+	i int
+}
+
+// ahead orders refinement candidates: higher current penalty first,
+// index tie-break.
+func ahead(x, y candidate) int { return cmp.Or(cmp.Compare(y.p, x.p), cmp.Compare(x.i, y.i)) }
+
+// dissatisfied returns the refinementCandidates most dissatisfied agents
+// of match with their current penalties, in ahead order: the head of a
+// full sort of the market, picked by a bounded selection in O(n log k)
+// with one penalty lookup per agent. Solo agents carry zero penalty and
+// only surface once everyone dissatisfied is in.
+func dissatisfied(match matching.Matching, pen func(i, j int) float64) []candidate {
+	h := make([]candidate, min(refinementCandidates, len(match)))
+	for i := range h {
+		h[i] = candidate{current(i, match, pen), i}
+	}
+	// Ranked last first, h is a heap whose root is the kept candidate
+	// ranked last: a newcomer enters only by getting ahead of it.
+	slices.SortFunc(h, func(x, y candidate) int { return ahead(y, x) })
+	for i := len(h); i < len(match); i++ {
+		c := candidate{current(i, match, pen), i}
+		if ahead(c, h[0]) > 0 {
+			continue
+		}
+		h[0] = c
+		for x := 0; ; {
+			last := x
+			for _, child := range [2]int{2*x + 1, 2*x + 2} {
+				if child < len(h) && ahead(h[child], h[last]) > 0 {
+					last = child
+				}
+			}
+			if last == x {
+				break
+			}
+			h[x], h[last] = h[last], h[x]
+			x = last
+		}
+	}
+	slices.SortFunc(h, ahead)
+	return h
+}
+
 // refine runs the bounded cross-shard refinement loop on res.Match,
 // recording one refinement_round event per applied round.
 func (m *Market) refine(res *Result, pen func(i, j int) float64) {
@@ -481,35 +532,19 @@ func (m *Market) refine(res *Result, pen func(i, j int) float64) {
 // trades, best combined gain first, and returns the trades applied.
 func (m *Market) refineOnce(res *Result, pen func(i, j int) float64) ([]trade, float64) {
 	match := res.Match
-	// The most dissatisfied agents: highest current predicted penalty
-	// first, index tie-break. Solo agents carry zero penalty and only
-	// surface once everyone dissatisfied is considered.
-	order := make([]int, len(match))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := current(order[a], match, pen), current(order[b], match, pen)
-		if pa != pb {
-			return pa > pb
-		}
-		return order[a] < order[b]
-	})
-	if len(order) > refinementCandidates {
-		order = order[:refinementCandidates]
-	}
+	order := dissatisfied(match, pen)
 
 	// Every cross-shard pair of candidates in which both sides gain more
 	// than alpha is a candidate trade.
 	var proposals []trade
 	for x := 0; x < len(order); x++ {
 		for y := x + 1; y < len(order); y++ {
-			i, j := order[x], order[y]
+			i, j := order[x].i, order[y].i
 			if res.ShardOf[i] == res.ShardOf[j] || match[i] == j {
 				continue
 			}
-			gi := current(i, match, pen) - pen(i, j)
-			gj := current(j, match, pen) - pen(j, i)
+			gi := order[x].p - pen(i, j)
+			gj := order[y].p - pen(j, i)
 			if gi > m.Alpha && gj > m.Alpha {
 				a, b := i, j
 				if a > b {

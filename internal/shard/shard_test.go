@@ -3,7 +3,9 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cooper/internal/matching"
@@ -275,5 +277,66 @@ func TestClearValidation(t *testing.T) {
 	m.Policy = nil
 	if _, err := m.Clear(context.Background(), jobs, idx, testMatrix(1)); err == nil {
 		t.Error("nil policy accepted")
+	}
+}
+
+// TestDissatisfiedIsTheSortsHead: the bounded selection returns exactly
+// the first refinementCandidates agents of the full sort — penalty
+// descending, index ascending — with their penalties, on tie-heavy
+// matchings around the bound and well past it, and on an all-solo
+// matching, where every penalty is 0 and the order is index order.
+func TestDissatisfiedIsTheSortsHead(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	for _, n := range []int{0, 1, 127, 128, 129, 2000} {
+		for _, solo := range []bool{false, true} {
+			jobIdx := make([]int, n)
+			for i := range jobIdx {
+				jobIdx[i] = r.Intn(4)
+			}
+			matrix := make([][]float64, 4)
+			for a := range matrix {
+				matrix[a] = make([]float64, 4)
+				for b := range matrix[a] {
+					matrix[a][b] = float64(r.Intn(3)) * 0.1
+				}
+			}
+			pen := func(i, j int) float64 { return matrix[jobIdx[i]][jobIdx[j]] }
+			match := make(matching.Matching, n)
+			for i := range match {
+				match[i] = matching.Unmatched
+			}
+			if !solo {
+				perm := r.Perm(n)
+				for k := 0; k+1 < n; k += 2 {
+					if r.Intn(5) > 0 {
+						match[perm[k]], match[perm[k+1]] = perm[k+1], perm[k]
+					}
+				}
+			}
+
+			order := make([]int, n)
+			for i := range order {
+				order[i] = i
+			}
+			sort.Slice(order, func(a, b int) bool {
+				pa, pb := current(order[a], match, pen), current(order[b], match, pen)
+				if pa != pb {
+					return pa > pb
+				}
+				return order[a] < order[b]
+			})
+			want := order[:min(n, refinementCandidates)]
+
+			got := dissatisfied(match, pen)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d solo=%v: %d candidates, want %d", n, solo, len(got), len(want))
+			}
+			for k, c := range got {
+				if c.i != want[k] || c.p != current(c.i, match, pen) {
+					t.Fatalf("n=%d solo=%v: candidate %d is %+v, want agent %d at penalty %v",
+						n, solo, k, c, want[k], current(want[k], match, pen))
+				}
+			}
+		}
 	}
 }
