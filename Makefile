@@ -83,8 +83,9 @@ journey-soak:
 # run so benchmarks cannot bit-rot silently, ten seconds each of fuzzing
 # the flat prediction kernel against the reference, the wire codec
 # against encoding/json, the class-count assessment against the
-# pairwise count and the preference lists against their comparator-sort
-# reference, and the benchmark harness's own vet and tests.
+# pairwise count, the preference lists against their comparator-sort
+# reference and the churn ledger against its ID-keyed reference, and the
+# benchmark harness's own vet and tests.
 # It carries no timing floor: behaviour is pinned by the tests, and
 # timing is compared parent against change, workload by workload, by the
 # pipeline that runs BENCHMARK.json (benchmark/README.md). Nothing it
@@ -130,16 +131,19 @@ bench-smoke:
 # encoding/json on arbitrary lines (seeded from the golden transcripts in
 # internal/netproto/testdata/), and the class-count assessment ≡ the
 # partner-listing scan and the pairwise blocking-pair count on tie-heavy
-# markets (seeded from its property test's table), and Penalties.Lists ≡
+# markets (seeded from its property test's table), Penalties.Lists ≡
 # the comparator-sort reference on tie-heavy class views, overlapping and
-# shuffled sides included (seeded likewise). Minimizing each newly
-# covered input is switched off: it can take the whole budget and finds
-# nothing.
+# shuffled sides included (seeded likewise), and the positional churn
+# ledger ≡ the ID-keyed reference delta by delta and error by error, over
+# joins, departures, failed epochs, commits and bad requests (seeded
+# likewise). Minimizing each newly covered input is switched off: it can
+# take the whole budget and finds nothing.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFlatMatchesReference -fuzztime=10s -fuzzminimizetime=0 ./internal/recommend/
 	$(GO) test -run xxx -fuzz FuzzMessageCodec -fuzztime=10s -fuzzminimizetime=0 ./internal/netproto/
 	$(GO) test -run xxx -fuzz FuzzAssess -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 	$(GO) test -run xxx -fuzz FuzzLists -fuzztime=10s -fuzzminimizetime=0 ./internal/matching/
+	$(GO) test -run xxx -fuzz FuzzLedger -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 
 # bench-check vets and tests the benchmark harness (benchmark/ is its own
 # module, so `./...` above does not reach it): its result checkers

@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"cooper/internal/arch"
 	"cooper/internal/workload"
@@ -51,10 +52,31 @@ type Machine struct {
 }
 
 // Cluster is a set of machines fed by a dispatcher. Not safe for
-// concurrent use: dispatches advance the machines' clocks.
+// concurrent use: dispatches advance the machines' clocks and share the
+// cluster's scratch.
 type Cluster struct {
 	machines []*Machine
 	cache    *arch.PairCache
+
+	// Scratch every dispatch reuses, so a dispatch no larger than the last
+	// allocates nothing: the assignments' slots on the clocks, each
+	// machine's queue as indices into placed, and the dispatch's memo of
+	// solved colocations (emptied at the start of every dispatch), which
+	// maps a pair's job names to its entry in solved.
+	placed     []placement
+	head, tail []int
+	memo       map[colocation]int
+	solved     []solved
+}
+
+// colocation keys the memo of solved colocations by the pair's job names.
+type colocation struct{ a, b string }
+
+// solved is a memoized colocation: the jobs it was solved for and their
+// outcome.
+type solved struct {
+	jobA, jobB workload.Job
+	outcome
 }
 
 // SetPairCache installs a memoization cache for the contention solves the
@@ -73,7 +95,12 @@ func New(n int, cmp arch.CMP) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one machine, got %d", n)
 	}
-	c := &Cluster{machines: make([]*Machine, n)}
+	c := &Cluster{
+		machines: make([]*Machine, n),
+		head:     make([]int, n),
+		tail:     make([]int, n),
+		memo:     make(map[colocation]int),
+	}
 	for i := range c.machines {
 		c.machines[i] = &Machine{
 			ID:  fmt.Sprintf("node-%02d", i),
@@ -142,19 +169,14 @@ func (c *Cluster) run(assignments []Assignment, emit func(k, machine int, p *pla
 	// machine falls free and keeps it busy for the colocation's duration,
 	// so the least-loaded machine is the one whose clock is lowest. A
 	// colocation's outcome depends only on its two jobs, so each distinct
-	// colocation is solved once: the memo is keyed by the pair's job names,
-	// an entry remembers the jobs it was solved for, and a same-named pair
-	// that differs anywhere else (a re-calibrated model) is solved on its
-	// own.
-	type names struct{ a, b string }
-	type solved struct {
-		jobA, jobB workload.Job
-		outcome
-	}
-	memo := make(map[names]*solved)
-	placed := make([]placement, len(assignments))
-	head := make([]int, len(c.machines)) // each machine's queue, as indices into placed
-	tail := make([]int, len(c.machines))
+	// colocation is solved once per dispatch: the memo is keyed by the
+	// pair's job names, an entry remembers the jobs it was solved for, and
+	// a same-named pair that differs anywhere else (a re-calibrated model)
+	// is solved on its own.
+	clear(c.memo)
+	c.solved = c.solved[:0]
+	c.placed = slices.Grow(c.placed[:0], len(assignments))[:len(assignments)]
+	placed, head, tail := c.placed, c.head, c.tail
 	for b := range head {
 		head[b], tail[b] = -1, -1
 	}
@@ -162,13 +184,14 @@ func (c *Cluster) run(assignments []Assignment, emit func(k, machine int, p *pla
 		a := &assignments[k]
 		o := outcome{durationA: a.JobA.RuntimeS}
 		if !a.Solo() {
-			key := names{a.JobA.Name, a.JobB.Name}
-			if s := memo[key]; s != nil && s.jobA == a.JobA && s.jobB == a.JobB {
-				o = s.outcome
+			key := colocation{a.JobA.Name, a.JobB.Name}
+			if s, ok := c.memo[key]; ok && c.solved[s].jobA == a.JobA && c.solved[s].jobB == a.JobB {
+				o = c.solved[s].outcome
 			} else {
 				o = execute(c.machines[0].CMP, a, c.cache)
-				if s == nil {
-					memo[key] = &solved{a.JobA, a.JobB, o}
+				if !ok {
+					c.memo[key] = len(c.solved)
+					c.solved = append(c.solved, solved{a.JobA, a.JobB, o})
 				}
 			}
 		}

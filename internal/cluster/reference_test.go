@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cooper/internal/arch"
+	"cooper/internal/telemetry"
 	"cooper/internal/workload"
 )
 
@@ -194,5 +195,59 @@ func TestDispatchKeepsSameNamedJobsApart(t *testing.T) {
 	}
 	if byAgent[6].PenaltyA != byAgent[0].PenaltyA || byAgent[6].DurationA != byAgent[0].DurationA {
 		t.Error("an identical pair did not reproduce the first one's outcome")
+	}
+}
+
+// TestRunReusesScratch runs one cluster over batches that grow and then
+// shrink, with a same-named re-calibrated job in every other batch: each
+// Run equals a fresh cluster's Summarize(Dispatch(batch)) bit for bit,
+// and asks the pair cache for exactly what the fresh cluster does, so
+// the memo of solved colocations lasts one dispatch.
+func TestRunReusesScratch(t *testing.T) {
+	cmp := arch.DefaultCMP()
+	jobs := testJobs(t)
+	corr, _ := workload.Find(jobs, "correlation")
+	stream, _ := workload.Find(jobs, "stream")
+	slow := corr
+	slow.RuntimeS *= 2
+	reused, _ := New(7, cmp)
+	reused.SetPairCache(arch.NewPairCache(cmp, telemetry.NewRegistry()))
+	r := rand.New(rand.NewSource(37))
+	for round, n := range []int{3, 40, 900, 2500, 901, 40, 2, 2500} {
+		batch := mixedBatch(jobs, n, r)
+		if round%2 == 1 {
+			batch[0] = Assignment{AgentA: 0, AgentB: 1, JobA: slow, JobB: stream}
+			batch[len(batch)/2] = Assignment{AgentA: n, AgentB: n + 1, JobA: corr, JobB: stream}
+		}
+		fresh, _ := New(7, cmp)
+		fresh.SetPairCache(arch.NewPairCache(cmp, telemetry.NewRegistry()))
+		want := fresh.Summarize(fresh.Dispatch(batch))
+		hits, misses := reused.cache.Stats()
+		reused.Reset()
+		if got := reused.Run(batch); got != want {
+			t.Fatalf("round %d (%d assignments): Run reports %+v, a fresh cluster %+v", round, n, got, want)
+		}
+		h, m := reused.cache.Stats()
+		wh, wm := fresh.cache.Stats()
+		if h+m-hits-misses != wh+wm {
+			t.Fatalf("round %d: Run asked the pair cache %d times, a fresh cluster %d", round, h+m-hits-misses, wh+wm)
+		}
+	}
+}
+
+// TestWarmRunAllocatesNothing pins the dispatch's scratch: once a
+// cluster has run a batch, a Run on a batch no larger allocates nothing.
+func TestWarmRunAllocatesNothing(t *testing.T) {
+	cmp := arch.DefaultCMP()
+	c, _ := New(5, cmp)
+	c.SetPairCache(arch.NewPairCache(cmp, telemetry.NewRegistry()))
+	r := rand.New(rand.NewSource(37))
+	jobs := testJobs(t)
+	big, small := mixedBatch(jobs, 3000, r), mixedBatch(jobs, 1000, r)
+	c.Run(big)
+	for _, batch := range [][]Assignment{big, small} {
+		if allocs := testing.AllocsPerRun(10, func() { c.Reset(); c.Run(batch) }); allocs != 0 {
+			t.Fatalf("warm Run of %d assignments allocates %v times, want 0", len(batch), allocs)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"cooper/internal/agent"
@@ -59,9 +60,11 @@ type Framework struct {
 	inflight sync.WaitGroup // in-flight epochs, for Close's drain
 
 	// engine clears and repairs the market. Epochs share its RNG, churn
-	// ledger and epoch counter, so epochMu runs them one at a time.
+	// ledger and epoch counter, so epochMu runs them one at a time; it
+	// also guards batch, the dispatch's assignments, reused every epoch.
 	engine  *market.Engine
 	epochMu sync.Mutex
+	batch   []cluster.Assignment
 }
 
 // NewFramework builds a Framework from the grouped Config: it calibrates
@@ -429,7 +432,7 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 			solos++
 		}
 	}
-	batch := make([]cluster.Assignment, 0, solos+(len(r.Match)-solos)/2)
+	batch := slices.Grow(f.batch[:0], solos+(len(r.Match)-solos)/2)
 	for i, j := range r.Match {
 		switch {
 		case j == matching.Unmatched:
@@ -442,6 +445,7 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 			})
 		}
 	}
+	f.batch = batch
 	rep.Cluster = f.cluster.Run(batch)
 	dispatch.SetAttr("colocations", len(batch))
 	f.tel.End(dispatch)

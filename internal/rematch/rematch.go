@@ -72,35 +72,43 @@ func ThresholdOrDefault(t float64) float64 {
 	return t
 }
 
+// Pool is one shard's candidate pool in a sharded market's repair: the
+// shard's members, and every agent's shard, so a member's partner is
+// tested for membership with one lookup.
+type Pool struct {
+	Members []int // the shard's agents
+	ShardOf []int // agent index → shard, over the whole population
+	Shard   int   // the pool's shard
+}
+
 // Neighborhood computes the repair neighborhood for the dirty agents:
 // the dirty agents themselves, each one's top-K preference candidates
 // under pen (lowest penalty first, index tie-break), and the prev
-// partners of those candidates. members restricts the candidate pool
-// (nil means all agents 0..len(prev)-1, a sharded market passes one
-// shard's member list) and is ascending, as a shard's is. A member whose
-// prev partner falls outside the pool is ineligible as a candidate, so
-// the result is always closed under prev partnership within the pool.
-// The returned indices are ascending and the dirty agents are always
-// included. Eligibility is decided once per member, and with members
-// given nothing of population size is allocated.
-func Neighborhood(dirty []int, members []int, prev matching.Matching, pen func(i, j int) float64, topK int) []int {
+// partners of those candidates. pool restricts the candidates to one
+// shard's members (nil means all agents 0..len(prev)-1). A member whose
+// prev partner is on another shard is ineligible as a candidate, so the
+// result is always closed under prev partnership within the pool. The
+// returned indices are ascending and the dirty agents are always
+// included. Eligibility is decided once per member; each dirty agent
+// then scans the eligible members once, so a neighborhood costs
+// O(members + dirty·members), and with a pool nothing of population size
+// is allocated.
+func Neighborhood(dirty []int, pool *Pool, prev matching.Matching, pen func(i, j int) float64, topK int) []int {
 	topK = TopKOrDefault(topK)
 	// The eligible candidates, decided once per pool member: a member
 	// whose prev partner is outside the pool cannot be rewired without
 	// displacing that partner.
 	var eligible []int
-	if members == nil {
+	if pool == nil {
 		eligible = make([]int, len(prev))
 		for i := range eligible {
 			eligible[i] = i
 		}
 	} else {
-		eligible = make([]int, 0, len(members))
-		for _, j := range members {
-			if p := prev[j]; p != matching.Unmatched {
-				if _, ok := slices.BinarySearch(members, p); !ok {
-					continue
-				}
+		eligible = make([]int, 0, len(pool.Members))
+		for _, j := range pool.Members {
+			if p := prev[j]; p != matching.Unmatched && pool.ShardOf[p] != pool.Shard {
+				continue
 			}
 			eligible = append(eligible, j)
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -187,10 +188,103 @@ func TestNeighborhoodClosureAndTopK(t *testing.T) {
 	// Restricting the pool excludes members whose partner is outside it:
 	// 1 is paired with 3, and 3 is outside the pool, so 1 cannot be a
 	// candidate — but 5's partner 2 is in the pool.
-	pool := Neighborhood([]int{0}, []int{0, 1, 2, 5}, prev, pen, 100)
+	pool := Neighborhood([]int{0}, &Pool{Members: []int{0, 1, 2, 5}, ShardOf: []int{0, 0, 0, 1, 1, 0}, Shard: 0}, prev, pen, 100)
 	for _, i := range pool {
 		if i == 1 || i == 3 {
 			t.Fatalf("pool-restricted neighborhood %v pulled in %d", pool, i)
+		}
+	}
+}
+
+// neighborhoodReference reads Neighborhood's doc comment literally: the
+// dirty agents, each one's top-K eligible candidates by (penalty,
+// index) from a full sort, and the prev partners of all of them. An
+// agent is eligible when it is in the pool and so is its prev partner,
+// if it has one.
+func neighborhoodReference(dirty []int, pool *Pool, prev matching.Matching, pen func(i, j int) float64, topK int) []int {
+	inPool := func(j int) bool { return pool == nil || pool.ShardOf[j] == pool.Shard }
+	in := make(map[int]bool)
+	for _, i := range dirty {
+		in[i] = true
+		var cands []int
+		for j := range prev {
+			if j != i && inPool(j) && (prev[j] == matching.Unmatched || inPool(prev[j])) {
+				cands = append(cands, j)
+			}
+		}
+		sort.Slice(cands, func(a, b int) bool {
+			pa, pb := pen(i, cands[a]), pen(i, cands[b])
+			return pa < pb || pa == pb && cands[a] < cands[b]
+		})
+		for _, j := range cands[:min(TopKOrDefault(topK), len(cands))] {
+			in[j] = true
+		}
+	}
+	var nbhd []int
+	for i := range in {
+		nbhd = append(nbhd, i)
+		if p := prev[i]; p != matching.Unmatched && !in[p] {
+			nbhd = append(nbhd, p)
+		}
+	}
+	sort.Ints(nbhd)
+	return slices.Compact(nbhd)
+}
+
+// TestNeighborhoodMatchesReference holds Neighborhood to its reading
+// over random shard partitions, tie-heavy class rows (penalties from
+// {0, ¼, ½, ¾}) and partial matchings whose pairs cross shards, with and
+// without a pool, at small K and the default.
+func TestNeighborhoodMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 500; trial++ {
+		n, classes, shards := 1+rng.Intn(60), 1+rng.Intn(5), 1+rng.Intn(4)
+		matrix := make([][]float64, classes)
+		for a := range matrix {
+			matrix[a] = make([]float64, classes)
+			for b := range matrix[a] {
+				matrix[a][b] = float64(rng.Intn(4)) / 4
+			}
+		}
+		jobIdx, shardOf := make([]int, n), make([]int, n)
+		for i := range jobIdx {
+			jobIdx[i], shardOf[i] = rng.Intn(classes), rng.Intn(shards)
+		}
+		prev := make(matching.Matching, n)
+		for i := range prev {
+			prev[i] = matching.Unmatched
+		}
+		for _, i := range rng.Perm(n) {
+			if j := rng.Intn(n); prev[i] == matching.Unmatched && prev[j] == matching.Unmatched && i != j && rng.Intn(4) != 0 {
+				prev[i], prev[j] = j, i
+			}
+		}
+		var pool *Pool
+		candidates := nbhdAll(n)
+		if rng.Intn(4) != 0 {
+			pool = &Pool{ShardOf: shardOf, Shard: rng.Intn(shards)}
+			for i, s := range shardOf {
+				if s == pool.Shard {
+					pool.Members = append(pool.Members, i)
+				}
+			}
+			candidates = pool.Members
+		}
+		// Dirty agents come from the pool, solo as a repair's are, or
+		// still paired.
+		var dirty []int
+		for _, i := range candidates {
+			if rng.Intn(3) == 0 {
+				dirty = append(dirty, i)
+			}
+		}
+		topK := []int{1, 2, 3, 5, 0}[rng.Intn(5)]
+		pen := penFor(jobIdx, matrix)
+		got := Neighborhood(dirty, pool, prev, pen, topK)
+		want := neighborhoodReference(dirty, pool, prev, pen, topK)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: n=%d shards=%d K=%d pool=%+v dirty=%v prev=%v jobs=%v matrix=%v\n got %v\nwant %v",
+				trial, n, shards, topK, pool, dirty, prev, jobIdx, matrix, got, want)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 		sp.SetAttr("dirty", len(dirtyIn[s]))
 		defer m.Tel.End(sp)
 
-		g := rematch.Neighborhood(dirtyIn[s], groups[s], prev, pen, topK)
+		g := rematch.Neighborhood(dirtyIn[s], &rematch.Pool{Members: groups[s], ShardOf: shardOf, Shard: s}, prev, pen, topK)
 		k := len(g)
 		nbhds[s] = g
 		if k < 2 {
