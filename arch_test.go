@@ -240,6 +240,7 @@ var unreachedAllowed = map[string]string{
 	"internal/experiments.Figure10Result.MedianBlocking": "harness hook: the Figure 10 shape tests and BenchmarkAblation read it",
 	"internal/matching.RoommateBlockingPairs":            "oracle: the O(n²) blocking-pair reference the class-bucket scan is held to",
 	"internal/matching.CrossBlockingPairs":               "oracle: the bipartite blocking-pair reference for SMP",
+	"internal/matching.Penalties.CountBlockingPairs":     "oracle: the pairwise blocking-pair count rematch.Assess and the auditor's count are graded against",
 	"internal/matching.ValidateGroups":                   "oracle: validates hierarchical quad groupings in tests",
 	"internal/matching.PrefsFromPenalties":               "oracle: builds preference lists for the matching algorithms' reference tests",
 	"internal/game.CheckEfficiency":                      "oracle: Shapley values must sum to the grand coalition's value",
