@@ -119,7 +119,7 @@ func (l *Lab) PredictionToMatching(fractions []float64, n int, seed int64) ([]Pr
 				pens[i] = truth.At(i, j)
 			}
 		}
-		blocking, _ := blockingAgents(truth, round.Match, 0.02)
+		blocking, _ := l.breakAways(round, 0.02)
 		return stats.Mean(pens), stats.Spearman(bw, pens), blocking, nil
 	}
 

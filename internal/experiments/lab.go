@@ -18,11 +18,13 @@ import (
 	"fmt"
 	"math/rand"
 
+	"cooper/internal/agent"
 	"cooper/internal/arch"
 	"cooper/internal/market"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
 	"cooper/internal/profiler"
+	"cooper/internal/rematch"
 	"cooper/internal/stats"
 	"cooper/internal/workload"
 )
@@ -75,21 +77,19 @@ func (l *Lab) oracle(class []int) matching.Penalties {
 	return matching.Penalties{Matrix: l.Dense, Class: class}
 }
 
-// blockingAgents returns how many agents belong to at least one α-blocking
-// pair of match under p — the paper's Figure 10 "agents recommending
-// break-away" — and how many such pairs there are.
-func blockingAgents(p matching.Penalties, match matching.Matching, alpha float64) (agents, pairs int) {
-	blocking := p.BlockingPairs(match, alpha)
-	in := make([]bool, len(match))
-	for _, bp := range blocking {
-		for _, i := range bp {
-			if !in[i] {
-				in[i] = true
-				agents++
-			}
+// breakAways returns how many agents of round the market's assessment
+// tells to break away at alpha under the oracle penalties — exactly the
+// agents in at least one α-blocking pair, the paper's Figure 10 "agents
+// recommending break-away" — and how many blocking pairs there are.
+// Both come from class counts, in O(agents + classes³).
+func (l *Lab) breakAways(round *market.Round, alpha float64) (agents, pairs int) {
+	recs, pairs := rematch.Assess(round.JobIdx, l.Dense, round.Match, alpha)
+	for _, rec := range recs {
+		if rec.Action == agent.BreakAway {
+			agents++
 		}
 	}
-	return agents, len(blocking)
+	return agents, pairs
 }
 
 // jobIndex maps catalog names to indices.

@@ -114,7 +114,7 @@ func (l *Lab) Figure10(pops, n int, alphas []float64, seed int64) ([]Figure10Res
 				return nil, err
 			}
 			for ai, alpha := range alphas {
-				agents, pairs := blockingAgents(l.oracle(round.JobIdx), round.Match, alpha)
+				agents, pairs := l.breakAways(round, alpha)
 				res.Counts[ai] = append(res.Counts[ai], float64(agents))
 				res.PairCounts[ai] = append(res.PairCounts[ai], float64(pairs))
 			}

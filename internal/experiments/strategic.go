@@ -209,7 +209,7 @@ func (l *Lab) Churn(n, epochs int, churnFraction float64, seed int64) ([]ChurnPo
 			}
 		}
 		_, point.MeanPenalty = round.Penalties()
-		agents, _ := blockingAgents(l.oracle(round.JobIdx), match, 0.02)
+		agents, _ := l.breakAways(round, 0.02)
 		point.BlockingPct = 100 * float64(agents) / float64(n)
 		out = append(out, point)
 		prev = match
