@@ -25,15 +25,17 @@ func (d *Divergence) String() string {
 		return fmt.Sprintf("log B ends at index %d; log A continues with seq %d (%s)",
 			d.Index, d.A.Seq, d.A.Type)
 	default:
+		at := firstDiff(d.A.Data, d.B.Data)
 		return fmt.Sprintf("first divergence at seq %d:\n  A: %s\n  B: %s",
-			d.A.Seq, describeEvent(*d.A), describeEvent(*d.B))
+			d.A.Seq, describeEvent(*d.A, at), describeEvent(*d.B, at))
 	}
 }
 
-// describeEvent renders an event's determinism-relevant fields compactly
-// (Data payloads shown as digests would hide the difference, so they are
-// included verbatim but truncated).
-func describeEvent(e telemetry.Event) string {
+// describeEvent renders an event's determinism-relevant fields compactly,
+// trace and span IDs included. A Data payload is shown verbatim but cut
+// to a 96-byte window that starts shortly before byte at, where the two
+// diverging payloads first differ (a digest would hide the difference).
+func describeEvent(e telemetry.Event, at int) string {
 	s := fmt.Sprintf("seq=%d type=%s epoch=%d agent=%d partner=%d", e.Seq, e.Type, e.Epoch, e.Agent, e.Partner)
 	if e.Job != "" {
 		s += " job=" + e.Job
@@ -50,14 +52,32 @@ func describeEvent(e telemetry.Event) string {
 	if e.Predicted != 0 || e.True != 0 || e.Value != 0 {
 		s += fmt.Sprintf(" predicted=%v true=%v value=%v", e.Predicted, e.True, e.Value)
 	}
+	if e.Trace != "" || e.Span != "" {
+		s += fmt.Sprintf(" trace=%s span=%s", e.Trace, e.Span)
+	}
 	if e.Data != "" {
-		data := e.Data
-		if len(data) > 96 {
-			data = data[:96] + "..."
+		lo := max(0, min(at-16, len(e.Data)-96))
+		hi := min(len(e.Data), lo+96)
+		s += " data="
+		if lo > 0 {
+			s += fmt.Sprintf("(from byte %d)...", lo)
 		}
-		s += " data=" + data
+		s += e.Data[lo:hi]
+		if hi < len(e.Data) {
+			s += "..."
+		}
 	}
 	return s
+}
+
+// firstDiff returns the index of the first byte where a and b differ, or
+// the shorter one's length when it is a prefix of the other.
+func firstDiff(a, b string) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // Diff compares two event streams in canonical form and returns the
