@@ -84,8 +84,9 @@ journey-soak:
 # the flat prediction kernel against the reference, the wire codec
 # against encoding/json, the class-count assessment against the
 # pairwise count, the preference lists against their comparator-sort
-# reference and the churn ledger against its ID-keyed reference, and the
-# benchmark harness's own vet and tests.
+# reference, the churn ledger against its ID-keyed reference and the
+# auditor against arbitrary event streams, and the benchmark harness's
+# own vet and tests.
 # It carries no timing floor: behaviour is pinned by the tests, and
 # timing is compared parent against change, workload by workload, by the
 # pipeline that runs BENCHMARK.json (benchmark/README.md). Nothing it
@@ -136,14 +137,18 @@ bench-smoke:
 # shuffled sides included (seeded likewise), and the positional churn
 # ledger ≡ the ID-keyed reference delta by delta and error by error, over
 # joins, departures, failed epochs, commits and bad requests (seeded
-# likewise). Minimizing each newly covered input is switched off: it can
-# take the whole budget and finds nothing.
+# likewise), and the auditor on arbitrary event streams — no panic,
+# Replay ≡ Feed event by event then Finish, two replays equal (seeded
+# from the audit tests' logs: in-process and wire, repair and full).
+# Minimizing each newly covered input is switched off: it can take the
+# whole budget and finds nothing.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFlatMatchesReference -fuzztime=10s -fuzzminimizetime=0 ./internal/recommend/
 	$(GO) test -run xxx -fuzz FuzzMessageCodec -fuzztime=10s -fuzzminimizetime=0 ./internal/netproto/
 	$(GO) test -run xxx -fuzz FuzzAssess -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 	$(GO) test -run xxx -fuzz FuzzLists -fuzztime=10s -fuzzminimizetime=0 ./internal/matching/
 	$(GO) test -run xxx -fuzz FuzzLedger -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
+	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime=10s -fuzzminimizetime=0 ./internal/audit/
 
 # bench-check vets and tests the benchmark harness (benchmark/ is its own
 # module, so `./...` above does not reach it): its result checkers
