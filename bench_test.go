@@ -698,12 +698,14 @@ func BenchmarkClearUnsharded(b *testing.B) {
 // the predicted penalty matrix: the default framework's, which every
 // in-process clear runs on, with the population drawn from its catalog.
 // Collaborative filtering copies revealed values, so a predicted row ties
-// classes where an oracle row never does; BenchmarkClearUnsharded's
-// oracle matrix never builds a tie tier in a preference list, this one
-// does. bench-smoke runs each once.
+// classes where an oracle row never does, and the marriage breaks those
+// ties by class. bench-smoke runs each once; n=20000 is there so that a
+// marriage that goes back to proposing agent by agent, quadratic on tied
+// rows (0.3–0.5 s an SMR epoch at that size, against 5–6 ms over class
+// counts, on a 2-core guest), shows in its time.
 func BenchmarkClearPredicted(b *testing.B) {
 	for _, p := range []Policy{SMR(), SMP()} {
-		for _, n := range []int{800, 5000} {
+		for _, n := range []int{800, 5000, 20000} {
 			b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
 				benchClearOn(b, n, WithSeed(1), WithPolicy(p))
 			})

@@ -5,7 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"cooper/internal/matching"
+	"cooper/internal/policy"
 	"cooper/internal/recommend"
+	"cooper/internal/telemetry"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -240,32 +243,102 @@ func TestStreamRepairEpochAllocation(t *testing.T) {
 	}
 }
 
-// TestAllPairsEpochAllocation pins the assessment of an unsharded SMP
-// epoch at the epoch-allpairs workload's size, n = 800: SMP leaves every
-// same-half pair free to block, tens of thousands of pairs, yet the epoch
-// allocates under 1 MiB (about 0.4), because the blocking pairs are
-// counted from class counts and never listed.
+// TestAllPairsEpochAllocation pins the allocation of unsharded SMR and
+// SMP epochs at the epoch-allpairs workload's size, n = 800, under 200
+// KiB. SMP leaves every same-half pair free to block, tens of thousands
+// of pairs, yet its epoch allocates about 120 KiB, because the blocking
+// pairs are counted from class counts and never listed; SMR's allocates
+// about 125 KiB. Both marriages run over class counts and build no
+// preference list: with lists, SMP took 250 KiB and SMR 335.
 func TestAllPairsEpochAllocation(t *testing.T) {
-	f, err := New(WithOracle(), WithSeed(31), WithPolicy(SMP()))
+	for _, p := range []Policy{SMR(), SMP()} {
+		f, err := New(WithOracle(), WithSeed(31), WithPolicy(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		pop := f.SamplePopulation(800, Uniform())
+		if _, err := f.RunEpoch(pop); err != nil { // warm the pair cache
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := f.RunEpoch(pop)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name() == "SMP" && rep.BlockingPairCount < 10000 {
+			t.Fatalf("SMP epoch over 800 agents left %d blocking pairs; the pin wants a market with many", rep.BlockingPairCount)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 200<<10 {
+			t.Fatalf("%s epoch over 800 agents allocated %d KiB, want < 200", p.Name(), got>>10)
+		}
+	}
+}
+
+// TestMarriageClassesGrowth is the marriage's complexity pin. Growth
+// class: O(1) in agents for both class steps and allocations — deferred
+// acceptance runs over at most 20 classes a side, moving a repeating
+// rejection cycle round all its laps at once, and the dealing allocates
+// a fixed number of O(n) slices. Each row clears SMR and SMP at n and 4n
+// over eight populations, on the predicted matrix (whose rows tie
+// classes) and on a 20-class matrix of 6 distinct values, and holds the
+// summed steps and the allocs/op at 4n to 1.25 times those at n. One
+// population's steps vary by a third from draw to draw; the sum does
+// not. A count-level marriage that moves a cycle one lap at a time makes
+// steps grow with n, about fourfold per row.
+func TestMarriageClassesGrowth(t *testing.T) {
+	f, err := New(WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	pop := f.SamplePopulation(800, Uniform())
-	if _, err := f.RunEpoch(pop); err != nil { // warm the pair cache
-		t.Fatal(err)
+	r := rand.New(rand.NewSource(39))
+	ties := make([][]float64, len(f.Catalog()))
+	for a := range ties {
+		ties[a] = make([]float64, len(ties))
+		for b := range ties[a] {
+			ties[a][b] = float64(r.Intn(6)) * 0.05
+		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rep, err := f.RunEpoch(pop)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BlockingPairCount < 10000 {
-		t.Fatalf("SMP epoch over 800 agents left %d blocking pairs; the pin wants a market with many", rep.BlockingPairCount)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("SMP epoch over 800 agents allocated %.2f MiB, want < 1", float64(got)/(1<<20))
+	const n = 2000
+	for _, m := range []struct {
+		name   string
+		matrix [][]float64
+	}{{"predicted", f.PredictedPenalties()}, {"6 values", ties}} {
+		for _, p := range []policy.Policy{policy.StableMarriageRandom{}, policy.StableMarriagePartition{}} {
+			var steps, allocs [2]float64
+			for k, size := range []int{n, 4 * n} {
+				for seed := int64(1); seed <= 8; seed++ {
+					draw := rand.New(rand.NewSource(seed))
+					pen := matching.Penalties{Matrix: m.matrix, Class: make([]int, size)}
+					bw := make([]float64, size)
+					for i := range pen.Class {
+						pen.Class[i] = draw.Intn(len(m.matrix))
+						bw[i] = f.Catalog()[pen.Class[i]].BandwidthGBps
+					}
+					ctx := policy.Context{BandwidthGBps: bw, Rand: rand.New(rand.NewSource(seed)), Metrics: telemetry.NewRegistry()}
+					if _, err := p.AssignClasses(pen, ctx); err != nil {
+						t.Fatal(err)
+					}
+					steps[k] += float64(ctx.Metrics.Counter("match.proposals").Value())
+					if seed == 1 {
+						ctx.Metrics = nil
+						allocs[k] = testing.AllocsPerRun(3, func() {
+							if _, err := p.AssignClasses(pen, ctx); err != nil {
+								t.Fatal(err)
+							}
+						})
+					}
+				}
+			}
+			t.Logf("%s %s: %v class steps over 8 populations and %v allocs/op at n=%d and %d",
+				m.name, p.Name(), steps, allocs, n, 4*n)
+			if steps[1] > 1.25*steps[0] || allocs[1] > 1.25*allocs[0] {
+				t.Errorf("%s %s: steps %v, allocs/op %v at n=%d and %d; want each within 1.25x",
+					m.name, p.Name(), steps, allocs, n, 4*n)
+			}
+		}
 	}
 }

@@ -11,7 +11,9 @@
 package matching
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 )
 
 // Unmatched marks an agent with no partner in a Matching.
@@ -280,4 +282,280 @@ func CrossBlockingPairs(proposerMatch []int, proposerPrefs, receiverPrefs [][]in
 		}
 	}
 	return blocking
+}
+
+// StableMarriageClasses is proposer-optimal deferred acceptance between
+// two equally sized agent sets of a class view, run over class counts
+// rather than agents. It returns proposerMatch, where proposerMatch[a] is
+// the position in receivers of proposers[a]'s partner, and the number of
+// class-level steps taken.
+//
+// Every agent ranks the other side by (penalty, partner class, partner
+// index). Under that key a class ranks the other side's classes strictly
+// and its members alike, so a stable matching is fixed by how many agents
+// of each proposer class marry each receiver class. Deferred acceptance
+// finds those counts: a proposer class proposes its whole free count to
+// its next receiver class; a receiver class over capacity rejects the
+// excess from its worst-ranked held classes; a class rejected at a
+// receiver class never proposes to it again. Agents are then dealt in
+// O(n): a class's members, in agent-index order, take partner classes in
+// the class's preference order, and each class-pair block pairs its
+// members in index order. The result is exactly StableMarriageProposals
+// over lists sorted by that key. Where no viewer row ties two classes
+// present on the other side, Dense views among them, the key orders as
+// (penalty, partner index) does: the order of Penalties.Lists.
+//
+// Counts alone can ping-pong. A chain of rejections, each moving the same
+// amount and changing nothing but amounts held, that comes back to its
+// first proposer repeats until one of those amounts runs out. Such a
+// cycle is moved round all its laps but the last in one step. Every other
+// step changes the structure (a pointer advances, a held amount runs out,
+// a receiver class fills) or extends a chain, which repeats within as many
+// steps as there are proposer classes; so the steps are bounded by the
+// classes, not the agents. Memory is O(n + kp·kr) for the kp proposer and
+// kr receiver classes present.
+//
+// p must validate (Penalties.Validate). An agent outside p, of a class
+// outside p.Matrix, or listed twice is an error.
+func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int, error) {
+	n := len(proposers)
+	if len(receivers) != n {
+		return nil, 0, fmt.Errorf("matching: %d proposers vs %d receivers", n, len(receivers))
+	}
+	agents, classes := p.Agents(), len(p.Matrix)
+	// side[i] is 1 + agent i's position among the proposers, minus 1 +
+	// its position among the receivers, or 0 if it is on neither side.
+	// members[:n] holds the proposers' positions bucketed by class and
+	// members[n:] the receivers', in agent-index order within a class.
+	buf := make([]int, agents+2*n)
+	side, members := buf[:agents], buf[agents:]
+	// number[s][c] counts side s's agents of class c, then becomes 1 +
+	// class c's number among side s's present classes, numbered in class
+	// order, or stays 0 if side s has no agent of class c.
+	numbers := make([]int, 2*classes)
+	number := [2][]int{numbers[:classes], numbers[classes:]}
+	for s, set := range [2][]int{proposers, receivers} {
+		for a, i := range set {
+			switch {
+			case i < 0 || i >= agents:
+				return nil, 0, fmt.Errorf("matching: agent %d outside the %d-agent view", i, agents)
+			case side[i] != 0:
+				return nil, 0, fmt.Errorf("matching: agent %d listed twice", i)
+			case p.Class[i] < 0 || p.Class[i] >= classes:
+				return nil, 0, fmt.Errorf("matching: agent %d has class %d outside the %d-class penalty matrix",
+					i, p.Class[i], classes)
+			}
+			side[i] = a + 1
+			if s == 1 {
+				side[i] = -a - 1
+			}
+			number[s][p.Class[i]]++
+		}
+	}
+	var k [2]int
+	for s := range number {
+		for _, m := range number[s] {
+			if m > 0 {
+				k[s]++
+			}
+		}
+	}
+	kp, kr := k[0], k[1]
+
+	most := max(kp, kr)
+	perClass := make([]int, 11*kp+5*kr+2+2*most)
+	carve := func(m int) []int {
+		s := perClass[:m:m]
+		perClass = perClass[m:]
+		return s
+	}
+	// Proposer class x is class pClass[x], with members
+	// members[pStart[x]:pStart[x+1]]. free[x] of them are unheld, and it
+	// proposes next to its ptr[x]-th receiver class. stamp[x] is the chain
+	// it last proposed in, as that chain's at[x]-th step.
+	pClass, pStart, pFill, free, ptr := carve(kp), carve(kp+1), carve(kp), carve(kp), carve(kp)
+	stamp, at, stack := carve(kp), carve(kp), carve(kp)[:0]
+	// Receiver class y is class rClass[y], with members
+	// members[n+rStart[y]:n+rStart[y+1]]. It holds total[y] proposers,
+	// none ranked worse than cut[y].
+	rClass, rStart, rFill, total, cut := carve(kr), carve(kr+1), carve(kr), carve(kr), carve(kr)
+	// log[3e:3e+3] is the current chain's e-th step: the receiver class,
+	// the proposer's rank there and its victim's.
+	log := carve(3 * kp)[:0]
+	tier, fill := carve(most), carve(most) // rankClasses's scratch
+
+	for s, cls := range [2]struct{ classOf, start, fill []int }{{pClass, pStart, pFill}, {rClass, rStart, rFill}} {
+		x := 0
+		for c, m := range number[s] {
+			if m > 0 {
+				cls.classOf[x] = c
+				cls.start[x+1] = cls.start[x] + m
+				x++
+				number[s][c] = x
+			}
+		}
+		copy(cls.fill, cls.start)
+	}
+	for i, sd := range side {
+		switch c := p.Class[i]; {
+		case sd > 0:
+			x := number[0][c] - 1
+			members[pFill[x]] = sd - 1
+			pFill[x]++
+		case sd < 0:
+			y := number[1][c] - 1
+			members[n+rFill[y]] = -sd - 1
+			rFill[y]++
+		}
+	}
+
+	// pref[x*kr+i] is proposer class x's i-th receiver class. For receiver
+	// class y, ord[y*kp+r] is the proposer class it ranks r-th, rank is
+	// ord's inverse, and held[y*kp+r] counts the members of that class it
+	// holds.
+	tables := make([]int, 4*kp*kr+1)
+	pref, ord := tables[:kp*kr], tables[kp*kr:2*kp*kr]
+	rank, held := tables[2*kp*kr:3*kp*kr], tables[3*kp*kr:]
+	penalty := make([]float64, most)
+	for x := 0; x < kp; x++ {
+		rankClasses(pref[x*kr:(x+1)*kr], penalty[:kr], tier[:kr], fill[:kr], p.Matrix[pClass[x]], rClass)
+	}
+	for y := 0; y < kr; y++ {
+		rankClasses(ord[y*kp:(y+1)*kp], penalty[:kp], tier[:kp], fill[:kp], p.Matrix[rClass[y]], pClass)
+		for r, x := range ord[y*kp : (y+1)*kp] {
+			rank[y*kp+x] = r
+		}
+		cut[y] = -1
+	}
+
+	chain, steps := 1, 0
+	for x := kp - 1; x >= 0; x-- {
+		free[x] = pStart[x+1] - pStart[x]
+		stack = append(stack, x)
+	}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		f := free[x]
+		free[x] = 0
+		if stamp[x] == chain {
+			// x proposes f again and nothing has changed since it last
+			// did but amounts held: the chain since then is a cycle. Move
+			// it round every lap that leaves each victim one member held.
+			cycle := log[3*at[x]:]
+			laps := n
+			for e := 0; e < len(cycle); e += 3 {
+				laps = min(laps, (held[cycle[e]*kp+cycle[e+2]]-1)/f)
+			}
+			if laps > 0 {
+				for e := 0; e < len(cycle); e += 3 {
+					held[cycle[e]*kp+cycle[e+1]] += laps * f
+					held[cycle[e]*kp+cycle[e+2]] -= laps * f
+				}
+				steps++
+			}
+			chain++
+			log = log[:0]
+		}
+
+		y := pref[x*kr+ptr[x]]
+		steps++
+		row := held[y*kp : (y+1)*kp]
+		rx, prev := rank[y*kp+x], cut[y]
+		row[rx] += f
+		cut[y] = max(prev, rx)
+		total[y] += f
+		excess := total[y] - (rStart[y+1] - rStart[y])
+		// The step is simple if y was full and rejects f members of one
+		// class, which keeps members held at y, has already been
+		// rejected there and had none free: then only amounts changed.
+		simple := excess == f
+		victims, rv := 0, 0
+		for excess > 0 {
+			r := cut[y]
+			if row[r] == 0 {
+				// Nothing is held between the worst held rank before
+				// this step and the proposer's.
+				if r > prev {
+					cut[y] = prev
+				} else {
+					cut[y]--
+				}
+				continue
+			}
+			take := min(row[r], excess)
+			row[r] -= take
+			total[y] -= take
+			excess -= take
+			v := ord[y*kp+r]
+			if pref[v*kr+ptr[v]] == y {
+				ptr[v]++
+				simple = false
+			}
+			if free[v] == 0 {
+				stack = append(stack, v)
+			} else {
+				simple = false
+			}
+			free[v] += take
+			victims++
+			rv = r
+		}
+		if simple && victims == 1 && row[rv] > 0 {
+			stamp[x], at[x] = chain, len(log)/3
+			log = append(log, y, rx, rv)
+		} else {
+			chain++
+			log = log[:0]
+		}
+	}
+
+	// held becomes each block's first slot. Slot s is the receiver
+	// members[n+s]: slots run receiver class by receiver class, each in
+	// its rank order, so a class's members in index order take proposer
+	// classes in its preference order.
+	for c, acc := 0, 0; c < kp*kr; c++ {
+		held[c], acc = acc, acc+held[c]
+	}
+	held[kp*kr] = n
+	proposerMatch := make([]int, n)
+	for x := 0; x < kp; x++ {
+		from := pStart[x]
+		for _, y := range pref[x*kr : (x+1)*kr] {
+			c := y*kp + rank[y*kp+x]
+			for s := held[c]; s < held[c+1]; s++ {
+				proposerMatch[members[from]] = members[n+s]
+				from++
+			}
+		}
+	}
+	return proposerMatch, steps, nil
+}
+
+// rankClasses fills l with 0, 1, …, len(l)-1 in the order a viewer with
+// penalty row row ranks the classes classOf[u]: by penalty, then class.
+// classOf is ascending, so the class tie-break is u's own order. penalty,
+// tier and fill are scratch of l's length. The sort compares penalties
+// alone; its runs of equal penalty are tiers, and counting u into its
+// tier in ascending order breaks the ties in O(len(l)), where sorting
+// each run, or a comparator that breaks ties, costs a log factor more —
+// and a Dense view has as many classes as agents.
+func rankClasses(l []int, penalty []float64, tier, fill []int, row []float64, classOf []int) {
+	for u := range l {
+		l[u] = u
+		penalty[u] = row[classOf[u]]
+	}
+	slices.SortFunc(l, func(u, v int) int { return cmp.Compare(penalty[u], penalty[v]) })
+	t := -1
+	for i, u := range l {
+		if i == 0 || cmp.Compare(penalty[u], penalty[l[i-1]]) != 0 {
+			t++
+			fill[t] = i
+		}
+		tier[u] = t
+	}
+	for u := range l {
+		l[fill[tier[u]]] = u
+		fill[tier[u]]++
+	}
 }

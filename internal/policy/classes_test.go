@@ -1,9 +1,11 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cooper/internal/matching"
@@ -69,18 +71,75 @@ func classCases(r *rand.Rand) (catalog []workload.Job, cases []classCase) {
 	return catalog, cases
 }
 
+// rowRanked replaces each row of m by its classes' ranks under the
+// marriage's key (penalty, then class): an agent-level expansion of it
+// ranks partners by (penalty, class, agent index), so a marriage over that
+// expansion is the reference for the class-level one where rows tie.
+func rowRanked(m [][]float64) [][]float64 {
+	ranked := make([][]float64, len(m))
+	for a, row := range m {
+		order := make([]int, len(row))
+		for b := range order {
+			order[b] = b
+		}
+		slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(row[x], row[y]) })
+		ranked[a] = make([]float64, len(row))
+		for r, b := range order {
+			ranked[a][b] = float64(r)
+		}
+	}
+	return ranked
+}
+
+// rowsTie reports whether the row of some class present in class ties two
+// present classes.
+func rowsTie(m [][]float64, class []int) bool {
+	present := make(map[int]bool)
+	for _, c := range class {
+		present[c] = true
+	}
+	for a := range present {
+		seen := make(map[float64]bool)
+		for b := range present {
+			if seen[m[a][b]] {
+				return true
+			}
+			seen[m[a][b]] = true
+		}
+	}
+	return false
+}
+
 // TestAssignClassesMatchesAssign is the licence for clearing the market
 // over (job matrix, class-of-agent): every policy returns, for the same
 // RNG draws, exactly the matching it returns over the agents×agents
-// expansion of the same penalties, and counts the same work.
+// expansion of the same penalties, and counts the same work. The two
+// marriages, SMR and SMP, rank partners by (penalty, class, agent index)
+// and count class-level steps: where no present row ties two present
+// classes they too return the expansion's matching, and wherever rows
+// tie they return the marriage over the expansion of the row-ranked
+// matrix, which ranks agents by that key. Their match.proposals counts
+// class-level steps: at most the agent-level proposals of the expansion
+// under the same key, the row-ranked one, and on tie-free rows the plain
+// one.
 func TestAssignClassesMatchesAssign(t *testing.T) {
 	policies := append(All(), Threshold{Tolerance: 0.10}, Clustered{})
 	counters := []string{"match.proposals", "match.rotations", "match.sr_retries", "match.greedy_fallback"}
 	catalog, cases := classCases(rand.New(rand.NewSource(13)))
+	tied := 0
 	for _, tc := range cases {
-		d, err := profiler.ExpandToAgents(tc.matrix, catalog, workload.Population{Jobs: tc.jobs})
+		pop := workload.Population{Jobs: tc.jobs}
+		d, err := profiler.ExpandToAgents(tc.matrix, catalog, pop)
 		if err != nil {
 			t.Fatal(err)
+		}
+		ranked, err := profiler.ExpandToAgents(rowRanked(tc.matrix), catalog, pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ties := rowsTie(tc.matrix, tc.class)
+		if ties {
+			tied++
 		}
 		bw := make([]float64, len(tc.jobs))
 		for i, j := range tc.jobs {
@@ -90,6 +149,7 @@ func TestAssignClassesMatchesAssign(t *testing.T) {
 			ctx := func() Context {
 				return Context{BandwidthGBps: bw, Rand: rand.New(rand.NewSource(99)), Metrics: telemetry.NewRegistry()}
 			}
+			marriage := p.Name() == "SMR" || p.Name() == "SMP"
 			dense, classes := ctx(), ctx()
 			want, err := p.Assign(d, dense)
 			if err != nil {
@@ -99,11 +159,33 @@ func TestAssignClassesMatchesAssign(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: AssignClasses: %v", tc.name, p.Name(), err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %s: AssignClasses = %v, Assign over the expansion = %v", tc.name, p.Name(), got, want)
+			if !ties || !marriage {
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s: AssignClasses = %v, Assign over the expansion = %v", tc.name, p.Name(), got, want)
+				}
+			}
+			if marriage {
+				rctx := ctx()
+				ref, err := p.Assign(ranked, rctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s %s: AssignClasses = %v, over the row-ranked expansion = %v", tc.name, p.Name(), got, ref)
+				}
+				// Over an expansion every class is one agent, so the
+				// reference counts agent-level proposals.
+				if g, w := classes.Metrics.Counter("match.proposals").Value(), rctx.Metrics.Counter("match.proposals").Value(); g > w {
+					t.Errorf("%s %s: %d class steps, %d proposals over the row-ranked expansion", tc.name, p.Name(), g, w)
+				}
 			}
 			for _, c := range counters {
-				if g, w := classes.Metrics.Counter(c).Value(), dense.Metrics.Counter(c).Value(); g != w {
+				g, w := classes.Metrics.Counter(c).Value(), dense.Metrics.Counter(c).Value()
+				if marriage && c == "match.proposals" {
+					if !ties && g > w {
+						t.Errorf("%s %s: %d class steps, %d proposals over the expansion", tc.name, p.Name(), g, w)
+					}
+				} else if g != w {
 					t.Errorf("%s %s: %s = %d over classes, %d over the expansion", tc.name, p.Name(), c, g, w)
 				}
 			}
@@ -111,6 +193,9 @@ func TestAssignClassesMatchesAssign(t *testing.T) {
 				t.Errorf("%s %s: the two runs drew differently from the RNG", tc.name, p.Name())
 			}
 		}
+	}
+	if tied == 0 || tied == len(cases) {
+		t.Fatalf("%d of %d cases tie a row: the table must hold both kinds", tied, len(cases))
 	}
 }
 

@@ -12,7 +12,6 @@
 package policy
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -327,41 +326,47 @@ func newUnmatched(n int) matching.Matching {
 }
 
 // sortedByBandwidth returns agent indices ordered by increasing bandwidth
-// demand, ties broken by index.
+// demand, ties broken by index. Bandwidth is a job's, so agents share few
+// values: the distinct values are sorted once, and the agents, counted by
+// value, are bucketed by value in index order.
 func sortedByBandwidth(bw []float64) []int {
-	order := make([]int, len(bw))
-	for i := range order {
-		order[i] = i
+	values := slices.Clone(bw)
+	slices.Sort(values)
+	values = slices.Compact(values)
+	buf := make([]int, len(bw)+len(values)+1)
+	order, start := buf[:len(bw)], buf[len(bw):]
+	for _, b := range bw {
+		v, _ := slices.BinarySearch(values, b)
+		start[v+1]++
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(bw[a], bw[b]) })
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	for i, b := range bw {
+		v, _ := slices.BinarySearch(values, b)
+		order[start[v]] = i
+		start[v]++
+	}
 	return order
 }
 
 // marriageBetween runs stable marriage between two equally sized agent
-// sets and returns the global matching. Each side ranks the other by
-// penalty ascending, agent index on ties; agents of one class share their
-// list (Penalties.Lists), and the marriage validates and inverts each
-// distinct list once. A leftover agent (odd population) stays solo.
-// Proposal counts land in metrics when non-nil.
+// sets and returns the global matching: deferred acceptance over class
+// counts (matching.StableMarriageClasses), in which each side ranks the
+// other by penalty ascending, then partner class, then agent index. A
+// leftover agent (odd population) stays solo. The class-level steps land
+// in metrics as match.proposals when non-nil.
 func marriageBetween(p matching.Penalties, proposers, receivers []int, metrics *telemetry.Registry) (matching.Matching, error) {
-	if len(proposers) != len(receivers) {
-		return nil, fmt.Errorf("policy: partition sizes differ: %d vs %d",
-			len(proposers), len(receivers))
+	proposerMatch, steps, err := matching.StableMarriageClasses(p, proposers, receivers)
+	if err != nil {
+		return nil, err
 	}
 	match := newUnmatched(p.Agents())
 	if len(proposers) == 0 {
 		return match, nil
 	}
-	proposerMatch, proposals, err := matching.StableMarriageProposals(
-		p.Lists(proposers, receivers), p.Lists(receivers, proposers))
-	if err != nil {
-		return nil, err
-	}
-	metrics.Counter("match.proposals").Add(int64(proposals))
+	metrics.Counter("match.proposals").Add(int64(steps))
 	for a, b := range proposerMatch {
-		if b == matching.Unmatched {
-			continue
-		}
 		i, j := proposers[a], receivers[b]
 		match[i], match[j] = j, i
 	}

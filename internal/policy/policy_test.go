@@ -1,7 +1,10 @@
 package policy
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cooper/internal/matching"
@@ -330,6 +333,32 @@ func TestPoliciesOnTinyPopulations(t *testing.T) {
 			if len(match) != n {
 				t.Errorf("%s n=%d: match size %d", p.Name(), n, len(match))
 			}
+		}
+	}
+}
+
+// TestSortedByBandwidthMatchesStableSort: bucketing agents by distinct
+// bandwidth gives the order of a stable comparator sort, on job-shared
+// values and on NaN, ±0 and infinities.
+func TestSortedByBandwidthMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	shared := make([]float64, 300)
+	for i := range shared {
+		shared[i] = float64(r.Intn(20)) * 1.5
+	}
+	for _, bw := range [][]float64{
+		nil,
+		shared,
+		randomBW(r, 50),
+		{math.NaN(), 1, math.Copysign(0, -1), 0, math.Inf(-1), math.NaN(), 1, -3, math.Inf(1)},
+	} {
+		want := make([]int, len(bw))
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(bw[a], bw[b]) })
+		if got := sortedByBandwidth(bw); !slices.Equal(got, want) {
+			t.Errorf("bandwidths %v: order %v, want %v", bw, got, want)
 		}
 	}
 }

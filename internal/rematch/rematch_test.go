@@ -1,6 +1,7 @@
 package rematch
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -568,13 +569,35 @@ func subMatrixAssign(members []int, matrix [][]float64, jobIdx []int, bw []float
 	return pol.Assign(sub, policy.Context{BandwidthGBps: subBW, Rand: rng})
 }
 
+// rowRanked replaces each row of m by its classes' ranks under the
+// marriage's key (penalty, then class), so that a gathered sub-matrix of
+// it ranks members by (penalty, class, agent index).
+func rowRanked(m [][]float64) [][]float64 {
+	ranked := make([][]float64, len(m))
+	for a, row := range m {
+		order := make([]int, len(row))
+		for b := range order {
+			order[b] = b
+		}
+		slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(row[x], row[y]) })
+		ranked[a] = make([]float64, len(row))
+		for r, b := range order {
+			ranked[a][b] = float64(r)
+		}
+	}
+	return ranked
+}
+
 // TestAssignWithinMatchesSubMatrix: over a member subset, every policy
 // returns through the class view the matching it returned over the
-// gathered sub-matrix, for the same seed.
+// gathered sub-matrix, for the same seed. SMR and SMP rank partners by
+// (penalty, class, agent index): on the matrix whose row 2 ties classes 1
+// and 4 they return the marriage over the sub-matrix gathered from the
+// row-ranked matrix, and on the tie-free matrix the plain one.
 func TestAssignWithinMatchesSubMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	matrix := testMatrix(6)
-	matrix[2][4] = matrix[2][1] // a tie between classes
+	tieFree, tied := testMatrix(6), testMatrix(6)
+	tied[2][4] = tied[2][1] // a tie between classes
 	n := 120
 	jobIdx, bw := make([]int, n), make([]float64, n)
 	for i := range jobIdx {
@@ -584,17 +607,27 @@ func TestAssignWithinMatchesSubMatrix(t *testing.T) {
 	for _, k := range []int{2, 3, 17, 64} {
 		members := rng.Perm(n)[:k]
 		sort.Ints(members)
-		for _, pol := range append(policy.All(), policy.Threshold{Tolerance: 0.3}, policy.Clustered{}) {
-			want, err := subMatrixAssign(members, matrix, jobIdx, bw, pol, rand.New(rand.NewSource(3)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := AssignWithin(members, matrix, jobIdx, func(i int) float64 { return bw[i] }, pol, rand.New(rand.NewSource(3)), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("k=%d %s: AssignWithin = %v, over the sub-matrix = %v", k, pol.Name(), got, want)
+		for _, m := range []struct {
+			matrix [][]float64
+			ties   bool
+		}{{tieFree, false}, {tied, true}} {
+			matrix := m.matrix
+			for _, pol := range append(policy.All(), policy.Threshold{Tolerance: 0.3}, policy.Clustered{}) {
+				gather := matrix
+				if name := pol.Name(); m.ties && (name == "SMR" || name == "SMP") {
+					gather = rowRanked(matrix)
+				}
+				want, err := subMatrixAssign(members, gather, jobIdx, bw, pol, rand.New(rand.NewSource(3)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := AssignWithin(members, matrix, jobIdx, func(i int) float64 { return bw[i] }, pol, rand.New(rand.NewSource(3)), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("k=%d ties=%t %s: AssignWithin = %v, over the sub-matrix = %v", k, m.ties, pol.Name(), got, want)
+				}
 			}
 		}
 	}
