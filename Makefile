@@ -84,8 +84,9 @@ journey-soak:
 # the flat prediction kernel against the reference, the wire codec
 # against encoding/json, the class-count assessment against the
 # pairwise count, the preference lists against their comparator-sort
-# reference, the count-level marriage against Gale–Shapley, the churn ledger against its ID-keyed reference and the
-# auditor against arbitrary event streams, and the benchmark harness's
+# reference, the count-level marriage against Gale–Shapley, the churn ledger against its ID-keyed reference, the
+# auditor against arbitrary event streams and the one-pass dispatch
+# against the pre-rewrite dispatcher, and the benchmark harness's
 # own vet and tests.
 # It carries no timing floor: behaviour is pinned by the tests, and
 # timing is compared parent against change, workload by workload, by the
@@ -120,11 +121,12 @@ bench:
 # out-of-memory kill; BenchmarkClearPredicted, the same clear over the
 # predicted matrix, whose tied rows the marriage breaks by class, at n up
 # to 20000, where a marriage quadratic in agents again takes 0.4 s;
-# BenchmarkClearSharded, 100000 agents over 256 shards; and the
+# BenchmarkClearSharded, 100000 agents over 256 shards; the
 # n=2000 exact and approximate prediction kernels
 # (internal/recommend BenchmarkCompleteFlat/BenchmarkCompleteApprox, and
 # the root BenchmarkPredictComplete on the predict-complete workload's
-# 600-job shape).
+# 600-job shape); and internal/cluster BenchmarkDispatch, an epoch's
+# dispatch at 400 and 5000 colocations through RunMatching and Dispatch.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run xxx ./...
 
@@ -143,7 +145,10 @@ bench-smoke:
 # joins, departures, failed epochs, commits and bad requests (seeded
 # likewise), and the auditor on arbitrary event streams — no panic,
 # Replay ≡ Feed event by event then Finish, two replays equal (seeded
-# from the audit tests' logs: in-process and wire, repair and full).
+# from the audit tests' logs: in-process and wire, repair and full), and
+# the one-pass dispatch (Dispatch and RunMatching) ≡ the pre-rewrite
+# reference dispatcher bit for bit over 1–130 machines, any solo share,
+# zero-runtime solos and two rounds on shared clocks.
 # Minimizing each newly covered input is switched off: it can take the
 # whole budget and finds nothing.
 fuzz-smoke:
@@ -154,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzStableMarriageClasses -fuzztime=10s -fuzzminimizetime=0 ./internal/matching/
 	$(GO) test -run xxx -fuzz FuzzLedger -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime=10s -fuzzminimizetime=0 ./internal/audit/
+	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime=10s -fuzzminimizetime=0 ./internal/cluster/
 
 # bench-check vets and tests the benchmark harness (benchmark/ is its own
 # module, so `./...` above does not reach it): its result checkers

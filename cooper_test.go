@@ -3,6 +3,7 @@ package cooper
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cooper/internal/matching"
@@ -26,6 +27,44 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if rep.MeanTruePenalty() <= 0 {
 		t.Error("epoch should report penalties")
+	}
+}
+
+// TestDispatchReadsCatalogRows pins the job-identity contract: an
+// agent's job is the catalog row of its name, to the dispatch as to the
+// matching and both penalty matrices. A population whose jobs of one
+// name run twice as long as the catalog says dispatches exactly as the
+// catalog job does.
+func TestDispatchReadsCatalogRows(t *testing.T) {
+	epoch := func(double bool) *EpochReport {
+		t.Helper()
+		f, err := New(WithOracle(), WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		pop := f.SamplePopulation(200, Uniform())
+		if double {
+			pop.Jobs = slices.Clone(pop.Jobs)
+			for i := range pop.Jobs {
+				if pop.Jobs[i].Name == pop.Jobs[0].Name {
+					pop.Jobs[i].RuntimeS *= 2
+				}
+			}
+		}
+		rep, err := f.RunEpoch(pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	catalog, doubled := epoch(false), epoch(true)
+	if !slices.Equal(doubled.Match, catalog.Match) || !slices.Equal(doubled.TruePenalty, catalog.TruePenalty) {
+		t.Fatal("a doubled runtime moved the matching or the true penalties")
+	}
+	if doubled.Cluster != catalog.Cluster {
+		t.Fatalf("a population with doubled runtimes dispatches to %+v, the catalog's jobs to %+v",
+			doubled.Cluster, catalog.Cluster)
 	}
 }
 

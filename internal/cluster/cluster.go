@@ -9,15 +9,17 @@
 // (the shorter job is re-run until the longer completes, per the paper's
 // multiprogrammed-benchmarking methodology), so the cluster reports
 // deterministic makespans and utilization. The clock is sequential
-// arithmetic — a daemon is a queue position and a running sum, not a
-// goroutine — and a dispatch solves each distinct colocation once.
+// arithmetic — a daemon is a clock and a running sum, not a goroutine —
+// and a dispatch solves each distinct colocation once.
 package cluster
 
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"cooper/internal/arch"
+	"cooper/internal/matching"
 	"cooper/internal/workload"
 )
 
@@ -57,25 +59,35 @@ type Machine struct {
 type Cluster struct {
 	machines []*Machine
 	cache    *arch.PairCache
+	// tieByID is set when machine IDs do not sort like indices (past 100
+	// machines "node-100" sorts before "node-11"), so a run of equal
+	// starts must be reordered by ID before it is emitted.
+	tieByID bool
 
-	// Scratch every dispatch reuses, so a dispatch no larger than the last
-	// allocates nothing: the assignments' slots on the clocks, each
-	// machine's queue as indices into placed, and the dispatch's memo of
-	// solved colocations (emptied at the start of every dispatch), which
-	// maps a pair's job names to its entry in solved.
-	placed     []placement
-	head, tail []int
-	memo       map[colocation]int
-	solved     []solved
+	// Scratch every dispatch reuses, so a RunMatching no larger than the
+	// last allocates nothing: the row-pair table of solved colocations,
+	// stamped with the dispatch that solved them, and the run of
+	// equal-start placements held for ID order. Dispatch also keeps its
+	// batch's catalog, the row of each name, and the agents' rows and
+	// matching.
+	memo        []memoSlot
+	stamp       uint64
+	tie         []placement
+	jobs        []workload.Job
+	byName      map[string]int
+	rows, match []int
 }
 
-// colocation keys the memo of solved colocations by the pair's job names.
-type colocation struct{ a, b string }
+// memoRows bounds the row-pair table at memoRows² slots, so a large
+// catalog, or a Dispatch batch of thousands of distinct or re-calibrated
+// jobs, does not build a table quadratic in them; a colocation with a row
+// past it is solved without the table.
+const memoRows = 256
 
-// solved is a memoized colocation: the jobs it was solved for and their
-// outcome.
-type solved struct {
-	jobA, jobB workload.Job
+// memoSlot is one row pair's outcome, valid in the dispatch whose stamp
+// it carries.
+type memoSlot struct {
+	stamp uint64
 	outcome
 }
 
@@ -95,20 +107,15 @@ func New(n int, cmp arch.CMP) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one machine, got %d", n)
 	}
-	c := &Cluster{
-		machines: make([]*Machine, n),
-		head:     make([]int, n),
-		tail:     make([]int, n),
-		memo:     make(map[colocation]int),
-	}
+	c := &Cluster{machines: make([]*Machine, n), byName: make(map[string]int)}
 	for i := range c.machines {
-		c.machines[i] = &Machine{
-			ID:  fmt.Sprintf("node-%02d", i),
-			CMP: cmp,
-		}
+		c.machines[i] = &Machine{ID: fmt.Sprintf("node-%02d", i), CMP: cmp}
 	}
+	c.tieByID = !slices.IsSortedFunc(c.machines, byID)
 	return c, nil
 }
+
+func byID(a, b *Machine) int { return strings.Compare(a.ID, b.ID) }
 
 // outcome is what executing one assignment yields: each job's contention
 // penalty and stretched runtime (job B's are zero when A runs alone).
@@ -120,115 +127,158 @@ type outcome struct {
 // duration is how long the assignment occupies its machine.
 func (o outcome) duration() float64 { return max(o.durationA, o.durationB) }
 
-// placement is one assignment's slot on the virtual clock.
+// placement is one colocation's slot on the virtual clock: agent i's,
+// alone or with its partner, on a machine.
 type placement struct {
 	outcome
-	startS float64
-	next   int // the following assignment in the same machine's queue, -1 at its end
+	i, machine int
+	solo       bool
+	startS     float64
 }
 
 func (p *placement) endS() float64 { return p.startS + p.duration() }
 
 // Dispatch assigns work to machines — each assignment goes to the machine
 // that will start it earliest (least-loaded first, ties by machine index,
-// so placement is deterministic) — and executes every machine's queue in
-// order on its virtual clock. It returns all execution results ordered by
-// start time, ties by machine ID (and by queue order within a machine).
+// so placement is deterministic) — and executes it on that machine's
+// virtual clock. It returns all execution results ordered by start time,
+// ties by machine ID (and by batch order within a machine); a negative or
+// NaN runtime breaks that order (see run).
+//
+// Dispatch rides RunMatching's pass: the batch's jobs are its catalog
+// and assignment k is agents 2k and 2k+1. A job that shares a name with
+// the first one seen but differs anywhere else (a re-calibrated model)
+// gets a row of its own at every appearance, so it never shares an
+// outcome.
 func (c *Cluster) Dispatch(assignments []Assignment) []Result {
+	clear(c.byName)
+	c.jobs = c.jobs[:0]
+	n := 2 * len(assignments)
+	c.rows, c.match = slices.Grow(c.rows[:0], n)[:n], slices.Grow(c.match[:0], n)[:n]
+	for k := range assignments {
+		a := &assignments[k]
+		c.rows[2*k], c.match[2*k], c.match[2*k+1] = c.row(&a.JobA), 2*k+1, 2*k
+		if a.Solo() {
+			c.match[2*k] = matching.Unmatched
+		} else {
+			c.rows[2*k+1] = c.row(&a.JobB)
+		}
+	}
 	results := make([]Result, 0, len(assignments))
-	c.run(assignments, func(k, machine int, p *placement) {
-		results = append(results, Result{
-			Machine:    c.machines[machine].ID,
-			Assignment: assignments[k],
-			StartS:     p.startS,
-			EndS:       p.endS(),
-			PenaltyA:   p.penaltyA,
-			PenaltyB:   p.penaltyB,
-			DurationA:  p.durationA,
-			DurationB:  p.durationB,
-		})
+	c.run(c.jobs, c.rows, c.match, func(p placement) {
+		results = append(results, Result{Machine: c.machines[p.machine].ID, Assignment: assignments[p.i/2],
+			StartS: p.startS, EndS: p.endS(), PenaltyA: p.penaltyA, PenaltyB: p.penaltyB,
+			DurationA: p.durationA, DurationB: p.durationB})
 	})
 	return results
 }
 
-// Run dispatches like Dispatch and returns the round's report alone:
-// Summarize(Dispatch(assignments)), without the results in between.
-func (c *Cluster) Run(assignments []Assignment) Report {
+// row is job's row in Dispatch's catalog. The first job seen under a
+// name owns the name's row; a job that differs from it gets a new row at
+// every appearance, so it is solved each time, as the name-keyed memo
+// before it solved such a pair, and a lookup stays O(1).
+func (c *Cluster) row(job *workload.Job) int {
+	r, ok := c.byName[job.Name]
+	if !ok || c.jobs[r] != *job {
+		r, c.jobs = len(c.jobs), append(c.jobs, *job)
+		if !ok {
+			c.byName[job.Name] = r
+		}
+	}
+	return r
+}
+
+// RunMatching dispatches one round of a matching and returns its report:
+// agent i runs catalog[rows[i]], alone when match[i] is Unmatched and
+// with match[i] when i < match[i], and the colocations go to the machines
+// in agent order. The report equals Summarize of what Dispatch returns
+// for the same colocations as Assignments, bit for bit.
+func (c *Cluster) RunMatching(catalog []workload.Job, rows []int, match matching.Matching) Report {
 	var t tally
-	c.run(assignments, func(k, _ int, p *placement) {
-		t.add(p.endS(), p.penaltyA, p.penaltyB, assignments[k].Solo())
+	c.run(catalog, rows, match, func(p placement) {
+		t.add(p.endS(), p.penaltyA, p.penaltyB, p.solo)
 	})
 	return c.report(t)
 }
 
-// run is the one dispatch pass: it places and executes assignments on the
-// machines' clocks, then calls emit for each in Dispatch's result order,
-// with the assignment's index and its machine's.
-func (c *Cluster) run(assignments []Assignment, emit func(k, machine int, p *placement)) {
-	// Placing and executing are one step: an assignment starts when its
-	// machine falls free and keeps it busy for the colocation's duration,
-	// so the least-loaded machine is the one whose clock is lowest. A
-	// colocation's outcome depends only on its two jobs, so each distinct
-	// colocation is solved once per dispatch: the memo is keyed by the
-	// pair's job names, an entry remembers the jobs it was solved for, and
-	// a same-named pair that differs anywhere else (a re-calibrated model)
-	// is solved on its own.
-	clear(c.memo)
-	c.solved = c.solved[:0]
-	c.placed = slices.Grow(c.placed[:0], len(assignments))[:len(assignments)]
-	placed, head, tail := c.placed, c.head, c.tail
-	for b := range head {
-		head[b], tail[b] = -1, -1
+// run is the one dispatch pass. Each colocation starts when the machine
+// with the lowest clock (ties to the lower index) falls free and keeps it
+// busy for its duration, and emit gets it at once: clocks only grow, so
+// starts never decrease, and equal starts fill machines in ascending
+// index, which is ID order up to 100 machines. Past that a run of equal
+// starts is held and emitted in ID order. A negative duration (from a
+// runtime BuildCatalog rejects) or a NaN one breaks the premise, and emit
+// sees placement order, not start order: a negative one turns a clock
+// back, and a NaN clock never compares lowest, so machine 0 at NaN takes
+// every later colocation and any other machine at NaN takes none. An
+// infinite duration parks its machine at +Inf behind every finite clock,
+// and the order holds.
+//
+// A colocation's outcome depends only on its two catalog rows, so each
+// distinct row pair is solved once per dispatch: the row-pair table
+// holds it under this dispatch's stamp, and the next dispatch's stamp
+// retires it.
+func (c *Cluster) run(catalog []workload.Job, rows []int, match matching.Matching, emit func(placement)) {
+	n := min(len(catalog), memoRows)
+	if len(c.memo) < n*n {
+		c.memo = make([]memoSlot, n*n)
 	}
-	for k := range assignments {
-		a := &assignments[k]
-		o := outcome{durationA: a.JobA.RuntimeS}
-		if !a.Solo() {
-			key := colocation{a.JobA.Name, a.JobB.Name}
-			if s, ok := c.memo[key]; ok && c.solved[s].jobA == a.JobA && c.solved[s].jobB == a.JobB {
-				o = c.solved[s].outcome
-			} else {
-				o = execute(c.machines[0].CMP, a, c.cache)
-				if !ok {
-					c.memo[key] = len(c.solved)
-					c.solved = append(c.solved, solved{a.JobA, a.JobB, o})
-				}
-			}
+	c.stamp++
+	for i, j := range match {
+		p := placement{i: i, solo: j == matching.Unmatched}
+		switch {
+		case p.solo:
+			p.durationA = catalog[rows[i]].RuntimeS
+		case i < j:
+			p.outcome = c.solve(catalog, rows[i], rows[j], n)
+		default:
+			continue
 		}
-		best := 0
+		low := c.machines[0].clock
 		for b, m := range c.machines {
-			if m.clock < c.machines[best].clock {
-				best = b
+			if m.clock < low {
+				p.machine, low = b, m.clock
 			}
 		}
-		m := c.machines[best]
-		placed[k] = placement{outcome: o, startS: m.clock, next: -1}
-		if tail[best] < 0 {
-			head[best] = k
-		} else {
-			placed[tail[best]].next = k
+		m := c.machines[p.machine]
+		p.startS = m.clock
+		m.clock += p.duration()
+		m.busy += p.duration()
+		if !c.tieByID {
+			emit(p)
+			continue
 		}
-		tail[best] = k
-		m.clock += o.duration()
-		m.busy += o.duration()
+		if len(c.tie) > 0 && c.tie[0].startS != p.startS {
+			c.flush(emit)
+		}
+		c.tie = append(c.tie, p)
 	}
+	c.flush(emit)
+}
 
-	// Each machine's queue already ascends in start time: merge them.
-	for range assignments {
-		first := -1
-		for b, k := range head {
-			if k < 0 {
-				continue
-			}
-			if first < 0 || placed[k].startS < placed[head[first]].startS ||
-				placed[k].startS == placed[head[first]].startS && c.machines[b].ID < c.machines[first].ID {
-				first = b
-			}
-		}
-		k := head[first]
-		head[first] = placed[k].next
-		emit(k, first, &placed[k])
+// flush emits the held run of equal starts in machine-ID order (a stable
+// sort keeps each machine's own placements in order).
+func (c *Cluster) flush(emit func(placement)) {
+	slices.SortStableFunc(c.tie, func(x, y placement) int {
+		return byID(c.machines[x.machine], c.machines[y.machine])
+	})
+	for _, p := range c.tie {
+		emit(p)
 	}
+	c.tie = c.tie[:0]
+}
+
+// solve returns the outcome of rows a and b colocated, from the row-pair
+// table (stride n) when both rows fit it.
+func (c *Cluster) solve(catalog []workload.Job, a, b, n int) outcome {
+	s := &memoSlot{}
+	if a < n && b < n {
+		s = &c.memo[a*n+b]
+	}
+	if s.stamp != c.stamp {
+		s.stamp, s.outcome = c.stamp, execute(c.machines[0].CMP, &Assignment{JobA: catalog[a], JobB: catalog[b]}, c.cache)
+	}
+	return s.outcome
 }
 
 // execute computes the simulated outcome of one colocated pair, routing
@@ -244,8 +294,7 @@ func execute(cmp arch.CMP, a *Assignment, cache *arch.PairCache) outcome {
 		soloB = cmp.Solo(a.JobB.Model)
 		perfA, perfB = cmp.Pair(a.JobA.Model, a.JobB.Model)
 	}
-	dA := arch.Disutility(soloA, perfA)
-	dB := arch.Disutility(soloB, perfB)
+	dA, dB := arch.Disutility(soloA, perfA), arch.Disutility(soloB, perfB)
 	return outcome{
 		penaltyA:  dA,
 		penaltyB:  dB,

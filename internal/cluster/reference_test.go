@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"cooper/internal/arch"
+	"cooper/internal/matching"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
 )
@@ -101,11 +103,37 @@ func mixedBatch(jobs []workload.Job, n int, r *rand.Rand) []Assignment {
 	return batch
 }
 
+// matchingOf restates a batch as RunMatching's input, laid out as
+// Dispatch lays it out: assignment k is agents 2k and 2k+1 (a solo's
+// agent 2k+1 points back at 2k, so the pass skips it), and the first job
+// seen under a name owns the name's catalog row, while a job that
+// differs from it takes a new row at every appearance.
+func matchingOf(batch []Assignment) (catalog []workload.Job, rows []int, match matching.Matching) {
+	rows, match = make([]int, 2*len(batch)), make(matching.Matching, 2*len(batch))
+	row := func(job workload.Job) int {
+		r := slices.IndexFunc(catalog, func(c workload.Job) bool { return c.Name == job.Name })
+		if r < 0 || catalog[r] != job {
+			r, catalog = len(catalog), append(catalog, job)
+		}
+		return r
+	}
+	for k, a := range batch {
+		rows[2*k], match[2*k], match[2*k+1] = row(a.JobA), 2*k+1, 2*k
+		if a.Solo() {
+			match[2*k] = matching.Unmatched
+		} else {
+			rows[2*k+1] = row(a.JobB)
+		}
+	}
+	return catalog, rows, match
+}
+
 // TestDispatchMatchesReference holds the one-pass Dispatch equal to the
 // reference bit for bit — every result in order, the Report (summarized
-// from the results and straight from Run), and the machines' clocks — at 5,000 mixed pair/solo assignments, with and
-// without a pair cache, more machines than two-digit IDs order
-// numerically, and across two dispatches that share the clocks.
+// from the results and straight from RunMatching), and the machines'
+// clocks — at 5,000 mixed pair/solo assignments, with and without a
+// pair cache, more machines than two-digit IDs order numerically, and
+// across two dispatches that share the clocks.
 func TestDispatchMatchesReference(t *testing.T) {
 	cmp := arch.DefaultCMP()
 	jobs := testJobs(t)
@@ -121,7 +149,7 @@ func TestDispatchMatchesReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, _ := New(tc.machines, cmp)
-			ran, _ := New(tc.machines, cmp) // the same rounds through Run
+			ran, _ := New(tc.machines, cmp) // the same rounds through RunMatching
 			want, _ := New(tc.machines, cmp)
 			if tc.cached {
 				for _, c := range []*Cluster{got, ran, want} {
@@ -145,12 +173,12 @@ func TestDispatchMatchesReference(t *testing.T) {
 				if gr := got.Summarize(g); gr != wr {
 					t.Fatalf("round %d: report %+v, reference %+v", round, gr, wr)
 				}
-				if rr := ran.Run(batch); rr != wr {
-					t.Fatalf("round %d: Run reports %+v, reference %+v", round, rr, wr)
+				if rr := ran.RunMatching(matchingOf(batch)); rr != wr {
+					t.Fatalf("round %d: RunMatching reports %+v, reference %+v", round, rr, wr)
 				}
 				for b := range want.machines {
 					if *got.machines[b] != *want.machines[b] || *ran.machines[b] != *want.machines[b] {
-						t.Fatalf("round %d: machine %d = %+v (Run: %+v), reference %+v", round, b,
+						t.Fatalf("round %d: machine %d = %+v (RunMatching: %+v), reference %+v", round, b,
 							*got.machines[b], *ran.machines[b], *want.machines[b])
 					}
 				}
@@ -200,9 +228,9 @@ func TestDispatchKeepsSameNamedJobsApart(t *testing.T) {
 
 // TestRunReusesScratch runs one cluster over batches that grow and then
 // shrink, with a same-named re-calibrated job in every other batch: each
-// Run equals a fresh cluster's Summarize(Dispatch(batch)) bit for bit,
-// and asks the pair cache for exactly what the fresh cluster does, so
-// the memo of solved colocations lasts one dispatch.
+// RunMatching equals a fresh cluster's Summarize(Dispatch(batch)) bit
+// for bit, and asks the pair cache for exactly what the fresh cluster
+// does, so the memo of solved colocations lasts one dispatch.
 func TestRunReusesScratch(t *testing.T) {
 	cmp := arch.DefaultCMP()
 	jobs := testJobs(t)
@@ -224,19 +252,20 @@ func TestRunReusesScratch(t *testing.T) {
 		want := fresh.Summarize(fresh.Dispatch(batch))
 		hits, misses := reused.cache.Stats()
 		reused.Reset()
-		if got := reused.Run(batch); got != want {
-			t.Fatalf("round %d (%d assignments): Run reports %+v, a fresh cluster %+v", round, n, got, want)
+		if got := reused.RunMatching(matchingOf(batch)); got != want {
+			t.Fatalf("round %d (%d assignments): RunMatching reports %+v, a fresh cluster %+v", round, n, got, want)
 		}
 		h, m := reused.cache.Stats()
 		wh, wm := fresh.cache.Stats()
 		if h+m-hits-misses != wh+wm {
-			t.Fatalf("round %d: Run asked the pair cache %d times, a fresh cluster %d", round, h+m-hits-misses, wh+wm)
+			t.Fatalf("round %d: RunMatching asked the pair cache %d times, a fresh cluster %d", round, h+m-hits-misses, wh+wm)
 		}
 	}
 }
 
 // TestWarmRunAllocatesNothing pins the dispatch's scratch: once a
-// cluster has run a batch, a Run on a batch no larger allocates nothing.
+// cluster has run a batch, a RunMatching on a batch no larger allocates
+// nothing.
 func TestWarmRunAllocatesNothing(t *testing.T) {
 	cmp := arch.DefaultCMP()
 	c, _ := New(5, cmp)
@@ -244,10 +273,11 @@ func TestWarmRunAllocatesNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	jobs := testJobs(t)
 	big, small := mixedBatch(jobs, 3000, r), mixedBatch(jobs, 1000, r)
-	c.Run(big)
+	c.RunMatching(matchingOf(big))
 	for _, batch := range [][]Assignment{big, small} {
-		if allocs := testing.AllocsPerRun(10, func() { c.Reset(); c.Run(batch) }); allocs != 0 {
-			t.Fatalf("warm Run of %d assignments allocates %v times, want 0", len(batch), allocs)
+		catalog, rows, match := matchingOf(batch)
+		if allocs := testing.AllocsPerRun(10, func() { c.Reset(); c.RunMatching(catalog, rows, match) }); allocs != 0 {
+			t.Fatalf("warm RunMatching of %d assignments allocates %v times, want 0", len(batch), allocs)
 		}
 	}
 }

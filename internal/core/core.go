@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"cooper/internal/agent"
@@ -60,11 +59,10 @@ type Framework struct {
 	inflight sync.WaitGroup // in-flight epochs, for Close's drain
 
 	// engine clears and repairs the market. Epochs share its RNG, churn
-	// ledger and epoch counter, so epochMu runs them one at a time; it
-	// also guards batch, the dispatch's assignments, reused every epoch.
+	// ledger and epoch counter, and the cluster's clocks and scratch, so
+	// epochMu runs them one at a time.
 	engine  *market.Engine
 	epochMu sync.Mutex
-	batch   []cluster.Assignment
 }
 
 // NewFramework builds a Framework from the grouped Config: it calibrates
@@ -319,7 +317,10 @@ type EpochReport struct {
 	// benchmark/epoch.go and benchmark/stream.go, whose replays read
 	// len(rep.BlockingPairs).
 	BlockingPairs [][2]int
-	// Cluster summarizes the dispatch of participating colocations.
+	// Cluster summarizes the dispatch of participating colocations. Each
+	// agent runs the catalog row of its job's name, so a population job
+	// whose other fields differ from its catalog row (a longer RuntimeS,
+	// say) dispatches as the catalog row.
 	Cluster cluster.Report
 	// AgentIDs maps each index to its stable streaming-market identity
 	// (nil for classic RunEpoch epochs, whose agents are their indices).
@@ -333,6 +334,12 @@ type EpochReport struct {
 // RunEpoch plays one round of the colocation game for the population:
 // predict preferences, assign colocations, let agents assess them, and
 // dispatch the work.
+//
+// An agent's job is the catalog row its name keys. The penalties the
+// market matches on, the predicted and true penalties and the dispatch
+// all read that row; of the population's own Job only Name and
+// BandwidthGBps are read (by bandwidth-ordered policies and the shard
+// ring).
 func (f *Framework) RunEpoch(pop workload.Population) (*EpochReport, error) {
 	return f.RunEpochContext(context.Background(), pop)
 }
@@ -389,9 +396,11 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 	// job): a pair's contention depends on nothing else, and the matrix
 	// holds, bit for bit, what simulating each matched pair on its own CMP
 	// would return (policy.TruePenalties, which tests hold this equal to).
-	trueP := make([]float64, len(r.Match))
+	trueP, solos := make([]float64, len(r.Match)), 0
 	for i, j := range r.Match {
-		if j != matching.Unmatched {
+		if j == matching.Unmatched {
+			solos++
+		} else {
 			trueP[i] = f.truth[r.JobIdx[i]][r.JobIdx[j]]
 		}
 	}
@@ -420,34 +429,15 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 	f.tel.End(assess)
 
 	// Dispatch: agents participate by default (the paper's
-	// implementation), so every assignment goes to the cluster.
+	// implementation), so every colocation goes to the cluster, which runs
+	// each agent's catalog row (see RunEpoch).
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCanceled(ctx, err)
 	}
 	dispatch := f.tel.Phase(ep.Span(), "dispatch")
 	f.cluster.Reset()
-	solos := 0
-	for _, j := range r.Match {
-		if j == matching.Unmatched {
-			solos++
-		}
-	}
-	batch := slices.Grow(f.batch[:0], solos+(len(r.Match)-solos)/2)
-	for i, j := range r.Match {
-		switch {
-		case j == matching.Unmatched:
-			batch = append(batch, cluster.Assignment{
-				AgentA: i, AgentB: -1, JobA: pop.Jobs[i],
-			})
-		case i < j:
-			batch = append(batch, cluster.Assignment{
-				AgentA: i, AgentB: j, JobA: pop.Jobs[i], JobB: pop.Jobs[j],
-			})
-		}
-	}
-	f.batch = batch
-	rep.Cluster = f.cluster.Run(batch)
-	dispatch.SetAttr("colocations", len(batch))
+	rep.Cluster = f.cluster.RunMatching(f.catalog, r.JobIdx, r.Match)
+	dispatch.SetAttr("colocations", solos+(len(r.Match)-solos)/2)
 	f.tel.End(dispatch)
 
 	f.tel.Counter("epoch.blocking_pairs").Add(int64(rep.BlockingPairCount))
