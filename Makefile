@@ -125,8 +125,14 @@ bench:
 # n=2000 exact and approximate prediction kernels
 # (internal/recommend BenchmarkCompleteFlat/BenchmarkCompleteApprox, and
 # the root BenchmarkPredictComplete on the predict-complete workload's
-# 600-job shape); and internal/cluster BenchmarkDispatch, an epoch's
-# dispatch at 400 and 5000 colocations through RunMatching and Dispatch.
+# 600-job shape); internal/cluster BenchmarkDispatch, an epoch's
+# dispatch at 400 and 5000 colocations through RunMatching and Dispatch;
+# and internal/matching BenchmarkStableMarriageClasses and
+# internal/rematch BenchmarkAssess, one marriage and one assessment at
+# n=800 and 20000 through a 20-class view carrying its preference
+# table, as the engine hands them over, and at n=800 through a Dense
+# view, the marriage beside Gale–Shapley over Penalties.Lists (the
+# count marriage's gap to agent-level proposals on Dense views).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run xxx ./...
 
@@ -135,12 +141,18 @@ bench-smoke:
 # encoding/json on arbitrary lines (seeded from the golden transcripts in
 # internal/netproto/testdata/), and the class-count assessment ≡ the
 # partner-listing scan and the pairwise blocking-pair count on tie-heavy
-# markets (seeded from its property test's table), Penalties.Lists ≡
+# markets, three populations on each matrix, every one assessed with the
+# matrix's preference table (built once per matrix) and without, bit for
+# bit alike (seeded from its property test's table, ±0 entries, equal
+# rows and absent classes included), Penalties.Lists ≡
 # the comparator-sort reference on tie-heavy class views, overlapping and
 # shuffled sides included (seeded likewise), the count-level stable
 # marriage ≡ Gale–Shapley over comparator-sorted (penalty, class, index)
-# lists on tie-heavy markets, Dense views and tie-free class views ≡
-# Gale–Shapley over Penalties.Lists (seeded likewise), and the positional churn
+# lists on tie-heavy markets, three marriages on each matrix, with its
+# preference table and without, matchings and steps alike, Dense views
+# and tie-free class views ≡ Gale–Shapley over Penalties.Lists (seeded
+# likewise, ±0 entries, equal rows and a class on one side only
+# included), and the positional churn
 # ledger ≡ the ID-keyed reference delta by delta and error by error, over
 # joins, departures, failed epochs, commits and bad requests (seeded
 # likewise), and the auditor on arbitrary event streams — no panic,

@@ -9,6 +9,7 @@ import (
 	"cooper/internal/matching"
 	"cooper/internal/policy"
 	"cooper/internal/recommend"
+	"cooper/internal/rematch"
 	"cooper/internal/telemetry"
 )
 
@@ -322,17 +323,66 @@ func TestAllPairsEpochAllocation(t *testing.T) {
 // rejection cycle round all its laps at once, and the dealing allocates
 // a fixed number of O(n) slices. Each row clears SMR and SMP at n and 4n
 // over eight populations, on the predicted matrix (whose rows tie
-// classes) and on a 20-class matrix of 6 distinct values, and holds the
-// summed steps and the allocs/op at 4n to 1.25 times those at n. One
-// population's steps vary by a third from draw to draw; the sum does
-// not. A count-level marriage that moves a cycle one lap at a time makes
-// steps grow with n, about fourfold per row.
+// classes) and on a 20-class matrix of 6 distinct values, each through a
+// view without the matrix's preference table and one with it (the
+// market engine's), and holds the summed steps and the allocs/op at 4n
+// to 1.25 times those at n. One population's steps vary by a third from
+// draw to draw; the sum does not. A count-level marriage that moves a
+// cycle one lap at a time makes steps grow with n, about fourfold per
+// row.
 func TestMarriageClassesGrowth(t *testing.T) {
 	f, err := New(WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	const n = 2000
+	for _, m := range growthMatrices(f) {
+		for _, ranks := range [][]int32{nil, matching.Rank(m.matrix)} {
+			for _, p := range []policy.Policy{policy.StableMarriageRandom{}, policy.StableMarriagePartition{}} {
+				var steps, allocs [2]float64
+				for k, size := range []int{n, 4 * n} {
+					for seed := int64(1); seed <= 8; seed++ {
+						draw := rand.New(rand.NewSource(seed))
+						pen := matching.Penalties{Matrix: m.matrix, Class: make([]int, size), Ranks: ranks}
+						bw := make([]float64, size)
+						for i := range pen.Class {
+							pen.Class[i] = draw.Intn(len(m.matrix))
+							bw[i] = f.Catalog()[pen.Class[i]].BandwidthGBps
+						}
+						ctx := policy.Context{BandwidthGBps: bw, Rand: rand.New(rand.NewSource(seed)), Metrics: telemetry.NewRegistry()}
+						if _, err := p.AssignClasses(pen, ctx); err != nil {
+							t.Fatal(err)
+						}
+						steps[k] += float64(ctx.Metrics.Counter("match.proposals").Value())
+						if seed == 1 {
+							ctx.Metrics = nil
+							allocs[k] = testing.AllocsPerRun(3, func() {
+								if _, err := p.AssignClasses(pen, ctx); err != nil {
+									t.Fatal(err)
+								}
+							})
+						}
+					}
+				}
+				t.Logf("%s table=%t %s: %v class steps over 8 populations and %v allocs/op at n=%d and %d",
+					m.name, ranks != nil, p.Name(), steps, allocs, n, 4*n)
+				if steps[1] > 1.25*steps[0] || allocs[1] > 1.25*allocs[0] {
+					t.Errorf("%s table=%t %s: steps %v, allocs/op %v at n=%d and %d; want each within 1.25x",
+						m.name, ranks != nil, p.Name(), steps, allocs, n, 4*n)
+				}
+			}
+		}
+	}
+}
+
+// growthMatrices are the growth pins' two job-level matrices: the
+// predicted one, whose rows tie classes, and a catalog-sized one of 6
+// distinct values.
+func growthMatrices(f *Framework) []struct {
+	name   string
+	matrix [][]float64
+} {
 	r := rand.New(rand.NewSource(39))
 	ties := make([][]float64, len(f.Catalog()))
 	for a := range ties {
@@ -341,43 +391,58 @@ func TestMarriageClassesGrowth(t *testing.T) {
 			ties[a][b] = float64(r.Intn(6)) * 0.05
 		}
 	}
-	const n = 2000
-	for _, m := range []struct {
+	return []struct {
 		name   string
 		matrix [][]float64
-	}{{"predicted", f.PredictedPenalties()}, {"6 values", ties}} {
-		for _, p := range []policy.Policy{policy.StableMarriageRandom{}, policy.StableMarriagePartition{}} {
-			var steps, allocs [2]float64
-			for k, size := range []int{n, 4 * n} {
-				for seed := int64(1); seed <= 8; seed++ {
-					draw := rand.New(rand.NewSource(seed))
-					pen := matching.Penalties{Matrix: m.matrix, Class: make([]int, size)}
-					bw := make([]float64, size)
-					for i := range pen.Class {
-						pen.Class[i] = draw.Intn(len(m.matrix))
-						bw[i] = f.Catalog()[pen.Class[i]].BandwidthGBps
-					}
-					ctx := policy.Context{BandwidthGBps: bw, Rand: rand.New(rand.NewSource(seed)), Metrics: telemetry.NewRegistry()}
-					if _, err := p.AssignClasses(pen, ctx); err != nil {
-						t.Fatal(err)
-					}
-					steps[k] += float64(ctx.Metrics.Counter("match.proposals").Value())
-					if seed == 1 {
-						ctx.Metrics = nil
-						allocs[k] = testing.AllocsPerRun(3, func() {
-							if _, err := p.AssignClasses(pen, ctx); err != nil {
-								t.Fatal(err)
-							}
-						})
-					}
+	}{{"predicted", f.PredictedPenalties()}, {"6 values", ties}}
+}
+
+// TestAssessGrowth is the assessment's complexity pin. Growth class:
+// O(n) — Assess counts agents into (class, partner class) cells and
+// walks ranked rows per occupied cell, so its allocations are a fixed
+// number of slices, one of them the n recommendations. At n=2,000 and
+// 8,000 agents of random classes, randomly paired with some left alone,
+// on the predicted matrix and the 6-value one, through the view with the
+// matrix's preference table, allocs/op at 4n must stay within 1.25 times
+// those at n and bytes/op within 5 times.
+func TestAssessGrowth(t *testing.T) {
+	f, err := New(WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const n = 2000
+	for _, m := range growthMatrices(f) {
+		ranks := matching.Rank(m.matrix)
+		var allocs, bytes [2]float64
+		for k, size := range []int{n, 4 * n} {
+			draw := rand.New(rand.NewSource(int64(size)))
+			pen := matching.Penalties{Matrix: m.matrix, Class: make([]int, size), Ranks: ranks}
+			for i := range pen.Class {
+				pen.Class[i] = draw.Intn(len(m.matrix))
+			}
+			match := make(matching.Matching, size)
+			perm := draw.Perm(size)
+			for x := 0; x+1 < size; x += 2 {
+				match[perm[x]], match[perm[x+1]] = perm[x+1], perm[x]
+				if x%10 == 0 {
+					match[perm[x]], match[perm[x+1]] = matching.Unmatched, matching.Unmatched
 				}
 			}
-			t.Logf("%s %s: %v class steps over 8 populations and %v allocs/op at n=%d and %d",
-				m.name, p.Name(), steps, allocs, n, 4*n)
-			if steps[1] > 1.25*steps[0] || allocs[1] > 1.25*allocs[0] {
-				t.Errorf("%s %s: steps %v, allocs/op %v at n=%d and %d; want each within 1.25x",
-					m.name, p.Name(), steps, allocs, n, 4*n)
+			assess := func() { rematch.Assess(pen, match, 0) }
+			allocs[k] = testing.AllocsPerRun(5, assess)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 5 {
+				assess()
 			}
+			runtime.ReadMemStats(&after)
+			bytes[k] = float64(after.TotalAlloc-before.TotalAlloc) / 5
+		}
+		t.Logf("%s: %v allocs/op and %v B/op at n=%d and %d", m.name, allocs, bytes, n, 4*n)
+		if allocs[1] > 1.25*allocs[0] || bytes[1] > 5*bytes[0] {
+			t.Errorf("%s: allocs/op %v, B/op %v at n=%d and %d; want allocs within 1.25x and bytes within 5x",
+				m.name, allocs, bytes, n, 4*n)
 		}
 	}
 }

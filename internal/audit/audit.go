@@ -14,7 +14,9 @@
 //     matching.Penalties.BlockingPairs on the snapshot's penalty matrix,
 //     independently of the market's code). Without a contract the α=0
 //     count is informational; it comes from class counts
-//     (rematch.Assess) in O(n + classes³).
+//     (rematch.Assess) in O(n + C·k) for C classes and the k ≤ C²+C
+//     occupied (class, partner class) cells, plus a sort of each present
+//     class's penalty row.
 //   - conservation: each pair_matched Predicted penalty equals the
 //     snapshot matrix entry for the pair's jobs bit for bit, and the
 //     per-agent penalties, summed in roster order, reproduce the
@@ -1046,10 +1048,12 @@ func (a *Auditor) checkSegment(end telemetry.Event, final bool) map[int]int {
 	// Stability: penalties depend only on (class, partner class), so the
 	// blocking pairs at α = 0 — informational, Figure 10's measurement —
 	// are counted from class counts by the market's own assessment, in
-	// O(n + classes³). Under a declared contract every blocking pair is a
+	// O(n + C·k) for the k occupied (class, partner class) cells, after
+	// one sort of each present class's row (a snapshot carries no ranked
+	// table). Under a declared contract every blocking pair is a
 	// violation, listed by the pairwise scan.
 	if n > 1 {
-		_, count := rematch.Assess(d.Class, d.Matrix, match, 0)
+		_, count := rematch.Assess(d, match, 0)
 		a.rep.BlockingPairs += count
 		if alpha := a.alpha(); alpha >= 0 {
 			for _, bp := range d.BlockingPairs(match, alpha) {

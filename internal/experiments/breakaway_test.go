@@ -47,7 +47,7 @@ func TestBreakAwayIsBlockingMembership(t *testing.T) {
 			for _, bp := range pairs {
 				blocks[bp[0]], blocks[bp[1]] = true, true
 			}
-			recs, count := rematch.Assess(class, matrix, match, alpha)
+			recs, count := rematch.Assess(p, match, alpha)
 			if count != len(pairs) {
 				t.Fatalf("instance %d α=%v: Assess counts %d pairs, pairwise %d", inst, alpha, count, len(pairs))
 			}

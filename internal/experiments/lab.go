@@ -81,9 +81,11 @@ func (l *Lab) oracle(class []int) matching.Penalties {
 // tells to break away at alpha under the oracle penalties — exactly the
 // agents in at least one α-blocking pair, the paper's Figure 10 "agents
 // recommending break-away" — and how many blocking pairs there are.
-// Both come from class counts, in O(agents + classes³).
+// Both come from class counts, in O(agents + C·k) for C classes and the
+// k ≤ C²+C occupied (class, partner class) cells, plus a sort of each
+// present class's row.
 func (l *Lab) breakAways(round *market.Round, alpha float64) (agents, pairs int) {
-	recs, pairs := rematch.Assess(round.JobIdx, l.Dense, round.Match, alpha)
+	recs, pairs := rematch.Assess(l.oracle(round.JobIdx), round.Match, alpha)
 	for _, rec := range recs {
 		if rec.Action == agent.BreakAway {
 			agents++

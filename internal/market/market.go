@@ -75,6 +75,8 @@ type Engine struct {
 	// Catalog names the rows of Matrix; every roster job must be in it.
 	Catalog []workload.Job
 	// Matrix is the job-level predicted penalty matrix the policy sees.
+	// New ranks it once (matching.Rank) and every epoch reads that
+	// table, so it must not change after New.
 	Matrix [][]float64
 	// Rand drives the policy's randomness: the unsharded market draws
 	// from it directly, a sharded round draws one seed for its per-shard
@@ -102,6 +104,7 @@ type Engine struct {
 	Assess bool
 
 	ledger  rematch.Ledger
+	ranks   []int32        // Matrix's preference table
 	epochs  int            // brackets opened so far: the next epoch's index
 	rowOf   map[string]int // catalog job name → matrix row
 	catalog []string       // catalog job names, for snapshots
@@ -118,13 +121,14 @@ type Engine struct {
 type placement struct{ row, shard int }
 
 // New readies an engine from its wiring: it defaults the policy, indexes
-// the catalog, and — for a streaming market — pre-creates the rematch.*
-// counters so exposition snapshots list them at zero before the first
-// churn.
+// the catalog, ranks the matrix, and — for a streaming market —
+// pre-creates the rematch.* counters so exposition snapshots list them at
+// zero before the first churn.
 func New(e Engine) *Engine {
 	if e.Policy == nil {
 		e.Policy = policy.StableMarriageRandom{}
 	}
+	e.ranks = matching.Rank(e.Matrix)
 	e.rowOf = make(map[string]int, len(e.Catalog))
 	e.catalog = make([]string, len(e.Catalog))
 	for i, job := range e.Catalog {
@@ -177,6 +181,12 @@ func (e *Engine) partition(r *Round) []int {
 		}
 	}
 	return shardOf
+}
+
+// view is the class view of a population whose agents sit on the given
+// matrix rows: what the policies, the shards and the assessment read.
+func (e *Engine) view(rows []int) matching.Penalties {
+	return matching.Penalties{Matrix: e.Matrix, Class: rows, Ranks: e.ranks}
 }
 
 // rows maps jobs to their matrix rows.
@@ -418,7 +428,7 @@ func (ep *Epoch) Clear(ctx context.Context, roster Roster) (*Round, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r.Recommendations, r.BlockingPairCount = rematch.Assess(rows, e.Matrix, r.Match, e.Alpha)
+		r.Recommendations, r.BlockingPairCount = rematch.Assess(e.view(rows), r.Match, e.Alpha)
 	}
 	return r, nil
 }
@@ -521,7 +531,7 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	e.Tel.Counter("rematch.joined").Add(int64(r.Joined))
 	e.Tel.Counter("rematch.departed").Add(int64(r.Departed))
 	if e.Assess {
-		r.Recommendations, r.BlockingPairCount = rematch.Assess(rows, e.Matrix, r.Match, e.Alpha)
+		r.Recommendations, r.BlockingPairCount = rematch.Assess(e.view(rows), r.Match, e.Alpha)
 	}
 	return r, nil
 }
@@ -547,7 +557,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching) er
 		mk := &shard.Market{
 			Shards: e.Shards, Policy: e.Policy, Alpha: e.Alpha, Workers: e.Workers,
 			Seed: e.Rand.Int63(), Epoch: ep.Index, IDs: r.IDs, ShardOf: e.partition(r),
-			Tel: e.Tel, Span: span, SkipRecommendations: true,
+			Ranks: e.ranks, Tel: e.Tel, Span: span, SkipRecommendations: true,
 		}
 		if prev == nil {
 			res, err := mk.Clear(ctx, r.Jobs, r.JobIdx, e.Matrix)
@@ -574,12 +584,12 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching) er
 		}
 		var err error
 		if prev == nil {
-			r.Match, err = e.Policy.AssignClasses(matching.Penalties{Matrix: e.Matrix, Class: r.JobIdx},
+			r.Match, err = e.Policy.AssignClasses(e.view(r.JobIdx),
 				policy.Context{BandwidthGBps: bw, Rand: e.Rand, Metrics: reg})
 		} else {
-			pen := func(i, j int) float64 { return e.Matrix[r.JobIdx[i]][r.JobIdx[j]] }
-			r.Neighborhood = rematch.Neighborhood(r.Dirty, nil, prev, pen, rematch.DefaultTopK)
-			r.Match, r.Changed, err = rematch.Rewire(r.Neighborhood, prev, e.Matrix, r.JobIdx, bw, e.Policy, e.Rand, reg)
+			p := e.view(r.JobIdx)
+			r.Neighborhood = rematch.Neighborhood(r.Dirty, nil, prev, p.At, rematch.DefaultTopK)
+			r.Match, r.Changed, err = rematch.Rewire(r.Neighborhood, prev, p, bw, e.Policy, e.Rand, reg)
 		}
 		if err != nil {
 			return err

@@ -2,6 +2,8 @@ package matching
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -24,13 +26,22 @@ func classKeyLists(p Penalties, agents, others []int) [][]int {
 	return lists
 }
 
-// marriageInstance decodes bytes into a marriage between two disjoint
-// halves of a class view, reading zero once the bytes run out: 1–8
-// classes; penalties from 1–4 distinct values, one row possibly all zero
-// and two columns possibly identical; 0–64 agents, so an odd population
-// leaves one out; and the halves drawn at random, or split by class the
-// way SMP splits by bandwidth, which leaves classes absent on one side.
-func marriageInstance(data []byte) (p Penalties, proposers, receivers []int) {
+// marriageDraw is one marriage on a market's matrix: every agent's
+// class and the two disjoint sides.
+type marriageDraw struct {
+	class                []int
+	proposers, receivers []int
+}
+
+// marriageMarket decodes bytes into one penalty matrix and three
+// marriages drawn on it, reading zero once the bytes run out: 1–8
+// classes; penalties from 1–4 distinct values, a zero entry negated
+// (−0) when its byte's high bit is set, one row possibly all zero, two
+// columns possibly identical and one row possibly a copy of another; and
+// per marriage 0–64 agents, so an odd population leaves one out, with
+// the halves drawn at random, or split by class the way SMP splits by
+// bandwidth, which leaves classes absent on one side.
+func marriageMarket(data []byte) (matrix [][]float64, draws []marriageDraw) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -39,35 +50,47 @@ func marriageInstance(data []byte) (p Penalties, proposers, receivers []int) {
 		data = data[1:]
 		return int(b)
 	}
-	classes, values, n := 1+next()%8, 1+next()%4, next()%65
-	p = Penalties{Matrix: make([][]float64, classes), Class: make([]int, n)}
-	for a := range p.Matrix {
-		p.Matrix[a] = make([]float64, classes)
-		for b := range p.Matrix[a] {
-			p.Matrix[a][b] = float64(next()%values) * 0.1
+	classes, values := 1+next()%8, 1+next()%4
+	matrix = make([][]float64, classes)
+	for a := range matrix {
+		matrix[a] = make([]float64, classes)
+		for b := range matrix[a] {
+			v := next()
+			matrix[a][b] = float64(v%values) * 0.1
+			if v >= 128 && matrix[a][b] == 0 {
+				matrix[a][b] = math.Copysign(0, -1)
+			}
 		}
 	}
 	if z := next() % (2 * classes); z < classes {
-		clear(p.Matrix[z])
+		clear(matrix[z])
 	}
 	from, to := next()%classes, next()%classes
-	for a := range p.Matrix {
-		p.Matrix[a][to] = p.Matrix[a][from]
+	for a := range matrix {
+		matrix[a][to] = matrix[a][from]
 	}
-	for i := range p.Class {
-		p.Class[i] = next() % classes
+	if z := next() % (2 * classes); z < classes {
+		copy(matrix[z], matrix[next()%classes])
 	}
-	order := identity(n)
-	if next()%2 == 0 {
-		for b := n - 1; b > 0; b-- {
-			c := next() % (b + 1)
-			order[b], order[c] = order[c], order[b]
+	for range 3 {
+		n := next() % 65
+		class := make([]int, n)
+		for i := range class {
+			class[i] = next() % classes
 		}
-	} else {
-		slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(p.Class[x], p.Class[y]) })
+		order := identity(n)
+		if next()%2 == 0 {
+			for b := n - 1; b > 0; b-- {
+				c := next() % (b + 1)
+				order[b], order[c] = order[c], order[b]
+			}
+		} else {
+			slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(class[x], class[y]) })
+		}
+		half := n / 2
+		draws = append(draws, marriageDraw{class, order[n-half:], order[:half]})
 	}
-	half := n / 2
-	return p, order[n-half:], order[:half]
+	return matrix, draws
 }
 
 // tiesPresent reports whether some viewer row of one side ranks two
@@ -92,63 +115,103 @@ func tiesPresent(p Penalties, proposers, receivers []int) bool {
 	return false
 }
 
-// checkMarriageClasses holds StableMarriageClasses on one decoded
-// instance to StableMarriageProposals over classKeyLists, matching for
-// matching, with no more class steps than the oracle's proposals. The
-// Dense view of the same penalties, and the class view itself when no
-// viewer row ties two present classes, must also give what Gale–Shapley
-// over Penalties.Lists gives: on those the new key changes nothing. Over
-// a Dense view every class is one agent, so a class step is a proposal.
+// checkMarriageClasses holds StableMarriageClasses on every marriage of
+// one decoded market to StableMarriageProposals over classKeyLists,
+// matching for matching, with no more class steps than the oracle's
+// proposals. The view carrying the matrix's preference table, built once
+// for the three marriages as the market engine builds it, must give the
+// matching and the steps the view without one gives. The Dense view of
+// the same penalties, with and without its table, and the class view
+// itself when no viewer row ties two present classes, must also give
+// what Gale–Shapley over Penalties.Lists gives: on those the new key
+// changes nothing. Over a Dense view every class is one agent, so a
+// class step is a proposal.
 func checkMarriageClasses(t *testing.T, data []byte) {
 	t.Helper()
-	p, proposers, receivers := marriageInstance(data)
-	got, steps, err := StableMarriageClasses(p, proposers, receivers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, proposals, err := StableMarriageProposals(classKeyLists(p, proposers, receivers), classKeyLists(p, receivers, proposers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("matrix %v classes %v proposers %v receivers %v: %v, the oracle %v",
-			p.Matrix, p.Class, proposers, receivers, got, want)
-	}
-	if steps > proposals {
-		t.Fatalf("%d class steps, the oracle made %d proposals", steps, proposals)
-	}
+	matrix, draws := marriageMarket(data)
+	ranks := Rank(matrix)
+	for _, d := range draws {
+		p, proposers, receivers := Penalties{Matrix: matrix, Class: d.class}, d.proposers, d.receivers
+		got, steps, err := StableMarriageClasses(p, proposers, receivers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withTable := p
+		withTable.Ranks = ranks
+		tabled, tabledSteps, err := StableMarriageClasses(withTable, proposers, receivers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, tabled) || steps != tabledSteps {
+			t.Fatalf("matrix %v classes %v proposers %v receivers %v: %v in %d steps, with the table %v in %d",
+				matrix, d.class, proposers, receivers, got, steps, tabled, tabledSteps)
+		}
+		want, proposals, err := StableMarriageProposals(classKeyLists(p, proposers, receivers), classKeyLists(p, receivers, proposers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("matrix %v classes %v proposers %v receivers %v: %v, the oracle %v",
+				matrix, d.class, proposers, receivers, got, want)
+		}
+		if steps > proposals {
+			t.Fatalf("%d class steps, the oracle made %d proposals", steps, proposals)
+		}
 
-	listed, _, err := StableMarriageProposals(p.Lists(proposers, receivers), p.Lists(receivers, proposers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tiesPresent(p, proposers, receivers) && !slices.Equal(got, listed) {
-		t.Fatalf("tie-free view: %v, over Penalties.Lists %v", got, listed)
-	}
-	dense, denseSteps, err := StableMarriageClasses(Dense(expand(p)), proposers, receivers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	denseListed, denseN, err := StableMarriageProposals(Dense(expand(p)).Lists(proposers, receivers),
-		Dense(expand(p)).Lists(receivers, proposers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(dense, denseListed) || denseSteps != denseN {
-		t.Fatalf("Dense view: %v in %d steps, over Penalties.Lists %v in %d proposals", dense, denseSteps, denseListed, denseN)
+		listed, _, err := StableMarriageProposals(p.Lists(proposers, receivers), p.Lists(receivers, proposers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tiesPresent(p, proposers, receivers) && !slices.Equal(got, listed) {
+			t.Fatalf("tie-free view: %v, over Penalties.Lists %v", got, listed)
+		}
+		dense := Dense(expand(p))
+		denseListed, denseN, err := StableMarriageProposals(dense.Lists(proposers, receivers), dense.Lists(receivers, proposers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ranks := range [][]int32{nil, Rank(dense.Matrix)} {
+			dense.Ranks = ranks
+			got, steps, err := StableMarriageClasses(dense, proposers, receivers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, denseListed) || steps != denseN {
+				t.Fatalf("Dense view (table %t): %v in %d steps, over Penalties.Lists %v in %d proposals",
+					ranks != nil, got, steps, denseListed, denseN)
+			}
+		}
 	}
 }
 
 // marriageSeeds is FuzzStableMarriageClasses's corpus and its table
-// test's: 400 random byte strings, long enough for any decoded instance.
+// test's: 400 random byte strings, long enough for any decoded market,
+// and three made to decode into a matrix of ±0 entries, one with equal
+// rows, and a marriage split by class with a class on each side that the
+// other lacks.
 func marriageSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(39))
 	seeds := make([][]byte, 400)
 	for s := range seeds {
-		seeds[s] = make([]byte, 6+8*8+64+64)
+		seeds[s] = make([]byte, 6+8*8+3*(2+64+64))
 		rng.Read(seeds[s])
 	}
-	return seeds
+	return append(seeds,
+		// 3 classes of one value, zero, half its entries −0; no column or
+		// row copied over another; 12 agents of classes 0,1,2,… halved at
+		// random.
+		[]byte{2, 0, 128, 0, 128, 0, 128, 0, 128, 0, 128, 3, 0, 0, 5, 12,
+			0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3},
+		// 4 classes of 3 values, no row zeroed, column 1 copied onto
+		// itself, row 2 a copy of row 0; 16 agents halved at random.
+		[]byte{3, 2, 0, 1, 2, 1, 2, 0, 1, 1, 1, 2, 0, 2, 0, 0, 2, 1, 7, 1, 1, 2, 0,
+			16, 0, 1, 2, 3, 3, 2, 1, 0, 0, 2, 1, 3, 3, 1, 2, 0, 0,
+			7, 3, 9, 1, 4, 4, 2, 8, 0, 5, 6, 1, 2, 2},
+		// 3 classes of 3 values; 6 agents of classes 0,0,1,1,2,2 split by
+		// class: class 2 proposes only and class 0 only receives.
+		[]byte{2, 2, 0, 1, 2, 2, 1, 0, 1, 2, 0, 5, 0, 0, 5,
+			6, 0, 0, 1, 1, 2, 2, 1},
+	)
 }
 
 // TestStableMarriageClassesMatchesOracle: on tie-heavy instances of every
@@ -202,7 +265,9 @@ func TestStableMarriageClassesTable(t *testing.T) {
 }
 
 // TestStableMarriageClassesErrors: sides of different sizes, an agent on
-// both sides and an agent outside the view are errors, not panics.
+// both sides and an agent outside the view are errors, not panics; a
+// preference table of the wrong size fails Validate, which the policies
+// run before they marry.
 func TestStableMarriageClassesErrors(t *testing.T) {
 	p := Penalties{Matrix: [][]float64{{0, 1}, {1, 0}}, Class: []int{0, 1, 0, 1}}
 	for name, sides := range map[string][2][]int{
@@ -217,6 +282,9 @@ func TestStableMarriageClassesErrors(t *testing.T) {
 	bad := Penalties{Matrix: [][]float64{{0}}, Class: []int{0, 1}}
 	if _, _, err := StableMarriageClasses(bad, []int{0}, []int{1}); err == nil {
 		t.Error("accepted a class outside the matrix")
+	}
+	if err := (Penalties{Matrix: p.Matrix, Class: p.Class, Ranks: []int32{0, 1}}).Validate(); err == nil {
+		t.Error("Validate accepted a 2-entry preference table for a 2-class matrix")
 	}
 }
 
@@ -273,4 +341,64 @@ func TestStableMarriageClassesCycle(t *testing.T) {
 	if steps[40] != steps[160] || steps[40] > 20 {
 		t.Fatalf("class steps %v at m=40 and 160, want the same few at both", steps)
 	}
+}
+
+// predictedShaped returns n agents of 20 classes on a matrix of 8
+// distinct values, whose rows tie classes the way the predicted matrix's
+// do, with the preference table, and two random halves of the agents.
+func predictedShaped(n int) (p Penalties, proposers, receivers []int) {
+	r := rand.New(rand.NewSource(42))
+	p.Matrix = make([][]float64, 20)
+	for a := range p.Matrix {
+		p.Matrix[a] = make([]float64, 20)
+		for b := range p.Matrix[a] {
+			p.Matrix[a][b] = float64(r.Intn(8)) * 0.05
+		}
+	}
+	p.Ranks = Rank(p.Matrix)
+	p.Class = make([]int, n)
+	for i := range p.Class {
+		p.Class[i] = r.Intn(20)
+	}
+	order := r.Perm(n)
+	return p, order[:n/2], order[n/2 : 2*(n/2)]
+}
+
+// BenchmarkStableMarriageClasses times one count-level marriage between
+// random halves: of 800 and 20,000 agents of a 20-class tie-heavy view
+// carrying its preference table, as the market engine's clear hands it
+// over; and of 800 agents through that view's Dense expansion (every
+// agent its own class, no table), beside Gale–Shapley over the Dense
+// view's Penalties.Lists — the count marriage's gap to agent-level
+// proposals on Dense views.
+func BenchmarkStableMarriageClasses(b *testing.B) {
+	for _, n := range []int{800, 20000} {
+		p, proposers, receivers := predictedShaped(n)
+		b.Run(fmt.Sprintf("classes/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, _, err := StableMarriageClasses(p, proposers, receivers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	p, proposers, receivers := predictedShaped(800)
+	dense := Dense(expand(p))
+	b.Run("dense/n=800", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, _, err := StableMarriageClasses(dense, proposers, receivers); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dense-lists/n=800", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, _, err := StableMarriageProposals(dense.Lists(proposers, receivers), dense.Lists(receivers, proposers)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -315,6 +315,11 @@ func CrossBlockingPairs(proposerMatch []int, proposerPrefs, receiverPrefs [][]in
 // classes, not the agents. Memory is O(n + kp·kr) for the kp proposer and
 // kr receiver classes present.
 //
+// A class's preference over the other side's classes is its row of p's
+// preference table with the absent classes dropped, O(C·(kp+kr)) for
+// all of them and no sort; a view without a table (Dense) sorts each
+// over the classes present, O(kp·kr·log(kp+kr)).
+//
 // p must validate (Penalties.Validate). An agent outside p, of a class
 // outside p.Matrix, or listed twice is an error.
 func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int, error) {
@@ -416,12 +421,31 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 	tables := make([]int, 4*kp*kr+1)
 	pref, ord := tables[:kp*kr], tables[kp*kr:2*kp*kr]
 	rank, held := tables[2*kp*kr:3*kp*kr], tables[3*kp*kr:]
-	penalty := make([]float64, most)
+	// list fills l with the classes classOf[u] in the order a viewer of
+	// class viewer ranks them. With a table that is the viewer's row less
+	// the classes absent from classOf's side (number), in O(C) and with
+	// no sort: filtering a ranked row keeps its order.
+	var penalty []float64
+	if p.Ranks == nil {
+		penalty = make([]float64, most)
+	}
+	list := func(l []int, viewer int, classOf, number []int) {
+		if p.Ranks == nil {
+			rankClasses(l, penalty[:len(l)], tier[:len(l)], fill[:len(l)], p.Matrix[viewer], classOf)
+			return
+		}
+		l = l[:0]
+		for _, c := range p.Ranked(viewer) {
+			if u := number[c]; u > 0 {
+				l = append(l, u-1)
+			}
+		}
+	}
 	for x := 0; x < kp; x++ {
-		rankClasses(pref[x*kr:(x+1)*kr], penalty[:kr], tier[:kr], fill[:kr], p.Matrix[pClass[x]], rClass)
+		list(pref[x*kr:(x+1)*kr], pClass[x], rClass, number[1])
 	}
 	for y := 0; y < kr; y++ {
-		rankClasses(ord[y*kp:(y+1)*kp], penalty[:kp], tier[:kp], fill[:kp], p.Matrix[rClass[y]], pClass)
+		list(ord[y*kp:(y+1)*kp], rClass[y], pClass, number[0])
 		for r, x := range ord[y*kp : (y+1)*kp] {
 			rank[y*kp+x] = r
 		}
@@ -540,12 +564,12 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 // tier in ascending order breaks the ties in O(len(l)), where sorting
 // each run, or a comparator that breaks ties, costs a log factor more —
 // and a Dense view has as many classes as agents.
-func rankClasses(l []int, penalty []float64, tier, fill []int, row []float64, classOf []int) {
+func rankClasses[T int | int32](l []T, penalty []float64, tier, fill []int, row []float64, classOf []int) {
 	for u := range l {
-		l[u] = u
+		l[u] = T(u)
 		penalty[u] = row[classOf[u]]
 	}
-	slices.SortFunc(l, func(u, v int) int { return cmp.Compare(penalty[u], penalty[v]) })
+	slices.SortFunc(l, func(u, v T) int { return cmp.Compare(penalty[u], penalty[v]) })
 	t := -1
 	for i, u := range l {
 		if i == 0 || cmp.Compare(penalty[u], penalty[l[i-1]]) != 0 {
@@ -555,7 +579,7 @@ func rankClasses(l []int, penalty []float64, tier, fill []int, row []float64, cl
 		tier[u] = t
 	}
 	for u := range l {
-		l[fill[tier[u]]] = u
+		l[fill[tier[u]]] = T(u)
 		fill[tier[u]]++
 	}
 }

@@ -1,7 +1,6 @@
 package matching
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -17,9 +16,39 @@ import (
 // An agent is never its own co-runner: no consumer reads the penalty of i
 // next to i, so Matrix's diagonal (two agents of one class) is ordinary
 // data.
+//
+// Ranks, when non-nil, is Matrix's preference table (Rank), built once
+// per matrix and shared by every view of it; Matrix must not change
+// while it is in use. A consumer handed a view without one ranks per
+// call: the marriage and Lists the classes present, the assessment the
+// whole matrix.
 type Penalties struct {
 	Matrix [][]float64
 	Class  []int
+	Ranks  []int32
+}
+
+// Rank builds a square matrix's preference table, C rows of C classes
+// flat: row a lists every class b best partner first for an agent of
+// class a, by (matrix[a][b], b). It costs O(C² log C), once per matrix;
+// the market ranks its matrix when it is built and every epoch reads the
+// rows.
+func Rank(matrix [][]float64) []int32 {
+	c := len(matrix)
+	ranks := make([]int32, c*c)
+	penalty, scratch, classes := make([]float64, c), make([]int, 2*c), identity(c)
+	for a, row := range matrix {
+		rankClasses(ranks[a*c:(a+1)*c], penalty, scratch[:c], scratch[c:], row, classes)
+	}
+	return ranks
+}
+
+// Ranked returns class c's row of p's preference table, which p must
+// carry: every class, best partner first, by (penalty, class). The row
+// is the table's; callers must not modify it.
+func (p Penalties) Ranked(c int) []int32 {
+	k := len(p.Matrix)
+	return p.Ranks[c*k : (c+1)*k : (c+1)*k]
 }
 
 // Dense views an agent-level matrix (d[i][j] is agent i's penalty next to
@@ -43,11 +72,14 @@ func (p Penalties) Agents() int { return len(p.Class) }
 // At returns agent i's penalty when colocated with agent j.
 func (p Penalties) At(i, j int) float64 { return p.Matrix[p.Class[i]][p.Class[j]] }
 
-// Validate checks that Matrix is square and every agent's class is one of
-// its rows.
+// Validate checks that Matrix is square, a preference table has one row
+// per class, and every agent's class is one of Matrix's rows.
 func (p Penalties) Validate() error {
 	if err := ValidatePenalties(p.Matrix); err != nil {
 		return err
+	}
+	if c := len(p.Matrix); p.Ranks != nil && len(p.Ranks) != c*c {
+		return fmt.Errorf("matching: %d-entry preference table for a %d-class penalty matrix", len(p.Ranks), c)
 	}
 	for i, c := range p.Class {
 		if c < 0 || c >= len(p.Matrix) {
@@ -64,8 +96,10 @@ func (p Penalties) Validate() error {
 // by the agent index others[b]. Agents of one class rank alike, so they
 // share one list — the same slice, which callers must not modify — and
 // every list is carved from one allocation. The work is one O(n log n)
-// integer sort of others by agent index, then per class a sort of the
-// classes present in others and one O(n) pass, not one sort per agent.
+// integer sort of others by agent index, then per class its ranked
+// classes present in others — its table row less the absent classes,
+// or, for a view without a preference table, the present classes ranked
+// by rankClasses — and one O(n) pass, not one sort per agent.
 func (p Penalties) Lists(agents, others []int) [][]int {
 	n := len(others)
 	// others' positions in ascending agent index, packed as index<<32 |
@@ -106,19 +140,33 @@ func (p Penalties) Lists(agents, others []int) [][]int {
 	backing := make([]int, distinct*n)
 	list := func(s int) []int { return backing[(s-1)*n : s*n : s*n] }
 
-	next := make([]int, len(present)) // tier t's bucket fills from next[t]
+	// next[t] is where tier t's bucket fills from; order is the viewer's
+	// present classes, best first; scratch and penalty are rankClasses's.
+	k := len(present)
+	ints, penalty := make([]int, 4*k), make([]float64, k)
+	next, order, scratch := ints[:k], ints[k:2*k:2*k], ints[2*k:]
 	for c, s := range slot {
 		if s == 0 {
 			continue
 		}
 		row := p.Matrix[c]
-		// Within a tier the class order is immaterial: the bucketing
-		// below merges a tier's classes by agent index.
-		slices.SortFunc(present, func(x, y int) int { return cmp.Compare(row[x], row[y]) })
+		if p.Ranks == nil {
+			rankClasses(order, penalty, scratch[:k], scratch[k:], row, present)
+			for x, u := range order {
+				order[x] = present[u]
+			}
+		} else {
+			order = order[:0]
+			for _, d := range p.Ranked(c) {
+				if members[d] > 0 {
+					order = append(order, int(d))
+				}
+			}
+		}
 		clear(next)
 		t := 0
-		for x, d := range present {
-			if x > 0 && row[d] != row[present[x-1]] {
+		for x, d := range order {
+			if x > 0 && row[d] != row[order[x-1]] {
 				t++
 			}
 			tier[d] = t

@@ -188,13 +188,20 @@ func listsInstance(data []byte) (p Penalties, agents, others []int) {
 // checkLists holds Lists on one decoded instance to listsReference
 // element for element, and checks the sharing contract: agents of one
 // class hold the same slice, agents of different classes different
-// ones, and no list has room to grow into another's.
+// ones, and no list has room to grow into another's. The view carrying
+// the matrix's preference table lists the same.
 func checkLists(t *testing.T, data []byte) {
 	t.Helper()
 	p, agents, others := listsInstance(data)
 	got, want := p.Lists(agents, others), listsReference(p, agents, others)
 	if len(got) != len(want) {
 		t.Fatalf("%d lists, want %d", len(got), len(want))
+	}
+	tabled := p
+	tabled.Ranks = Rank(p.Matrix)
+	if withTable := tabled.Lists(agents, others); !reflect.DeepEqual(withTable, got) {
+		t.Fatalf("classes %v matrix %v agents %v others %v: lists %v with the preference table, %v without",
+			p.Class, p.Matrix, agents, others, withTable, got)
 	}
 	first := make(map[int]*int)
 	for a, i := range agents {

@@ -164,7 +164,9 @@ type Server struct {
 	// Catalog maps job names to models; required.
 	Catalog []workload.Job
 	// Penalties is the job-level penalty matrix used to evaluate
-	// colocations (typically the predictor's output); required.
+	// colocations (typically the predictor's output); required. Serve
+	// hands it to the market engine, which ranks it once, so it must not
+	// change after Serve starts.
 	Penalties [][]float64
 	// Kernel optionally names the prediction kernel that produced
 	// Penalties (core.Framework.Kernel); stamped into the wire epoch

@@ -11,32 +11,41 @@ import (
 // Assess is the market's strategic assessment of a matching: every
 // agent's message-exchange Action and ExpectedGain (§IV-B), with
 // BlockingPartners left nil, and the exact number of blocking pairs —
-// Penalties.CountBlockingPairs over the whole population. jobIdx[i] is
-// agent i's row in the job-level penalty matrix. Penalties depend only on
-// (class, partner class), so both are functions of class counts and the
-// pass is O(n + classes³), whatever the number of pairs:
+// Penalties.CountBlockingPairs over the whole population. Penalties
+// depend only on (class, partner class), so both are functions of class
+// counts:
 //
 //   - cnt[a][p] counts the agents of class a whose partner is of class p
 //     (or who run alone), and want[a][b] those of them that gain more
 //     than alpha next to a class-b agent: cur(a, p) − M[a][b] > alpha.
+//     The gain falls along a's ranked row (Penalties.Ranked), so each
+//     occupied cell walks the row until the first class it does not gain
+//     next to (penalties are numbers: a NaN has no place in that order).
 //   - The pairs are Σ_{a<b} want[a][b]·want[b][a] + Σ_a C(want[a][a], 2),
 //     less the matched pairs those products count (a pair does not block
 //     its own matching; every matched pair counts when alpha < 0).
 //   - An agent's partner classes are walked tier by tier — the classes it
-//     suffers one same penalty next to — in ascending penalty order, while
-//     the gain stays above alpha. The first tier holding an agent that
-//     wants the agent's class back, itself and its own partner aside,
-//     gives BreakAway at gain cur − pen.
+//     suffers one same penalty next to — along its ranked row, while the
+//     gain stays above alpha. The first tier holding an agent that wants
+//     the agent's class back, itself and its own partner aside, gives
+//     BreakAway at gain cur − pen.
 //
-// The float expressions are those of CountBlockingPairs and
+// The pass is O(n + C·k) for the k ≤ min(n, C²+C) occupied (class,
+// partner class) cells of C classes, whatever the number of pairs; a
+// view without a preference table is ranked first (matching.Rank, O(C²
+// log C)). The float expressions are those of CountBlockingPairs and
 // Recommendations, so Action, ExpectedGain and the count are bit-identical
 // to theirs.
-func Assess(jobIdx []int, matrix [][]float64, match matching.Matching, alpha float64) ([]agent.Recommendation, int) {
+func Assess(p matching.Penalties, match matching.Matching, alpha float64) ([]agent.Recommendation, int) {
+	jobIdx, matrix := p.Class, p.Matrix
+	if p.Ranks == nil {
+		p.Ranks = matching.Rank(matrix)
+	}
 	classes := len(matrix)
 	solo, cols := classes, classes+1 // a cell's last column: running alone
 	cell := func(i int) int {
-		if p := match[i]; p != matching.Unmatched {
-			return jobIdx[i]*cols + jobIdx[p]
+		if q := match[i]; q != matching.Unmatched {
+			return jobIdx[i]*cols + jobIdx[q]
 		}
 		return jobIdx[i]*cols + solo
 	}
@@ -44,25 +53,23 @@ func Assess(jobIdx []int, matrix [][]float64, match matching.Matching, alpha flo
 	for i := range match {
 		cnt[cell(i)]++
 	}
-	cur := func(a, p int) float64 {
-		if p == solo {
+	cur := func(a, q int) float64 {
+		if q == solo {
 			return 0
 		}
-		return matrix[a][p]
+		return matrix[a][q]
 	}
-	// gains: an agent of class a partnered with class p gains more than
+	// gains: an agent of class a partnered with class q gains more than
 	// alpha next to a class-b agent.
-	gains := func(a, p, b int) bool { return cur(a, p)-matrix[a][b] > alpha }
+	gains := func(a, q, b int) bool { return cur(a, q)-matrix[a][b] > alpha }
 	want := make([]int, classes*classes)
-	for a := range classes {
-		for p := range cols {
-			if k := cnt[a*cols+p]; k > 0 {
-				for b := range classes {
-					if gains(a, p, b) {
-						want[a*classes+b] += k
-					}
-				}
+	for c, k := range cnt {
+		a, q := c/cols, c%cols
+		for _, b := range p.Ranked(a) {
+			if k == 0 || !gains(a, q, int(b)) {
+				break
 			}
+			want[a*classes+int(b)] += k
 		}
 	}
 
@@ -88,35 +95,31 @@ func Assess(jobIdx []int, matrix [][]float64, match matching.Matching, alpha flo
 		gain   float64
 	}
 	verdicts := make([]verdict, classes*cols)
-	order := make([]int, classes)
 	for a, row := range matrix {
-		if !slices.ContainsFunc(cnt[a*cols:(a+1)*cols], func(k int) bool { return k > 0 }) {
-			continue
-		}
-		partnerOrder(order, row)
-		for p := range cols {
-			if cnt[a*cols+p] == 0 {
+		o := p.Ranked(a)
+		for q := range cols {
+			if cnt[a*cols+q] == 0 {
 				continue
 			}
-			c := cur(a, p)
+			c := cur(a, q)
 			for x := 0; x < classes; {
-				pen := row[order[x]]
+				pen := row[o[x]]
 				if !(c-pen > alpha) {
 					break
 				}
 				avail := 0
-				for ; x < classes && row[order[x]] == pen; x++ {
-					b := order[x]
+				for ; x < classes && row[o[x]] == pen; x++ {
+					b := int(o[x])
 					avail += want[b*classes+a]
 					if b == a {
 						avail-- // the agent itself
 					}
-					if b == p && gains(b, a, a) {
+					if b == q && gains(b, a, a) {
 						avail-- // its own partner
 					}
 				}
 				if avail > 0 {
-					verdicts[a*cols+p] = verdict{breaks: true, gain: c - pen}
+					verdicts[a*cols+q] = verdict{breaks: true, gain: c - pen}
 					break
 				}
 			}
@@ -140,22 +143,23 @@ func Assess(jobIdx []int, matrix [][]float64, match matching.Matching, alpha flo
 // agent (cap <= 0 means DefaultRecommendCap; a cap of the population size
 // lists them all, in the protocol's order). jobIdx[i] is agent i's row in
 // the job-level penalty matrix, which is never expanded to agents. The
-// scan costs O(n·classes) plus the partners it visits, which with an
-// uncapped list is O(n²) when most pairs block. The market engine runs
+// scan costs O(n·classes) plus the partners it visits — O(n²) with an
+// uncapped list when most pairs block — after ranking the matrix
+// (matching.Rank, O(classes² log classes)). The market engine runs
 // Assess; this listing serves tests and the benchmark's replays.
 func Recommendations(jobIdx []int, matrix [][]float64, match matching.Matching, alpha float64, cap int) []agent.Recommendation {
 	everyone := make([]int, len(jobIdx))
 	for i := range everyone {
 		everyone[i] = i
 	}
-	return RecommendationsWithin(everyone, jobIdx, matrix, match, alpha, cap)
+	return RecommendationsWithin(everyone, matching.Penalties{Matrix: matrix, Class: jobIdx}, match, alpha, cap)
 }
 
 // RecommendationsWithin is Recommendations among one pool of agents (a
-// shard's members, ascending): only members assess, and only members are
-// listed as partners, though a member's current partner may sit outside
-// the pool. It returns one recommendation per member, in
-// members order.
+// shard's members, ascending) of the class view p: only members assess,
+// and only members are listed as partners, though a member's current
+// partner may sit outside the pool. It returns one recommendation per
+// member, in members order.
 //
 // An agent's blocking partners are scanned tier by tier — a tier is the
 // partner classes it suffers one same penalty next to — in ascending
@@ -171,15 +175,16 @@ func Recommendations(jobIdx []int, matrix [][]float64, match matching.Matching, 
 // Within a tier all partners are penalty-equivalent, so the listed ones
 // are ordered by agent index ascending across the tier's classes: the
 // exchange protocol's (penalty, agent ID) order.
-func RecommendationsWithin(members, jobIdx []int, matrix [][]float64, match matching.Matching, alpha float64, cap int) []agent.Recommendation {
+func RecommendationsWithin(members []int, p matching.Penalties, match matching.Matching, alpha float64, cap int) []agent.Recommendation {
 	if cap <= 0 {
 		cap = DefaultRecommendCap
 	}
+	jobIdx, matrix := p.Class, p.Matrix
 	classes := len(matrix)
 	cur := make([]float64, len(members)) // by position in members, like byClass
 	for a, i := range members {
-		if p := match[i]; p != matching.Unmatched {
-			cur[a] = matrix[jobIdx[i]][jobIdx[p]]
+		if q := match[i]; q != matching.Unmatched {
+			cur[a] = matrix[jobIdx[i]][jobIdx[q]]
 		}
 	}
 	// Per-class member positions, most dissatisfied first (index
@@ -204,23 +209,18 @@ func RecommendationsWithin(members, jobIdx []int, matrix [][]float64, match matc
 			return cmp.Compare(x, y)
 		})
 	}
-	// Per-class candidate order (partnerOrder; the class index on ties
-	// fixes what a cap keeps of a tier), computed once per present class
-	// and shared by all its agents.
-	candOrder := make([][]int, classes)
-	order := func(ci int) []int {
-		if candOrder[ci] == nil {
-			candOrder[ci] = make([]int, classes)
-			partnerOrder(candOrder[ci], matrix[ci])
-		}
-		return candOrder[ci]
+	// Candidates come in the order of the agent's ranked row: the class
+	// index on ties fixes what a cap keeps of a tier. Without the
+	// matrix's preference table the call ranks the matrix.
+	if p.Ranks == nil {
+		p.Ranks = matching.Rank(matrix)
 	}
 
 	recs := make([]agent.Recommendation, len(members))
 	for a, i := range members {
 		ci := jobIdx[i]
 		rec := agent.Recommendation{AgentID: i, Action: agent.Participate}
-		row, o := matrix[ci], order(ci)
+		row, o := matrix[ci], p.Ranked(ci)
 		var blocking []int
 		for x := 0; x < len(o) && len(blocking) < cap; {
 			pen := row[o[x]]
@@ -229,7 +229,7 @@ func RecommendationsWithin(members, jobIdx []int, matrix [][]float64, match matc
 			}
 			from := len(blocking)
 			for ; x < len(o) && row[o[x]] == pen; x++ {
-				c := o[x]
+				c := int(o[x])
 				for _, b := range byClass[c] {
 					if !(cur[b]-matrix[c][ci] > alpha) || len(blocking) == cap {
 						break
@@ -252,19 +252,4 @@ func RecommendationsWithin(members, jobIdx []int, matrix [][]float64, match matc
 		recs[a] = rec
 	}
 	return recs
-}
-
-// partnerOrder fills order with the partner classes in the order an agent
-// whose penalty row is row prefers them: ascending penalty, class index on
-// ties.
-func partnerOrder(order []int, row []float64) {
-	for c := range order {
-		order[c] = c
-	}
-	slices.SortFunc(order, func(x, y int) int {
-		if c := cmp.Compare(row[x], row[y]); c != 0 {
-			return c
-		}
-		return cmp.Compare(x, y)
-	})
 }

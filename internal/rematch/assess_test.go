@@ -1,24 +1,36 @@
 package rematch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cooper/internal/matching"
+	"cooper/internal/policy"
 )
 
 // assessAlphas are the thresholds assessInstance picks from: negative
 // (a matched pair mutually prefers itself), zero, and positive.
 var assessAlphas = []float64{-0.3, -0.1, 0, 0.1, 0.3}
 
-// assessInstance decodes bytes into an assessment instance, reading zero
-// once the bytes run out: 1–7 classes, 2–60 agents, a threshold from
-// assessAlphas, penalties from {0, ¼, ½, ¾} so that ties are common, each
-// agent's class, and a partial matching — each agent still solo when its
-// turn comes stays solo on a byte divisible by 4, or pairs with one of
-// the solo agents after it.
-func assessInstance(data []byte) (jobIdx []int, matrix [][]float64, match matching.Matching, alpha float64) {
+// assessPopulation is one population on a market's matrix: every agent's
+// class and a partial matching.
+type assessPopulation struct {
+	jobIdx []int
+	match  matching.Matching
+}
+
+// assessMarket decodes bytes into one assessment market and three
+// populations on it, reading zero once the bytes run out: 1–7 classes, a
+// threshold from assessAlphas, penalties from {0, ¼, ½, ¾} so that ties
+// are common, a zero entry negated (−0) when its byte's high bit is set,
+// one row possibly a copy of another; then per population 2–60 agents,
+// each agent's class, and a partial matching — each agent still solo
+// when its turn comes stays solo on a byte divisible by 4, or pairs with
+// one of the solo agents after it.
+func assessMarket(data []byte) (matrix [][]float64, alpha float64, pops []assessPopulation) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -27,74 +39,119 @@ func assessInstance(data []byte) (jobIdx []int, matrix [][]float64, match matchi
 		data = data[1:]
 		return int(b)
 	}
-	classes, n := 1+next()%7, 2+next()%59
+	classes := 1 + next()%7
 	alpha = assessAlphas[next()%len(assessAlphas)]
 	matrix = make([][]float64, classes)
 	for a := range matrix {
 		matrix[a] = make([]float64, classes)
 		for b := range matrix[a] {
-			matrix[a][b] = float64(next()%4) / 4
-		}
-	}
-	jobIdx = make([]int, n)
-	for i := range jobIdx {
-		jobIdx[i] = next() % classes
-	}
-	match = make(matching.Matching, n)
-	for i := range match {
-		match[i] = matching.Unmatched
-	}
-	for i := range match {
-		if match[i] != matching.Unmatched {
-			continue
-		}
-		var solo []int
-		for j := i + 1; j < n; j++ {
-			if match[j] == matching.Unmatched {
-				solo = append(solo, j)
+			v := next()
+			matrix[a][b] = float64(v%4) / 4
+			if v >= 128 && matrix[a][b] == 0 {
+				matrix[a][b] = math.Copysign(0, -1)
 			}
 		}
-		if k := next(); k%4 != 0 && len(solo) > 0 {
-			j := solo[k%len(solo)]
-			match[i], match[j] = j, i
-		}
 	}
-	return jobIdx, matrix, match, alpha
+	if z := next() % (2 * classes); z < classes {
+		copy(matrix[z], matrix[next()%classes])
+	}
+	for range 3 {
+		n := 2 + next()%59
+		jobIdx := make([]int, n)
+		for i := range jobIdx {
+			jobIdx[i] = next() % classes
+		}
+		match := make(matching.Matching, n)
+		for i := range match {
+			match[i] = matching.Unmatched
+		}
+		for i := range match {
+			if match[i] != matching.Unmatched {
+				continue
+			}
+			var solo []int
+			for j := i + 1; j < n; j++ {
+				if match[j] == matching.Unmatched {
+					solo = append(solo, j)
+				}
+			}
+			if k := next(); k%4 != 0 && len(solo) > 0 {
+				j := solo[k%len(solo)]
+				match[i], match[j] = j, i
+			}
+		}
+		pops = append(pops, assessPopulation{jobIdx, match})
+	}
+	return matrix, alpha, pops
 }
 
-// checkAssess holds Assess on one decoded instance to the partner-listing
-// scan (Action and ExpectedGain bit for bit, no partner list) and to the
-// pairwise CountBlockingPairs.
+// checkAssess holds Assess on every population of one decoded market to
+// the partner-listing scan (Action and ExpectedGain bit for bit, no
+// partner list) and to the pairwise CountBlockingPairs. The view carrying
+// the matrix's preference table, built once for the three populations as
+// the market engine builds it, must give what the view without one
+// gives, bit for bit, in Assess and in the listing scan alike.
 func checkAssess(t *testing.T, data []byte) {
 	t.Helper()
-	jobIdx, matrix, match, alpha := assessInstance(data)
-	got, count := Assess(jobIdx, matrix, match, alpha)
-	want := Recommendations(jobIdx, matrix, match, alpha, len(jobIdx))
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.AgentID != i || g.Action != w.Action ||
-			math.Float64bits(g.ExpectedGain) != math.Float64bits(w.ExpectedGain) || g.BlockingPartners != nil {
-			t.Fatalf("α=%v classes=%d n=%d agent %d: Assess %+v, the listing scan %+v\nmatrix %v\njobs %v\nmatch %v",
-				alpha, len(matrix), len(jobIdx), i, g, w, matrix, jobIdx, match)
+	matrix, alpha, pops := assessMarket(data)
+	ranks := matching.Rank(matrix)
+	for _, pop := range pops {
+		jobIdx, match := pop.jobIdx, pop.match
+		p := matching.Penalties{Matrix: matrix, Class: jobIdx}
+		tabled := p
+		tabled.Ranks = ranks
+		got, count := Assess(p, match, alpha)
+		gotT, countT := Assess(tabled, match, alpha)
+		if !reflect.DeepEqual(got, gotT) || count != countT {
+			t.Fatalf("α=%v n=%d: Assess without the table and with it disagree (%d and %d pairs)\nmatrix %v\njobs %v\nmatch %v",
+				alpha, len(jobIdx), count, countT, matrix, jobIdx, match)
 		}
-	}
-	p := matching.Penalties{Matrix: matrix, Class: jobIdx}
-	if wantCount := p.CountBlockingPairs(match, alpha); count != wantCount {
-		t.Fatalf("α=%v classes=%d n=%d: Assess counts %d blocking pairs, CountBlockingPairs %d\nmatrix %v\njobs %v\nmatch %v",
-			alpha, len(matrix), len(jobIdx), count, wantCount, matrix, jobIdx, match)
+		want := Recommendations(jobIdx, matrix, match, alpha, len(jobIdx))
+		if wantT := RecommendationsWithin(nbhdAll(len(jobIdx)), tabled, match, alpha, len(jobIdx)); !reflect.DeepEqual(want, wantT) {
+			t.Fatalf("α=%v n=%d: the listing scan without the table and with it disagree\nmatrix %v\njobs %v\nmatch %v",
+				alpha, len(jobIdx), matrix, jobIdx, match)
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.AgentID != i || g.Action != w.Action ||
+				math.Float64bits(g.ExpectedGain) != math.Float64bits(w.ExpectedGain) || g.BlockingPartners != nil {
+				t.Fatalf("α=%v classes=%d n=%d agent %d: Assess %+v, the listing scan %+v\nmatrix %v\njobs %v\nmatch %v",
+					alpha, len(matrix), len(jobIdx), i, g, w, matrix, jobIdx, match)
+			}
+		}
+		if wantCount := p.CountBlockingPairs(match, alpha); count != wantCount {
+			t.Fatalf("α=%v classes=%d n=%d: Assess counts %d blocking pairs, CountBlockingPairs %d\nmatrix %v\njobs %v\nmatch %v",
+				alpha, len(matrix), len(jobIdx), count, wantCount, matrix, jobIdx, match)
+		}
 	}
 }
 
 // assessSeeds is the property test's table, and FuzzAssess's corpus: 300
-// random byte strings, long enough for any decoded instance.
+// random byte strings, long enough for any decoded market, and three made
+// to decode into a matrix of ±0 entries, one with equal rows, and a
+// population in which one class has no agent and another runs alone.
 func assessSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(34))
 	seeds := make([][]byte, 300)
 	for s := range seeds {
-		seeds[s] = make([]byte, 3+7*7+60+60)
+		seeds[s] = make([]byte, 2+7*7+2+3*(1+60+60))
 		rng.Read(seeds[s])
 	}
-	return seeds
+	return append(seeds,
+		// 3 classes, every entry zero and half of them −0, α = −0.1 so
+		// every agent gains next to every class; 6 agents of classes
+		// 0,1,2,… paired in turn.
+		[]byte{2, 1, 128, 0, 128, 0, 128, 0, 128, 0, 128, 5,
+			4, 0, 1, 2, 0, 1, 2, 1, 1, 1, 1, 1, 1},
+		// 3 classes, α = 0, row 0 a copy of row 1; 12 agents, some solo.
+		[]byte{2, 2, 1, 2, 3, 3, 0, 1, 2, 2, 0, 0, 1,
+			10, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 0, 2, 3, 1, 4, 1, 5, 9, 2, 6, 5},
+		// 4 classes, α = 0, no row copied; 10 agents: two of class 2, both
+		// alone (no later agent can pick an earlier one), then classes 0
+		// and 1 in turn; class 3 has no agent.
+		[]byte{3, 2, 0, 1, 2, 3, 3, 2, 1, 0, 1, 1, 2, 2, 2, 3, 0, 1, 7,
+			8, 2, 2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 4, 1, 1, 1, 1, 1, 1, 1, 1},
+	)
 }
 
 // TestAssessMatchesListingAndCount is the class-count assessment's
@@ -113,4 +170,56 @@ func FuzzAssess(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(checkAssess)
+}
+
+// BenchmarkAssess times one assessment of an SMR matching: of 800 and
+// 20,000 agents of 20 classes on a matrix of 8 distinct values, whose
+// rows tie classes the way the predicted matrix's do, through the view
+// carrying its preference table, as the market engine assesses; and of
+// 800 agents through that view's Dense expansion (every agent its own
+// class, no table), which ranks each class's row per call.
+func BenchmarkAssess(b *testing.B) {
+	r := rand.New(rand.NewSource(42))
+	matrix := make([][]float64, 20)
+	for a := range matrix {
+		matrix[a] = make([]float64, 20)
+		for c := range matrix[a] {
+			matrix[a][c] = float64(r.Intn(8)) * 0.05
+		}
+	}
+	ranks := matching.Rank(matrix)
+	view := func(n int) (matching.Penalties, matching.Matching) {
+		p := matching.Penalties{Matrix: matrix, Class: make([]int, n), Ranks: ranks}
+		for i := range p.Class {
+			p.Class[i] = r.Intn(20)
+		}
+		match, err := policy.StableMarriageRandom{}.AssignClasses(p, policy.Context{Rand: rand.New(rand.NewSource(1))})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p, match
+	}
+	bench := func(name string, p matching.Penalties, match matching.Matching) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				Assess(p, match, 0)
+			}
+		})
+	}
+	for _, n := range []int{800, 20000} {
+		p, match := view(n)
+		bench(fmt.Sprintf("classes/n=%d", n), p, match)
+	}
+	p, match := view(800)
+	dense := matching.Penalties{Matrix: make([][]float64, 800), Class: nbhdAll(800)}
+	for i := range dense.Matrix {
+		dense.Matrix[i] = make([]float64, 800)
+		for j := range dense.Matrix[i] {
+			if i != j {
+				dense.Matrix[i][j] = p.At(i, j)
+			}
+		}
+	}
+	bench("dense/n=800", dense, match)
 }

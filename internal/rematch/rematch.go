@@ -20,9 +20,9 @@
 //     agents share preference rows and therefore candidate lists.
 //   - Assess is the market's strategic assessment, in every mode: the
 //     agents' message-exchange Action and ExpectedGain and the exact
-//     blocking-pair count, from class counts in O(n + classes³), with no
-//     partner listed. Recommendations lists the partners too, for tests
-//     and the benchmark's replays.
+//     blocking-pair count, from class counts and the matrix's ranked
+//     rows, with no partner listed. Recommendations lists the partners
+//     too, for tests and the benchmark's replays.
 //
 // When cumulative churn since the last full clear exceeds a configurable
 // fraction of the population (DefaultChurnThreshold), the caller falls
@@ -161,20 +161,21 @@ func Neighborhood(dirty []int, pool *Pool, prev matching.Matching, pen func(i, j
 }
 
 // AssignWithin clears the members' sub-market under the policy: it hands
-// the policy the job-level matrix with each member's row in it
-// (jobIdx[i] is agent i's) and the members' standalone bandwidths, and
-// returns the policy's matching in member-local indices. It is the one
-// place a subset of the population is handed to a policy — shard clears,
-// shard repairs and neighborhood rewires all go through it — and it
-// allocates O(members): no sub-matrix is gathered.
-func AssignWithin(members []int, matrix [][]float64, jobIdx []int, bw func(i int) float64, pol policy.Policy, rng *rand.Rand, metrics *telemetry.Registry) (matching.Matching, error) {
+// the policy the class view p with the members as its agents (p.Class[i]
+// is agent i's row of p.Matrix, and p's preference table comes along)
+// and the members' standalone bandwidths, and returns the policy's
+// matching in member-local indices. It is the one place a subset of the
+// population is handed to a policy — shard clears, shard repairs and
+// neighborhood rewires all go through it — and it allocates O(members):
+// no sub-matrix is gathered.
+func AssignWithin(members []int, p matching.Penalties, bw func(i int) float64, pol policy.Policy, rng *rand.Rand, metrics *telemetry.Registry) (matching.Matching, error) {
 	class := make([]int, len(members))
 	subBW := make([]float64, len(members))
 	for a, i := range members {
-		class[a] = jobIdx[i]
+		class[a] = p.Class[i]
 		subBW[a] = bw(i)
 	}
-	return pol.AssignClasses(matching.Penalties{Matrix: matrix, Class: class},
+	return pol.AssignClasses(matching.Penalties{Matrix: p.Matrix, Class: class, Ranks: p.Ranks},
 		policy.Context{BandwidthGBps: subBW, Rand: rng, Metrics: metrics})
 }
 
@@ -182,10 +183,10 @@ func AssignWithin(members []int, matrix [][]float64, jobIdx []int, bw func(i int
 // repaired matching: pairs wholly outside nbhd are preserved from prev,
 // every nbhd member is re-assigned from scratch among the neighborhood.
 // nbhd must be closed under prev partnership (Neighborhood guarantees
-// this); jobIdx[i] is agent i's row of matrix and bw[i] its standalone
-// bandwidth for partitioning policies. The returned Changed lists the
-// agents whose partner differs from prev, ascending.
-func Rewire(nbhd []int, prev matching.Matching, matrix [][]float64, jobIdx []int, bw []float64, pol policy.Policy, rng *rand.Rand, metrics *telemetry.Registry) (matching.Matching, []int, error) {
+// this); p is the population's class view and bw[i] agent i's
+// standalone bandwidth for partitioning policies. The returned Changed
+// lists the agents whose partner differs from prev, ascending.
+func Rewire(nbhd []int, prev matching.Matching, p matching.Penalties, bw []float64, pol policy.Policy, rng *rand.Rand, metrics *telemetry.Registry) (matching.Matching, []int, error) {
 	match := append(matching.Matching(nil), prev...)
 	for _, i := range nbhd {
 		if p := match[i]; p != matching.Unmatched && match[p] == i {
@@ -194,7 +195,7 @@ func Rewire(nbhd []int, prev matching.Matching, matrix [][]float64, jobIdx []int
 		match[i] = matching.Unmatched
 	}
 	if len(nbhd) > 1 {
-		lm, err := AssignWithin(nbhd, matrix, jobIdx, func(i int) float64 { return bw[i] }, pol, rng, metrics)
+		lm, err := AssignWithin(nbhd, p, func(i int) float64 { return bw[i] }, pol, rng, metrics)
 		if err != nil {
 			return nil, nil, fmt.Errorf("rematch: neighborhood of %d: %w", len(nbhd), err)
 		}

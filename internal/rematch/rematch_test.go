@@ -300,7 +300,7 @@ func TestRewirePreservesOutsidePairs(t *testing.T) {
 	prev := matching.Matching{1, 0, 3, 2, 5, 4, 7, 6}
 	nbhd := []int{0, 1, 2, 3} // closed under prev partnership
 
-	match, changed, err := Rewire(nbhd, prev, matrix, jobIdx, bw, policy.Greedy{}, rand.New(rand.NewSource(1)), nil)
+	match, changed, err := Rewire(nbhd, prev, matching.Penalties{Matrix: matrix, Class: jobIdx}, bw, policy.Greedy{}, rand.New(rand.NewSource(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestRepairerEndToEnd(t *testing.T) {
 		jobIdx[i] = a.Job
 		bw[i] = float64(a.Job + 1)
 	}
-	full, _, err := Rewire(nbhdAll(len(d.Agents)), d.Prev, matrix, jobIdx, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
+	full, _, err := Rewire(nbhdAll(len(d.Agents)), d.Prev, matching.Penalties{Matrix: matrix, Class: jobIdx}, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestRepairerEndToEnd(t *testing.T) {
 		bw = append(bw, float64(a.Job+1))
 	}
 	nbhd := Neighborhood(d.Dirty, nil, d.Prev, penFor(jobIdx, matrix), 4)
-	match, _, err := Rewire(nbhd, d.Prev, matrix, jobIdx, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
+	match, _, err := Rewire(nbhd, d.Prev, matching.Penalties{Matrix: matrix, Class: jobIdx}, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestRecommendationsWithinPool(t *testing.T) {
 		}
 	}
 	full := exchange(t, jobIdx, matrix, match, 0.01)
-	got := RecommendationsWithin(pool, jobIdx, matrix, match, 0.01, len(pool))
+	got := RecommendationsWithin(pool, matching.Penalties{Matrix: matrix, Class: jobIdx}, match, 0.01, len(pool))
 	if len(got) != len(pool) {
 		t.Fatalf("%d recommendations for %d members", len(got), len(pool))
 	}
@@ -593,7 +593,9 @@ func rowRanked(m [][]float64) [][]float64 {
 // gathered sub-matrix, for the same seed. SMR and SMP rank partners by
 // (penalty, class, agent index): on the matrix whose row 2 ties classes 1
 // and 4 they return the marriage over the sub-matrix gathered from the
-// row-ranked matrix, and on the tie-free matrix the plain one.
+// row-ranked matrix, and on the tie-free matrix the plain one. The view
+// with the matrix's preference table returns the same as the view
+// without.
 func TestAssignWithinMatchesSubMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tieFree, tied := testMatrix(6), testMatrix(6)
@@ -621,12 +623,16 @@ func TestAssignWithinMatchesSubMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := AssignWithin(members, matrix, jobIdx, func(i int) float64 { return bw[i] }, pol, rand.New(rand.NewSource(3)), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("k=%d ties=%t %s: AssignWithin = %v, over the sub-matrix = %v", k, m.ties, pol.Name(), got, want)
+				for _, ranks := range [][]int32{nil, matching.Rank(matrix)} {
+					p := matching.Penalties{Matrix: matrix, Class: jobIdx, Ranks: ranks}
+					got, err := AssignWithin(members, p, func(i int) float64 { return bw[i] }, pol, rand.New(rand.NewSource(3)), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("k=%d ties=%t table=%t %s: AssignWithin = %v, over the sub-matrix = %v",
+							k, m.ties, ranks != nil, pol.Name(), got, want)
+					}
 				}
 			}
 		}
@@ -648,7 +654,7 @@ func TestAssignWithinAllocatesNoSubMatrix(t *testing.T) {
 		members[a] = 2 * a
 	}
 	clear := func() {
-		if _, err := AssignWithin(members, matrix, jobIdx, func(i int) float64 { return float64(jobIdx[i]) },
+		if _, err := AssignWithin(members, matching.Penalties{Matrix: matrix, Class: jobIdx}, func(i int) float64 { return float64(jobIdx[i]) },
 			policy.StableMarriageRandom{}, rand.New(rand.NewSource(1)), nil); err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 		return nil, err
 	}
 	shards := len(groups)
-	pen := func(i, j int) float64 { return matrix[jobIdx[i]][jobIdx[j]] }
+	p := matching.Penalties{Matrix: matrix, Class: jobIdx, Ranks: m.Ranks}
 
 	dirtyIn := make([][]int, shards)
 	for _, i := range dirty {
@@ -93,13 +93,13 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 		sp.SetAttr("dirty", len(dirtyIn[s]))
 		defer m.Tel.End(sp)
 
-		g := rematch.Neighborhood(dirtyIn[s], &rematch.Pool{Members: groups[s], ShardOf: shardOf, Shard: s}, prev, pen, topK)
+		g := rematch.Neighborhood(dirtyIn[s], &rematch.Pool{Members: groups[s], ShardOf: shardOf, Shard: s}, prev, p.At, topK)
 		k := len(g)
 		nbhds[s] = g
 		if k < 2 {
 			return nil
 		}
-		lm, err := rematch.AssignWithin(g, matrix, jobIdx, func(i int) float64 { return jobs[i].BandwidthGBps },
+		lm, err := rematch.AssignWithin(g, p, func(i int) float64 { return jobs[i].BandwidthGBps },
 			m.Policy, stats.NewRand(parallel.SplitSeed(m.Seed, int64(s))), m.Tel.Registry())
 		if err != nil {
 			return fmt.Errorf("shard %d repair (%d agents): %w", s, k, err)
@@ -156,7 +156,7 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 				if shardOf[i] == shardOf[j] {
 					continue
 				}
-				cands = append(cands, cand{i: i, j: j, cost: pen(i, j) + pen(j, i)})
+				cands = append(cands, cand{i: i, j: j, cost: p.At(i, j) + p.At(j, i)})
 			}
 		}
 		sort.Slice(cands, func(a, b int) bool {

@@ -256,6 +256,10 @@ type Market struct {
 	Tel *telemetry.Telemetry
 	// Span, when non-nil, parents the per-shard spans.
 	Span *telemetry.Span
+	// Ranks is the matrix's preference table (matching.Rank), which the
+	// market engine builds once and every shard reads; nil means each
+	// shard's matching ranks the classes it needs per call.
+	Ranks []int32
 	// SkipRecommendations suppresses the per-shard recommendation pass.
 	// The market engine always sets it: its agents assess against the
 	// whole population (rematch.Assess), not within their shard.
@@ -306,7 +310,7 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 		return nil, err
 	}
 	shards := len(groups)
-	pen := func(i, j int) float64 { return matrix[jobIdx[i]][jobIdx[j]] }
+	p := matching.Penalties{Matrix: matrix, Class: jobIdx, Ranks: m.Ranks}
 
 	// Clear every shard concurrently. Each shard sees only its own
 	// members and a private SplitSeed RNG stream; results land in
@@ -327,7 +331,7 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 		spans[s] = sp
 		defer m.Tel.End(sp)
 
-		lm, err := rematch.AssignWithin(g, matrix, jobIdx, func(i int) float64 { return jobs[i].BandwidthGBps },
+		lm, err := rematch.AssignWithin(g, p, func(i int) float64 { return jobs[i].BandwidthGBps },
 			m.Policy, stats.NewRand(parallel.SplitSeed(m.Seed, int64(s))), m.Tel.Registry())
 		if err != nil {
 			return fmt.Errorf("shard %d (%d agents): %w", s, len(g), err)
@@ -375,7 +379,7 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 	}
 
 	res := &Result{Match: match, ShardOf: shardOf, Groups: groups}
-	m.refine(res, pen)
+	m.refine(res, p.At)
 	if m.SkipRecommendations {
 		return res, nil
 	}
@@ -386,7 +390,7 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 	recs := make([]agent.Recommendation, n)
 	err = parallel.ForEach(ctx, m.Workers, shards, func(s int) error {
 		g := groups[s]
-		for a, rec := range rematch.RecommendationsWithin(g, jobIdx, matrix, match, m.Alpha, len(g)) {
+		for a, rec := range rematch.RecommendationsWithin(g, p, match, m.Alpha, len(g)) {
 			recs[g[a]] = rec
 		}
 		return nil
