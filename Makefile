@@ -84,7 +84,8 @@ journey-soak:
 # the flat prediction kernel against the reference, the wire codec
 # against encoding/json, the class-count assessment against the
 # pairwise count, the preference lists against their comparator-sort
-# reference, the count-level marriage against Gale–Shapley, the churn ledger against its ID-keyed reference, the
+# reference, the repair neighborhood against its full-sort reading, the
+# count-level marriage against Gale–Shapley, the churn ledger against its ID-keyed reference, the
 # auditor against arbitrary event streams and the one-pass dispatch
 # against the pre-rewrite dispatcher, and the benchmark harness's
 # own vet and tests.
@@ -113,8 +114,12 @@ bench:
 # bench-smoke executes every benchmark in the module exactly once — a
 # compile-and-run check, not a measurement. That includes
 # BenchmarkStreamRepair, streaming epochs at n=10000 over 32 shards with
-# 1% churn, repair beside forced full clear, whose B/op is what
-# TestStreamRepairEpochAllocation pins;
+# 1% churn, repair beside forced full clear, whose B/op and allocs/op are
+# what TestStreamRepairEpochAllocation pins, and the same market repaired
+# unsharded; internal/rematch BenchmarkNeighborhood, one repair
+# neighborhood at a stream-sharded shard's shape (312 members, 6 dirty),
+# a wire-stream shard's (125, 1) and the unsharded market's (10000, 200),
+# with allocs/op;
 # BenchmarkClearUnsharded, the unsharded clear at n up to 20000, which
 # reports B/op: a clear that builds anything agents×agents again shows
 # up there as gigabytes (SMR at n=20000 allocates ~65 MB) or as an
@@ -146,7 +151,12 @@ bench-smoke:
 # bit alike (seeded from its property test's table, ±0 entries, equal
 # rows and absent classes included), Penalties.Lists ≡
 # the comparator-sort reference on tie-heavy class views, overlapping and
-# shuffled sides included (seeded likewise), the count-level stable
+# shuffled sides included (seeded likewise), the class-bucketed repair
+# neighborhood ≡ its reading (every dirty agent's top K by a full sort)
+# on tie-heavy markets, three populations on each matrix, with a shard
+# pool and without, through views with the preference table, without
+# and Dense (seeded likewise, ±0 entries, equal rows, a class absent
+# from the pool and K past the pool included), the count-level stable
 # marriage ≡ Gale–Shapley over comparator-sorted (penalty, class, index)
 # lists on tie-heavy markets, three marriages on each matrix, with its
 # preference table and without, matchings and steps alike, Dense views
@@ -169,6 +179,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAssess -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 	$(GO) test -run xxx -fuzz FuzzLists -fuzztime=10s -fuzzminimizetime=0 ./internal/matching/
 	$(GO) test -run xxx -fuzz FuzzStableMarriageClasses -fuzztime=10s -fuzzminimizetime=0 ./internal/matching/
+	$(GO) test -run xxx -fuzz FuzzNeighborhood -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 	$(GO) test -run xxx -fuzz FuzzLedger -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime=10s -fuzzminimizetime=0 ./internal/audit/
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime=10s -fuzzminimizetime=0 ./internal/cluster/

@@ -743,18 +743,18 @@ func BenchmarkEpochThroughputTelemetry(b *testing.B) {
 }
 
 // streamMarket is the streaming market BenchmarkStreamRepair and the
-// allocation pin share: n agents over 32 shards, admitted by a cold epoch
-// 0, then epochs in which 1% of the population leaves and as many
-// Uniform jobs join.
+// allocation pin share: n agents over the given shards (1: unsharded),
+// admitted by a cold epoch 0, then epochs in which 1% of the population
+// leaves and as many Uniform jobs join.
 type streamMarket struct {
 	f   *Framework
 	ids []int // live agents' stable IDs, as of the last report
 	rng *rand.Rand
 }
 
-func newStreamMarket(tb testing.TB, n int, threshold float64) *streamMarket {
+func newStreamMarket(tb testing.TB, n, shards int, threshold float64) *streamMarket {
 	tb.Helper()
-	f, err := New(WithShards(32), WithRematch(), WithChurnThreshold(threshold), WithSeed(1))
+	f, err := New(WithShards(shards), WithRematch(), WithChurnThreshold(threshold), WithSeed(1))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -792,16 +792,19 @@ func (m *streamMarket) step(tb testing.TB, c Churn) *EpochReport {
 // (repair) or every epoch clears all shards from scratch (full). What a
 // repair epoch costs beyond the repair itself is the epoch's per-agent
 // tail (assess, report, dispatch): the gap between the two legs is the
-// clear, and B/op is what TestStreamRepairEpochAllocation pins.
+// clear, and B/op and allocs/op are what TestStreamRepairEpochAllocation
+// pins. unsharded-repair repairs the same market unsharded, one
+// neighborhood over the whole population and one Rewire.
 // blocking_pairs/op is the epochs' mean blocking-pair count over the
-// whole market: the stability price of the sharded streaming market.
+// whole market: the stability price of the streaming market.
 func BenchmarkStreamRepair(b *testing.B) {
 	for _, leg := range []struct {
-		name      string
-		threshold float64
-	}{{"repair", 1e9}, {"full", 1e-9}} {
+		name, mode string
+		shards     int
+		threshold  float64
+	}{{"repair", "repair", 32, 1e9}, {"full", "full", 32, 1e-9}, {"unsharded-repair", "repair", 1, 1e9}} {
 		b.Run(leg.name, func(b *testing.B) {
-			m := newStreamMarket(b, 10000, leg.threshold)
+			m := newStreamMarket(b, 10000, leg.shards, leg.threshold)
 			defer m.f.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -811,7 +814,7 @@ func BenchmarkStreamRepair(b *testing.B) {
 				c := m.churn()
 				b.StartTimer()
 				rep := m.step(b, c)
-				if rep.Rematch.Mode != leg.name {
+				if rep.Rematch.Mode != leg.mode {
 					b.Fatalf("epoch ran in %s mode", rep.Rematch.Mode)
 				}
 				blocking += rep.BlockingPairCount

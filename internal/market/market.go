@@ -109,16 +109,13 @@ type Engine struct {
 	rowOf   map[string]int // catalog job name → matrix row
 	catalog []string       // catalog job names, for snapshots
 
-	// A sharded engine keeps one ring for its lifetime and, for agents
-	// under stable IDs, each live agent's shard from the round that admits
-	// it to the one that sees it gone: an agent's shard is a function of
-	// its job and ID alone, so a round hashes only its newcomers.
-	ring    *shard.Ring
-	shardOf map[int]placement // by stable agent ID
+	// A sharded engine keeps one ring for its lifetime, and the standing
+	// round: its last, whose shards the next round carries by position.
+	ring     *shard.Ring
+	standing *Round
+	// An unsharded engine's repair neighborhoods reuse one scratch.
+	scratch rematch.Scratch
 }
-
-// placement is a live agent's shard, next to the job it was hashed with.
-type placement struct{ row, shard int }
 
 // New readies an engine from its wiring: it defaults the policy, indexes
 // the catalog, ranks the matrix, and — for a streaming market —
@@ -142,44 +139,39 @@ func New(e Engine) *Engine {
 	}
 	if e.Shards > 1 {
 		e.ring = shard.NewRing(e.Shards)
-		e.shardOf = make(map[int]placement)
 	}
 	return &e
 }
 
-// partition returns the shard of every agent of a sharded round. Agents
-// under stable IDs are hashed once, when a round first meets them; an
-// in-process batch population has positions for identities and new jobs
-// on them every epoch, so it is hashed every time.
-func (e *Engine) partition(r *Round) []int {
-	shardOf := make([]int, len(r.Jobs))
-	if r.IDs == nil {
-		for i, job := range r.Jobs {
-			shardOf[i] = e.ring.ShardOf(job, i)
-		}
-		return shardOf
+// partition returns the shard of every agent of a sharded round. An
+// agent's shard is a function of its job and ID alone, so an agent under
+// a stable ID keeps the shard it had in the standing round wherever that
+// round held the same ID on the same row: moved maps the standing
+// round's positions to r's (a Step's ledger compaction; nil for a Clear,
+// which compares position by position). Only the rest are hashed — a
+// Step's joiners, a boundary clear's newcomers and whoever a reap moved,
+// and an in-process batch population, which has positions for
+// identities and new jobs on them every epoch.
+func (e *Engine) partition(r *Round, moved []int) []int {
+	shardOf, s := make([]int, len(r.Jobs)), e.standing
+	for i := range shardOf {
+		shardOf[i] = -1
 	}
-	for i, id := range r.IDs {
-		p, ok := e.shardOf[id]
-		if !ok || p.row != r.JobIdx[i] {
-			p = placement{row: r.JobIdx[i], shard: e.ring.ShardOf(r.Jobs[i], id)}
-			e.shardOf[id] = p
+	for i := 0; s != nil && s.IDs != nil && r.IDs != nil && i < len(s.ShardOf) && (moved == nil || i < len(moved)); i++ {
+		to := i
+		if moved != nil {
+			to = moved[i]
 		}
-		shardOf[i] = p.shard
-	}
-	if len(e.shardOf) > len(r.IDs) {
-		// The roster lost agents no Step was told about (a wire epoch's
-		// boundary clear after reaps): forget them.
-		live := make(map[int]bool, len(r.IDs))
-		for _, id := range r.IDs {
-			live[id] = true
-		}
-		for id := range e.shardOf {
-			if !live[id] {
-				delete(e.shardOf, id)
-			}
+		if to >= 0 && to < len(shardOf) && s.IDs[i] == r.IDs[to] && s.JobIdx[i] == r.JobIdx[to] {
+			shardOf[to] = s.ShardOf[i]
 		}
 	}
+	for i, sh := range shardOf {
+		if sh < 0 {
+			shardOf[i] = e.ring.ShardOf(r.Jobs[i], r.ID(i))
+		}
+	}
+	r.ShardOf, e.standing = shardOf, r
 	return shardOf
 }
 
@@ -419,7 +411,7 @@ func (ep *Epoch) Clear(ctx context.Context, roster Roster) (*Round, error) {
 	if len(rows) == 0 {
 		return r, nil
 	}
-	if err := ep.match(ctx, r, nil); err != nil {
+	if err := ep.match(ctx, r, nil, nil); err != nil {
 		return nil, err
 	}
 	if e.Assess {
@@ -474,9 +466,6 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range delta.Departed {
-		delete(e.shardOf, id)
-	}
 	n := len(delta.Agents)
 	if n == 0 {
 		return nil, fmt.Errorf("market: empty population after churn")
@@ -512,9 +501,9 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 		// shard_matched events land in the fresh audit segment.
 		r.Mode = "full"
 		announce()
-		err = ep.match(ctx, r, nil)
+		err = ep.match(ctx, r, nil, e.ledger.Moved())
 	} else {
-		err = ep.match(ctx, r, delta.Prev)
+		err = ep.match(ctx, r, delta.Prev, e.ledger.Moved())
 	}
 	if err != nil {
 		return nil, err
@@ -540,9 +529,10 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 // round, so an epoch's rounds (and the shard spans under each) keep
 // distinct, schedule-independent IDs. prev nil clears the population
 // from scratch; otherwise prev is the standing matching and r.Dirty is
-// repaired around. It fills r.Match and the round's shard or repair
-// details.
-func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching) error {
+// repaired around. moved is partition's: how a Step's ledger moved the
+// standing round's agents. It fills r.Match and the round's shard or
+// repair details.
+func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, moved []int) error {
 	e := ep.eng
 	reg := e.Tel.Registry()
 	span := e.Tel.PhaseKeyed(ep.Span(), "match", int64(r.index))
@@ -556,7 +546,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching) er
 		// split-seed streams.
 		mk := &shard.Market{
 			Shards: e.Shards, Policy: e.Policy, Alpha: e.Alpha, Workers: e.Workers,
-			Seed: e.Rand.Int63(), Epoch: ep.Index, IDs: r.IDs, ShardOf: e.partition(r),
+			Seed: e.Rand.Int63(), Epoch: ep.Index, IDs: r.IDs, ShardOf: e.partition(r, moved),
 			Ranks: e.ranks, Tel: e.Tel, Span: span, SkipRecommendations: true,
 		}
 		if prev == nil {
@@ -588,7 +578,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching) er
 				policy.Context{BandwidthGBps: bw, Rand: e.Rand, Metrics: reg})
 		} else {
 			p := e.view(r.JobIdx)
-			r.Neighborhood = rematch.Neighborhood(r.Dirty, nil, prev, p.At, rematch.DefaultTopK)
+			r.Neighborhood = rematch.Neighborhood(r.Dirty, nil, prev, p, rematch.DefaultTopK, &e.scratch)
 			r.Match, r.Changed, err = rematch.Rewire(r.Neighborhood, prev, p, bw, e.Policy, e.Rand, reg)
 		}
 		if err != nil {

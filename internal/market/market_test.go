@@ -219,14 +219,16 @@ func TestEngineBuildsNoAgentMatrix(t *testing.T) {
 	}
 }
 
-// TestEngineRemembersEachLiveAgentsShard runs 20 streaming epochs with
-// churn over a sharded engine and holds the partition it hands the
-// sharded market — each agent hashed once, at admission — equal to a
-// fresh ring's partition of the round's roster, every round, repair or
-// full; the memo holds exactly the live population, so a departed agent's
-// entry is gone. A wire-style boundary clear that silently lost agents
-// prunes it the same way, and an in-process batch round (no stable IDs)
-// neither reads nor writes it.
+// TestEngineRemembersEachLiveAgentsShard holds the partition a sharded
+// engine hands its market equal to a fresh ring's partition of the
+// round's roster, every round. The engine carries each agent's shard by
+// position from the standing round — through a Step's ledger compaction,
+// or in a Clear wherever the roster holds the same ID on the same row —
+// and hashes only the rest. The rounds: 200 streaming epochs, repairs
+// and full clears; a wire-style epoch, a boundary clear over the live
+// roster and Steps that reseed the ledger from it; a boundary clear that
+// drops agents and draws their jobs afresh; and an in-process batch
+// round, which has no stable IDs.
 func TestEngineRemembersEachLiveAgentsShard(t *testing.T) {
 	const shards = 8
 	e, catalog := testEngine(t, Config{Rematch: true, Shards: shards})
@@ -246,17 +248,22 @@ func TestEngineRemembersEachLiveAgentsShard(t *testing.T) {
 		}
 		return jobs
 	}
+	departures := func(live []int) []int {
+		var depart []int
+		for _, p := range rng.Perm(len(live))[:2+rng.Intn(4)] {
+			depart = append(depart, live[p])
+		}
+		return depart
+	}
 
-	var live []int
+	var last *Round
 	modes := make(map[string]int)
-	for epoch := 0; epoch < 20; epoch++ {
+	for epoch := 0; epoch < 200; epoch++ {
 		join, depart := sample(3+rng.Intn(4)), []int(nil)
 		if epoch == 0 {
 			join = sample(200)
 		} else {
-			for _, p := range rng.Perm(len(live))[:2+rng.Intn(4)] {
-				depart = append(depart, live[p])
-			}
+			depart = departures(last.IDs)
 		}
 		ep := e.Begin()
 		r, err := ep.Step(ctx, Roster{Jobs: join}, depart)
@@ -266,35 +273,32 @@ func TestEngineRemembersEachLiveAgentsShard(t *testing.T) {
 		ep.End(Summary{})
 		modes[r.Mode]++
 		check(r, fmt.Sprintf("epoch %d (%s)", epoch, r.Mode))
-		if len(e.shardOf) != len(r.IDs) {
-			t.Fatalf("epoch %d: %d shards remembered for %d live agents", epoch, len(e.shardOf), len(r.IDs))
-		}
-		for _, id := range depart {
-			if _, ok := e.shardOf[id]; ok {
-				t.Fatalf("epoch %d: departed agent %d is still remembered", epoch, id)
-			}
-		}
-		live = r.IDs
+		last = r
 	}
-	if modes["repair"] == 0 || modes["full"] < 2 {
-		t.Fatalf("rounds ran as %v: want repairs and more than the cold full clear", modes)
+	if modes["repair"] < 100 || modes["full"] < 10 {
+		t.Fatalf("rounds ran as %v: want repairs and full clears both", modes)
 	}
 
-	// A batch round over positions: hashed afresh, the memo untouched.
+	// A wire epoch: the boundary clear over the live roster, then Steps
+	// that reseed the ledger from it, with caller-assigned join IDs.
 	ep := e.Begin()
-	batch, err := ep.Clear(ctx, Roster{Jobs: sample(51)})
+	r, err := ep.Clear(ctx, Roster{IDs: last.IDs, Jobs: last.Jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep.End(Summary{})
-	check(batch, "batch round")
-	if len(e.shardOf) != len(live) {
-		t.Fatalf("a batch round left %d shards remembered for %d live agents", len(e.shardOf), len(live))
+	check(r, "wire boundary clear")
+	for k := 0; k < 5; k++ {
+		join := Roster{IDs: []int{20000 + 2*k, 20001 + 2*k}, Jobs: sample(2)}
+		if r, err = ep.Step(ctx, join, departures(r.IDs)); err != nil {
+			t.Fatal(err)
+		}
+		check(r, fmt.Sprintf("wire step %d (%s)", k, r.Mode))
 	}
+	ep.End(Summary{})
 
 	// A boundary clear over a newcomer and half the survivors, their jobs
 	// drawn afresh: most come back running a different one.
-	roster := Roster{IDs: append([]int{9000}, live[:len(live)/2]...)}
+	roster := Roster{IDs: append([]int{9000}, r.IDs[:len(r.IDs)/2]...)}
 	roster.Jobs = sample(len(roster.IDs))
 	ep = e.Begin()
 	wire, err := ep.Clear(ctx, roster)
@@ -303,7 +307,15 @@ func TestEngineRemembersEachLiveAgentsShard(t *testing.T) {
 	}
 	ep.End(Summary{})
 	check(wire, "boundary clear")
-	if len(e.shardOf) != len(roster.IDs) {
-		t.Fatalf("a boundary clear left %d shards remembered for %d live agents", len(e.shardOf), len(roster.IDs))
+
+	// A batch round over positions, then one more: hashed afresh.
+	for k := 0; k < 2; k++ {
+		ep = e.Begin()
+		batch, err := ep.Clear(ctx, Roster{Jobs: sample(51)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.End(Summary{})
+		check(batch, fmt.Sprintf("batch round %d", k))
 	}
 }

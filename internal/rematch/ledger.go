@@ -247,6 +247,11 @@ func (l *Ledger) ApplyIDs(joinIDs, joinJobs []int, departIDs []int) (*Delta, err
 	return d, nil
 }
 
+// Moved maps, after an Apply that succeeded, each agent's position
+// before it to its index in the Delta's Agents, -1 for a departure. The
+// slice is the ledger's, overwritten by its next Apply.
+func (l *Ledger) Moved() []int { return l.moved }
+
 // Commit records an epoch's final matching over the current population.
 // full marks a from-scratch clear: the churn counter resets and the
 // current size becomes the fallback baseline. match must cover the

@@ -32,6 +32,7 @@
 package rematch
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -76,88 +77,142 @@ func ThresholdOrDefault(t float64) float64 {
 // shard's members, and every agent's shard, so a member's partner is
 // tested for membership with one lookup.
 type Pool struct {
-	Members []int // the shard's agents
+	Members []int // the shard's agents, ascending
 	ShardOf []int // agent index → shard, over the whole population
 	Shard   int   // the pool's shard
 }
 
+// Scratch is Neighborhood's working memory, reused across calls; the
+// zero value is ready. Not safe for concurrent use.
+type Scratch struct {
+	start, bucket []int   // class c's eligible pool positions: bucket[start[c]:start[c+1]], ascending
+	slot, lists   []int   // class c's list: lists[(slot[c]-1)·(K+1):][:K+1], -1 past its end
+	out           []int   // the result
+	order         []int32 // a view without a table: the classes present
+	in            []bool  // by pool position: eligible, then in the neighborhood
+}
+
+// grow returns buf holding n zero values, in its own array when that is
+// large enough.
+func grow[T any](buf []T, n int) []T {
+	return append(buf[:0], make([]T, n)...)
+}
+
 // Neighborhood computes the repair neighborhood for the dirty agents:
 // the dirty agents themselves, each one's top-K preference candidates
-// under pen (lowest penalty first, index tie-break), and the prev
-// partners of those candidates. pool restricts the candidates to one
-// shard's members (nil means all agents 0..len(prev)-1). A member whose
-// prev partner is on another shard is ineligible as a candidate, so the
-// result is always closed under prev partnership within the pool. The
-// returned indices are ascending and the dirty agents are always
-// included. Eligibility is decided once per member; each dirty agent
-// then scans the eligible members once, so a neighborhood costs
-// O(members + dirty·members), and with a pool nothing of population size
-// is allocated.
-func Neighborhood(dirty []int, pool *Pool, prev matching.Matching, pen func(i, j int) float64, topK int) []int {
-	topK = TopKOrDefault(topK)
-	// The eligible candidates, decided once per pool member: a member
-	// whose prev partner is outside the pool cannot be rewired without
-	// displacing that partner.
-	var eligible []int
-	if pool == nil {
-		eligible = make([]int, len(prev))
-		for i := range eligible {
-			eligible[i] = i
-		}
-	} else {
-		eligible = make([]int, 0, len(pool.Members))
-		for _, j := range pool.Members {
-			if p := prev[j]; p != matching.Unmatched && pool.ShardOf[p] != pool.Shard {
-				continue
-			}
-			eligible = append(eligible, j)
+// under the class view p (lowest penalty first, index tie-break), and
+// the prev partners of all of them. pool restricts the candidates to
+// one shard's members, and holds the dirty agents (nil means all agents
+// 0..len(prev)-1). A member whose prev partner is on another shard is
+// ineligible as a candidate, so the result is closed under prev
+// partnership within the pool. The returned indices are ascending.
+//
+// Dirty agents of one class share their candidates: one counting sort
+// buckets the eligible members by class, each bucket ascending; each
+// dirty class walks its row of p's preference table (a view without one
+// ranks the classes present) and takes members bucket by bucket until it
+// holds K+1, merging the buckets of equal-penalty classes — adjacent in
+// the row — by index, which is the (penalty, index) order; each dirty
+// agent takes the first K of its class's list, skipping itself. A mark
+// per pool position closes the result under prev and reads it back
+// ascending. A call costs O(members + dirty classes · (C + K) + dirty ·
+// K) for C classes. With a pool nothing of population size is
+// allocated, and once s has grown, nothing but the result.
+func Neighborhood(dirty []int, pool *Pool, prev matching.Matching, p matching.Penalties, topK int, s *Scratch) []int {
+	m, classes, want := len(prev), len(p.Matrix), TopKOrDefault(topK)+1
+	agent, position := func(x int) int { return x }, func(j int) (int, bool) { return j, true }
+	if pool != nil {
+		m = len(pool.Members)
+		agent = func(x int) int { return pool.Members[x] }
+		position = func(j int) (int, bool) { return slices.BinarySearch(pool.Members, j) }
+	}
+	// Class c's count lands in start[c+2]; placing its members then moves
+	// start[c+1] from c's first slot to its end, c+1's first.
+	s.start, s.bucket, s.in, s.order = grow(s.start, classes+2), grow(s.bucket, m), grow(s.in, m), s.order[:0]
+	for x := range m {
+		if q := prev[agent(x)]; q == matching.Unmatched || pool == nil || pool.ShardOf[q] == pool.Shard {
+			s.start[p.Class[agent(x)]+2]++
+			s.in[x] = true
 		}
 	}
-	nbhd := append(make([]int, 0, len(dirty)*(topK+1)), dirty...)
-	// Top-K candidate selection per dirty agent by bounded insertion:
-	// same-job dirty agents produce the same candidate list, so the
-	// union stays O(classes · K) regardless of how many agents churned.
-	type cand struct {
-		p float64
-		j int
+	for c := 2; c < len(s.start); c++ {
+		if p.Ranks == nil && s.start[c] > 0 {
+			s.order = append(s.order, int32(c-2)) // a class present, to rank per list
+		}
+		s.start[c] += s.start[c-1]
 	}
-	best := make([]cand, 0, topK)
+	for x, eligible := range s.in {
+		if c := p.Class[agent(x)] + 1; eligible {
+			s.bucket[s.start[c]], s.start[c] = x, s.start[c]+1
+		}
+	}
+
+	s.slot, s.in = grow(s.slot, classes), grow(s.in, m)
+	s.lists, s.out = slices.Grow(s.lists[:0], want*min(len(dirty), classes)), slices.Grow(s.out[:0], 2*want*len(dirty))
 	for _, i := range dirty {
-		best = best[:0]
-		for _, j := range eligible {
-			if j == i {
-				continue
-			}
-			c := cand{p: pen(i, j), j: j}
-			at := len(best)
-			for at > 0 && (best[at-1].p > c.p || (best[at-1].p == c.p && best[at-1].j > c.j)) {
-				at--
-			}
-			if at == topK {
-				continue
-			}
-			if len(best) < topK {
-				best = append(best, cand{})
-			}
-			copy(best[at+1:], best[at:])
-			best[at] = c
+		c, self := p.Class[i], -1
+		if s.slot[c] == 0 {
+			s.slot[c] = 1 + len(s.lists)/want
+			s.candidates(p, c, want)
 		}
-		for _, c := range best {
-			nbhd = append(nbhd, c.j)
+		if x, ok := position(i); ok {
+			s.in[x], self = true, x
+		}
+		taken := 0
+		for _, x := range s.lists[(s.slot[c]-1)*want:][:want] {
+			if x >= 0 && x != self && taken < want-1 {
+				s.in[x], taken = true, taken+1
+			}
 		}
 	}
-	// Close under prev partnership: a neighborhood member's partner is
-	// pulled in so re-matching the member cannot strand it. One pass
-	// suffices — the added partner's own partner is the member itself.
-	slices.Sort(nbhd)
-	nbhd = slices.Compact(nbhd)
-	for _, i := range nbhd {
-		if p := prev[i]; p != matching.Unmatched {
-			nbhd = append(nbhd, p)
+	// Close under prev partnership: a member's partner is pulled in so
+	// re-matching the member cannot strand it. One pass suffices — the
+	// added partner's own partner is the member itself. Only a dirty
+	// agent still paired can have its partner off the pool.
+	for x, in := range s.in {
+		if q := prev[agent(x)]; in && q != matching.Unmatched {
+			if y, ok := position(q); ok {
+				s.in[y] = true
+			} else {
+				s.out = append(s.out, q)
+			}
 		}
 	}
-	slices.Sort(nbhd)
-	return slices.Compact(nbhd)
+	off := len(s.out)
+	for x, in := range s.in {
+		if in {
+			s.out = append(s.out, agent(x))
+		}
+	}
+	if off > 0 {
+		slices.Sort(s.out)
+	}
+	return slices.Clone(s.out)
+}
+
+// candidates appends class c's list to s.lists: the first want eligible
+// members by (c's penalty next to them, index), then -1s.
+func (s *Scratch) candidates(p matching.Penalties, c, want int) {
+	row, order, end := p.Matrix[c], s.order, len(s.lists)+want
+	if p.Ranks != nil {
+		order = p.Ranked(c)
+	} else {
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Or(cmp.Compare(row[a], row[b]), cmp.Compare(a, b)) })
+	}
+	for x := 0; x < len(order) && len(s.lists) < end; {
+		// One tie: the classes from x that c ranks alike, their buckets'
+		// heads merged by index.
+		tie, y := len(s.lists), x
+		for ; y < len(order) && (y == x || row[order[y]] == row[order[x]]); y++ {
+			b := s.bucket[s.start[order[y]]:s.start[order[y]+1]]
+			s.lists = append(s.lists, b[:min(len(b), end-tie)]...)
+		}
+		slices.Sort(s.lists[tie:])
+		s.lists, x = s.lists[:min(len(s.lists), end)], y
+	}
+	for len(s.lists) < end {
+		s.lists = append(s.lists, -1)
+	}
 }
 
 // AssignWithin clears the members' sub-market under the policy: it hands

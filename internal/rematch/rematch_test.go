@@ -2,6 +2,7 @@ package rematch
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -25,11 +26,6 @@ func testMatrix(k int) [][]float64 {
 		}
 	}
 	return m
-}
-
-// penFor adapts a job-level matrix to an agent-level lookup.
-func penFor(jobIdx []int, matrix [][]float64) func(i, j int) float64 {
-	return func(i, j int) float64 { return matrix[jobIdx[i]][jobIdx[j]] }
 }
 
 func TestLedgerApplyJoinsAndDepartures(t *testing.T) {
@@ -158,11 +154,10 @@ func TestNeighborhoodClosureAndTopK(t *testing.T) {
 	// Six agents over three classes, paired (0,1) (2,3) (4,5); agent 0
 	// is dirty.
 	jobIdx := []int{0, 1, 2, 0, 1, 2}
-	matrix := testMatrix(3)
-	pen := penFor(jobIdx, matrix)
+	p := matching.Penalties{Matrix: testMatrix(3), Class: jobIdx}
 	prev := matching.Matching{matching.Unmatched, 3, 5, 1, matching.Unmatched, 2}
 
-	nbhd := Neighborhood([]int{0}, nil, prev, pen, 2)
+	nbhd := Neighborhood([]int{0}, nil, prev, p, 2, new(Scratch))
 	inN := make(map[int]bool)
 	for _, i := range nbhd {
 		inN[i] = true
@@ -181,7 +176,7 @@ func TestNeighborhoodClosureAndTopK(t *testing.T) {
 	}
 
 	// With a huge K everyone is pulled in.
-	all := Neighborhood([]int{0}, nil, prev, pen, 100)
+	all := Neighborhood([]int{0}, nil, prev, p, 100, new(Scratch))
 	if len(all) != 6 {
 		t.Fatalf("topK=100 neighborhood = %v, want all 6", all)
 	}
@@ -189,7 +184,7 @@ func TestNeighborhoodClosureAndTopK(t *testing.T) {
 	// Restricting the pool excludes members whose partner is outside it:
 	// 1 is paired with 3, and 3 is outside the pool, so 1 cannot be a
 	// candidate — but 5's partner 2 is in the pool.
-	pool := Neighborhood([]int{0}, &Pool{Members: []int{0, 1, 2, 5}, ShardOf: []int{0, 0, 0, 1, 1, 0}, Shard: 0}, prev, pen, 100)
+	pool := Neighborhood([]int{0}, &Pool{Members: []int{0, 1, 2, 5}, ShardOf: []int{0, 0, 0, 1, 1, 0}, Shard: 0}, prev, p, 100, new(Scratch))
 	for _, i := range pool {
 		if i == 1 || i == 3 {
 			t.Fatalf("pool-restricted neighborhood %v pulled in %d", pool, i)
@@ -232,61 +227,247 @@ func neighborhoodReference(dirty []int, pool *Pool, prev matching.Matching, pen 
 	return slices.Compact(nbhd)
 }
 
-// TestNeighborhoodMatchesReference holds Neighborhood to its reading
-// over random shard partitions, tie-heavy class rows (penalties from
-// {0, ¼, ½, ¾}) and partial matchings whose pairs cross shards, with and
-// without a pool, at small K and the default.
-func TestNeighborhoodMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 500; trial++ {
-		n, classes, shards := 1+rng.Intn(60), 1+rng.Intn(5), 1+rng.Intn(4)
-		matrix := make([][]float64, classes)
-		for a := range matrix {
-			matrix[a] = make([]float64, classes)
-			for b := range matrix[a] {
-				matrix[a][b] = float64(rng.Intn(4)) / 4
+// neighborhoodPopulation is one population on a decoded market: every
+// agent's class and shard, a partial matching whose pairs may cross
+// shards, a pool (nil: the whole population), the dirty agents and K.
+type neighborhoodPopulation struct {
+	jobIdx []int
+	prev   matching.Matching
+	pool   *Pool
+	dirty  []int
+	topK   int
+}
+
+// neighborhoodKs are the K a population picks from: small, the default
+// (0) and one past any pool.
+var neighborhoodKs = []int{1, 2, 3, 5, 0, 64}
+
+// neighborhoodMarket decodes bytes into one market and three populations
+// on it, reading zero once the bytes run out: 1–7 classes, penalties from
+// {0, ¼, ½, ¾} so that ties are common, a zero entry negated (−0) when
+// its byte's high bit is set, one row possibly a copy of another; then
+// per population 1–60 agents over 1–4 shards, each agent's class and
+// shard, a pool — one shard's members, or none on a byte divisible by 4
+// — the dirty agents (a candidate on a byte divisible by 3, paired or
+// not), K from neighborhoodKs, and last a partial matching: each agent
+// still solo when its turn comes stays solo on a byte divisible by 4, or
+// pairs with one of the solo agents after it.
+func neighborhoodMarket(data []byte) (matrix [][]float64, pops []neighborhoodPopulation) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	classes := 1 + next()%7
+	matrix = make([][]float64, classes)
+	for a := range matrix {
+		matrix[a] = make([]float64, classes)
+		for b := range matrix[a] {
+			v := next()
+			matrix[a][b] = float64(v%4) / 4
+			if v >= 128 && matrix[a][b] == 0 {
+				matrix[a][b] = math.Copysign(0, -1)
 			}
 		}
-		jobIdx, shardOf := make([]int, n), make([]int, n)
-		for i := range jobIdx {
-			jobIdx[i], shardOf[i] = rng.Intn(classes), rng.Intn(shards)
+	}
+	if z := next() % (2 * classes); z < classes {
+		copy(matrix[z], matrix[next()%classes])
+	}
+	for range 3 {
+		n, shards := 1+next()%60, 1+next()%4
+		pop := neighborhoodPopulation{jobIdx: make([]int, n), prev: make(matching.Matching, n)}
+		shardOf := make([]int, n)
+		for i := range n {
+			pop.jobIdx[i], shardOf[i] = next()%classes, next()%shards
 		}
-		prev := make(matching.Matching, n)
-		for i := range prev {
-			prev[i] = matching.Unmatched
-		}
-		for _, i := range rng.Perm(n) {
-			if j := rng.Intn(n); prev[i] == matching.Unmatched && prev[j] == matching.Unmatched && i != j && rng.Intn(4) != 0 {
-				prev[i], prev[j] = j, i
-			}
-		}
-		var pool *Pool
 		candidates := nbhdAll(n)
-		if rng.Intn(4) != 0 {
-			pool = &Pool{ShardOf: shardOf, Shard: rng.Intn(shards)}
+		if b := next(); b%4 != 0 {
+			pop.pool = &Pool{ShardOf: shardOf, Shard: b / 4 % shards}
 			for i, s := range shardOf {
-				if s == pool.Shard {
-					pool.Members = append(pool.Members, i)
+				if s == pop.pool.Shard {
+					pop.pool.Members = append(pop.pool.Members, i)
 				}
 			}
-			candidates = pool.Members
+			candidates = pop.pool.Members
 		}
-		// Dirty agents come from the pool, solo as a repair's are, or
-		// still paired.
-		var dirty []int
 		for _, i := range candidates {
-			if rng.Intn(3) == 0 {
-				dirty = append(dirty, i)
+			if next()%3 == 0 {
+				pop.dirty = append(pop.dirty, i)
 			}
 		}
-		topK := []int{1, 2, 3, 5, 0}[rng.Intn(5)]
-		pen := penFor(jobIdx, matrix)
-		got := Neighborhood(dirty, pool, prev, pen, topK)
-		want := neighborhoodReference(dirty, pool, prev, pen, topK)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: n=%d shards=%d K=%d pool=%+v dirty=%v prev=%v jobs=%v matrix=%v\n got %v\nwant %v",
-				trial, n, shards, topK, pool, dirty, prev, jobIdx, matrix, got, want)
+		pop.topK = neighborhoodKs[next()%len(neighborhoodKs)]
+		for i := range pop.prev {
+			pop.prev[i] = matching.Unmatched
 		}
+		for i := range pop.prev {
+			if pop.prev[i] != matching.Unmatched {
+				continue
+			}
+			var solo []int
+			for j := i + 1; j < n; j++ {
+				if pop.prev[j] == matching.Unmatched {
+					solo = append(solo, j)
+				}
+			}
+			if k := next(); k%4 != 0 && len(solo) > 0 {
+				j := solo[k%len(solo)]
+				pop.prev[i], pop.prev[j] = j, i
+			}
+		}
+		pops = append(pops, pop)
+	}
+	return matrix, pops
+}
+
+// checkNeighborhood holds Neighborhood on every population of one decoded
+// market to its reading, neighborhoodReference, through three views of
+// the same penalties: the class view without a preference table, the
+// class view carrying the matrix's table (built once for the three
+// populations, as the market engine builds it), and the Dense expansion
+// (every agent its own class). The last two share one Scratch across
+// every call, so a buffer one call leaves behind must not leak into the
+// next; the first has a fresh one each call.
+func checkNeighborhood(t *testing.T, data []byte) {
+	t.Helper()
+	matrix, pops := neighborhoodMarket(data)
+	ranks := matching.Rank(matrix)
+	var scratch Scratch
+	for _, pop := range pops {
+		p := matching.Penalties{Matrix: matrix, Class: pop.jobIdx}
+		tabled := p
+		tabled.Ranks = ranks
+		dense := make([][]float64, len(pop.jobIdx))
+		for i := range dense {
+			dense[i] = make([]float64, len(pop.jobIdx))
+			for j := range dense[i] {
+				dense[i][j] = p.At(i, j)
+			}
+		}
+		want := neighborhoodReference(pop.dirty, pop.pool, pop.prev, p.At, pop.topK)
+		for _, leg := range []struct {
+			name string
+			p    matching.Penalties
+			s    *Scratch
+		}{{"no table", p, new(Scratch)}, {"table", tabled, &scratch}, {"dense", matching.Dense(dense), &scratch}} {
+			if got := Neighborhood(pop.dirty, pop.pool, pop.prev, leg.p, pop.topK, leg.s); !slices.Equal(got, want) {
+				t.Fatalf("%s: n=%d K=%d pool=%+v dirty=%v prev=%v jobs=%v matrix=%v\n got %v\nwant %v",
+					leg.name, len(pop.jobIdx), pop.topK, pop.pool, pop.dirty, pop.prev, pop.jobIdx, matrix, got, want)
+			}
+		}
+	}
+}
+
+// neighborhoodSeeds is the property test's table, and FuzzNeighborhood's
+// corpus: 300 random byte strings, long enough for any decoded market,
+// and three made to decode into a matrix of ±0 entries under a K past
+// its pool, one with equal rows, and a pool that one class is absent
+// from.
+func neighborhoodSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(37))
+	seeds := make([][]byte, 300)
+	for s := range seeds {
+		seeds[s] = make([]byte, 1+7*7+2+3*(2+2*60+1+60+1+60))
+		rng.Read(seeds[s])
+	}
+	return append(seeds,
+		// 3 classes, every entry zero and half of them −0, no row copied;
+		// 12 agents of classes 0,1,2,… over 2 shards, the pool shard 0's
+		// six, three of them dirty, K = 64; then pairs, some across shards.
+		[]byte{2, 128, 0, 128, 0, 128, 0, 128, 0, 128, 5,
+			11, 1, 0, 0, 1, 0, 2, 0, 0, 1, 1, 1, 2, 1, 0, 0, 1, 0, 2, 0, 0, 1, 1, 1, 2, 1,
+			1, 0, 1, 0, 1, 0, 1, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+		// 3 classes, row 0 a copy of row 1; 10 agents on one shard, no
+		// pool, agents 0, 3 and 6 dirty, K = 2; then pairs and solos.
+		[]byte{2, 1, 2, 3, 3, 0, 1, 2, 2, 0, 0, 1,
+			9, 0, 0, 0, 1, 0, 2, 0, 0, 0, 1, 0, 2, 0, 0, 0, 1, 0, 2, 0, 0, 0,
+			4, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 2, 3, 0, 1, 2, 3, 0, 1},
+		// 4 classes, no row copied; 12 agents over 2 shards, class 3 only
+		// on shard 1, the pool shard 0, agents 0 and 8 dirty, K = 3; then
+		// pairs, some across shards.
+		[]byte{3, 0, 1, 2, 3, 3, 2, 1, 0, 1, 1, 2, 2, 2, 3, 0, 1, 7,
+			11, 1, 0, 0, 1, 0, 2, 0, 3, 1, 0, 1, 1, 1, 2, 1, 3, 1, 0, 0, 1, 0, 2, 0, 1, 1,
+			1, 0, 1, 1, 0, 1, 1, 2, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3},
+	)
+}
+
+// TestNeighborhoodMatchesReference holds Neighborhood to its reading
+// over random shard partitions, tie-heavy class rows and partial
+// matchings whose pairs cross shards, with and without a pool and a
+// preference table, at small K, the default and past the pool.
+func TestNeighborhoodMatchesReference(t *testing.T) {
+	for _, seed := range neighborhoodSeeds() {
+		checkNeighborhood(t, seed)
+	}
+}
+
+// FuzzNeighborhood is TestNeighborhoodMatchesReference on arbitrary
+// bytes.
+func FuzzNeighborhood(f *testing.F) {
+	for _, seed := range neighborhoodSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(checkNeighborhood)
+}
+
+// BenchmarkNeighborhood times one repair neighborhood at the shapes the
+// workloads repair, over 20 classes on a matrix of 8 distinct values
+// carrying its preference table, as the market engine hands it over: a
+// stream-sharded shard (10,000 agents over 32 shards: 312 members, 6
+// dirty), a wire-stream shard (1,000 over 8: 125 members, 1 dirty) and
+// the unsharded market (10,000 agents, 200 dirty). Members pair up
+// within their shard; the dirty agents are spread over the pool, solo.
+// One Scratch serves every call, as one serves a worker's shards.
+func BenchmarkNeighborhood(b *testing.B) {
+	r := rand.New(rand.NewSource(42))
+	matrix := make([][]float64, 20)
+	for a := range matrix {
+		matrix[a] = make([]float64, 20)
+		for c := range matrix[a] {
+			matrix[a][c] = float64(r.Intn(8)) * 0.05
+		}
+	}
+	ranks := matching.Rank(matrix)
+	for _, shape := range []struct {
+		name             string
+		n, shards, dirty int
+	}{{"stream-sharded", 9984, 32, 6}, {"wire-stream", 1000, 8, 1}, {"unsharded", 10000, 1, 200}} {
+		p := matching.Penalties{Matrix: matrix, Class: make([]int, shape.n), Ranks: ranks}
+		shardOf := make([]int, shape.n)
+		for i := range p.Class {
+			p.Class[i], shardOf[i] = r.Intn(20), i%shape.shards
+		}
+		pool := &Pool{ShardOf: shardOf}
+		for i := 0; i < shape.n; i += shape.shards {
+			pool.Members = append(pool.Members, i)
+		}
+		prev := make(matching.Matching, shape.n)
+		for i := range prev {
+			switch j := i + shape.shards; {
+			case i/shape.shards%2 == 1: // i's partner, i-shards, paired it
+			case j < shape.n:
+				prev[i], prev[j] = j, i
+			default:
+				prev[i] = matching.Unmatched
+			}
+		}
+		var dirty []int
+		for k := range shape.dirty {
+			i := pool.Members[k*len(pool.Members)/shape.dirty]
+			prev[i], prev[prev[i]], dirty = matching.Unmatched, matching.Unmatched, append(dirty, i)
+		}
+		if shape.shards == 1 {
+			pool = nil
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			var s Scratch
+			b.ReportAllocs()
+			for range b.N {
+				Neighborhood(dirty, pool, prev, p, DefaultTopK, &s)
+			}
+		})
 	}
 }
 
@@ -371,7 +552,7 @@ func TestRepairerEndToEnd(t *testing.T) {
 		jobIdx = append(jobIdx, a.Job)
 		bw = append(bw, float64(a.Job+1))
 	}
-	nbhd := Neighborhood(d.Dirty, nil, d.Prev, penFor(jobIdx, matrix), 4)
+	nbhd := Neighborhood(d.Dirty, nil, d.Prev, matching.Penalties{Matrix: matrix, Class: jobIdx}, 4, new(Scratch))
 	match, _, err := Rewire(nbhd, d.Prev, matching.Penalties{Matrix: matrix, Class: jobIdx}, bw, policy.Greedy{}, rand.New(rand.NewSource(7)), nil)
 	if err != nil {
 		t.Fatal(err)

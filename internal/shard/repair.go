@@ -1,9 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cooper/internal/matching"
 	"cooper/internal/parallel"
@@ -80,7 +81,8 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 	// below is independent of scheduling.
 	nbhds := make([][]int, shards)
 	local := make([]matching.Matching, shards)
-	err = parallel.ForEach(ctx, m.Workers, shards, func(s int) error {
+	scratch := make([]rematch.Scratch, min(parallel.Workers(m.Workers), shards))
+	err = parallel.ForEachWorker(ctx, m.Workers, shards, func(w, s int) error {
 		if len(dirtyIn[s]) == 0 {
 			return nil
 		}
@@ -93,7 +95,7 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 		sp.SetAttr("dirty", len(dirtyIn[s]))
 		defer m.Tel.End(sp)
 
-		g := rematch.Neighborhood(dirtyIn[s], &rematch.Pool{Members: groups[s], ShardOf: shardOf, Shard: s}, prev, p.At, topK)
+		g := rematch.Neighborhood(dirtyIn[s], &rematch.Pool{Members: groups[s], ShardOf: shardOf, Shard: s}, prev, p, topK, &scratch[w])
 		k := len(g)
 		nbhds[s] = g
 		if k < 2 {
@@ -113,16 +115,18 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 
 	// Merge: unlink every neighborhood agent (partners are in-pool by
 	// the neighborhood's closure), then apply the shard-local repairs.
+	// The shards' neighborhoods are disjoint; marked, they read back as
+	// their union, ascending.
 	match := append(matching.Matching(nil), prev...)
-	var nbhd []int
+	in, size := make([]bool, n), 0
 	for s := 0; s < shards; s++ {
 		for _, i := range nbhds[s] {
 			if p := match[i]; p != matching.Unmatched && match[p] == i {
 				match[p] = matching.Unmatched
 			}
-			match[i] = matching.Unmatched
+			match[i], in[i] = matching.Unmatched, true
 		}
-		nbhd = append(nbhd, nbhds[s]...)
+		size += len(nbhds[s])
 	}
 	for s := 0; s < shards; s++ {
 		for a, b := range local[s] {
@@ -131,7 +135,12 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 			}
 		}
 	}
-	sort.Ints(nbhd)
+	nbhd := make([]int, 0, size)
+	for i, in := range in {
+		if in {
+			nbhd = append(nbhd, i)
+		}
+	}
 
 	// Cross-shard fallback: neighborhood agents the shard-local repairs
 	// left solo (odd neighborhood sizes) pair across shard boundaries,
@@ -159,14 +168,8 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 				cands = append(cands, cand{i: i, j: j, cost: p.At(i, j) + p.At(j, i)})
 			}
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].cost != cands[b].cost {
-				return cands[a].cost < cands[b].cost
-			}
-			if cands[a].i != cands[b].i {
-				return cands[a].i < cands[b].i
-			}
-			return cands[a].j < cands[b].j
+		slices.SortFunc(cands, func(a, b cand) int {
+			return cmp.Or(cmp.Compare(a.cost, b.cost), cmp.Compare(a.i, b.i), cmp.Compare(a.j, b.j))
 		})
 		for _, c := range cands {
 			if match[c.i] == matching.Unmatched && match[c.j] == matching.Unmatched {
