@@ -288,6 +288,11 @@ func (f *Framework) SamplePopulation(n int, mix stats.Sampler) workload.Populati
 
 // EpochReport is the outcome of one scheduling epoch.
 type EpochReport struct {
+	// Population is the epoch's population. A RunEpoch report's is the
+	// caller's; a streaming report's Jobs is a view of the engine's live
+	// roster, valid until the next StreamEpoch, which rewrites it in
+	// place (copy it to keep it). Every other slice of a report is the
+	// report's own.
 	Population workload.Population
 	Match      matching.Matching
 	// Shards is the shard count the epoch's market was cleared with

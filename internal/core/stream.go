@@ -39,7 +39,9 @@ type RematchSummary struct {
 // prior epoch's stable matching is repaired incrementally around them —
 // or re-matched from scratch when cumulative churn since the last full
 // clear exceeds Market.ChurnThreshold. Requires Market.Rematch (the
-// facade's WithRematch).
+// facade's WithRematch). The report's Population.Jobs views the live
+// roster and is valid until the next StreamEpoch; its AgentIDs, Match,
+// penalties and Recommendations are its own.
 func (f *Framework) StreamEpoch(churn Churn) (*EpochReport, error) {
 	return f.StreamEpochContext(context.Background(), churn)
 }

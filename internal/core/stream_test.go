@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,5 +215,34 @@ func TestStreamEpochChurnErrors(t *testing.T) {
 	// The failed churns must not have corrupted the ledger.
 	if _, err := f.StreamEpoch(Churn{Join: f.Catalog()[:4]}); err != nil {
 		t.Fatalf("recovery epoch: %v", err)
+	}
+}
+
+// TestStreamReportOwnsItsSlices pins where a streaming report's lifetime
+// contract stops. Population.Jobs views the engine's live roster, which
+// the next StreamEpoch rewrites in place; AgentIDs, Match, both penalty
+// slices and Recommendations are the report's own, and later epochs,
+// repairs and a full clear, leave an earlier report's as they were.
+func TestStreamReportOwnsItsSlices(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		f := streamFramework(t, 0, shards, 11)
+		trace := streamTrace(f.Catalog())
+		first, err := f.StreamEpoch(trace[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, match := slices.Clone(first.AgentIDs), slices.Clone(first.Match)
+		predicted, realized := slices.Clone(first.PredictedPenalty), slices.Clone(first.TruePenalty)
+		recs := slices.Clone(first.Recommendations)
+		for e, churn := range trace[1:] {
+			if _, err := f.StreamEpoch(churn); err != nil {
+				t.Fatalf("shards=%d epoch %d: %v", shards, e+1, err)
+			}
+		}
+		if !slices.Equal(first.AgentIDs, ids) || !slices.Equal(first.Match, match) ||
+			!slices.Equal(first.PredictedPenalty, predicted) || !slices.Equal(first.TruePenalty, realized) ||
+			!reflect.DeepEqual(first.Recommendations, recs) {
+			t.Fatalf("shards=%d: later epochs rewrote an earlier report's own slices", shards)
+		}
 	}
 }

@@ -109,11 +109,18 @@ type Engine struct {
 	rowOf   map[string]int // catalog job name → matrix row
 	catalog []string       // catalog job names, for snapshots
 
+	// roster is the streaming population's jobs by ledger position:
+	// roster[i] is Catalog[row of the ledger's agent i], kept in step
+	// with every ApplyIDs that succeeds (apply). A Step's round views it.
+	roster []workload.Job
+
 	// A sharded engine keeps one ring for its lifetime, and the standing
 	// round: its last, whose shards the next round carries by position.
 	ring     *shard.Ring
 	standing *Round
-	// An unsharded engine's repair neighborhoods reuse one scratch.
+	// Repair working memory reused round to round: the shard repairs'
+	// scratch and RNGs, and an unsharded engine's neighbourhood scratch.
+	repairs shard.RepairScratch
 	scratch rematch.Scratch
 }
 
@@ -207,7 +214,10 @@ type Roster struct {
 // over and the matching it produced.
 type Round struct {
 	// IDs, Jobs and JobIdx describe the population: agent i's stable
-	// identity (nil means its index), its job, and its Matrix row.
+	// identity (nil means its index), its job, and its Matrix row. A
+	// Clear's Jobs is the caller's roster; a Step's is a view of the
+	// engine's live roster (Jobs[i] is Catalog[JobIdx[i]]), valid until
+	// the engine's next Step. The other slices are the round's own.
 	IDs    []int
 	Jobs   []workload.Job
 	JobIdx []int
@@ -268,11 +278,14 @@ func (r *Round) Penalty(i int) float64 {
 	return r.matrix[r.JobIdx[i]][r.JobIdx[j]]
 }
 
-// Penalties returns every agent's predicted penalty and their mean. The
-// sum runs in roster order — the association auditors replay bit for
-// bit from the epoch snapshot.
+// Penalties returns every agent's predicted penalty and their mean, 0
+// for an empty round. The sum runs in roster order — the association
+// auditors replay bit for bit from the epoch snapshot.
 func (r *Round) Penalties() (perAgent []float64, mean float64) {
 	perAgent = make([]float64, len(r.Match))
+	if len(r.Match) == 0 {
+		return perAgent, 0
+	}
 	for i := range r.Match {
 		perAgent[i] = r.Penalty(i)
 		mean += perAgent[i]
@@ -453,8 +466,8 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	if ep.last != nil {
 		// Reseed the ledger from the previous round: a fresh full clear,
 		// so the churn budget restarts from its population.
-		e.ledger = rematch.Ledger{}
-		if _, err := e.ledger.ApplyIDs(ep.last.IDs, ep.last.JobIdx, nil); err != nil {
+		e.ledger, e.roster = rematch.Ledger{}, e.roster[:0]
+		if _, err := e.apply(ep.last.IDs, ep.last.JobIdx, nil); err != nil {
 			return nil, err
 		}
 		if err := e.ledger.Commit(ep.last.Match, true); err != nil {
@@ -462,7 +475,7 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 		}
 		ep.last = nil
 	}
-	delta, err := e.ledger.ApplyIDs(join.IDs, joinRows, depart)
+	delta, err := e.apply(join.IDs, joinRows, depart)
 	if err != nil {
 		return nil, err
 	}
@@ -470,11 +483,11 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	if n == 0 {
 		return nil, fmt.Errorf("market: empty population after churn")
 	}
-	ids, jobs, rows := make([]int, n), make([]workload.Job, n), make([]int, n)
+	ids, rows := make([]int, n), make([]int, n)
 	for i, a := range delta.Agents {
-		ids[i], jobs[i], rows[i] = a.ID, e.Catalog[a.Job], a.Job
+		ids[i], rows[i] = a.ID, a.Job
 	}
-	r := ep.newRound(ids, jobs, rows, "repair")
+	r := ep.newRound(ids, e.roster, rows, "repair")
 	r.Joined, r.Departed, r.Dirty = len(delta.Joined), len(delta.Departed), delta.Dirty
 	announce := func() {
 		if e.Tel.EventRing() == nil {
@@ -525,6 +538,27 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	return r, nil
 }
 
+// apply absorbs churn into the ledger and keeps the roster beside it:
+// after an ApplyIDs that succeeds, the roster's survivors compact as the
+// ledger's did (Moved) and the joiners' catalog rows follow. A rejected
+// request leaves both as they were.
+func (e *Engine) apply(joinIDs, joinRows, depart []int) (*rematch.Delta, error) {
+	delta, err := e.ledger.ApplyIDs(joinIDs, joinRows, depart)
+	if err != nil {
+		return nil, err
+	}
+	for i, to := range e.ledger.Moved() {
+		if to >= 0 && to != i {
+			e.roster[to] = e.roster[i]
+		}
+	}
+	e.roster = slices.Grow(e.roster[:len(delta.Agents)-len(joinRows)], len(joinRows))
+	for _, row := range joinRows {
+		e.roster = append(e.roster, e.Catalog[row])
+	}
+	return delta, nil
+}
+
 // match runs one round's matching inside its "match" span — keyed by
 // round, so an epoch's rounds (and the shard spans under each) keep
 // distinct, schedule-independent IDs. prev nil clears the population
@@ -547,7 +581,7 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, mo
 		mk := &shard.Market{
 			Shards: e.Shards, Policy: e.Policy, Alpha: e.Alpha, Workers: e.Workers,
 			Seed: e.Rand.Int63(), Epoch: ep.Index, IDs: r.IDs, ShardOf: e.partition(r, moved),
-			Ranks: e.ranks, Tel: e.Tel, Span: span, SkipRecommendations: true,
+			Ranks: e.ranks, Tel: e.Tel, Span: span, Repairs: &e.repairs, SkipRecommendations: true,
 		}
 		if prev == nil {
 			res, err := mk.Clear(ctx, r.Jobs, r.JobIdx, e.Matrix)

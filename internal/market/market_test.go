@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -317,5 +318,152 @@ func TestEngineRemembersEachLiveAgentsShard(t *testing.T) {
 		}
 		ep.End(Summary{})
 		check(batch, fmt.Sprintf("batch round %d", k))
+	}
+}
+
+// TestStepRosterIsTheLedgers pins the live roster a Step's round views:
+// over 300 streaming rounds, sharded and not, every round's Jobs[i] is
+// Catalog[JobIdx[i]] and the roster holds as many agents as the ledger.
+// The rounds are repairs and full clears; every 40th epoch is a
+// wire-style one, a boundary Clear and Steps under caller IDs that
+// reseed the ledger from it; every 30th meets an off-catalog join and an
+// unknown departure, both rejected with the roster as it was; every
+// 50th runs first under a canceled context, which a sharded round
+// observes after ApplyIDs, and the roster still follows the ledger.
+func TestStepRosterIsTheLedgers(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e, catalog := testEngine(t, Config{Rematch: true, Shards: shards})
+			rng := stats.NewRand(23)
+			check := func(r *Round, what string) {
+				t.Helper()
+				if len(r.Jobs) != len(r.JobIdx) || len(e.roster) != e.ledger.Len() {
+					t.Fatalf("%s: %d jobs for %d rows, roster %d for a ledger of %d", what, len(r.Jobs), len(r.JobIdx), len(e.roster), e.ledger.Len())
+				}
+				for i, row := range r.JobIdx {
+					if r.Jobs[i] != catalog[row] {
+						t.Fatalf("%s: agent %d runs %q on row %d (%q)", what, i, r.Jobs[i].Name, row, catalog[row].Name)
+					}
+				}
+			}
+			sample := func(n int) []workload.Job {
+				jobs := make([]workload.Job, n)
+				for i := range jobs {
+					jobs[i] = catalog[rng.Intn(len(catalog))]
+				}
+				return jobs
+			}
+			departures := func(live []int) []int {
+				var depart []int
+				for _, p := range rng.Perm(len(live))[:2+rng.Intn(4)] {
+					depart = append(depart, live[p])
+				}
+				return depart
+			}
+			unchanged := func(what string, step func() error) {
+				t.Helper()
+				before := slices.Clone(e.roster)
+				if err := step(); err == nil {
+					t.Fatalf("%s accepted", what)
+				}
+				if !slices.Equal(e.roster, before) {
+					t.Fatalf("%s changed the roster", what)
+				}
+			}
+			canceled, cancel := context.WithCancel(context.Background())
+			cancel()
+
+			var last *Round
+			modes := make(map[string]int)
+			for rounds := 0; rounds < 300; {
+				epoch := rounds
+				ep := e.Begin()
+				if epoch > 0 && epoch%40 == 0 {
+					r, err := ep.Clear(context.Background(), Roster{IDs: last.IDs, Jobs: slices.Clone(last.Jobs)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := 0; k < 3; k++ {
+						join := Roster{IDs: []int{100000 + 10*epoch + 2*k, 100001 + 10*epoch + 2*k}, Jobs: sample(2)}
+						if r, err = ep.Step(context.Background(), join, departures(r.IDs)); err != nil {
+							t.Fatal(err)
+						}
+						check(r, fmt.Sprintf("epoch %d wire step %d (%s)", epoch, k, r.Mode))
+						modes[r.Mode]++
+						rounds++
+					}
+					ep.End(Summary{})
+					last = r
+					continue
+				}
+				join, depart := sample(3+rng.Intn(4)), []int(nil)
+				if epoch == 0 {
+					join = sample(200)
+				} else {
+					depart = departures(last.IDs)
+				}
+				if epoch%30 == 29 {
+					unchanged("an off-catalog join", func() error {
+						_, err := ep.Step(context.Background(), Roster{Jobs: append(slices.Clone(join), workload.Job{Name: "nope"})}, depart)
+						return err
+					})
+					unchanged("an unknown departure", func() error {
+						_, err := ep.Step(context.Background(), Roster{Jobs: join}, append(slices.Clone(depart), -7))
+						return err
+					})
+				}
+				if epoch%50 == 49 {
+					_, err := ep.Step(canceled, Roster{Jobs: join}, depart)
+					if shards > 1 && err == nil {
+						t.Fatalf("epoch %d: a sharded round ignored its canceled context", epoch)
+					}
+					if len(e.roster) != e.ledger.Len() {
+						t.Fatalf("epoch %d: roster of %d beside a ledger of %d after a canceled round", epoch, len(e.roster), e.ledger.Len())
+					}
+					ep.Close()
+					ep = e.Begin()
+					// The canceled round applied the churn; the next one
+					// absorbs none.
+					join, depart = nil, nil
+				}
+				r, err := ep.Step(context.Background(), Roster{Jobs: join}, depart)
+				if err != nil {
+					t.Fatalf("epoch %d: %v", epoch, err)
+				}
+				ep.End(Summary{})
+				check(r, fmt.Sprintf("epoch %d (%s)", epoch, r.Mode))
+				modes[r.Mode]++
+				rounds++
+				last = r
+			}
+			if modes["repair"] < 100 || modes["full"] < 10 {
+				t.Fatalf("rounds ran as %v: want repairs and full clears both", modes)
+			}
+		})
+	}
+}
+
+// An epoch whose participants all died clears an empty round, whose
+// mean penalty is 0, not NaN: the JSONL sink encodes its epoch_end and
+// keeps writing.
+func TestEmptyRoundKeepsTheSinkWriting(t *testing.T) {
+	e, _ := testEngine(t, Config{})
+	var sink strings.Builder
+	e.Tel.EventRing().SetSink(&sink)
+	ep := e.Begin()
+	r, err := ep.Clear(context.Background(), Roster{IDs: []int{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	penalties, mean := r.Penalties()
+	ep.End(Summary{Penalties: penalties, MeanPenalty: mean})
+	if err := e.Tel.EventRing().Err(); err != nil {
+		t.Fatalf("sink: %v", err)
+	}
+	if !strings.Contains(sink.String(), `"`+string(telemetry.EventEpochEnd)+`"`) {
+		t.Fatalf("no epoch_end line in the sink:\n%s", sink.String())
+	}
+	if len(penalties) != 0 || mean != 0 {
+		t.Fatalf("empty round's penalties = %v, mean %v; want none and 0", penalties, mean)
 	}
 }

@@ -18,13 +18,15 @@ type Agent struct {
 
 // Delta is the population change one epoch must absorb: the new
 // population, the prior matching mapped into its index space, and the
-// agents whose assignments churn invalidated.
+// agents whose assignments churn invalidated. Agents and Prev are views
+// of the ledger's buffers, overwritten by its next Apply, like Moved;
+// the other slices are the Delta's own.
 type Delta struct {
 	// Agents is the post-churn population in ledger order (survivors in
-	// prior order, then joiners in arrival order).
+	// prior order, then joiners in arrival order); nil when it is empty.
 	Agents []Agent
-	// Prev is the prior stable matching re-indexed to Agents. Dirty
-	// agents are Unmatched.
+	// Prev is the prior stable matching re-indexed to Agents, never nil.
+	// Dirty agents are Unmatched.
 	Prev matching.Matching
 	// Joined lists the indices (into Agents) admitted by this delta,
 	// ascending.
@@ -50,10 +52,11 @@ type Ledger struct {
 	churn   int // joins + departures since the last full clear
 	baseN   int // population size at the last full clear (0 = never cleared)
 
-	// Scratch reused by every ApplyIDs: the request's IDs sorted, and
-	// each agent's position after the departures leave.
+	// Scratch reused by every ApplyIDs: the request's IDs sorted, each
+	// agent's position after the departures leave, and the Delta's Prev.
 	departs, joins request
 	moved          []int
+	prev           matching.Matching
 }
 
 // dirty marks a partner entry whose assignment must be recomputed.
@@ -226,16 +229,22 @@ func (l *Ledger) ApplyIDs(joinIDs, joinJobs []int, departIDs []int) (*Delta, err
 	}
 	l.churn += len(departIDs) + len(joinJobs)
 
-	d.Agents = append([]Agent(nil), l.agents...)
-	d.Prev = make(matching.Matching, len(l.agents))
+	if len(l.agents) > 0 {
+		d.Agents = l.agents[:len(l.agents):len(l.agents)]
+	}
+	if l.prev == nil {
+		l.prev = matching.Matching{}
+	}
+	l.prev = l.prev[:0]
 	dirtyN := 0
-	for i, p := range l.partner {
+	for _, p := range l.partner {
 		if p == dirty {
 			p = matching.Unmatched
 			dirtyN++
 		}
-		d.Prev[i] = p
+		l.prev = append(l.prev, p)
 	}
+	d.Prev = l.prev[:len(l.prev):len(l.prev)]
 	if dirtyN > 0 {
 		d.Dirty = make([]int, 0, dirtyN)
 		for i, p := range l.partner {

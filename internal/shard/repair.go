@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"cooper/internal/matching"
@@ -30,6 +31,16 @@ type RepairResult struct {
 	// FallbackPairs counts cross-shard pairs formed for neighborhood
 	// agents the shard-local repairs left unmatched.
 	FallbackPairs int
+}
+
+// RepairScratch is what Market.Repair keeps from one call to the next: a
+// neighbourhood scratch per worker and an RNG per shard, which each call
+// reseeds in place with the shard's SplitSeed stream — the stream a
+// fresh generator on that seed draws. The zero value is ready. Not safe
+// for concurrent use.
+type RepairScratch struct {
+	nbhd []rematch.Scratch
+	rngs []*rand.Rand
 }
 
 // Repair routes an incremental re-match through the sharded market:
@@ -81,7 +92,12 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 	// below is independent of scheduling.
 	nbhds := make([][]int, shards)
 	local := make([]matching.Matching, shards)
-	scratch := make([]rematch.Scratch, min(parallel.Workers(m.Workers), shards))
+	rs := m.Repairs
+	if rs == nil {
+		rs = new(RepairScratch)
+	}
+	rs.nbhd = append(rs.nbhd, make([]rematch.Scratch, max(0, min(parallel.Workers(m.Workers), shards)-len(rs.nbhd)))...)
+	rs.rngs = append(rs.rngs, make([]*rand.Rand, max(0, shards-len(rs.rngs)))...)
 	err = parallel.ForEachWorker(ctx, m.Workers, shards, func(w, s int) error {
 		if len(dirtyIn[s]) == 0 {
 			return nil
@@ -95,14 +111,18 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 		sp.SetAttr("dirty", len(dirtyIn[s]))
 		defer m.Tel.End(sp)
 
-		g := rematch.Neighborhood(dirtyIn[s], &rematch.Pool{Members: groups[s], ShardOf: shardOf, Shard: s}, prev, p, topK, &scratch[w])
+		g := rematch.Neighborhood(dirtyIn[s], &rematch.Pool{Members: groups[s], ShardOf: shardOf, Shard: s}, prev, p, topK, &rs.nbhd[w])
 		k := len(g)
 		nbhds[s] = g
 		if k < 2 {
 			return nil
 		}
+		if rs.rngs[s] == nil {
+			rs.rngs[s] = stats.NewRand(0)
+		}
+		rs.rngs[s].Seed(parallel.SplitSeed(m.Seed, int64(s)))
 		lm, err := rematch.AssignWithin(g, p, func(i int) float64 { return jobs[i].BandwidthGBps },
-			m.Policy, stats.NewRand(parallel.SplitSeed(m.Seed, int64(s))), m.Tel.Registry())
+			m.Policy, rs.rngs[s], m.Tel.Registry())
 		if err != nil {
 			return fmt.Errorf("shard %d repair (%d agents): %w", s, k, err)
 		}

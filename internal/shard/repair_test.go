@@ -87,14 +87,31 @@ func TestRepairOnlyNeighborhoodChanges(t *testing.T) {
 	_ = res
 }
 
+// TestRepairDeterministicAcrossWorkers holds a randomized policy's
+// repair to one result at any worker count, whether Repair builds its
+// working memory or reuses a RepairScratch an earlier repair on another
+// seed left behind: reseeded in place, its RNGs draw the fresh streams.
 func TestRepairDeterministicAcrossWorkers(t *testing.T) {
 	n := 300
 	jobs, jobIdx := testJobs(n, "a", "b", "c", "d")
 	matrix := testMatrix(4)
 	var base *RepairResult
-	for _, workers := range []int{1, 8} {
+	used := new(RepairScratch)
+	for _, run := range []struct {
+		workers int
+		repairs *RepairScratch
+	}{{1, nil}, {8, nil}, {1, used}, {8, used}} {
+		workers := run.workers
 		mk, _, fixture := repairFixture(t, n, 6, workers)
+		mk.Policy, mk.Repairs = policy.StableMarriageRandom{}, run.repairs
 		dirty, prev := fixture()
+		if run.repairs != nil {
+			other := *mk
+			other.Seed++
+			if _, err := other.Repair(context.Background(), jobs, jobIdx, matrix, prev, dirty, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
 		rep, err := mk.Repair(context.Background(), jobs, jobIdx, matrix, prev, dirty, 8)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

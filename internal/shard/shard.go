@@ -260,6 +260,11 @@ type Market struct {
 	// market engine builds once and every shard reads; nil means each
 	// shard's matching ranks the classes it needs per call.
 	Ranks []int32
+	// Repairs, when non-nil, is Repair's working memory kept from one
+	// call to the next: an engine that repairs every round holds one.
+	// Nil means each Repair builds its own. Results are identical either
+	// way.
+	Repairs *RepairScratch
 	// SkipRecommendations suppresses the per-shard recommendation pass.
 	// The market engine always sets it: its agents assess against the
 	// whole population (rematch.Assess), not within their shard.
