@@ -1,24 +1,132 @@
 package cooper
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
+// program is Go source type-checked: its files by slash path, and the
+// object the checker resolved each identifier to.
+type program struct {
+	fset  *token.FileSet
+	files map[string]*ast.File
+	info  *types.Info
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// load parses srcs (slash path → source) and type-checks them, one
+// package per directory: the module root is package cooper and a
+// directory d is cooper/d, which names benchmark/ by its own module's
+// path too. Imports of the loaded packages resolve to them, and every
+// other import to the compiler's export data, whose files one
+// `go list -export -deps` call names, so nothing is fetched and the
+// standard library is not type-checked from source.
+func load(srcs map[string][]byte) (*program, error) {
+	p := &program{fset: token.NewFileSet(), files: make(map[string]*ast.File), info: &types.Info{
+		Defs: make(map[*ast.Ident]types.Object),
+		Uses: make(map[*ast.Ident]types.Object),
+	}}
+	pkgs := make(map[string][]*ast.File)
+	for path, src := range srcs {
+		f, err := parser.ParseFile(p.fset, path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files[path] = f
+		pkg := "cooper"
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			pkg += "/" + dir
+		}
+		pkgs[pkg] = append(pkgs[pkg], f)
+	}
+	var external []string
+	for _, f := range p.files {
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if _, ok := pkgs[path]; err == nil && !ok && !slices.Contains(external, path) {
+				external = append(external, path)
+			}
+		}
+	}
+	exports := make(map[string]string)
+	if len(external) > 0 {
+		out, err := exec.Command("go", append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}, external...)...).Output()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%w: %s", err, exit.Stderr)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("go list -export: %w", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			path, file, _ := strings.Cut(line, "\t")
+			exports[path] = file
+		}
+	}
+	fromExport := importer.ForCompiler(p.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+
+	var errs []error
+	checked := make(map[string]*types.Package)
+	conf := types.Config{Error: func(err error) { errs = append(errs, err) }}
+	check := func(path string) *types.Package {
+		if pkg, ok := checked[path]; ok {
+			return pkg
+		}
+		pkg, _ := conf.Check(path, p.fset, pkgs[path], p.info)
+		checked[path] = pkg
+		return pkg
+	}
+	conf.Importer = importerFunc(func(path string) (*types.Package, error) {
+		if _, ok := pkgs[path]; ok {
+			return check(path), nil
+		}
+		return fromExport.Import(path)
+	})
+	for path := range pkgs {
+		check(path)
+	}
+	return p, errors.Join(errs...)
+}
+
+// moduleTree is the module's non-test code and the benchmark harness,
+// type-checked once for every analyzer below.
+var moduleTree = sync.OnceValues(func() (*program, error) {
+	srcs, err := goSources(false, "benchmark")
+	if err != nil {
+		return nil, err
+	}
+	return load(srcs)
+})
+
 // flightLogWriters is the one-writer rule's allowlist: the packages
-// whose non-test code may call a method named Record or RecordIn, with
-// the goroutine each records on. Every other package reaches the flight
-// recorder only through these (fault injections, for one, are counted
-// in the registry and never logged), so a same-seed run writes its
-// events in one order whatever the scheduler does.
+// whose non-test code may call (*telemetry.EventRing).Record or
+// (*telemetry.Telemetry).RecordIn, with the goroutine each records on.
+// Every other package reaches the flight recorder only through these
+// (fault injections, for one, are counted in the registry and never
+// logged), so a same-seed run writes its events in one order whatever
+// the scheduler does.
 var flightLogWriters = map[string]string{
 	"internal/telemetry":   "the recorder itself: Telemetry.RecordIn stamps and appends",
 	"internal/market":      "the engine's epoch events, on the goroutine that clears",
@@ -29,56 +137,67 @@ var flightLogWriters = map[string]string{
 	"cmd/cooperd":          "live-audit violations, from the ring's observer on the recording goroutine",
 }
 
-// flightLogWrites parses one Go source file and returns its calls to a
-// method named Record or RecordIn, as "path:line:col: .Record", and the
-// ones among them that break the one-writer rule: all of them when the
-// file's package is not in flightLogWriters, none when it is.
-func flightLogWrites(t *testing.T, path string, src any) (calls, violations []string) {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+// flightLogMethods are the flight log's two append methods, by
+// types.Func.FullName.
+var flightLogMethods = map[string]bool{
+	"(*cooper/internal/telemetry.EventRing).Record":   true,
+	"(*cooper/internal/telemetry.Telemetry).RecordIn": true,
+}
+
+// flightLogWrites returns the directories of p whose code uses a flight
+// log append method, called or as a value, and the uses that break the
+// one-writer rule, those outside flightLogWriters, each as
+// "path:line:col: method", sorted. benchmark/, which times the recorder
+// in isolation, is not scanned.
+func flightLogWrites(p *program) (recording map[string]bool, violations []string) {
+	recording = make(map[string]bool)
+	for id, obj := range p.info.Uses {
+		fn, ok := obj.(*types.Func)
+		pos := p.fset.Position(id.Pos())
+		if !ok || !flightLogMethods[fn.FullName()] || strings.HasPrefix(pos.Filename, "benchmark/") {
+			continue
 		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Record" || sel.Sel.Name == "RecordIn") {
-			calls = append(calls, fset.Position(call.Pos()).String()+": ."+sel.Sel.Name)
+		dir := filepath.ToSlash(filepath.Dir(pos.Filename))
+		recording[dir] = true
+		if _, ok := flightLogWriters[dir]; !ok {
+			violations = append(violations, pos.String()+": "+fn.FullName())
 		}
-		return true
-	})
-	if _, ok := flightLogWriters[filepath.ToSlash(filepath.Dir(path))]; ok {
-		return calls, nil
 	}
-	return calls, calls
+	sort.Strings(violations)
+	return recording, violations
 }
 
 // TestFlightLogWriters pins the flight log's one-writer rule over every
-// non-test file in the module (benchmark/, its own module, times the
-// recorder in isolation and is not scanned). A violating fixture must be
-// flagged, and every allowlisted package must still record, so the
-// table cannot outlive the code it admits.
+// non-test file in the module. A fixture that records from a package off
+// the allowlist must be flagged, a Record method of another type must
+// not, and every allowlisted package must still record, so the table
+// cannot outlive the code it admits.
 func TestFlightLogWriters(t *testing.T) {
-	fixture := "package faults\n\nfunc (in *Injector) count(kind string) {\n\tin.events.Record(telemetry.Event{Kind: kind})\n}\n"
-	if _, bad := flightLogWrites(t, "internal/faults/faults.go", fixture); len(bad) != 1 {
-		t.Errorf("fixture recording from internal/faults: flagged %v, want one call", bad)
+	caller := func(pkg string) []byte {
+		return []byte("package " + pkg + "\n\nimport \"cooper/internal/telemetry\"\n\ntype tally struct{}\n\n" +
+			"func (tally) Record(string) {}\n\nfunc count(events *telemetry.EventRing, t tally, kind string) {\n" +
+			"\tt.Record(kind)\n\tevents.Record(telemetry.Event{Kind: kind})\n}\n")
 	}
-	if _, bad := flightLogWrites(t, "internal/netproto/netproto.go", fixture); len(bad) != 0 {
-		t.Errorf("fixture recording from internal/netproto: flagged %v, want none", bad)
+	fixture, err := load(map[string][]byte{
+		"internal/telemetry/telemetry.go": []byte("package telemetry\n\ntype Event struct{ Kind string }\n\n" +
+			"type EventRing struct{}\n\nfunc (*EventRing) Record(Event) int64 { return 0 }\n"),
+		"internal/faults/faults.go":     caller("faults"),
+		"internal/netproto/netproto.go": caller("netproto"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recording, bad := flightLogWrites(fixture); len(bad) != 1 || !strings.HasPrefix(bad[0], "internal/faults/faults.go:") || !recording["internal/netproto"] {
+		t.Errorf("fixture: flagged %v of the writes from %v, want the one in internal/faults", bad, recording)
 	}
 
-	recording := make(map[string]bool)
-	for path, src := range goSources(t, false) {
-		calls, bad := flightLogWrites(t, path, src)
-		if len(calls) > 0 {
-			recording[filepath.ToSlash(filepath.Dir(path))] = true
-		}
-		for _, v := range bad {
-			t.Errorf("%s: a flight-log write outside the one-writer allowlist", v)
-		}
+	tree, err := moduleTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recording, bad := flightLogWrites(tree)
+	for _, v := range bad {
+		t.Errorf("%s: a flight-log write outside the one-writer allowlist", v)
 	}
 	var stale []string
 	for pkg := range flightLogWriters {
@@ -95,8 +214,7 @@ func TestFlightLogWriters(t *testing.T) {
 // goSources reads the module's Go files, test files only when tests is
 // set, keyed by slash-separated path. testdata, hidden directories and
 // nested modules are skipped, except the nested modules named in also.
-func goSources(t *testing.T, tests bool, also ...string) map[string][]byte {
-	t.Helper()
+func goSources(tests bool, also ...string) (map[string][]byte, error) {
 	srcs := make(map[string][]byte)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -119,10 +237,7 @@ func goSources(t *testing.T, tests bool, also ...string) map[string][]byte {
 		srcs[filepath.ToSlash(path)] = src
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srcs
+	return srcs, err
 }
 
 // globalRandAllowed lists the uses of math/rand's package-level
@@ -190,8 +305,12 @@ func TestNoGlobalRand(t *testing.T) {
 		t.Errorf("fixture: flagged %v, want rand.Intn, rand.Float64 and rand.Perm", names)
 	}
 
+	srcs, err := goSources(true, "benchmark")
+	if err != nil {
+		t.Fatal(err)
+	}
 	used := make(map[string]bool)
-	for path, src := range goSources(t, true, "benchmark") {
+	for path, src := range srcs {
 		pos, names := globalRandUses(t, path, src)
 		for i, name := range names {
 			key := path + ": " + name
@@ -213,12 +332,13 @@ func TestNoGlobalRand(t *testing.T) {
 var reachRoots = []string{"cmd/", "examples/", "benchmark/", "cooper.go", "options.go"}
 
 // implicitMethods are called through interfaces of the standard library
-// or the runtime (fmt, errors, net/http, io, encoding/json, sort), not by
-// name from this module's code.
+// or the runtime (fmt, errors, net/http, io, encoding/json, sort,
+// container/heap), not from this module's code: a reached type's method
+// by one of these names is reached.
 var implicitMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true, "ServeHTTP": true,
 	"Read": true, "Write": true, "Close": true, "MarshalJSON": true,
-	"Len": true, "Less": true, "Swap": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 }
 
 // unreachedAllowed lists the declarations no root reaches that stay,
@@ -227,6 +347,10 @@ var implicitMethods = map[string]bool{
 // it. "dir.*" admits a whole package.
 var unreachedAllowed = map[string]string{
 	"internal/core.Framework.Closed":                     "facade API: cooper.Framework is core.Framework",
+	"internal/core.Framework.Database":                   "facade API: cooper.Framework is core.Framework",
+	"internal/core.Framework.Kernel":                     "facade API: cooper.Framework is core.Framework",
+	"internal/faults.realClock.Now":                      "test seam: Clock's reading, which tests take through the interface",
+	"internal/faults.FakeClock.Now":                      "test seam: Clock's reading, which tests take through the interface",
 	"internal/faults.NewFakeClock":                       "test double: drives dial backoff and injected stalls without sleeping",
 	"internal/faults.FakeClock.Advance":                  "test double: moves the fake clock",
 	"internal/faults.FakeClock.Slept":                    "test double: reports the sleeps the fake clock absorbed",
@@ -248,50 +372,51 @@ var unreachedAllowed = map[string]string{
 	"internal/recommend.Predictor.WithReferenceKernel":   "oracle: the reference kernel the equivalence suite is held to",
 }
 
-// decl is one top-level declaration and the identifiers it mentions.
+// decl is one top-level declaration and the objects it uses.
 type decl struct {
-	key  string // dir.Name, or dir.Recv.Name for a method
+	key  string          // dir.Name, or dir.Recv.Name for a method
+	typ  *types.TypeName // the type a type declaration declares
 	root bool
-	refs []string
+	uses []types.Object
 }
 
-// reachability parses srcs (slash path → source) and walks from the
-// roots, then from the allowed entries, by identifier name: a
-// declaration is reached once a reached one mentions its name, so a
-// method is reached once anything reached calls a method by that name.
-// A parenthesized const group is one declaration, so an enum stays
-// whole. It returns the keys left unreached and the stale entries of
-// allowed — those the roots reach or that name no declaration — both
-// sorted.
-func reachability(t *testing.T, srcs map[string][]byte, allowed map[string]string) (unreached, stale []string) {
-	t.Helper()
+// reachability walks p from the roots, then from the allowed entries,
+// over the objects each declaration uses as the type checker resolved
+// them: a declaration is reached once a reached one uses what it
+// declares. A method is also reached when its type is reached and
+// reached code uses an interface method it implements, or when its name
+// is in implicitMethods. A parenthesized const group is one
+// declaration, so an enum stays whole. It returns the keys left
+// unreached and the stale entries of allowed — those the roots reach or
+// that name no declaration — both sorted.
+func reachability(p *program, allowed map[string]string) (unreached, stale []string) {
 	var decls []*decl
-	byName := make(map[string][]*decl)
-	for path, src := range srcs {
-		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
+	declOf := make(map[types.Object]*decl)
+	for path, f := range p.files {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		root := false
 		for _, r := range reachRoots {
 			root = root || strings.HasPrefix(path, r)
 		}
 		// add records a declaration of the given names, a root when its
-		// file is or implicit says so; what it mentions besides those
-		// names are its references.
-		add := func(key string, implicit bool, node ast.Node, names ...*ast.Ident) {
+		// file is or implicit says so, and every object its node uses.
+		add := func(key string, implicit bool, node ast.Node, names ...*ast.Ident) *decl {
 			d := &decl{key: dir + "." + key, root: root || implicit}
 			ast.Inspect(node, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !slices.Contains(names, id) {
-					d.refs = append(d.refs, id.Name)
+				if id, ok := n.(*ast.Ident); ok && p.info.Uses[id] != nil {
+					obj := p.info.Uses[id]
+					if fn, ok := obj.(*types.Func); ok {
+						obj = fn.Origin()
+					}
+					d.uses = append(d.uses, obj)
 				}
 				return true
 			})
 			decls = append(decls, d)
 			for _, name := range names {
-				byName[name.Name] = append(byName[name.Name], d)
+				declOf[p.info.Defs[name]] = d
 			}
+			return d
 		}
 		for _, gd := range f.Decls {
 			switch gd := gd.(type) {
@@ -305,7 +430,7 @@ func reachability(t *testing.T, srcs map[string][]byte, allowed map[string]strin
 				if star, ok := recv.(*ast.StarExpr); ok {
 					recv = star.X
 				}
-				add(recv.(*ast.Ident).Name+"."+name, implicitMethods[name], gd, gd.Name)
+				add(recv.(*ast.Ident).Name+"."+name, false, gd, gd.Name)
 			case *ast.GenDecl:
 				if gd.Tok == token.CONST && gd.Lparen.IsValid() {
 					var names []*ast.Ident
@@ -318,7 +443,8 @@ func reachability(t *testing.T, srcs map[string][]byte, allowed map[string]strin
 				for _, spec := range gd.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
-						add(s.Name.Name, false, s, s.Name)
+						d := add(s.Name.Name, false, s, s.Name)
+						d.typ, _ = p.info.Defs[s.Name].(*types.TypeName)
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
 							if n.Name != "_" {
@@ -332,23 +458,51 @@ func reachability(t *testing.T, srcs map[string][]byte, allowed map[string]strin
 	}
 
 	reached := make(map[*decl]bool)
+	var queue []*decl
+	reach := func(d *decl) {
+		if d != nil && !reached[d] {
+			reached[d] = true
+			queue = append(queue, d)
+		}
+	}
+	// called holds the interface methods reached code uses.
+	called := make(map[*types.Func]bool)
+	method := func(t types.Type, pkg *types.Package, name string) *decl {
+		obj, _, _ := types.LookupFieldOrMethod(t, true, pkg, name)
+		return declOf[obj]
+	}
 	walk := func(from func(*decl) bool) {
-		var queue []*decl
 		for _, d := range decls {
-			if !reached[d] && from(d) {
-				reached[d] = true
-				queue = append(queue, d)
+			if from(d) {
+				reach(d)
 			}
 		}
 		for len(queue) > 0 {
-			d := queue[0]
-			queue = queue[1:]
-			for _, name := range d.refs {
-				for _, next := range byName[name] {
-					if !reached[next] {
-						reached[next] = true
-						queue = append(queue, next)
+			for len(queue) > 0 {
+				d := queue[0]
+				queue = queue[1:]
+				for _, obj := range d.uses {
+					if fn, ok := obj.(*types.Func); ok {
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+							called[fn] = true
+						}
 					}
+					reach(declOf[obj])
+				}
+			}
+			for _, d := range decls {
+				if !reached[d] || d.typ == nil || types.IsInterface(d.typ.Type()) {
+					continue
+				}
+				ptr := types.NewPointer(d.typ.Type())
+				for fn := range called {
+					iface := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+					if types.Implements(ptr, iface) {
+						reach(method(ptr, fn.Pkg(), fn.Name()))
+					}
+				}
+				for name := range implicitMethods {
+					reach(method(ptr, nil, name))
 				}
 			}
 		}
@@ -388,25 +542,35 @@ func reachability(t *testing.T, srcs map[string][]byte, allowed map[string]strin
 // TestEveryDeclarationIsReached holds the non-test code to what a user
 // runs: every top-level declaration must be reached from a command, an
 // example, the benchmark harness or the facade, or be kept by an
-// unreachedAllowed entry. A violating fixture must be flagged, and an
-// entry the roots reach, or that names nothing, is flagged as stale.
+// unreachedAllowed entry. A violating fixture must be flagged, a dead
+// method that shares a reached function's name among it, and an entry
+// the roots reach, or that names nothing, is flagged as stale.
 func TestEveryDeclarationIsReached(t *testing.T) {
-	fixture := map[string][]byte{
-		"cmd/tool/main.go": []byte("package main\n\nfunc main() { lib.New().Run() }\n"),
-		"internal/lib/lib.go": []byte("package lib\n\ntype T struct{}\n\nfunc New() *T { return &T{} }\n\n" +
-			"func (*T) Run() {}\n\nfunc (*T) String() string { return \"\" }\n\nfunc (*T) Walk() {}\n\n" +
-			"func Dead() { New().Walk() }\n\nfunc Kept() { helper() }\n\nfunc helper() {}\n"),
+	fixture, err := load(map[string][]byte{
+		"cmd/tool/main.go": []byte("package main\n\nimport \"cooper/internal/lib\"\n\n" +
+			"func main() {\n\tlib.New().Run()\n\tlib.ForEach()\n\tlib.Step(lib.New())\n}\n"),
+		"internal/lib/lib.go": []byte("package lib\n\ntype Stepper interface{ Step() }\n\ntype T struct{}\n\ntype U struct{}\n\n" +
+			"func New() *T { return &T{} }\n\nfunc (*T) Run() {}\n\nfunc (*T) Step() {}\n\nfunc (U) Step() {}\n\n" +
+			"func (*T) String() string { return \"\" }\n\nfunc (*T) Walk() {}\n\nfunc (*T) ForEach() {}\n\nfunc ForEach() {}\n\n" +
+			"func Step(s Stepper) { s.Step() }\n\nfunc Dead() { New().Walk() }\n\nfunc Kept() { helper() }\n\nfunc helper() {}\n"),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	allowed := map[string]string{"internal/lib.Kept": "kept", "internal/lib.New": "reached", "internal/lib.Gone": "gone"}
-	unreached, stale := reachability(t, fixture, allowed)
-	if want := []string{"internal/lib.Dead", "internal/lib.T.Walk"}; !slices.Equal(unreached, want) {
+	unreached, stale := reachability(fixture, allowed)
+	if want := []string{"internal/lib.Dead", "internal/lib.T.ForEach", "internal/lib.T.Walk", "internal/lib.U", "internal/lib.U.Step"}; !slices.Equal(unreached, want) {
 		t.Errorf("fixture: unreached %v, want %v", unreached, want)
 	}
 	if want := []string{"internal/lib.Gone", "internal/lib.New"}; !slices.Equal(stale, want) {
 		t.Errorf("fixture: stale entries %v, want %v", stale, want)
 	}
 
-	unreached, stale = reachability(t, goSources(t, false, "benchmark"), unreachedAllowed)
+	tree, err := moduleTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreached, stale = reachability(tree, unreachedAllowed)
 	for _, key := range unreached {
 		t.Errorf("%s: no command, example, benchmark or facade reaches it; delete it or allowlist it with a reason", key)
 	}

@@ -36,8 +36,8 @@
 //
 // The pipeline's hot phases — the profiling campaign, penalty-matrix
 // completion, and the sharded market's per-shard clears — fan out across
-// a bounded worker pool sized by WithWorkers (<= 0 means GOMAXPROCS,
-// 1 forces the serial path). Parallelism never perturbs results: every
+// at most WithWorkers goroutines each (<= 0 means GOMAXPROCS, 1 forces
+// the serial path). Parallelism never perturbs results: every
 // fan-out writes to its own slot and seeds its own randomness, so reports
 // are bit-identical at any worker count. Contention solves are memoized
 // in a pair-penalty cache: the oracle matrix fills it once, epochs read
@@ -69,7 +69,7 @@
 // predictor (internal/recommend), stable matching (internal/matching),
 // cooperative game theory (internal/game), colocation policies
 // (internal/policy), agents (internal/agent), cluster dispatch
-// (internal/cluster), and the worker pool (internal/parallel).
+// (internal/cluster), and the deterministic fan-out (internal/parallel).
 package cooper
 
 import (

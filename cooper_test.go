@@ -261,18 +261,19 @@ func TestPredictCompleteAllocation(t *testing.T) {
 // streaming repair epoch at the stream-sharded workload's size — 10,000
 // agents over 32 shards, 1% churn — stays under 1.75 MiB (about 1.49 MB
 // measured: the report's own slices, the round's IDs, rows and shards,
-// and the repaired matching) and 520 heap objects (about 473). Facts
-// that are per job class are computed per class: the pair penalties a
-// colocation executes, the shard an agent hashes to, a repair's
-// candidates, and the assessment, which counts blocking pairs from class
-// counts instead of listing partners. The churn ledger holds positions
-// and hands out views of its buffers, the engine keeps the live roster
-// in place and carries shards by position, the shard repairs keep their
-// scratch and RNGs across rounds and the dispatch reuses its buffers, so
-// none of them rebuilds anything of population size per shard or per
-// agent, and no per-agent allocation holds a pointer. Both figures grow
-// with the worker count, so the epoch runs at GOMAXPROCS=2 whatever the
-// host.
+// and the repaired matching) and 520 heap objects (about 475, with the
+// race detector or without). Facts that are per job class are computed
+// per class: the pair penalties a colocation executes, the shard an
+// agent hashes to, a repair's candidates, and the assessment, which
+// counts blocking pairs from class counts instead of listing partners.
+// The churn ledger holds positions and hands out views of its buffers,
+// the engine reads the round's jobs off it into a reused buffer and
+// carries shards by position, the shard repairs keep their scratch and
+// RNGs across rounds, growing the scratch only when it is too small, and
+// the dispatch reuses its buffers, so none of them rebuilds anything of
+// population size per shard or per agent, and no per-agent allocation
+// holds a pointer. Both figures grow with the worker count, so the epoch
+// runs at GOMAXPROCS=2 whatever the host.
 func TestStreamRepairEpochAllocation(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	m := newStreamMarket(t, 10000, 32, 1e9) // never a full clear after epoch 0

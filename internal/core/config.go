@@ -17,8 +17,8 @@ type MarketConfig = market.Config
 // budget and profiling and prediction configuration. An epoch's deadline
 // is its context's (RunEpochContext, StreamEpochContext).
 type PipelineConfig struct {
-	// Workers bounds the worker pool the pipeline's fan-out phases share
-	// (profiling campaign, matrix completion, oracle computation,
+	// Workers bounds the goroutines each of the pipeline's fan-out phases
+	// runs (profiling campaign, matrix completion, oracle computation,
 	// per-shard matching). <= 0 means GOMAXPROCS; 1 forces
 	// the serial pipeline. Any value produces bit-identical results —
 	// parallelism never perturbs the simulation.

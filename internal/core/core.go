@@ -37,7 +37,7 @@ var ErrCanceled = errors.New("cooper: pipeline canceled")
 var ErrClosed = errors.New("cooper: framework closed")
 
 // Framework is a ready-to-run Cooper instance: calibrated catalog,
-// profiling database, completed preference model, worker pool, pair
+// profiling database, completed preference model, worker budget, pair
 // cache, and cluster.
 type Framework struct {
 	cfg     Config
@@ -51,7 +51,7 @@ type Framework struct {
 	kernel    string      // which kernel produced predicted (see Kernel)
 	rng       *rand.Rand
 	tel       *telemetry.Telemetry
-	pool      *parallel.Pool
+	workers   int // resolved worker budget of the fan-out phases
 	cache     *arch.PairCache
 
 	mu       sync.Mutex // guards closed
@@ -92,7 +92,7 @@ func NewFramework(ctx context.Context, cfg Config) (*Framework, error) {
 		db:      profiler.NewDatabase(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		tel:     cfg.Observe.Telemetry,
-		pool:    parallel.NewPool(cfg.Pipeline.Workers),
+		workers: parallel.Workers(cfg.Pipeline.Workers),
 	}
 	f.cache = arch.NewPairCache(cfg.Machine, f.tel.Registry())
 	if f.tel != nil {
@@ -112,7 +112,7 @@ func NewFramework(ctx context.Context, cfg Config) (*Framework, error) {
 	}
 	f.engine = market.New(market.Engine{
 		Config:  cfg.Market,
-		Workers: f.pool.Workers(),
+		Workers: f.workers,
 		Catalog: catalog,
 		Matrix:  f.predicted,
 		Rand:    f.rng,
@@ -132,7 +132,7 @@ func (f *Framework) train(ctx context.Context) error {
 	cfg, catalog := f.cfg, f.catalog
 	var err error
 	f.truth, err = profiler.DensePenaltiesContext(ctx, cfg.Machine, catalog,
-		f.pool.Workers(), f.cache)
+		f.workers, f.cache)
 	if err != nil {
 		return wrapCanceled(ctx, err)
 	}
@@ -153,7 +153,7 @@ func (f *Framework) train(ctx context.Context) error {
 	prof := profiler.New(cfg.Machine, f.db, cfg.Seed+1)
 	prof.Sim = cfg.Sim
 	prof.Tel = f.tel
-	prof.Workers = f.pool.Workers()
+	prof.Workers = f.workers
 	if err := prof.CampaignContext(ctx, catalog, cfg.Pipeline.SampleFraction); err != nil {
 		return wrapCanceled(ctx, err)
 	}
@@ -169,7 +169,7 @@ func (f *Framework) train(ctx context.Context) error {
 	preCandSkipped := reg.Counter("predict.candidates_skipped").Value()
 	pred := cfg.Pipeline.Predictor
 	pred.Metrics = reg
-	pred.Workers = f.pool.Workers()
+	pred.Workers = f.workers
 	f.kernel = pred.KernelName()
 	predict.SetAttr("kernel", f.kernel)
 	f.predicted, f.iters, err = pred.CompleteContext(ctx, sparse)
@@ -212,11 +212,10 @@ func wrapCanceled(ctx context.Context, err error) error {
 	return err
 }
 
-// Close drains the framework: it marks the framework closed, waits for
-// in-flight epochs to finish, and shuts the worker pool down. Further
-// RunEpoch calls return ErrClosed. Safe to call more than once and from
-// any goroutine (cooperd calls it from its signal handler while an epoch
-// may be mid-dispatch).
+// Close drains the framework: it marks the framework closed and waits
+// for in-flight epochs to finish. Further RunEpoch calls return
+// ErrClosed. Safe to call more than once and from any goroutine (cooperd
+// calls it from its signal handler while an epoch may be mid-dispatch).
 func (f *Framework) Close() error {
 	f.mu.Lock()
 	already := f.closed
@@ -226,7 +225,6 @@ func (f *Framework) Close() error {
 		return nil
 	}
 	f.inflight.Wait()
-	f.pool.Close()
 	return nil
 }
 
@@ -237,8 +235,8 @@ func (f *Framework) Closed() bool {
 	return f.closed
 }
 
-// Workers returns the resolved worker budget of the framework's pool.
-func (f *Framework) Workers() int { return f.pool.Workers() }
+// Workers returns the framework's resolved worker budget.
+func (f *Framework) Workers() int { return f.workers }
 
 // PairCache returns the framework's memoized pair-penalty cache.
 func (f *Framework) PairCache() *arch.PairCache { return f.cache }

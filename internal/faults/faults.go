@@ -161,14 +161,6 @@ func NewPlan(cfg Config, metrics *telemetry.Registry, clock Clock) *Plan {
 	return &Plan{cfg: cfg, clock: clock, metrics: metrics, inj: make(map[int64]*Injector)}
 }
 
-// Config returns the plan's configuration (zero value for a nil plan).
-func (p *Plan) Config() Config {
-	if p == nil {
-		return Config{}
-	}
-	return p.cfg
-}
-
 // Injector returns the plan's injector for key, creating it on first use
 // with an RNG seeded by SplitSeed(plan seed, key). The same key always
 // returns the same injector, so an agent that reconnects continues its
@@ -264,15 +256,6 @@ func (in *Injector) Draws() int64 {
 
 func (in *Injector) count(kind string) {
 	in.metrics.Counter("fault.injected." + kind).Inc()
-}
-
-// Float64 exposes the injector's RNG stream for auxiliary randomness
-// (e.g. deterministic backoff jitter in tests).
-func (in *Injector) Float64() float64 {
-	if in == nil {
-		return 0
-	}
-	return in.draw()
 }
 
 // FailConnect decides whether the next dial attempt should fail before

@@ -39,9 +39,6 @@ func TestNilPlanAndInjectorAreNoOps(t *testing.T) {
 	}
 	p.RecordCrash()
 	p.RecordRejoin()
-	if cfg := p.Config(); !reflect.DeepEqual(cfg, Config{}) {
-		t.Errorf("nil plan config = %+v", cfg)
-	}
 
 	var in *Injector
 	if in.FailConnect() {

@@ -229,18 +229,6 @@ func (b *Builder) step(st *agentState, e telemetry.Event, state State, partner i
 	st.j.Steps = append(st.j.Steps, s)
 }
 
-// Agents returns every agent ID seen, ascending.
-func (b *Builder) Agents() []int {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ids := append([]int(nil), b.order...)
-	sort.Ints(ids)
-	return ids
-}
-
 // Journey returns the agent's journey, or false if the agent was never
 // seen. The copy is deep; the caller may keep it across later folds.
 func (b *Builder) Journey(agent int) (Journey, bool) {

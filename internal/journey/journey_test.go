@@ -96,8 +96,8 @@ func TestJourneyFold(t *testing.T) {
 		t.Errorf("agent 8 journey = %v problems %v", j8.Steps, j8.Problems)
 	}
 
-	if got := b.Agents(); len(got) != 3 || got[0] != 7 || got[2] != 9 {
-		t.Errorf("Agents() = %v, want [7 8 9]", got)
+	if got := b.Journeys(); len(got) != 3 || got[0].Agent != 7 || got[1].Agent != 8 || got[2].Agent != 9 {
+		t.Errorf("Journeys() = %v, want agents 7, 8 and 9 in order", got)
 	}
 	if _, ok := b.Journey(99); ok {
 		t.Error("unknown agent should report no journey")
@@ -266,7 +266,7 @@ func TestRenderAndChrome(t *testing.T) {
 	// Nil safety across the read API.
 	var nilB *Builder
 	nilB.Observe(telemetry.Event{})
-	if nilB.Journeys() != nil || nilB.Agents() != nil || nilB.LastTimeUnixNano() != 0 {
+	if nilB.Journeys() != nil || nilB.LastTimeUnixNano() != 0 {
 		t.Error("nil builder reads should be empty")
 	}
 	if _, ok := nilB.Journey(1); ok {

@@ -109,10 +109,9 @@ type Engine struct {
 	rowOf   map[string]int // catalog job name → matrix row
 	catalog []string       // catalog job names, for snapshots
 
-	// roster is the streaming population's jobs by ledger position:
-	// roster[i] is Catalog[row of the ledger's agent i], kept in step
-	// with every ApplyIDs that succeeds (apply). A Step's round views it.
-	roster []workload.Job
+	// jobs backs a Step round's Jobs: Catalog[row of the ledger's agent
+	// i], written by every Step the ledger accepts.
+	jobs []workload.Job
 
 	// A sharded engine keeps one ring for its lifetime, and the standing
 	// round: its last, whose shards the next round carries by position.
@@ -215,9 +214,9 @@ type Roster struct {
 type Round struct {
 	// IDs, Jobs and JobIdx describe the population: agent i's stable
 	// identity (nil means its index), its job, and its Matrix row. A
-	// Clear's Jobs is the caller's roster; a Step's is a view of the
-	// engine's live roster (Jobs[i] is Catalog[JobIdx[i]]), valid until
-	// the engine's next Step. The other slices are the round's own.
+	// Clear's Jobs is the caller's roster; a Step's is a view of an
+	// engine buffer (Jobs[i] is Catalog[JobIdx[i]]), valid until the
+	// engine's next Step. The other slices are the round's own.
 	IDs    []int
 	Jobs   []workload.Job
 	JobIdx []int
@@ -466,8 +465,8 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	if ep.last != nil {
 		// Reseed the ledger from the previous round: a fresh full clear,
 		// so the churn budget restarts from its population.
-		e.ledger, e.roster = rematch.Ledger{}, e.roster[:0]
-		if _, err := e.apply(ep.last.IDs, ep.last.JobIdx, nil); err != nil {
+		e.ledger = rematch.Ledger{}
+		if _, err := e.ledger.ApplyIDs(ep.last.IDs, ep.last.JobIdx, nil); err != nil {
 			return nil, err
 		}
 		if err := e.ledger.Commit(ep.last.Match, true); err != nil {
@@ -475,7 +474,7 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 		}
 		ep.last = nil
 	}
-	delta, err := e.apply(join.IDs, joinRows, depart)
+	delta, err := e.ledger.ApplyIDs(join.IDs, joinRows, depart)
 	if err != nil {
 		return nil, err
 	}
@@ -484,10 +483,11 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 		return nil, fmt.Errorf("market: empty population after churn")
 	}
 	ids, rows := make([]int, n), make([]int, n)
+	e.jobs = slices.Grow(e.jobs[:0], n)[:n]
 	for i, a := range delta.Agents {
-		ids[i], rows[i] = a.ID, a.Job
+		ids[i], rows[i], e.jobs[i] = a.ID, a.Job, e.Catalog[a.Job]
 	}
-	r := ep.newRound(ids, e.roster, rows, "repair")
+	r := ep.newRound(ids, e.jobs, rows, "repair")
 	r.Joined, r.Departed, r.Dirty = len(delta.Joined), len(delta.Departed), delta.Dirty
 	announce := func() {
 		if e.Tel.EventRing() == nil {
@@ -536,27 +536,6 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 		r.Recommendations, r.BlockingPairCount = rematch.Assess(e.view(rows), r.Match, e.Alpha)
 	}
 	return r, nil
-}
-
-// apply absorbs churn into the ledger and keeps the roster beside it:
-// after an ApplyIDs that succeeds, the roster's survivors compact as the
-// ledger's did (Moved) and the joiners' catalog rows follow. A rejected
-// request leaves both as they were.
-func (e *Engine) apply(joinIDs, joinRows, depart []int) (*rematch.Delta, error) {
-	delta, err := e.ledger.ApplyIDs(joinIDs, joinRows, depart)
-	if err != nil {
-		return nil, err
-	}
-	for i, to := range e.ledger.Moved() {
-		if to >= 0 && to != i {
-			e.roster[to] = e.roster[i]
-		}
-	}
-	e.roster = slices.Grow(e.roster[:len(delta.Agents)-len(joinRows)], len(joinRows))
-	for _, row := range joinRows {
-		e.roster = append(e.roster, e.Catalog[row])
-	}
-	return delta, nil
 }
 
 // match runs one round's matching inside its "match" span — keyed by

@@ -22,17 +22,6 @@ const Unmatched = -1
 // Matching records partners: m[i] is agent i's partner index, or Unmatched.
 type Matching []int
 
-// Pairs returns the matched pairs (i, j) with i < j.
-func (m Matching) Pairs() [][2]int {
-	var pairs [][2]int
-	for i, j := range m {
-		if j != Unmatched && i < j {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	return pairs
-}
-
 // Validate checks that the matching is a symmetric partial pairing.
 func (m Matching) Validate() error {
 	for i, j := range m {

@@ -181,10 +181,6 @@ func TestMatchingHelpers(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Errorf("valid matching rejected: %v", err)
 	}
-	pairs := m.Pairs()
-	if len(pairs) != 1 || pairs[0] != [2]int{0, 1} {
-		t.Errorf("Pairs = %v", pairs)
-	}
 	bad := []Matching{
 		{1, 2, 0},      // asymmetric
 		{0, Unmatched}, // self pair (agent 0 with itself)

@@ -1,8 +1,8 @@
-// Package parallel provides the bounded worker pool and deterministic
-// fan-out helpers the Cooper pipeline's hot paths share: the offline
-// profiling campaign, penalty-matrix completion, true-penalty assessment,
-// and the dense oracle computation all fan work units out across a fixed
-// number of workers.
+// Package parallel provides the deterministic fan-out helpers the Cooper
+// pipeline's hot paths share: the offline profiling campaign,
+// penalty-matrix completion, true-penalty assessment, and the dense
+// oracle computation all fan work units out across a fixed number of
+// workers, which Workers resolves from the pipeline's knob.
 //
 // Determinism is the package's contract: a fan-out over n items invokes
 // the item function exactly once per index, items write results only into
@@ -13,16 +13,11 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// ErrClosed is returned by Pool.ForEach after Close: the pool no longer
-// accepts work. Test with errors.Is.
-var ErrClosed = errors.New("parallel: pool closed")
 
 // Workers resolves a worker-count knob: values <= 0 mean GOMAXPROCS, the
 // number of OS threads Go will actually run concurrently.
@@ -111,66 +106,6 @@ func ForEachWorker(ctx context.Context, workers, n int, fn func(worker, i int) e
 		return fmt.Errorf("parallel: %w", err)
 	}
 	return nil
-}
-
-// Pool is a bounded worker pool shared by a pipeline's fan-out sites: a
-// fixed worker budget, a drain barrier, and a closed state. The zero
-// Pool and the nil Pool are both usable and run work with a default
-// GOMAXPROCS budget, so callers need not branch on configuration.
-type Pool struct {
-	workers int
-
-	mu       sync.Mutex
-	closed   bool
-	inflight sync.WaitGroup
-}
-
-// NewPool returns a pool with the given worker budget (<= 0 means
-// GOMAXPROCS).
-func NewPool(workers int) *Pool {
-	return &Pool{workers: Workers(workers)}
-}
-
-// Workers returns the pool's concurrency budget.
-func (p *Pool) Workers() int {
-	if p == nil || p.workers == 0 {
-		return Workers(0)
-	}
-	return p.workers
-}
-
-// ForEach fans fn out over [0, n) under the pool's worker budget. After
-// Close it returns ErrClosed without running anything.
-func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int) error) error {
-	if p == nil {
-		return ForEach(ctx, 0, n, fn)
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.inflight.Add(1)
-	p.mu.Unlock()
-	defer p.inflight.Done()
-	return ForEach(ctx, p.Workers(), n, fn)
-}
-
-// Close marks the pool closed and blocks until every in-flight ForEach
-// has drained. Safe to call more than once and from any goroutine; a nil
-// pool is a no-op.
-func (p *Pool) Close() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	already := p.closed
-	p.closed = true
-	p.mu.Unlock()
-	if already {
-		return
-	}
-	p.inflight.Wait()
 }
 
 // SplitSeed derives a child seed for work item i from a base seed using a

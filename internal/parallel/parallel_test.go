@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -129,59 +128,6 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestPoolCloseDrainsAndRejects(t *testing.T) {
-	p := NewPool(2)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var finished atomic.Int32
-	go func() {
-		_ = p.ForEach(context.Background(), 2, func(i int) error {
-			if i == 0 {
-				close(started)
-			}
-			<-release
-			finished.Add(1)
-			return nil
-		})
-	}()
-	<-started
-
-	closed := make(chan struct{})
-	go func() {
-		p.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-		t.Fatal("Close returned before in-flight work drained")
-	case <-time.After(10 * time.Millisecond):
-	}
-	close(release)
-	<-closed
-	if finished.Load() != 2 {
-		t.Errorf("drained %d items, want 2", finished.Load())
-	}
-	if err := p.ForEach(context.Background(), 1, func(int) error { return nil }); !errors.Is(err, ErrClosed) {
-		t.Errorf("ForEach after Close = %v, want ErrClosed", err)
-	}
-	p.Close() // idempotent
-}
-
-func TestNilPoolRuns(t *testing.T) {
-	var p *Pool
-	var ran atomic.Int32
-	if err := p.ForEach(context.Background(), 5, func(int) error { ran.Add(1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 5 {
-		t.Errorf("nil pool ran %d of 5 items", ran.Load())
-	}
-	if p.Workers() <= 0 {
-		t.Error("nil pool must report a positive worker budget")
-	}
-	p.Close()
-}
-
 func TestWorkersResolution(t *testing.T) {
 	if Workers(0) <= 0 || Workers(-3) <= 0 {
 		t.Error("non-positive knobs must resolve to a positive budget")
@@ -202,27 +148,6 @@ func TestSplitSeedSpreads(t *testing.T) {
 	}
 	if SplitSeed(1, 0) == SplitSeed(2, 0) {
 		t.Error("different base seeds should derive different children")
-	}
-}
-
-func TestPoolConcurrentForEach(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var wg sync.WaitGroup
-	var total atomic.Int64
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = p.ForEach(context.Background(), 50, func(int) error {
-				total.Add(1)
-				return nil
-			})
-		}()
-	}
-	wg.Wait()
-	if total.Load() != 8*50 {
-		t.Errorf("ran %d items, want %d", total.Load(), 8*50)
 	}
 }
 

@@ -130,10 +130,6 @@ func (r *request) firstWrong(wrong func(id int, live bool) bool) (at int, repeat
 // Len reports the current population size.
 func (l *Ledger) Len() int { return len(l.agents) }
 
-// Churn reports joins plus departures accumulated since the last full
-// clear, and the population size that clear matched.
-func (l *Ledger) Churn() (churn, baseN int) { return l.churn, l.baseN }
-
 // FullDue reports whether cumulative churn since the last full clear
 // exceeds threshold×baseN, forcing the next epoch to re-match from
 // scratch. A ledger that has never committed a full clear is always
@@ -142,7 +138,10 @@ func (l *Ledger) FullDue(threshold float64) bool {
 	if l.baseN == 0 {
 		return true
 	}
-	return float64(l.churn) > ThresholdOrDefault(threshold)*float64(l.baseN)
+	if threshold <= 0 {
+		threshold = DefaultChurnThreshold
+	}
+	return float64(l.churn) > threshold*float64(l.baseN)
 }
 
 // Apply absorbs one epoch's churn: departIDs leave (their partners are

@@ -229,7 +229,7 @@ func ledgerOps(t *testing.T, data []byte) {
 				t.Fatalf("step %d Commit(%v, %v): got %v, want %v", step, match, full, gerr, werr)
 			}
 		}
-		gc, gb := got.Churn()
+		gc, gb := got.churn, got.baseN
 		if got.Len() != len(want.agents) || gc != want.churn || gb != want.baseN || got.FullDue(0.3) != (want.baseN == 0 || float64(want.churn) > 0.3*float64(want.baseN)) {
 			t.Fatalf("step %d: len %d churn %d baseN %d, want %d %d %d", step, got.Len(), gc, gb, len(want.agents), want.churn, want.baseN)
 		}

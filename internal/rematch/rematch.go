@@ -64,15 +64,6 @@ func TopKOrDefault(k int) int {
 	return k
 }
 
-// ThresholdOrDefault resolves a churn-threshold knob (<= 0 means
-// DefaultChurnThreshold).
-func ThresholdOrDefault(t float64) float64 {
-	if t <= 0 {
-		return DefaultChurnThreshold
-	}
-	return t
-}
-
 // Pool is one shard's candidate pool in a sharded market's repair: the
 // shard's members, and every agent's shard, so a member's partner is
 // tested for membership with one lookup.
@@ -93,9 +84,13 @@ type Scratch struct {
 }
 
 // grow returns buf holding n zero values, in its own array when that is
-// large enough.
+// large enough. It allocates only to grow: append(buf[:0], make([]T,
+// n)...) allocates the made slice too where the compiler instruments
+// the code, as under the race detector.
 func grow[T any](buf []T, n int) []T {
-	return append(buf[:0], make([]T, n)...)
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }
 
 // Neighborhood computes the repair neighborhood for the dirty agents:

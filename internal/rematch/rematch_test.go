@@ -45,8 +45,8 @@ func TestLedgerApplyJoinsAndDepartures(t *testing.T) {
 	if err := l.Commit(matching.Matching{1, 0, 3, 2}, true); err != nil {
 		t.Fatal(err)
 	}
-	if churn, baseN := l.Churn(); churn != 0 || baseN != 4 {
-		t.Fatalf("after full commit churn=%d baseN=%d", churn, baseN)
+	if l.churn != 0 || l.baseN != 4 {
+		t.Fatalf("after full commit churn=%d baseN=%d", l.churn, l.baseN)
 	}
 	if l.FullDue(0.10) {
 		t.Error("freshly cleared ledger should not be due")
@@ -75,8 +75,8 @@ func TestLedgerApplyJoinsAndDepartures(t *testing.T) {
 	if d.Prev[1] != 2 || d.Prev[2] != 1 {
 		t.Fatalf("untouched pair remapped wrong: %v", d.Prev)
 	}
-	if churn, _ := l.Churn(); churn != 1 {
-		t.Fatalf("churn after one departure = %d", churn)
+	if l.churn != 1 {
+		t.Fatalf("churn after one departure = %d", l.churn)
 	}
 
 	// A join appends under a fresh ID, never reusing 0.
@@ -88,8 +88,8 @@ func TestLedgerApplyJoinsAndDepartures(t *testing.T) {
 	if joiner.ID != 4 {
 		t.Fatalf("joiner got recycled ID %d", joiner.ID)
 	}
-	if churn, _ := l.Churn(); churn != 2 {
-		t.Fatalf("cumulative churn = %d", churn)
+	if l.churn != 2 {
+		t.Fatalf("cumulative churn = %d", l.churn)
 	}
 }
 
@@ -924,8 +924,8 @@ func TestLedgerCallerAssignedIDs(t *testing.T) {
 	}
 	// Every rejection left the ledger as it was: same population, same
 	// matching, no churn counted, and the next delta is clean.
-	if churn, baseN := l.Churn(); l.Len() != 3 || churn != 0 || baseN != 3 {
-		t.Fatalf("ledger mutated by rejected deltas: len=%d churn=%d baseN=%d", l.Len(), churn, baseN)
+	if l.Len() != 3 || l.churn != 0 || l.baseN != 3 {
+		t.Fatalf("ledger mutated by rejected deltas: len=%d churn=%d baseN=%d", l.Len(), l.churn, l.baseN)
 	}
 	if d, err = l.ApplyIDs([]int{3}, []int{1}, []int{7}); err != nil {
 		t.Fatal(err)

@@ -52,8 +52,8 @@ func TestKeyBytesMatchSprintf(t *testing.T) {
 		for _, bw := range bandwidths {
 			for _, id := range ids {
 				want := fmt.Sprintf("%s|%d|%d", name, int(bw/bandwidthBucketGBps), id)
-				if got := Key(name, bw, id); got != want {
-					t.Fatalf("Key(%q, %v, %d) = %q, want %q", name, bw, id, got, want)
+				if got := string(appendKey(nil, name, bw, id)); got != want {
+					t.Fatalf("key(%q, %v, %d) = %q, want %q", name, bw, id, got, want)
 				}
 				h := fnv.New64a()
 				h.Write([]byte(want))
@@ -85,8 +85,8 @@ func TestRingMatchesSprintfRing(t *testing.T) {
 		}
 		for i, job := range jobs {
 			id := 3*i - 100
-			if got, want := ring.ShardOf(job, id), ring.Shard(fmt.Sprintf("%s|%d|%d", job.Name, int(job.BandwidthGBps/4), id)); got != want {
-				t.Fatalf("shards=%d: ShardOf(%s, %d) = %d, Shard(key) = %d", shards, job.Name, id, got, want)
+			if got, want := ring.ShardOf(job, id), ring.owning(hash64([]byte(fmt.Sprintf("%s|%d|%d", job.Name, int(job.BandwidthGBps/4), id)))); got != want {
+				t.Fatalf("shards=%d: ShardOf(%s, %d) = %d, the Sprintf key's owner = %d", shards, job.Name, id, got, want)
 			}
 		}
 	}

@@ -118,15 +118,8 @@ func appendVnodeLabel(buf []byte, s, v int) []byte {
 	return strconv.AppendInt(buf, int64(v), 10)
 }
 
-// Shards returns the ring's shard count.
-func (r *Ring) Shards() int { return r.shards }
-
-// Shard returns the shard owning key: the first ring point at or after
-// the key's hash, wrapping around.
-func (r *Ring) Shard(key string) int {
-	return r.owning(hash64([]byte(key)))
-}
-
+// owning returns the shard owning hash h: the first ring point at or
+// after h, wrapping around.
 func (r *Ring) owning(h uint64) int {
 	if r.shards == 1 {
 		return 0
@@ -138,14 +131,9 @@ func (r *Ring) owning(h uint64) int {
 	return r.owner[i]
 }
 
-// Key builds the consistent-hash key for agent i running job: the job
-// class and bandwidth bucket anchor the key, the position spreads
-// same-class agents across shards.
-func Key(job string, bandwidthGBps float64, i int) string {
-	return string(appendKey(nil, job, bandwidthGBps, i))
-}
-
-// appendKey appends Key's bytes, "<job>|<bucket>|<i>".
+// appendKey appends the consistent-hash key for agent i running job,
+// "<job>|<bucket>|<i>": the job class and bandwidth bucket anchor the
+// key, the position spreads same-class agents across shards.
 func appendKey(buf []byte, job string, bandwidthGBps float64, i int) []byte {
 	buf = append(buf, job...)
 	buf = append(buf, '|')
@@ -363,24 +351,26 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 			}
 		}
 	}
-	for s, g := range groups {
-		members := make([]int, len(g))
-		for a, i := range g {
-			members[a] = m.id(i)
+	if m.Tel.EventRing() != nil { // an unobserved clear builds no events
+		for s, g := range groups {
+			members := make([]int, len(g))
+			for a, i := range g {
+				members[a] = m.id(i)
+			}
+			data, _ := json.Marshal(members)
+			// Each shard_matched event stamps under its shard's span (keyed,
+			// so the IDs match across runs); an empty shard has no span and
+			// falls back to the parent.
+			sp := spans[s]
+			if sp == nil {
+				sp = m.Span
+			}
+			m.Tel.RecordIn(sp, telemetry.Event{
+				Type: telemetry.EventShardMatched, Epoch: m.Epoch,
+				Agent: -1, Partner: -1, Round: s,
+				Value: float64(len(g)), Data: string(data),
+			})
 		}
-		data, _ := json.Marshal(members)
-		// Each shard_matched event stamps under its shard's span (keyed,
-		// so the IDs match across runs); an empty shard has no span and
-		// falls back to the parent.
-		sp := spans[s]
-		if sp == nil {
-			sp = m.Span
-		}
-		m.Tel.RecordIn(sp, telemetry.Event{
-			Type: telemetry.EventShardMatched, Epoch: m.Epoch,
-			Agent: -1, Partner: -1, Round: s,
-			Value: float64(len(g)), Data: string(data),
-		})
 	}
 
 	res := &Result{Match: match, ShardOf: shardOf, Groups: groups}
@@ -519,15 +509,18 @@ func (m *Market) refine(res *Result, pen func(i, j int) float64) {
 		}
 		res.RefinementRounds = round
 		res.RefinementTrades += len(trades)
+		sp.SetAttr("round", round)
+		sp.SetAttr("trades", len(trades))
+		sp.SetAttr("gain", gain)
+		m.Tel.End(sp)
+		if m.Tel.EventRing() == nil {
+			continue
+		}
 		pairs := make([][2]int, len(trades))
 		for k, t := range trades {
 			pairs[k] = [2]int{m.id(t.i), m.id(t.j)}
 		}
 		data, _ := json.Marshal(pairs)
-		sp.SetAttr("round", round)
-		sp.SetAttr("trades", len(trades))
-		sp.SetAttr("gain", gain)
-		m.Tel.End(sp)
 		m.Tel.RecordIn(sp, telemetry.Event{
 			Type: telemetry.EventRefinementRound, Epoch: m.Epoch,
 			Agent: -1, Partner: -1, Round: round,

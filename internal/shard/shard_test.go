@@ -64,12 +64,12 @@ func TestRingPartitionCoverage(t *testing.T) {
 }
 
 func TestRingStableAssignment(t *testing.T) {
-	// The same key maps to the same shard on independently built rings.
+	// The same agent maps to the same shard on independently built rings.
 	a, b := NewRing(16), NewRing(16)
 	for i := 0; i < 100; i++ {
-		k := Key("job", float64(i), i)
-		if a.Shard(k) != b.Shard(k) {
-			t.Fatalf("key %q unstable: %d vs %d", k, a.Shard(k), b.Shard(k))
+		job := workload.Job{Name: "job", BandwidthGBps: float64(i)}
+		if a.ShardOf(job, i) != b.ShardOf(job, i) {
+			t.Fatalf("agent %d unstable: %d vs %d", i, a.ShardOf(job, i), b.ShardOf(job, i))
 		}
 	}
 }
@@ -338,5 +338,27 @@ func TestDissatisfiedIsTheSortsHead(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestUnobservedClearBuildsNoPayloads pins that a clear whose telemetry
+// has no event ring builds no shard_matched payloads: it allocates at
+// least one object per shard fewer than the same clear recording them.
+func TestUnobservedClearBuildsNoPayloads(t *testing.T) {
+	const shards = 8
+	jobs, idx := testJobs(400, "a", "b", "c", "d", "e")
+	matrix := testMatrix(5)
+	allocs := func(tel *telemetry.Telemetry) float64 {
+		m := &Market{Shards: shards, Policy: policy.StableMarriageRandom{}, Workers: 1, Seed: 5, Tel: tel}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := m.Clear(context.Background(), jobs, idx, matrix); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	unobserved := telemetry.New()
+	unobserved.Events = nil
+	if got, want := allocs(unobserved), allocs(telemetry.New()); got > want-shards {
+		t.Fatalf("an unobserved clear allocated %.0f objects, an observed one %.0f: want at least %d fewer", got, want, shards)
 	}
 }

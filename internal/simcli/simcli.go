@@ -23,7 +23,7 @@ type Options struct {
 	Seed int64
 	// Quick scales experiments down for a fast smoke run.
 	Quick bool
-	// Workers bounds the framework's worker pool for pipeline fan-outs;
+	// Workers bounds the goroutines of each pipeline fan-out;
 	// 0 means GOMAXPROCS, 1 forces the serial path. Results are identical
 	// at any value.
 	Workers int

@@ -46,17 +46,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Min returns the smallest element of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of xs, or -Inf for an empty slice.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -66,15 +55,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
@@ -102,9 +82,6 @@ func Quantile(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
 }
-
-// Median returns the 0.5 quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Boxplot summarizes a sample in the five-number form used by the paper's
 // Figure 10 and Figure 11: quartiles plus whiskers at the most extreme data

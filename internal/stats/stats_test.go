@@ -45,17 +45,11 @@ func TestVarianceAndStdDev(t *testing.T) {
 
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v", got)
-	}
 	if got := Max(xs); got != 7 {
 		t.Errorf("Max = %v", got)
 	}
-	if got := Sum(xs); got != 9 {
-		t.Errorf("Sum = %v", got)
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Error("Min/Max of empty should be +/-Inf")
+	if !math.IsInf(Max(nil), -1) {
+		t.Error("Max of empty should be -Inf")
 	}
 }
 

@@ -240,18 +240,10 @@ func (h *Histogram) Summary() HistogramSummary {
 	return s
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// within the bucket containing it. Estimates are clamped to the observed
-// [min, max] range, so degenerate single-bucket histograms stay sane.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
+// quantileLocked estimates the q-quantile (q in [0,1]) by linear
+// interpolation within the bucket containing it. Estimates are clamped to
+// the observed [min, max] range, so degenerate single-bucket histograms
+// stay sane. The caller holds h.mu.
 func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0

@@ -114,26 +114,6 @@ func (s *Span) Trace() TraceID {
 	return s.trace
 }
 
-// ID returns the span's own ID (zero for a nil span).
-func (s *Span) ID() SpanID {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.id
-}
-
-// Parent returns the span's parent ID (zero for a root or nil span).
-func (s *Span) Parent() SpanID {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.parent
-}
-
 // Context returns the span's causal coordinate, the value that crosses
 // process boundaries (zero for a nil span).
 func (s *Span) Context() TraceContext {

@@ -85,8 +85,8 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	if s.Counts[2] != 1 {
 		t.Fatalf("overflow bucket = %d, want 1", s.Counts[2])
 	}
-	if q := h.Quantile(1); q != 10 {
-		t.Fatalf("q100 = %v, want 10 (clamped to max)", q)
+	if s.Max != 10 || s.P99 <= 2 || s.P99 > s.Max {
+		t.Fatalf("p99 = %v, max = %v: want the overflow bucket interpolated up to the max, 10", s.P99, s.Max)
 	}
 }
 

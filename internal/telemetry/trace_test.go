@@ -16,7 +16,8 @@ func TestTraceIDsDeterministic(t *testing.T) {
 		tel := NewSeeded(seed)
 		var ids []string
 		add := func(s *Span) {
-			ids = append(ids, s.Trace().String(), s.ID().String(), s.Parent().String())
+			snap := s.Snapshot()
+			ids = append(ids, snap.Trace, snap.Span, snap.Parent)
 		}
 		add(tel.Trace)
 		epoch := tel.PhaseKeyed(nil, "epoch", 7)
@@ -59,7 +60,7 @@ func TestChildKeyedScheduleIndependent(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				out[i] = root.ChildKeyed("shard", int64(i)).ID().String()
+				out[i] = root.ChildKeyed("shard", int64(i)).Context().Span.String()
 			}(i)
 		}
 		wg.Wait()
@@ -77,20 +78,20 @@ func TestChildKeyedScheduleIndependent(t *testing.T) {
 	}
 	// Counter-allocated children must not collide with keyed ones.
 	root := NewSpanSeeded("root", 99)
-	seen := map[SpanID]string{root.ID(): "root"}
+	seen := map[SpanID]string{root.Context().Span: "root"}
 	for i := 0; i < n; i++ {
 		c := root.Child("c")
-		if prev, dup := seen[c.ID()]; dup {
+		if prev, dup := seen[c.Context().Span]; dup {
 			t.Fatalf("counter child %d collides with %s", i, prev)
 		}
-		seen[c.ID()] = "counter"
+		seen[c.Context().Span] = "counter"
 	}
 	for i := 0; i < n; i++ {
 		c := root.ChildKeyed("k", int64(i))
-		if prev, dup := seen[c.ID()]; dup {
+		if prev, dup := seen[c.Context().Span]; dup {
 			t.Fatalf("keyed child %d collides with %s", i, prev)
 		}
-		seen[c.ID()] = "keyed"
+		seen[c.Context().Span] = "keyed"
 	}
 }
 
@@ -130,7 +131,7 @@ func TestSpanRebase(t *testing.T) {
 
 	client := NewSpanSeeded("agent", 2)
 	dial := client.Child("dial")
-	ownID, dialID := client.ID(), dial.ID()
+	ownID, dialID := client.Context().Span, dial.Context().Span
 
 	if client.Trace() == server.Trace() {
 		t.Fatal("distinct seeds should yield distinct traces")
@@ -139,13 +140,13 @@ func TestSpanRebase(t *testing.T) {
 	if client.Trace() != server.Trace() || dial.Trace() != server.Trace() {
 		t.Error("rebased tree should adopt the server trace ID")
 	}
-	if client.Parent() != epoch.ID() {
-		t.Errorf("rebased root parent = %s, want epoch %s", client.Parent(), epoch.ID())
+	if got, want := client.Snapshot().Parent, epoch.Context().Span.String(); got != want {
+		t.Errorf("rebased root parent = %s, want epoch %s", got, want)
 	}
-	if client.ID() != ownID || dial.ID() != dialID {
+	if client.Context().Span != ownID || dial.Context().Span != dialID {
 		t.Error("rebasing must not rewrite span IDs")
 	}
-	if dial.Parent() != ownID {
+	if dial.Snapshot().Parent != ownID.String() {
 		t.Error("rebasing must not re-parent descendants")
 	}
 	// A zero context is ignored (no propagation received).
@@ -172,7 +173,7 @@ func TestSpanFindDuplicateNames(t *testing.T) {
 	second := root.Child("target") // shallower, but under a later child
 	if got := root.Find("target"); got != deep {
 		t.Errorf("Find(target) = %q under %s, want the deep match under the first child",
-			got.Name(), got.Parent())
+			got.Name(), got.Snapshot().Parent)
 	}
 	_ = second
 	// A parent named like a descendant shadows it.
@@ -202,11 +203,11 @@ func TestSnapshotCarriesIdentity(t *testing.T) {
 		t.Fatalf("first record seq = %d, want 0", seq)
 	}
 	ev := tel.Events.Events()[0]
-	if ev.Trace != epoch.Trace().String() || ev.Span != epoch.ID().String() {
-		t.Fatalf("event identity %s/%s, want %s/%s", ev.Trace, ev.Span, epoch.Trace(), epoch.ID())
+	if ev.Trace != epoch.Trace().String() || ev.Span != epoch.Context().Span.String() {
+		t.Fatalf("event identity %s/%s, want %s/%s", ev.Trace, ev.Span, epoch.Trace(), epoch.Context().Span)
 	}
 	snap := tel.Trace.Snapshot()
-	if snap.Trace != tel.Trace.Trace().String() || snap.Span != tel.Trace.ID().String() {
+	if snap.Trace != tel.Trace.Trace().String() || snap.Span != tel.Trace.Context().Span.String() {
 		t.Error("root snapshot should carry trace/span IDs")
 	}
 	if snap.Parent != "" {

@@ -193,12 +193,3 @@ func Sample(n int, jobs []Job, s stats.Sampler, r *rand.Rand) Population {
 	}
 	return p
 }
-
-// Counts returns how many agents run each catalog job, keyed by job name.
-func (p Population) Counts() map[string]int {
-	counts := make(map[string]int)
-	for _, j := range p.Jobs {
-		counts[j.Name]++
-	}
-	return counts
-}

@@ -64,8 +64,8 @@ func WithChurnThreshold(t float64) Option {
 	return func(c *Config) { c.Market.ChurnThreshold = t }
 }
 
-// WithWorkers bounds the worker pool shared by the pipeline's fan-out
-// phases. <= 0 means GOMAXPROCS; 1 forces the serial pipeline. Any value
+// WithWorkers bounds the goroutines each of the pipeline's fan-out
+// phases runs. <= 0 means GOMAXPROCS; 1 forces the serial pipeline. Any value
 // produces bit-identical results.
 func WithWorkers(n int) Option {
 	return func(c *Config) { c.Pipeline.Workers = n }
