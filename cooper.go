@@ -238,11 +238,6 @@ func SMR() Policy { return policy.StableMarriageRandom{} }
 // population with greedy completion when no stable assignment exists.
 func SR() Policy { return policy.StableRoommate{} }
 
-// Clustered returns the paper's §VIII clustering extension: k-means over
-// penalty profiles classifies applications into k types, types match
-// types, and agents pair across matched types.
-func Clustered(k int) Policy { return policy.Clustered{K: k} }
-
 // Threshold returns the related-work baseline that colocates a pair only
 // when both penalties stay under tolerance, spending extra machines
 // otherwise.

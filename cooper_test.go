@@ -1,6 +1,7 @@
 package cooper
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -446,6 +447,63 @@ func growthMatrices(f *Framework) []struct {
 		name   string
 		matrix [][]float64
 	}{{"predicted", f.PredictedPenalties()}, {"6 values", ties}}
+}
+
+// TestPolicyClearGrowth is every policy's bytes pin on the predicted
+// matrix with its preference table, as the market engine hands it over.
+// Each row declares its growth class in agents, O(n^k), and holds
+// AssignClasses' bytes/op at 4n within 4^k × 1.25 times those at n. The
+// O(n) policies keep a fixed number of per-agent slices and nothing
+// agents×agents. SR is declared O(n²): Irving's roomTable keeps n×n
+// active flags until SR works over class counts (ROADMAP item 21), so
+// its row runs at sizes that keep it fast.
+func TestPolicyClearGrowth(t *testing.T) {
+	f, err := New(WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	matrix := f.PredictedPenalties()
+	ranks := matching.Rank(matrix)
+	for _, row := range []struct {
+		p policy.Policy
+		k int // growth class O(n^k)
+		n int
+	}{
+		{policy.Greedy{}, 1, 2000},
+		{policy.Complementary{}, 1, 2000},
+		{policy.StableMarriagePartition{}, 1, 2000},
+		{policy.StableMarriageRandom{}, 1, 2000},
+		{policy.Threshold{Tolerance: 0.1}, 1, 2000},
+		{policy.StableRoommate{}, 2, 250},
+	} {
+		var bytes [2]float64
+		for x, size := range []int{row.n, 4 * row.n} {
+			draw := rand.New(rand.NewSource(int64(size)))
+			pen := matching.Penalties{Matrix: matrix, Class: make([]int, size), Ranks: ranks}
+			bw := make([]float64, size)
+			for i := range pen.Class {
+				pen.Class[i] = draw.Intn(len(matrix))
+				bw[i] = f.Catalog()[pen.Class[i]].BandwidthGBps
+			}
+			ctx := policy.Context{BandwidthGBps: bw, Rand: rand.New(rand.NewSource(1))}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := row.p.AssignClasses(pen, ctx)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes[x] = float64(after.TotalAlloc - before.TotalAlloc)
+		}
+		limit := 1.25 * math.Pow(4, float64(row.k))
+		t.Logf("%s, O(n^%d): %.0f and %.0f B/op at n=%d and %d, ×%.2f (limit ×%g)",
+			row.p.Name(), row.k, bytes[0], bytes[1], row.n, 4*row.n, bytes[1]/bytes[0], limit)
+		if bytes[1] > limit*bytes[0] {
+			t.Errorf("%s: B/op %v at n=%d and %d, ×%.2f; its O(n^%d) class allows ×%g",
+				row.p.Name(), bytes, row.n, 4*row.n, bytes[1]/bytes[0], row.k, limit)
+		}
+	}
 }
 
 // TestAssessGrowth is the assessment's complexity pin. Growth class:

@@ -55,20 +55,6 @@ func TestIntegrationEveryPolicyFullPipeline(t *testing.T) {
 	}
 }
 
-func TestIntegrationClusteredPolicy(t *testing.T) {
-	f, err := New(WithPolicy(Clustered(4)), WithOracle(), WithSeed(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := f.RunEpoch(f.SamplePopulation(60, Gaussian()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Match.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIntegrationThresholdPolicy(t *testing.T) {
 	// Threshold leaves contentious agents solo; the framework must still
 	// dispatch them (on their own machines).

@@ -191,7 +191,7 @@ type segment struct {
 	kind string
 	// churn and nbhd are a repair round's declared payload; standing is
 	// the matching it repairs, by agent ID (nil: none to hold it to).
-	churn    rematchChurn
+	churn    telemetry.RematchChurn
 	nbhd     map[int]bool
 	standing map[int]int
 	// assigned tracks the round's assignment events in carried (wire
@@ -199,14 +199,6 @@ type segment struct {
 	// round and only neighborhood agents may be re-assigned. assigned
 	// non-nil IS the carried-mode flag.
 	assigned map[int]bool
-}
-
-// rematchChurn is a streaming rematch_round's Data payload: the churn
-// the round absorbed, in event-log agent IDs.
-type rematchChurn struct {
-	Joined       []int `json:"joined"`
-	Departed     []int `json:"departed"`
-	Neighborhood []int `json:"neighborhood"`
 }
 
 // Auditor is the invariant engine. It is a state machine over the event
@@ -545,7 +537,7 @@ func (a *Auditor) onRematch(e telemetry.Event) {
 		// epoch summary reports for the final round alone) is skipped.
 		a.checkSegment(e, false)
 		a.resetSegment()
-	case "full", "repair":
+	case telemetry.KindFull, telemetry.KindRepair:
 		a.onStreamRematch(e)
 	default:
 		a.violate(InvRepair, e.Epoch, e.Seq, e.Seq,
@@ -577,14 +569,14 @@ func (a *Auditor) segmentAssigned() bool {
 // standing matching: the superseded round's on the wire, the previous
 // streaming epoch's in process.
 func (a *Auditor) onStreamRematch(e telemetry.Event) {
-	var churn rematchChurn
+	var churn telemetry.RematchChurn
 	if e.Data == "" {
 		a.violate(InvRepair, e.Epoch, e.Seq, e.Seq,
 			"rematch_round %s carries no churn payload", e.Kind)
 	} else if err := json.Unmarshal([]byte(e.Data), &churn); err != nil {
 		a.violate(InvRepair, e.Epoch, e.Seq, e.Seq,
 			"rematch_round %s payload unparseable: %v", e.Kind, err)
-		churn = rematchChurn{}
+		churn = telemetry.RematchChurn{}
 	}
 	prev := a.seg
 	var superseded map[int]int
@@ -604,7 +596,7 @@ func (a *Auditor) onStreamRematch(e telemetry.Event) {
 	a.resetSegment()
 	seg := &a.seg
 	seg.kind, seg.churn, seg.nbhd = e.Kind, churn, idSet(churn.Neighborhood)
-	if e.Kind == "repair" {
+	if e.Kind == telemetry.KindRepair {
 		seg.standing = a.prevFinal
 		if wire {
 			// The round starts from the superseded round's assignments,
@@ -637,7 +629,7 @@ func (a *Auditor) onStreamRematch(e telemetry.Event) {
 			a.violate(InvRepair, e.Epoch, e.Seq, e.Seq,
 				"rematch_round admits agent %d, not in this round's population", id)
 		}
-		if e.Kind == "repair" && !seg.nbhd[id] {
+		if e.Kind == telemetry.KindRepair && !seg.nbhd[id] {
 			a.violate(InvRepair, e.Epoch, e.Seq, e.Seq,
 				"joined agent %d outside the repair neighborhood", id)
 		}
@@ -922,7 +914,7 @@ func (a *Auditor) checkSegment(end telemetry.Event, final bool) map[int]int {
 		}
 		j, okj := idx[pid]
 		if !okj {
-			if seg.kind == "repair" {
+			if seg.kind == telemetry.KindRepair {
 				a.violate(InvRepair, a.curEpoch, a.epochStartSeq, end.Seq,
 					"agent %d still paired with %d, which left the population unrepaired", r.id, pid)
 			}
@@ -975,7 +967,7 @@ func (a *Auditor) checkSegment(end telemetry.Event, final bool) map[int]int {
 			a.violate(InvShard, a.curEpoch, a.epochStartSeq, end.Seq,
 				"shard_matched names agents %v, not in this round's population", outsiders)
 		}
-	} else if a.snap != nil && a.snap.Shards > 1 && seg.kind != "repair" {
+	} else if a.snap != nil && a.snap.Shards > 1 && seg.kind != telemetry.KindRepair {
 		// Repair rounds re-push only the neighborhood and emit no
 		// shard_matched events, so the partition checks don't apply.
 		a.violate(InvShard, a.curEpoch, a.epochStartSeq, end.Seq,

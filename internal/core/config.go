@@ -3,7 +3,6 @@ package core
 import (
 	"cooper/internal/arch"
 	"cooper/internal/market"
-	"cooper/internal/recommend"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
 )
@@ -14,8 +13,9 @@ import (
 type MarketConfig = market.Config
 
 // PipelineConfig groups the epoch pipeline's execution knobs: worker
-// budget and profiling and prediction configuration. An epoch's deadline
-// is its context's (RunEpochContext, StreamEpochContext).
+// budget, profiling share and oracle mode. Prediction always completes
+// with recommend.Default(). An epoch's deadline is its context's
+// (RunEpochContext, StreamEpochContext).
 type PipelineConfig struct {
 	// Workers bounds the goroutines each of the pipeline's fan-out phases
 	// runs (profiling campaign, matrix completion, oracle computation,
@@ -26,18 +26,10 @@ type PipelineConfig struct {
 	// SampleFraction is the share of the colocation space profiled
 	// offline. Zero means 0.25, the paper's operating point.
 	SampleFraction float64
-	// Predictor completes the sparse penalty matrix. Zero value fields
-	// mean recommend.Default().
-	Predictor recommend.Predictor
 	// Oracle skips profiling and prediction, giving the policy exact
 	// analytic penalties — the "oracular knowledge" configuration the
 	// paper compares collaborative filtering against.
 	Oracle bool
-	// Penalties, when non-nil, supplies the completed job-level penalty
-	// matrix directly (len(Catalog) x len(Catalog)) and skips the
-	// profiling campaign and predictor entirely — for daemons that load
-	// measurements from a profile database out of band.
-	Penalties [][]float64
 }
 
 // ObserveConfig groups the observability attachments.
@@ -84,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Pipeline.SampleFraction == 0 {
 		c.Pipeline.SampleFraction = 0.25
-	}
-	if c.Pipeline.Predictor == (recommend.Predictor{}) {
-		c.Pipeline.Predictor = recommend.Default()
 	}
 	if c.Sim == (arch.SimConfig{}) {
 		// Profiling runs long enough to average out phase behaviour, as

@@ -126,8 +126,8 @@ func NewFramework(ctx context.Context, cfg Config) (*Framework, error) {
 }
 
 // train fills the oracle matrix and the predicted one agents believe:
-// the oracle itself, a caller-supplied matrix, or the profiling campaign
-// completed by the preference predictor.
+// the oracle itself, or the profiling campaign completed by the
+// preference predictor.
 func (f *Framework) train(ctx context.Context) error {
 	cfg, catalog := f.cfg, f.catalog
 	var err error
@@ -139,14 +139,6 @@ func (f *Framework) train(ctx context.Context) error {
 	if cfg.Pipeline.Oracle {
 		f.predicted = f.truth
 		f.kernel = "oracle"
-		return nil
-	}
-	if cfg.Pipeline.Penalties != nil {
-		if err := validatePenalties(cfg.Pipeline.Penalties, len(catalog)); err != nil {
-			return err
-		}
-		f.predicted = cfg.Pipeline.Penalties
-		f.kernel = "external"
 		return nil
 	}
 
@@ -165,9 +157,7 @@ func (f *Framework) train(ctx context.Context) error {
 	predict := f.tel.Phase(nil, "predict")
 	predict.SetAttr("sparsity", profiler.Sparsity(sparse))
 	preRecomputed := reg.Counter("predict.sim_pairs_recomputed").Value()
-	preCandScored := reg.Counter("predict.candidates_scored").Value()
-	preCandSkipped := reg.Counter("predict.candidates_skipped").Value()
-	pred := cfg.Pipeline.Predictor
+	pred := recommend.Default()
 	pred.Metrics = reg
 	pred.Workers = f.workers
 	f.kernel = pred.KernelName()
@@ -178,24 +168,7 @@ func (f *Framework) train(ctx context.Context) error {
 	}
 	predict.SetAttr("fill_iters", f.iters)
 	predict.SetAttr("sim_pairs_recomputed", reg.Counter("predict.sim_pairs_recomputed").Value()-preRecomputed)
-	if scored := reg.Counter("predict.candidates_scored").Value() - preCandScored; scored > 0 {
-		predict.SetAttr("candidates_scored", scored)
-		predict.SetAttr("candidates_skipped", reg.Counter("predict.candidates_skipped").Value()-preCandSkipped)
-	}
 	f.tel.End(predict)
-	return nil
-}
-
-// validatePenalties checks a caller-supplied job-level penalty matrix.
-func validatePenalties(d [][]float64, n int) error {
-	if len(d) != n {
-		return fmt.Errorf("core: penalties have %d rows for %d catalog jobs", len(d), n)
-	}
-	for i, row := range d {
-		if len(row) != n {
-			return fmt.Errorf("core: penalties row %d has %d entries, want %d", i, len(row), n)
-		}
-	}
 	return nil
 }
 
@@ -258,9 +231,9 @@ func (f *Framework) TruePenalties() [][]float64 { return f.truth }
 // predictor used (0 in Oracle mode).
 func (f *Framework) PredictorIterations() int { return f.iters }
 
-// Kernel names the prediction kernel that produced the penalty matrix:
-// "oracle", "external", "flat", "reference", or
-// "approx(bits=B,bands=K)" for the LSH-bucketed approximate path.
+// Kernel names what produced the penalty matrix agents believe:
+// "oracle" under Pipeline.Oracle, otherwise "flat", the exact
+// prediction kernel.
 func (f *Framework) Kernel() string { return f.kernel }
 
 // Telemetry returns the telemetry handle the framework was built with

@@ -278,7 +278,8 @@ func TestPredictSpanSimPairAttrs(t *testing.T) {
 // CMP: for every policy, on the unsharded and the sharded market, over an
 // odd population (somebody runs alone), with agents that believe a
 // predicted matrix different from the oracle, and through a streaming
-// repair epoch.
+// repair epoch. Every subtest profiles from the same seed, so every one
+// believes the same predicted matrix.
 func TestTruePenaltyIsTheSimulatedOne(t *testing.T) {
 	ctx := context.Background()
 	profiled, err := NewFramework(context.Background(), Config{Seed: 3})
@@ -287,6 +288,9 @@ func TestTruePenaltyIsTheSimulatedOne(t *testing.T) {
 	}
 	defer profiled.Close()
 	predicted := profiled.PredictedPenalties() // what agents believe: not the oracle
+	if slices.EqualFunc(predicted, profiled.TruePenalties(), slices.Equal[[]float64]) {
+		t.Fatal("the profiled matrix is the oracle: the believed-versus-true case is untested")
+	}
 
 	check := func(t *testing.T, f *Framework, rep *EpochReport) {
 		t.Helper()
@@ -313,17 +317,19 @@ func TestTruePenaltyIsTheSimulatedOne(t *testing.T) {
 		}
 	}
 	policies := []policy.Policy{policy.Greedy{}, policy.Complementary{}, policy.StableMarriagePartition{},
-		policy.StableMarriageRandom{}, policy.StableRoommate{}, policy.Clustered{K: 4}, policy.Threshold{Tolerance: 0.1}}
+		policy.StableMarriageRandom{}, policy.StableRoommate{}, policy.Threshold{Tolerance: 0.1}}
 	for _, p := range policies {
 		for _, shards := range []int{0, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", p.Name(), shards), func(t *testing.T) {
 				f, err := NewFramework(ctx, Config{Seed: 3,
-					Market:   MarketConfig{Policy: p, Shards: shards, Rematch: true},
-					Pipeline: PipelineConfig{Penalties: predicted}})
+					Market: MarketConfig{Policy: p, Shards: shards, Rematch: true}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer f.Close()
+				if !slices.EqualFunc(f.PredictedPenalties(), predicted, slices.Equal[[]float64]) {
+					t.Fatal("a framework from the same seed believes another predicted matrix")
+				}
 				rep, err := f.RunEpoch(f.SamplePopulation(151, stats.Uniform{}))
 				if err != nil {
 					t.Fatal(err)

@@ -180,7 +180,7 @@ func (b *Builder) Observe(e telemetry.Event) {
 		}
 		st.paired, st.partner = false, -1
 	case telemetry.EventRematchRound:
-		if e.Kind == "repair" {
+		if e.Kind == telemetry.KindRepair {
 			b.repairEpochs[e.Epoch] = true
 		}
 	}

@@ -18,7 +18,9 @@
 // matrix[JobIdx[i]][JobIdx[j]] (the type-based formulation: an agent's
 // penalty depends only on its own and its partner's job class). Policies
 // match over it and agents are assessed over it; no agents×agents matrix
-// is built anywhere on the engine's path, sharded or not.
+// is built anywhere on the engine's path, sharded or not, except inside
+// SR, whose Irving table keeps n×n active flags
+// (cooper.TestPolicyClearGrowth declares it O(n²)).
 package market
 
 import (
@@ -228,8 +230,9 @@ type Round struct {
 	ShardOf          []int
 	RefinementRounds int
 	RefinementTrades int
-	// Mode is "full" (the market was cleared from scratch) or "repair"
-	// (the standing matching was rewired around the churn).
+	// Mode is telemetry.KindFull (the market was cleared from scratch) or
+	// telemetry.KindRepair (the standing matching was rewired around the
+	// churn).
 	Mode string
 	// Joined and Departed count the churn a Step absorbed. Dirty lists
 	// the agents that churn left without an assignment; Neighborhood the
@@ -298,7 +301,7 @@ func (r *Round) Penalties() (perAgent []float64, mean float64) {
 // repair left solo still needs its assignment (and the auditor its
 // explicit agent_unpaired record). Ascending.
 func (r *Round) Touched() []int {
-	if r.Mode == "full" {
+	if r.Mode == telemetry.KindFull {
 		return identity(len(r.Match))
 	}
 	touched := append(append([]int(nil), r.Changed...), r.Dirty...)
@@ -413,7 +416,7 @@ func (ep *Epoch) Clear(ctx context.Context, roster Roster) (*Round, error) {
 	if roster.IDs != nil && len(roster.IDs) != len(rows) {
 		return nil, fmt.Errorf("market: %d ids for %d agents", len(roster.IDs), len(rows))
 	}
-	r := ep.newRound(roster.IDs, roster.Jobs, rows, "full")
+	r := ep.newRound(roster.IDs, roster.Jobs, rows, telemetry.KindFull)
 	ep.open(r)
 	if r.index > 0 {
 		ep.record(telemetry.Event{Type: telemetry.EventRematchRound, Agent: -1, Partner: -1,
@@ -435,15 +438,6 @@ func (ep *Epoch) Clear(ctx context.Context, roster Roster) (*Round, error) {
 		r.Recommendations, r.BlockingPairCount = rematch.Assess(e.view(rows), r.Match, e.Alpha)
 	}
 	return r, nil
-}
-
-// churn is a streaming rematch_round's Data payload: the churn the round
-// absorbed, in stable agent IDs. The field names are the contract
-// internal/audit parses.
-type churn struct {
-	Joined       []int `json:"joined,omitempty"`
-	Departed     []int `json:"departed,omitempty"`
-	Neighborhood []int `json:"neighborhood,omitempty"`
 }
 
 // Step absorbs one delta of churn into the standing matching: depart
@@ -487,7 +481,7 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	for i, a := range delta.Agents {
 		ids[i], rows[i], e.jobs[i] = a.ID, a.Job, e.Catalog[a.Job]
 	}
-	r := ep.newRound(ids, e.jobs, rows, "repair")
+	r := ep.newRound(ids, e.jobs, rows, telemetry.KindRepair)
 	r.Joined, r.Departed, r.Dirty = len(delta.Joined), len(delta.Departed), delta.Dirty
 	announce := func() {
 		if e.Tel.EventRing() == nil {
@@ -500,7 +494,7 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 			}
 			return out
 		}
-		data, _ := json.Marshal(churn{Joined: stable(delta.Joined), Departed: delta.Departed,
+		data, _ := json.Marshal(telemetry.RematchChurn{Joined: stable(delta.Joined), Departed: delta.Departed,
 			Neighborhood: stable(r.Neighborhood)})
 		// Value is the post-churn population, so auditors can cross-check
 		// it against the roster derived from lifecycle events.
@@ -512,7 +506,7 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	if full {
 		// The rematch_round goes out before the market clears, so its
 		// shard_matched events land in the fresh audit segment.
-		r.Mode = "full"
+		r.Mode = telemetry.KindFull
 		announce()
 		err = ep.match(ctx, r, nil, e.ledger.Moved())
 	} else {

@@ -168,9 +168,9 @@ type Server struct {
 	// hands it to the market engine, which ranks it once, so it must not
 	// change after Serve starts.
 	Penalties [][]float64
-	// Kernel optionally names the prediction kernel that produced
-	// Penalties (core.Framework.Kernel); stamped into the wire epoch
-	// snapshots for auditors and cooper-top.
+	// Kernel optionally names what produced Penalties
+	// (core.Framework.Kernel: "oracle" or "flat"); stamped into the wire
+	// epoch snapshots for auditors and cooper-top.
 	Kernel string
 	// Seed drives the policy's randomness.
 	Seed int64

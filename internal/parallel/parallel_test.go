@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,22 +55,60 @@ func TestForEachDeterministicWithSplitSeed(t *testing.T) {
 	}
 }
 
+// cancelWatch is a parent context that is never cancelled itself but
+// sees its child cancelled: context.WithCancel registers through
+// AfterFunc and calls the stop function it returns when the child is
+// cancelled, which closes cancelled.
+type cancelWatch struct {
+	context.Context
+	never     chan struct{}
+	cancelled chan struct{}
+	once      sync.Once
+}
+
+func newCancelWatch() *cancelWatch {
+	return &cancelWatch{Context: context.Background(), never: make(chan struct{}), cancelled: make(chan struct{})}
+}
+
+// Done never closes but is not nil: a nil Done tells WithCancel there is
+// nothing to register with.
+func (c *cancelWatch) Done() <-chan struct{} { return c.never }
+
+func (c *cancelWatch) AfterFunc(func()) func() bool {
+	return func() bool {
+		c.once.Do(func() { close(c.cancelled) })
+		return true
+	}
+}
+
+// TestForEachFirstErrorWins: item 3 fails and no later item runs. On the
+// parallel leg items 0–2 hold their workers until the fan-out cancels,
+// so the failure stops the fan-out before any worker is free to take
+// item 4, whatever the scheduler does.
 func TestForEachFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		var ran atomic.Int32
-		err := ForEach(context.Background(), workers, 1000, func(i int) error {
-			ran.Add(1)
-			if i == 3 {
+		parent := newCancelWatch()
+		var late atomic.Int32
+		err := ForEach(parent, workers, 1000, func(i int) error {
+			switch {
+			case i < 3 && workers > 1:
+				select {
+				case <-parent.cancelled:
+				case <-time.After(10 * time.Second): // a fan-out that never cancels fails below, not by hanging
+				}
+			case i == 3:
 				return fmt.Errorf("item %d: %w", i, boom)
+			case i > 3:
+				late.Add(1)
 			}
 			return nil
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
 		}
-		if n := ran.Load(); n == 1000 {
-			t.Errorf("workers=%d: error did not stop the fan-out", workers)
+		if n := late.Load(); n != 0 {
+			t.Errorf("workers=%d: %d items after the failing one ran: the error did not stop the fan-out", workers, n)
 		}
 	}
 }

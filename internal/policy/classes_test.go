@@ -123,7 +123,7 @@ func rowsTie(m [][]float64, class []int) bool {
 // under the same key, the row-ranked one, and on tie-free rows the plain
 // one.
 func TestAssignClassesMatchesAssign(t *testing.T) {
-	policies := append(All(), Threshold{Tolerance: 0.10}, Clustered{})
+	policies := append(All(), Threshold{Tolerance: 0.10})
 	counters := []string{"match.proposals", "match.rotations", "match.sr_retries", "match.greedy_fallback"}
 	catalog, cases := classCases(rand.New(rand.NewSource(13)))
 	tied := 0
@@ -203,7 +203,7 @@ func TestAssignClassesMatchesAssign(t *testing.T) {
 // not an index panic inside a policy.
 func TestAssignClassesValidation(t *testing.T) {
 	bad := matching.Penalties{Matrix: [][]float64{{0, 1}, {1, 0}}, Class: []int{0, 2}}
-	for _, p := range append(All(), Threshold{Tolerance: 0.10}, Clustered{}) {
+	for _, p := range append(All(), Threshold{Tolerance: 0.10}) {
 		if _, err := p.AssignClasses(bad, testContext([]float64{1, 2}, 1)); err == nil {
 			t.Errorf("%s accepted an out-of-range class", p.Name())
 		}

@@ -795,7 +795,7 @@ func TestAssignWithinMatchesSubMatrix(t *testing.T) {
 			ties   bool
 		}{{tieFree, false}, {tied, true}} {
 			matrix := m.matrix
-			for _, pol := range append(policy.All(), policy.Threshold{Tolerance: 0.3}, policy.Clustered{}) {
+			for _, pol := range append(policy.All(), policy.Threshold{Tolerance: 0.3}) {
 				gather := matrix
 				if name := pol.Name(); m.ties && (name == "SMR" || name == "SMP") {
 					gather = rowRanked(matrix)

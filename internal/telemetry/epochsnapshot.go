@@ -58,10 +58,9 @@ type EpochSnapshot struct {
 	// or one means the single unsharded market (the field predates the
 	// sharded market in old logs, so zero is the compatible default).
 	Shards int `json:"shards,omitempty"`
-	// Kernel names the prediction kernel that produced Matrix: "oracle",
-	// "external", "flat", "reference", or "approx(bits=B,bands=K)" for
-	// the LSH-bucketed approximate path. Empty in logs that predate the
-	// field.
+	// Kernel names what produced Matrix (core.Framework.Kernel):
+	// "oracle" or "flat", the exact prediction kernel. Empty in logs that
+	// predate the field.
 	Kernel string `json:"kernel,omitempty"`
 	// Matrix is the job-level predicted penalty matrix: Matrix[i][j] is
 	// catalog job i's penalty when colocated with catalog job j. The

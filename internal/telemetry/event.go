@@ -38,10 +38,9 @@ const (
 	// EventRematchRound records a re-matching round inside an epoch
 	// (Round = assignment round sequence, Value = post-churn population).
 	// Kind distinguishes the flavor: "" is a legacy degraded re-match
-	// after reaps, "full" a from-scratch re-clear of a streaming epoch,
-	// "repair" an incremental neighborhood repair whose Data payload is
-	// a JSON {"joined","departed","neighborhood"} of event-log agent IDs
-	// (see audit's InvRepair).
+	// after reaps, KindFull a from-scratch re-clear of a streaming epoch,
+	// KindRepair an incremental neighborhood repair. A streaming round's
+	// Data payload is a JSON RematchChurn (see audit's InvRepair).
 	EventRematchRound EventType = "rematch_round"
 	// EventAgentQueued records, at admission time, that an agent's
 	// registration arrived mid-epoch and waited in the pending queue
@@ -88,6 +87,22 @@ const (
 // KindAborted is the Kind of an epoch_end that closes an epoch which did
 // not complete (see EventEpochEnd).
 const KindAborted = "aborted"
+
+// KindFull and KindRepair are the Kinds of a streaming epoch's
+// rematch_round (see EventRematchRound).
+const (
+	KindFull   = "full"
+	KindRepair = "repair"
+)
+
+// RematchChurn is a streaming rematch_round's Data payload: the churn
+// the round absorbed, in event-log agent IDs. The market writes it and
+// the auditor parses it.
+type RematchChurn struct {
+	Joined       []int `json:"joined,omitempty"`
+	Departed     []int `json:"departed,omitempty"`
+	Neighborhood []int `json:"neighborhood,omitempty"`
+}
 
 // Event is one flight-recorder record: something that happened at a
 // point in an epoch, in a form stable enough to diff across runs. Seq

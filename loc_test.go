@@ -1,7 +1,6 @@
 package cooper
 
 import (
-	"bufio"
 	"fmt"
 	"io/fs"
 	"os"
@@ -16,6 +15,32 @@ import (
 // "<lines>  <package dir>" row per package, the format `make loc`
 // prints, with "." for the module root.
 const locBudgetFile = "testdata/loc_budget.txt"
+
+// docBudgetFile is the committed byte budget of the prose docs: one
+// "<bytes>  <file>" row per doc.
+const docBudgetFile = "testdata/doc_budget.txt"
+
+// readBudgets parses a budget file's "<count>  <name>" rows.
+func readBudgets(t *testing.T, file string) map[string]int {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := make(map[string]int)
+	for _, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		n, err := strconv.Atoi(fields[0])
+		if len(fields) != 2 || err != nil {
+			t.Fatalf("%s: malformed row %q", file, line)
+		}
+		budgets[fields[1]] = n
+	}
+	return budgets
+}
 
 // codeLines counts the package directories' code lines the way `make
 // loc` does: every non-test .go file, less blank lines and lines that
@@ -62,34 +87,30 @@ func codeLines(t *testing.T) map[string]int {
 }
 
 // TestCodeSizeBudget holds every package to its committed code-size
-// budget (locBudgetFile). A package over its budget fails, as does a
-// package with no budget and a budget for a package that is gone. A
-// budget goes up only with a CHANGES.md line naming the package, the
-// growth and the reason; a change that deletes code lowers its
-// packages' budgets with it. The failure prints the current table.
+// budget (locBudgetFile), and README.md, DESIGN.md, EXPERIMENTS.md and
+// internal/README.md to their byte budgets (docBudgetFile). A package
+// over its budget fails, as does a package with no budget and a budget
+// for a package that is gone; so does a doc over its budget. A budget
+// goes up only with a CHANGES.md line naming the package or doc, the
+// growth and the reason; a change that deletes code or prose lowers its
+// budgets with it. The failure prints the current table.
 func TestCodeSizeBudget(t *testing.T) {
+	docBudgets := readBudgets(t, docBudgetFile)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "internal/README.md"} {
+		budget, ok := docBudgets[doc]
+		info, err := os.Stat(doc)
+		switch {
+		case err != nil:
+			t.Error(err)
+		case !ok:
+			t.Errorf("%s (%d bytes) has no budget in %s", doc, info.Size(), docBudgetFile)
+		case info.Size() > int64(budget):
+			t.Errorf("%s has %d bytes, over its budget of %d", doc, info.Size(), budget)
+		}
+	}
+
 	counts := codeLines(t)
-	f, err := os.Open(locBudgetFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	budgets := make(map[string]int)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		n, err := strconv.Atoi(fields[0])
-		if len(fields) != 2 || err != nil {
-			t.Fatalf("%s: malformed row %q", locBudgetFile, sc.Text())
-		}
-		budgets[fields[1]] = n
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	budgets := readBudgets(t, locBudgetFile)
 
 	var table strings.Builder
 	dirs := make([]string, 0, len(counts))

@@ -15,8 +15,7 @@ type (
 	// stability threshold alpha, and market sharding.
 	MarketConfig = core.MarketConfig
 	// PipelineConfig groups the epoch pipeline's execution knobs:
-	// workers, profiling fraction, predictor, oracle mode, and supplied
-	// penalties.
+	// workers, profiling fraction, and oracle mode.
 	PipelineConfig = core.PipelineConfig
 	// ObserveConfig groups the observability attachments.
 	ObserveConfig = core.ObserveConfig
@@ -27,7 +26,7 @@ type (
 type Option func(*Config)
 
 // WithPolicy selects the colocation policy (Greedy, Complementary, SMP,
-// SMR, SR, Clustered, Threshold). Default: SMR, the paper's
+// SMR, SR, Threshold). Default: SMR, the paper's
 // recommendation.
 func WithPolicy(p Policy) Option {
 	return func(c *Config) { c.Market.Policy = p }
@@ -77,23 +76,10 @@ func WithSampleFraction(frac float64) Option {
 	return func(c *Config) { c.Pipeline.SampleFraction = frac }
 }
 
-// WithPredictor overrides the collaborative-filtering preference
-// predictor.
-func WithPredictor(p Predictor) Option {
-	return func(c *Config) { c.Pipeline.Predictor = p }
-}
-
 // WithOracle skips profiling and prediction, giving the policy exact
 // analytic penalties — the paper's "oracular knowledge" configuration.
 func WithOracle() Option {
 	return func(c *Config) { c.Pipeline.Oracle = true }
-}
-
-// WithPenalties supplies the completed job-level penalty matrix directly
-// and skips the profiling campaign and predictor — for daemons loading
-// measurements out of band.
-func WithPenalties(d [][]float64) Option {
-	return func(c *Config) { c.Pipeline.Penalties = d }
 }
 
 // WithTelemetry attaches a telemetry handle: phase spans, pipeline
