@@ -86,8 +86,9 @@ journey-soak:
 # pairwise count, the preference lists against their comparator-sort
 # reference, the repair neighborhood against its full-sort reading, the
 # count-level marriage against Gale–Shapley, the churn ledger against its ID-keyed reference, the
-# auditor against arbitrary event streams and the one-pass dispatch
-# against the pre-rewrite dispatcher, and the benchmark harness's
+# auditor against arbitrary event streams, the one-pass dispatch
+# against the pre-rewrite dispatcher and the bandwidth order against a
+# stable comparator sort, and the benchmark harness's
 # own vet and tests.
 # It carries no timing floor: behaviour is pinned by the tests, and
 # timing is compared parent against change, workload by workload, by the
@@ -141,7 +142,10 @@ bench:
 # n=800 and 20000 through a 20-class view carrying its preference
 # table, as the engine hands them over, and at n=800 through a Dense
 # view, the marriage beside Gale–Shapley over Penalties.Lists (the
-# count marriage's gap to agent-level proposals on Dense views).
+# count marriage's gap to agent-level proposals on Dense views); and
+# internal/policy BenchmarkBandwidthOrder, the SMP/CO bandwidth order at
+# n=800 and 20000 over 20 job-shared values and over distinct ones, with
+# B/op.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run xxx ./...
 
@@ -174,7 +178,11 @@ bench-smoke:
 # from the audit tests' logs: in-process and wire, repair and full), and
 # the one-pass dispatch (Dispatch and RunMatching) ≡ the pre-rewrite
 # reference dispatcher bit for bit over 1–130 machines, any solo share,
-# zero-runtime solos and two rounds on shared clocks.
+# zero-runtime solos and two rounds on shared clocks, and the SMP/CO
+# bandwidth order (a memo per class, the misses sorted, a counting sort)
+# ≡ a stable comparator sort on arbitrary values and class labels (seeded
+# from its property test's cases: NaN, ±0, infinities, one class holding
+# several values, Dense views and empty populations).
 # Minimizing each newly covered input is switched off: it can take the
 # whole budget and finds nothing.
 fuzz-smoke:
@@ -187,6 +195,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLedger -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime=10s -fuzzminimizetime=0 ./internal/audit/
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime=10s -fuzzminimizetime=0 ./internal/cluster/
+	$(GO) test -run xxx -fuzz FuzzBandwidthOrder -fuzztime=10s -fuzzminimizetime=0 ./internal/policy/
 
 # bench-check vets and tests the benchmark harness (benchmark/ is its own
 # module, so `./...` above does not reach it): its result checkers

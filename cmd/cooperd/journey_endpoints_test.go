@@ -12,13 +12,12 @@ import (
 	"cooper/internal/telemetry"
 )
 
-// journeyFixture records a small lifecycle into a ring with a journey
-// builder attached, the way main wires them.
-func journeyFixture(t *testing.T) (*telemetry.Telemetry, *journey.Builder) {
+// journeyFixture records a small lifecycle into a ring wired the way
+// main wires it, with the journey endpoints served or not.
+func journeyFixture(t *testing.T, served bool) (*telemetry.Telemetry, *journey.Builder) {
 	t.Helper()
 	tel := telemetry.NewSeeded(1)
-	jb := journey.NewBuilder()
-	tel.Events.AddObserver(jb.Observe)
+	jb := journeys(tel, served)
 	rec := func(typ telemetry.EventType, epoch, agent, partner int, job string) {
 		tel.RecordIn(tel.Trace, telemetry.Event{
 			Type: typ, Epoch: epoch, Agent: agent, Partner: partner, Job: job})
@@ -37,7 +36,7 @@ func journeyFixture(t *testing.T) (*telemetry.Telemetry, *journey.Builder) {
 // like /debug/events, and unknown agents get a JSON 404 body rather
 // than a plain-text error page.
 func TestDebugJourneyEndpoint(t *testing.T) {
-	tel, jb := journeyFixture(t)
+	tel, jb := journeyFixture(t, true)
 	ts := httptest.NewServer(metricsMux(tel, jb))
 	defer ts.Close()
 
@@ -117,7 +116,7 @@ func TestDebugJourneyEndpoint(t *testing.T) {
 // TestDebugJourneysSlowest covers the fleet-wide ranking endpoint and
 // its ?n= bound.
 func TestDebugJourneysSlowest(t *testing.T) {
-	tel, jb := journeyFixture(t)
+	tel, jb := journeyFixture(t, true)
 	ts := httptest.NewServer(metricsMux(tel, jb))
 	defer ts.Close()
 
@@ -157,5 +156,21 @@ func TestDebugJourneysSlowest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("nil builder should 404, got %d", resp.StatusCode)
+	}
+}
+
+// TestNoJourneysWithoutMetrics: without -metrics nothing serves the
+// journey endpoints, so cooperd builds no journey builder and registers
+// no observer to keep every agent's steps; the endpoints, were they
+// served, would know no agent.
+func TestNoJourneysWithoutMetrics(t *testing.T) {
+	tel, jb := journeyFixture(t, false)
+	if jb != nil {
+		t.Fatal("a journey builder was wired without -metrics")
+	}
+	rec := httptest.NewRecorder()
+	metricsMux(tel, jb).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/journey?agent=0", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("/debug/journey?agent=0 without a builder: status %d, want 404", rec.Code)
 	}
 }

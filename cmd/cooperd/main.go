@@ -170,11 +170,7 @@ func main() {
 		fmt.Printf("cooperd: CHAOS MODE: injecting faults on every connection (seed %d)\n", *chaosSeed)
 	}
 
-	// The journey builder rides the same observer hook as the auditor:
-	// every coordinator event folds into per-agent timelines the
-	// /debug/journey endpoints serve live.
-	jb := journey.NewBuilder()
-	tel.Events.AddObserver(jb.Observe)
+	jb := journeys(tel, *metricsAddr != "")
 
 	var auditor *audit.Auditor
 	if *auditOn {
@@ -256,6 +252,20 @@ func main() {
 		sinkFile.Close()
 		os.Exit(code)
 	}
+}
+
+// journeys returns the builder the /debug/journey endpoints read, riding
+// the same observer hook as the auditor so every coordinator event folds
+// into per-agent timelines, when those endpoints are served. Otherwise it
+// returns nil and registers nothing: a builder nothing reads would keep
+// every agent's steps for the life of the daemon.
+func journeys(tel *telemetry.Telemetry, served bool) *journey.Builder {
+	if !served {
+		return nil
+	}
+	jb := journey.NewBuilder()
+	tel.Events.AddObserver(jb.Observe)
+	return jb
 }
 
 // metricsMux builds the telemetry HTTP handler: /metrics serves the full

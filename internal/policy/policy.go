@@ -12,6 +12,7 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -151,7 +152,7 @@ func (Complementary) AssignClasses(p matching.Penalties, ctx Context) (matching.
 		return nil, err
 	}
 	n := p.Agents()
-	order := sortedByBandwidth(ctx.BandwidthGBps)
+	order := sortedByBandwidth(ctx.BandwidthGBps, p.Class, len(p.Matrix))
 	match := newUnmatched(n)
 	lo, hi := 0, n-1
 	for lo < hi {
@@ -181,7 +182,7 @@ func (StableMarriagePartition) AssignClasses(p matching.Penalties, ctx Context) 
 	if err := validate(p, ctx, true, false); err != nil {
 		return nil, err
 	}
-	order := sortedByBandwidth(ctx.BandwidthGBps)
+	order := sortedByBandwidth(ctx.BandwidthGBps, p.Class, len(p.Matrix))
 	half := len(order) / 2
 	computeSet := order[:half]           // least intensive half
 	memorySet := order[len(order)-half:] // most intensive half proposes
@@ -326,26 +327,49 @@ func newUnmatched(n int) matching.Matching {
 }
 
 // sortedByBandwidth returns agent indices ordered by increasing bandwidth
-// demand, ties broken by index. Bandwidth is a job's, so agents share few
-// values: the distinct values are sorted once, and the agents, counted by
-// value, are bucketed by value in index order.
-func sortedByBandwidth(bw []float64) []int {
-	values := slices.Clone(bw)
-	slices.Sort(values)
-	values = slices.Compact(values)
-	buf := make([]int, len(bw)+len(values)+1)
-	order, start := buf[:len(bw)], buf[len(bw):]
-	for _, b := range bw {
-		v, _ := slices.BinarySearch(values, b)
-		start[v+1]++
+// demand under cmp.Compare (NaN first, -0 equal to +0), ties broken by
+// index; agent i is of class class[i] < classes. Bandwidth is a job's, so
+// an agent nearly always repeats the value its class last set: a memo per
+// class places those agents in O(1), and only the misses (one per class
+// on a catalog population, every agent on a Dense view) are sorted, equal
+// values sharing a rank. A counting sort then deals the agents in index
+// order, replaying the memo. O(n + M log M) for M misses.
+func sortedByBandwidth(bw []float64, class []int, classes int) []int {
+	memo := make([]int32, classes) // 1 + the miss that set class c's last value; 0 for none
+	misses := make([]int32, 0, classes)
+	bucket := make([]int32, 0, classes) // miss m's agents, then its value's rank
+	for i, c := range class {
+		m := memo[c] - 1
+		if m < 0 || cmp.Compare(bw[misses[m]], bw[i]) != 0 {
+			m, memo[c] = int32(len(misses)), int32(len(misses))+1
+			misses, bucket = append(misses, int32(i)), append(bucket, 0)
+		}
+		bucket[m]++
 	}
-	for v := 1; v < len(start); v++ {
-		start[v] += start[v-1]
+	byValue := make([]int32, len(misses))
+	for m := range byValue {
+		byValue[m] = int32(m)
 	}
-	for i, b := range bw {
-		v, _ := slices.BinarySearch(values, b)
-		order[start[v]] = i
-		start[v]++
+	slices.SortFunc(byValue, func(a, b int32) int { return cmp.Compare(bw[misses[a]], bw[misses[b]]) })
+	start := make([]int32, 0, len(misses)) // start[r]: rank r's first slot in the order
+	var end int32
+	for k, m := range byValue {
+		if k == 0 || cmp.Compare(bw[misses[m]], bw[misses[byValue[k-1]]]) != 0 {
+			start = append(start, end)
+		}
+		end += bucket[m]
+		bucket[m] = int32(len(start) - 1)
+	}
+	order := make([]int, len(class))
+	next := 0
+	for i, c := range class {
+		if next < len(misses) && int(misses[next]) == i {
+			next++
+			memo[c] = int32(next)
+		}
+		r := bucket[memo[c]-1]
+		order[start[r]] = i
+		start[r]++
 	}
 	return order
 }
