@@ -118,8 +118,9 @@ bench:
 # compile-and-run check, not a measurement. That includes
 # BenchmarkStreamRepair, streaming epochs at n=10000 over 32 shards with
 # 1% churn, repair beside forced full clear, whose B/op and allocs/op are
-# what TestStreamRepairEpochAllocation pins (about 1.5 MB and 463 allocs a
-# repair epoch, the roster kept in place) and TestStreamEpochBytesPerAgent
+# what TestStreamRepairEpochAllocation pins (about 1.0 MB and 463 allocs a
+# repair epoch, the roster kept in place and the assessment a class
+# table) and TestStreamEpochBytesPerAgent
 # bounds per agent, and the same market repaired
 # unsharded; internal/rematch BenchmarkNeighborhood, one repair
 # neighborhood at a stream-sharded shard's shape (312 members, 6 dirty),
@@ -154,7 +155,9 @@ bench-smoke:
 # encoding/json on arbitrary lines (seeded from the golden transcripts in
 # internal/netproto/testdata/), and the class-count assessment ≡ the
 # partner-listing scan and the pairwise blocking-pair count on tie-heavy
-# markets, three populations on each matrix, every one assessed with the
+# markets — each agent's verdict read from the table, the slice it
+# materialises and its break-away count alike — three populations on
+# each matrix, every one assessed with the
 # matrix's preference table (built once per matrix) and without, bit for
 # bit alike (seeded from its property test's table, ±0 entries, equal
 # rows and absent classes included), Penalties.Lists ≡

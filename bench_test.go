@@ -793,7 +793,7 @@ func (m *streamMarket) step(tb testing.TB, c Churn) *EpochReport {
 // repair epoch costs beyond the repair itself is the epoch's per-agent
 // tail (assess, report, dispatch): the gap between the two legs is the
 // clear, and B/op and allocs/op are what TestStreamRepairEpochAllocation
-// pins (about 1.5 MB and 463 a repair epoch, on 2 cores) and
+// pins (about 1.0 MB and 463 a repair epoch, on 2 cores) and
 // TestStreamEpochBytesPerAgent bounds per agent. unsharded-repair repairs the same market unsharded, one
 // neighborhood over the whole population and one Rewire.
 // blocking_pairs/op is the epochs' mean blocking-pair count over the

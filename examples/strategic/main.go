@@ -86,7 +86,7 @@ func main() {
 
 	fmt.Println("\nmost dissatisfied agents under Greedy:")
 	shown := 0
-	for _, rec := range rep.Recommendations {
+	for _, rec := range rep.Recommendations() {
 		if rec.Action != cooper.BreakAway || shown >= 5 {
 			continue
 		}

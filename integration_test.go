@@ -48,8 +48,8 @@ func TestIntegrationEveryPolicyFullPipeline(t *testing.T) {
 			}
 			// Agents assessed with predicted penalties; recommendations
 			// must cover every agent.
-			if len(rep.Recommendations) != 80 {
-				t.Errorf("recommendations = %d", len(rep.Recommendations))
+			if len(rep.Recommendations()) != 80 {
+				t.Errorf("recommendations = %d", len(rep.Recommendations()))
 			}
 		})
 	}

@@ -22,6 +22,7 @@ import (
 	"cooper/internal/parallel"
 	"cooper/internal/profiler"
 	"cooper/internal/recommend"
+	"cooper/internal/rematch"
 	"cooper/internal/stats"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
@@ -277,10 +278,6 @@ type EpochReport struct {
 	// them.
 	PredictedPenalty []float64
 	TruePenalty      []float64
-	// Recommendations are the agents' strategic assessments: each
-	// agent's Action and ExpectedGain against the whole population, with
-	// no BlockingPartners listed.
-	Recommendations []agent.Recommendation
 	// BlockingPairCount is how many pairs of agents would both gain more
 	// than the framework's alpha by leaving their partners for each other
 	// (under their predicted preferences), over the whole population in
@@ -293,6 +290,10 @@ type EpochReport struct {
 	// benchmark/epoch.go and benchmark/stream.go, whose replays read
 	// len(rep.BlockingPairs).
 	BlockingPairs [][2]int
+	// assessment is the agents' strategic assessment, a verdict per
+	// (class, partner class) cell, which Recommendations and
+	// BreakAwayCount read.
+	assessment rematch.Assessment
 	// Cluster summarizes the dispatch of participating colocations. Each
 	// agent runs the catalog row of its job's name, so a population job
 	// whose other fields differ from its catalog row (a longer RuntimeS,
@@ -388,8 +389,8 @@ func (f *Framework) epoch(ctx context.Context, pop workload.Population,
 		RefinementTrades:  r.RefinementTrades,
 		PredictedPenalty:  predicted,
 		TruePenalty:       trueP,
-		Recommendations:   r.Recommendations,
-		BlockingPairCount: r.BlockingPairCount,
+		BlockingPairCount: r.Assessment.BlockingPairs,
+		assessment:        r.Assessment,
 		AgentIDs:          r.IDs,
 	}
 	if f.cfg.Market.Shards > 1 {
@@ -445,13 +446,13 @@ func (r *EpochReport) MeanTruePenalty() float64 {
 	return sum / float64(len(r.TruePenalty))
 }
 
-// BreakAwayCount returns how many agents recommended breaking away.
-func (r *EpochReport) BreakAwayCount() int {
-	count := 0
-	for _, rec := range r.Recommendations {
-		if rec.Action == agent.BreakAway {
-			count++
-		}
-	}
-	return count
+// Recommendations returns the agents' strategic assessments in a fresh
+// slice the caller owns: each agent's Action and ExpectedGain against the
+// whole population, with no BlockingPartners listed, read from the
+// assessment's class table through the epoch's rows and Match.
+func (r *EpochReport) Recommendations() []agent.Recommendation {
+	return r.assessment.Recommendations()
 }
+
+// BreakAwayCount returns how many agents recommended breaking away.
+func (r *EpochReport) BreakAwayCount() int { return r.assessment.BreakAways }

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"cooper/internal/agent"
 	"cooper/internal/arch"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
+	"cooper/internal/rematch"
 	"cooper/internal/stats"
 	"cooper/internal/telemetry"
 	"cooper/internal/workload"
@@ -316,20 +319,32 @@ func TestTruePenaltyIsTheSimulatedOne(t *testing.T) {
 			t.Error("an odd population left nobody alone: the unmatched case is untested")
 		}
 	}
+	eachMarketEpoch(t, func(t *testing.T, f *Framework, rep *EpochReport) {
+		t.Helper()
+		if !slices.EqualFunc(f.PredictedPenalties(), predicted, slices.Equal[[]float64]) {
+			t.Fatal("a framework from the same seed believes another predicted matrix")
+		}
+		check(t, f, rep)
+	})
+}
+
+// eachMarketEpoch runs every policy's subtest, on the unsharded market
+// and at 4 shards, on a profiled framework from seed 3: a batch epoch
+// over 151 agents (odd, so somebody runs alone), then a streaming cold
+// start of 151 and a repair of 4 churned agents, handing check each
+// report.
+func eachMarketEpoch(t *testing.T, check func(t *testing.T, f *Framework, rep *EpochReport)) {
 	policies := []policy.Policy{policy.Greedy{}, policy.Complementary{}, policy.StableMarriagePartition{},
 		policy.StableMarriageRandom{}, policy.StableRoommate{}, policy.Threshold{Tolerance: 0.1}}
 	for _, p := range policies {
 		for _, shards := range []int{0, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", p.Name(), shards), func(t *testing.T) {
-				f, err := NewFramework(ctx, Config{Seed: 3,
+				f, err := NewFramework(context.Background(), Config{Seed: 3,
 					Market: MarketConfig{Policy: p, Shards: shards, Rematch: true}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer f.Close()
-				if !slices.EqualFunc(f.PredictedPenalties(), predicted, slices.Equal[[]float64]) {
-					t.Fatal("a framework from the same seed believes another predicted matrix")
-				}
 				rep, err := f.RunEpoch(f.SamplePopulation(151, stats.Uniform{}))
 				if err != nil {
 					t.Fatal(err)
@@ -352,5 +367,51 @@ func TestTruePenaltyIsTheSimulatedOne(t *testing.T) {
 				check(t, f, repair)
 			})
 		}
+	}
+}
+
+// TestReportRecommendationsMatchListing holds a report's assessment, read
+// from the market's class table, to the partner-listing scan over the
+// same predicted matrix: for every policy, unsharded and at 4 shards,
+// batch and streaming (a cold start and a repair), Recommendations() is
+// rematch.Recommendations with BlockingPartners cleared, a fresh slice
+// each call, and BreakAwayCount() the number of its BreakAway verdicts.
+// Only SR's unsharded clear is stable; the other legs leave some agents
+// told to break away.
+func TestReportRecommendationsMatchListing(t *testing.T) {
+	total := 0
+	check := func(t *testing.T, f *Framework, rep *EpochReport) {
+		t.Helper()
+		row := make(map[string]int, len(f.Catalog()))
+		for i, job := range f.Catalog() {
+			row[job.Name] = i
+		}
+		jobIdx := make([]int, len(rep.Population.Jobs))
+		for i, job := range rep.Population.Jobs {
+			jobIdx[i] = row[job.Name]
+		}
+		want := rematch.Recommendations(jobIdx, f.PredictedPenalties(), rep.Match, f.cfg.Market.Alpha, len(jobIdx))
+		breaks := 0
+		for i := range want {
+			want[i].BlockingPartners = nil
+			if want[i].Action == agent.BreakAway {
+				breaks++
+			}
+		}
+		got := rep.Recommendations()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("report recommendations differ from the listing scan's")
+		}
+		if got[0].AgentID = -1; rep.Recommendations()[0].AgentID != 0 {
+			t.Fatal("Recommendations handed out a slice the report keeps")
+		}
+		if rep.BreakAwayCount() != breaks {
+			t.Fatalf("BreakAwayCount %d, the listing scan %d BreakAway verdicts", rep.BreakAwayCount(), breaks)
+		}
+		total += breaks
+	}
+	eachMarketEpoch(t, check)
+	if total == 0 {
+		t.Fatal("no agent was told to break away: the BreakAway verdicts are untested")
 	}
 }

@@ -40,8 +40,8 @@ type RematchSummary struct {
 // or re-matched from scratch when cumulative churn since the last full
 // clear exceeds Market.ChurnThreshold. Requires Market.Rematch (the
 // facade's WithRematch). The report's Population.Jobs views the live
-// roster and is valid until the next StreamEpoch; its AgentIDs, Match,
-// penalties and Recommendations are its own.
+// roster and is valid until the next StreamEpoch; its AgentIDs, Match
+// and penalties are its own, and Recommendations builds a fresh slice.
 func (f *Framework) StreamEpoch(churn Churn) (*EpochReport, error) {
 	return f.StreamEpochContext(context.Background(), churn)
 }

@@ -221,8 +221,9 @@ func TestStreamEpochChurnErrors(t *testing.T) {
 // TestStreamReportOwnsItsSlices pins where a streaming report's lifetime
 // contract stops. Population.Jobs views the engine's live roster, which
 // the next StreamEpoch rewrites in place; AgentIDs, Match, both penalty
-// slices and Recommendations are the report's own, and later epochs,
-// repairs and a full clear, leave an earlier report's as they were.
+// slices and the rows and matching Recommendations reads are the
+// report's own, and later epochs, repairs and a full clear, leave an
+// earlier report's as they were.
 func TestStreamReportOwnsItsSlices(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		f := streamFramework(t, 0, shards, 11)
@@ -233,7 +234,7 @@ func TestStreamReportOwnsItsSlices(t *testing.T) {
 		}
 		ids, match := slices.Clone(first.AgentIDs), slices.Clone(first.Match)
 		predicted, realized := slices.Clone(first.PredictedPenalty), slices.Clone(first.TruePenalty)
-		recs := slices.Clone(first.Recommendations)
+		recs := first.Recommendations()
 		for e, churn := range trace[1:] {
 			if _, err := f.StreamEpoch(churn); err != nil {
 				t.Fatalf("shards=%d epoch %d: %v", shards, e+1, err)
@@ -241,7 +242,7 @@ func TestStreamReportOwnsItsSlices(t *testing.T) {
 		}
 		if !slices.Equal(first.AgentIDs, ids) || !slices.Equal(first.Match, match) ||
 			!slices.Equal(first.PredictedPenalty, predicted) || !slices.Equal(first.TruePenalty, realized) ||
-			!reflect.DeepEqual(first.Recommendations, recs) {
+			!reflect.DeepEqual(first.Recommendations(), recs) {
 			t.Fatalf("shards=%d: later epochs rewrote an earlier report's own slices", shards)
 		}
 	}

@@ -12,7 +12,8 @@ import (
 // TestBreakAwayIsBlockingMembership pins what Figure 10 counts: an agent
 // belongs to a pairwise α-blocking pair (Penalties.BlockingPairs) exactly
 // when the market's class-count assessment (rematch.Assess) marks it
-// BreakAway at α, and Assess's pair count is the number of those pairs.
+// BreakAway at α, Assess's pair count is the number of those pairs, and
+// its break-away count the number of those agents.
 // Instances are tie-heavy — few classes, penalties from a handful of
 // values — with partial matchings that leave solos.
 func TestBreakAwayIsBlockingMembership(t *testing.T) {
@@ -47,15 +48,22 @@ func TestBreakAwayIsBlockingMembership(t *testing.T) {
 			for _, bp := range pairs {
 				blocks[bp[0]], blocks[bp[1]] = true, true
 			}
-			recs, count := rematch.Assess(p, match, alpha)
-			if count != len(pairs) {
-				t.Fatalf("instance %d α=%v: Assess counts %d pairs, pairwise %d", inst, alpha, count, len(pairs))
+			a := rematch.Assess(p, match, alpha)
+			if a.BlockingPairs != len(pairs) {
+				t.Fatalf("instance %d α=%v: Assess counts %d pairs, pairwise %d", inst, alpha, a.BlockingPairs, len(pairs))
 			}
-			for i, rec := range recs {
+			members := 0
+			for i, rec := range a.Recommendations() {
 				if breaks := rec.Action == agent.BreakAway; breaks != blocks[i] {
 					t.Fatalf("instance %d α=%v agent %d: BreakAway=%v but in a blocking pair=%v",
 						inst, alpha, i, breaks, blocks[i])
 				}
+				if blocks[i] {
+					members++
+				}
+			}
+			if a.BreakAways != members {
+				t.Fatalf("instance %d α=%v: Assess counts %d break-aways, %d agents are in a blocking pair", inst, alpha, a.BreakAways, members)
 			}
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"cooper/internal/agent"
 	"cooper/internal/arch"
 	"cooper/internal/market"
 	"cooper/internal/matching"
@@ -85,13 +84,8 @@ func (l *Lab) oracle(class []int) matching.Penalties {
 // k ≤ C²+C occupied (class, partner class) cells, plus a sort of each
 // present class's row.
 func (l *Lab) breakAways(round *market.Round, alpha float64) (agents, pairs int) {
-	recs, pairs := rematch.Assess(l.oracle(round.JobIdx), round.Match, alpha)
-	for _, rec := range recs {
-		if rec.Action == agent.BreakAway {
-			agents++
-		}
-	}
-	return agents, pairs
+	a := rematch.Assess(l.oracle(round.JobIdx), round.Match, alpha)
+	return a.BreakAways, a.BlockingPairs
 }
 
 // jobIndex maps catalog names to indices.

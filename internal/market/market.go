@@ -30,7 +30,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"cooper/internal/agent"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
 	"cooper/internal/rematch"
@@ -101,8 +100,8 @@ type Engine struct {
 	// Assess makes the engine run the agents' strategic assessment after
 	// each round, for in-process agents: rematch.Assess over the whole
 	// population, unsharded, sharded or streaming, filling the round's
-	// Recommendations and BlockingPairCount. Remote agents assess the
-	// assignments pushed to them, so the wire driver leaves it off.
+	// Assessment. Remote agents assess the assignments pushed to them,
+	// so the wire driver leaves it off.
 	Assess bool
 
 	ledger  rematch.Ledger
@@ -192,10 +191,10 @@ func (e *Engine) view(rows []int) matching.Penalties {
 // rows maps jobs to their matrix rows.
 func (e *Engine) rows(jobs []workload.Job) ([]int, error) {
 	rows := make([]int, len(jobs))
-	for i, job := range jobs {
-		row, ok := e.rowOf[job.Name]
+	for i := range jobs {
+		row, ok := e.rowOf[jobs[i].Name]
 		if !ok {
-			return nil, fmt.Errorf("market: job %q not in catalog", job.Name)
+			return nil, fmt.Errorf("market: job %q not in catalog", jobs[i].Name)
 		}
 		rows[i] = row
 	}
@@ -240,13 +239,12 @@ type Round struct {
 	// Changed those that ended with a different partner. All ascending.
 	Joined, Departed             int
 	Dirty, Neighborhood, Changed []int
-	// Recommendations are the agents' strategic assessments and
-	// BlockingPairCount the matching's blocking pairs over the whole
+	// Assessment is the agents' strategic assessment over the whole
 	// population (Assess engines only, in every mode), from
-	// rematch.Assess: each agent's Action and ExpectedGain, no partner
-	// lists.
-	Recommendations   []agent.Recommendation
-	BlockingPairCount int
+	// rematch.Assess: a verdict per (class, partner class) cell, which
+	// each agent's Action and ExpectedGain are read from on demand, and
+	// the matching's blocking pairs and break-aways.
+	Assessment rematch.Assessment
 
 	index  int // the round's position within its epoch, from 0
 	matrix [][]float64
@@ -435,7 +433,7 @@ func (ep *Epoch) Clear(ctx context.Context, roster Roster) (*Round, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r.Recommendations, r.BlockingPairCount = rematch.Assess(e.view(rows), r.Match, e.Alpha)
+		r.Assessment = rematch.Assess(e.view(rows), r.Match, e.Alpha)
 	}
 	return r, nil
 }
@@ -527,7 +525,7 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	e.Tel.Counter("rematch.joined").Add(int64(r.Joined))
 	e.Tel.Counter("rematch.departed").Add(int64(r.Departed))
 	if e.Assess {
-		r.Recommendations, r.BlockingPairCount = rematch.Assess(e.view(rows), r.Match, e.Alpha)
+		r.Assessment = rematch.Assess(e.view(rows), r.Match, e.Alpha)
 	}
 	return r, nil
 }
@@ -576,8 +574,8 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, mo
 		}
 	} else {
 		bw := make([]float64, len(r.Jobs))
-		for i, job := range r.Jobs {
-			bw[i] = job.BandwidthGBps
+		for i := range r.Jobs {
+			bw[i] = r.Jobs[i].BandwidthGBps
 		}
 		var err error
 		if prev == nil {

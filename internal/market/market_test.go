@@ -146,8 +146,8 @@ func TestStepRepairsAroundTheEpochsClear(t *testing.T) {
 // never expands penalties to agents, yet its matching is the policy's
 // over the agents×agents expansion for the same RNG draws, its
 // recommendations are the message exchange's (§IV-B) over the expanded
-// rows — Action and ExpectedGain — and its blocking-pair count is the
-// number of pairs that exchange reveals.
+// rows — Action and ExpectedGain — and its blocking-pair and break-away
+// counts are the numbers of pairs and agents that exchange reveals.
 func TestClearMatchesAndAssessesLikeTheReferenceProtocol(t *testing.T) {
 	for _, pol := range []policy.Policy{policy.StableMarriageRandom{}, policy.StableMarriagePartition{}, policy.StableRoommate{}, policy.Greedy{}} {
 		e, catalog := testEngine(t, Config{Alpha: 0.05})
@@ -182,14 +182,21 @@ func TestClearMatchesAndAssessesLikeTheReferenceProtocol(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		breaks := 0
 		for i, rec := range recs {
-			got := r.Recommendations[i]
+			got := r.Assessment.Recommendation(i)
 			if got.AgentID != i || got.Action != rec.Action || got.ExpectedGain != rec.ExpectedGain {
 				t.Fatalf("%s: engine assessed agent %d %+v, the exchange %+v", pol.Name(), i, got, rec)
 			}
+			if rec.Action == agent.BreakAway {
+				breaks++
+			}
 		}
-		if want := len(agent.BlockingPairsFromRecommendations(recs)); r.BlockingPairCount != want {
-			t.Fatalf("%s: engine counted %d blocking pairs, the exchange %d", pol.Name(), r.BlockingPairCount, want)
+		if r.Assessment.BreakAways != breaks {
+			t.Fatalf("%s: engine counted %d break-aways, the exchange %d", pol.Name(), r.Assessment.BreakAways, breaks)
+		}
+		if want := len(agent.BlockingPairsFromRecommendations(recs)); r.Assessment.BlockingPairs != want {
+			t.Fatalf("%s: engine counted %d blocking pairs, the exchange %d", pol.Name(), r.Assessment.BlockingPairs, want)
 		}
 	}
 }

@@ -8,12 +8,66 @@ import (
 	"cooper/internal/matching"
 )
 
+// Assessment is the market's strategic assessment of a matching (§IV-B):
+// one verdict per (class, partner class or solo) cell, shared by the
+// cell's agents, since penalties depend only on the two classes. It
+// views the class assignment and the matching it assessed, which its
+// Recommendation and Recommendations read, so they must stay as they
+// were.
+type Assessment struct {
+	// BlockingPairs is the exact number of blocking pairs:
+	// Penalties.CountBlockingPairs over the whole population.
+	BlockingPairs int
+	// BreakAways is how many agents are told to break away: the agents
+	// of every cell whose verdict is BreakAway.
+	BreakAways int
+
+	class    []int
+	match    matching.Matching
+	cols     int       // a row of cells: the partner classes, then running alone
+	verdicts []verdict // by cell, class·cols + partner class
+}
+
+// verdict is one cell's Action and ExpectedGain.
+type verdict struct {
+	breaks bool
+	gain   float64
+}
+
+// cell is agent i's (class, partner class) cell.
+func (a Assessment) cell(i int) int {
+	if j := a.match[i]; j != matching.Unmatched {
+		return a.class[i]*a.cols + a.class[j]
+	}
+	return a.class[i]*a.cols + a.cols - 1
+}
+
+// Recommendation is agent i's Action and ExpectedGain, with
+// BlockingPartners left nil.
+func (a Assessment) Recommendation(i int) agent.Recommendation {
+	rec := agent.Recommendation{AgentID: i, Action: agent.Participate}
+	if v := a.verdicts[a.cell(i)]; v.breaks {
+		rec.Action, rec.ExpectedGain = agent.BreakAway, v.gain
+	}
+	return rec
+}
+
+// Recommendations materialises every agent's Recommendation into a fresh
+// slice, in index order.
+func (a Assessment) Recommendations() []agent.Recommendation {
+	recs := make([]agent.Recommendation, len(a.match))
+	for i := range recs {
+		recs[i] = a.Recommendation(i)
+	}
+	return recs
+}
+
 // Assess is the market's strategic assessment of a matching: every
-// agent's message-exchange Action and ExpectedGain (§IV-B), with
-// BlockingPartners left nil, and the exact number of blocking pairs —
-// Penalties.CountBlockingPairs over the whole population. Penalties
-// depend only on (class, partner class), so both are functions of class
-// counts:
+// agent's message-exchange Action and ExpectedGain (§IV-B), as a table
+// over (class, partner class) cells, and the exact number of blocking
+// pairs — Penalties.CountBlockingPairs over the whole population.
+// Penalties depend only on (class, partner class), so both are functions
+// of class counts:
 //
 //   - cnt[a][p] counts the agents of class a whose partner is of class p
 //     (or who run alone), and want[a][b] those of them that gain more
@@ -31,27 +85,22 @@ import (
 //     BreakAway at gain cur − pen.
 //
 // The pass is O(n + C·k) for the k ≤ min(n, C²+C) occupied (class,
-// partner class) cells of C classes, whatever the number of pairs; a
-// view without a preference table is ranked first (matching.Rank, O(C²
-// log C)). The float expressions are those of CountBlockingPairs and
-// Recommendations, so Action, ExpectedGain and the count are bit-identical
-// to theirs.
-func Assess(p matching.Penalties, match matching.Matching, alpha float64) ([]agent.Recommendation, int) {
+// partner class) cells of C classes, whatever the number of pairs, and
+// allocates O(C²), nothing per agent; a view without a preference table
+// is ranked first (matching.Rank, O(C² log C)). The float expressions are
+// those of CountBlockingPairs and Recommendations, so Action,
+// ExpectedGain and the count are bit-identical to theirs.
+func Assess(p matching.Penalties, match matching.Matching, alpha float64) Assessment {
 	jobIdx, matrix := p.Class, p.Matrix
 	if p.Ranks == nil {
 		p.Ranks = matching.Rank(matrix)
 	}
 	classes := len(matrix)
 	solo, cols := classes, classes+1 // a cell's last column: running alone
-	cell := func(i int) int {
-		if q := match[i]; q != matching.Unmatched {
-			return jobIdx[i]*cols + jobIdx[q]
-		}
-		return jobIdx[i]*cols + solo
-	}
+	as := Assessment{class: jobIdx, match: match, cols: cols, verdicts: make([]verdict, classes*cols)}
 	cnt := make([]int, classes*cols)
 	for i := range match {
-		cnt[cell(i)]++
+		cnt[as.cell(i)]++
 	}
 	cur := func(a, q int) float64 {
 		if q == solo {
@@ -73,28 +122,22 @@ func Assess(p matching.Penalties, match matching.Matching, alpha float64) ([]age
 		}
 	}
 
-	count := 0
 	for a := range classes {
-		count += want[a*classes+a] * (want[a*classes+a] - 1) / 2
+		as.BlockingPairs += want[a*classes+a] * (want[a*classes+a] - 1) / 2
 		for b := a + 1; b < classes; b++ {
-			count += want[a*classes+b] * want[b*classes+a]
+			as.BlockingPairs += want[a*classes+b] * want[b*classes+a]
 		}
 	}
 	for i, j := range match {
 		if j != matching.Unmatched && i < j {
 			if a, b := jobIdx[i], jobIdx[j]; gains(a, b, b) && gains(b, a, a) {
-				count--
+				as.BlockingPairs--
 			}
 		}
 	}
 
 	// One verdict per occupied (class, partner class) cell, shared by the
 	// cell's agents.
-	type verdict struct {
-		breaks bool
-		gain   float64
-	}
-	verdicts := make([]verdict, classes*cols)
 	for a, row := range matrix {
 		o := p.Ranked(a)
 		for q := range cols {
@@ -119,21 +162,14 @@ func Assess(p matching.Penalties, match matching.Matching, alpha float64) ([]age
 					}
 				}
 				if avail > 0 {
-					verdicts[a*cols+q] = verdict{breaks: true, gain: c - pen}
+					as.verdicts[a*cols+q] = verdict{breaks: true, gain: c - pen}
+					as.BreakAways += cnt[a*cols+q]
 					break
 				}
 			}
 		}
 	}
-
-	recs := make([]agent.Recommendation, len(match))
-	for i := range match {
-		recs[i] = agent.Recommendation{AgentID: i, Action: agent.Participate}
-		if v := verdicts[cell(i)]; v.breaks {
-			recs[i].Action, recs[i].ExpectedGain = agent.BreakAway, v.gain
-		}
-	}
-	return recs, count
+	return as
 }
 
 // Recommendations is Assess with the blocking partners listed: the

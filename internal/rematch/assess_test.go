@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cooper/internal/agent"
 	"cooper/internal/matching"
 	"cooper/internal/policy"
 )
@@ -86,11 +87,13 @@ func assessMarket(data []byte) (matrix [][]float64, alpha float64, pops []assess
 }
 
 // checkAssess holds Assess on every population of one decoded market to
-// the partner-listing scan (Action and ExpectedGain bit for bit, no
-// partner list) and to the pairwise CountBlockingPairs. The view carrying
-// the matrix's preference table, built once for the three populations as
-// the market engine builds it, must give what the view without one
-// gives, bit for bit, in Assess and in the listing scan alike.
+// the partner-listing scan — each agent's Recommendation and the fresh
+// slice Recommendations materialises, Action and ExpectedGain bit for
+// bit, no partner list, and BreakAways the listing's BreakAway verdicts —
+// and to the pairwise CountBlockingPairs. The view carrying the matrix's
+// preference table, built once for the three populations as the market
+// engine builds it, must give what the view without one gives, bit for
+// bit, in Assess and in the listing scan alike.
 func checkAssess(t *testing.T, data []byte) {
 	t.Helper()
 	matrix, alpha, pops := assessMarket(data)
@@ -100,28 +103,41 @@ func checkAssess(t *testing.T, data []byte) {
 		p := matching.Penalties{Matrix: matrix, Class: jobIdx}
 		tabled := p
 		tabled.Ranks = ranks
-		got, count := Assess(p, match, alpha)
-		gotT, countT := Assess(tabled, match, alpha)
-		if !reflect.DeepEqual(got, gotT) || count != countT {
+		got, gotT := Assess(p, match, alpha), Assess(tabled, match, alpha)
+		recs := got.Recommendations()
+		if !reflect.DeepEqual(recs, gotT.Recommendations()) ||
+			got.BlockingPairs != gotT.BlockingPairs || got.BreakAways != gotT.BreakAways {
 			t.Fatalf("α=%v n=%d: Assess without the table and with it disagree (%d and %d pairs)\nmatrix %v\njobs %v\nmatch %v",
-				alpha, len(jobIdx), count, countT, matrix, jobIdx, match)
+				alpha, len(jobIdx), got.BlockingPairs, gotT.BlockingPairs, matrix, jobIdx, match)
 		}
 		want := Recommendations(jobIdx, matrix, match, alpha, len(jobIdx))
 		if wantT := RecommendationsWithin(nbhdAll(len(jobIdx)), tabled, match, alpha, len(jobIdx)); !reflect.DeepEqual(want, wantT) {
 			t.Fatalf("α=%v n=%d: the listing scan without the table and with it disagree\nmatrix %v\njobs %v\nmatch %v",
 				alpha, len(jobIdx), matrix, jobIdx, match)
 		}
-		for i := range want {
-			g, w := got[i], want[i]
+		if len(recs) != len(want) {
+			t.Fatalf("α=%v n=%d: Assess materialised %d recommendations", alpha, len(jobIdx), len(recs))
+		}
+		breaks := 0
+		for i, w := range want {
+			g := got.Recommendation(i)
 			if g.AgentID != i || g.Action != w.Action ||
-				math.Float64bits(g.ExpectedGain) != math.Float64bits(w.ExpectedGain) || g.BlockingPartners != nil {
-				t.Fatalf("α=%v classes=%d n=%d agent %d: Assess %+v, the listing scan %+v\nmatrix %v\njobs %v\nmatch %v",
-					alpha, len(matrix), len(jobIdx), i, g, w, matrix, jobIdx, match)
+				math.Float64bits(g.ExpectedGain) != math.Float64bits(w.ExpectedGain) || g.BlockingPartners != nil ||
+				!reflect.DeepEqual(g, recs[i]) {
+				t.Fatalf("α=%v classes=%d n=%d agent %d: Assess %+v (materialised %+v), the listing scan %+v\nmatrix %v\njobs %v\nmatch %v",
+					alpha, len(matrix), len(jobIdx), i, g, recs[i], w, matrix, jobIdx, match)
+			}
+			if w.Action == agent.BreakAway {
+				breaks++
 			}
 		}
-		if wantCount := p.CountBlockingPairs(match, alpha); count != wantCount {
+		if got.BreakAways != breaks {
+			t.Fatalf("α=%v classes=%d n=%d: Assess counts %d break-aways, the listing scan %d\nmatrix %v\njobs %v\nmatch %v",
+				alpha, len(matrix), len(jobIdx), got.BreakAways, breaks, matrix, jobIdx, match)
+		}
+		if wantCount := p.CountBlockingPairs(match, alpha); got.BlockingPairs != wantCount {
 			t.Fatalf("α=%v classes=%d n=%d: Assess counts %d blocking pairs, CountBlockingPairs %d\nmatrix %v\njobs %v\nmatch %v",
-				alpha, len(matrix), len(jobIdx), count, wantCount, matrix, jobIdx, match)
+				alpha, len(matrix), len(jobIdx), got.BlockingPairs, wantCount, matrix, jobIdx, match)
 		}
 	}
 }
