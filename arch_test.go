@@ -21,11 +21,13 @@ import (
 	"testing"
 )
 
-// program is Go source type-checked: its files by slash path, and the
-// object the checker resolved each identifier to.
+// program is Go source type-checked: its files by slash path, its
+// packages by import path, and the object the checker resolved each
+// identifier to.
 type program struct {
 	fset  *token.FileSet
 	files map[string]*ast.File
+	pkgs  map[string]*types.Package
 	info  *types.Info
 }
 
@@ -56,6 +58,9 @@ func load(srcs map[string][]byte) (*program, error) {
 		pkg := "cooper"
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
 			pkg += "/" + dir
+		}
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			pkg += "_test"
 		}
 		pkgs[pkg] = append(pkgs[pkg], f)
 	}
@@ -89,6 +94,7 @@ func load(srcs map[string][]byte) (*program, error) {
 
 	var errs []error
 	checked := make(map[string]*types.Package)
+	p.pkgs = checked
 	conf := types.Config{Error: func(err error) { errs = append(errs, err) }}
 	check := func(path string) *types.Package {
 		if pkg, ok := checked[path]; ok {
@@ -110,11 +116,14 @@ func load(srcs map[string][]byte) (*program, error) {
 	return p, errors.Join(errs...)
 }
 
-// moduleTree is the module's non-test code and the benchmark harness,
-// type-checked once for every analyzer below.
+// moduleTree is the module's non-test code, the benchmark harness and
+// the facade's Examples, type-checked once for every analyzer below.
 var moduleTree = sync.OnceValues(func() (*program, error) {
 	srcs, err := goSources(false, "benchmark")
 	if err != nil {
+		return nil, err
+	}
+	if srcs["example_test.go"], err = os.ReadFile("example_test.go"); err != nil {
 		return nil, err
 	}
 	return load(srcs)
@@ -327,9 +336,10 @@ func TestNoGlobalRand(t *testing.T) {
 	}
 }
 
-// reachRoots are what a user runs or links: every declaration under
-// these directories, and in these facade files, roots the walk.
-var reachRoots = []string{"cmd/", "examples/", "benchmark/", "cooper.go", "options.go"}
+// reachRoots are what a user runs or reads: every declaration under
+// these directories, and in the facade's runnable Examples, roots the
+// walk. A facade export is API only as far as one of them uses it.
+var reachRoots = []string{"cmd/", "examples/", "benchmark/", "example_test.go"}
 
 // implicitMethods are called through interfaces of the standard library
 // or the runtime (fmt, errors, net/http, io, encoding/json, sort,
@@ -342,13 +352,17 @@ var implicitMethods = map[string]bool{
 }
 
 // unreachedAllowed lists the declarations no root reaches that stay,
-// each with its reason: the facade's API, or an oracle, fake or harness
-// hook that tests use on other code. What an entry reaches stays with
-// it. "dir.*" admits a whole package.
+// each with its reason: a facade alias naming a type that reached API
+// hands out, or an oracle, fake or harness hook that tests use on other
+// code. What an entry reaches stays with it. "dir.*" admits a whole
+// package; the facade's directory is "cooper".
 var unreachedAllowed = map[string]string{
-	"internal/core.Framework.Closed":                     "facade API: cooper.Framework is core.Framework",
-	"internal/core.Framework.Database":                   "facade API: cooper.Framework is core.Framework",
-	"internal/core.Framework.Kernel":                     "facade API: cooper.Framework is core.Framework",
+	"cooper.Recommendation":                              "names the element type EpochReport.Recommendations returns",
+	"cooper.RematchSummary":                              "names the type of an EpochReport field",
+	"cooper.TelemetrySnapshot":                           "names the type Framework.Snapshot returns",
+	"cooper.DriverSummary":                               "names the type Driver.Run returns",
+	"cooper.TaskModel":                                   "names the type of the Job.Model field",
+	"cooper.MetricsRegistry":                             "names the type of the Telemetry.Metrics field",
 	"internal/faults.realClock.Now":                      "test seam: Clock's reading, which tests take through the interface",
 	"internal/faults.FakeClock.Now":                      "test seam: Clock's reading, which tests take through the interface",
 	"internal/faults.NewFakeClock":                       "test double: drives dial backoff and injected stalls without sleeping",
@@ -394,6 +408,9 @@ func reachability(p *program, allowed map[string]string) (unreached, stale []str
 	declOf := make(map[types.Object]*decl)
 	for path, f := range p.files {
 		dir := filepath.ToSlash(filepath.Dir(path))
+		if dir == "." {
+			dir = "cooper"
+		}
 		root := false
 		for _, r := range reachRoots {
 			root = root || strings.HasPrefix(path, r)
@@ -540,11 +557,14 @@ func reachability(p *program, allowed map[string]string) (unreached, stale []str
 }
 
 // TestEveryDeclarationIsReached holds the non-test code to what a user
-// runs: every top-level declaration must be reached from a command, an
-// example, the benchmark harness or the facade, or be kept by an
-// unreachedAllowed entry. A violating fixture must be flagged, a dead
-// method that shares a reached function's name among it, and an entry
-// the roots reach, or that names nothing, is flagged as stale.
+// runs or reads: every top-level declaration must be reached from a
+// command, an example program, the benchmark harness or a facade
+// Example, or be kept by an unreachedAllowed entry. A violating fixture
+// must be flagged, a dead method that shares a reached function's name
+// and a facade export no Example calls among it; its Example file, an
+// external _test package beside the facade, roots what it calls and
+// nothing else. An entry the roots reach, or that names nothing, is
+// flagged as stale.
 func TestEveryDeclarationIsReached(t *testing.T) {
 	fixture, err := load(map[string][]byte{
 		"cmd/tool/main.go": []byte("package main\n\nimport \"cooper/internal/lib\"\n\n" +
@@ -552,14 +572,18 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 		"internal/lib/lib.go": []byte("package lib\n\ntype Stepper interface{ Step() }\n\ntype T struct{}\n\ntype U struct{}\n\n" +
 			"func New() *T { return &T{} }\n\nfunc (*T) Run() {}\n\nfunc (*T) Step() {}\n\nfunc (U) Step() {}\n\n" +
 			"func (*T) String() string { return \"\" }\n\nfunc (*T) Walk() {}\n\nfunc (*T) ForEach() {}\n\nfunc ForEach() {}\n\n" +
-			"func Step(s Stepper) { s.Step() }\n\nfunc Dead() { New().Walk() }\n\nfunc Kept() { helper() }\n\nfunc helper() {}\n"),
+			"func Step(s Stepper) { s.Step() }\n\nfunc Dead() { New().Walk() }\n\nfunc Kept() { helper() }\n\nfunc helper() {}\n\n" +
+			"func Shown() {}\n\nfunc Hidden() {}\n"),
+		"facade.go": []byte("package cooper\n\nimport \"cooper/internal/lib\"\n\n" +
+			"func Show() { lib.Shown() }\n\nfunc Hide() { lib.Hidden() }\n"),
+		"example_test.go": []byte("package cooper_test\n\nimport \"cooper\"\n\nfunc ExampleShow() { cooper.Show() }\n"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	allowed := map[string]string{"internal/lib.Kept": "kept", "internal/lib.New": "reached", "internal/lib.Gone": "gone"}
 	unreached, stale := reachability(fixture, allowed)
-	if want := []string{"internal/lib.Dead", "internal/lib.T.ForEach", "internal/lib.T.Walk", "internal/lib.U", "internal/lib.U.Step"}; !slices.Equal(unreached, want) {
+	if want := []string{"cooper.Hide", "internal/lib.Dead", "internal/lib.Hidden", "internal/lib.T.ForEach", "internal/lib.T.Walk", "internal/lib.U", "internal/lib.U.Step"}; !slices.Equal(unreached, want) {
 		t.Errorf("fixture: unreached %v, want %v", unreached, want)
 	}
 	if want := []string{"internal/lib.Gone", "internal/lib.New"}; !slices.Equal(stale, want) {
@@ -572,9 +596,148 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	}
 	unreached, stale = reachability(tree, unreachedAllowed)
 	for _, key := range unreached {
-		t.Errorf("%s: no command, example, benchmark or facade reaches it; delete it or allowlist it with a reason", key)
+		t.Errorf("%s: no command, example program, benchmark or facade Example reaches it; delete it or allowlist it with a reason", key)
 	}
 	for _, entry := range stale {
 		t.Errorf("allowlisted %s is reached or names nothing; drop it from unreachedAllowed", entry)
 	}
+}
+
+// confinement keeps a construct in non-test code under internal/ to the
+// packages, or single files, of an allowlist; cmd/ and benchmark/ are
+// not scanned.
+type confinement struct {
+	what    string                            // the construct, for messages
+	allowed map[string]string                 // package dir or file path → reason
+	match   func(p *program, n ast.Node) bool // reports whether n is the construct
+}
+
+// sites returns the allowlist entries p's matches fall under, and the
+// matches outside the allowlist as "path:line:col", sorted. A match
+// falls under its file's entry when the file is listed, else under its
+// package's.
+func (c confinement) sites(p *program) (hit map[string]bool, violations []string) {
+	hit = make(map[string]bool)
+	for path, f := range p.files {
+		if !strings.HasPrefix(path, "internal/") {
+			continue
+		}
+		key := path
+		if _, ok := c.allowed[key]; !ok {
+			key = filepath.ToSlash(filepath.Dir(path))
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil || !c.match(p, n) {
+				return true
+			}
+			if _, ok := c.allowed[key]; ok {
+				hit[key] = true
+			} else {
+				violations = append(violations, p.fset.Position(n.Pos()).String())
+			}
+			return true
+		})
+	}
+	sort.Strings(violations)
+	return hit, violations
+}
+
+// check runs c over the module tree: every match outside the allowlist
+// fails, and so does an entry that no longer matches anything.
+func (c confinement) check(t *testing.T) {
+	t.Helper()
+	tree, err := moduleTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, bad := c.sites(tree)
+	for _, v := range bad {
+		t.Errorf("%s: %s outside the allowlist", v, c.what)
+	}
+	for entry := range c.allowed {
+		if !hit[entry] {
+			t.Errorf("allowlisted %s no longer has %s; drop its entry", entry, c.what)
+		}
+	}
+}
+
+// goStatements confines goroutines to the layers that own concurrency:
+// the engine and algorithm packages run on their caller's goroutine, so
+// a result cannot depend on the scheduler.
+var goStatements = confinement{
+	what: "a go statement",
+	allowed: map[string]string{
+		"internal/parallel":  "the deterministic fan-out: each worker writes only its own slots",
+		"internal/netproto":  "the accept loop and one goroutine per connection",
+		"internal/telemetry": "the runtime sampler's ticker",
+		"internal/agent":     "Exchange, the one-goroutine-per-agent reference protocol the benchmark times; ROADMAP item 6(c) deletes it",
+	},
+	match: func(_ *program, n ast.Node) bool {
+		_, ok := n.(*ast.GoStmt)
+		return ok
+	},
+}
+
+// wallClockReads confines time.Now and time.Since, called or as a value,
+// to transport and observability: below them a result depends on the
+// seed, never on when it ran, and faults reads time through its Clock.
+var wallClockReads = confinement{
+	what: "a wall-clock read",
+	allowed: map[string]string{
+		"internal/faults/clock.go": "RealClock, the process clock behind faults.Clock",
+		"internal/netproto":        "connection deadlines and admission queueing latency",
+		"internal/telemetry":       "span durations and flight-log timestamps",
+	},
+	match: func(p *program, n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return false
+		}
+		fn, ok := p.info.Uses[id].(*types.Func)
+		return ok && (fn.FullName() == "time.Now" || fn.FullName() == "time.Since")
+	},
+}
+
+// TestGoStatementsConfined: a go statement in an engine package is
+// flagged, one in an allowlisted package or outside internal/ is not,
+// and the module keeps its goroutines where goStatements admits them.
+func TestGoStatementsConfined(t *testing.T) {
+	spawn := func(pkg string) []byte {
+		return []byte("package " + pkg + "\n\nfunc run(f func()) {\n\tgo f()\n\tf()\n}\n")
+	}
+	fixture, err := load(map[string][]byte{
+		"internal/parallel/parallel.go": spawn("parallel"),
+		"internal/market/market.go":     spawn("market"),
+		"cmd/tool/main.go":              []byte("package main\n\nfunc main() {\n\tgo main()\n}\n"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit, bad := goStatements.sites(fixture); len(bad) != 1 || !strings.HasPrefix(bad[0], "internal/market/market.go:4:") || !hit["internal/parallel"] {
+		t.Errorf("fixture: flagged %v with entries %v hit, want the go statement in internal/market", bad, hit)
+	}
+	goStatements.check(t)
+}
+
+// TestWallClockConfined: time.Now called or taken as a value and
+// time.Since are flagged outside the allowlist, a file entry admits
+// only its file, and a method named Now is not the clock.
+func TestWallClockConfined(t *testing.T) {
+	fixture, err := load(map[string][]byte{
+		"internal/faults/clock.go": []byte("package faults\n\nimport \"time\"\n\n" +
+			"func now() time.Time { return time.Now() }\n"),
+		"internal/faults/plan.go": []byte("package faults\n\nimport \"time\"\n\n" +
+			"func since(t time.Time) time.Duration { return time.Since(t) }\n"),
+		"internal/market/market.go": []byte("package market\n\nimport \"time\"\n\n" +
+			"type clock struct{}\n\nfunc (clock) Now() int { return 0 }\n\n" +
+			"func stamp(c clock) (func() time.Time, int) { return time.Now, c.Now() }\n"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, bad := wallClockReads.sites(fixture)
+	if len(bad) != 2 || !strings.HasPrefix(bad[0], "internal/faults/plan.go:") || !strings.HasPrefix(bad[1], "internal/market/market.go:") || !hit["internal/faults/clock.go"] {
+		t.Errorf("fixture: flagged %v with entries %v hit, want one read each in plan.go and market.go", bad, hit)
+	}
+	wallClockReads.check(t)
 }

@@ -369,28 +369,6 @@ func BenchmarkStableMarriageCore(b *testing.B) {
 	}
 }
 
-// BenchmarkStableRoommatesCore measures Irving's algorithm on random
-// 500-agent instances (counting both solved and provably unstable runs).
-func BenchmarkStableRoommatesCore(b *testing.B) {
-	r := stats.NewRand(5)
-	n := 500
-	prefs := make([][]int, n)
-	for i := range prefs {
-		others := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				others = append(others, j)
-			}
-		}
-		r.Shuffle(len(others), func(a, c int) { others[a], others[c] = others[c], others[a] })
-		prefs[i] = others
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = matching.StableRoommates(prefs)
-	}
-}
-
 // BenchmarkPairContention measures the analytic CMP contention solver.
 func BenchmarkPairContention(b *testing.B) {
 	l := getLab(b)
@@ -754,7 +732,8 @@ type streamMarket struct {
 
 func newStreamMarket(tb testing.TB, n, shards int, threshold float64) *streamMarket {
 	tb.Helper()
-	f, err := New(WithShards(shards), WithRematch(), WithChurnThreshold(threshold), WithSeed(1))
+	f, err := New(WithShards(shards), WithRematch(), WithSeed(1),
+		func(c *Config) { c.Market.ChurnThreshold = threshold })
 	if err != nil {
 		tb.Fatal(err)
 	}

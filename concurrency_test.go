@@ -19,6 +19,7 @@ import (
 
 	"cooper/internal/arch"
 	"cooper/internal/coordinator"
+	"cooper/internal/core"
 	"cooper/internal/stats"
 	"cooper/internal/workload"
 )
@@ -44,7 +45,7 @@ func sixPolicies() map[string]Policy {
 // bytewise.
 func epochJSON(t *testing.T, cfg Config, agents int) []byte {
 	t.Helper()
-	f, err := New(WithConfig(cfg))
+	f, err := New(func(c *Config) { *c = cfg })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,8 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	for name, pol := range sixPolicies() {
 		for _, seed := range []int64{3, 27} {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				base := Config{Seed: seed, Sim: shortSim, Market: MarketConfig{Policy: pol}}
+				base := Config{Seed: seed, Sim: shortSim}
+				base.Market.Policy = pol
 				serial, parallel := base, base
 				serial.Pipeline.Workers = 1
 				parallel.Pipeline.Workers = 8
@@ -88,7 +90,8 @@ func TestWorkerCountDeterminism(t *testing.T) {
 // computation and dispatch, no campaign) at a larger population.
 func TestWorkerCountDeterminismOracle(t *testing.T) {
 	for _, seed := range []int64{1, 9} {
-		base := Config{Seed: seed, Pipeline: PipelineConfig{Oracle: true}}
+		base := Config{Seed: seed}
+		base.Pipeline.Oracle = true
 		serial, parallel := base, base
 		serial.Pipeline.Workers = 1
 		parallel.Pipeline.Workers = 8
@@ -182,9 +185,6 @@ func TestFrameworkClose(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if !f.Closed() {
-		t.Error("Closed() = false after Close")
-	}
 	_, err = f.RunEpoch(pop)
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("RunEpoch after Close = %v, want ErrClosed", err)
@@ -197,8 +197,8 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := NewContext(ctx, WithConfig(Config{Sim: shortSim}), WithSeed(1)); !errors.Is(err, ErrCanceled) {
-		t.Errorf("NewContext with canceled ctx = %v, want ErrCanceled", err)
+	if _, err := core.NewFramework(ctx, Config{Sim: shortSim, Seed: 1}); !errors.Is(err, ErrCanceled) {
+		t.Errorf("NewFramework with canceled ctx = %v, want ErrCanceled", err)
 	}
 
 	f, err := New(WithOracle(), WithSeed(2))
@@ -252,21 +252,6 @@ type midpointMix struct{}
 
 func (midpointMix) Sample(*rand.Rand) float64 { return 0.5 }
 func (midpointMix) Name() string              { return "midpoint" }
-
-// TestErrNoStableMatchingFacade pins the re-exported sentinel: odd
-// preference structures surface ErrNoStableMatching through the facade.
-func TestErrNoStableMatchingFacade(t *testing.T) {
-	// Irving's classic 4-agent instance with no stable assignment.
-	prefs := [][]int{
-		{1, 2, 3},
-		{2, 0, 3},
-		{0, 1, 3},
-		{0, 1, 2},
-	}
-	if _, err := StableRoommates(prefs); !errors.Is(err, ErrNoStableMatching) {
-		t.Fatalf("StableRoommates = %v, want ErrNoStableMatching", err)
-	}
-}
 
 // Ensure the report's population survives a JSON round trip (the
 // determinism tests depend on marshaling being total).

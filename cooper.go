@@ -44,22 +44,18 @@
 // true penalties from that matrix, and dispatch consults the cache once
 // per distinct colocation.
 //
-// Context-aware variants of the entry points — NewContext,
-// Framework.RunEpochContext, Driver.RunContext — check their context
-// between pipeline phases and inside fan-outs; a fired context aborts the
-// run with an error wrapping ErrCanceled. Framework.Close drains in-flight
-// epochs and rejects new ones with ErrClosed, giving daemons a clean
-// shutdown path.
+// Context-aware variants of the entry points — Framework.RunEpochContext
+// and Driver.RunContext — check their context between pipeline phases and
+// inside fan-outs; a fired context aborts the run with an error wrapping
+// ErrCanceled. Framework.Close drains in-flight epochs and rejects new
+// ones with ErrClosed, giving daemons a clean shutdown path.
 //
 // # Errors
 //
 // Failures that callers branch on are typed sentinels, tested with
 // errors.Is:
 //
-//	_, err := cooper.StableRoommates(prefs)
-//	if errors.Is(err, cooper.ErrNoStableMatching) { ... } // odd cycles
-//
-//	_, err = f.RunEpochContext(ctx, pop)
+//	_, err := f.RunEpochContext(ctx, pop)
 //	if errors.Is(err, cooper.ErrCanceled) { ... } // ctx fired mid-pipeline
 //	if errors.Is(err, cooper.ErrClosed) { ... }   // Close was called
 //
@@ -142,16 +138,8 @@ const (
 
 // Sentinel errors, tested with errors.Is (see the package doc).
 var (
-	// ErrNoStableMatching reports that Irving's stable-roommates algorithm
-	// found no perfectly stable assignment (an odd preference cycle).
-	ErrNoStableMatching = matching.ErrNoStableMatching
-	// ErrBadPreferences reports structurally invalid preference lists
-	// passed to StableRoommates — ragged or short lists, out-of-range
-	// entries, self-rankings, duplicates. Distinct from
-	// ErrNoStableMatching: the input never described a valid instance.
-	ErrBadPreferences = matching.ErrBadPreferences
-	// ErrCanceled reports that a context-aware pipeline run (NewContext,
-	// RunEpochContext, Driver.RunContext) was aborted by its context.
+	// ErrCanceled reports that a context-aware pipeline run
+	// (RunEpochContext, Driver.RunContext) was aborted by its context.
 	ErrCanceled = core.ErrCanceled
 	// ErrClosed reports that the Framework was Closed and accepts no more
 	// epochs.
@@ -168,13 +156,6 @@ var (
 // profiling, 10 CMPs, unsharded market).
 func New(opts ...Option) (*Framework, error) {
 	return core.NewFramework(context.Background(), buildConfig(opts))
-}
-
-// NewContext is New with cancellation: the profiling campaign, predictor
-// training, and oracle computation honor ctx, returning an error that
-// wraps ErrCanceled if it fires mid-build.
-func NewContext(ctx context.Context, opts ...Option) (*Framework, error) {
-	return core.NewFramework(ctx, buildConfig(opts))
 }
 
 // Observability.
@@ -205,17 +186,6 @@ func DefaultCMP() CMP { return arch.DefaultCMP() }
 // measured value.
 func Catalog(m CMP) ([]Job, error) { return workload.Catalog(m) }
 
-// JobSpec describes one application for a custom catalog: name, measured
-// standalone bandwidth, runtime, and optional model knobs.
-type JobSpec = workload.Spec
-
-// BuildCatalog calibrates a custom catalog against machine m; pass the
-// result with WithCatalog to colocate your own applications instead of
-// the paper's.
-func BuildCatalog(m CMP, specs []JobSpec) ([]Job, error) {
-	return workload.BuildCatalog(m, specs)
-}
-
 // Colocation policies, by the paper's abbreviations.
 
 // Greedy returns GR: assign each task sequentially to the processor that
@@ -243,9 +213,6 @@ func SR() Policy { return policy.StableRoommate{} }
 // otherwise.
 func Threshold(tolerance float64) Policy { return policy.Threshold{Tolerance: tolerance} }
 
-// PolicyByName resolves a paper abbreviation (GR, CO, SMP, SMR, SR, TH).
-func PolicyByName(name string) (Policy, error) { return policy.ByName(name) }
-
 // Population mixes (the densities of the paper's Figure 11).
 
 // Mix is a sampling density over the catalog ordered by memory intensity.
@@ -271,19 +238,11 @@ func StableMarriage(proposerPrefs, receiverPrefs [][]int) ([]int, error) {
 	return matching.StableMarriage(proposerPrefs, receiverPrefs)
 }
 
-// StableRoommates runs Irving's stable-roommates algorithm; it returns
-// an error wrapping ErrNoStableMatching when no perfectly stable
-// assignment exists, and one wrapping ErrBadPreferences when the lists
-// are ragged, short, or otherwise malformed.
-func StableRoommates(prefs [][]int) (Matching, error) {
-	return matching.StableRoommates(prefs)
-}
-
 // BlockingPairs returns the agent pairs that would break away from match:
 // pairs whose members both improve by more than alpha by pairing with
 // each other instead.
 func BlockingPairs(match Matching, penalties [][]float64, alpha float64) [][2]int {
-	return matching.AlphaBlockingPairs(match, penalties, alpha)
+	return matching.Dense(penalties).BlockingPairs(match, alpha)
 }
 
 // Cooperative game theory.
@@ -292,11 +251,6 @@ func BlockingPairs(match Matching, penalties [][]float64, alpha float64) [][2]in
 // permutation enumeration (n <= 10).
 func Shapley(n int, value func(coalition []int) float64) ([]float64, error) {
 	return game.Shapley(n, value)
-}
-
-// SampledShapley approximates Shapley values over random orderings.
-func SampledShapley(n int, value func(coalition []int) float64, samples int, r *rand.Rand) ([]float64, error) {
-	return game.SampledShapley(n, value, samples, r)
 }
 
 // Preference prediction.
@@ -326,15 +280,4 @@ type (
 // under a workload mix, for feeding a Driver.
 func PoissonArrivals(rate, durationS float64, catalog []Job, mix Mix, r *rand.Rand) ([]Arrival, error) {
 	return coordinator.PoissonArrivals(rate, durationS, catalog, mix, r)
-}
-
-// Beyond pairs (the paper's §VIII hierarchical extension).
-
-// Group is a set of agents sharing one CMP under >2-way colocation.
-type Group = matching.Group
-
-// HierarchicalQuads matches agents into pairs and pairs into groups of
-// four co-runners per CMP.
-func HierarchicalQuads(penalties [][]float64) ([]Group, error) {
-	return matching.HierarchicalQuads(penalties, nil)
 }

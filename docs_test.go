@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -244,6 +245,55 @@ func TestDocsNameRegisteredFlags(t *testing.T) {
 					t.Errorf("%s quotes -%s in %s, which no command registers", doc, m[1], code)
 				}
 			}
+		}
+	}
+}
+
+// undefinedFacadeNames returns the `cooper.Name` references inside
+// fenced blocks and backticked spans of text that do not resolve in the
+// facade's scope, and the `cooper.Type.Member` ones whose member is no
+// field or method of the type.
+func undefinedFacadeNames(scope *types.Scope, text string) []string {
+	span := regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+	ref := regexp.MustCompile(`\bcooper\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+	var bad []string
+	for _, code := range span.FindAllString(text, -1) {
+		for _, m := range ref.FindAllStringSubmatch(code, -1) {
+			obj := scope.Lookup(m[1])
+			if _, isType := obj.(*types.TypeName); isType && m[2] != "" {
+				obj, _, _ = types.LookupFieldOrMethod(obj.Type(), true, obj.Pkg(), m[2])
+			}
+			if obj == nil {
+				bad = append(bad, m[0])
+			}
+		}
+	}
+	return bad
+}
+
+// TestDocsNameFacadeAPI keeps the docs honest about the facade: every
+// `cooper.Name` that README, DESIGN, EXPERIMENTS and internal/README.md
+// quote or show in a code block resolves in the type-checked cooper package, so a deleted export
+// fails here. docs/prNN-*.md are history and are not checked.
+func TestDocsNameFacadeAPI(t *testing.T) {
+	tree, err := moduleTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope := tree.pkgs["cooper"].Scope()
+	fixture := "`cooper.New(cooper.WithSeed(1))`, `cooper.NewContext`, `cooper.Framework.Close()`, `cooper.Framework.Closed`, " +
+		"cooper.PolicyByName\n```go\nf, _ := cooper.New(cooper.WithConfig(cfg))\n```\n"
+	want := []string{"cooper.NewContext", "cooper.Framework.Closed", "cooper.WithConfig"}
+	if bad := undefinedFacadeNames(scope, fixture); !slices.Equal(bad, want) {
+		t.Errorf("fixture: flagged %v, want %v", bad, want)
+	}
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range undefinedFacadeNames(scope, string(data)) {
+			t.Errorf("%s quotes `%s`, which the cooper package does not declare", doc, name)
 		}
 	}
 }

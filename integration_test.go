@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"cooper/internal/matching"
 	"cooper/internal/stats"
+	"cooper/internal/workload"
 )
 
 func TestIntegrationEveryPolicyFullPipeline(t *testing.T) {
@@ -130,7 +132,7 @@ func TestIntegrationQuads(t *testing.T) {
 			}
 		}
 	}
-	groups, err := HierarchicalQuads(d)
+	groups, err := matching.HierarchicalQuads(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestIntegrationSamplerContract(t *testing.T) {
 
 func TestIntegrationCustomCatalog(t *testing.T) {
 	machine := DefaultCMP()
-	jobs, err := BuildCatalog(machine, []JobSpec{
+	jobs, err := workload.BuildCatalog(machine, []workload.Spec{
 		{Name: "api-server", BandwidthGBps: 1.2, RuntimeS: 200},
 		{Name: "batch-etl", BandwidthGBps: 16, RuntimeS: 700, WorkingSetMB: 512, MissFloor: 0.7},
 		{Name: "transcoder", BandwidthGBps: 4.5, RuntimeS: 300, WorkingSetMB: 32, MissFloor: 0.2},
@@ -202,7 +204,7 @@ func TestIntegrationCustomCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(WithMachine(machine), WithCatalog(jobs), WithOracle(), WithSeed(30))
+	f, err := New(func(c *Config) { c.Machine, c.Catalog = machine, jobs }, WithOracle(), WithSeed(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +243,7 @@ func TestIntegrationCustomCatalog(t *testing.T) {
 func TestIntegrationCustomCatalogProfiled(t *testing.T) {
 	// The full profiling + prediction path works on custom catalogs too.
 	machine := DefaultCMP()
-	jobs, err := BuildCatalog(machine, []JobSpec{
+	jobs, err := workload.BuildCatalog(machine, []workload.Spec{
 		{Name: "a", BandwidthGBps: 1, RuntimeS: 100},
 		{Name: "b", BandwidthGBps: 8, RuntimeS: 200},
 		{Name: "c", BandwidthGBps: 20, RuntimeS: 300},
@@ -249,7 +251,10 @@ func TestIntegrationCustomCatalogProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(WithMachine(machine), WithCatalog(jobs), WithSeed(31), WithSampleFraction(1.0))
+	f, err := New(WithSeed(31), func(c *Config) {
+		c.Machine, c.Catalog = machine, jobs
+		c.Pipeline.SampleFraction = 1.0
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

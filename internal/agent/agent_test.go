@@ -100,7 +100,7 @@ func TestExchangeAgreesWithAlphaBlockingPairs(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := BlockingPairsFromRecommendations(recs)
-			want := matching.AlphaBlockingPairs(match, d, alpha)
+			want := matching.Dense(d).BlockingPairs(match, alpha)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d alpha %v: exchange found %d pairs, analysis %d",
 					trial, alpha, len(got), len(want))

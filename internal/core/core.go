@@ -49,7 +49,7 @@ type Framework struct {
 	predicted [][]float64 // job-level penalties as agents believe them
 	truth     [][]float64 // job-level penalties from the analytic oracle
 	iters     int         // predictor iterations used
-	kernel    string      // which kernel produced predicted (see Kernel)
+	kernel    string      // which kernel produced predicted (see EpochSnapshot.Kernel)
 	rng       *rand.Rand
 	tel       *telemetry.Telemetry
 	workers   int // resolved worker budget of the fan-out phases
@@ -202,13 +202,6 @@ func (f *Framework) Close() error {
 	return nil
 }
 
-// Closed reports whether Close has been called.
-func (f *Framework) Closed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.closed
-}
-
 // Workers returns the framework's resolved worker budget.
 func (f *Framework) Workers() int { return f.workers }
 
@@ -217,9 +210,6 @@ func (f *Framework) PairCache() *arch.PairCache { return f.cache }
 
 // Catalog returns the calibrated 20-job catalog.
 func (f *Framework) Catalog() []workload.Job { return f.catalog }
-
-// Database returns the profiling database (empty in Oracle mode).
-func (f *Framework) Database() *profiler.Database { return f.db }
 
 // PredictedPenalties returns the completed job-level penalty matrix the
 // agents believe.
@@ -231,11 +221,6 @@ func (f *Framework) TruePenalties() [][]float64 { return f.truth }
 // PredictorIterations returns how many fill iterations the preference
 // predictor used (0 in Oracle mode).
 func (f *Framework) PredictorIterations() int { return f.iters }
-
-// Kernel names what produced the penalty matrix agents believe:
-// "oracle" under Pipeline.Oracle, otherwise "flat", the exact
-// prediction kernel.
-func (f *Framework) Kernel() string { return f.kernel }
 
 // Telemetry returns the telemetry handle the framework was built with
 // (nil when observability is disabled).

@@ -33,7 +33,7 @@ func TestNewOracle(t *testing.T) {
 	if len(f.Catalog()) != 20 {
 		t.Fatalf("catalog = %d", len(f.Catalog()))
 	}
-	if f.Database().Len() != 0 {
+	if f.db.Len() != 0 {
 		t.Error("oracle mode should not profile")
 	}
 	acc, err := f.PredictionAccuracy()
@@ -50,7 +50,7 @@ func TestNewWithProfiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Database().Len() == 0 {
+	if f.db.Len() == 0 {
 		t.Error("profiling campaign should populate the database")
 	}
 	if f.PredictorIterations() < 1 || f.PredictorIterations() > 3 {

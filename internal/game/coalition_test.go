@@ -61,7 +61,7 @@ func TestPrivateHardwareIsStrictlyStronger(t *testing.T) {
 		{0.40, 0.40, 0.05, 0.00},
 	}
 	m := matching.Matching{1, 0, 3, 2}
-	if pairs := matching.AlphaBlockingPairs(m, d, 0); len(pairs) != 0 {
+	if pairs := matching.Dense(d).BlockingPairs(m, 0); len(pairs) != 0 {
 		t.Fatalf("unexpected classic blocking pairs %v", pairs)
 	}
 	bc, err := FindBlockingCoalition(m, d, 0, 4, SharedHardware)
@@ -107,7 +107,7 @@ func TestSharedHardwareCollapsesToPairStability(t *testing.T) {
 		for k := 0; k < n; k += 2 {
 			m[perm[k]], m[perm[k+1]] = perm[k+1], perm[k]
 		}
-		pairs := matching.AlphaBlockingPairs(m, d, 0)
+		pairs := matching.Dense(d).BlockingPairs(m, 0)
 		bc, err := FindBlockingCoalition(m, d, 0, 6, SharedHardware)
 		if err != nil {
 			t.Fatal(err)

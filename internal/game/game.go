@@ -214,7 +214,7 @@ func Analyze(d [][]float64) (MatchingAnalysis, error) {
 	first := true
 	err := EnumerateMatchings(n, func(m matching.Matching) {
 		pen := TotalPenalty(m, d)
-		blocks := len(matching.AlphaBlockingPairs(m, d, 0))
+		blocks := len(matching.Dense(d).BlockingPairs(m, 0))
 		if first || pen < a.OptimalPenalty {
 			a.Optimal = append(matching.Matching(nil), m...)
 			a.OptimalPenalty = pen

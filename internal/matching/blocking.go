@@ -32,12 +32,6 @@ func ValidatePenalties(d [][]float64) error {
 	return nil
 }
 
-// AlphaBlockingPairs is Penalties.BlockingPairs over an agent-level
-// matrix, every agent its own class.
-func AlphaBlockingPairs(match Matching, d [][]float64, alpha float64) [][2]int {
-	return Dense(d).BlockingPairs(match, alpha)
-}
-
 // BlockingPairs returns the pairs that would break away under the
 // paper's Figure 10 criterion, in (i<j) order: (i, j) blocks when
 // colocating with each other strictly improves both agents' performance by
@@ -155,7 +149,7 @@ func AdaptedRoommatesClasses(p Penalties) (Matching, AdaptedStats, error) {
 	var leftovers []int
 
 	for len(ids) >= 2 {
-		m, rs, err := stableRoommates(p.Lists(ids, ids), true)
+		m, rs, err := stableRoommates(p.Lists(ids, ids))
 		stats.Proposals += rs.Proposals
 		stats.Rotations += rs.Rotations
 		if err == nil {

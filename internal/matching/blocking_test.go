@@ -63,7 +63,7 @@ func TestAlphaBlockingPairsHandCase(t *testing.T) {
 		/*D*/ {0.05, 0.07, 0.06, 0.00},
 	}
 	perfOptimal := Matching{3, 2, 1, 0} // {AD, BC}
-	bp := AlphaBlockingPairs(perfOptimal, d, 0)
+	bp := Dense(d).BlockingPairs(perfOptimal, 0)
 	found := false
 	for _, p := range bp {
 		if p == [2]int{0, 1} {
@@ -75,7 +75,7 @@ func TestAlphaBlockingPairsHandCase(t *testing.T) {
 	}
 
 	stable := Matching{1, 0, 3, 2} // {AB, CD}
-	if bp := AlphaBlockingPairs(stable, d, 0); len(bp) != 0 {
+	if bp := Dense(d).BlockingPairs(stable, 0); len(bp) != 0 {
 		t.Errorf("{AB, CD} should be stable, blocking: %v", bp)
 	}
 }
@@ -89,9 +89,9 @@ func TestAlphaBlockingPairsMonotoneInAlpha(t *testing.T) {
 		for i := 0; i < n; i += 2 {
 			match[i], match[i+1] = i+1, i
 		}
-		prev := len(AlphaBlockingPairs(match, d, 0))
+		prev := len(Dense(d).BlockingPairs(match, 0))
 		for _, alpha := range []float64{0.01, 0.02, 0.05, 0.1, 0.5} {
-			cur := len(AlphaBlockingPairs(match, d, alpha))
+			cur := len(Dense(d).BlockingPairs(match, alpha))
 			if cur > prev {
 				t.Fatalf("blocking pairs grew from %d to %d as alpha rose to %v",
 					prev, cur, alpha)
@@ -107,7 +107,7 @@ func TestAlphaBlockingPairsSoloAgentsNeverBlock(t *testing.T) {
 		{0.1, 0},
 	}
 	match := Matching{Unmatched, Unmatched}
-	if bp := AlphaBlockingPairs(match, d, 0); len(bp) != 0 {
+	if bp := Dense(d).BlockingPairs(match, 0); len(bp) != 0 {
 		t.Errorf("solo agents have nothing to escape, got %v", bp)
 	}
 }
@@ -239,8 +239,8 @@ func TestAdaptedRoommatesReducesBlockingPairs(t *testing.T) {
 		for i := 0; i < n; i += 2 {
 			naive[i], naive[i+1] = i+1, i
 		}
-		adaptedTotal += len(AlphaBlockingPairs(adapted, d, 0))
-		naiveTotal += len(AlphaBlockingPairs(naive, d, 0))
+		adaptedTotal += len(Dense(d).BlockingPairs(adapted, 0))
+		naiveTotal += len(Dense(d).BlockingPairs(naive, 0))
 	}
 	if adaptedTotal >= naiveTotal {
 		t.Errorf("adapted SR blocking pairs %d should beat naive %d",

@@ -2,7 +2,6 @@ package matching
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -347,43 +346,10 @@ func TestAdaptedRoommatesClassesMatchesDense(t *testing.T) {
 	}
 }
 
-// TestStableRoommatesOwnerCarryingLists: Irving over lists that carry
-// their owner reduces like the classic owner-less form, and rejects a
-// list that is not a permutation.
-func TestStableRoommatesOwnerCarryingLists(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 * (1 + r.Intn(8))
-		classic, withOwner := make([][]int, n), make([][]int, n)
-		for i := range classic {
-			for _, j := range r.Perm(n) {
-				if j != i {
-					classic[i] = append(classic[i], j)
-				}
-			}
-			at := r.Intn(n) // the owner's entry may sit anywhere
-			withOwner[i] = append(withOwner[i], classic[i][:at]...)
-			withOwner[i] = append(append(withOwner[i], i), classic[i][at:]...)
-		}
-		want, wantStats, wantErr := StableRoommatesStats(classic)
-		got, gotStats, gotErr := stableRoommates(withOwner, true)
-		if !reflect.DeepEqual(got, want) || gotStats != wantStats || (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("trial %d: with owners %v %+v %v, classic %v %+v %v", trial, got, gotStats, gotErr, want, wantStats, wantErr)
-		}
-		var g, w *NoStableError
-		if errors.As(gotErr, &g) && errors.As(wantErr, &w) && g.Agent != w.Agent {
-			t.Fatalf("trial %d: witness %d with owners, %d classic", trial, g.Agent, w.Agent)
-		}
-	}
-	if _, _, err := stableRoommates([][]int{{0, 0}, {1, 0}}, true); !errors.Is(err, ErrBadPreferences) {
-		t.Fatalf("duplicate entry in an owner-carrying list: err = %v", err)
-	}
-}
-
 // TestBlockingPairsClassesMatchDense: the class-view scan lists exactly
 // the pairs, in the same order, that the Figure 10 definition yields over
 // the agents×agents matrix the view stands for — through
-// AlphaBlockingPairs and through a scan written out from the definition —
+// Dense and through a scan written out from the definition —
 // on tie-heavy instances with unmatched agents, and the count agrees
 // without the list.
 func TestBlockingPairsClassesMatchDense(t *testing.T) {
@@ -423,7 +389,7 @@ func TestBlockingPairsClassesMatchDense(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("n=%d trial %d α=%v: class view lists %v, want %v", n, trial, alpha, got, want)
 				}
-				if dense := AlphaBlockingPairs(match, d, alpha); !reflect.DeepEqual(dense, want) {
+				if dense := Dense(d).BlockingPairs(match, alpha); !reflect.DeepEqual(dense, want) {
 					t.Fatalf("n=%d trial %d α=%v: dense view lists %v, want %v", n, trial, alpha, dense, want)
 				}
 				if count := p.CountBlockingPairs(match, alpha); count != len(want) {

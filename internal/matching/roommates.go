@@ -10,43 +10,35 @@ import (
 var ErrNoStableMatching = errors.New("matching: no stable roommate assignment exists")
 
 // ErrBadPreferences reports structurally invalid preference input:
-// ragged or short lists, out-of-range entries, self-rankings, or
-// duplicates. Test with errors.Is(err, ErrBadPreferences). It is
+// ragged or short lists, out-of-range entries, or duplicates. Test with errors.Is(err, ErrBadPreferences). It is
 // distinct from ErrNoStableMatching — the input never described a valid
 // instance, so no matching question was asked.
 var ErrBadPreferences = errors.New("matching: bad preference lists")
 
 // validateRoomPrefs checks a roommates preference table before any
 // working storage is allocated, so malformed input — however large —
-// costs one scan, not an O(n²) table build. Lists rank the other n-1
-// agents; withOwner lists rank all n, their owner included, so one list
-// can serve every agent of a class — lists sharing storage are checked
-// once.
-func validateRoomPrefs(prefs [][]int, withOwner bool) error {
+// costs one scan, not an O(n²) table build. Lists rank all n agents,
+// their owner included, so one list can serve every agent of a class —
+// lists sharing storage are checked once.
+func validateRoomPrefs(prefs [][]int) error {
 	n := len(prefs)
 	if n < 2 {
 		return fmt.Errorf("%w: roommates needs at least 2 agents, got %d", ErrBadPreferences, n)
 	}
-	width := n - 1
-	if withOwner {
-		width = n
-	}
 	seen := make([]bool, n)
 	checked := make(map[*int]bool)
 	for i, list := range prefs {
-		if len(list) != width {
-			return fmt.Errorf("%w: agent %d ranks %d others, want %d",
-				ErrBadPreferences, i, len(list), width)
+		if len(list) != n {
+			return fmt.Errorf("%w: agent %d ranks %d agents, want %d",
+				ErrBadPreferences, i, len(list), n)
 		}
-		if withOwner {
-			if checked[&list[0]] {
-				continue
-			}
-			checked[&list[0]] = true
+		if checked[&list[0]] {
+			continue
 		}
+		checked[&list[0]] = true
 		clear(seen)
 		for _, j := range list {
-			if j < 0 || j >= n || (j == i && !withOwner) {
+			if j < 0 || j >= n {
 				return fmt.Errorf("%w: agent %d has invalid preference %d",
 					ErrBadPreferences, i, j)
 			}
@@ -75,7 +67,6 @@ func (e *NoStableError) Unwrap() error { return ErrNoStableMatching }
 // roomTable is the mutable preference table Irving's algorithm reduces.
 type roomTable struct {
 	n      int
-	width  int      // entries per list: n-1, or n for lists that carry their owner
 	prefs  [][]int  // original ordered lists; agents of one class may share a row
 	rank   [][]int  // rank[i][j] = position of j in prefs[i]; rows shared like prefs
 	active [][]bool // active[i][k] = prefs[i][k] still in i's reduced list
@@ -88,14 +79,13 @@ type roomTable struct {
 }
 
 // newRoomTable builds the reduction table over validated prefs. Only the
-// active flags are per agent: a list that carries its owner starts with
-// the owner's entry already struck out, which is all that tells two
-// agents sharing it apart, and every scan skips struck entries.
-func newRoomTable(prefs [][]int, withOwner bool) *roomTable {
+// active flags are per agent: each list starts with its owner's entry
+// already struck out, which is all that tells two agents sharing it
+// apart, and every scan skips struck entries.
+func newRoomTable(prefs [][]int) *roomTable {
 	n := len(prefs)
 	t := &roomTable{
 		n:      n,
-		width:  len(prefs[0]),
 		prefs:  prefs,
 		rank:   make([][]int, n),
 		active: make([][]bool, n),
@@ -103,7 +93,7 @@ func newRoomTable(prefs [][]int, withOwner bool) *roomTable {
 		lo:     make([]int, n),
 		hi:     make([]int, n),
 	}
-	active := make([]bool, n*t.width)
+	active := make([]bool, n*n)
 	for k := range active {
 		active[k] = true
 	}
@@ -112,30 +102,27 @@ func newRoomTable(prefs [][]int, withOwner bool) *roomTable {
 		rank, ok := shared[&list[0]]
 		if !ok {
 			rank = make([]int, n)
-			rank[i] = n // owner-less lists: no position
 			for pos, j := range list {
 				rank[j] = pos
 			}
 			shared[&list[0]] = rank
 		}
 		t.rank[i] = rank
-		t.active[i] = active[i*t.width : (i+1)*t.width]
-		if withOwner {
-			t.active[i][rank[i]] = false
-		}
+		t.active[i] = active[i*n : (i+1)*n]
+		t.active[i][rank[i]] = false
 		t.count[i] = n - 1
-		t.hi[i] = t.width - 1
+		t.hi[i] = n - 1
 	}
 	return t
 }
 
 // delete removes the mutual pair (i, j) from both reduced lists.
 func (t *roomTable) delete(i, j int) {
-	if pos := t.rank[i][j]; pos < t.width && t.active[i][pos] {
+	if pos := t.rank[i][j]; t.active[i][pos] {
 		t.active[i][pos] = false
 		t.count[i]--
 	}
-	if pos := t.rank[j][i]; pos < t.width && t.active[j][pos] {
+	if pos := t.rank[j][i]; t.active[j][pos] {
 		t.active[j][pos] = false
 		t.count[j]--
 	}
@@ -144,7 +131,7 @@ func (t *roomTable) delete(i, j int) {
 // first returns i's best remaining partner, or Unmatched if the list is
 // empty.
 func (t *roomTable) first(i int) int {
-	for ; t.lo[i] < t.width; t.lo[i]++ {
+	for ; t.lo[i] < t.n; t.lo[i]++ {
 		if t.active[i][t.lo[i]] {
 			return t.prefs[i][t.lo[i]]
 		}
@@ -157,7 +144,7 @@ func (t *roomTable) second(i int) int {
 	if t.first(i) == Unmatched {
 		return Unmatched
 	}
-	for k := t.lo[i] + 1; k < t.width; k++ {
+	for k := t.lo[i] + 1; k < t.n; k++ {
 		if t.active[i][k] {
 			return t.prefs[i][k]
 		}
@@ -175,15 +162,6 @@ func (t *roomTable) last(i int) int {
 	return Unmatched
 }
 
-// StableRoommates runs Irving's 1985 algorithm. prefs[i] must rank all
-// other agents best-first (length n-1). It returns a perfect Matching, or
-// a *NoStableError when the instance has no perfectly stable assignment
-// (including every odd-n instance).
-func StableRoommates(prefs [][]int) (Matching, error) {
-	match, _, err := StableRoommatesStats(prefs)
-	return match, err
-}
-
 // RoommateStats counts the work Irving's algorithm performed: phase-1
 // proposals and phase-2 rotation eliminations. Both are reported even on
 // failed (no-stable-matching) runs, where they measure the work spent
@@ -193,18 +171,14 @@ type RoommateStats struct {
 	Rotations int
 }
 
-// StableRoommatesStats is StableRoommates plus the algorithm's work
-// counters, for the telemetry layer.
-func StableRoommatesStats(prefs [][]int) (Matching, RoommateStats, error) {
-	return stableRoommates(prefs, false)
-}
-
-// stableRoommates runs Irving's algorithm over lists that rank the other
-// n-1 agents, or — withOwner — all n (see validateRoomPrefs). An owner's
-// own entry is never proposed to, held or counted, so both forms reduce
-// alike, proposal for proposal.
-func stableRoommates(prefs [][]int, withOwner bool) (Matching, RoommateStats, error) {
-	if err := validateRoomPrefs(prefs, withOwner); err != nil {
+// stableRoommates runs Irving's 1985 algorithm. prefs[i] ranks all n
+// agents best-first, i itself included wherever it falls (see
+// validateRoomPrefs); an owner's own entry is never proposed to, held or
+// counted. It returns a perfect Matching, or a *NoStableError when the
+// instance has no perfectly stable assignment (including every odd-n
+// instance), with the algorithm's work counters either way.
+func stableRoommates(prefs [][]int) (Matching, RoommateStats, error) {
+	if err := validateRoomPrefs(prefs); err != nil {
 		return nil, RoommateStats{}, err
 	}
 	if n := len(prefs); n%2 == 1 {
@@ -212,7 +186,7 @@ func stableRoommates(prefs [][]int, withOwner bool) (Matching, RoommateStats, er
 		// discover this, but failing fast keeps the witness meaningful.
 		return nil, RoommateStats{}, &NoStableError{Agent: n - 1}
 	}
-	t := newRoomTable(prefs, withOwner)
+	t := newRoomTable(prefs)
 
 	if agent, ok := t.phase1(); !ok {
 		return nil, t.stats(), &NoStableError{Agent: agent}
@@ -277,7 +251,7 @@ func (t *roomTable) phase1() (int, bool) {
 	for q := 0; q < t.n; q++ {
 		p := holds[q]
 		keep := t.rank[q][p]
-		for k := keep + 1; k < t.width; k++ {
+		for k := keep + 1; k < t.n; k++ {
 			if t.active[q][k] {
 				t.delete(q, t.prefs[q][k])
 			}
@@ -345,7 +319,7 @@ func (t *roomTable) phase2() (int, bool) {
 		for _, mv := range moves {
 			// b accepts a: delete b's partners worse than a.
 			keep := t.rank[mv.b][mv.a]
-			for k := t.width - 1; k > keep; k-- {
+			for k := t.n - 1; k > keep; k-- {
 				if t.active[mv.b][k] {
 					t.delete(mv.b, t.prefs[mv.b][k])
 				}

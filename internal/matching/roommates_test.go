@@ -3,6 +3,7 @@ package matching
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -42,6 +43,18 @@ func bruteStable(prefs [][]int) bool {
 	return rec()
 }
 
+// classicRoommates runs Irving's algorithm on the classic instance form,
+// where prefs[i] ranks the other n-1 agents: it appends each owner to a
+// copy of its own list, so a malformed list stays malformed.
+func classicRoommates(prefs [][]int) (Matching, error) {
+	owned := make([][]int, len(prefs))
+	for i, list := range prefs {
+		owned[i] = append(slices.Clone(list), i)
+	}
+	match, _, err := stableRoommates(owned)
+	return match, err
+}
+
 func TestStableRoommatesIrvingExample(t *testing.T) {
 	// Irving (1985), Example 1: a 6-agent instance with a stable matching.
 	prefs := [][]int{
@@ -52,9 +65,9 @@ func TestStableRoommatesIrvingExample(t *testing.T) {
 		{3, 1, 2, 5, 0},
 		{4, 0, 3, 1, 2},
 	}
-	match, err := StableRoommates(prefs)
+	match, err := classicRoommates(prefs)
 	if err != nil {
-		t.Fatalf("StableRoommates: %v", err)
+		t.Fatalf("classicRoommates: %v", err)
 	}
 	if err := match.Validate(); err != nil {
 		t.Fatalf("invalid matching: %v", err)
@@ -83,7 +96,7 @@ func TestStableRoommatesNoSolution(t *testing.T) {
 	} else {
 		t.Fatal("test instance unexpectedly has a stable matching")
 	}
-	_, err := StableRoommates(prefs)
+	_, err := classicRoommates(prefs)
 	if !errors.Is(err, ErrNoStableMatching) {
 		t.Fatalf("err = %v, want ErrNoStableMatching", err)
 	}
@@ -102,7 +115,7 @@ func TestStableRoommatesOddPopulation(t *testing.T) {
 		{0, 2},
 		{0, 1},
 	}
-	_, err := StableRoommates(prefs)
+	_, err := classicRoommates(prefs)
 	if !errors.Is(err, ErrNoStableMatching) {
 		t.Fatalf("odd n should have no perfect stable matching, got %v", err)
 	}
@@ -117,7 +130,7 @@ func TestStableRoommatesValidation(t *testing.T) {
 		{{0, 1}, {0, 2}, {0, 1}}, // self-reference
 	}
 	for i, prefs := range cases {
-		if _, err := StableRoommates(prefs); err == nil {
+		if _, err := classicRoommates(prefs); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -135,7 +148,7 @@ func TestStableRoommatesBadPreferencesTyped(t *testing.T) {
 	}
 	for name, prefs := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, err := StableRoommates(prefs)
+			_, err := classicRoommates(prefs)
 			if err == nil {
 				t.Fatal("malformed prefs accepted")
 			}
@@ -148,7 +161,7 @@ func TestStableRoommatesBadPreferencesTyped(t *testing.T) {
 		})
 	}
 	// A valid instance must not trip the validator.
-	if _, err := StableRoommates([][]int{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}); err != nil {
+	if _, err := classicRoommates([][]int{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}); err != nil {
 		t.Fatalf("valid instance rejected: %v", err)
 	}
 }
@@ -178,7 +191,7 @@ func TestStableRoommatesAgainstBruteForce(t *testing.T) {
 			})
 			prefs[i] = others
 		}
-		match, err := StableRoommates(prefs)
+		match, err := classicRoommates(prefs)
 		exists := bruteStable(prefs)
 		if err == nil {
 			stable++
@@ -217,7 +230,7 @@ func TestStableRoommatesLargeInstance(t *testing.T) {
 		})
 		prefs[i] = others
 	}
-	match, err := StableRoommates(prefs)
+	match, err := classicRoommates(prefs)
 	if err != nil {
 		var nse *NoStableError
 		if !errors.As(err, &nse) {
@@ -245,5 +258,27 @@ func TestRoommateBlockingPairsUnmatchedAgents(t *testing.T) {
 	bp := RoommateBlockingPairs(match, prefs)
 	if len(bp) != 6 {
 		t.Errorf("all-unmatched should make every pair blocking, got %v", bp)
+	}
+}
+
+// BenchmarkStableRoommatesCore measures Irving's algorithm on random
+// 500-agent instances (counting both solved and provably unstable runs).
+func BenchmarkStableRoommatesCore(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	n := 500
+	prefs := make([][]int, n)
+	for i := range prefs {
+		others := make([]int, 0, n)
+		for j := 0; j < n; j++ {
+			if j != i {
+				others = append(others, j)
+			}
+		}
+		r.Shuffle(len(others), func(a, c int) { others[a], others[c] = others[c], others[a] })
+		prefs[i] = append(others, i) // the owner's own entry, struck before the first proposal
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, _ = stableRoommates(prefs)
 	}
 }

@@ -184,7 +184,7 @@ func TestSMPCrossSetStability(t *testing.T) {
 	for _, i := range order[half:] {
 		inMem[i] = true
 	}
-	for _, bp := range matching.AlphaBlockingPairs(match, d, 0) {
+	for _, bp := range matching.Dense(d).BlockingPairs(match, 0) {
 		if inMem[bp[0]] != inMem[bp[1]] {
 			t.Errorf("cross-set blocking pair %v under SMP", bp)
 		}
@@ -221,7 +221,7 @@ func TestSRStableForSolvableInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bp := matching.AlphaBlockingPairs(match, d, 0); len(bp) != 0 {
+	if bp := matching.Dense(d).BlockingPairs(match, 0); len(bp) != 0 {
 		t.Errorf("SR matching blocked: %v", bp)
 	}
 	// Mutually best pairs: {0,1} and {2,3}.
@@ -243,7 +243,7 @@ func TestStablePoliciesBeatGreedyOnBlockingPairs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
-		return len(matching.AlphaBlockingPairs(m, d, 0))
+		return len(matching.Dense(d).BlockingPairs(m, 0))
 	}
 	gr := count(Greedy{})
 	smr := count(StableMarriageRandom{})

@@ -48,8 +48,8 @@ const (
 	// pulls into its repair neighborhood.
 	DefaultTopK = 16
 	// DefaultChurnThreshold is the fraction of the base population whose
-	// cumulative churn forces a full re-match (the WithChurnThreshold
-	// facade default).
+	// cumulative churn forces a full re-match (the default of
+	// Market.ChurnThreshold and cooperd -churn-threshold).
 	DefaultChurnThreshold = 0.10
 	// DefaultRecommendCap is how many blocking partners Recommendations
 	// lists per agent when its caller passes no cap.

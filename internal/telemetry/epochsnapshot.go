@@ -58,9 +58,8 @@ type EpochSnapshot struct {
 	// or one means the single unsharded market (the field predates the
 	// sharded market in old logs, so zero is the compatible default).
 	Shards int `json:"shards,omitempty"`
-	// Kernel names what produced Matrix (core.Framework.Kernel):
-	// "oracle" or "flat", the exact prediction kernel. Empty in logs that
-	// predate the field.
+	// Kernel names what produced Matrix: "oracle" or "flat", the exact
+	// prediction kernel. Empty in logs that predate the field.
 	Kernel string `json:"kernel,omitempty"`
 	// Matrix is the job-level predicted penalty matrix: Matrix[i][j] is
 	// catalog job i's penalty when colocated with catalog job j. The
