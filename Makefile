@@ -173,7 +173,10 @@ bench-smoke:
 # preference table and without, matchings and steps alike, Dense views
 # and tie-free class views ≡ Gale–Shapley over Penalties.Lists (seeded
 # likewise, ±0 entries, equal rows and a class on one side only
-# included), and the positional churn
+# included), StableMarriage over lists ≡ the proposer-optimal,
+# receiver-pessimal stable matching found among all n! matchings at
+# n ≤ 6, on random and tie-heavy Penalties.Lists lists, and the
+# positional churn
 # ledger ≡ the ID-keyed reference delta by delta and error by error, over
 # joins, departures, failed epochs, commits and bad requests (seeded
 # likewise), and the auditor on arbitrary event streams — no panic,
@@ -194,6 +197,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAssess -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 	$(GO) test -run xxx -fuzz FuzzLists -fuzztime=10s -fuzzminimizetime=0 ./internal/matching/
 	$(GO) test -run xxx -fuzz FuzzStableMarriageClasses -fuzztime=10s -fuzzminimizetime=0 ./internal/matching/
+	$(GO) test -run xxx -fuzz 'FuzzStableMarriage$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/matching/
 	$(GO) test -run xxx -fuzz FuzzNeighborhood -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 	$(GO) test -run xxx -fuzz FuzzLedger -fuzztime=10s -fuzzminimizetime=0 ./internal/rematch/
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime=10s -fuzzminimizetime=0 ./internal/audit/

@@ -603,6 +603,100 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	}
 }
 
+// telemetryHandles name the telemetry types whose values carry one
+// run's metrics, spans or events.
+var telemetryHandles = map[string]bool{"Registry": true, "Telemetry": true, "EventRing": true}
+
+// holdsTelemetry reports whether a value of type t holds a telemetry
+// handle: one of telemetryHandles' types, directly or through a pointer,
+// a slice, an array, a map, a channel or a struct field, atomic.Pointer's
+// included. seen stops the walk on recursive types.
+func holdsTelemetry(t types.Type, seen map[types.Type]bool) bool {
+	if seen[t] {
+		return false
+	}
+	seen[t] = true
+	switch t := t.(type) {
+	case *types.Named:
+		obj := t.Obj()
+		return obj.Pkg() != nil && obj.Pkg().Path() == "cooper/internal/telemetry" && telemetryHandles[obj.Name()] ||
+			holdsTelemetry(t.Underlying(), seen)
+	case *types.Pointer:
+		return holdsTelemetry(t.Elem(), seen)
+	case *types.Slice:
+		return holdsTelemetry(t.Elem(), seen)
+	case *types.Array:
+		return holdsTelemetry(t.Elem(), seen)
+	case *types.Chan:
+		return holdsTelemetry(t.Elem(), seen)
+	case *types.Map:
+		return holdsTelemetry(t.Key(), seen) || holdsTelemetry(t.Elem(), seen)
+	case *types.Struct:
+		for i := range t.NumFields() {
+			if holdsTelemetry(t.Field(i).Type(), seen) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// telemetryGlobals returns p's package-level variables outside
+// internal/telemetry whose type holds a telemetry handle, each as
+// "path:line:col: name", sorted.
+func telemetryGlobals(p *program) []string {
+	var globals []string
+	for path, pkg := range p.pkgs {
+		if path == "cooper/internal/telemetry" {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			if v, ok := pkg.Scope().Lookup(name).(*types.Var); ok && holdsTelemetry(v.Type(), make(map[types.Type]bool)) {
+				globals = append(globals, p.fset.Position(v.Pos()).String()+": "+name)
+			}
+		}
+	}
+	sort.Strings(globals)
+	return globals
+}
+
+// TestNoPackageTelemetryHandles: telemetry travels with the run that
+// owns it, never through a package-level variable, so two Frameworks in
+// one process cannot count into each other's registry. A fixture's
+// handles held directly, through atomic.Pointer, a slice, a map and a
+// struct are flagged; a local, a type's field and the telemetry
+// package's own variables are not.
+func TestNoPackageTelemetryHandles(t *testing.T) {
+	fixture, err := load(map[string][]byte{
+		"internal/telemetry/telemetry.go": []byte("package telemetry\n\ntype Registry struct{}\n\ntype Telemetry struct{ r *Registry }\n\n" +
+			"type EventRing struct{}\n\ntype Snapshot struct{ Counters map[string]int64 }\n\nvar Default = &Registry{}\n"),
+		"internal/arch/arch.go": []byte("package arch\n\nimport (\n\t\"sync/atomic\"\n\n\t\"cooper/internal/telemetry\"\n)\n\n" +
+			"var sink atomic.Pointer[telemetry.Registry]\n\nvar direct *telemetry.Telemetry\n\n" +
+			"var rings []*telemetry.EventRing\n\nvar byName map[string]struct{ t *telemetry.Telemetry }\n\n" +
+			"var last telemetry.Snapshot\n\nvar calls int\n\ntype solver struct{ reg *telemetry.Registry }\n\n" +
+			"func solve() { var r *telemetry.Registry; _ = solver{reg: r} }\n"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, g := range telemetryGlobals(fixture) {
+		names = append(names, g[strings.LastIndex(g, " ")+1:])
+	}
+	slices.Sort(names)
+	if want := []string{"byName", "direct", "rings", "sink"}; !slices.Equal(names, want) {
+		t.Errorf("fixture: flagged %v, want %v", names, want)
+	}
+
+	tree, err := moduleTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range telemetryGlobals(tree) {
+		t.Errorf("%s: a package-level telemetry handle; pass the run's telemetry in instead", g)
+	}
+}
+
 // confinement keeps a construct in non-test code under internal/ to the
 // packages, or single files, of an allowlist; cmd/ and benchmark/ are
 // not scanned.

@@ -99,16 +99,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// From here on the solver's arch.* work counters land in the served
-	// registry: the catalog's calibration solves are not counted.
 	reg := tel.Registry()
-	arch.SetMetrics(reg)
 	// Agents are matched on the oracle matrix, or on the profiled sparse
 	// matrix completed by the predictor.
 	var penalties [][]float64
 	kernel := "oracle"
 	if *profiles == "" {
-		penalties, err = profiler.DensePenaltiesContext(context.Background(), machine, catalog, *workers, nil)
+		// The oracle's solves land in the served registry's arch.* work
+		// counters; the catalog's calibration solves are not counted.
+		penalties, err = profiler.DensePenaltiesContext(context.Background(), machine, catalog, *workers, arch.NewPairCache(machine, reg))
 		if err != nil {
 			fatal(err)
 		}

@@ -1,6 +1,7 @@
 package cooper
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -126,6 +127,46 @@ func TestFacadeCatalogAndPrediction(t *testing.T) {
 	}
 	if DefaultPredictor().MaxIters != 3 {
 		t.Error("default predictor should allow 3 iterations")
+	}
+}
+
+// TestFrameworksKeepTheirOwnCounters: two Frameworks with telemetry of
+// their own share no counter. Building and running B, then a Framework
+// with no telemetry, leaves every counter of A as it was, so no model
+// layer keeps a process-wide sink that a later Framework redirects. A
+// and B each count the oracle's 230 solves (the catalog's 20 solos and
+// 210 pairs) in arch.solver_calls, a profiled and an oracle Framework
+// alike: the catalog's calibration and the campaign's simulations solve
+// off the books.
+func TestFrameworksKeepTheirOwnCounters(t *testing.T) {
+	run := func(opts ...Option) *Framework {
+		t.Helper()
+		f, err := New(append([]Option{WithSeed(3)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		if _, err := f.RunEpoch(f.SamplePopulation(32, Uniform())); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	a := run(WithTelemetry(NewTelemetry()))
+	before := a.Snapshot().Counters
+	b := run(WithTelemetry(NewTelemetry()), WithOracle())
+	run()
+	after := a.Snapshot().Counters
+	if !maps.Equal(before, after) {
+		for name, v := range after {
+			if before[name] != v {
+				t.Errorf("A's %s went %d → %d while B and a Framework without telemetry ran", name, before[name], v)
+			}
+		}
+	}
+	for name, f := range map[string]*Framework{"A": a, "B": b} {
+		if got := f.Snapshot().Counter("arch.solver_calls"); got != 230 {
+			t.Errorf("%s counted %d solver calls, want the oracle's 230", name, got)
+		}
 	}
 }
 

@@ -25,27 +25,9 @@ package arch
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"cooper/internal/telemetry"
 )
-
-// metricsSink receives solver telemetry when installed via SetMetrics.
-// It is process-global because CMP values are copied freely throughout
-// the stack; counter updates are atomic, so concurrent frameworks share
-// one sink safely.
-var metricsSink atomic.Pointer[telemetry.Registry]
-
-// SetMetrics installs the registry that receives the contention solver's
-// work counters (arch.solver_calls, arch.solver_iters). Pass nil to
-// disable. Uninstrumented processes pay one atomic load per solve.
-func SetMetrics(r *telemetry.Registry) {
-	if r == nil {
-		metricsSink.Store(nil)
-		return
-	}
-	metricsSink.Store(r)
-}
 
 // CMP describes one chip multiprocessor. The default configuration mirrors
 // the paper's evaluation server: a 12-core / 24-thread Xeon E5-2697 v2 at
@@ -190,15 +172,21 @@ const (
 // CMP's threads (the paper's baseline: standalone and colocated runs use
 // the same core allocation, so disutility isolates contention) with the
 // whole LLC and memory channel to itself.
-func (c CMP) Solo(t TaskModel) Perf {
-	return c.solve([]TaskModel{t}, []float64{c.LLCBytes})[0]
+func (c CMP) Solo(t TaskModel) Perf { return c.soloIn(t, nil) }
+
+// soloIn is Solo, counting the solve in reg (solve).
+func (c CMP) soloIn(t TaskModel, reg *telemetry.Registry) Perf {
+	return c.solve([]TaskModel{t}, []float64{c.LLCBytes}, reg)[0]
 }
 
 // Pair returns the performance of two colocated tasks splitting the CMP's
 // threads equally and contending for the shared LLC and memory channel.
-func (c CMP) Pair(a, b TaskModel) (Perf, Perf) {
+func (c CMP) Pair(a, b TaskModel) (Perf, Perf) { return c.pairIn(a, b, nil) }
+
+// pairIn is Pair, counting the solve in reg (solve).
+func (c CMP) pairIn(a, b TaskModel, reg *telemetry.Registry) (Perf, Perf) {
 	half := c.LLCBytes / 2
-	perfs := c.solve([]TaskModel{a, b}, []float64{half, half})
+	perfs := c.solve([]TaskModel{a, b}, []float64{half, half}, reg)
 	return perfs[0], perfs[1]
 }
 
@@ -212,14 +200,16 @@ func (c CMP) Colocate(tasks []TaskModel) []Perf {
 	for i := range shares {
 		shares[i] = c.LLCBytes / float64(len(tasks))
 	}
-	return c.solve(tasks, shares)
+	return c.solve(tasks, shares, nil)
 }
 
 // solve computes the coupled equilibrium for tasks sharing this CMP,
-// starting from the given initial cache shares. Each task runs on
-// Threads/2 hardware threads (the paper's equal division for pairs; for
-// n-way colocation the thread share shrinks accordingly).
-func (c CMP) solve(tasks []TaskModel, shares []float64) []Perf {
+// starting from the given initial cache shares, and counts the solve and
+// its fixed-point iterations in reg's arch.solver_calls and
+// arch.solver_iters (nil counts nothing). Each task runs on Threads/2
+// hardware threads (the paper's equal division for pairs; for n-way
+// colocation the thread share shrinks accordingly).
+func (c CMP) solve(tasks []TaskModel, shares []float64, reg *telemetry.Registry) []Perf {
 	n := len(tasks)
 	threadsEach := float64(c.Threads) / 2
 	if n > 2 {
@@ -290,10 +280,8 @@ func (c CMP) solve(tasks []TaskModel, shares []float64) []Perf {
 			break
 		}
 	}
-	if r := metricsSink.Load(); r != nil {
-		r.Counter("arch.solver_calls").Inc()
-		r.Counter("arch.solver_iters").Add(int64(iters))
-	}
+	reg.Counter("arch.solver_calls").Inc()
+	reg.Counter("arch.solver_iters").Add(int64(iters))
 
 	// Saturated channel: when total demand exceeds the physical peak, the
 	// channel delivers only its capacity and every task's memory-bound

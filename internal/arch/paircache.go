@@ -35,8 +35,9 @@ type pairKey struct{ a, b string }
 
 // NewPairCache returns an empty cache bound to machine c. Hit/miss
 // traffic lands in reg's cache.pair_hits, cache.pair_misses,
-// cache.solo_hits, cache.solo_misses counters and the cache.size gauge;
-// a nil registry disables accounting.
+// cache.solo_hits, cache.solo_misses counters and the cache.size gauge,
+// and the solves the cache makes in arch.solver_calls and
+// arch.solver_iters; a nil registry disables accounting.
 func NewPairCache(c CMP, reg *telemetry.Registry) *PairCache {
 	return &PairCache{
 		cmp:   c,
@@ -64,7 +65,7 @@ func (pc *PairCache) Machine() CMP {
 // must be non-nil (gate optional caches with Keyed at the call site).
 func (pc *PairCache) Solo(name string, t TaskModel) Perf {
 	if name == "" {
-		return pc.cmp.Solo(t)
+		return pc.cmp.soloIn(t, pc.reg)
 	}
 	pc.mu.RLock()
 	p, ok := pc.solo[name]
@@ -74,7 +75,7 @@ func (pc *PairCache) Solo(name string, t TaskModel) Perf {
 		return p
 	}
 	pc.reg.Counter("cache.solo_misses").Inc()
-	p = pc.cmp.Solo(t)
+	p = pc.cmp.soloIn(t, pc.reg)
 	pc.mu.Lock()
 	pc.solo[name] = p
 	pc.size()
@@ -88,7 +89,7 @@ func (pc *PairCache) Solo(name string, t TaskModel) Perf {
 // with Keyed at the call site).
 func (pc *PairCache) Pair(aName string, a TaskModel, bName string, b TaskModel) (Perf, Perf) {
 	if aName == "" || bName == "" {
-		return pc.cmp.Pair(a, b)
+		return pc.cmp.pairIn(a, b, pc.reg)
 	}
 	key := pairKey{aName, bName}
 	swapped := false
@@ -109,10 +110,10 @@ func (pc *PairCache) Pair(aName string, a TaskModel, bName string, b TaskModel) 
 	pc.reg.Counter("cache.pair_misses").Inc()
 	var pa, pb Perf
 	if swapped {
-		pb, pa = pc.cmp.Pair(b, a)
+		pb, pa = pc.cmp.pairIn(b, a, pc.reg)
 		ps = [2]Perf{pb, pa}
 	} else {
-		pa, pb = pc.cmp.Pair(a, b)
+		pa, pb = pc.cmp.pairIn(a, b, pc.reg)
 		ps = [2]Perf{pa, pb}
 	}
 	pc.mu.Lock()

@@ -9,36 +9,7 @@ package cachesim
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
-
-	"cooper/internal/telemetry"
 )
-
-// metricsSink receives aggregate trace-simulation counters when installed
-// via SetMetrics (cachesim.accesses, cachesim.misses, cachesim.runs).
-var metricsSink atomic.Pointer[telemetry.Registry]
-
-// SetMetrics installs the registry receiving cache-simulation counters;
-// nil disables. Counters are flushed per measurement run, not per access,
-// so the simulator's hot loop stays untouched.
-func SetMetrics(r *telemetry.Registry) {
-	if r == nil {
-		metricsSink.Store(nil)
-		return
-	}
-	metricsSink.Store(r)
-}
-
-// Publish flushes the cache's aggregate counters into r (nil-safe): the
-// number of accesses and misses since the last ResetStats.
-func (c *Cache) Publish(r *telemetry.Registry) {
-	if r == nil {
-		return
-	}
-	r.Counter("cachesim.accesses").Add(int64(c.accesses))
-	r.Counter("cachesim.misses").Add(int64(c.misses))
-	r.Counter("cachesim.runs").Inc()
-}
 
 // Cache is a set-associative cache with true-LRU replacement. Addresses
 // are byte addresses; lines are LineBytes wide.
@@ -247,7 +218,6 @@ func MeasureMRC(trace Trace, capacities []int, ways, lineBytes, warmup, measured
 			c.Access(trace.Next(r), 0)
 		}
 		out[i] = c.MissRatio()
-		c.Publish(metricsSink.Load())
 	}
 	return out, nil
 }
@@ -279,6 +249,5 @@ func SharedRun(t0, t1 Trace, ratio float64, capacity, ways, lineBytes, warmup, m
 	}
 	issue(warmup, false)
 	issue(measured, true)
-	c.Publish(metricsSink.Load())
 	return c.StreamMissRatio(0), c.StreamMissRatio(1), c.Occupancy(0), nil
 }

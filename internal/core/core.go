@@ -15,7 +15,6 @@ import (
 
 	"cooper/internal/agent"
 	"cooper/internal/arch"
-	"cooper/internal/cachesim"
 	"cooper/internal/cluster"
 	"cooper/internal/market"
 	"cooper/internal/matching"
@@ -96,11 +95,6 @@ func NewFramework(ctx context.Context, cfg Config) (*Framework, error) {
 		workers: parallel.Workers(cfg.Pipeline.Workers),
 	}
 	f.cache = arch.NewPairCache(cfg.Machine, f.tel.Registry())
-	if f.tel != nil {
-		// Route the model layers' package-level sinks into this registry.
-		arch.SetMetrics(f.tel.Registry())
-		cachesim.SetMetrics(f.tel.Registry())
-	}
 	var err error
 	f.cluster, err = cluster.New(cfg.Machines, cfg.Machine)
 	if err != nil {

@@ -128,12 +128,14 @@ type AdaptedStats struct {
 // (the one rejected by all others) and retry, then greedily pair the
 // removed agents to minimize their individual disutilities. Agents of one
 // class share their preference order, so an attempt costs
-// O(classes·agents) to set up, plus Irving's own work.
+// O(classes·agents) to set up, plus Irving's own work; a view without a
+// preference table is ranked once, for every attempt.
 func AdaptedRoommatesClasses(p Penalties) (Matching, AdaptedStats, error) {
 	var stats AdaptedStats
 	if err := p.Validate(); err != nil {
 		return nil, stats, err
 	}
+	p = p.WithRanks()
 	n := p.Agents()
 	match := make(Matching, n)
 	for i := range match {

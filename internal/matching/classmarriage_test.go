@@ -116,9 +116,8 @@ func tiesPresent(p Penalties, proposers, receivers []int) bool {
 }
 
 // checkMarriageClasses holds StableMarriageClasses on every marriage of
-// one decoded market to StableMarriageProposals over classKeyLists,
-// matching for matching, with no more class steps than the oracle's
-// proposals. The view carrying the matrix's preference table, built once
+// one decoded market to StableMarriage over classKeyLists, matching for
+// matching, with no more class steps than the oracle's proposals. The view carrying the matrix's preference table, built once
 // for the three marriages as the market engine builds it, must give the
 // matching and the steps the view without one gives. The Dense view of
 // the same penalties, with and without its table, and the class view
@@ -146,7 +145,8 @@ func checkMarriageClasses(t *testing.T, data []byte) {
 			t.Fatalf("matrix %v classes %v proposers %v receivers %v: %v in %d steps, with the table %v in %d",
 				matrix, d.class, proposers, receivers, got, steps, tabled, tabledSteps)
 		}
-		want, proposals, err := StableMarriageProposals(classKeyLists(p, proposers, receivers), classKeyLists(p, receivers, proposers))
+		oracle := classKeyLists(p, proposers, receivers)
+		want, err := StableMarriage(oracle, classKeyLists(p, receivers, proposers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,11 +154,11 @@ func checkMarriageClasses(t *testing.T, data []byte) {
 			t.Fatalf("matrix %v classes %v proposers %v receivers %v: %v, the oracle %v",
 				matrix, d.class, proposers, receivers, got, want)
 		}
-		if steps > proposals {
+		if proposals := proposalsMade(oracle, want); steps > proposals {
 			t.Fatalf("%d class steps, the oracle made %d proposals", steps, proposals)
 		}
 
-		listed, _, err := StableMarriageProposals(p.Lists(proposers, receivers), p.Lists(receivers, proposers))
+		listed, err := StableMarriage(p.Lists(proposers, receivers), p.Lists(receivers, proposers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +166,12 @@ func checkMarriageClasses(t *testing.T, data []byte) {
 			t.Fatalf("tie-free view: %v, over Penalties.Lists %v", got, listed)
 		}
 		dense := Dense(expand(p))
-		denseListed, denseN, err := StableMarriageProposals(dense.Lists(proposers, receivers), dense.Lists(receivers, proposers))
+		denseLists := dense.Lists(proposers, receivers)
+		denseListed, err := StableMarriage(denseLists, dense.Lists(receivers, proposers))
 		if err != nil {
 			t.Fatal(err)
 		}
+		denseN := proposalsMade(denseLists, denseListed)
 		for _, ranks := range [][]int32{nil, Rank(dense.Matrix)} {
 			dense.Ranks = ranks
 			got, steps, err := StableMarriageClasses(dense, proposers, receivers)
@@ -254,7 +256,7 @@ func TestStableMarriageClassesTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, _, err := StableMarriageProposals(classKeyLists(p, tc.proposers, tc.receivers), classKeyLists(p, tc.receivers, tc.proposers))
+		want, err := StableMarriage(classKeyLists(p, tc.proposers, tc.receivers), classKeyLists(p, tc.receivers, tc.proposers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,14 +328,15 @@ func TestStableMarriageClassesCycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, proposals, err := StableMarriageProposals(classKeyLists(p, proposers, receivers), classKeyLists(p, receivers, proposers))
+		oracle := classKeyLists(p, proposers, receivers)
+		want, err := StableMarriage(oracle, classKeyLists(p, receivers, proposers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("m=%d: %v, the oracle %v", m, got, want)
 		}
-		if proposals < 2*m {
+		if proposals := proposalsMade(oracle, want); proposals < 2*m {
 			t.Fatalf("m=%d: the oracle made %d proposals; the market does not ping-pong", m, proposals)
 		}
 		steps[m] = n
@@ -396,7 +399,7 @@ func BenchmarkStableMarriageClasses(b *testing.B) {
 	b.Run("dense-lists/n=800", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
-			if _, _, err := StableMarriageProposals(dense.Lists(proposers, receivers), dense.Lists(receivers, proposers)); err != nil {
+			if _, err := StableMarriage(dense.Lists(proposers, receivers), dense.Lists(receivers, proposers)); err != nil {
 				b.Fatal(err)
 			}
 		}

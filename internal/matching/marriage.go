@@ -1,6 +1,6 @@
 // Package matching implements the stable-matching algorithms Cooper adapts
 // to the colocation game: Gale–Shapley stable marriage (Algorithm 1 in the
-// paper, in both sequential and parallel-rounds form), Irving's stable
+// paper, in its parallel rounds, and over class counts), Irving's stable
 // roommates algorithm with rotation elimination, the paper's greedy
 // completion heuristic for populations with no perfectly stable roommate
 // solution, and blocking-pair analysis with the α break-away threshold of
@@ -10,11 +10,7 @@
 // is i's partner and Unmatched marks agents left alone.
 package matching
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Unmatched marks an agent with no partner in a Matching.
 const Unmatched = -1
@@ -52,14 +48,20 @@ func (m Matching) Validate() error {
 // cross-set sense: no proposer and receiver prefer each other over their
 // assigned partners.
 func StableMarriage(proposerPrefs, receiverPrefs [][]int) ([]int, error) {
-	match, _, err := StableMarriageProposals(proposerPrefs, receiverPrefs)
+	match, _, err := StableMarriageRounds(proposerPrefs, receiverPrefs)
 	return match, err
 }
 
-// StableMarriageProposals is StableMarriage plus the number of proposals
-// deferred acceptance issued — the work metric the paper's §IV overhead
-// discussion tracks and the telemetry layer exports.
-func StableMarriageProposals(proposerPrefs, receiverPrefs [][]int) ([]int, int, error) {
+// StableMarriageRounds is StableMarriage in the paper's parallel rounds
+// (Algorithm 1, Fig. 5), with the number of rounds: in each round every
+// free proposer proposes to its best receiver not yet tried, each
+// receiver keeps the best of its hold and that round's suitors, and the
+// rejected proposers are the next round's free ones. Deferred acceptance
+// is confluent, so neither the matching nor any proposer's proposals
+// depend on the order: a proposer proposes down its list to its partner.
+// A free proposer always has a receiver left to try: one rejected by
+// all n would leave n receivers holding the other n-1 proposers.
+func StableMarriageRounds(proposerPrefs, receiverPrefs [][]int) ([]int, int, error) {
 	n := len(proposerPrefs)
 	if err := validateBipartite(proposerPrefs, receiverPrefs); err != nil {
 		return nil, 0, err
@@ -70,106 +72,32 @@ func StableMarriageProposals(proposerPrefs, receiverPrefs [][]int) ([]int, int, 
 
 	next := make([]int, n)  // next proposal index per proposer
 	holds := make([]int, n) // receiver j currently holds proposer holds[j]
-	proposerMatch := make([]int, n)
-	for j := range holds {
-		holds[j] = Unmatched
-		proposerMatch[j] = Unmatched
-	}
-
-	free := make([]int, 0, n)
-	for i := n - 1; i >= 0; i-- {
-		free = append(free, i)
-	}
-	proposals := 0
-	for len(free) > 0 {
-		m := free[len(free)-1]
-		free = free[:len(free)-1]
-		if next[m] >= n {
-			// Complete lists guarantee acceptance before exhaustion; this
-			// is unreachable but keeps the loop total.
-			continue
-		}
-		w := proposerPrefs[m][next[m]]
-		next[m]++
-		proposals++
-		switch cur := holds[w]; {
-		case cur == Unmatched:
-			holds[w] = m
-		case receiverRank[w][m] < receiverRank[w][cur]:
-			holds[w] = m
-			free = append(free, cur)
-		default:
-			free = append(free, m)
-		}
-	}
-	for w, m := range holds {
-		if m != Unmatched {
-			proposerMatch[m] = w
-		}
-	}
-	return proposerMatch, proposals, nil
-}
-
-// StableMarriageRounds runs the paper's parallel formulation: each round,
-// all unmatched proposers propose to their best not-yet-tried receiver
-// simultaneously; each receiver keeps the best proposal (including its
-// current hold) and rejects the rest. The result is identical to
-// StableMarriage — deferred acceptance is confluent — but the procedure
-// mirrors the paper's description and parallel implementation.
-func StableMarriageRounds(proposerPrefs, receiverPrefs [][]int) ([]int, int, error) {
-	n := len(proposerPrefs)
-	if err := validateBipartite(proposerPrefs, receiverPrefs); err != nil {
-		return nil, 0, err
-	}
-	receiverRank := rankMatrix(receiverPrefs)
-
-	next := make([]int, n)
-	holds := make([]int, n)
 	for j := range holds {
 		holds[j] = Unmatched
 	}
-	heldBy := make([]int, n) // proposer i is held by receiver heldBy[i]
-	for i := range heldBy {
-		heldBy[i] = Unmatched
-	}
-
+	// free are this round's proposers, rejected the next round's.
+	free, rejected := identity(n), make([]int, 0, n)
 	rounds := 0
-	for {
-		// Gather this round's proposals.
-		proposals := make(map[int][]int) // receiver -> proposers
-		active := false
-		for m := 0; m < n; m++ {
-			if heldBy[m] != Unmatched || next[m] >= n {
-				continue
-			}
+	for ; len(free) > 0; rounds++ {
+		for _, m := range free {
 			w := proposerPrefs[m][next[m]]
 			next[m]++
-			proposals[w] = append(proposals[w], m)
-			active = true
-		}
-		if !active {
-			break
-		}
-		rounds++
-		// Each receiver keeps its best suitor.
-		for w, suitors := range proposals {
-			best := holds[w]
-			for _, m := range suitors {
-				if best == Unmatched || receiverRank[w][m] < receiverRank[w][best] {
-					best = m
-				}
+			switch cur := holds[w]; {
+			case cur == Unmatched:
+				holds[w] = m
+			case receiverRank[w][m] < receiverRank[w][cur]:
+				holds[w] = m
+				rejected = append(rejected, cur)
+			default:
+				rejected = append(rejected, m)
 			}
-			if prev := holds[w]; prev != Unmatched && prev != best {
-				heldBy[prev] = Unmatched
-			}
-			holds[w] = best
-			heldBy[best] = w
 		}
+		free, rejected = rejected, free[:0]
 	}
 
 	proposerMatch := make([]int, n)
-	for i := range proposerMatch {
-		proposerMatch[i] = heldBy[i]
+	for w, m := range holds {
+		proposerMatch[m] = w
 	}
 	return proposerMatch, rounds, nil
 }
@@ -289,8 +217,8 @@ func CrossBlockingPairs(proposerMatch []int, proposerPrefs, receiverPrefs [][]in
 // receiver class never proposes to it again. Agents are then dealt in
 // O(n): a class's members, in agent-index order, take partner classes in
 // the class's preference order, and each class-pair block pairs its
-// members in index order. The result is exactly StableMarriageProposals
-// over lists sorted by that key. Where no viewer row ties two classes
+// members in index order. The result is exactly StableMarriage over
+// lists sorted by that key. Where no viewer row ties two classes
 // present on the other side, Dense views among them, the key orders as
 // (penalty, partner index) does: the order of Penalties.Lists.
 //
@@ -306,8 +234,8 @@ func CrossBlockingPairs(proposerMatch []int, proposerPrefs, receiverPrefs [][]in
 //
 // A class's preference over the other side's classes is its row of p's
 // preference table with the absent classes dropped, O(C·(kp+kr)) for
-// all of them and no sort; a view without a table (Dense) sorts each
-// over the classes present, O(kp·kr·log(kp+kr)).
+// all of them and no sort. A view without a table (Dense) is ranked on
+// entry (Penalties.WithRanks), O(C² log C).
 //
 // p must validate (Penalties.Validate). An agent outside p, of a class
 // outside p.Matrix, or listed twice is an error.
@@ -316,6 +244,7 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 	if len(receivers) != n {
 		return nil, 0, fmt.Errorf("matching: %d proposers vs %d receivers", n, len(receivers))
 	}
+	p = p.WithRanks()
 	agents, classes := p.Agents(), len(p.Matrix)
 	// side[i] is 1 + agent i's position among the proposers, minus 1 +
 	// its position among the receivers, or 0 if it is on neither side.
@@ -356,8 +285,7 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 	}
 	kp, kr := k[0], k[1]
 
-	most := max(kp, kr)
-	perClass := make([]int, 11*kp+5*kr+2+2*most)
+	perClass := make([]int, 11*kp+5*kr+2)
 	carve := func(m int) []int {
 		s := perClass[:m:m]
 		perClass = perClass[m:]
@@ -376,7 +304,6 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 	// log[3e:3e+3] is the current chain's e-th step: the receiver class,
 	// the proposer's rank there and its victim's.
 	log := carve(3 * kp)[:0]
-	tier, fill := carve(most), carve(most) // rankClasses's scratch
 
 	for s, cls := range [2]struct{ classOf, start, fill []int }{{pClass, pStart, pFill}, {rClass, rStart, rFill}} {
 		x := 0
@@ -410,19 +337,11 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 	tables := make([]int, 4*kp*kr+1)
 	pref, ord := tables[:kp*kr], tables[kp*kr:2*kp*kr]
 	rank, held := tables[2*kp*kr:3*kp*kr], tables[3*kp*kr:]
-	// list fills l with the classes classOf[u] in the order a viewer of
-	// class viewer ranks them. With a table that is the viewer's row less
-	// the classes absent from classOf's side (number), in O(C) and with
-	// no sort: filtering a ranked row keeps its order.
-	var penalty []float64
-	if p.Ranks == nil {
-		penalty = make([]float64, most)
-	}
-	list := func(l []int, viewer int, classOf, number []int) {
-		if p.Ranks == nil {
-			rankClasses(l, penalty[:len(l)], tier[:len(l)], fill[:len(l)], p.Matrix[viewer], classOf)
-			return
-		}
+	// list fills l with the other side's classes in the order a viewer
+	// of class viewer ranks them: the viewer's row less the classes
+	// absent from that side (number), in O(C) and with no sort: filtering
+	// a ranked row keeps its order.
+	list := func(l []int, viewer int, number []int) {
 		l = l[:0]
 		for _, c := range p.Ranked(viewer) {
 			if u := number[c]; u > 0 {
@@ -431,10 +350,10 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 		}
 	}
 	for x := 0; x < kp; x++ {
-		list(pref[x*kr:(x+1)*kr], pClass[x], rClass, number[1])
+		list(pref[x*kr:(x+1)*kr], pClass[x], number[1])
 	}
 	for y := 0; y < kr; y++ {
-		list(ord[y*kp:(y+1)*kp], rClass[y], pClass, number[0])
+		list(ord[y*kp:(y+1)*kp], rClass[y], number[0])
 		for r, x := range ord[y*kp : (y+1)*kp] {
 			rank[y*kp+x] = r
 		}
@@ -543,32 +462,4 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 		}
 	}
 	return proposerMatch, steps, nil
-}
-
-// rankClasses fills l with 0, 1, …, len(l)-1 in the order a viewer with
-// penalty row row ranks the classes classOf[u]: by penalty, then class.
-// classOf is ascending, so the class tie-break is u's own order. penalty,
-// tier and fill are scratch of l's length. The sort compares penalties
-// alone; its runs of equal penalty are tiers, and counting u into its
-// tier in ascending order breaks the ties in O(len(l)), where sorting
-// each run, or a comparator that breaks ties, costs a log factor more —
-// and a Dense view has as many classes as agents.
-func rankClasses[T int | int32](l []T, penalty []float64, tier, fill []int, row []float64, classOf []int) {
-	for u := range l {
-		l[u] = T(u)
-		penalty[u] = row[classOf[u]]
-	}
-	slices.SortFunc(l, func(u, v T) int { return cmp.Compare(penalty[u], penalty[v]) })
-	t := -1
-	for i, u := range l {
-		if i == 0 || cmp.Compare(penalty[u], penalty[l[i-1]]) != 0 {
-			t++
-			fill[t] = i
-		}
-		tier[u] = t
-	}
-	for u := range l {
-		l[fill[tier[u]]] = T(u)
-		fill[tier[u]]++
-	}
 }

@@ -2,6 +2,7 @@ package matching
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -92,24 +93,150 @@ func TestStableMarriageRandomInstances(t *testing.T) {
 	}
 }
 
-func TestStableMarriageRoundsAgreesWithSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(25)
-		proposers := randomPrefs(r, n)
-		receivers := randomPrefs(r, n)
-		seq, err1 := StableMarriage(proposers, receivers)
-		par, _, err2 := StableMarriageRounds(proposers, receivers)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("trial %d: %v %v", trial, err1, err2)
+// proposalsMade is how many proposals deferred acceptance over
+// proposerPrefs issues to reach proposerMatch. It is the same in any
+// proposal order: each proposer proposes down its list to its partner,
+// so it is Σ (partner's position + 1).
+func proposalsMade(proposerPrefs [][]int, proposerMatch []int) int {
+	n := 0
+	for m, w := range proposerMatch {
+		n += slices.Index(proposerPrefs[m], w) + 1
+	}
+	return n
+}
+
+// marriageInstance decodes bytes into complete preference lists for
+// 0–6 proposers and as many receivers, reading zero once the bytes run
+// out: either every list a random permutation, or tie-heavy lists from
+// Penalties.Lists over a 3-class matrix of 1–3 distinct values, whose
+// agents of one class share one list.
+func marriageInstance(data []byte) (proposers, receivers [][]int) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
 		}
-		for i := range seq {
-			if seq[i] != par[i] {
-				t.Fatalf("trial %d: sequential and parallel disagree at %d: %d vs %d",
-					trial, i, seq[i], par[i])
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := next() % 7
+	if next()%2 == 0 {
+		perm := func() []int {
+			l := identity(n)
+			for b := n - 1; b > 0; b-- {
+				c := next() % (b + 1)
+				l[b], l[c] = l[c], l[b]
 			}
+			return l
+		}
+		for range n {
+			proposers, receivers = append(proposers, perm()), append(receivers, perm())
+		}
+		return proposers, receivers
+	}
+	values := 1 + next()%3
+	p := Penalties{Matrix: make([][]float64, 3), Class: make([]int, 2*n)}
+	for a := range p.Matrix {
+		p.Matrix[a] = make([]float64, 3)
+		for b := range p.Matrix[a] {
+			p.Matrix[a][b] = float64(next()%values) * 0.1
 		}
 	}
+	for i := range p.Class {
+		p.Class[i] = next() % 3
+	}
+	everyone := identity(2 * n)
+	return p.Lists(everyone[:n], everyone[n:]), p.Lists(everyone[n:], everyone[:n])
+}
+
+// permutations calls f with every permutation of 0..n-1, in one reused
+// slice.
+func permutations(n int, f func([]int)) {
+	perm := identity(n)
+	var rec func(k int)
+	rec = func(k int) {
+		if k == n {
+			f(perm)
+			return
+		}
+		for i := k; i < n; i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			rec(k + 1)
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+	}
+	rec(0)
+}
+
+// checkProposerOptimal holds StableMarriage on one decoded instance to
+// the enumerated stable matchings: every one of the n! perfect matchings
+// that CrossBlockingPairs finds no pair against. Its result must be one
+// of them, and give each proposer its best partner across them and each
+// receiver its worst.
+func checkProposerOptimal(t *testing.T, data []byte) {
+	t.Helper()
+	proposers, receivers := marriageInstance(data)
+	n := len(proposers)
+	got, err := StableMarriage(proposers, receivers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposerRank, receiverRank := rankMatrix(proposers), rankMatrix(receivers)
+	best, worst := make([]int, n), make([]int, n)
+	for i := range best {
+		best[i], worst[i] = n, -1
+	}
+	found := false
+	permutations(n, func(match []int) {
+		if len(CrossBlockingPairs(match, proposers, receivers)) > 0 {
+			return
+		}
+		found = found || slices.Equal(match, got)
+		for m, w := range match {
+			best[m] = min(best[m], proposerRank[m][w])
+			worst[w] = max(worst[w], receiverRank[w][m])
+		}
+	})
+	if !found {
+		t.Fatalf("proposers %v receivers %v: %v is not stable", proposers, receivers, got)
+	}
+	for m, w := range got {
+		if proposerRank[m][w] != best[m] || receiverRank[w][m] != worst[w] {
+			t.Fatalf("proposers %v receivers %v: %v gives proposer %d its rank-%d partner (best stable %d), receiver %d its rank-%d (worst stable %d)",
+				proposers, receivers, got, m, proposerRank[m][w], best[m], w, receiverRank[w][m], worst[w])
+		}
+	}
+}
+
+// marriageListSeeds is FuzzStableMarriage's corpus and its property
+// test's table: 400 random byte strings, long enough for any decoded
+// instance, half of them decoding to tie-heavy lists.
+func marriageListSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(52))
+	seeds := make([][]byte, 400)
+	for s := range seeds {
+		seeds[s] = make([]byte, 2+2*6*6)
+		rng.Read(seeds[s])
+	}
+	return seeds
+}
+
+// TestStableMarriageProposerOptimal: on random and tie-heavy complete
+// lists of up to 6 a side, StableMarriage is the proposer-optimal,
+// receiver-pessimal stable matching.
+func TestStableMarriageProposerOptimal(t *testing.T) {
+	for _, seed := range marriageListSeeds() {
+		checkProposerOptimal(t, seed)
+	}
+}
+
+// FuzzStableMarriage is TestStableMarriageProposerOptimal on arbitrary
+// bytes.
+func FuzzStableMarriage(f *testing.F) {
+	for _, seed := range marriageListSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(checkProposerOptimal)
 }
 
 func TestProposerAdvantage(t *testing.T) {
@@ -161,9 +288,6 @@ func TestStableMarriageValidation(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := StableMarriage(tt.prop, tt.recv); err == nil {
 				t.Error("expected error")
-			}
-			if _, _, err := StableMarriageRounds(tt.prop, tt.recv); err == nil {
-				t.Error("expected error from rounds variant")
 			}
 		})
 	}

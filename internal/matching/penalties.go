@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -19,9 +20,9 @@ import (
 //
 // Ranks, when non-nil, is Matrix's preference table (Rank), built once
 // per matrix and shared by every view of it; Matrix must not change
-// while it is in use. A consumer handed a view without one ranks per
-// call: the marriage and Lists the classes present, the assessment the
-// whole matrix.
+// while it is in use. Every consumer reads classes' orders from it
+// alone: one handed a view without a table ranks the whole matrix on
+// entry (WithRanks).
 type Penalties struct {
 	Matrix [][]float64
 	Class  []int
@@ -32,15 +33,46 @@ type Penalties struct {
 // flat: row a lists every class b best partner first for an agent of
 // class a, by (matrix[a][b], b). It costs O(C² log C), once per matrix;
 // the market ranks its matrix when it is built and every epoch reads the
-// rows.
+// rows. The sort compares penalties alone; its runs of equal penalty are
+// tiers, and counting b into its tier in ascending order breaks the ties
+// in O(C) a row, where sorting each run, or a comparator that breaks
+// ties, costs a log factor more — and a Dense view has as many classes
+// as agents.
 func Rank(matrix [][]float64) []int32 {
 	c := len(matrix)
 	ranks := make([]int32, c*c)
-	penalty, scratch, classes := make([]float64, c), make([]int, 2*c), identity(c)
+	scratch := make([]int, 2*c)
+	tier, fill := scratch[:c], scratch[c:]
 	for a, row := range matrix {
-		rankClasses(ranks[a*c:(a+1)*c], penalty, scratch[:c], scratch[c:], row, classes)
+		l := ranks[a*c : (a+1)*c]
+		for b := range l {
+			l[b] = int32(b)
+		}
+		slices.SortFunc(l, func(u, v int32) int { return cmp.Compare(row[u], row[v]) })
+		t := -1
+		for i, b := range l {
+			if i == 0 || cmp.Compare(row[b], row[l[i-1]]) != 0 {
+				t++
+				fill[t] = i
+			}
+			tier[b] = t
+		}
+		for b := range l {
+			l[fill[tier[b]]] = int32(b)
+			fill[tier[b]]++
+		}
 	}
 	return ranks
+}
+
+// WithRanks returns p carrying its matrix's preference table: p itself
+// when it has one, else p with Rank(p.Matrix). A consumer calls it on
+// entry, so a view without a table is ranked once per call, whole.
+func (p Penalties) WithRanks() Penalties {
+	if p.Ranks == nil {
+		p.Ranks = Rank(p.Matrix)
+	}
+	return p
 }
 
 // Ranked returns class c's row of p's preference table, which p must
@@ -97,10 +129,11 @@ func (p Penalties) Validate() error {
 // share one list — the same slice, which callers must not modify — and
 // every list is carved from one allocation. The work is one O(n log n)
 // integer sort of others by agent index, then per class its ranked
-// classes present in others — its table row less the absent classes,
-// or, for a view without a preference table, the present classes ranked
-// by rankClasses — and one O(n) pass, not one sort per agent.
+// classes present in others — its table row less the absent classes —
+// and one O(n) pass, not one sort per agent. A view without a
+// preference table is ranked first (WithRanks).
 func (p Penalties) Lists(agents, others []int) [][]int {
+	p = p.WithRanks()
 	n := len(others)
 	// others' positions in ascending agent index, packed as index<<32 |
 	// position so the sort compares integers, then rewritten in place as
@@ -124,10 +157,10 @@ func (p Penalties) Lists(agents, others []int) [][]int {
 		keys[k] = uint64(c)<<32 | b
 		members[c]++
 	}
-	present := make([]int, 0, classes) // classes with members among others
-	for c, m := range members {
+	present := 0 // classes with members among others
+	for _, m := range members {
 		if m > 0 {
-			present = append(present, c)
+			present++
 		}
 	}
 	distinct := 0
@@ -141,26 +174,18 @@ func (p Penalties) Lists(agents, others []int) [][]int {
 	list := func(s int) []int { return backing[(s-1)*n : s*n : s*n] }
 
 	// next[t] is where tier t's bucket fills from; order is the viewer's
-	// present classes, best first; scratch and penalty are rankClasses's.
-	k := len(present)
-	ints, penalty := make([]int, 4*k), make([]float64, k)
-	next, order, scratch := ints[:k], ints[k:2*k:2*k], ints[2*k:]
+	// present classes, best first.
+	ints := make([]int, 2*present)
+	next, order := ints[:present], ints[present:present]
 	for c, s := range slot {
 		if s == 0 {
 			continue
 		}
 		row := p.Matrix[c]
-		if p.Ranks == nil {
-			rankClasses(order, penalty, scratch[:k], scratch[k:], row, present)
-			for x, u := range order {
-				order[x] = present[u]
-			}
-		} else {
-			order = order[:0]
-			for _, d := range p.Ranked(c) {
-				if members[d] > 0 {
-					order = append(order, int(d))
-				}
+		order = order[:0]
+		for _, d := range p.Ranked(c) {
+			if members[d] > 0 {
+				order = append(order, int(d))
 			}
 		}
 		clear(next)

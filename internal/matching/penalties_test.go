@@ -295,20 +295,22 @@ func TestStableMarriageSharedLists(t *testing.T) {
 			private[s] = append(private[s], append([]int(nil), list...))
 		}
 	}
-	got, gotN, err := StableMarriageProposals(shared[0], shared[1])
+	got, gotRounds, err := StableMarriageRounds(shared[0], shared[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantN, err := StableMarriageProposals(private[0], private[1])
+	want, wantRounds, err := StableMarriageRounds(private[0], private[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) || gotN != wantN {
-		t.Fatalf("shared lists: %v in %d proposals; private copies: %v in %d", got, gotN, want, wantN)
+	gotN, wantN := proposalsMade(shared[0], got), proposalsMade(private[0], want)
+	if !reflect.DeepEqual(got, want) || gotN != wantN || gotRounds != wantRounds {
+		t.Fatalf("shared lists: %v in %d proposals and %d rounds; private copies: %v in %d and %d",
+			got, gotN, gotRounds, want, wantN, wantRounds)
 	}
 
 	bad := []int{0, 0}
-	if _, _, err := StableMarriageProposals([][]int{bad, bad}, [][]int{{0, 1}, {1, 0}}); err == nil {
+	if _, err := StableMarriage([][]int{bad, bad}, [][]int{{0, 1}, {1, 0}}); err == nil {
 		t.Fatal("a shared list ranking one receiver twice was accepted")
 	}
 }

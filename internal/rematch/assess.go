@@ -87,14 +87,12 @@ func (a Assessment) Recommendations() []agent.Recommendation {
 // The pass is O(n + C·k) for the k ≤ min(n, C²+C) occupied (class,
 // partner class) cells of C classes, whatever the number of pairs, and
 // allocates O(C²), nothing per agent; a view without a preference table
-// is ranked first (matching.Rank, O(C² log C)). The float expressions are
-// those of CountBlockingPairs and Recommendations, so Action,
-// ExpectedGain and the count are bit-identical to theirs.
+// is ranked first (Penalties.WithRanks, O(C² log C)). The float
+// expressions are those of CountBlockingPairs and Recommendations, so
+// Action, ExpectedGain and the count are bit-identical to theirs.
 func Assess(p matching.Penalties, match matching.Matching, alpha float64) Assessment {
+	p = p.WithRanks()
 	jobIdx, matrix := p.Class, p.Matrix
-	if p.Ranks == nil {
-		p.Ranks = matching.Rank(matrix)
-	}
 	classes := len(matrix)
 	solo, cols := classes, classes+1 // a cell's last column: running alone
 	as := Assessment{class: jobIdx, match: match, cols: cols, verdicts: make([]verdict, classes*cols)}
@@ -215,6 +213,7 @@ func RecommendationsWithin(members []int, p matching.Penalties, match matching.M
 	if cap <= 0 {
 		cap = DefaultRecommendCap
 	}
+	p = p.WithRanks()
 	jobIdx, matrix := p.Class, p.Matrix
 	classes := len(matrix)
 	cur := make([]float64, len(members)) // by position in members, like byClass
@@ -246,12 +245,7 @@ func RecommendationsWithin(members []int, p matching.Penalties, match matching.M
 		})
 	}
 	// Candidates come in the order of the agent's ranked row: the class
-	// index on ties fixes what a cap keeps of a tier. Without the
-	// matrix's preference table the call ranks the matrix.
-	if p.Ranks == nil {
-		p.Ranks = matching.Rank(matrix)
-	}
-
+	// index on ties fixes what a cap keeps of a tier.
 	recs := make([]agent.Recommendation, len(members))
 	for a, i := range members {
 		ci := jobIdx[i]

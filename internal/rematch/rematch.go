@@ -32,7 +32,6 @@
 package rematch
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -76,11 +75,10 @@ type Pool struct {
 // Scratch is Neighborhood's working memory, reused across calls; the
 // zero value is ready. Not safe for concurrent use.
 type Scratch struct {
-	start, bucket []int   // class c's eligible pool positions: bucket[start[c]:start[c+1]], ascending
-	slot, lists   []int   // class c's list: lists[(slot[c]-1)·(K+1):][:K+1], -1 past its end
-	out           []int   // the result
-	order         []int32 // a view without a table: the classes present
-	in            []bool  // by pool position: eligible, then in the neighborhood
+	start, bucket []int  // class c's eligible pool positions: bucket[start[c]:start[c+1]], ascending
+	slot, lists   []int  // class c's list: lists[(slot[c]-1)·(K+1):][:K+1], -1 past its end
+	out           []int  // the result
+	in            []bool // by pool position: eligible, then in the neighborhood
 }
 
 // grow returns buf holding n zero values, in its own array when that is
@@ -105,15 +103,17 @@ func grow[T any](buf []T, n int) []T {
 // Dirty agents of one class share their candidates: one counting sort
 // buckets the eligible members by class, each bucket ascending; each
 // dirty class walks its row of p's preference table (a view without one
-// ranks the classes present) and takes members bucket by bucket until it
-// holds K+1, merging the buckets of equal-penalty classes — adjacent in
-// the row — by index, which is the (penalty, index) order; each dirty
-// agent takes the first K of its class's list, skipping itself. A mark
-// per pool position closes the result under prev and reads it back
-// ascending. A call costs O(members + dirty classes · (C + K) + dirty ·
-// K) for C classes. With a pool nothing of population size is
-// allocated, and once s has grown, nothing but the result.
+// is ranked on entry, Penalties.WithRanks) and takes members bucket by
+// bucket until it holds K+1, merging the buckets of equal-penalty
+// classes — adjacent in the row — by index, which is the (penalty,
+// index) order; each dirty agent takes the first K of its class's list,
+// skipping itself. A mark per pool position closes the result under
+// prev and reads it back ascending. A call costs O(members + dirty
+// classes · (C + K) + dirty · K) for C classes. With a pool nothing of
+// population size is allocated, and once s has grown, nothing but the
+// result.
 func Neighborhood(dirty []int, pool *Pool, prev matching.Matching, p matching.Penalties, topK int, s *Scratch) []int {
+	p = p.WithRanks()
 	m, classes, want := len(prev), len(p.Matrix), TopKOrDefault(topK)+1
 	agent, position := func(x int) int { return x }, func(j int) (int, bool) { return j, true }
 	if pool != nil {
@@ -123,7 +123,7 @@ func Neighborhood(dirty []int, pool *Pool, prev matching.Matching, p matching.Pe
 	}
 	// Class c's count lands in start[c+2]; placing its members then moves
 	// start[c+1] from c's first slot to its end, c+1's first.
-	s.start, s.bucket, s.in, s.order = grow(s.start, classes+2), grow(s.bucket, m), grow(s.in, m), s.order[:0]
+	s.start, s.bucket, s.in = grow(s.start, classes+2), grow(s.bucket, m), grow(s.in, m)
 	for x := range m {
 		if q := prev[agent(x)]; q == matching.Unmatched || pool == nil || pool.ShardOf[q] == pool.Shard {
 			s.start[p.Class[agent(x)]+2]++
@@ -131,9 +131,6 @@ func Neighborhood(dirty []int, pool *Pool, prev matching.Matching, p matching.Pe
 		}
 	}
 	for c := 2; c < len(s.start); c++ {
-		if p.Ranks == nil && s.start[c] > 0 {
-			s.order = append(s.order, int32(c-2)) // a class present, to rank per list
-		}
 		s.start[c] += s.start[c-1]
 	}
 	for x, eligible := range s.in {
@@ -188,12 +185,7 @@ func Neighborhood(dirty []int, pool *Pool, prev matching.Matching, p matching.Pe
 // candidates appends class c's list to s.lists: the first want eligible
 // members by (c's penalty next to them, index), then -1s.
 func (s *Scratch) candidates(p matching.Penalties, c, want int) {
-	row, order, end := p.Matrix[c], s.order, len(s.lists)+want
-	if p.Ranks != nil {
-		order = p.Ranked(c)
-	} else {
-		slices.SortFunc(order, func(a, b int32) int { return cmp.Or(cmp.Compare(row[a], row[b]), cmp.Compare(a, b)) })
-	}
+	row, order, end := p.Matrix[c], p.Ranked(c), len(s.lists)+want
 	for x := 0; x < len(order) && len(s.lists) < end; {
 		// One tie: the classes from x that c ranks alike, their buckets'
 		// heads merged by index.

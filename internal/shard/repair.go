@@ -79,7 +79,7 @@ func (m *Market) Repair(ctx context.Context, jobs []workload.Job, jobIdx []int, 
 		return nil, err
 	}
 	shards := len(groups)
-	p := matching.Penalties{Matrix: matrix, Class: jobIdx, Ranks: m.Ranks}
+	p := matching.Penalties{Matrix: matrix, Class: jobIdx, Ranks: m.Ranks}.WithRanks()
 
 	dirtyIn := make([][]int, shards)
 	for _, i := range dirty {

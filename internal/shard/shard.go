@@ -245,8 +245,8 @@ type Market struct {
 	// Span, when non-nil, parents the per-shard spans.
 	Span *telemetry.Span
 	// Ranks is the matrix's preference table (matching.Rank), which the
-	// market engine builds once and every shard reads; nil means each
-	// shard's matching ranks the classes it needs per call.
+	// market engine builds once and every shard reads; nil means Clear
+	// and Repair rank the matrix once per call, for every shard.
 	Ranks []int32
 	// Repairs, when non-nil, is Repair's working memory kept from one
 	// call to the next: an engine that repairs every round holds one.
@@ -303,7 +303,7 @@ func (m *Market) Clear(ctx context.Context, jobs []workload.Job, jobIdx []int, m
 		return nil, err
 	}
 	shards := len(groups)
-	p := matching.Penalties{Matrix: matrix, Class: jobIdx, Ranks: m.Ranks}
+	p := matching.Penalties{Matrix: matrix, Class: jobIdx, Ranks: m.Ranks}.WithRanks()
 
 	// Clear every shard concurrently. Each shard sees only its own
 	// members and a private SplitSeed RNG stream; results land in
