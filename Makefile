@@ -128,8 +128,8 @@ bench:
 # with allocs/op;
 # BenchmarkClearUnsharded, the unsharded clear at n up to 20000, which
 # reports B/op: a clear that builds anything agents×agents again shows
-# up there as gigabytes (SMR at n=20000 allocates ~65 MB) or as an
-# out-of-memory kill; BenchmarkClearPredicted, the same clear over the
+# up there as gigabytes (a warm SMR epoch at n=20000 allocates ~0.67 MB,
+# the report's own slices) or as an out-of-memory kill; BenchmarkClearPredicted, the same clear over the
 # predicted matrix, whose tied rows the marriage breaks by class, at n up
 # to 20000, where a marriage quadratic in agents again takes 0.4 s;
 # BenchmarkClearSharded, 100000 agents over 256 shards; the
@@ -158,7 +158,8 @@ bench-smoke:
 # markets — each agent's verdict read from the table, the slice it
 # materialises and its break-away count alike — three populations on
 # each matrix, every one assessed with the
-# matrix's preference table (built once per matrix) and without, bit for
+# matrix's preference table (built once per matrix) and without, and
+# through one count scratch a larger market dirtied first, bit for
 # bit alike (seeded from its property test's table, ±0 entries, equal
 # rows and absent classes included), Penalties.Lists ≡
 # the comparator-sort reference on tie-heavy class views, overlapping and
@@ -170,7 +171,8 @@ bench-smoke:
 # from the pool and K past the pool included), the count-level stable
 # marriage ≡ Gale–Shapley over comparator-sorted (penalty, class, index)
 # lists on tie-heavy markets, three marriages on each matrix, with its
-# preference table and without, matchings and steps alike, Dense views
+# preference table and without and through one scratch a larger marriage
+# dirtied first, matchings and steps alike, Dense views
 # and tie-free class views ≡ Gale–Shapley over Penalties.Lists (seeded
 # likewise, ±0 entries, equal rows and a class on one side only
 # included), StableMarriage over lists ≡ the proposer-optimal,
@@ -186,7 +188,8 @@ bench-smoke:
 # reference dispatcher bit for bit over 1–130 machines, any solo share,
 # zero-runtime solos and two rounds on shared clocks, and the SMP/CO
 # bandwidth order (a memo per class, the misses sorted, a counting sort)
-# ≡ a stable comparator sort on arbitrary values and class labels (seeded
+# ≡ a stable comparator sort on arbitrary values and class labels,
+# through a fresh scratch and one a larger order dirtied first (seeded
 # from its property test's cases: NaN, ±0, infinities, one class holding
 # several values, Dense views and empty populations).
 # Minimizing each newly covered input is switched off: it can take the

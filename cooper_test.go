@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -369,11 +370,15 @@ func TestStreamEpochBytesPerAgent(t *testing.T) {
 }
 
 // TestAllPairsEpochAllocation pins the allocation of unsharded SMR and
-// SMP epochs at the epoch-allpairs workload's size, n = 800, under 100
+// SMP epochs at the epoch-allpairs workload's size, n = 800, under 40
 // KiB. SMP leaves every same-half pair free to block, tens of thousands
-// of pairs, yet its epoch allocates about 75 KiB, because the blocking
+// of pairs, yet its epoch allocates about 33 KiB, because the blocking
 // pairs are counted from class counts and never listed; SMR's allocates
-// about 85 KiB. Both marriages run over class counts and build no
+// about 32 KiB. That is what the report keeps: its matching, its rows,
+// its true and predicted penalties and the assessment's verdict table.
+// The marriage's, the orders' and the assessment's working memory is the
+// market engine's, reused epoch to epoch (without it, SMP took 74 KiB
+// and SMR 85). Both marriages run over class counts and build no
 // preference list (with lists, SMP took 250 KiB and SMR 335), and the
 // assessment's verdicts stay a class table (as a slice of 48-B
 // recommendations, SMP took 115 KiB and SMR 125).
@@ -400,8 +405,141 @@ func TestAllPairsEpochAllocation(t *testing.T) {
 		}
 		got := after.TotalAlloc - before.TotalAlloc
 		t.Logf("%s epoch over 800 agents allocated %d KiB", p.Name(), got>>10)
-		if got >= 100<<10 {
-			t.Fatalf("%s epoch over 800 agents allocated %d KiB, want < 100", p.Name(), got>>10)
+		if got >= 40<<10 {
+			t.Fatalf("%s epoch over 800 agents allocated %d KiB, want < 40", p.Name(), got>>10)
+		}
+	}
+}
+
+// TestReportsOutliveLaterEpochs: a report's matching, penalties and
+// assessment are its own, not views of the working memory the market
+// engine reuses from epoch to epoch. For unsharded SMR, SMP and CO, a
+// RunEpoch report, and a streaming market's cold-start and repair
+// reports, read after three more epochs through the same Framework
+// exactly what they read when they were returned. The first of the three
+// clears a smaller population, in the arrays the kept report's clear
+// ran in; the second a larger one, which grows them; the third a smaller
+// one again.
+func TestReportsOutliveLaterEpochs(t *testing.T) {
+	type kept struct {
+		name             string
+		rep              *EpochReport
+		match            Matching
+		truePen, predPen []float64
+		recs             []Recommendation
+		breaks, blocking int
+	}
+	keep := func(name string, rep *EpochReport) kept {
+		return kept{name, rep, slices.Clone(rep.Match), slices.Clone(rep.TruePenalty), slices.Clone(rep.PredictedPenalty),
+			rep.Recommendations(), rep.BreakAwayCount(), rep.BlockingPairCount}
+	}
+	sameBits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	check := func(t *testing.T, k kept) {
+		t.Helper()
+		r := k.rep
+		switch {
+		case !slices.Equal(r.Match, k.match):
+			t.Errorf("%s report's matching changed under later epochs", k.name)
+		case !sameBits(r.TruePenalty, k.truePen) || !sameBits(r.PredictedPenalty, k.predPen):
+			t.Errorf("%s report's penalties changed under later epochs", k.name)
+		case !reflect.DeepEqual(r.Recommendations(), k.recs):
+			t.Errorf("%s report's recommendations changed under later epochs", k.name)
+		case r.BreakAwayCount() != k.breaks || r.BlockingPairCount != k.blocking:
+			t.Errorf("%s report's counts changed under later epochs: %d break-aways and %d blocking pairs, were %d and %d",
+				k.name, r.BreakAwayCount(), r.BlockingPairCount, k.breaks, k.blocking)
+		}
+	}
+	for _, p := range []Policy{SMR(), SMP(), Complementary()} {
+		t.Run(p.Name(), func(t *testing.T) {
+			f, err := New(WithOracle(), WithSeed(17), WithPolicy(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			run := func(n int) *EpochReport {
+				rep, err := f.RunEpoch(f.SamplePopulation(n, Uniform()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			k := keep("RunEpoch", run(300))
+			run(150)
+			run(1200)
+			run(90)
+			check(t, k)
+
+			s, err := New(WithOracle(), WithSeed(17), WithPolicy(p), WithRematch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var ids []int
+			stream := func(join int, depart []int) *EpochReport {
+				rep, err := s.StreamEpoch(Churn{Join: s.SamplePopulation(join, Uniform()).Jobs, Depart: depart})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = rep.AgentIDs
+				return rep
+			}
+			cold := keep("cold-start StreamEpoch", stream(300, nil))
+			repaired := stream(3, slices.Clone(ids[:3]))
+			if repaired.Rematch.Mode != "repair" {
+				t.Fatalf("the second streaming epoch ran in %s mode", repaired.Rematch.Mode)
+			}
+			repair := keep("repair StreamEpoch", repaired)
+			for _, c := range []struct{ join, depart int }{{0, 150}, {1000, 0}, {0, 1060}} {
+				if rep := stream(c.join, slices.Clone(ids[:c.depart])); rep.Rematch.Mode != "full" {
+					t.Fatalf("a streaming epoch with %d joins and %d departures ran in %s mode", c.join, c.depart, rep.Rematch.Mode)
+				}
+			}
+			check(t, cold)
+			check(t, repair)
+		})
+	}
+}
+
+// TestUnshardedEpochBytesPerAgent is the unsharded epoch's bytes-per-agent
+// row. Growth class: O(n) bytes, only the report's four kept 8-B slices
+// per agent (its matching, rows, true and predicted penalties) plus its
+// O(C²) verdict table, and a number of heap objects that does not grow
+// with n. A warm SMR or SMP epoch allocates at most 36 B per agent at n =
+// 25,000 and at n = 100,000, and as many objects at both sizes; the
+// engine reuses everything else (the bandwidths, the random or bandwidth
+// order, the marriage's and the assessment's tables) from its previous
+// epoch. Without that reuse an epoch took about 71 B per agent.
+func TestUnshardedEpochBytesPerAgent(t *testing.T) {
+	for _, p := range []Policy{SMR(), SMP()} {
+		f, err := New(WithOracle(), WithSeed(31), WithPolicy(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var objects [2]uint64
+		for k, n := range []int{25000, 100000} {
+			pop := f.SamplePopulation(n, Uniform())
+			if _, err := f.RunEpoch(pop); err != nil { // grow the engine's scratch to n
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := f.RunEpoch(pop)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perAgent := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+			objects[k] = after.Mallocs - before.Mallocs
+			t.Logf("%s epoch at n=%d: %.1f B per agent, %d objects", p.Name(), n, perAgent, objects[k])
+			if perAgent > 36 {
+				t.Errorf("%s epoch at n=%d allocated %.1f B per agent, want at most 36", p.Name(), n, perAgent)
+			}
+		}
+		if objects[0] != objects[1] {
+			t.Errorf("%s epoch allocated %d objects at n=25000 and %d at n=100000, want as many", p.Name(), objects[0], objects[1])
 		}
 	}
 }
@@ -577,7 +715,7 @@ func TestAssessGrowth(t *testing.T) {
 					match[perm[x]], match[perm[x+1]] = matching.Unmatched, matching.Unmatched
 				}
 			}
-			assess := func() { rematch.Assess(pen, match, 0) }
+			assess := func() { rematch.Assess(pen, match, 0, nil) }
 			allocs[k] = testing.AllocsPerRun(5, assess)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

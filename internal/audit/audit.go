@@ -1045,7 +1045,7 @@ func (a *Auditor) checkSegment(end telemetry.Event, final bool) map[int]int {
 	// table). Under a declared contract every blocking pair is a
 	// violation, listed by the pairwise scan.
 	if n > 1 {
-		a.rep.BlockingPairs += rematch.Assess(d, match, 0).BlockingPairs
+		a.rep.BlockingPairs += rematch.Assess(d, match, 0, nil).BlockingPairs
 		if alpha := a.alpha(); alpha >= 0 {
 			for _, bp := range d.BlockingPairs(match, alpha) {
 				i, j := bp[0], bp[1]

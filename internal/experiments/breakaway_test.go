@@ -48,7 +48,7 @@ func TestBreakAwayIsBlockingMembership(t *testing.T) {
 			for _, bp := range pairs {
 				blocks[bp[0]], blocks[bp[1]] = true, true
 			}
-			a := rematch.Assess(p, match, alpha)
+			a := rematch.Assess(p, match, alpha, nil)
 			if a.BlockingPairs != len(pairs) {
 				t.Fatalf("instance %d α=%v: Assess counts %d pairs, pairwise %d", inst, alpha, a.BlockingPairs, len(pairs))
 			}

@@ -84,7 +84,7 @@ func (l *Lab) oracle(class []int) matching.Penalties {
 // k ≤ C²+C occupied (class, partner class) cells, plus a sort of each
 // present class's row.
 func (l *Lab) breakAways(round *market.Round, alpha float64) (agents, pairs int) {
-	a := rematch.Assess(l.oracle(round.JobIdx), round.Match, alpha)
+	a := rematch.Assess(l.oracle(round.JobIdx), round.Match, alpha, nil)
 	return a.BreakAways, a.BlockingPairs
 }
 

@@ -53,11 +53,14 @@ func (l *Lab) Manipulation(n int, agentIdx int, seed int64) (*ManipulationResult
 		return nil, err
 	}
 	smr := policy.StableMarriageRandom{}
+	// The honest matrix is ranked once; a report differs from it in the
+	// manipulator's row alone, so only that row of its table is ranked.
+	honest := matching.Dense(trueD).WithRanks()
 
-	evaluate := func(reported [][]float64) (float64, error) {
+	evaluate := func(reported matching.Penalties) (float64, error) {
 		// Same seed: the random partition is identical across reports, so
 		// only the manipulation differs.
-		match, err := smr.AssignClasses(matching.Dense(reported), policy.Context{
+		match, err := smr.AssignClasses(reported, policy.Context{
 			Rand: stats.NewRand(seed + 7),
 		})
 		if err != nil {
@@ -70,14 +73,15 @@ func (l *Lab) Manipulation(n int, agentIdx int, seed int64) (*ManipulationResult
 	}
 
 	// withRow shares every honest row and copies only the manipulator's.
-	withRow := func(mutate func(row []float64)) [][]float64 {
-		reported := append([][]float64(nil), trueD...)
-		reported[agentIdx] = append([]float64(nil), trueD[agentIdx]...)
-		mutate(reported[agentIdx])
-		return reported
+	withRow := func(mutate func(row []float64)) matching.Penalties {
+		reported := honest
+		reported.Matrix = append([][]float64(nil), trueD...)
+		reported.Matrix[agentIdx] = append([]float64(nil), trueD[agentIdx]...)
+		mutate(reported.Matrix[agentIdx])
+		return reported.Rerank(agentIdx)
 	}
 
-	truthful, err := evaluate(trueD)
+	truthful, err := evaluate(honest)
 	if err != nil {
 		return nil, err
 	}

@@ -66,8 +66,9 @@ type Config struct {
 
 // Engine clears and repairs one driver's market. Build it with New; the
 // exported fields are the driver's wiring and must not change afterwards.
-// Not safe for concurrent use: epochs share the RNG, the ledger and the
-// epoch counter, so drivers run them one at a time.
+// Not safe for concurrent use: epochs share the RNG, the ledger, the
+// epoch counter and the working memory, so drivers run them one at a
+// time.
 type Engine struct {
 	Config
 	// Workers bounds the sharded market's per-shard fan-out (<= 0 means
@@ -118,10 +119,13 @@ type Engine struct {
 	// round: its last, whose shards the next round carries by position.
 	ring     *shard.Ring
 	standing *Round
-	// Repair working memory reused round to round: the shard repairs'
-	// scratch and RNGs, and an unsharded engine's neighbourhood scratch.
-	repairs shard.RepairScratch
-	scratch rematch.Scratch
+	// Working memory reused round to round: the shard repairs' scratch
+	// and RNGs; the neighbourhood's and the assessment's scratch; and an
+	// unsharded round's bandwidths and policy scratch.
+	repairs  shard.RepairScratch
+	scratch  rematch.Scratch
+	bw       []float64
+	clearing policy.Scratch
 }
 
 // New readies an engine from its wiring: it defaults the policy, indexes
@@ -433,7 +437,7 @@ func (ep *Epoch) Clear(ctx context.Context, roster Roster) (*Round, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r.Assessment = rematch.Assess(e.view(rows), r.Match, e.Alpha)
+		r.Assessment = rematch.Assess(e.view(rows), r.Match, e.Alpha, &e.scratch)
 	}
 	return r, nil
 }
@@ -525,7 +529,7 @@ func (ep *Epoch) Step(ctx context.Context, join Roster, depart []int) (*Round, e
 	e.Tel.Counter("rematch.joined").Add(int64(r.Joined))
 	e.Tel.Counter("rematch.departed").Add(int64(r.Departed))
 	if e.Assess {
-		r.Assessment = rematch.Assess(e.view(rows), r.Match, e.Alpha)
+		r.Assessment = rematch.Assess(e.view(rows), r.Match, e.Alpha, &e.scratch)
 	}
 	return r, nil
 }
@@ -573,18 +577,18 @@ func (ep *Epoch) match(ctx context.Context, r *Round, prev matching.Matching, mo
 			r.Neighborhood, r.Changed = res.Neighborhood, res.Changed
 		}
 	} else {
-		bw := make([]float64, len(r.Jobs))
+		e.bw = slices.Grow(e.bw[:0], len(r.Jobs))[:len(r.Jobs)]
 		for i := range r.Jobs {
-			bw[i] = r.Jobs[i].BandwidthGBps
+			e.bw[i] = r.Jobs[i].BandwidthGBps
 		}
 		var err error
 		if prev == nil {
 			r.Match, err = e.Policy.AssignClasses(e.view(r.JobIdx),
-				policy.Context{BandwidthGBps: bw, Rand: e.Rand, Metrics: reg})
+				policy.Context{BandwidthGBps: e.bw, Rand: e.Rand, Metrics: reg, Scratch: &e.clearing})
 		} else {
 			p := e.view(r.JobIdx)
 			r.Neighborhood = rematch.Neighborhood(r.Dirty, nil, prev, p, rematch.DefaultTopK, &e.scratch)
-			r.Match, r.Changed, err = rematch.Rewire(r.Neighborhood, prev, p, bw, e.Policy, e.Rand, reg)
+			r.Match, r.Changed, err = rematch.Rewire(r.Neighborhood, prev, p, e.bw, e.Policy, e.Rand, reg)
 		}
 		if err != nil {
 			return err

@@ -124,26 +124,37 @@ func tiesPresent(p Penalties, proposers, receivers []int) bool {
 // itself when no viewer row ties two present classes, must also give
 // what Gale–Shapley over Penalties.Lists gives: on those the new key
 // changes nothing. Over a Dense view every class is one agent, so a
-// class step is a proposal.
+// class step is a proposal. The three marriages run through one scratch
+// that a larger market dirtied first must give what they give through
+// none, step for step.
 func checkMarriageClasses(t *testing.T, data []byte) {
 	t.Helper()
 	matrix, draws := marriageMarket(data)
 	ranks := Rank(matrix)
+	s := dirtyMarriageScratch()
 	for _, d := range draws {
 		p, proposers, receivers := Penalties{Matrix: matrix, Class: d.class}, d.proposers, d.receivers
-		got, steps, err := StableMarriageClasses(p, proposers, receivers)
+		got, steps, err := StableMarriageClasses(p, proposers, receivers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		withTable := p
 		withTable.Ranks = ranks
-		tabled, tabledSteps, err := StableMarriageClasses(withTable, proposers, receivers)
+		tabled, tabledSteps, err := StableMarriageClasses(withTable, proposers, receivers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, tabled) || steps != tabledSteps {
 			t.Fatalf("matrix %v classes %v proposers %v receivers %v: %v in %d steps, with the table %v in %d",
 				matrix, d.class, proposers, receivers, got, steps, tabled, tabledSteps)
+		}
+		reused, reusedSteps, err := StableMarriageClasses(withTable, proposers, receivers, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(reused, tabled) || reusedSteps != tabledSteps {
+			t.Fatalf("matrix %v classes %v proposers %v receivers %v: %v in %d steps through a reused scratch, %v in %d through none",
+				matrix, d.class, proposers, receivers, reused, reusedSteps, tabled, tabledSteps)
 		}
 		oracle := classKeyLists(p, proposers, receivers)
 		want, err := StableMarriage(oracle, classKeyLists(p, receivers, proposers))
@@ -174,7 +185,7 @@ func checkMarriageClasses(t *testing.T, data []byte) {
 		denseN := proposalsMade(denseLists, denseListed)
 		for _, ranks := range [][]int32{nil, Rank(dense.Matrix)} {
 			dense.Ranks = ranks
-			got, steps, err := StableMarriageClasses(dense, proposers, receivers)
+			got, steps, err := StableMarriageClasses(dense, proposers, receivers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,6 +195,30 @@ func checkMarriageClasses(t *testing.T, data []byte) {
 			}
 		}
 	}
+}
+
+// dirtyMarriageScratch is a scratch a marriage larger than any
+// marriageMarket decodes has left its tables in: 9 classes of 3 values,
+// 100 agents halved at random.
+func dirtyMarriageScratch() *MarriageScratch {
+	rng := rand.New(rand.NewSource(9))
+	matrix := make([][]float64, 9)
+	for a := range matrix {
+		matrix[a] = make([]float64, 9)
+		for b := range matrix[a] {
+			matrix[a][b] = float64(rng.Intn(3)) * 0.1
+		}
+	}
+	p := Penalties{Matrix: matrix, Class: make([]int, 100)}
+	for i := range p.Class {
+		p.Class[i] = rng.Intn(9)
+	}
+	order := rng.Perm(100)
+	s := new(MarriageScratch)
+	if _, _, err := StableMarriageClasses(p, order[:50], order[50:], s); err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // marriageSeeds is FuzzStableMarriageClasses's corpus and its table
@@ -252,7 +287,7 @@ func TestStableMarriageClassesTable(t *testing.T) {
 			[]int{0, 5}, []int{1, 2}, []int{0, 1}},
 	} {
 		p := Penalties{Matrix: tc.matrix, Class: tc.class}
-		got, _, err := StableMarriageClasses(p, tc.proposers, tc.receivers)
+		got, _, err := StableMarriageClasses(p, tc.proposers, tc.receivers, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -277,12 +312,12 @@ func TestStableMarriageClassesErrors(t *testing.T) {
 		"twice":   {{0, 1}, {1, 2}},
 		"outside": {{0, 1}, {2, 4}},
 	} {
-		if _, _, err := StableMarriageClasses(p, sides[0], sides[1]); err == nil {
+		if _, _, err := StableMarriageClasses(p, sides[0], sides[1], nil); err == nil {
 			t.Errorf("%s: accepted %v vs %v", name, sides[0], sides[1])
 		}
 	}
 	bad := Penalties{Matrix: [][]float64{{0}}, Class: []int{0, 1}}
-	if _, _, err := StableMarriageClasses(bad, []int{0}, []int{1}); err == nil {
+	if _, _, err := StableMarriageClasses(bad, []int{0}, []int{1}, nil); err == nil {
 		t.Error("accepted a class outside the matrix")
 	}
 	if err := (Penalties{Matrix: p.Matrix, Class: p.Class, Ranks: []int32{0, 1}}).Validate(); err == nil {
@@ -324,7 +359,7 @@ func TestStableMarriageClassesCycle(t *testing.T) {
 		add(&receivers, 4, m)
 		add(&proposers, 2, 1)
 		add(&receivers, 5, 1)
-		got, n, err := StableMarriageClasses(p, proposers, receivers)
+		got, n, err := StableMarriageClasses(p, proposers, receivers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +415,7 @@ func BenchmarkStableMarriageClasses(b *testing.B) {
 		b.Run(fmt.Sprintf("classes/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
-				if _, _, err := StableMarriageClasses(p, proposers, receivers); err != nil {
+				if _, _, err := StableMarriageClasses(p, proposers, receivers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -391,7 +426,7 @@ func BenchmarkStableMarriageClasses(b *testing.B) {
 	b.Run("dense/n=800", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
-			if _, _, err := StableMarriageClasses(dense, proposers, receivers); err != nil {
+			if _, _, err := StableMarriageClasses(dense, proposers, receivers, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

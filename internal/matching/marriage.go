@@ -237,12 +237,19 @@ func CrossBlockingPairs(proposerMatch []int, proposerPrefs, receiverPrefs [][]in
 // all of them and no sort. A view without a table (Dense) is ranked on
 // entry (Penalties.WithRanks), O(C² log C).
 //
+// s is the working memory, reused from call to call; the returned
+// proposerMatch is s's and valid until the next call with s. A nil s
+// allocates afresh.
+//
 // p must validate (Penalties.Validate). An agent outside p, of a class
 // outside p.Matrix, or listed twice is an error.
-func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int, error) {
+func StableMarriageClasses(p Penalties, proposers, receivers []int, s *MarriageScratch) ([]int, int, error) {
 	n := len(proposers)
 	if len(receivers) != n {
 		return nil, 0, fmt.Errorf("matching: %d proposers vs %d receivers", n, len(receivers))
+	}
+	if s == nil {
+		s = new(MarriageScratch)
 	}
 	p = p.WithRanks()
 	agents, classes := p.Agents(), len(p.Matrix)
@@ -250,12 +257,12 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 	// its position among the receivers, or 0 if it is on neither side.
 	// members[:n] holds the proposers' positions bucketed by class and
 	// members[n:] the receivers', in agent-index order within a class.
-	buf := make([]int, agents+2*n)
+	buf := grow(&s.side, agents+2*n)
 	side, members := buf[:agents], buf[agents:]
 	// number[s][c] counts side s's agents of class c, then becomes 1 +
 	// class c's number among side s's present classes, numbered in class
 	// order, or stays 0 if side s has no agent of class c.
-	numbers := make([]int, 2*classes)
+	numbers := grow(&s.numbers, 2*classes)
 	number := [2][]int{numbers[:classes], numbers[classes:]}
 	for s, set := range [2][]int{proposers, receivers} {
 		for a, i := range set {
@@ -285,7 +292,7 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 	}
 	kp, kr := k[0], k[1]
 
-	perClass := make([]int, 11*kp+5*kr+2)
+	perClass := grow(&s.perClass, 11*kp+5*kr+2)
 	carve := func(m int) []int {
 		s := perClass[:m:m]
 		perClass = perClass[m:]
@@ -334,7 +341,7 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 	// class y, ord[y*kp+r] is the proposer class it ranks r-th, rank is
 	// ord's inverse, and held[y*kp+r] counts the members of that class it
 	// holds.
-	tables := make([]int, 4*kp*kr+1)
+	tables := grow(&s.tables, 4*kp*kr+1)
 	pref, ord := tables[:kp*kr], tables[kp*kr:2*kp*kr]
 	rank, held := tables[2*kp*kr:3*kp*kr], tables[3*kp*kr:]
 	// list fills l with the other side's classes in the order a viewer
@@ -450,7 +457,7 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 		held[c], acc = acc, acc+held[c]
 	}
 	held[kp*kr] = n
-	proposerMatch := make([]int, n)
+	proposerMatch := grow(&s.proposerMatch, n)
 	for x := 0; x < kp; x++ {
 		from := pStart[x]
 		for _, y := range pref[x*kr : (x+1)*kr] {
@@ -462,4 +469,22 @@ func StableMarriageClasses(p Penalties, proposers, receivers []int) ([]int, int,
 		}
 	}
 	return proposerMatch, steps, nil
+}
+
+// MarriageScratch is StableMarriageClasses' working memory, reused from
+// call to call; the zero value is ready. Not safe for concurrent use.
+type MarriageScratch struct {
+	side, numbers, perClass, tables, proposerMatch []int
+}
+
+// grow returns *buf holding n zeros, in its own array when that is large
+// enough. It makes a new one otherwise: slices.Grow would allocate twice
+// where the compiler instruments the code, as under the race detector.
+func grow(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }

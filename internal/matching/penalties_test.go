@@ -401,3 +401,28 @@ func TestBlockingPairsClassesMatchDense(t *testing.T) {
 		}
 	}
 }
+
+// TestRerankIsRank: a table with one row re-ranked after that row of the
+// matrix changed is the table of the changed matrix, and the table it
+// was copied from is left as it was. The matrices are marriageMarket's
+// (ties, ±0, equal rows and columns); each row in turn is reversed.
+func TestRerankIsRank(t *testing.T) {
+	for _, seed := range marriageSeeds()[:100] {
+		matrix, _ := marriageMarket(seed)
+		p := Penalties{Matrix: matrix}.WithRanks()
+		before := slices.Clone(p.Ranks)
+		for c := range matrix {
+			changed := slices.Clone(matrix)
+			changed[c] = slices.Clone(matrix[c])
+			slices.Reverse(changed[c])
+			q := p
+			q.Matrix = changed
+			if got, want := q.Rerank(c).Ranks, Rank(changed); !slices.Equal(got, want) {
+				t.Fatalf("matrix %v, row %d reversed: table %v, Rank %v", matrix, c, got, want)
+			}
+			if !slices.Equal(p.Ranks, before) {
+				t.Fatalf("matrix %v: Rerank(%d) wrote into the table it copied", matrix, c)
+			}
+		}
+	}
+}

@@ -34,6 +34,26 @@ type Context struct {
 	// (match.proposals, match.rotations, match.sr_retries,
 	// match.greedy_fallback). Nil disables recording.
 	Metrics *telemetry.Registry
+	// Scratch, when non-nil, is the working memory SMR, SMP and CO reuse
+	// from clear to clear; nil allocates it afresh. The matching returned
+	// is never in it.
+	Scratch *Scratch
+}
+
+// Scratch is a clear's working memory, reused by one caller from clear
+// to clear; the zero value is ready. Not safe for concurrent use.
+type Scratch struct {
+	perm     []int // SMR's random order
+	order    []int // SMP's and CO's bandwidth order
+	marriage matching.MarriageScratch
+}
+
+// scratch is ctx.Scratch, or a fresh one.
+func (ctx Context) scratch() *Scratch {
+	if ctx.Scratch == nil {
+		return new(Scratch)
+	}
+	return ctx.Scratch
 }
 
 // Policy assigns co-runners to agents.
@@ -152,7 +172,7 @@ func (Complementary) AssignClasses(p matching.Penalties, ctx Context) (matching.
 		return nil, err
 	}
 	n := p.Agents()
-	order := sortedByBandwidth(ctx.BandwidthGBps, p.Class, len(p.Matrix))
+	order := sortedByBandwidth(ctx.BandwidthGBps, p.Class, len(p.Matrix), ctx.scratch())
 	match := newUnmatched(n)
 	lo, hi := 0, n-1
 	for lo < hi {
@@ -182,11 +202,12 @@ func (StableMarriagePartition) AssignClasses(p matching.Penalties, ctx Context) 
 	if err := validate(p, ctx, true, false); err != nil {
 		return nil, err
 	}
-	order := sortedByBandwidth(ctx.BandwidthGBps, p.Class, len(p.Matrix))
+	s := ctx.scratch()
+	order := sortedByBandwidth(ctx.BandwidthGBps, p.Class, len(p.Matrix), s)
 	half := len(order) / 2
 	computeSet := order[:half]           // least intensive half
 	memorySet := order[len(order)-half:] // most intensive half proposes
-	return marriageBetween(p, memorySet, computeSet, ctx.Metrics)
+	return marriageBetween(p, memorySet, computeSet, ctx.Metrics, s)
 }
 
 // StableMarriageRandom is the paper's SMR policy: partition tasks into two
@@ -209,12 +230,12 @@ func (StableMarriageRandom) AssignClasses(p matching.Penalties, ctx Context) (ma
 	if err := validate(p, ctx, false, true); err != nil {
 		return nil, err
 	}
-	n := p.Agents()
-	order := ctx.Rand.Perm(n)
+	n, s := p.Agents(), ctx.scratch()
+	order := s.randPerm(ctx.Rand, n)
 	half := n / 2
 	proposers := order[:half]
 	receivers := order[half : 2*half]
-	return marriageBetween(p, proposers, receivers, ctx.Metrics)
+	return marriageBetween(p, proposers, receivers, ctx.Metrics, s)
 }
 
 // StableRoommate is the paper's SR policy: Irving's stable roommates over
@@ -318,6 +339,23 @@ func ByName(name string) (Policy, error) {
 	return nil, fmt.Errorf("policy: unknown policy %q", name)
 }
 
+// randPerm is r.Perm(n) in s's buffer: the loop of math/rand's Perm, with
+// its draws, so the stream r is left in is Perm's too. The buffer needs
+// no clearing: a stale m[i] is read only when j == i, and m[j] = i
+// overwrites it at once.
+func (s *Scratch) randPerm(r *rand.Rand, n int) []int {
+	if cap(s.perm) < n {
+		s.perm = make([]int, n)
+	}
+	m := s.perm[:n]
+	for i := range m {
+		j := r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
 func newUnmatched(n int) matching.Matching {
 	m := make(matching.Matching, n)
 	for i := range m {
@@ -333,8 +371,9 @@ func newUnmatched(n int) matching.Matching {
 // class places those agents in O(1), and only the misses (one per class
 // on a catalog population, every agent on a Dense view) are sorted, equal
 // values sharing a rank. A counting sort then deals the agents in index
-// order, replaying the memo. O(n + M log M) for M misses.
-func sortedByBandwidth(bw []float64, class []int, classes int) []int {
+// order, replaying the memo. O(n + M log M) for M misses. The order is
+// s's buffer.
+func sortedByBandwidth(bw []float64, class []int, classes int, s *Scratch) []int {
 	memo := make([]int32, classes) // 1 + the miss that set class c's last value; 0 for none
 	misses := make([]int32, 0, classes)
 	bucket := make([]int32, 0, classes) // miss m's agents, then its value's rank
@@ -360,8 +399,10 @@ func sortedByBandwidth(bw []float64, class []int, classes int) []int {
 		end += bucket[m]
 		bucket[m] = int32(len(start) - 1)
 	}
-	order := make([]int, len(class))
-	next := 0
+	if cap(s.order) < len(class) {
+		s.order = make([]int, len(class))
+	}
+	order, next := s.order[:len(class)], 0 // every slot is written once
 	for i, c := range class {
 		if next < len(misses) && int(misses[next]) == i {
 			next++
@@ -379,9 +420,9 @@ func sortedByBandwidth(bw []float64, class []int, classes int) []int {
 // counts (matching.StableMarriageClasses), in which each side ranks the
 // other by penalty ascending, then partner class, then agent index. A
 // leftover agent (odd population) stays solo. The class-level steps land
-// in metrics as match.proposals when non-nil.
-func marriageBetween(p matching.Penalties, proposers, receivers []int, metrics *telemetry.Registry) (matching.Matching, error) {
-	proposerMatch, steps, err := matching.StableMarriageClasses(p, proposers, receivers)
+// in metrics as match.proposals when non-nil. The marriage runs in s.
+func marriageBetween(p matching.Penalties, proposers, receivers []int, metrics *telemetry.Registry, s *Scratch) (matching.Matching, error) {
+	proposerMatch, steps, err := matching.StableMarriageClasses(p, proposers, receivers, &s.marriage)
 	if err != nil {
 		return nil, err
 	}

@@ -178,7 +178,7 @@ func TestSMPCrossSetStability(t *testing.T) {
 	// (compute half) not matched together, they must not both prefer each
 	// other. Verify via the cardinal criterion restricted to cross-half
 	// pairs.
-	order := sortedByBandwidth(bw, indices(n), n)
+	order := sortedByBandwidth(bw, indices(n), n, new(Scratch))
 	half := n / 2
 	inMem := make(map[int]bool)
 	for _, i := range order[half:] {
@@ -204,6 +204,25 @@ func TestSMRDeterministicPerSeed(t *testing.T) {
 	for i := range m1 {
 		if m1[i] != m2[i] {
 			t.Fatal("same seed should reproduce the same SMR matching")
+		}
+	}
+}
+
+// TestScratchPermIsRandPerm: SMR's permutation in a reused buffer is
+// rand.Perm's, draw for draw, so the RNG is left where Perm leaves it;
+// the buffer is shared across sizes and seeds, so each seed after the
+// first finds it dirtied by an n=800 permutation.
+func TestScratchPermIsRandPerm(t *testing.T) {
+	s := new(Scratch)
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, n := range []int{0, 1, 2, 7, 800} {
+			want, r := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			if got, perm := s.randPerm(r, n), want.Perm(n); !slices.Equal(got, perm) {
+				t.Fatalf("seed %d n=%d: %v, rand.Perm %v", seed, n, got, perm)
+			}
+			if got, next := r.Int63(), want.Int63(); got != next {
+				t.Fatalf("seed %d n=%d: next draw %d, after rand.Perm %d", seed, n, got, next)
+			}
 		}
 	}
 }
@@ -398,13 +417,20 @@ func bandwidthCases() []bandwidthCase {
 		bandwidthCase{"empty/absent-classes", nil, nil, 4})
 }
 
-// checkBandwidthOrder holds sortedByBandwidth to a stable comparator sort.
+// checkBandwidthOrder holds sortedByBandwidth to a stable comparator
+// sort, through a fresh scratch and through one that a larger order
+// dirtied first.
 func checkBandwidthOrder(t *testing.T, bw []float64, class []int, classes int) {
 	t.Helper()
 	want := indices(len(bw))
 	slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(bw[a], bw[b]) })
-	if got := sortedByBandwidth(bw, class, classes); !slices.Equal(got, want) {
+	if got := sortedByBandwidth(bw, class, classes, new(Scratch)); !slices.Equal(got, want) {
 		t.Errorf("bandwidths %v, classes %v: order %v, want %v", bw, class, got, want)
+	}
+	dirty, n := new(Scratch), len(bw)+3
+	sortedByBandwidth(randomBW(rand.New(rand.NewSource(int64(n))), n), indices(n), n, dirty)
+	if got := sortedByBandwidth(bw, class, classes, dirty); !slices.Equal(got, want) {
+		t.Errorf("bandwidths %v, classes %v: order %v through a reused scratch, want %v", bw, class, got, want)
 	}
 }
 
@@ -460,7 +486,7 @@ func TestBandwidthOrderBytesPerAgent(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
-		sortedByBandwidth(bw, class, 20)
+		sortedByBandwidth(bw, class, 20, new(Scratch))
 	}
 	runtime.ReadMemStats(&after)
 	perAgent := float64(after.TotalAlloc-before.TotalAlloc) / (runs * n)
@@ -482,7 +508,7 @@ func BenchmarkBandwidthOrder(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", leg.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for range b.N {
-					sortedByBandwidth(leg.bw, leg.class, leg.classes)
+					sortedByBandwidth(leg.bw, leg.class, leg.classes, new(Scratch))
 				}
 			})
 		}

@@ -86,17 +86,23 @@ func (a Assessment) Recommendations() []agent.Recommendation {
 //
 // The pass is O(n + C·k) for the k ≤ min(n, C²+C) occupied (class,
 // partner class) cells of C classes, whatever the number of pairs, and
-// allocates O(C²), nothing per agent; a view without a preference table
-// is ranked first (Penalties.WithRanks, O(C² log C)). The float
-// expressions are those of CountBlockingPairs and Recommendations, so
-// Action, ExpectedGain and the count are bit-identical to theirs.
-func Assess(p matching.Penalties, match matching.Matching, alpha float64) Assessment {
+// allocates O(C²), nothing per agent: the verdicts the Assessment keeps,
+// and the count tables unless s holds them from an earlier call (nil s
+// allocates them). A view without a preference table is ranked first
+// (Penalties.WithRanks, O(C² log C)). The float expressions are those of
+// CountBlockingPairs and Recommendations, so Action, ExpectedGain and
+// the count are bit-identical to theirs.
+func Assess(p matching.Penalties, match matching.Matching, alpha float64, s *Scratch) Assessment {
+	if s == nil {
+		s = new(Scratch)
+	}
 	p = p.WithRanks()
 	jobIdx, matrix := p.Class, p.Matrix
 	classes := len(matrix)
 	solo, cols := classes, classes+1 // a cell's last column: running alone
 	as := Assessment{class: jobIdx, match: match, cols: cols, verdicts: make([]verdict, classes*cols)}
-	cnt := make([]int, classes*cols)
+	s.cnt, s.want = grow(s.cnt, classes*cols), grow(s.want, classes*classes)
+	cnt, want := s.cnt, s.want
 	for i := range match {
 		cnt[as.cell(i)]++
 	}
@@ -109,7 +115,6 @@ func Assess(p matching.Penalties, match matching.Matching, alpha float64) Assess
 	// gains: an agent of class a partnered with class q gains more than
 	// alpha next to a class-b agent.
 	gains := func(a, q, b int) bool { return cur(a, q)-matrix[a][b] > alpha }
-	want := make([]int, classes*classes)
 	for c, k := range cnt {
 		a, q := c/cols, c%cols
 		for _, b := range p.Ranked(a) {

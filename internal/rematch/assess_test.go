@@ -93,17 +93,23 @@ func assessMarket(data []byte) (matrix [][]float64, alpha float64, pops []assess
 // and to the pairwise CountBlockingPairs. The view carrying the matrix's
 // preference table, built once for the three populations as the market
 // engine builds it, must give what the view without one gives, bit for
-// bit, in Assess and in the listing scan alike.
+// bit, in Assess and in the listing scan alike; and so must the three
+// run through one scratch that a larger market dirtied first.
 func checkAssess(t *testing.T, data []byte) {
 	t.Helper()
 	matrix, alpha, pops := assessMarket(data)
 	ranks := matching.Rank(matrix)
+	s := dirtyAssessScratch()
 	for _, pop := range pops {
 		jobIdx, match := pop.jobIdx, pop.match
 		p := matching.Penalties{Matrix: matrix, Class: jobIdx}
 		tabled := p
 		tabled.Ranks = ranks
-		got, gotT := Assess(p, match, alpha), Assess(tabled, match, alpha)
+		got, gotT := Assess(p, match, alpha, nil), Assess(tabled, match, alpha, nil)
+		if reused := Assess(tabled, match, alpha, s); !sameAssessment(reused, gotT) {
+			t.Fatalf("α=%v n=%d: Assess through a reused scratch %+v, through none %+v\nmatrix %v\njobs %v\nmatch %v",
+				alpha, len(jobIdx), reused, gotT, matrix, jobIdx, match)
+		}
 		recs := got.Recommendations()
 		if !reflect.DeepEqual(recs, gotT.Recommendations()) ||
 			got.BlockingPairs != gotT.BlockingPairs || got.BreakAways != gotT.BreakAways {
@@ -140,6 +146,41 @@ func checkAssess(t *testing.T, data []byte) {
 				alpha, len(matrix), len(jobIdx), got.BlockingPairs, wantCount, matrix, jobIdx, match)
 		}
 	}
+}
+
+// dirtyAssessScratch is a scratch a market larger than any assessMarket
+// decodes has left its counts in: 9 classes, 80 agents paired in turn.
+func dirtyAssessScratch() *Scratch {
+	matrix := make([][]float64, 9)
+	for a := range matrix {
+		matrix[a] = make([]float64, 9)
+		for b := range matrix[a] {
+			matrix[a][b] = float64((a*7+b*3)%5) / 4
+		}
+	}
+	p := matching.Penalties{Matrix: matrix, Class: make([]int, 80)}
+	match := make(matching.Matching, 80)
+	for i := range match {
+		p.Class[i], match[i] = i%9, i^1
+	}
+	s := new(Scratch)
+	Assess(p, match, 0, s)
+	return s
+}
+
+// sameAssessment reports whether two assessments of one matching agree
+// bit for bit: counts, cells and every verdict's gain.
+func sameAssessment(a, b Assessment) bool {
+	if a.BlockingPairs != b.BlockingPairs || a.BreakAways != b.BreakAways || a.cols != b.cols ||
+		len(a.verdicts) != len(b.verdicts) {
+		return false
+	}
+	for c, v := range a.verdicts {
+		if v.breaks != b.verdicts[c].breaks || math.Float64bits(v.gain) != math.Float64bits(b.verdicts[c].gain) {
+			return false
+		}
+	}
+	return true
 }
 
 // assessSeeds is the property test's table, and FuzzAssess's corpus: 300
@@ -219,7 +260,7 @@ func BenchmarkAssess(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
-				Assess(p, match, 0)
+				Assess(p, match, 0, nil)
 			}
 		})
 	}

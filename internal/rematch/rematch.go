@@ -72,13 +72,14 @@ type Pool struct {
 	Shard   int   // the pool's shard
 }
 
-// Scratch is Neighborhood's working memory, reused across calls; the
-// zero value is ready. Not safe for concurrent use.
+// Scratch is Neighborhood's and Assess's working memory, reused across
+// calls; the zero value is ready. Not safe for concurrent use.
 type Scratch struct {
 	start, bucket []int  // class c's eligible pool positions: bucket[start[c]:start[c+1]], ascending
 	slot, lists   []int  // class c's list: lists[(slot[c]-1)·(K+1):][:K+1], -1 past its end
 	out           []int  // the result
 	in            []bool // by pool position: eligible, then in the neighborhood
+	cnt, want     []int  // Assess's count tables
 }
 
 // grow returns buf holding n zero values, in its own array when that is
